@@ -8,7 +8,9 @@ use resilim_harness::CampaignRunner;
 /// Run one deployment; print or `--store` its summary.
 pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     let (spec, app, procs, errors) = one_deployment(opts)?;
-    let result = runner.run(&spec);
+    // An unwritable `--store` is an error before any trial runs, not a
+    // silently non-durable campaign.
+    let result = runner.try_run(&spec).map_err(|e| e.to_string())?;
     if let Some(shard) = runner.shard() {
         // A shard's result is partial: it is ledgered for
         // `resilim merge`, never stored as a campaign summary.

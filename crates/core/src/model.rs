@@ -20,8 +20,8 @@
 //!   measured by region-targeted injection at the small scale.
 //!
 //! The learned predictors of the registry (logistic regression and
-//! gradient-boosted stumps over per-trial [`TrialFeatures`]
-//! (crate::TrialFeatures)) live in [`crate::learn`]; they implement the
+//! gradient-boosted stumps over per-trial
+//! [`TrialFeatures`](crate::TrialFeatures)) live in [`crate::learn`]; they implement the
 //! same [`Predictor`] trait, so `resilim model` and the
 //! `predictor-divergence` check oracle treat all three uniformly.
 

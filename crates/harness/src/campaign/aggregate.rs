@@ -1,11 +1,9 @@
 //! Built-in [`TrialConsumer`]s: online aggregation (with adaptive
-//! stopping), ledger persistence, obs trial events, and convergence
-//! plot series — plus the batch fold (`aggregate_outcomes`) the merge
-//! path and the check oracles re-derive results with.
+//! stopping) and obs trial events — plus the batch fold
+//! (`aggregate_outcomes`) the check oracles re-derive results with.
+//! (Persistence is `crate::recordlog::LogConsumer`.)
 
 use super::stream::{TrialConsumer, TrialRecord};
-use crate::features::FeatureStore;
-use crate::ledger::TrialLedger;
 use resilim_core::{FiAccumulator, FiResult, PropagationProfile, StopRule, TrialFeatures};
 use resilim_inject::{OutcomeKind, TestOutcome};
 use resilim_obs as obs;
@@ -57,16 +55,6 @@ impl CampaignAccumulator {
         }
     }
 
-    /// Whether the stop rule was satisfied.
-    pub fn stopped(&self) -> bool {
-        self.satisfied
-    }
-
-    /// Outcomes delivered so far, in trial-index order.
-    pub fn outcomes(&self) -> &[TestOutcome] {
-        &self.outcomes
-    }
-
     /// Consume into `(outcomes, features, fi, prop, by_contam,
     /// uncontaminated)`.
     pub fn into_parts(
@@ -108,137 +96,16 @@ impl TrialConsumer for CampaignAccumulator {
     }
 }
 
-/// Ledger-persistence consumer: appends every freshly executed record
-/// (resumed records are already in the ledger). Appends happen in
-/// trial-index order, so a stopped campaign's ledger holds exactly the
-/// delivered prefix plus whatever earlier runs recorded.
-///
-/// With a batch size above 1 ([`LedgerConsumer::with_batch`]) records
-/// are buffered and written with one `write`+flush per batch — the
-/// amortized form batched admission uses. The buffer is drained on
-/// [`TrialConsumer::finish`], so a completed (or stopped) campaign's
-/// ledger contents are identical at every batch size; only the
-/// crash-durability lag grows (bounded by the batch).
-pub struct LedgerConsumer<'a> {
-    ledger: Option<&'a TrialLedger>,
-    batch: usize,
-    buffered: Vec<(usize, TestOutcome, u32)>,
-}
-
-impl<'a> LedgerConsumer<'a> {
-    /// Consumer appending to `ledger` (no-op when `None`), one write
-    /// per record.
-    pub fn new(ledger: Option<&'a TrialLedger>) -> LedgerConsumer<'a> {
-        LedgerConsumer {
-            ledger,
-            batch: 1,
-            buffered: Vec::new(),
-        }
-    }
-
-    /// Buffer up to `batch` records per ledger write (1 = unbuffered).
-    pub fn with_batch(mut self, batch: usize) -> LedgerConsumer<'a> {
-        self.batch = batch.max(1);
-        self
-    }
-
-    fn flush(&mut self) {
-        if let Some(ledger) = self.ledger {
-            ledger.append_batch(&self.buffered);
-        }
-        self.buffered.clear();
-    }
-}
-
-impl TrialConsumer for LedgerConsumer<'_> {
-    fn consume(&mut self, rec: &TrialRecord) -> bool {
-        if !rec.resumed && self.ledger.is_some() {
-            self.buffered.push((rec.index, rec.outcome, rec.attempts));
-            if self.buffered.len() >= self.batch {
-                self.flush();
-            }
-        }
-        false
-    }
-
-    fn finish(&mut self) {
-        self.flush();
-        if let Some(ledger) = self.ledger {
-            ledger.sync();
-        }
-    }
-}
-
-/// Feature-store consumer: persists every freshly executed record's
-/// [`TrialFeatures`] (resumed records carry none — the run that
-/// executed them already persisted theirs). Appends happen in
-/// trial-index delivery order, so the stored `features.jsonl` contents
-/// for a given `(spec, seed)` are byte-identical across worker counts,
-/// batch sizes, and one-shot vs daemon execution.
-///
-/// Batching mirrors [`LedgerConsumer`]: records buffer up to `batch`
-/// per write and drain on [`TrialConsumer::finish`], so batch size
-/// changes durability lag, never file contents.
-pub struct FeatureConsumer<'a> {
-    store: Option<&'a FeatureStore>,
-    batch: usize,
-    buffered: Vec<(usize, TrialFeatures)>,
-}
-
-impl<'a> FeatureConsumer<'a> {
-    /// Consumer appending to `store` (no-op when `None`), one write per
-    /// record.
-    pub fn new(store: Option<&'a FeatureStore>) -> FeatureConsumer<'a> {
-        FeatureConsumer {
-            store,
-            batch: 1,
-            buffered: Vec::new(),
-        }
-    }
-
-    /// Buffer up to `batch` records per store write (1 = unbuffered).
-    pub fn with_batch(mut self, batch: usize) -> FeatureConsumer<'a> {
-        self.batch = batch.max(1);
-        self
-    }
-
-    fn flush(&mut self) {
-        if let Some(store) = self.store {
-            store.append_batch(&self.buffered);
-        }
-        self.buffered.clear();
-    }
-}
-
-impl TrialConsumer for FeatureConsumer<'_> {
-    fn consume(&mut self, rec: &TrialRecord) -> bool {
-        if let (Some(features), false, Some(_)) = (rec.features, rec.resumed, self.store) {
-            self.buffered.push((rec.index, features));
-            if self.buffered.len() >= self.batch {
-                self.flush();
-            }
-        }
-        false
-    }
-
-    fn finish(&mut self) {
-        self.flush();
-        if let Some(store) = self.store {
-            store.sync();
-        }
-    }
-}
-
 /// Obs consumer: emits one structured `trial` event per freshly
 /// executed record, in trial-index order (resumed trials were someone
 /// else's events).
-pub struct ObsTrialConsumer {
+pub(super) struct ObsTrialConsumer {
     campaign: u64,
 }
 
 impl ObsTrialConsumer {
     /// Consumer emitting under campaign id `campaign`.
-    pub fn new(campaign: u64) -> ObsTrialConsumer {
+    pub(super) fn new(campaign: u64) -> ObsTrialConsumer {
         ObsTrialConsumer { campaign }
     }
 }
@@ -260,41 +127,6 @@ impl TrialConsumer for ObsTrialConsumer {
                 latency_us: rec.latency_us,
             });
         }
-        false
-    }
-}
-
-/// Plot-series consumer: the running Wilson half-width (widest outcome
-/// class) after every delivered trial — the convergence curve the
-/// adaptive bench and figure tooling plot, built live instead of by
-/// re-folding a finished result.
-pub struct ConvergenceSeries {
-    rule: StopRule,
-    acc: FiAccumulator,
-    points: Vec<(u64, f64)>,
-}
-
-impl ConvergenceSeries {
-    /// Series at 95 % confidence for a `procs`-rank deployment.
-    pub fn new(procs: usize) -> ConvergenceSeries {
-        ConvergenceSeries {
-            rule: StopRule::new(0.0),
-            acc: FiAccumulator::new(procs),
-            points: Vec::new(),
-        }
-    }
-
-    /// `(trials so far, widest Wilson half-width)` per delivered trial.
-    pub fn points(&self) -> &[(u64, f64)] {
-        &self.points
-    }
-}
-
-impl TrialConsumer for ConvergenceSeries {
-    fn consume(&mut self, rec: &TrialRecord) -> bool {
-        self.acc.record(&rec.outcome);
-        self.points
-            .push((self.acc.total(), self.rule.widest_halfwidth(self.acc.fi())));
         false
     }
 }
@@ -353,21 +185,8 @@ mod tests {
             }
         }
         let at = stopped_at.expect("a uniform stream converges");
-        assert!(acc.stopped());
         assert!(at >= 4, "min_tests floor ignored (stopped at {at})");
         assert!(at < 99, "rule never satisfied");
-        assert_eq!(acc.outcomes().len(), at + 1);
-    }
-
-    #[test]
-    fn convergence_series_is_monotone_for_uniform_streams() {
-        let mut series = ConvergenceSeries::new(1);
-        for i in 0..50 {
-            series.consume(&rec(i, TestOutcome::success(true, 1, 1)));
-        }
-        let points = series.points();
-        assert_eq!(points.len(), 50);
-        assert!(points.windows(2).all(|w| w[1].1 <= w[0].1 + 1e-12));
-        assert_eq!(points[49].0, 50);
+        assert_eq!(acc.into_parts().0.len(), at + 1);
     }
 }

@@ -21,23 +21,26 @@
 //!   through a deterministic reorder buffer into composable
 //!   [`TrialConsumer`]s.
 //! * [`aggregate`] — the built-in consumers: online aggregation with
-//!   adaptive stopping, ledger persistence, obs trial events, and
-//!   convergence plot series.
-//! * [`runner`] — [`CampaignRunner`]: caching, parallelism, durability,
-//!   and the wiring of all of the above.
+//!   adaptive stopping and obs trial events (persistence is
+//!   `crate::recordlog::LogConsumer`).
+//! * [`run`] — [`CampaignRun`]: one campaign in flight — executor,
+//!   claim cursor, pipeline and sinks, result assembly. The state
+//!   machine every scheduler drives.
+//! * [`runner`] — [`CampaignRunner`]: configuration, caching, and the
+//!   one-shot scheduling policy over a [`CampaignRun`]; [`work_loop`],
+//!   the worker body it shares with `resilim serve`.
 
 pub mod aggregate;
 mod exec;
+pub mod run;
 pub mod runner;
 pub mod spec;
 pub mod stream;
 
-pub use aggregate::{
-    aggregate_outcomes, CampaignAccumulator, ConvergenceSeries, FeatureConsumer, LedgerConsumer,
-    ObsTrialConsumer,
-};
-pub use runner::{auto_worker_count, CampaignRunner, TrialExecutor};
+pub use aggregate::{aggregate_outcomes, CampaignAccumulator};
+pub use run::CampaignRun;
+pub use runner::{auto_worker_count, work_loop, CampaignRunner, TrialExecutor};
 pub use spec::{
     validate_fault_model, CampaignResult, CampaignSpec, ErrorSpec, DEFAULT_TAINT_THRESHOLD,
 };
-pub use stream::{ReorderBuffer, TrialConsumer, TrialPipeline, TrialRecord};
+pub use stream::{TrialConsumer, TrialPipeline, TrialRecord};

@@ -1,13 +1,13 @@
-//! The campaign runner: caching, parallel trial execution, durability
-//! (ledger/resume/shard/watchdog), and the streaming pipeline that
-//! turns completed trials into a [`CampaignResult`].
+//! The campaign runner: configuration (parallelism, durability,
+//! watchdog), caching, the one-shot scheduling policy over a
+//! [`CampaignRun`](super::CampaignRun), and the per-trial execution
+//! seam ([`TrialExecutor`], [`work_loop`]) every scheduler shares.
 
-use super::aggregate::{
-    aggregate_outcomes, CampaignAccumulator, FeatureConsumer, LedgerConsumer, ObsTrialConsumer,
-};
+use super::aggregate::CampaignAccumulator;
 use super::exec;
-use super::spec::{CampaignResult, CampaignSpec, ErrorSpec};
-use super::stream::{TrialConsumer, TrialPipeline, TrialRecord};
+use super::run::assemble;
+use super::spec::{CampaignResult, CampaignSpec};
+use super::stream::{TrialConsumer, TrialRecord};
 use crate::features::FeatureStore;
 use crate::golden::{Flights, GoldenRun, GoldenStore};
 use crate::ledger::{RetryPolicy, Shard, TrialLedger};
@@ -17,8 +17,8 @@ use resilim_inject::{FailureKind, TestOutcome};
 use resilim_obs as obs;
 use resilim_simmpi::{ExecBackend, PooledBackend, ReplicatedBackend, SpawnedBackend};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,9 +39,9 @@ enum Parallelism {
 /// useful fan-out is `cores / procs` — and when the host cannot fit
 /// even one extra world (`cores <= procs`, e.g. the 1-core CI runner
 /// driving a p=4 campaign) the answer is exactly 1 worker: the runner
-/// must take its sequential path, paying no claim-counter or
-/// pipeline-lock overhead for parallelism the host cannot deliver
-/// (the `--jobs auto` pessimization recorded in BENCH_campaign.json).
+/// must run its single worker inline, spawning no scoped threads for
+/// parallelism the host cannot deliver (`--jobs auto` once measured
+/// 0.90× of `--jobs 1` on a 1-core host for exactly that reason).
 pub fn auto_worker_count(cores: usize, procs: usize) -> usize {
     let procs = procs.max(1);
     if cores <= procs {
@@ -62,14 +62,14 @@ pub struct CampaignRunner {
     flights: Flights<String, CampaignResult>,
     parallelism: Parallelism,
     /// Durable per-trial ledger directory (`--store DIR/ledger`).
-    ledger_dir: Option<PathBuf>,
+    pub(super) ledger_dir: Option<PathBuf>,
     /// Durable per-trial feature-store directory
     /// (`--store DIR/features`).
-    feature_dir: Option<PathBuf>,
+    pub(super) feature_dir: Option<PathBuf>,
     /// Skip trials already present in the ledger (`--resume`).
-    resume: bool,
+    pub(super) resume: bool,
     /// Deterministic trial partition this runner executes (`--shard`).
-    shard: Option<Shard>,
+    pub(super) shard: Option<Shard>,
     /// Wall-clock watchdog per trial; `None` disables the watchdog.
     trial_deadline: Option<Duration>,
     /// Retry budget/backoff for watchdog-tripped trials.
@@ -79,7 +79,7 @@ pub struct CampaignRunner {
     /// `resilim check`'s replay-identity oracle).
     spawn_per_trial: bool,
     /// Trials admitted/committed per pipeline transaction (`--batch`).
-    trial_batch: usize,
+    pub(super) trial_batch: usize,
 }
 
 impl Default for CampaignRunner {
@@ -139,7 +139,8 @@ impl CampaignRunner {
         self
     }
 
-    /// Persist every freshly executed trial's [`TrialFeatures`] under
+    /// Persist every freshly executed trial's
+    /// [`TrialFeatures`](resilim_core::TrialFeatures) under
     /// `dir` (the CLI wires `--store DIR` to `DIR/features`) — the
     /// learned predictors' training data, keyed exactly like the
     /// ledger. See [`crate::features`].
@@ -258,33 +259,46 @@ impl CampaignRunner {
     /// Run (or fetch from cache) a campaign. Concurrent callers with the
     /// same spec are deduplicated: one runs the campaign, the rest wait
     /// for its result (fig8/table2 fan-out shares serial sub-campaigns).
+    ///
+    /// Panics when a configured store cannot be opened — a campaign
+    /// asked to be durable never runs non-durably; callers that want
+    /// the error instead use [`CampaignRunner::try_run`].
     pub fn run(&self, spec: &CampaignSpec) -> Arc<CampaignResult> {
+        self.try_run(spec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`CampaignRunner::run`], returning the store-open error (naming
+    /// the directory and the OS error) instead of panicking. The error
+    /// is raised before any trial executes.
+    pub fn try_run(&self, spec: &CampaignSpec) -> std::io::Result<Arc<CampaignResult>> {
         if self.shard.is_some() {
             // A shard's result covers only its owned trials; publishing
             // it under the whole-campaign key would poison the cache.
             note_campaign_lookup(false);
-            return Arc::new(self.run_uncached(spec));
+            return self.execute(spec).map(Arc::new);
         }
         let key = spec.cache_key();
         if let Some(hit) = self.cache.lock().get(&key) {
             note_campaign_lookup(true);
-            return Arc::clone(hit);
+            return Ok(Arc::clone(hit));
         }
         let flight = Arc::clone(self.flights.lock().entry(key.clone()).or_default());
         let mut slot = flight.lock();
         if let Some(result) = slot.as_ref() {
             note_campaign_lookup(true);
-            return Arc::clone(result);
+            return Ok(Arc::clone(result));
         }
         if let Some(hit) = self.cache.lock().get(&key) {
             // Published between our cache miss and flight acquisition.
             note_campaign_lookup(true);
-            return Arc::clone(hit);
+            return Ok(Arc::clone(hit));
         }
         note_campaign_lookup(false);
-        let result = Arc::new(self.run_uncached(spec));
-        self.cache.lock().insert(key.clone(), Arc::clone(&result));
-        *slot = Some(Arc::clone(&result));
+        let result = self.execute(spec).map(Arc::new);
+        if let Ok(result) = &result {
+            self.cache.lock().insert(key.clone(), Arc::clone(result));
+            *slot = Some(Arc::clone(result));
+        }
         drop(slot);
         self.flights.lock().remove(&key);
         result
@@ -292,232 +306,68 @@ impl CampaignRunner {
 
     /// Run a campaign without touching the campaign cache (golden runs are
     /// still cached). Used by benches that time campaign execution.
-    ///
-    /// Completed trials flow as [`TrialRecord`] events through a
-    /// [`TrialPipeline`]: a reorder buffer delivers them in trial-index
-    /// order to the aggregation, ledger, and obs consumers, so every
-    /// statistic is a pure fold of the in-order stream regardless of
-    /// worker count — and an adaptive [`CampaignSpec::stop`] rule stops
-    /// the campaign at a deterministic trial.
+    /// Panics like [`CampaignRunner::run`] on an unopenable store.
     pub fn run_uncached(&self, spec: &CampaignSpec) -> CampaignResult {
-        if let ErrorSpec::SerialErrors(_) = spec.errors {
-            assert_eq!(spec.procs, 1, "SerialErrors campaigns run serially");
-        }
-        let metrics_before = obs::MetricsSnapshot::capture();
-        let campaign_id = obs::next_campaign_id();
-        if obs::enabled() {
-            obs::emit(&obs::Event::CampaignStart {
-                campaign: campaign_id,
-                app: spec.spec.app().name().to_string(),
-                procs: spec.procs,
-                tests: spec.tests,
-                errors: format!("{:?}", spec.errors),
+        self.execute(spec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The one-shot scheduling policy: open a single
+    /// [`CampaignRun`](super::CampaignRun) and drain it with `workers`
+    /// [`work_loop`]s, each claiming `--batch` trials at a time — inline
+    /// when one worker suffices, under scoped threads otherwise.
+    ///
+    /// Completed trials flow as [`TrialRecord`] events through the run's
+    /// reorder buffer to the aggregation, ledger, and obs sinks in
+    /// trial-index order, so every statistic is a pure fold of the
+    /// in-order stream regardless of worker count — and an adaptive
+    /// [`CampaignSpec::stop`] rule stops the campaign at a deterministic
+    /// trial (workers stop claiming once it fires).
+    fn execute(&self, spec: &CampaignSpec) -> std::io::Result<CampaignResult> {
+        let run = self.open_run(spec)?;
+        run.announce();
+        let workers = self
+            .effective_parallelism(spec.procs)
+            .min(run.unclaimed().max(1));
+        let executor = Arc::clone(run.executor());
+        let run = Mutex::new(run);
+        let worker = || {
+            work_loop(
+                || {
+                    let tests = run.lock().claim(self.trial_batch);
+                    (!tests.is_empty()).then_some(((), &*executor, tests))
+                },
+                |(), records| run.lock().deliver(records),
+            )
+        };
+        // Worker-region timer: spans exactly the trial-execution
+        // region (not golden profiling, not aggregation), so
+        // `WorkerBusyNanos / WorkerWallNanos` is a true utilization.
+        let worker_region = Instant::now();
+        if workers <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
             });
         }
-        let executor = TrialExecutor {
-            spec: spec.clone(),
-            golden: self.golden.get_masked(&spec.spec, spec.procs, spec.op_mask),
-            backend: self.exec_backend(spec.replicate),
-            retry: self.retry,
-            campaign_id,
-        };
-        let golden = Arc::clone(&executor.golden);
-
-        let start = Instant::now();
-        // The trials this process executes: the shard's slice of the
-        // index space (everything without a shard), minus whatever the
-        // ledger already holds when resuming. Records are keyed by
-        // trial index and delivered in owned order, so any
-        // partition/skip/completion-order combination aggregates
-        // bitwise identically.
-        let owned: Vec<usize> = (0..spec.tests)
-            .filter(|&t| self.shard.is_none_or(|s| s.owns(t)))
-            .collect();
-        if self.shard.is_some() {
-            obs::count(
-                obs::Counter::ShardTrialsSkipped,
-                (spec.tests - owned.len()) as u64,
-            );
-        }
-        let ledger_key = spec.ledger_key();
-        let ledger = self
-            .ledger_dir
-            .as_ref()
-            .and_then(|dir| TrialLedger::open(dir, &ledger_key, spec.seed).ok());
-        let feature_store = self
-            .feature_dir
-            .as_ref()
-            .and_then(|dir| FeatureStore::open(dir, &ledger_key, spec.seed).ok());
-        let mut resumed: HashMap<usize, TestOutcome> = match (&self.ledger_dir, self.resume) {
-            (Some(dir), true) => TrialLedger::load(dir, &ledger_key, spec.seed),
-            _ => HashMap::new(),
-        };
-        resumed.retain(|&t, _| t < spec.tests);
-        // Resumed trials' features were persisted by the run that
-        // executed them: reload them so the in-memory result still
-        // carries a full training set, without re-appending them (the
-        // feature consumer skips resumed records).
-        let resumed_features = match (&self.feature_dir, self.resume) {
-            (Some(dir), true) => FeatureStore::load(dir, &ledger_key, spec.seed),
-            _ => HashMap::new(),
-        };
-        let pending: Vec<usize> = owned
-            .iter()
-            .copied()
-            .filter(|t| !resumed.contains_key(t))
-            .collect();
-        obs::count(
-            obs::Counter::TrialsResumed,
-            (owned.len() - pending.len()) as u64,
-        );
-
-        let mut aggregator = CampaignAccumulator::new(spec.procs, spec.stop);
-        let mut ledger_sink = LedgerConsumer::new(ledger.as_ref()).with_batch(self.trial_batch);
-        let mut feature_sink =
-            FeatureConsumer::new(feature_store.as_ref()).with_batch(self.trial_batch);
-        let mut obs_sink = ObsTrialConsumer::new(campaign_id);
-        let (stopped_early, delivered) = {
-            let consumers: Vec<&mut dyn TrialConsumer> = vec![
-                &mut aggregator,
-                &mut ledger_sink,
-                &mut feature_sink,
-                &mut obs_sink,
-            ];
-            let mut pipeline = TrialPipeline::new(owned.clone(), consumers);
-            // Seed resumed records first: they may satisfy the stop rule
-            // before any fresh trial runs.
-            for &t in &owned {
-                if let Some(outcome) = resumed.get(&t) {
-                    pipeline.push(TrialRecord {
-                        index: t,
-                        outcome: *outcome,
-                        attempts: 0,
-                        resumed: true,
-                        latency_us: 0,
-                        features: resumed_features.get(&t).copied(),
-                    });
-                }
-            }
-
-            let workers = self
-                .effective_parallelism(spec.procs)
-                .min(pending.len().max(1));
-            // Worker-region timer: spans exactly the trial-execution
-            // region (not golden profiling, not aggregation), so
-            // `WorkerBusyNanos / WorkerWallNanos` is a true utilization.
-            let worker_region = Instant::now();
-            let batch = self.trial_batch;
-            let pipeline = Mutex::new(pipeline);
-            if workers <= 1 {
-                let mut pos = 0;
-                while pos < pending.len() {
-                    if pipeline.lock().stopped() {
-                        break;
-                    }
-                    let chunk = &pending[pos..(pos + batch).min(pending.len())];
-                    pos += chunk.len();
-                    let mut recs = Vec::with_capacity(chunk.len());
-                    for &test in chunk {
-                        let busy = obs::timer();
-                        recs.push(executor.run_trial(test));
-                        note_worker_busy(busy);
-                    }
-                    pipeline.lock().push_batch(recs);
-                }
-            } else {
-                // Workers pull contiguous chunks of `batch` pending
-                // positions from a shared counter and push their
-                // completions into the pipeline under one lock, which
-                // reorders them; a stop request stops workers from
-                // claiming more.
-                let next = AtomicUsize::new(0);
-                let stop_flag = AtomicBool::new(pipeline.lock().stopped());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            if stop_flag.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let pos = next.fetch_add(batch, Ordering::Relaxed);
-                            if pos >= pending.len() {
-                                break;
-                            }
-                            let chunk = &pending[pos..(pos + batch).min(pending.len())];
-                            let mut recs = Vec::with_capacity(chunk.len());
-                            for &test in chunk {
-                                let busy = obs::timer();
-                                recs.push(executor.run_trial(test));
-                                note_worker_busy(busy);
-                            }
-                            let mut p = pipeline.lock();
-                            p.push_batch(recs);
-                            if p.stopped() {
-                                stop_flag.store(true, Ordering::Relaxed);
-                            }
-                        });
-                    }
-                });
-            }
-            if obs::enabled() {
-                obs::count(
-                    obs::Counter::WorkerWallNanos,
-                    (worker_region.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                        .saturating_mul(workers as u64),
-                );
-            }
-            let mut pipeline = pipeline.into_inner();
-            pipeline.finish();
-            assert!(
-                pipeline.stopped() || pipeline.is_drained(),
-                "every owned trial resumed or ran"
-            );
-            (pipeline.stopped(), pipeline.delivered())
-        };
-        if stopped_early {
-            obs::count(obs::Counter::CampaignsStoppedEarly, 1);
-            obs::count(
-                obs::Counter::TrialsSavedByStopping,
-                (owned.len() - delivered) as u64,
-            );
-            if obs::enabled() {
-                obs::emit(&obs::Event::CampaignEarlyStop {
-                    campaign: campaign_id,
-                    at_trial: delivered,
-                    planned: spec.tests,
-                });
-            }
-        }
-        let wall = start.elapsed();
-
         if obs::enabled() {
-            obs::emit(&obs::Event::CampaignEnd {
-                campaign: campaign_id,
-                wall_us: obs::as_micros(wall),
-                trials: delivered,
-            });
+            obs::count(
+                obs::Counter::WorkerWallNanos,
+                (worker_region.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+                    .saturating_mul(workers as u64),
+            );
         }
-        let (outcomes, features, fi, prop, by_contam, uncontaminated) = aggregator.into_parts();
-        CampaignResult {
-            procs: spec.procs,
-            fi,
-            prop,
-            by_contam,
-            uncontaminated,
-            outcomes,
-            features,
-            stopped_early,
-            wall,
-            golden,
-            metrics: obs::MetricsSnapshot::capture().delta(&metrics_before),
-        }
+        Ok(run.into_inner().finish())
     }
 
     /// Package this runner's execution configuration for one campaign
     /// as a standalone [`TrialExecutor`]: the golden run is profiled
     /// (or fetched) up front, then any thread may call
-    /// [`TrialExecutor::run_trial`] for any trial index — the seam a
-    /// multi-campaign scheduler (`resilim serve`) interleaves trials
-    /// of many campaigns through, sharing this runner's golden store
+    /// [`TrialExecutor::run_trial`] for any trial index. Every
+    /// [`CampaignRun`](super::CampaignRun) is built over one, so
+    /// one-shot and served campaigns share this runner's golden store
     /// and the process-global world pool.
     pub fn trial_executor(&self, spec: &CampaignSpec) -> TrialExecutor {
         TrialExecutor {
@@ -544,7 +394,8 @@ impl CampaignRunner {
             .ok_or("merge needs a ledger directory (--store DIR)")?;
         let metrics_before = obs::MetricsSnapshot::capture();
         let start = Instant::now();
-        let mut records = TrialLedger::load_strict(dir, &spec.ledger_key(), spec.seed)?;
+        let key = spec.ledger_key();
+        let mut records = TrialLedger::load_strict(dir, &key, spec.seed)?;
         records.retain(|&t, _| t < spec.tests);
         let missing: Vec<usize> = (0..spec.tests)
             .filter(|t| !records.contains_key(t))
@@ -558,34 +409,30 @@ impl CampaignRunner {
             ));
         }
         let golden = self.golden.get_masked(&spec.spec, spec.procs, spec.op_mask);
-        let outcomes: Vec<TestOutcome> = (0..spec.tests).map(|t| records[&t]).collect();
         // Feature shards merge alongside the ledger (lenient loader:
         // trials whose features were lost to corruption are simply
         // absent from the merged training set — unlike outcomes, the
         // aggregate statistics do not depend on them).
         let features = match &self.feature_dir {
-            Some(dir) => {
-                let stored = FeatureStore::load(dir, &spec.ledger_key(), spec.seed);
-                (0..spec.tests)
-                    .filter_map(|t| stored.get(&t).copied())
-                    .collect()
-            }
-            None => Vec::new(),
+            Some(dir) => FeatureStore::load(dir, &key, spec.seed),
+            None => HashMap::new(),
         };
-        let (fi, prop, by_contam, uncontaminated) = aggregate_outcomes(spec.procs, &outcomes);
-        Ok(CampaignResult {
-            procs: spec.procs,
-            fi,
-            prop,
-            by_contam,
-            uncontaminated,
-            outcomes,
-            features,
-            stopped_early: false,
-            wall: start.elapsed(),
+        let mut acc = CampaignAccumulator::new(spec.procs, None);
+        for t in 0..spec.tests {
+            acc.consume(&TrialRecord::resumed(
+                t,
+                records[&t],
+                features.get(&t).copied(),
+            ));
+        }
+        Ok(assemble(
+            spec.procs,
+            acc,
+            false,
+            start.elapsed(),
             golden,
-            metrics: obs::MetricsSnapshot::capture().delta(&metrics_before),
-        })
+            &metrics_before,
+        ))
     }
 }
 
@@ -593,11 +440,11 @@ impl CampaignRunner {
 /// any thread: the spec, the profiled golden run, the configured
 /// [`ExecBackend`], and the watchdog retry policy.
 ///
-/// [`CampaignRunner::run_uncached`] builds one per campaign and its
-/// workers share it; [`CampaignRunner::trial_executor`] hands the same
-/// object to external schedulers (the `resilim serve` daemon) so
-/// multi-campaign execution reuses the exact per-trial path — bitwise
-/// identity with the one-shot runner is by construction, not by test.
+/// [`CampaignRunner::trial_executor`] is the one place they are built;
+/// the one-shot runner and the `resilim serve` scheduler both execute
+/// trials through it (via [`work_loop`]), so multi-campaign execution
+/// reuses the exact per-trial path — bitwise identity with the one-shot
+/// runner is by construction, not by test.
 pub struct TrialExecutor {
     spec: CampaignSpec,
     golden: Arc<GoldenRun>,
@@ -708,19 +555,38 @@ fn note_campaign_lookup(hit: bool) {
     });
 }
 
-/// Add one trial's execution time to `WorkerBusyNanos`.
-fn note_worker_busy(busy: Option<Instant>) {
-    if let Some(busy) = busy {
-        obs::count(
-            obs::Counter::WorkerBusyNanos,
-            busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
+/// One worker's life, under any scheduler: `claim` a batch of trials
+/// of some campaign (with the executor to run them on and a key naming
+/// whom they belong to), execute them outside every lock, `deliver`
+/// the records back under the key — until `claim` returns `None`. The
+/// scheduler is the two closures: which campaign to claim from next,
+/// when to block, when to stop. Each trial's execution time is added
+/// to `WorkerBusyNanos` here, once, for one-shot and served campaigns
+/// alike.
+pub fn work_loop<K, E: Deref<Target = TrialExecutor>>(
+    mut claim: impl FnMut() -> Option<(K, E, Vec<usize>)>,
+    mut deliver: impl FnMut(K, Vec<TrialRecord>),
+) {
+    while let Some((key, executor, tests)) = claim() {
+        let mut records = Vec::with_capacity(tests.len());
+        for test in tests {
+            let busy = obs::timer();
+            records.push(executor.run_trial(test));
+            if let Some(busy) = busy {
+                obs::count(
+                    obs::Counter::WorkerBusyNanos,
+                    busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                );
+            }
+        }
+        deliver(key, records);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{aggregate_outcomes, ErrorSpec};
     use resilim_apps::App;
     use resilim_core::{OutcomeKind, StopRule};
 
@@ -729,10 +595,10 @@ mod tests {
     }
 
     /// Regression for the `--jobs auto` pessimization on small hosts
-    /// (BENCH_campaign.json recorded 0.90× vs `jobs=1` on a 1-core
-    /// host): auto must resolve to exactly 1 worker whenever the host
-    /// cannot fit a second world, so the runner takes its sequential
-    /// path and never pays the shared-counter/pipeline-lock overhead.
+    /// (once measured at 0.90× of `jobs=1` on a 1-core host): auto must
+    /// resolve to exactly 1 worker whenever the host cannot fit a second
+    /// world, so the runner drives its worker inline and never pays for
+    /// scoped threads the host cannot run in parallel.
     #[test]
     fn auto_worker_count_clamps_to_one_on_small_hosts() {
         // cores <= procs: one world already oversubscribes the host.
@@ -805,6 +671,31 @@ mod tests {
         for (r, m) in repl.outcomes.iter().zip(msg.outcomes.iter()) {
             assert_eq!(r.with_detected(false), m.with_detected(false));
         }
+    }
+
+    /// A `--store` the ledger cannot be opened under — here a regular
+    /// file — is an error naming the directory and the OS error; the
+    /// infallible entry points panic with the same message instead of
+    /// running non-durably. (That it is raised before any trial runs is
+    /// checked on a trace, in the CLI's `store_errors` test.)
+    #[test]
+    fn unwritable_store_is_an_error_not_a_silent_downgrade() {
+        let file = std::env::temp_dir().join(format!("resilim-notadir-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let spec = campaign(App::Lu, 2, ErrorSpec::OneParallel, 6);
+        let ledger_under_file = || CampaignRunner::new().with_ledger_dir(file.join("ledger"));
+        let err = ledger_under_file().try_run(&spec).unwrap_err().to_string();
+        assert!(err.contains("ledger"), "{err}");
+        assert!(err.contains(file.to_str().unwrap()), "{err}");
+        assert!(err.contains("os error"), "{err}");
+        let features_under_file = CampaignRunner::new().with_feature_dir(file.join("features"));
+        let err = features_under_file.try_run(&spec).unwrap_err().to_string();
+        assert!(err.contains("feature store"), "{err}");
+        let panic = std::panic::catch_unwind(|| ledger_under_file().run_uncached(&spec))
+            .expect_err("run_uncached must not continue non-durably");
+        let msg = panic.downcast_ref::<String>().expect("panic message");
+        assert!(msg.contains(file.to_str().unwrap()), "{msg}");
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]

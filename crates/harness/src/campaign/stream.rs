@@ -1,5 +1,5 @@
 //! The streaming trial pipeline: completed trials flow as
-//! [`TrialRecord`] events through a deterministic [`ReorderBuffer`]
+//! [`TrialRecord`] events through a deterministic reorder buffer
 //! into composable [`TrialConsumer`]s.
 //!
 //! ## Determinism argument
@@ -43,6 +43,25 @@ pub struct TrialRecord {
     pub features: Option<TrialFeatures>,
 }
 
+impl TrialRecord {
+    /// A record reloaded from a durable ledger (with whatever features
+    /// the feature store still holds for it) instead of executed.
+    pub(crate) fn resumed(
+        index: usize,
+        outcome: TestOutcome,
+        features: Option<TrialFeatures>,
+    ) -> TrialRecord {
+        TrialRecord {
+            index,
+            outcome,
+            attempts: 0,
+            resumed: true,
+            latency_us: 0,
+            features,
+        }
+    }
+}
+
 /// A sink folding in-order trial records; implementations compose into
 /// one [`TrialPipeline`] (aggregation, ledger persistence, obs events,
 /// plot series, ...).
@@ -57,13 +76,31 @@ pub trait TrialConsumer: Send {
     fn finish(&mut self) {}
 }
 
+/// Fan-out: every consumer folds every record (also after one of them
+/// asked to stop), and the first stop request wins.
+impl TrialConsumer for Vec<&mut dyn TrialConsumer> {
+    fn consume(&mut self, rec: &TrialRecord) -> bool {
+        let mut stop = false;
+        for consumer in self.iter_mut() {
+            stop |= consumer.consume(rec);
+        }
+        stop
+    }
+
+    fn finish(&mut self) {
+        for consumer in self.iter_mut() {
+            consumer.finish();
+        }
+    }
+}
+
 /// Reorders out-of-order completions into owned-index order.
 ///
 /// Constructed with the ascending list of trial indices this process
-/// will deliver; [`ReorderBuffer::push`] parks a record until all its
-/// predecessors have been popped.
+/// will deliver; `push` parks a record until all its predecessors have
+/// been popped.
 #[derive(Debug)]
-pub struct ReorderBuffer {
+struct ReorderBuffer {
     /// Delivery order (ascending owned trial indices).
     expected: Vec<usize>,
     /// Position in `expected` of the next record to deliver.
@@ -74,7 +111,7 @@ pub struct ReorderBuffer {
 
 impl ReorderBuffer {
     /// Buffer delivering `expected` (ascending trial indices) in order.
-    pub fn new(expected: Vec<usize>) -> ReorderBuffer {
+    fn new(expected: Vec<usize>) -> ReorderBuffer {
         debug_assert!(expected.windows(2).all(|w| w[0] < w[1]));
         ReorderBuffer {
             expected,
@@ -84,13 +121,13 @@ impl ReorderBuffer {
     }
 
     /// Accept one completed record (any order).
-    pub fn push(&mut self, rec: TrialRecord) {
+    fn push(&mut self, rec: TrialRecord) {
         let prev = self.parked.insert(rec.index, rec);
         debug_assert!(prev.is_none(), "trial {} pushed twice", rec.index);
     }
 
     /// The next in-order record, if it has arrived.
-    pub fn pop_ready(&mut self) -> Option<TrialRecord> {
+    fn pop_ready(&mut self) -> Option<TrialRecord> {
         let next = *self.expected.get(self.cursor)?;
         let rec = self.parked.remove(&next)?;
         self.cursor += 1;
@@ -98,32 +135,33 @@ impl ReorderBuffer {
     }
 
     /// Records delivered so far.
-    pub fn delivered(&self) -> usize {
+    fn delivered(&self) -> usize {
         self.cursor
     }
 
     /// Whether every expected record has been delivered.
-    pub fn is_drained(&self) -> bool {
+    fn is_drained(&self) -> bool {
         self.cursor == self.expected.len()
     }
 }
 
-/// A [`ReorderBuffer`] wired to a set of [`TrialConsumer`]s: `push` a
+/// A reorder buffer wired to a [`TrialConsumer`] — borrowed ones
+/// fanned out through a `Vec<&mut dyn TrialConsumer>`, or an owned one
+/// ([`CampaignRun`](super::CampaignRun) owns its sinks): `push` a
 /// completed trial and every record that became in-order is delivered
-/// to all consumers immediately (live streaming, not post-hoc).
-pub struct TrialPipeline<'c> {
+/// immediately (live streaming, not post-hoc).
+pub struct TrialPipeline<C> {
     buffer: ReorderBuffer,
-    consumers: Vec<&'c mut dyn TrialConsumer>,
+    /// Visible to [`CampaignRun`](super::CampaignRun), which reads its
+    /// owned sinks' folded state back out.
+    pub(super) consumers: C,
     stopped: bool,
 }
 
-impl<'c> TrialPipeline<'c> {
+impl<C: TrialConsumer> TrialPipeline<C> {
     /// Pipeline delivering `expected` (ascending trial indices) to
     /// `consumers`.
-    pub fn new(
-        expected: Vec<usize>,
-        consumers: Vec<&'c mut dyn TrialConsumer>,
-    ) -> TrialPipeline<'c> {
+    pub fn new(expected: Vec<usize>, consumers: C) -> TrialPipeline<C> {
         TrialPipeline {
             buffer: ReorderBuffer::new(expected),
             consumers,
@@ -166,10 +204,8 @@ impl<'c> TrialPipeline<'c> {
             let Some(ready) = self.buffer.pop_ready() else {
                 break;
             };
-            for consumer in &mut self.consumers {
-                if consumer.consume(&ready) {
-                    self.stopped = true;
-                }
+            if self.consumers.consume(&ready) {
+                self.stopped = true;
             }
         }
     }
@@ -191,9 +227,7 @@ impl<'c> TrialPipeline<'c> {
 
     /// Signal end-of-stream to every consumer.
     pub fn finish(&mut self) {
-        for consumer in &mut self.consumers {
-            consumer.finish();
-        }
+        self.consumers.finish();
     }
 }
 
@@ -250,7 +284,8 @@ mod tests {
         let mut a = Recorder::default();
         let mut b = Recorder::default();
         {
-            let mut p = TrialPipeline::new(vec![1, 3, 4], vec![&mut a, &mut b]);
+            let consumers: Vec<&mut dyn TrialConsumer> = vec![&mut a, &mut b];
+            let mut p = TrialPipeline::new(vec![1, 3, 4], consumers);
             p.push(rec(4));
             p.push(rec(3));
             assert_eq!(p.delivered(), 0, "1 gates everything");
@@ -270,7 +305,8 @@ mod tests {
             ..Recorder::default()
         };
         {
-            let mut p = TrialPipeline::new((0..5).collect(), vec![&mut a]);
+            let consumers: Vec<&mut dyn TrialConsumer> = vec![&mut a];
+            let mut p = TrialPipeline::new((0..5).collect(), consumers);
             // 2 completes first but must not be delivered: the stop at 1
             // is decided before 2's turn.
             p.push(rec(2));

@@ -19,25 +19,22 @@
 //!   byte-identical across worker counts, batch sizes, and one-shot vs
 //!   daemon execution.
 //!
-//! Corruption tolerance mirrors [`crate::ledger::TrialLedger`]: every
-//! line parses independently; a truncated tail, interleaved garbage, a
-//! stale schema version, or a foreign-campaign record each degrade to
+//! The store is the same [`RecordLog`] the trial ledger is, with its
+//! own record kind — one writer, one set of loaders, one
+//! corruption-tolerance policy: a truncated tail, interleaved garbage,
+//! a stale schema version, or a foreign-campaign record each degrade to
 //! "that trial's features were never stored".
 
-use parking_lot::Mutex;
+use crate::campaign::TrialRecord;
+use crate::recordlog::{LogRecord, RecordLog};
 use resilim_core::{TrialFeatures, FEATURE_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
-
-/// Records appended between fsyncs (same cadence as the ledger).
-const SYNC_BATCH: usize = 64;
+use std::path::Path;
 
 /// One durable feature record (one JSONL line).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct FeatureRecord {
+pub struct FeatureLine {
     /// Feature-schema version ([`FEATURE_SCHEMA_VERSION`]). Stale
     /// versions are skipped on load, never migrated.
     v: u32,
@@ -51,203 +48,58 @@ struct FeatureRecord {
     features: TrialFeatures,
 }
 
-/// Append-only, crash-tolerant per-trial feature store for one campaign.
-///
-/// Each process appends to its own file
-/// (`features-<fnv64(key)>-<pid>.jsonl`) so concurrent shards sharing a
-/// store directory never interleave partial lines; loading scans every
-/// `*.jsonl` file in the directory and filters by `(version, key, seed)`.
-pub struct FeatureStore {
-    key: String,
-    seed: u64,
-    writer: Mutex<Writer>,
-}
+/// Append-only, crash-tolerant per-trial feature store for one
+/// campaign: the [`RecordLog`] of [`FeatureLine`]s
+/// (`features-<fnv64(key)>-<pid>.jsonl`), mapping trial index →
+/// [`TrialFeatures`].
+pub type FeatureStore = RecordLog<FeatureLine>;
 
-struct Writer {
-    file: BufWriter<File>,
-    /// Appends since the last fsync.
-    unsynced: usize,
+impl LogRecord for FeatureLine {
+    const PREFIX: &'static str = "features";
+    const VERSION: u32 = FEATURE_SCHEMA_VERSION;
+    const STORE: &'static str = "feature store";
+    /// `(trial, features)`.
+    type Row = (usize, TrialFeatures);
+    type Value = TrialFeatures;
+
+    fn new(key: &str, seed: u64, (trial, features): Self::Row) -> FeatureLine {
+        FeatureLine {
+            v: FEATURE_SCHEMA_VERSION,
+            key: key.to_string(),
+            seed,
+            trial,
+            features,
+        }
+    }
+
+    fn row_of(rec: &TrialRecord) -> Option<Self::Row> {
+        rec.features.map(|features| (rec.index, features))
+    }
+
+    fn identity(&self) -> (u32, &str, u64, usize) {
+        (self.v, &self.key, self.seed, self.trial)
+    }
+
+    fn into_value(self) -> TrialFeatures {
+        self.features
+    }
 }
 
 impl FeatureStore {
-    /// Open (creating the directory and this process's append file if
-    /// needed) the feature store for one campaign key.
-    pub fn open(dir: impl AsRef<Path>, key: &str, seed: u64) -> std::io::Result<FeatureStore> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(Self::file_name(key)))?;
-        Ok(FeatureStore {
-            key: key.to_string(),
-            seed,
-            writer: Mutex::new(Writer {
-                file: BufWriter::new(file),
-                unsynced: 0,
-            }),
-        })
-    }
-
-    /// This process's append-file name for `key`.
-    pub fn file_name(key: &str) -> String {
-        format!(
-            "features-{:016x}-{}.jsonl",
-            crate::golden::fnv64(&[key.as_bytes()]),
-            std::process::id()
-        )
-    }
-
-    /// Append a batch of trials' features with one writer lock, one
-    /// `write`, and one flush. Same best-effort durability contract as
-    /// the ledger: flushed to the OS immediately, fsynced every
-    /// [`SYNC_BATCH`] records, IO errors swallowed (a full disk degrades
-    /// the training set, it must not kill the campaign).
-    pub fn append_batch(&self, records: &[(usize, TrialFeatures)]) {
-        if records.is_empty() {
-            return;
-        }
-        let mut lines = String::new();
-        for &(trial, features) in records {
-            let rec = FeatureRecord {
-                v: FEATURE_SCHEMA_VERSION,
-                key: self.key.clone(),
-                seed: self.seed,
-                trial,
-                features,
-            };
-            let Ok(line) = serde_json::to_string(&rec) else {
-                continue;
-            };
-            lines.push_str(&line);
-            lines.push('\n');
-        }
-        let mut w = self.writer.lock();
-        if w.file.write_all(lines.as_bytes()).is_err() {
-            return;
-        }
-        let _ = w.file.flush();
-        w.unsynced += records.len();
-        if w.unsynced >= SYNC_BATCH {
-            let _ = w.file.get_ref().sync_data();
-            w.unsynced = 0;
-        }
-    }
-
-    /// Flush and fsync any pending batch (also done on drop).
-    pub fn sync(&self) {
-        let mut w = self.writer.lock();
-        let _ = w.file.flush();
-        if w.unsynced > 0 {
-            let _ = w.file.get_ref().sync_data();
-            w.unsynced = 0;
-        }
-    }
-
-    /// Load every valid record for `(key, seed)` from all feature files
-    /// under `dir`: trial index → features. Tolerates a missing
-    /// directory, unreadable files, truncated/corrupt lines, stale
-    /// schema versions, and foreign-campaign records — each degrades to
-    /// "not stored". Files scan in name order; later records win.
-    pub fn load(dir: impl AsRef<Path>, key: &str, seed: u64) -> HashMap<usize, TrialFeatures> {
-        let mut out = HashMap::new();
-        for (rec, _) in Self::scan(dir) {
-            if rec.key == key && rec.seed == seed {
-                out.insert(rec.trial, rec.features);
-            }
-        }
-        out
-    }
-
     /// Load *every* campaign's records under `dir`, keyed by
     /// `(ledger key, seed, trial)` — the training-set loader for
     /// `resilim model`, which learns across all deployments a store
     /// holds. Same corruption tolerance as [`FeatureStore::load`].
     pub fn load_all(dir: impl AsRef<Path>) -> Vec<TrialFeatures> {
         let mut keyed: HashMap<(String, u64, usize), TrialFeatures> = HashMap::new();
-        for (rec, _) in Self::scan(dir) {
+        let _ = Self::scan(dir.as_ref(), |_, rec| {
             keyed.insert((rec.key, rec.seed, rec.trial), rec.features);
-        }
+            Ok(())
+        });
         let mut entries: Vec<_> = keyed.into_iter().collect();
         // Deterministic training order regardless of hash-map iteration.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries.into_iter().map(|(_, f)| f).collect()
-    }
-
-    /// Like [`FeatureStore::load`], but for *merging*: duplicate trial
-    /// records and identity mismatches are hard errors, exactly as in
-    /// [`crate::ledger::TrialLedger::load_strict`] (an overlapping-shard
-    /// misconfiguration must not silently double-count training rows).
-    pub fn load_strict(
-        dir: impl AsRef<Path>,
-        key: &str,
-        seed: u64,
-    ) -> Result<HashMap<usize, TrialFeatures>, String> {
-        let mut out = HashMap::new();
-        for (rec, path) in Self::scan(dir) {
-            if rec.key != key {
-                continue;
-            }
-            if rec.seed != seed {
-                return Err(format!(
-                    "feature store {}: record for trial {} matches campaign key \
-                     but carries seed {} (expected {}) — deployment identity \
-                     mismatch, refusing to merge",
-                    path.display(),
-                    rec.trial,
-                    rec.seed,
-                    seed,
-                ));
-            }
-            if out.insert(rec.trial, rec.features).is_some() {
-                return Err(format!(
-                    "feature store {}: duplicate record for trial {} — the same \
-                     shard ran twice into this store, or feature files from \
-                     separate runs were mixed; refusing to merge",
-                    path.display(),
-                    rec.trial,
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Every parseable current-version record under `dir`, with its
-    /// source path, in file-name order. Unparseable lines and stale
-    /// schema versions are skipped here so every loader shares one
-    /// corruption-tolerance policy.
-    fn scan(dir: impl AsRef<Path>) -> Vec<(FeatureRecord, PathBuf)> {
-        let mut out = Vec::new();
-        let Ok(entries) = std::fs::read_dir(dir.as_ref()) else {
-            return out;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<FeatureRecord>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
-                if rec.v != FEATURE_SCHEMA_VERSION {
-                    continue; // stale schema: skipped, never migrated
-                }
-                out.push((rec, path.clone()));
-            }
-        }
-        out
-    }
-}
-
-impl Drop for FeatureStore {
-    fn drop(&mut self) {
-        self.sync();
     }
 }
 
@@ -256,134 +108,23 @@ mod tests {
     use super::*;
     use resilim_core::OutcomeKind;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("resilim-features-{tag}-{}", std::process::id()));
+    /// The cross-campaign training loader sees every campaign's records
+    /// once (the per-campaign loaders are covered by the shared suite in
+    /// `recordlog`).
+    #[test]
+    fn load_all_spans_campaigns_and_tolerates_a_missing_dir() {
+        let dir = std::env::temp_dir().join(format!("resilim-features-all-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn feat(label: OutcomeKind, total_ops: u64) -> TrialFeatures {
-        TrialFeatures::quiet(label, 4, total_ops, [1.0, 0.0, 0.0, 0.0, 0.0])
-    }
-
-    #[test]
-    fn appends_roundtrip_and_filter_by_key() {
-        let dir = temp_dir("roundtrip");
-        let store = FeatureStore::open(&dir, "k1", 7).unwrap();
-        store.append_batch(&[(0, feat(OutcomeKind::Success, 10))]);
-        store.append_batch(&[(2, feat(OutcomeKind::Sdc, 20))]);
-        store.sync();
-        let other = FeatureStore::open(&dir, "k2", 7).unwrap();
-        other.append_batch(&[(0, feat(OutcomeKind::Failure, 30))]);
-        other.sync();
-
-        let k1 = FeatureStore::load(&dir, "k1", 7);
-        assert_eq!(k1.len(), 2);
-        assert_eq!(k1[&0], feat(OutcomeKind::Success, 10));
-        assert_eq!(k1[&2], feat(OutcomeKind::Sdc, 20));
-        assert_eq!(FeatureStore::load(&dir, "k2", 7).len(), 1);
-        assert!(FeatureStore::load(&dir, "k1", 8).is_empty());
-        // The cross-campaign training loader sees everything once.
-        assert_eq!(FeatureStore::load_all(&dir).len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The satellite requirement: a run killed mid-append leaves a
-    /// truncated final line; the loader must recover every complete
-    /// record and treat the torn one as never stored.
-    #[test]
-    fn truncated_last_line_recovers_complete_records() {
-        let dir = temp_dir("truncated");
-        let store = FeatureStore::open(&dir, "k", 1).unwrap();
-        store.append_batch(&[
-            (0, feat(OutcomeKind::Success, 10)),
-            (1, feat(OutcomeKind::Sdc, 20)),
-            (2, feat(OutcomeKind::Failure, 30)),
-        ]);
-        drop(store);
-        // Tear the file mid-way through the last record, as a crash or
-        // power loss during the final append would.
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let keep = raw.len() - raw.lines().last().unwrap().len() / 2;
-        std::fs::write(&path, &raw[..keep]).unwrap();
-
-        let map = FeatureStore::load(&dir, "k", 1);
-        assert_eq!(map.len(), 2, "complete records survive: {map:?}");
-        assert!(map.contains_key(&0));
-        assert!(map.contains_key(&1));
-        assert!(!map.contains_key(&2), "torn record degrades to missing");
-        // Strict load tolerates the same corruption (it is not a
-        // duplicate or an identity mismatch).
-        assert_eq!(FeatureStore::load_strict(&dir, "k", 1).unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_lines_and_stale_versions_are_skipped() {
-        let dir = temp_dir("corrupt");
-        let store = FeatureStore::open(&dir, "k", 1).unwrap();
-        store.append_batch(&[(0, feat(OutcomeKind::Success, 10))]);
-        drop(store);
-        let good = serde_json::to_string(&FeatureRecord {
-            v: 999,
-            key: "k".into(),
-            seed: 1,
-            trial: 5,
-            features: feat(OutcomeKind::Sdc, 50),
-        })
-        .unwrap();
-        std::fs::write(
-            dir.join("features-zzz.jsonl"),
-            format!("not json at all\n{good}\n"),
-        )
-        .unwrap();
-        let map = FeatureStore::load(&dir, "k", 1);
-        assert_eq!(map.len(), 1, "{map:?}");
-        assert!(!map.contains_key(&5), "stale-version record ignored");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_dir_loads_empty() {
-        let dir = temp_dir("missing");
-        assert!(FeatureStore::load(&dir, "k", 0).is_empty());
         assert!(FeatureStore::load_all(&dir).is_empty());
-        assert!(FeatureStore::load_strict(&dir, "k", 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn strict_load_rejects_duplicates_and_forged_seeds() {
-        let dir = temp_dir("strict");
-        let store = FeatureStore::open(&dir, "k", 1).unwrap();
-        store.append_batch(&[(0, feat(OutcomeKind::Success, 10))]);
-        drop(store);
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let line = std::fs::read_to_string(&path).unwrap();
-        // Duplicate trial in a second file → refuse to merge.
-        std::fs::write(dir.join("features-zzy.jsonl"), &line).unwrap();
-        let err = FeatureStore::load_strict(&dir, "k", 1).unwrap_err();
-        assert!(err.contains("duplicate record for trial 0"), "{err}");
-        // Forged seed wearing our key → identity mismatch.
-        let forged = line
-            .replace("\"seed\":1", "\"seed\":2")
-            .replace("\"trial\":0", "\"trial\":7");
-        std::fs::write(dir.join("features-zzy.jsonl"), forged).unwrap();
-        let err = FeatureStore::load_strict(&dir, "k", 1).unwrap_err();
-        assert!(err.contains("identity"), "{err}");
-        // Lenient load skips the foreign-seed record entirely.
-        assert_eq!(FeatureStore::load(&dir, "k", 1).len(), 1);
+        let feat = |label, ops| TrialFeatures::quiet(label, 4, ops, [1.0, 0.0, 0.0, 0.0, 0.0]);
+        let k1 = FeatureStore::open(&dir, "k1", 7).unwrap();
+        k1.append_batch(&[
+            (0, feat(OutcomeKind::Success, 10)),
+            (2, feat(OutcomeKind::Sdc, 20)),
+        ]);
+        let k2 = FeatureStore::open(&dir, "k2", 7).unwrap();
+        k2.append_batch(&[(0, feat(OutcomeKind::Failure, 30))]);
+        assert_eq!(FeatureStore::load_all(&dir).len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,7 +9,7 @@ use resilim_obs as obs;
 use resilim_simmpi::World;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -190,11 +190,6 @@ impl GoldenStore {
         self
     }
 
-    /// The persistent cache directory, when one is configured.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// Fetch (measuring on first use) the golden run for a deployment,
     /// with the paper's default injectable mask.
     pub fn get(&self, spec: &ProblemSpec, procs: usize) -> Arc<GoldenRun> {
@@ -276,9 +271,10 @@ impl GoldenStore {
         })
     }
 
-    /// Persist a record, best-effort: write-to-temp + rename so readers
-    /// never observe a half-written file; IO errors are swallowed (the
-    /// cache is an optimization, not a durability contract).
+    /// Persist a record, best-effort: atomically (see
+    /// [`write_atomic`](crate::store::write_atomic)), and IO errors are
+    /// swallowed (the cache is an optimization, not a durability
+    /// contract).
     fn save_disk(&self, key: &Key, run: &GoldenRun) {
         let Some(dir) = self.disk.as_ref() else {
             return;
@@ -299,14 +295,7 @@ impl GoldenStore {
             return;
         }
         let path = dir.join(format!("golden-{:016x}.json", key_file_hash(key)));
-        let tmp = dir.join(format!(
-            "golden-{:016x}.json.tmp.{}",
-            key_file_hash(key),
-            std::process::id()
-        ));
-        if std::fs::write(&tmp, json).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
+        let _ = crate::store::write_atomic(&path, &json);
     }
 
     /// Number of cached runs (memory layer).

@@ -31,13 +31,10 @@
 //! degrade to "that trial was never ledgered" — resume re-runs exactly
 //! the affected trials and the merged result still equals a fresh run.
 
-use parking_lot::Mutex;
+use crate::campaign::TrialRecord;
+use crate::recordlog::{LogRecord, RecordLog};
 use resilim_inject::TestOutcome;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Version stamp of the on-disk trial record. Bump whenever the record
@@ -45,14 +42,9 @@ use std::time::Duration;
 /// skipped on load (the affected trials re-run), never migrated.
 pub const LEDGER_VERSION: u32 = 1;
 
-/// Records appended between fsyncs. Each append is flushed to the OS
-/// immediately (survives a process crash); the batch fsync bounds what
-/// a power loss can cost.
-const SYNC_BATCH: usize = 64;
-
 /// One durable trial record (one JSONL line).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct TrialRecord {
+pub struct LedgerLine {
     /// Record-format version ([`LEDGER_VERSION`]).
     v: u32,
     /// The campaign's ledger key (deployment identity minus the trial
@@ -163,368 +155,46 @@ impl RetryPolicy {
     }
 }
 
-/// Append-only, crash-tolerant per-trial ledger for one campaign.
-///
-/// Each process appends to its own file
-/// (`trials-<fnv64(key)>-<pid>.jsonl`) so concurrent shards sharing a
-/// store directory never interleave partial lines; loading scans every
-/// `*.jsonl` file in the directory and filters by `(version, key,
-/// seed)`, which is also exactly how shard ledgers merge.
-pub struct TrialLedger {
-    key: String,
-    seed: u64,
-    writer: Mutex<Writer>,
-}
+/// Append-only, crash-tolerant per-trial ledger for one campaign: the
+/// [`RecordLog`] of [`LedgerLine`]s (`trials-<fnv64(key)>-<pid>.jsonl`),
+/// mapping trial index → [`TestOutcome`].
+pub type TrialLedger = RecordLog<LedgerLine>;
 
-struct Writer {
-    file: BufWriter<File>,
-    /// Appends since the last fsync.
-    unsynced: usize,
-}
+impl LogRecord for LedgerLine {
+    const PREFIX: &'static str = "trials";
+    const VERSION: u32 = LEDGER_VERSION;
+    const STORE: &'static str = "ledger";
+    /// `(trial, outcome, attempts)`.
+    type Row = (usize, TestOutcome, u32);
+    type Value = TestOutcome;
 
-impl TrialLedger {
-    /// Open (creating the directory and this process's append file if
-    /// needed) the ledger for one campaign key.
-    pub fn open(dir: impl AsRef<Path>, key: &str, seed: u64) -> std::io::Result<TrialLedger> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(Self::file_name(key)))?;
-        Ok(TrialLedger {
+    fn new(key: &str, seed: u64, (trial, outcome, attempts): Self::Row) -> LedgerLine {
+        LedgerLine {
+            v: LEDGER_VERSION,
             key: key.to_string(),
             seed,
-            writer: Mutex::new(Writer {
-                file: BufWriter::new(file),
-                unsynced: 0,
-            }),
-        })
-    }
-
-    /// This process's append-file name for `key`.
-    pub fn file_name(key: &str) -> String {
-        format!(
-            "trials-{:016x}-{}.jsonl",
-            crate::golden::fnv64(&[key.as_bytes()]),
-            std::process::id()
-        )
-    }
-
-    /// Append one completed trial. Best-effort durability: the line is
-    /// flushed to the OS immediately (a crashed *process* loses
-    /// nothing) and fsynced every `SYNC_BATCH` appends (bounding what
-    /// a power loss can cost); IO errors are swallowed — a full disk
-    /// must not kill the campaign, it only degrades resumability.
-    pub fn append(&self, trial: usize, outcome: &TestOutcome, attempts: u32) {
-        self.append_batch(&[(trial, *outcome, attempts)]);
-    }
-
-    /// Append a batch of completed trials with one writer lock, one
-    /// `write`, and one flush — the amortized form batched admission
-    /// uses. Durability bound is unchanged: the whole batch reaches the
-    /// OS before this returns, and the `SYNC_BATCH` fsync cadence
-    /// counts individual records, not calls.
-    pub fn append_batch(&self, records: &[(usize, TestOutcome, u32)]) {
-        if records.is_empty() {
-            return;
-        }
-        let mut lines = String::new();
-        for &(trial, outcome, attempts) in records {
-            let rec = TrialRecord {
-                v: LEDGER_VERSION,
-                key: self.key.clone(),
-                seed: self.seed,
-                trial,
-                outcome,
-                attempts,
-            };
-            let Ok(line) = serde_json::to_string(&rec) else {
-                continue;
-            };
-            lines.push_str(&line);
-            lines.push('\n');
-        }
-        let mut w = self.writer.lock();
-        if w.file.write_all(lines.as_bytes()).is_err() {
-            return;
-        }
-        let _ = w.file.flush();
-        w.unsynced += records.len();
-        if w.unsynced >= SYNC_BATCH {
-            let _ = w.file.get_ref().sync_data();
-            w.unsynced = 0;
+            trial,
+            outcome,
+            attempts,
         }
     }
 
-    /// Flush and fsync any pending batch (also done on drop).
-    pub fn sync(&self) {
-        let mut w = self.writer.lock();
-        let _ = w.file.flush();
-        if w.unsynced > 0 {
-            let _ = w.file.get_ref().sync_data();
-            w.unsynced = 0;
-        }
+    fn row_of(rec: &TrialRecord) -> Option<Self::Row> {
+        Some((rec.index, rec.outcome, rec.attempts))
     }
 
-    /// Load every valid record for `(key, seed)` from all ledger files
-    /// under `dir`: trial index → outcome. Tolerates a missing
-    /// directory, unreadable files, truncated/corrupt lines, stale
-    /// versions, and foreign-campaign records — each degrades to "not
-    /// ledgered". Files are scanned in name order and later records win
-    /// (re-runs of a trial are deterministic, so this is cosmetic).
-    pub fn load(dir: impl AsRef<Path>, key: &str, seed: u64) -> HashMap<usize, TestOutcome> {
-        let mut out = HashMap::new();
-        let Ok(entries) = std::fs::read_dir(dir.as_ref()) else {
-            return out;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<TrialRecord>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
-                if rec.v != LEDGER_VERSION || rec.key != key || rec.seed != seed {
-                    continue; // stale version or different campaign
-                }
-                out.insert(rec.trial, rec.outcome);
-            }
-        }
-        out
+    fn identity(&self) -> (u32, &str, u64, usize) {
+        (self.v, &self.key, self.seed, self.trial)
     }
 
-    /// Like [`TrialLedger::load`], but for *merging*: adversarial
-    /// conditions that resume can shrug off are hard errors here.
-    ///
-    /// * **Duplicate trial records** (two valid records for the same
-    ///   `(key, seed, trial)`) error out. Legitimate flows never produce
-    ///   them — resume skips already-ledgered trials and shards are
-    ///   disjoint — so a duplicate means the same shard ran twice into
-    ///   one directory, or ledgers from separate runs were mixed.
-    ///   Silently deduping would let an overlapping-shard
-    ///   misconfiguration double-count a slice of the campaign.
-    /// * **Identity mismatches** — a record whose `key` matches but
-    ///   whose explicit `seed` field does not — error out. The seed is
-    ///   folded into the key, so the two can only disagree on a forged
-    ///   or corrupted record; adopting it would merge a trial from a
-    ///   different deployment.
-    ///
-    /// Unparseable lines, stale versions, and foreign-key records are
-    /// still skipped (corruption tolerance is unchanged — those degrade
-    /// to "never ledgered" and the merge reports the missing trials).
-    pub fn load_strict(
-        dir: impl AsRef<Path>,
-        key: &str,
-        seed: u64,
-    ) -> Result<HashMap<usize, TestOutcome>, String> {
-        let mut out = HashMap::new();
-        let Ok(entries) = std::fs::read_dir(dir.as_ref()) else {
-            return Ok(out);
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<TrialRecord>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
-                if rec.v != LEDGER_VERSION || rec.key != key {
-                    continue; // stale version or different campaign
-                }
-                if rec.seed != seed {
-                    return Err(format!(
-                        "ledger {}: record for trial {} matches campaign key but \
-                         carries seed {} (expected {}) — deployment identity \
-                         mismatch, refusing to merge",
-                        path.display(),
-                        rec.trial,
-                        rec.seed,
-                        seed,
-                    ));
-                }
-                if out.insert(rec.trial, rec.outcome).is_some() {
-                    return Err(format!(
-                        "ledger {}: duplicate record for trial {} — the same \
-                         shard ran twice into this store, or ledgers from \
-                         separate runs were mixed; refusing to merge (re-run \
-                         the shard with --resume into a clean directory)",
-                        path.display(),
-                        rec.trial,
-                    ));
-                }
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl Drop for TrialLedger {
-    fn drop(&mut self) {
-        self.sync();
+    fn into_value(self) -> TestOutcome {
+        self.outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilim_inject::FailureKind;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("resilim-ledger-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn appends_roundtrip_and_filter_by_key() {
-        let dir = temp_dir("roundtrip");
-        let ledger = TrialLedger::open(&dir, "k1", 7).unwrap();
-        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
-        ledger.append(2, &TestOutcome::sdc(3, 1), 1);
-        ledger.sync();
-        let other = TrialLedger::open(&dir, "k2", 7).unwrap();
-        other.append(0, &TestOutcome::failure(FailureKind::Crash, 0, 0), 0);
-        other.sync();
-
-        let k1 = TrialLedger::load(&dir, "k1", 7);
-        assert_eq!(k1.len(), 2);
-        assert_eq!(k1[&0], TestOutcome::success(true, 1, 1));
-        assert_eq!(k1[&2], TestOutcome::sdc(3, 1));
-        // Different key and different seed see none of k1's records.
-        assert_eq!(TrialLedger::load(&dir, "k2", 7).len(), 1);
-        assert!(TrialLedger::load(&dir, "k1", 8).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_lines_and_stale_versions_are_skipped() {
-        let dir = temp_dir("corrupt");
-        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
-        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
-        ledger.append(1, &TestOutcome::sdc(2, 1), 0);
-        drop(ledger);
-        // Interleave garbage, a stale-version record, and a truncated
-        // final line into a second ledger file.
-        std::fs::write(
-            dir.join("trials-zzz.jsonl"),
-            concat!(
-                "not json at all\n",
-                "{\"v\":999,\"key\":\"k\",\"seed\":1,\"trial\":5,\"outcome\":",
-                "{\"kind\":\"Sdc\",\"failure\":null,\"masked\":false,",
-                "\"contaminated_ranks\":1,\"injections_fired\":1},\"attempts\":0}\n",
-                "{\"v\":1,\"key\":\"k\",\"seed\":1,\"trial\":3,\"outc"
-            ),
-        )
-        .unwrap();
-        let map = TrialLedger::load(&dir, "k", 1);
-        assert_eq!(map.len(), 2, "{map:?}");
-        assert!(
-            !map.contains_key(&5),
-            "stale-version record must be ignored"
-        );
-        assert!(!map.contains_key(&3), "truncated record must be ignored");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_dir_loads_empty() {
-        let dir = temp_dir("missing");
-        assert!(TrialLedger::load(&dir, "k", 0).is_empty());
-        assert!(TrialLedger::load_strict(&dir, "k", 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn strict_load_rejects_duplicate_trials() {
-        let dir = temp_dir("strict-dup");
-        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
-        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
-        ledger.append(1, &TestOutcome::sdc(2, 1), 0);
-        drop(ledger);
-        // A well-formed record for trial 1 lands in a *second* file, as
-        // if the same shard ran twice into one store directory.
-        let line = std::fs::read_to_string(
-            std::fs::read_dir(&dir)
-                .unwrap()
-                .next()
-                .unwrap()
-                .unwrap()
-                .path(),
-        )
-        .unwrap()
-        .lines()
-        .nth(1)
-        .unwrap()
-        .to_string();
-        std::fs::write(dir.join("trials-zzz.jsonl"), format!("{line}\n")).unwrap();
-        // Lenient load dedupes (resume semantics)…
-        assert_eq!(TrialLedger::load(&dir, "k", 1).len(), 2);
-        // …but the merge path must fail loudly.
-        let err = TrialLedger::load_strict(&dir, "k", 1).unwrap_err();
-        assert!(err.contains("duplicate record for trial 1"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn strict_load_rejects_identity_mismatch() {
-        let dir = temp_dir("strict-seed");
-        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
-        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
-        drop(ledger);
-        // Forge a record whose key matches but whose seed field does
-        // not: the seed is folded into the key, so this can only be a
-        // corrupted or foreign record wearing our key.
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
-        let forged = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"seed\":1", "\"seed\":2")
-            .replace("\"trial\":0", "\"trial\":7");
-        std::fs::write(dir.join("trials-zzz.jsonl"), forged).unwrap();
-        // Lenient load silently skips it (different campaign)…
-        assert_eq!(TrialLedger::load(&dir, "k", 1).len(), 1);
-        // …strict load refuses to merge.
-        let err = TrialLedger::load_strict(&dir, "k", 1).unwrap_err();
-        assert!(err.contains("identity"), "{err}");
-        assert!(err.contains("seed 2"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn strict_load_still_tolerates_corruption() {
-        let dir = temp_dir("strict-corrupt");
-        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
-        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
-        drop(ledger);
-        std::fs::write(
-            dir.join("trials-zzz.jsonl"),
-            "garbage\n{\"v\":999,\"key\":\"k\",\"seed\":1,\"trial\":5,\"outcome\":\
-             {\"kind\":\"Sdc\",\"failure\":null,\"masked\":false,\
-             \"contaminated_ranks\":1,\"injections_fired\":1},\"attempts\":0}\n",
-        )
-        .unwrap();
-        let map = TrialLedger::load_strict(&dir, "k", 1).unwrap();
-        assert_eq!(map.len(), 1, "corrupt + stale lines skipped, not fatal");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
 
     #[test]
     fn shard_partition_is_total_and_disjoint() {

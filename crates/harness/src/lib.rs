@@ -22,6 +22,8 @@
 //! * [`features`] — durable per-trial feature store (the learned
 //!   predictors' training data), keyed and sharded exactly like the
 //!   ledger.
+//! * [`recordlog`] — the one append-only JSONL record log both of them
+//!   instantiate, and the buffered consumer that feeds it.
 //! * [`report`] — plain-text table rendering.
 //! * [`store`] — JSON persistence of campaign summaries ("measure once,
 //!   model later").
@@ -33,12 +35,13 @@ pub mod features;
 pub mod golden;
 pub mod ledger;
 pub mod plot;
+pub mod recordlog;
 pub mod report;
 pub mod store;
 
 pub use campaign::{
     aggregate_outcomes, auto_worker_count, validate_fault_model, CampaignAccumulator,
-    CampaignResult, CampaignRunner, CampaignSpec, ConvergenceSeries, ErrorSpec, TrialConsumer,
+    CampaignResult, CampaignRun, CampaignRunner, CampaignSpec, ErrorSpec, TrialConsumer,
     TrialExecutor, TrialPipeline, TrialRecord,
 };
 pub use features::FeatureStore;

@@ -205,6 +205,18 @@ impl Deserialize for CampaignSummary {
     }
 }
 
+/// Write `contents` to `path` so that readers — and a process killed
+/// mid-write — never observe a half-written file: write a sibling
+/// `<name>.tmp.<pid>`, then rename it over `path`. Shared by the
+/// summary store and the golden cache; their loaders only look at
+/// `*.json`, so a temp file a crash left behind is ignored.
+pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// A directory of saved campaign summaries.
 #[derive(Debug, Clone)]
 pub struct ResultStore {
@@ -230,7 +242,7 @@ impl ResultStore {
         let path = self.dir.join(summary.file_name());
         let json = serde_json::to_string_pretty(summary)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(&path, json)?;
+        write_atomic(&path, &json)?;
         Ok(path)
     }
 
@@ -350,6 +362,27 @@ mod tests {
         assert!(path.exists());
         let loaded = store.load(&summary.file_name()).unwrap();
         assert_eq!(loaded, summary);
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    /// A save killed between temp-write and rename leaves a `*.tmp.*`
+    /// file behind; it is not a summary and must not fail the listing.
+    #[test]
+    fn leftover_temp_files_are_ignored() {
+        let store = ResultStore::open(temp_dir("tmp")).unwrap();
+        let saved = summary(ErrorSpec::OneParallel);
+        let path = store.save(&saved).unwrap();
+        assert_eq!(
+            std::fs::read_dir(store.dir()).unwrap().count(),
+            1,
+            "a completed save leaves no temp file of its own"
+        );
+        std::fs::write(
+            format!("{}.tmp.4242", path.display()),
+            "{\"app\":\"cg\",\"pro",
+        )
+        .unwrap();
+        assert_eq!(store.load_all().unwrap(), vec![saved]);
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 

@@ -18,20 +18,19 @@
 //!
 //! ## Determinism
 //!
-//! Each campaign's completed trials flow through its own
-//! [`ReorderBuffer`] into the same consumers the one-shot
-//! [`CampaignRunner`] wires ([`CampaignAccumulator`], ledger append,
-//! obs trial events), and each trial is executed by the
-//! [`TrialExecutor`] the runner itself builds — so a campaign's final
-//! aggregate is bitwise identical to a solo `resilim campaign` run of
-//! the same spec, no matter how many other campaigns it shared the
-//! pool with or in what order the workers interleaved them.
+//! What is scheduled is [`CampaignRun`]s — the same per-campaign state
+//! machine (executor, claim cursor, reorder buffer, aggregation, ledger
+//! and feature sinks, result assembly) the one-shot [`CampaignRunner`]
+//! drives a single one of, fed by the same [`work_loop`]. This module
+//! only decides *which* run a worker claims from next — so a campaign's
+//! final aggregate is bitwise identical to a solo `resilim campaign`
+//! run of the same spec, no matter how many other campaigns it shared
+//! the pool with or in what order the workers interleaved them.
 
 use parking_lot::{Condvar, Mutex};
-use resilim_harness::campaign::{ObsTrialConsumer, ReorderBuffer};
+use resilim_harness::campaign::work_loop;
 use resilim_harness::{
-    CampaignAccumulator, CampaignResult, CampaignRunner, CampaignSpec, CampaignSummary,
-    FeatureStore, TrialConsumer, TrialExecutor, TrialLedger, TrialRecord,
+    CampaignRun, CampaignRunner, CampaignSpec, CampaignSummary, TrialExecutor, TrialRecord,
 };
 use resilim_obs as obs;
 use std::collections::{BTreeMap, HashMap};
@@ -87,194 +86,92 @@ pub enum WatchEvent {
     },
 }
 
-/// One registered campaign.
+/// One registered campaign: its run plus what only a multi-tenant
+/// service needs — a lifecycle state, the retained summary, watchers.
 struct Entry {
-    spec: CampaignSpec,
-    exec: Arc<TrialExecutor>,
-    /// Trial indices this daemon must still execute (not resumed).
-    pending: Vec<usize>,
-    /// Position in `pending` of the next trial to claim.
-    next: usize,
-    /// Claimed trials whose records have not come back yet.
-    in_flight: usize,
-    /// Freshly executed records delivered in order (excludes resumed).
-    delivered_fresh: usize,
-    buffer: ReorderBuffer,
-    /// `Some` while running; taken at finalization.
-    acc: Option<CampaignAccumulator>,
-    ledger: Option<TrialLedger>,
-    /// Per-trial feature persistence (`<store>/features`), when durable.
-    feature_store: Option<FeatureStore>,
-    obs_sink: ObsTrialConsumer,
-    /// An adaptive stop rule fired; the delivered prefix is final.
-    stopped: bool,
+    run: CampaignRun,
     state: CampaignState,
     summary: Option<CampaignSummary>,
     watchers: Vec<mpsc::Sender<WatchEvent>>,
-    started: Instant,
-    metrics_before: obs::MetricsSnapshot,
 }
 
 impl Entry {
     fn id(&self) -> u64 {
-        self.exec.campaign_id()
-    }
-
-    /// Whether the scheduler may admit another trial of this campaign.
-    fn claimable(&self, fair_share: usize) -> bool {
-        self.state == CampaignState::Running
-            && !self.stopped
-            && self.next < self.pending.len()
-            && self.in_flight < fair_share
-            // in_flight + parked-out-of-order records; see module doc.
-            && self.next - self.delivered_fresh < REORDER_WINDOW
+        self.run.id()
     }
 
     /// Whether this campaign still has admissible work (for the fair
     /// share's active-campaign count).
     fn has_work(&self) -> bool {
-        self.state == CampaignState::Running && !self.stopped && self.next < self.pending.len()
+        self.state == CampaignState::Running && self.run.unclaimed() > 0
     }
 
-    /// Push one completed record and deliver everything that became
-    /// in-order; finalize if the campaign reached its end.
-    fn deliver(&mut self, rec: TrialRecord) {
-        self.deliver_batch(std::iter::once(rec));
-    }
-
-    /// Push a batch of completed records (one registry-lock hold) and
-    /// deliver everything that became in-order; finalize if the
-    /// campaign reached its end. Delivery order — and therefore every
-    /// aggregate and the adaptive stop position — is identical to
-    /// delivering the records one at a time.
-    fn deliver_batch(&mut self, records: impl IntoIterator<Item = TrialRecord>) {
-        if self.state != CampaignState::Running || self.stopped {
-            // A late record of a cancelled or already-stopped campaign:
-            // dropped, exactly like the one-shot pipeline after a stop.
+    /// Hand a batch of completed records (one registry-lock hold) to
+    /// the run, stream one progress event per newly delivered trial,
+    /// and finalize if the campaign reached its end. A late record of a
+    /// cancelled campaign is dropped, exactly like the run itself drops
+    /// records after an adaptive stop.
+    fn deliver(&mut self, records: Vec<TrialRecord>) {
+        if self.state != CampaignState::Running {
             return;
         }
-        for rec in records {
-            self.buffer.push(rec);
-        }
-        // Ledger and feature-store appends for this delivery are
-        // batched into one write each (order within the batch is the
-        // delivery order, so the file contents are identical to
-        // unbatched appends).
-        let mut fresh = Vec::new();
-        let mut fresh_features = Vec::new();
-        while !self.stopped {
-            let Some(ready) = self.buffer.pop_ready() else {
-                break;
-            };
-            let stop = self.acc.as_mut().expect("running campaign").consume(&ready);
-            if !ready.resumed {
-                if self.ledger.is_some() {
-                    fresh.push((ready.index, ready.outcome, ready.attempts));
-                }
-                if self.feature_store.is_some() {
-                    if let Some(features) = ready.features {
-                        fresh_features.push((ready.index, features));
-                    }
-                }
-                self.obs_sink.consume(&ready);
-                self.delivered_fresh += 1;
-            }
+        let before = self.run.delivered();
+        self.run.deliver(records);
+        for done in before + 1..=self.run.delivered() {
             let progress = WatchEvent::Progress {
-                done: self.buffer.delivered(),
-                total: self.spec.tests,
+                done,
+                total: self.run.spec().tests,
             };
             self.watchers.retain(|w| w.send(progress.clone()).is_ok());
-            if stop {
-                self.stopped = true;
-            }
         }
-        if let Some(ledger) = &self.ledger {
-            ledger.append_batch(&fresh);
-        }
-        if let Some(store) = &self.feature_store {
-            store.append_batch(&fresh_features);
-        }
-        if self.stopped || self.buffer.is_drained() {
+        if self.run.is_complete() {
             self.finalize();
         }
     }
 
-    /// Seal the campaign: fold the accumulator into the final summary
-    /// via the same [`CampaignResult`] → [`CampaignSummary`] path the
-    /// CLI takes, flush the ledger, and notify watchers.
+    /// Seal the campaign: turn the run's result into the final summary
+    /// via the same [`CampaignSummary::of`] path the CLI takes, and
+    /// notify watchers.
     fn finalize(&mut self) {
         debug_assert_eq!(self.state, CampaignState::Running);
-        let delivered = self.buffer.delivered();
-        if self.stopped {
-            obs::count(obs::Counter::CampaignsStoppedEarly, 1);
-            obs::count(
-                obs::Counter::TrialsSavedByStopping,
-                (self.spec.tests - delivered) as u64,
-            );
-            if obs::enabled() {
-                obs::emit(&obs::Event::CampaignEarlyStop {
-                    campaign: self.id(),
-                    at_trial: delivered,
-                    planned: self.spec.tests,
-                });
-            }
-        }
-        let (outcomes, features, fi, prop, by_contam, uncontaminated) =
-            self.acc.take().expect("finalize once").into_parts();
-        let result = CampaignResult {
-            procs: self.spec.procs,
-            fi,
-            prop,
-            by_contam,
-            uncontaminated,
-            outcomes,
-            features,
-            stopped_early: self.stopped,
-            wall: self.started.elapsed(),
-            golden: Arc::clone(self.exec.golden()),
-            metrics: obs::MetricsSnapshot::capture().delta(&self.metrics_before),
-        };
-        self.summary = Some(CampaignSummary::of(&self.spec, &result));
-        self.state = CampaignState::Done;
-        if let Some(ledger) = &self.ledger {
-            ledger.sync();
-        }
-        if let Some(store) = &self.feature_store {
-            store.sync();
-        }
+        let result = self.run.finish();
+        self.summary = Some(CampaignSummary::of(self.run.spec(), &result));
         obs::count(obs::Counter::ServeCampaignsDone, 1);
+        self.end(CampaignState::Done);
+    }
+
+    /// Enter a terminal state and tell everyone watching.
+    fn end(&mut self, state: CampaignState) {
+        self.state = state;
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
         if obs::enabled() {
-            obs::emit(&obs::Event::CampaignEnd {
-                campaign: self.id(),
-                wall_us: obs::as_micros(self.started.elapsed()),
-                trials: delivered,
-            });
             obs::emit(&obs::Event::ServeCampaignDone {
                 id: self.id(),
-                trials: delivered,
-                state: "done",
+                trials: self.run.delivered(),
+                state: state.as_str(),
             });
         }
         let terminal = WatchEvent::Terminal {
-            state: CampaignState::Done,
+            state,
             summary: self.summary.clone(),
         };
-        self.watchers.retain(|w| w.send(terminal.clone()).is_ok());
-        self.watchers.clear();
+        for watcher in self.watchers.drain(..) {
+            let _ = watcher.send(terminal.clone());
+        }
     }
 
     fn status(&self) -> crate::protocol::CampaignStatus {
+        let spec = self.run.spec();
         crate::protocol::CampaignStatus {
             id: self.id(),
-            app: self.spec.spec.app().name().to_string(),
-            procs: self.spec.procs,
-            errors: self.spec.errors.cli_name(),
-            tests: self.spec.tests,
-            seed: self.spec.seed,
+            app: spec.spec.app().name().to_string(),
+            procs: spec.procs,
+            errors: spec.errors.cli_name(),
+            tests: spec.tests,
+            seed: spec.seed,
             state: self.state.as_str().to_string(),
-            done: self.buffer.delivered(),
-            total: self.spec.tests,
+            done: self.run.delivered(),
+            total: spec.tests,
         }
     }
 }
@@ -299,10 +196,6 @@ struct Shared {
     workers: usize,
     /// Trials a worker claims (and later delivers) per admission.
     batch: usize,
-    /// Ledger directory (`<store>/ledger`), when durable.
-    ledger_dir: Option<PathBuf>,
-    /// Feature-store directory (`<store>/features`), when durable.
-    feature_dir: Option<PathBuf>,
 }
 
 impl Shared {
@@ -327,15 +220,19 @@ impl Shared {
             .collect();
         for id in ids {
             let entry = st.entries.get_mut(&id).expect("listed id");
-            let mut tests = Vec::new();
-            while tests.len() < self.batch && entry.claimable(fair_share) {
-                tests.push(entry.pending[entry.next]);
-                entry.next += 1;
-                entry.in_flight += 1;
+            if entry.state != CampaignState::Running {
+                continue;
             }
+            let run = &mut entry.run;
+            // run_ahead = in flight + parked out of order; see module doc.
+            let max = self
+                .batch
+                .min(fair_share.saturating_sub(run.in_flight()))
+                .min(REORDER_WINDOW.saturating_sub(run.run_ahead()));
+            let tests = run.claim(max);
             if !tests.is_empty() {
                 st.rr_last = id;
-                return Some((id, Arc::clone(&entry.exec), tests));
+                return Some((id, Arc::clone(run.executor()), tests));
             }
         }
         None
@@ -354,13 +251,20 @@ pub struct Scheduler {
 impl Scheduler {
     /// Start `workers` trial workers over `runner`. With a `store`
     /// directory, every campaign is ledgered under `<store>/ledger`
-    /// and submissions resume whatever the ledger already holds.
-    /// Admission batch size comes from the runner
-    /// ([`CampaignRunner::with_trial_batch`]); batching is
-    /// observationally invisible (see `Entry::deliver_batch`).
+    /// (features under `<store>/features`) and submissions resume
+    /// whatever the ledger already holds. Admission batch size comes
+    /// from the runner ([`CampaignRunner::with_trial_batch`]); batching
+    /// is observationally invisible (see [`CampaignRun::deliver`]).
     pub fn new(runner: CampaignRunner, workers: usize, store: Option<PathBuf>) -> Scheduler {
         let workers = workers.max(1);
         let batch = runner.trial_batch();
+        let runner = match store {
+            Some(dir) => runner
+                .with_ledger_dir(dir.join("ledger"))
+                .with_feature_dir(dir.join("features"))
+                .with_resume(true),
+            None => runner,
+        };
         let shared = Arc::new(Shared {
             runner,
             state: Mutex::new(State {
@@ -372,8 +276,6 @@ impl Scheduler {
             shutdown: AtomicBool::new(false),
             workers,
             batch,
-            ledger_dir: store.as_ref().map(|dir| dir.join("ledger")),
-            feature_dir: store.map(|dir| dir.join("features")),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -397,39 +299,25 @@ impl Scheduler {
     /// (running *or* finished) joins it instead of running again.
     /// With a store, trials the ledger already holds are resumed, so
     /// resubmitting a completed deployment to a fresh daemon finishes
-    /// without executing a single trial.
+    /// without executing a single trial. A store that cannot be opened
+    /// is an error naming the directory — the campaign is not run
+    /// non-durably.
     pub fn submit(&self, spec: &CampaignSpec) -> Result<(u64, bool), String> {
         obs::count(obs::Counter::ServeSubmits, 1);
         let key = spec.cache_key();
         if let Some(id) = self.try_dedup(&key, spec) {
             return Ok((id, true));
         }
-        // Golden profiling (or cache load) happens outside the registry
-        // lock; concurrent identical submissions single-flight inside
-        // the golden store and collapse at registration below.
-        let exec = Arc::new(self.shared.runner.trial_executor(spec));
-        let metrics_before = obs::MetricsSnapshot::capture();
-        let (ledger, mut resumed) = match &self.shared.ledger_dir {
-            Some(dir) => (
-                TrialLedger::open(dir, &spec.ledger_key(), spec.seed).ok(),
-                TrialLedger::load(dir, &spec.ledger_key(), spec.seed),
-            ),
-            None => (None, HashMap::new()),
-        };
-        resumed.retain(|&t, _| t < spec.tests);
-        let (feature_store, resumed_features) = match &self.shared.feature_dir {
-            Some(dir) => (
-                FeatureStore::open(dir, &spec.ledger_key(), spec.seed).ok(),
-                FeatureStore::load(dir, &spec.ledger_key(), spec.seed),
-            ),
-            None => (None, HashMap::new()),
-        };
-        let owned: Vec<usize> = (0..spec.tests).collect();
-        let pending: Vec<usize> = owned
-            .iter()
-            .copied()
-            .filter(|t| !resumed.contains_key(t))
-            .collect();
+        // Golden profiling (or cache load), store opens and the ledger
+        // reload — which may already complete (or adaptively stop) the
+        // campaign — happen outside the registry lock; concurrent
+        // identical submissions single-flight inside the golden store
+        // and collapse at registration below.
+        let run = self
+            .shared
+            .runner
+            .open_run(spec)
+            .map_err(|e| e.to_string())?;
 
         let mut st = self.shared.state.lock();
         if self.shared.shutdown.load(Ordering::Relaxed) {
@@ -441,54 +329,18 @@ impl Scheduler {
             self.note_submit(id, spec, true);
             return Ok((id, true));
         }
-        let id = exec.campaign_id();
-        obs::count(
-            obs::Counter::TrialsResumed,
-            (owned.len() - pending.len()) as u64,
-        );
+        let id = run.id();
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, 1);
         self.note_submit(id, spec, false);
-        if obs::enabled() {
-            obs::emit(&obs::Event::CampaignStart {
-                campaign: id,
-                app: spec.spec.app().name().to_string(),
-                procs: spec.procs,
-                tests: spec.tests,
-                errors: format!("{:?}", spec.errors),
-            });
-        }
+        run.announce();
         let mut entry = Entry {
-            spec: spec.clone(),
-            exec,
-            pending,
-            next: 0,
-            in_flight: 0,
-            delivered_fresh: 0,
-            buffer: ReorderBuffer::new(owned.clone()),
-            acc: Some(CampaignAccumulator::new(spec.procs, spec.stop)),
-            ledger,
-            feature_store,
-            obs_sink: ObsTrialConsumer::new(id),
-            stopped: false,
+            run,
             state: CampaignState::Running,
             summary: None,
             watchers: Vec::new(),
-            started: Instant::now(),
-            metrics_before,
         };
-        // Seed the ledger's records first: they may complete (or
-        // adaptively stop) the campaign before any worker runs.
-        for &t in &owned {
-            if let Some(outcome) = resumed.get(&t) {
-                entry.deliver(TrialRecord {
-                    index: t,
-                    outcome: *outcome,
-                    attempts: 0,
-                    resumed: true,
-                    latency_us: 0,
-                    features: resumed_features.get(&t).copied(),
-                });
-            }
+        if entry.run.is_complete() {
+            entry.finalize();
         }
         st.by_key.insert(key, id);
         st.entries.insert(id, entry);
@@ -530,7 +382,7 @@ impl Scheduler {
             .lock()
             .entries
             .get(&id)
-            .map(|e| e.spec.clone())
+            .map(|e| e.run.spec().clone())
     }
 
     /// A finished campaign's final aggregates.
@@ -557,8 +409,10 @@ impl Scheduler {
     /// Cancel a running campaign. Returns `false` for unknown ids;
     /// cancelling an already-terminal campaign is a no-op `true`.
     /// In-flight trials finish harmlessly (their records are dropped);
-    /// the ledger keeps everything delivered so far, so a later
-    /// resubmission resumes instead of starting over.
+    /// the run is sealed — records still buffered for a batched write
+    /// are written out and fsynced — so the ledger keeps everything
+    /// delivered so far and a later resubmission resumes instead of
+    /// starting over.
     pub fn cancel(&self, id: u64) -> bool {
         let mut st = self.shared.state.lock();
         let Some(entry) = st.entries.get_mut(&id) else {
@@ -567,28 +421,9 @@ impl Scheduler {
         if entry.state != CampaignState::Running {
             return true;
         }
-        entry.state = CampaignState::Cancelled;
-        if let Some(ledger) = &entry.ledger {
-            ledger.sync();
-        }
-        if let Some(store) = &entry.feature_store {
-            store.sync();
-        }
+        entry.run.seal();
         obs::count(obs::Counter::ServeCampaignsCancelled, 1);
-        obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
-        if obs::enabled() {
-            obs::emit(&obs::Event::ServeCampaignDone {
-                id,
-                trials: entry.buffer.delivered(),
-                state: "cancelled",
-            });
-        }
-        let terminal = WatchEvent::Terminal {
-            state: CampaignState::Cancelled,
-            summary: None,
-        };
-        entry.watchers.retain(|w| w.send(terminal.clone()).is_ok());
-        entry.watchers.clear();
+        entry.end(CampaignState::Cancelled);
         self.shared.cv.notify_all();
         true
     }
@@ -630,8 +465,9 @@ impl Scheduler {
     }
 
     /// Graceful drain: stop admitting trials, let in-flight trials
-    /// finish and deliver, flush every running campaign's ledger, and
-    /// join the workers. Idempotent.
+    /// finish and deliver, join the workers, and seal every running
+    /// campaign's stores (buffered records written out and fsynced).
+    /// Idempotent.
     pub fn shutdown(&self) {
         {
             // Flag + wakeup under the registry lock, so a worker cannot
@@ -643,15 +479,10 @@ impl Scheduler {
         for handle in self.handles.lock().drain(..) {
             let _ = handle.join();
         }
-        let st = self.shared.state.lock();
-        for entry in st.entries.values() {
+        let mut st = self.shared.state.lock();
+        for entry in st.entries.values_mut() {
             if entry.state == CampaignState::Running {
-                if let Some(ledger) = &entry.ledger {
-                    ledger.sync();
-                }
-                if let Some(store) = &entry.feature_store {
-                    store.sync();
-                }
+                entry.run.seal();
             }
         }
     }
@@ -663,45 +494,33 @@ impl Drop for Scheduler {
     }
 }
 
-/// One worker: claim a batch of trials, run them outside the lock,
-/// deliver the records under one lock hold, repeat — across *all*
-/// campaigns, interleaved.
+/// One worker: [`work_loop`] over the registry — claim a batch of
+/// trials (blocking until some campaign is admissible or the daemon
+/// drains), run them outside the lock, deliver the records under one
+/// lock hold, repeat — across *all* campaigns, interleaved.
 fn worker_loop(shared: &Shared) {
-    loop {
-        let claim = {
+    work_loop(
+        || {
             let mut st = shared.state.lock();
             loop {
                 if shared.shutdown.load(Ordering::Relaxed) {
-                    break None;
+                    return None;
                 }
                 if let Some(claim) = shared.claim(&mut st) {
-                    break Some(claim);
+                    return Some(claim);
                 }
                 shared.cv.wait(&mut st);
             }
-        };
-        let Some((id, exec, tests)) = claim else {
-            return;
-        };
-        let mut recs = Vec::with_capacity(tests.len());
-        for test in &tests {
-            let busy = obs::timer();
-            recs.push(exec.run_trial(*test));
-            if let Some(busy) = busy {
-                obs::count(
-                    obs::Counter::WorkerBusyNanos,
-                    busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
+        },
+        |id, records| {
+            let mut st = shared.state.lock();
+            if let Some(entry) = st.entries.get_mut(&id) {
+                entry.deliver(records);
             }
-        }
-        let mut st = shared.state.lock();
-        if let Some(entry) = st.entries.get_mut(&id) {
-            entry.in_flight -= tests.len();
-            entry.deliver_batch(recs);
-        }
-        // A freed slot (or a finished campaign) may unblock peers.
-        shared.cv.notify_all();
-    }
+            // A freed slot (or a finished campaign) may unblock peers.
+            shared.cv.notify_all();
+        },
+    )
 }
 
 #[cfg(test)]
@@ -801,6 +620,23 @@ mod tests {
             other => panic!("expected terminal, got {other:?}"),
         }
         assert!(sched.watch(9_999_999).is_none());
+    }
+
+    /// A store the ledger cannot be opened under fails the submission
+    /// with the directory and the OS error — the campaign is neither
+    /// registered nor run non-durably.
+    #[test]
+    fn unwritable_store_fails_the_submission() {
+        let file =
+            std::env::temp_dir().join(format!("resilim-serve-notadir-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let sched = Scheduler::new(CampaignRunner::new(), 1, Some(file.clone()));
+        let err = sched.submit(&spec(App::Cg, 1, 4, 1)).unwrap_err();
+        assert!(err.contains("ledger"), "{err}");
+        assert!(err.contains(file.to_str().unwrap()), "{err}");
+        assert!(err.contains("os error"), "{err}");
+        assert!(sched.list().is_empty());
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]
