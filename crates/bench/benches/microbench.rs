@@ -100,7 +100,7 @@ fn bench_simmpi(c: &mut Criterion) {
     group.sample_size(20);
 
     for p in [2usize, 8, 32, 64] {
-        // Pooled (the default path: workers reused across iterations)…
+        // Pooled (the default path: rank coroutines on cached stacks)…
         group.bench_with_input(BenchmarkId::new("spawn_barrier", p), &p, |b, &p| {
             let world = World::new(p);
             b.iter(|| {
@@ -110,7 +110,7 @@ fn bench_simmpi(c: &mut Criterion) {
                 })
             })
         });
-        // …vs spawning p fresh OS threads per trial (the old engine).
+        // …vs p fresh OS threads per trial (the reference carrier).
         group.bench_with_input(
             BenchmarkId::new("spawn_barrier_unpooled", p),
             &p,

@@ -35,7 +35,7 @@ pub struct Options {
     pub predictor: PredictorKind,
     pub svg: Option<String>,
     /// Concurrent fault-injection tests; `None` = auto
-    /// (`available_parallelism() / procs`, the default).
+    /// (`available_parallelism()`, the default).
     pub jobs: Option<usize>,
     /// Trials admitted/committed per batch (`--batch`; default 1).
     /// Aggregates are bitwise identical at every batch size; batching

@@ -60,6 +60,10 @@ pub struct TraceReport {
     pub hang_guard_trips: u64,
     /// `trial_retry` events (watchdog-tripped trials re-run).
     pub trial_retries: u64,
+    /// Baton handoffs between ranks, summed over `campaign_end` events.
+    pub rank_switches: u64,
+    /// Deadlocks the fabric detected, summed over `campaign_end` events.
+    pub deadlocks_detected: u64,
     /// `check_case` events (differential-check cases run).
     pub check_cases: u64,
     /// `check_case` events with `ok: false` (oracle violations).
@@ -130,6 +134,10 @@ impl TraceReport {
                 "taint_born" => report.taint_born += 1,
                 "hang_guard_trip" => report.hang_guard_trips += 1,
                 "trial_retry" => report.trial_retries += 1,
+                "campaign_end" => {
+                    report.rank_switches += get_u64(&obj, "rank_switches");
+                    report.deadlocks_detected += get_u64(&obj, "deadlocks");
+                }
                 "check_case" => {
                     report.check_cases += 1;
                     if !matches!(obj.get("ok"), Some(Value::Bool(true))) {
@@ -193,6 +201,10 @@ impl TraceReport {
         out.push_str(&format!(
             "  injections fired: {}  taint born: {}  hang-guard trips: {}  trial retries: {}\n",
             self.injections_fired, self.taint_born, self.hang_guard_trips, self.trial_retries
+        ));
+        out.push_str(&format!(
+            "  rank switches: {}  deadlocks detected: {}\n",
+            self.rank_switches, self.deadlocks_detected
         ));
         if self.check_cases > 0 {
             out.push_str(&format!(
@@ -261,6 +273,11 @@ impl TraceReport {
             ("taint_born".into(), Value::U64(self.taint_born)),
             ("hang_guard_trips".into(), Value::U64(self.hang_guard_trips)),
             ("trial_retries".into(), Value::U64(self.trial_retries)),
+            ("rank_switches".into(), Value::U64(self.rank_switches)),
+            (
+                "deadlocks_detected".into(),
+                Value::U64(self.deadlocks_detected),
+            ),
             ("check_cases".into(), Value::U64(self.check_cases)),
             ("check_violations".into(), Value::U64(self.check_violations)),
             ("check_shrinks".into(), Value::U64(self.check_shrinks)),
@@ -291,7 +308,7 @@ mod tests {
             "{\"ev\":\"trial\",\"campaign\":1,\"test\":0,\"kind\":\"success\",\"masked\":true,\"contaminated\":1,\"fired\":1,\"latency_us\":100}\n",
             "{\"ev\":\"trial\",\"campaign\":1,\"test\":1,\"kind\":\"sdc\",\"masked\":false,\"contaminated\":4,\"fired\":1,\"latency_us\":300}\n",
             "{\"ev\":\"trial\",\"campaign\":1,\"test\":2,\"kind\":\"failure\",\"masked\":false,\"contaminated\":4,\"fired\":1,\"latency_us\":200}\n",
-            "{\"ev\":\"campaign_end\",\"campaign\":1,\"wall_us\":700,\"trials\":3}\n",
+            "{\"ev\":\"campaign_end\",\"campaign\":1,\"wall_us\":700,\"trials\":3,\"rank_switches\":1059,\"deadlocks\":1}\n",
         ));
         let report = TraceReport::from_file(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
@@ -303,7 +320,9 @@ mod tests {
         assert_eq!(cg.taint_spread[&4], 2);
         assert_eq!(report.campaign_cache, (0, 1));
         assert_eq!(report.injections_fired, 1);
+        assert_eq!((report.rank_switches, report.deadlocks_detected), (1059, 1));
         let text = report.render();
+        assert!(text.contains("rank switches: 1059  deadlocks detected: 1"));
         assert!(text.contains("cg: 1 campaigns, 3 trials"));
         assert!(text.contains("campaign cache hit rate: 0.0% (0/1)"));
     }

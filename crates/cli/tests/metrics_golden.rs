@@ -13,10 +13,11 @@ const TRACE: &str = concat!(
     "{\"ev\":\"cache_lookup\",\"cache\":\"golden\",\"hit\":true}\n",
     "{\"ev\":\"check_case\",\"case\":0,\"seed\":1000,\"app\":\"cg\",\"procs\":2,\"tests\":8,\"ok\":true,\"oracle\":\"\"}\n",
     "{\"ev\":\"check_shrink\",\"case\":0,\"attempt\":1,\"accepted\":false,\"procs\":2,\"tests\":4}\n",
+    "{\"ev\":\"campaign_end\",\"campaign\":1,\"wall_us\":450,\"trials\":2,\"rank_switches\":706,\"deadlocks\":1}\n",
 );
 
 const GOLDEN: &str = r#"{
-  "events": 7,
+  "events": 8,
   "apps": [
     {
       "app": "cg",
@@ -48,6 +49,8 @@ const GOLDEN: &str = r#"{
   "taint_born": 0,
   "hang_guard_trips": 0,
   "trial_retries": 0,
+  "rank_switches": 706,
+  "deadlocks_detected": 1,
   "check_cases": 1,
   "check_violations": 0,
   "check_shrinks": 1

@@ -68,7 +68,9 @@ pub(super) fn execute_trial(
     let (results, tripped) = backend.run(&world, &mk_ctx, &body);
 
     // Harvest: contamination, fired count, detection, failures, rank-0
-    // output.
+    // output. Every field is a function of the seed for a *failed* trial
+    // too: its ranks were torn down in the fabric's schedule order, so
+    // how many had seen the taint by then is no thread race.
     let mut contaminated = 0usize;
     let mut fired = 0usize;
     let mut detected = false;

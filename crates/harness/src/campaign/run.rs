@@ -293,11 +293,14 @@ impl CampaignRun {
             }
         }
         let wall = self.started.elapsed();
+        let metrics = obs::MetricsSnapshot::capture().delta(&self.metrics_before);
         if obs::enabled() {
             obs::emit(&obs::Event::CampaignEnd {
                 campaign: self.id(),
                 wall_us: obs::as_micros(wall),
                 trials: delivered,
+                rank_switches: metrics.counter(obs::Counter::RankSwitches),
+                deadlocks: metrics.counter(obs::Counter::DeadlocksDetected),
             });
         }
         let acc = std::mem::replace(
@@ -310,7 +313,7 @@ impl CampaignRun {
             stopped_early,
             wall,
             Arc::clone(self.executor.golden()),
-            &self.metrics_before,
+            metrics,
         )
     }
 }
@@ -323,7 +326,7 @@ pub(super) fn assemble(
     stopped_early: bool,
     wall: Duration,
     golden: Arc<GoldenRun>,
-    metrics_before: &obs::MetricsSnapshot,
+    metrics: obs::MetricsSnapshot,
 ) -> CampaignResult {
     let (outcomes, features, fi, prop, by_contam, uncontaminated) = acc.into_parts();
     CampaignResult {
@@ -337,6 +340,6 @@ pub(super) fn assemble(
         stopped_early,
         wall,
         golden,
-        metrics: obs::MetricsSnapshot::capture().delta(metrics_before),
+        metrics,
     }
 }

@@ -27,28 +27,21 @@ use std::time::{Duration, Instant};
 enum Parallelism {
     /// Exactly `k` worker threads (1 = sequential).
     Fixed(usize),
-    /// [`auto_worker_count`] of the host's cores, resolved per campaign
-    /// (a p=64 deployment needs fewer test workers than p=1).
+    /// [`auto_worker_count`] of the host's cores.
     Auto,
 }
 
 /// The worker count `--jobs auto` resolves to on a host with `cores`
-/// logical CPUs for a `procs`-rank deployment.
+/// logical CPUs for a `procs`-rank deployment: `cores`, at every scale.
 ///
-/// Each worker runs a whole world of `procs` rank threads, so the
-/// useful fan-out is `cores / procs` — and when the host cannot fit
-/// even one extra world (`cores <= procs`, e.g. the 1-core CI runner
-/// driving a p=4 campaign) the answer is exactly 1 worker: the runner
-/// must run its single worker inline, spawning no scoped threads for
-/// parallelism the host cannot deliver (`--jobs auto` once measured
-/// 0.90× of `--jobs 1` on a 1-core host for exactly that reason).
-pub fn auto_worker_count(cores: usize, procs: usize) -> usize {
-    let procs = procs.max(1);
-    if cores <= procs {
-        1
-    } else {
-        cores / procs
-    }
+/// Each worker runs one world at a time, and a world occupies exactly
+/// one core whatever its `procs` — its ranks are coroutines of the
+/// worker's own thread, one runnable at a time — so trials, not ranks,
+/// are the parallel unit. On a 1-core host it is 1 and the runner drives
+/// its single worker inline, spawning no scoped threads for parallelism
+/// the host cannot deliver.
+pub fn auto_worker_count(cores: usize, _procs: usize) -> usize {
+    cores.max(1)
 }
 
 /// Runs campaigns, caching both golden runs and whole campaign results
@@ -74,9 +67,10 @@ pub struct CampaignRunner {
     trial_deadline: Option<Duration>,
     /// Retry budget/backoff for watchdog-tripped trials.
     retry: RetryPolicy,
-    /// Spawn fresh rank threads per trial instead of using the global
-    /// [`resilim_simmpi::WorldPool`] (differential backend for
-    /// `resilim check`'s replay-identity oracle).
+    /// Carry each trial's ranks on freshly spawned threads instead of
+    /// coroutines over the global [`resilim_simmpi::WorldPool`]
+    /// (differential backend for `resilim check`'s replay-identity
+    /// oracle).
     spawn_per_trial: bool,
     /// Trials admitted/committed per pipeline transaction (`--batch`).
     pub(super) trial_batch: usize,
@@ -107,17 +101,17 @@ impl CampaignRunner {
         }
     }
 
-    /// Run up to `k` fault-injection tests concurrently (each test already
-    /// runs `procs` rank threads, so a sensible `k` is
-    /// `cores / procs`, floored at 1). Results are bitwise identical to a
-    /// sequential run: every test's randomness is derived from its index.
+    /// Run up to `k` fault-injection tests concurrently (each test
+    /// occupies one core whatever its `procs`, so a sensible `k` is the
+    /// core count). Results are bitwise identical to a sequential run:
+    /// every test's randomness is derived from its index.
     pub fn with_test_parallelism(mut self, k: usize) -> CampaignRunner {
         self.parallelism = Parallelism::Fixed(k.max(1));
         self
     }
 
     /// Scale test parallelism to the host automatically:
-    /// `available_parallelism() / procs`, floored at 1, per campaign.
+    /// `available_parallelism()` workers, at every `procs`.
     /// Same bitwise-determinism guarantee as
     /// [`CampaignRunner::with_test_parallelism`].
     pub fn with_auto_parallelism(mut self) -> CampaignRunner {
@@ -189,10 +183,10 @@ impl CampaignRunner {
     /// Execute each trial on freshly spawned rank threads
     /// ([`resilim_simmpi::SpawnedBackend`]) instead of the
     /// process-global pool ([`resilim_simmpi::PooledBackend`]).
-    /// Semantically identical — both backends share the same per-rank
-    /// execution path — and therefore bitwise identical in outcome,
-    /// which is exactly what `resilim check`'s replay-identity oracle
-    /// asserts. Incompatible with the trial watchdog (the spawned
+    /// Semantically identical — both backends follow the fabric's one
+    /// schedule through the same per-rank execution path — and therefore
+    /// bitwise identical in outcome, failed trials included, which is
+    /// exactly what `resilim check`'s replay-identity oracle asserts. Incompatible with the trial watchdog (the spawned
     /// backend has no deadline plumbing); enabling both panics at
     /// campaign time.
     pub fn with_spawn_per_trial(mut self) -> CampaignRunner {
@@ -431,7 +425,7 @@ impl CampaignRunner {
             false,
             start.elapsed(),
             golden,
-            &metrics_before,
+            obs::MetricsSnapshot::capture().delta(&metrics_before),
         ))
     }
 }
@@ -594,26 +588,20 @@ mod tests {
         CampaignSpec::new(app.default_spec(), procs, errors, tests, 42)
     }
 
-    /// Regression for the `--jobs auto` pessimization on small hosts
-    /// (once measured at 0.90× of `jobs=1` on a 1-core host): auto must
-    /// resolve to exactly 1 worker whenever the host cannot fit a second
-    /// world, so the runner drives its worker inline and never pays for
-    /// scoped threads the host cannot run in parallel.
+    /// A world occupies one core whatever its rank count, so auto is the
+    /// core count at every scale — and still exactly 1 on a 1-core host
+    /// (once measured at 0.90× of `jobs=1` there when it was not), so the
+    /// runner drives its worker inline and never pays for scoped threads
+    /// the host cannot run in parallel.
     #[test]
     fn auto_worker_count_clamps_to_one_on_small_hosts() {
-        // cores <= procs: one world already oversubscribes the host.
-        assert_eq!(auto_worker_count(1, 4), 1);
-        assert_eq!(auto_worker_count(2, 4), 1);
-        assert_eq!(auto_worker_count(4, 4), 1);
-        assert_eq!(auto_worker_count(1, 1), 1);
-        // cores > procs: one worker per world the host can fit.
-        assert_eq!(auto_worker_count(8, 4), 2);
-        assert_eq!(auto_worker_count(9, 4), 2);
-        assert_eq!(auto_worker_count(64, 4), 16);
-        assert_eq!(auto_worker_count(3, 2), 1);
-        assert_eq!(auto_worker_count(4, 1), 4);
-        // Degenerate procs never divides by zero.
-        assert_eq!(auto_worker_count(8, 0), 8);
+        for procs in [0, 1, 4, 64, 128] {
+            assert_eq!(auto_worker_count(1, procs), 1);
+            assert_eq!(auto_worker_count(2, procs), 2);
+            assert_eq!(auto_worker_count(64, procs), 64);
+            // Degenerate core counts still yield a worker.
+            assert_eq!(auto_worker_count(0, procs), 1);
+        }
     }
 
     /// Every non-default fault model runs end-to-end through the

@@ -48,8 +48,10 @@ fn auto_parallelism_matches_sequential_for_every_error_spec() {
 fn auto_parallelism_resolves_per_deployment() {
     let runner = CampaignRunner::new().with_auto_parallelism();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // A world occupies one core whatever its rank count.
     assert_eq!(runner.effective_parallelism(1), cores);
-    assert_eq!(runner.effective_parallelism(cores * 2), 1);
+    assert_eq!(runner.effective_parallelism(cores * 2), cores);
+    assert_eq!(runner.effective_parallelism(64), cores);
     let fixed = CampaignRunner::new().with_test_parallelism(3);
     assert_eq!(fixed.effective_parallelism(1), 3);
     assert_eq!(fixed.effective_parallelism(64), 3);

@@ -93,6 +93,12 @@ pub enum Event {
         wall_us: u64,
         /// Trials executed.
         trials: usize,
+        /// Baton handoffs between ranks while the campaign ran, golden
+        /// profiling included (the campaign's delta of the process-wide
+        /// `rank_switches` counter: exact when campaigns do not overlap).
+        rank_switches: u64,
+        /// Deadlocks the fabric detected in the same window.
+        deadlocks: u64,
     },
     /// One differential-check case finished (`resilim check`).
     CheckCase {
@@ -281,10 +287,14 @@ impl Event {
                 campaign,
                 wall_us,
                 trials,
+                rank_switches,
+                deadlocks,
             } => {
                 line.num("campaign", *campaign);
                 line.num("wall_us", *wall_us);
                 line.num("trials", *trials as u64);
+                line.num("rank_switches", *rank_switches);
+                line.num("deadlocks", *deadlocks);
             }
             Event::CheckCase {
                 case,

@@ -83,11 +83,18 @@ pub enum Counter {
     /// Replica payload comparisons that flagged a divergence
     /// (`--replicate` detection events, one per rank per trial).
     ReplicaDetections,
+    /// Baton handoffs between the ranks of a world (one per switch of the
+    /// run-to-block schedule). A function of the rank bodies alone, so it
+    /// repeats exactly for a seed, whatever carries the ranks.
+    RankSwitches,
+    /// Deadlocks the fabric's scheduler detected (no runnable rank while
+    /// some are blocked in a receive).
+    DeadlocksDetected,
 }
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 34] = [
         Counter::InjectionsFired,
         Counter::TaintBorn,
         Counter::OpsCommon,
@@ -120,6 +127,8 @@ impl Counter {
         Counter::MsgFaultsFired,
         Counter::DueKills,
         Counter::ReplicaDetections,
+        Counter::RankSwitches,
+        Counter::DeadlocksDetected,
     ];
 
     /// Stable snake_case name (used in reports and traces).
@@ -157,6 +166,8 @@ impl Counter {
             Counter::MsgFaultsFired => "msg_faults_fired",
             Counter::DueKills => "due_kills",
             Counter::ReplicaDetections => "replica_detections",
+            Counter::RankSwitches => "rank_switches",
+            Counter::DeadlocksDetected => "deadlocks_detected",
         }
     }
 }

@@ -247,6 +247,8 @@ mod tests {
             campaign: 1,
             wall_us: 99,
             trials: 4,
+            rank_switches: 350,
+            deadlocks: 0,
         });
         crate::set_enabled(false);
         flush_sinks();
@@ -255,7 +257,8 @@ mod tests {
         let raw = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             raw,
-            "{\"ev\":\"campaign_end\",\"campaign\":1,\"wall_us\":99,\"trials\":4}\n"
+            "{\"ev\":\"campaign_end\",\"campaign\":1,\"wall_us\":99,\"trials\":4,\
+             \"rank_switches\":350,\"deadlocks\":0}\n"
         );
         let _ = std::fs::remove_file(&path);
     }

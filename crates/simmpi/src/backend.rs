@@ -1,9 +1,10 @@
-//! Execution backends: *how* a world's ranks get OS threads.
+//! Execution backends: *what carries* a world's ranks.
 //!
-//! The runtime has two ways to execute a trial — on the process-wide
-//! reusable rank-thread pool ([`PooledBackend`], the fast path), or by
-//! spawning fresh threads per trial ([`SpawnedBackend`], the reference
-//! path tests use as an oracle). Campaign runners used to pick between
+//! The runtime has two ways to execute a trial — as coroutines on the
+//! calling thread, their stacks cached process-wide ([`PooledBackend`],
+//! the fast path), or on fresh threads per trial ([`SpawnedBackend`],
+//! the reference path tests use as an oracle). Both follow the one
+//! schedule the fabric computes. Campaign runners used to pick between
 //! them with an ad-hoc flag; [`ExecBackend`] makes the duality a first-
 //! class, object-safe trait so callers can hold a `dyn ExecBackend<T>`
 //! and the two paths stay interchangeable by construction.
@@ -40,8 +41,9 @@ pub trait ExecBackend<T: Send>: Send + Sync {
     ) -> (Vec<RankOutcome<T>>, bool);
 }
 
-/// The process-wide rank-thread pool, with an optional per-trial
-/// wall-clock watchdog (see [`World::run_with_ctx_deadline`]).
+/// Ranks on the process-wide [`WorldPool`](crate::WorldPool), with an
+/// optional per-trial wall-clock watchdog (see
+/// [`World::run_with_ctx_deadline`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PooledBackend {
     /// Trial deadline; `None` disables the watchdog.
@@ -75,8 +77,8 @@ impl<T: Send> ExecBackend<T> for PooledBackend {
     }
 }
 
-/// Fresh OS threads per trial — the original reference path. No
-/// watchdog plumbing: the tripped flag is always `false`.
+/// Fresh OS threads per trial — the reference path. No watchdog
+/// plumbing: the tripped flag is always `false`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpawnedBackend;
 

@@ -1,6 +1,6 @@
 //! The per-rank communicator handle.
 //!
-//! [`Comm`] wraps the shared [`fabric::Fabric`](crate::fabric::Fabric) with an
+//! [`Comm`] wraps the shared [fabric](crate::fabric) with an
 //! MPI-flavoured API: tagged point-to-point messages plus the collectives
 //! the ported applications need (barrier, bcast, reduce, allreduce,
 //! gather, allgather, alltoallv, scatter, sendrecv).
@@ -12,7 +12,7 @@
 //!   classifies them. This mirrors the default `MPI_ERRORS_ARE_FATAL`.
 //! * **Collectives are linear and deterministic.** Reductions gather
 //!   contributions at the root and fold them in rank order 0,1,…,p−1, so
-//!   results are bit-reproducible and independent of thread scheduling.
+//!   results are bit-reproducible and independent of arrival order.
 //!   With ≤128 ranks the O(p) fan-in is not a bottleneck.
 //! * **Reduction arithmetic is not instrumented.** The paper injects into
 //!   application computation, never into MPI internals, so collective
@@ -70,7 +70,7 @@ fn note_payload(payload: &Payload) {
 /// Base tag for internal collective messages; user tags must stay below.
 const COLL_TAG_BASE: u64 = 1 << 63;
 
-/// Per-rank communicator handle (one per rank thread).
+/// Per-rank communicator handle (one per rank).
 pub struct Comm<'a> {
     rank: usize,
     size: usize,
@@ -81,7 +81,7 @@ pub struct Comm<'a> {
 #[allow(clippy::needless_range_loop)] // receives are matched by explicit src rank
 impl<'a> Comm<'a> {
     /// Handle for `rank` over a shared fabric.
-    pub fn new(rank: usize, fabric: &'a Fabric) -> Comm<'a> {
+    pub(crate) fn new(rank: usize, fabric: &'a Fabric) -> Comm<'a> {
         Comm {
             rank,
             size: fabric.size(),
@@ -430,7 +430,7 @@ mod tests {
         assert!(!m.is_tainted());
     }
 
-    // Collective behaviour across real rank threads.
+    // Collective behaviour across the ranks of a real world.
 
     #[test]
     fn allreduce_sum_all_sizes() {

@@ -11,7 +11,9 @@ use serde::{Deserialize, Serialize};
 /// back into [`PanicKind`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MpiError {
-    /// No matching message arrived within the fabric timeout.
+    /// No matching message can ever arrive: every other rank is blocked
+    /// or done (a deadlock, detected by the fabric's scheduler the moment
+    /// it forms — the name dates from when a timer inferred it).
     RecvTimeout {
         /// Receiving rank.
         rank: usize,
@@ -67,7 +69,8 @@ pub enum PanicKind {
     /// The injection hang guard tripped (op budget exceeded) — the run
     /// would not have terminated in a reasonable time.
     HangGuard,
-    /// A receive timed out — a communication partner stopped participating.
+    /// A receive that nothing can ever match (deadlock) — a communication
+    /// partner stopped participating.
     RecvTimeout,
     /// Secondary failure: this rank died only because the fabric was
     /// poisoned by another rank's failure.

@@ -1,23 +1,37 @@
-//! The in-memory message fabric.
+//! The in-memory message fabric and its run-to-block scheduler.
 //!
-//! One mailbox per rank, guarded by a `parking_lot` mutex + condvar pair
-//! (see *Rust Atomics and Locks* ch. 5 for the pattern). Sends never
-//! block; receives block with a timeout and support `(src, tag)` matching
-//! with out-of-order buffering, like MPI's unexpected-message queue.
+//! One mailbox per rank plus one state per rank — `Ready`,
+//! `Blocked{src, tag}` or `Done` — behind a single lock. Exactly one rank
+//! of a world runs at a time (it "holds the baton"); the fabric decides
+//! who is next, a carrier (`crate::carrier`) moves the CPU there:
 //!
-//! When a rank dies, the fabric is *poisoned*: every pending and future
-//! receive fails fast with [`MpiError::FabricDead`], so one rank's crash
-//! tears the whole job down instead of hanging it — the behaviour of
-//! `MPI_Abort`.
+//! * a **send** never blocks: it queues the message and, if the
+//!   destination is blocked on exactly that `(src, tag)`, makes it
+//!   `Ready` — nobody is woken, the sender keeps running;
+//! * a **receive** with no matching message marks the rank `Blocked` and
+//!   hands the baton to the next `Ready` rank in cyclic order after it
+//!   (non-matching messages stay buffered, like MPI's unexpected-message
+//!   queue);
+//! * a rank that **exits** hands on the same way;
+//! * **no `Ready` rank while some are `Blocked`** is a deadlock, detected
+//!   on the spot: a blocked rank's receive fails with
+//!   [`MpiError::RecvTimeout`] (classified as a hang);
+//! * when a rank dies the fabric is **poisoned**: every blocked rank
+//!   becomes `Ready` and every pending and future receive fails with
+//!   [`MpiError::FabricDead`], so one rank's crash tears the whole job
+//!   down in schedule order — the behaviour of `MPI_Abort`.
+//!
+//! The schedule is therefore a function of the rank bodies alone: no
+//! wall clock, no thread timing, the same on every carrier.
 
+use crate::carrier::Carrier;
 use crate::error::MpiError;
 use crate::payload::Payload;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 #[cfg(feature = "obs")]
 use resilim_obs as obs;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
 /// Count a delivered (matched) message. Taint scanning only happens with
 /// the recorder on, so the disabled path never touches the payload.
@@ -52,69 +66,137 @@ pub struct MsgFault {
 }
 
 /// A message in flight.
-#[derive(Debug)]
-pub struct Envelope {
-    /// Sending rank.
-    pub src: usize,
-    /// Message tag.
-    pub tag: u64,
-    /// Payload.
-    pub payload: Payload,
+struct Envelope {
+    src: usize,
+    tag: u64,
+    payload: Payload,
 }
 
-struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
-    arrived: Condvar,
+/// What the scheduler knows about one rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RankState {
+    /// Runnable: holds the baton or waits its turn.
+    Ready,
+    /// In a receive that nothing buffered matches.
+    Blocked { src: usize, tag: u64 },
+    /// Returned or panicked; never runs again.
+    Done,
+}
+
+/// Mailboxes and the schedule, guarded together.
+struct Sched {
+    boxes: Vec<VecDeque<Envelope>>,
+    ranks: Vec<RankState>,
+    /// The rank that holds the baton; `None` once every rank is done.
+    running: Option<usize>,
+}
+
+impl Sched {
+    /// `from` just blocked or finished: pick the rank that runs next.
+    ///
+    /// *Next-rank rule:* the first `Ready` rank in cyclic order after
+    /// `from`. A constant, not a knob: under it a linear collective over
+    /// `p` ranks costs about `p` handoffs (each contributor passes the
+    /// baton to its neighbour, the root runs once everyone has sent)
+    /// where lowest-rank-first would bounce through the root every time.
+    ///
+    /// *Deadlock rule:* with nobody `Ready`, no blocked receive can ever
+    /// be matched. The first blocked rank in cyclic order *from* `from` —
+    /// `from` itself when it is the one blocking — is made `Ready` with
+    /// nothing to receive, which its `recv` reports as a timeout.
+    ///
+    /// Returns the new baton holder (`None`: every rank is done).
+    fn hand_on(&mut self, from: usize) -> Option<usize> {
+        let n = self.ranks.len();
+        let cyclic_from = |start: usize| (0..n).map(move |k| (start + k) % n);
+        let mut next = cyclic_from(from + 1).find(|&r| self.ranks[r] == RankState::Ready);
+        if next.is_none() {
+            next = cyclic_from(from).find(|&r| matches!(self.ranks[r], RankState::Blocked { .. }));
+            if let Some(victim) = next {
+                self.ranks[victim] = RankState::Ready;
+                #[cfg(feature = "obs")]
+                obs::count(obs::Counter::DeadlocksDetected, 1);
+            }
+        }
+        #[cfg(feature = "obs")]
+        if next.is_some_and(|r| r != from) {
+            obs::count(obs::Counter::RankSwitches, 1);
+        }
+        self.running = next;
+        next
+    }
 }
 
 /// The shared fabric connecting all ranks of one [`World`](crate::World)
 /// run.
-pub struct Fabric {
-    boxes: Vec<Mailbox>,
+pub(crate) struct Fabric {
+    size: usize,
+    sched: Mutex<Sched>,
     dead: AtomicBool,
-    timeout: Duration,
     msg_fault: Option<MsgFault>,
+    carrier: Carrier,
 }
 
 impl Fabric {
-    /// A fabric for `size` ranks with the given receive timeout.
-    pub fn new(size: usize, timeout: Duration) -> Fabric {
-        Fabric::with_fault(size, timeout, None)
-    }
-
-    /// A fabric with an armed wire fault (see [`MsgFault`]).
-    pub fn with_fault(size: usize, timeout: Duration, msg_fault: Option<MsgFault>) -> Fabric {
+    /// A fabric for `size` ranks, all `Ready`, rank 0 holding the baton,
+    /// with an optional armed wire fault (see [`MsgFault`]).
+    pub(crate) fn new(size: usize, msg_fault: Option<MsgFault>, carrier: Carrier) -> Fabric {
         Fabric {
-            boxes: (0..size)
-                .map(|_| Mailbox {
-                    queue: Mutex::new(VecDeque::new()),
-                    arrived: Condvar::new(),
-                })
-                .collect(),
+            size,
+            sched: Mutex::new(Sched {
+                boxes: (0..size).map(|_| VecDeque::new()).collect(),
+                ranks: vec![RankState::Ready; size],
+                running: Some(0),
+            }),
             dead: AtomicBool::new(false),
-            timeout,
             msg_fault,
+            carrier,
         }
     }
 
     /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.boxes.len()
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    /// How this fabric's handoffs move the CPU.
+    pub(crate) fn carrier(&self) -> &Carrier {
+        &self.carrier
+    }
+
+    /// The rank that holds the baton (`None` once every rank is done).
+    pub(crate) fn running(&self) -> Option<usize> {
+        self.sched.lock().running
     }
 
     /// Whether the fabric has been poisoned.
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Poison the fabric and wake every waiting receiver.
-    pub fn poison(&self) {
+    /// Poison the fabric: every blocked rank becomes `Ready` (its receive
+    /// will fail), nobody is switched to — teardown follows the schedule.
+    /// May be called from outside the world (the trial watchdog).
+    pub(crate) fn poison(&self) {
         self.dead.store(true, Ordering::Release);
-        for mb in &self.boxes {
-            // Acquire the lock so a receiver between its dead-check and its
-            // wait cannot miss the wake-up.
-            let _guard = mb.queue.lock();
-            mb.arrived.notify_all();
+        // Under the lock, so a receiver between its dead-check and its
+        // handoff cannot be missed.
+        for state in &mut self.sched.lock().ranks {
+            if matches!(state, RankState::Blocked { .. }) {
+                *state = RankState::Ready;
+            }
+        }
+    }
+
+    /// `me` has finished (returned or panicked): hand the baton on.
+    pub(crate) fn exit(&self, me: usize) {
+        let next = {
+            let mut sched = self.sched.lock();
+            sched.ranks[me] = RankState::Done;
+            sched.hand_on(me)
+        };
+        if let Some(next) = next {
+            self.carrier.pass(next);
         }
     }
 
@@ -142,39 +224,52 @@ impl Fabric {
         }
     }
 
-    /// Deliver a message to `dst`'s mailbox. Never blocks.
-    pub fn send(&self, src: usize, dst: usize, tag: u64, payload: Payload) -> Result<(), MpiError> {
+    /// Deliver a message to `dst`'s mailbox. Never blocks, never switches:
+    /// a receiver blocked on exactly this message becomes `Ready`.
+    pub(crate) fn send(
+        &self,
+        src: usize,
+        dst: usize,
+        tag: u64,
+        payload: Payload,
+    ) -> Result<(), MpiError> {
         if self.is_dead() {
             return Err(MpiError::FabricDead);
         }
-        let mb = self.boxes.get(dst).ok_or(MpiError::InvalidRank {
-            rank: dst,
-            size: self.size(),
-        })?;
+        if dst >= self.size {
+            return Err(MpiError::InvalidRank {
+                rank: dst,
+                size: self.size,
+            });
+        }
         let payload = self.outbound(src, payload);
         #[cfg(feature = "obs")]
         if obs::enabled() {
             obs::count(obs::Counter::MsgsSent, 1);
             obs::count(obs::Counter::BytesSent, payload.wire_bytes() as u64);
         }
-        let mut q = mb.queue.lock();
-        q.push_back(Envelope { src, tag, payload });
-        mb.arrived.notify_all();
+        let mut sched = self.sched.lock();
+        sched.boxes[dst].push_back(Envelope { src, tag, payload });
+        if sched.ranks[dst] == (RankState::Blocked { src, tag }) {
+            sched.ranks[dst] = RankState::Ready;
+        }
         Ok(())
     }
 
-    /// Blocking receive of the first message matching `(src, tag)` in
-    /// `me`'s mailbox. Non-matching messages stay buffered.
-    pub fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Payload, MpiError> {
-        let mb = self.boxes.get(me).ok_or(MpiError::InvalidRank {
-            rank: me,
-            size: self.size(),
-        })?;
-        let deadline = Instant::now() + self.timeout;
-        let mut q = mb.queue.lock();
+    /// Receive the first message matching `(src, tag)` in `me`'s mailbox,
+    /// giving the baton away until one is there. Non-matching messages
+    /// stay buffered.
+    pub(crate) fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Payload, MpiError> {
+        let mut waited = false;
         loop {
-            if let Some(pos) = q.iter().position(|e| e.src == src && e.tag == tag) {
-                let payload = q.remove(pos).expect("position just found").payload;
+            let mut sched = self.sched.lock();
+            let mailbox = sched.boxes.get_mut(me).ok_or(MpiError::InvalidRank {
+                rank: me,
+                size: self.size,
+            })?;
+            if let Some(pos) = mailbox.iter().position(|e| e.src == src && e.tag == tag) {
+                let payload = mailbox.remove(pos).expect("position just found").payload;
+                drop(sched);
                 #[cfg(feature = "obs")]
                 note_recv(&payload);
                 return Ok(payload);
@@ -182,28 +277,27 @@ impl Fabric {
             if self.is_dead() {
                 return Err(MpiError::FabricDead);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if waited {
+                // A blocked rank is made `Ready` by a matching send, by
+                // poison, or by the deadlock rule; it was none of the
+                // first two.
                 return Err(MpiError::RecvTimeout { rank: me, src, tag });
             }
-            if mb.arrived.wait_until(&mut q, deadline).timed_out() {
-                // Loop once more: the message may have raced the timeout.
-                if let Some(pos) = q.iter().position(|e| e.src == src && e.tag == tag) {
-                    return Ok(q.remove(pos).expect("position just found").payload);
-                }
-                if self.is_dead() {
-                    return Err(MpiError::FabricDead);
-                }
-                return Err(MpiError::RecvTimeout { rank: me, src, tag });
+            waited = true;
+            sched.ranks[me] = RankState::Blocked { src, tag };
+            let next = sched.hand_on(me).expect("a blocked rank is not done");
+            drop(sched);
+            if next != me {
+                self.carrier.switch(self, me, next);
             }
         }
     }
 
-    /// Number of buffered (undelivered) messages across all mailboxes.
-    /// Useful for leak checks in tests: a clean SPMD program ends with an
-    /// empty fabric.
-    pub fn pending_messages(&self) -> usize {
-        self.boxes.iter().map(|mb| mb.queue.lock().len()).sum()
+    /// Number of buffered (undelivered) messages across all mailboxes: a
+    /// clean SPMD program ends with an empty fabric.
+    #[cfg(test)]
+    fn pending_messages(&self) -> usize {
+        self.sched.lock().boxes.iter().map(VecDeque::len).sum()
     }
 }
 
@@ -211,12 +305,23 @@ impl Fabric {
 mod tests {
     use super::*;
     use resilim_inject::Tf64;
-    use std::sync::Arc;
-    use std::time::Duration;
 
-    fn fabric(n: usize) -> Arc<Fabric> {
-        Arc::new(Fabric::new(n, Duration::from_millis(200)))
+    /// A fabric driven by hand from the test thread: nothing here may
+    /// hand the baton to another rank.
+    fn fabric(n: usize) -> Fabric {
+        Fabric::new(n, None, Carrier::threads())
     }
+
+    fn sched(states: &[RankState]) -> Sched {
+        Sched {
+            boxes: states.iter().map(|_| VecDeque::new()).collect(),
+            ranks: states.to_vec(),
+            running: None,
+        }
+    }
+
+    const BLOCKED: RankState = RankState::Blocked { src: 0, tag: 0 };
+    use RankState::{Done, Ready};
 
     #[test]
     fn send_then_recv() {
@@ -234,6 +339,7 @@ mod tests {
         f.send(0, 1, 2, Payload::Bytes(vec![2])).unwrap();
         // Receive tag 2 first; tag 1 stays buffered.
         assert_eq!(f.recv(1, 0, 2).unwrap().into_bytes().unwrap(), vec![2]);
+        assert_eq!(f.pending_messages(), 1);
         assert_eq!(f.recv(1, 0, 1).unwrap().into_bytes().unwrap(), vec![1]);
     }
 
@@ -247,41 +353,88 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout() {
-        let f = Arc::new(Fabric::new(2, Duration::from_millis(30)));
+    fn next_rank_is_the_first_ready_one_in_cyclic_order() {
+        let mut s = sched(&[Ready, BLOCKED, Ready, Ready]);
+        s.ranks[3] = BLOCKED; // rank 3 just blocked
+        assert_eq!(s.hand_on(3), Some(0), "wraps around");
+        let mut s = sched(&[Ready, BLOCKED, Done, Ready]);
+        assert_eq!(s.hand_on(1), Some(3), "skips done ranks, not back to 0");
+        assert_eq!(s.running, Some(3));
+        assert_eq!(s.ranks[1], BLOCKED, "no verdict while somebody can run");
+    }
+
+    #[test]
+    fn nobody_ready_is_a_deadlock_and_the_blocking_rank_is_the_victim() {
+        let mut s = sched(&[BLOCKED, Done, BLOCKED]);
+        assert_eq!(s.hand_on(2), Some(2), "the detecting rank fails itself");
+        assert_eq!(s.ranks, [BLOCKED, Done, Ready]);
+        // An exiting rank cannot fail: the next blocked one after it does.
+        let mut s = sched(&[BLOCKED, Done, BLOCKED]);
+        assert_eq!(s.hand_on(1), Some(2));
+        assert_eq!(s.ranks, [BLOCKED, Done, Ready]);
+        let mut s = sched(&[Done, Done]);
+        assert_eq!(s.hand_on(1), None, "everybody done: the world is over");
+        assert_eq!(s.running, None);
+    }
+
+    #[test]
+    fn a_receive_nothing_can_match_fails_at_once() {
+        // Rank 1 is done and rank 0 blocks: deadlock, no timer involved.
+        let f = fabric(2);
+        f.sched.lock().ranks[1] = Done;
         let err = f.recv(0, 1, 0).unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
             MpiError::RecvTimeout {
                 rank: 0,
                 src: 1,
                 tag: 0
             }
-        ));
+        );
+        // The verdict did not poison anything: a later send still lands.
+        f.send(0, 0, 3, Payload::Bytes(vec![9])).unwrap();
+        assert_eq!(f.recv(0, 0, 3).unwrap().into_bytes().unwrap(), vec![9]);
     }
 
     #[test]
-    fn recv_across_threads() {
-        let f = fabric(2);
-        let f2 = Arc::clone(&f);
-        let h = std::thread::spawn(move || f2.recv(1, 0, 5));
-        std::thread::sleep(Duration::from_millis(20));
-        f.send(0, 1, 5, Payload::Bytes(vec![42])).unwrap();
-        assert_eq!(h.join().unwrap().unwrap().into_bytes().unwrap(), vec![42]);
+    fn a_send_readies_exactly_the_receiver_it_matches() {
+        let f = fabric(3);
+        {
+            let mut s = f.sched.lock();
+            s.ranks[1] = RankState::Blocked { src: 0, tag: 5 };
+            s.ranks[2] = RankState::Blocked { src: 0, tag: 5 };
+        }
+        f.send(0, 1, 4, Payload::Bytes(vec![])).unwrap(); // wrong tag
+        f.send(2, 1, 5, Payload::Bytes(vec![])).unwrap(); // wrong source
+        assert_eq!(
+            f.sched.lock().ranks[1],
+            RankState::Blocked { src: 0, tag: 5 }
+        );
+        f.send(0, 1, 5, Payload::Bytes(vec![])).unwrap();
+        assert_eq!(f.sched.lock().ranks[1], Ready);
+        assert_eq!(
+            f.sched.lock().ranks[2],
+            RankState::Blocked { src: 0, tag: 5 }
+        );
+        assert_eq!(f.running(), Some(0), "a send never moves the baton");
     }
 
     #[test]
-    fn poison_wakes_receivers() {
-        let f = Arc::new(Fabric::new(2, Duration::from_secs(10)));
-        let f2 = Arc::clone(&f);
-        let h = std::thread::spawn(move || f2.recv(1, 0, 5));
-        std::thread::sleep(Duration::from_millis(20));
+    fn poison_readies_blocked_ranks_and_fails_pending_and_future_operations() {
+        let f = fabric(3);
+        f.send(0, 1, 1, Payload::Bytes(vec![1])).unwrap();
+        f.sched.lock().ranks[2] = BLOCKED;
         f.poison();
-        assert!(matches!(
-            h.join().unwrap().unwrap_err(),
+        assert!(f.is_dead());
+        assert_eq!(f.sched.lock().ranks[2], Ready);
+        assert_eq!(f.running(), Some(0), "poison never moves the baton");
+        // What was already delivered can still be taken; nothing else.
+        assert_eq!(f.recv(1, 0, 1).unwrap().into_bytes().unwrap(), vec![1]);
+        assert_eq!(f.recv(1, 0, 2).unwrap_err(), MpiError::FabricDead);
+        assert_eq!(
+            f.send(0, 1, 5, Payload::Bytes(vec![])).unwrap_err(),
             MpiError::FabricDead
-        ));
-        assert!(f.send(0, 1, 5, Payload::Bytes(vec![])).is_err());
+        );
     }
 
     #[test]
@@ -289,6 +442,10 @@ mod tests {
         let f = fabric(2);
         assert!(matches!(
             f.send(0, 5, 0, Payload::Bytes(vec![])),
+            Err(MpiError::InvalidRank { rank: 5, size: 2 })
+        ));
+        assert!(matches!(
+            f.recv(5, 0, 0),
             Err(MpiError::InvalidRank { rank: 5, size: 2 })
         ));
     }
@@ -302,11 +459,7 @@ mod tests {
             elem_sel: 5,
             bit: 52,
         };
-        let f = Arc::new(Fabric::with_fault(
-            2,
-            Duration::from_millis(200),
-            Some(fault),
-        ));
+        let f = Fabric::new(2, Some(fault), Carrier::threads());
         let prev = ctx::install(RankCtx::profiling(0));
         assert!(prev.is_none(), "leaked context from another test");
         let msg = || Payload::F64(vec![Tf64::new(1.0), Tf64::new(2.0)]);
@@ -339,11 +492,7 @@ mod tests {
             elem_sel: 0,
             bit: 52,
         };
-        let f = Arc::new(Fabric::with_fault(
-            2,
-            Duration::from_millis(200),
-            Some(fault),
-        ));
+        let f = Fabric::new(2, Some(fault), Carrier::threads());
         f.send(0, 1, 0, Payload::F64(vec![Tf64::new(1.0)])).unwrap();
         let p = f.recv(1, 0, 0).unwrap().into_f64().unwrap();
         assert!(!p[0].is_tainted());

@@ -1,11 +1,13 @@
 #![warn(missing_docs)]
 //! # resilim-simmpi
 //!
-//! An in-process MPI runtime for resilience studies: every rank of a
-//! simulated job runs on its own OS thread and communicates through an
-//! in-memory fabric. The runtime exists so that the `resilim` workspace
-//! can execute the paper's MPI workloads at 1–128 "ranks" on a single
-//! machine, with two properties real MPI does not give us:
+//! An in-process MPI runtime for resilience studies: the ranks of a
+//! simulated job communicate through an in-memory fabric that also
+//! schedules them — exactly one rank of a world runs at a time, until it
+//! blocks (run to block), as a user-level coroutine on the calling
+//! thread. The runtime exists so that the `resilim` workspace can execute
+//! the paper's MPI workloads at 1–128 "ranks" on a single machine, with
+//! three properties real MPI does not give us:
 //!
 //! * **Taint-carrying messages** — payloads are
 //!   [`Tf64`](resilim_inject::Tf64) buffers, so an error injected in one
@@ -14,6 +16,10 @@
 //! * **Deterministic collectives** — reductions fold contributions in rank
 //!   order, so a fault-free run is bit-reproducible and "output identical
 //!   to the fault-free run" is a meaningful (bitwise) predicate.
+//! * **A deterministic schedule** — which rank runs when is a function of
+//!   the rank bodies alone, so even a *failed* trial (who was torn down
+//!   where) repeats exactly, and a deadlock is detected the moment it
+//!   forms instead of by a timer.
 //!
 //! ## Example
 //!
@@ -33,7 +39,10 @@
 //! ```
 
 pub mod backend;
+mod carrier;
 pub mod comm;
+#[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+mod coroutine;
 pub mod error;
 pub mod fabric;
 pub mod payload;
@@ -46,4 +55,4 @@ pub use error::{MpiError, PanicKind, RankPanic};
 pub use fabric::MsgFault;
 pub use payload::Payload;
 pub use pool::WorldPool;
-pub use world::{RankOutcome, World, WorldConfig};
+pub use world::{RankOutcome, World};

@@ -1,14 +1,18 @@
-//! The world runner: runs one worker thread per rank, wires them to a
-//! shared fabric, installs injection contexts, and collects results,
-//! panics, and contamination reports.
+//! The world runner: runs every rank of a simulated job over one shared
+//! fabric, installs injection contexts, and collects results, panics, and
+//! contamination reports.
 //!
-//! Rank workers come from a persistent [`WorldPool`] by default (threads
-//! are reused across trials); [`World::run_spawned`] keeps the original
-//! spawn-per-trial path for comparison and as the determinism oracle.
+//! Exactly one rank of a world runs at a time, in the order the
+//! [fabric](crate::fabric) schedules (run to block). By default the
+//! ranks are coroutines on the calling thread, their stacks cached in a
+//! [`WorldPool`]; [`World::run_spawned`] carries the same schedule on
+//! fresh OS threads — the independent reference the pooled path must
+//! match bitwise (see `carrier.rs`).
 
+use crate::carrier::{self, Carrier};
 use crate::comm::Comm;
 use crate::error::RankPanic;
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, MsgFault};
 use crate::pool::WorldPool;
 use parking_lot::{Condvar, Mutex};
 use resilim_inject::{ctx, CtxReport, RankCtx};
@@ -17,21 +21,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
-
-/// Tuning knobs for a [`World`].
-#[derive(Debug, Clone)]
-pub struct WorldConfig {
-    /// How long a receive waits before the job is declared hung.
-    pub recv_timeout: Duration,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig {
-            recv_timeout: Duration::from_secs(30),
-        }
-    }
-}
 
 /// What one rank produced.
 #[derive(Debug)]
@@ -48,18 +37,17 @@ pub struct RankOutcome<T> {
 #[derive(Debug, Clone)]
 pub struct World {
     size: usize,
-    cfg: WorldConfig,
-    msg_fault: Option<crate::fabric::MsgFault>,
+    msg_fault: Option<MsgFault>,
 }
 
 thread_local! {
     pub(crate) static QUIET_PANICS: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Install (once per process) a panic hook that silences panics on rank
-/// threads — fault-injection campaigns deliberately panic thousands of
-/// times, and the default hook would flood stderr. Panics on all other
-/// threads keep the previous behaviour.
+/// Install (once per process) a panic hook that silences panics of rank
+/// bodies — fault-injection campaigns deliberately panic thousands of
+/// times, and the default hook would flood stderr. Every other panic
+/// keeps the previous behaviour.
 pub(crate) fn install_quiet_hook() {
     static INIT: Once = Once::new();
     INIT.call_once(|| {
@@ -72,25 +60,46 @@ pub(crate) fn install_quiet_hook() {
     });
 }
 
-impl World {
-    /// A world of `size` ranks with default configuration.
-    pub fn new(size: usize) -> World {
-        World::with_config(size, WorldConfig::default())
-    }
+/// What a world borrows from the thread it runs on, given back on drop:
+/// ranks run on the *caller's* thread (a campaign worker, a serve
+/// worker, `main`), so its panic-hook flag and any injection context it
+/// had installed must survive the world.
+struct CallerState {
+    quiet_panics: bool,
+    ctx: Option<RankCtx>,
+}
 
-    /// A world of `size` ranks with explicit configuration.
-    pub fn with_config(size: usize, cfg: WorldConfig) -> World {
+impl CallerState {
+    fn borrow() -> CallerState {
+        CallerState {
+            quiet_panics: QUIET_PANICS.get(),
+            ctx: ctx::take(),
+        }
+    }
+}
+
+impl Drop for CallerState {
+    fn drop(&mut self) {
+        QUIET_PANICS.set(self.quiet_panics);
+        if let Some(ctx) = self.ctx.take() {
+            ctx::install(ctx);
+        }
+    }
+}
+
+impl World {
+    /// A world of `size` ranks.
+    pub fn new(size: usize) -> World {
         assert!(size >= 1, "a world needs at least one rank");
         World {
             size,
-            cfg,
             msg_fault: None,
         }
     }
 
     /// Arm a wire fault: every fabric this world creates corrupts the
     /// matching message (see [`crate::fabric::MsgFault`]).
-    pub fn with_msg_fault(mut self, fault: Option<crate::fabric::MsgFault>) -> World {
+    pub fn with_msg_fault(mut self, fault: Option<MsgFault>) -> World {
         self.msg_fault = fault;
         self
     }
@@ -114,12 +123,12 @@ impl World {
     /// after it — even when the body panics).
     ///
     /// If any rank panics the fabric is poisoned, so every other rank fails
-    /// fast instead of hanging (MPI-abort semantics). Results come back in
-    /// rank order.
+    /// fast instead of hanging (MPI-abort semantics); ranks that block on
+    /// receives nothing can ever match fail at once (deadlock ⇒ hang).
+    /// Results come back in rank order.
     ///
     /// Ranks execute on the process-wide [`WorldPool`]; semantics are
-    /// identical to [`World::run_spawned`] (the original spawn-per-trial
-    /// path), which tests use as the oracle.
+    /// identical to [`World::run_spawned`], which tests use as the oracle.
     pub fn run_with_ctx<T, F, M>(&self, mk_ctx: M, body: F) -> Vec<RankOutcome<T>>
     where
         T: Send,
@@ -148,7 +157,7 @@ impl World {
     }
 
     /// [`World::run_with_ctx`] on an explicit pool (tests use private
-    /// pools to assert thread reuse).
+    /// pools to assert context reuse).
     pub fn run_pooled<T, F, M>(&self, pool: &WorldPool, mk_ctx: M, body: F) -> Vec<RankOutcome<T>>
     where
         T: Send,
@@ -160,13 +169,16 @@ impl World {
 
     /// [`World::run_pooled`] plus an optional wall-clock deadline.
     ///
-    /// With `deadline: Some(d)` a watchdog waits alongside the rank
-    /// jobs; if they have not all finished after `d` it poisons the
-    /// fabric (MPI-abort semantics), which wakes every rank blocked in a
-    /// receive or collective, and the run winds down through the normal
-    /// panic-classification path. Ranks wedged in pure computation are
-    /// reaped by the injection hang guard's op budget instead — between
-    /// the two, every rank terminates and the pool's workers come back.
+    /// The whole world runs on the calling thread (a single-rank world
+    /// inline, with no rank context at all). Deadlock needs no deadline —
+    /// the fabric detects it exactly. The watchdog is for what the
+    /// schedule cannot see: a rank wedged in *untracked* code (a loop
+    /// without tracked ops, a sleep, foreign I/O). With `deadline:
+    /// Some(d)` a watchdog thread poisons the fabric after `d`
+    /// (MPI-abort semantics), so the wedged rank fails at its next fabric
+    /// call and every blocked rank when its turn comes; ranks spinning in
+    /// tracked computation are reaped by the injection hang guard's op
+    /// budget instead.
     ///
     /// Returns `(outcomes, tripped)`; `tripped` is true only when the
     /// watchdog itself poisoned the fabric (never for an in-simulation
@@ -185,64 +197,23 @@ impl World {
         M: Fn(usize) -> Option<RankCtx> + Send + Sync,
     {
         install_quiet_hook();
-        let fabric = Fabric::with_fault(self.size, self.cfg.recv_timeout, self.msg_fault);
-        let slots: Vec<Mutex<Option<RankOutcome<T>>>> =
-            (0..self.size).map(|_| Mutex::new(None)).collect();
-
-        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(self.size);
-        for (rank, slot) in slots.iter().enumerate() {
-            let fabric = &fabric;
-            let body = &body;
-            let mk_ctx = &mk_ctx;
-            jobs.push(Box::new(move || {
-                *slot.lock() = Some(run_rank(rank, fabric, mk_ctx, body));
-            }));
-        }
-
-        let tripped = AtomicBool::new(false);
-        match deadline {
-            None => pool.scope_run(jobs),
-            Some(d) => {
-                // The watchdog borrows the fabric, so it must be a scoped
-                // thread; it is signalled (not detached) so a fast trial
-                // never leaves a timer thread behind.
-                let finished = (Mutex::new(false), Condvar::new());
-                std::thread::scope(|scope| {
-                    let fabric = &fabric;
-                    let finished = &finished;
-                    let tripped = &tripped;
-                    scope.spawn(move || {
-                        let wake = Instant::now() + d;
-                        let (lock, cv) = finished;
-                        let mut done = lock.lock();
-                        while !*done {
-                            if cv.wait_until(&mut done, wake).timed_out() {
-                                if !*done {
-                                    tripped.store(true, Ordering::SeqCst);
-                                    fabric.poison();
-                                }
-                                break;
-                            }
-                        }
-                    });
-                    pool.scope_run(jobs);
-                    let (lock, cv) = finished;
-                    *lock.lock() = true;
-                    cv.notify_all();
-                });
+        let fabric = Fabric::new(self.size, self.msg_fault, carrier::pooled::carrier());
+        let contexts = pool.dispatch(self.size);
+        let rank_job = |rank| run_rank(rank, &fabric, &mk_ctx, &body);
+        watched(&fabric, deadline, || {
+            let _caller = CallerState::borrow();
+            if self.size == 1 {
+                vec![rank_job(0)]
+            } else {
+                carrier::pooled::run(contexts, &fabric, rank_job)
             }
-        }
-
-        let outcomes = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every rank reported"))
-            .collect();
-        (outcomes, tripped.load(Ordering::SeqCst))
+        })
     }
 
-    /// The original execution path: spawn `size` fresh scoped threads for
-    /// this run only. Kept as the reference implementation the pooled path
-    /// must match bitwise, and for measuring what pooling buys.
+    /// The reference execution path: `size` fresh scoped threads for this
+    /// run only, the baton moved by `park`/`unpark`. Same schedule, no
+    /// mechanism shared with the pooled carrier — the implementation the
+    /// pooled path must match bitwise.
     pub fn run_spawned<T, F, M>(&self, mk_ctx: M, body: F) -> Vec<RankOutcome<T>>
     where
         T: Send,
@@ -250,58 +221,69 @@ impl World {
         M: Fn(usize) -> Option<RankCtx> + Send + Sync,
     {
         install_quiet_hook();
-        let fabric = Fabric::with_fault(self.size, self.cfg.recv_timeout, self.msg_fault);
-        let mut outcomes: Vec<Option<RankOutcome<T>>> = Vec::new();
-        for _ in 0..self.size {
-            outcomes.push(None);
-        }
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.size);
-            for rank in 0..self.size {
-                let fabric = &fabric;
-                let body = &body;
-                let mk_ctx = &mk_ctx;
-                handles.push(scope.spawn(move || run_rank(rank, fabric, mk_ctx, body)));
-            }
-            for (rank, handle) in handles.into_iter().enumerate() {
-                let outcome = handle.join().expect("rank thread itself never panics");
-                outcomes[rank] = Some(outcome);
-            }
-        });
-
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("every rank reported"))
-            .collect()
+        let fabric = Fabric::new(self.size, self.msg_fault, Carrier::threads());
+        carrier::run_on_threads(&fabric, |rank| run_rank(rank, &fabric, &mk_ctx, &body))
     }
 }
 
+/// Run `world` under an optional wall-clock watchdog that poisons
+/// `fabric` once `deadline` has passed; the flag says whether it did.
+fn watched<R>(fabric: &Fabric, deadline: Option<Duration>, world: impl FnOnce() -> R) -> (R, bool) {
+    let Some(deadline) = deadline else {
+        return (world(), false);
+    };
+    // The watchdog borrows the fabric, so it must be a scoped thread; it
+    // is signalled (not detached) so a fast trial never leaves a timer
+    // thread behind.
+    let finished = (Mutex::new(false), Condvar::new());
+    let tripped = AtomicBool::new(false);
+    let out = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let wake = Instant::now() + deadline;
+            let (lock, cv) = &finished;
+            let mut done = lock.lock();
+            while !*done {
+                if cv.wait_until(&mut done, wake).timed_out() {
+                    if !*done {
+                        tripped.store(true, Ordering::SeqCst);
+                        fabric.poison();
+                    }
+                    break;
+                }
+            }
+        });
+        let out = world();
+        let (lock, cv) = &finished;
+        *lock.lock() = true;
+        cv.notify_all();
+        out
+    });
+    (out, tripped.load(Ordering::SeqCst))
+}
+
 /// One rank's whole trial: context install, body under `catch_unwind`,
-/// context harvest, fabric poison on panic. Shared by the pooled and the
-/// spawn-per-trial paths so they cannot diverge.
+/// context harvest, fabric poison on panic, baton handed on. Shared by
+/// both carriers so they cannot diverge; the panic is caught here, on
+/// the rank's own stack.
 fn run_rank<T, F, M>(rank: usize, fabric: &Fabric, mk_ctx: &M, body: &F) -> RankOutcome<T>
 where
     F: Fn(&Comm) -> T,
     M: Fn(usize) -> Option<RankCtx>,
 {
-    QUIET_PANICS.with(|q| q.set(true));
-    // Pool hygiene: a reused worker must never start a trial with a stale
-    // context from an earlier trial that failed to harvest its own.
-    drop(ctx::take());
+    // On a rank thread of its own this is all there is to it; on the
+    // caller's thread `CallerState` puts the flag back afterwards.
+    QUIET_PANICS.set(true);
     if let Some(c) = mk_ctx(rank) {
         ctx::install(c);
     }
     let comm = Comm::new(rank, fabric);
     let result = panic::catch_unwind(AssertUnwindSafe(|| body(&comm)));
     let ctx_report = ctx::take().map(RankCtx::into_report);
-    let result = match result {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            fabric.poison();
-            Err(RankPanic::from_payload(payload.as_ref()))
-        }
-    };
+    let result = result.map_err(|payload| {
+        fabric.poison();
+        RankPanic::from_payload(payload.as_ref())
+    });
+    fabric.exit(rank);
     RankOutcome {
         rank,
         result,
@@ -343,7 +325,7 @@ mod tests {
         // bitwise identity across execution backends; this pins the
         // substrate half of that contract: the same body over the same
         // contexts returns identical rank results whether ranks come
-        // from the reusable pool or from freshly spawned threads.
+        // on pooled rank contexts or on freshly spawned threads.
         let world = World::new(4);
         let mk_ctx = |rank| Some(resilim_inject::RankCtx::profiling(rank));
         let body = |comm: &Comm| {
@@ -371,34 +353,127 @@ mod tests {
 
     #[test]
     fn one_crash_poisons_everyone() {
-        let world = World::with_config(
-            4,
-            WorldConfig {
-                recv_timeout: Duration::from_secs(5),
-            },
-        );
-        let results = world.run(|comm| {
+        let results = World::new(4).run(|comm| {
             if comm.rank() == 2 {
                 panic!("simulated application abort");
             }
             // Everyone else blocks on a collective that can never finish.
             comm.barrier();
         });
-        let kinds: Vec<Option<PanicKind>> = results
+        assert_eq!(
+            kinds(&results),
+            [
+                Some(PanicKind::FabricDead),
+                Some(PanicKind::FabricDead),
+                Some(PanicKind::Crash),
+                Some(PanicKind::FabricDead),
+            ]
+        );
+    }
+
+    fn kinds<T>(results: &[RankOutcome<T>]) -> Vec<Option<PanicKind>> {
+        results
             .iter()
             .map(|r| r.result.as_ref().err().map(|p| p.kind))
-            .collect();
-        assert_eq!(kinds[2], Some(PanicKind::Crash));
-        for rank in [0usize, 1, 3] {
-            assert!(
-                matches!(
-                    kinds[rank],
-                    Some(PanicKind::FabricDead) | Some(PanicKind::RecvTimeout)
-                ),
-                "rank {rank} got {:?}",
-                kinds[rank]
+            .collect()
+    }
+
+    /// Both carriers of the schedule, by name.
+    type Carried = fn(&World, fn(&Comm)) -> Vec<RankOutcome<()>>;
+    const CARRIERS: [(&str, Carried); 2] = [
+        ("pooled", |w, body| w.run(body)),
+        ("spawned", |w, body| w.run_spawned(|_| None, body)),
+    ];
+
+    #[test]
+    fn mutual_receive_is_a_deadlock_detected_at_once() {
+        // No deadline armed, nothing to time out: the second rank to block
+        // finds nobody runnable and fails on the spot; its panic poisons
+        // the fabric for the first.
+        for (carrier, run) in CARRIERS {
+            let start = Instant::now();
+            let results = run(&World::new(2), |comm| {
+                let _ = comm.recv(1 - comm.rank(), 0xdead);
+            });
+            assert!(start.elapsed() < Duration::from_secs(1), "{carrier}");
+            assert_eq!(
+                kinds(&results),
+                [Some(PanicKind::FabricDead), Some(PanicKind::RecvTimeout)],
+                "{carrier}"
             );
         }
+    }
+
+    #[test]
+    fn a_receive_from_a_rank_that_already_left_is_a_deadlock() {
+        // Ranks 1 and 2 return without sending; an exiting rank cannot
+        // fail, so the verdict lands on the rank still waiting for them.
+        for (carrier, run) in CARRIERS {
+            let start = Instant::now();
+            let results = run(&World::new(3), |comm| {
+                if comm.rank() == 0 {
+                    let _ = comm.recv(2, 7);
+                }
+            });
+            assert!(start.elapsed() < Duration::from_secs(1), "{carrier}");
+            assert_eq!(
+                kinds(&results),
+                [Some(PanicKind::RecvTimeout), None, None],
+                "{carrier}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_blocked_receive_completes_when_its_message_is_sent_later() {
+        // Rank 0 blocks first; rank 1 sends the wrong tag (buffered, wakes
+        // nobody), then the right one. Out-of-order tags, both carriers.
+        for (carrier, run) in CARRIERS {
+            let results = run(&World::new(2), |comm| {
+                if comm.rank() == 0 {
+                    assert_eq!(comm.recv_bytes(1, 5), vec![42]);
+                    assert_eq!(comm.recv_bytes(1, 4), vec![41]);
+                } else {
+                    comm.send_bytes(0, 4, vec![41]);
+                    comm.send_bytes(0, 5, vec![42]);
+                }
+            });
+            assert_eq!(kinds(&results), [None, None], "{carrier}");
+        }
+    }
+
+    #[test]
+    fn the_world_gives_the_callers_thread_back_as_it_found_it() {
+        // Ranks run on this very thread: its panic-hook flag and an
+        // injection context it had installed must both survive — through
+        // a multi-rank world, a crashing one, and the inline p=1 case.
+        let mine = RankCtx::profiling(7).with_op_cap(1234);
+        assert!(
+            ctx::install(mine).is_none(),
+            "leaked context from another test"
+        );
+        for procs in [1, 3] {
+            let results = World::new(procs).run_with_ctx(
+                |rank| Some(RankCtx::profiling(rank)),
+                |comm| {
+                    assert!(QUIET_PANICS.get());
+                    let _ = Tf64::new(1.0) + Tf64::new(2.0);
+                    comm.barrier();
+                    if comm.rank() == 0 {
+                        panic!("boom");
+                    }
+                },
+            );
+            assert_eq!(results[0].ctx_report.as_ref().unwrap().rank, 0);
+            assert!(
+                !QUIET_PANICS.get(),
+                "p={procs}: rank panics stay quiet, ours do not"
+            );
+            assert!(ctx::is_installed(), "p={procs}");
+        }
+        let mine = ctx::take().expect("the caller's context came back");
+        assert_eq!(mine.rank(), 7);
+        assert_eq!(mine.profile().total(), 0, "no rank's ops leaked into it");
     }
 
     #[test]
@@ -525,40 +600,31 @@ mod tests {
 
     #[test]
     fn deadline_reaps_a_wedged_world() {
-        // Both ranks block on receives that can never be satisfied; the
-        // long recv timeout would wedge the trial for 60s, but the
-        // watchdog poisons the fabric after 50ms and both ranks fail
-        // fast with FabricDead.
-        let world = World::with_config(
-            2,
-            WorldConfig {
-                recv_timeout: Duration::from_secs(60),
-            },
-        );
-        let start = Instant::now();
-        let (results, tripped) = world.run_with_ctx_deadline(
+        // Rank 1 is wedged in *untracked* code — no tracked op for the
+        // hang guard, no receive for the deadlock rule — and only touches
+        // the fabric now and then. Nothing but the wall-clock watchdog
+        // can end this trial: once it has poisoned the fabric, rank 1's
+        // next send fails, and rank 0 (blocked on a message that never
+        // comes) fails when its turn arrives.
+        let (results, tripped) = World::new(2).run_with_ctx_deadline(
             |_| None,
             |comm| {
-                let _ = comm.recv(1 - comm.rank(), 0xdead);
+                if comm.rank() == 0 {
+                    let _ = comm.recv(1, 7);
+                } else {
+                    loop {
+                        std::thread::sleep(Duration::from_millis(2));
+                        comm.send_bytes(0, 8, Vec::new());
+                    }
+                }
             },
             Some(Duration::from_millis(50)),
         );
         assert!(tripped, "watchdog must have fired");
-        assert!(
-            start.elapsed() < Duration::from_secs(30),
-            "deadline must beat the recv timeout"
+        assert_eq!(
+            kinds(&results),
+            [Some(PanicKind::FabricDead), Some(PanicKind::FabricDead)]
         );
-        for r in &results {
-            assert!(
-                matches!(
-                    r.result.as_ref().unwrap_err().kind,
-                    PanicKind::FabricDead | PanicKind::RecvTimeout
-                ),
-                "rank {}: {:?}",
-                r.rank,
-                r.result
-            );
-        }
     }
 
     #[test]
@@ -573,13 +639,57 @@ mod tests {
         assert!(results.iter().all(|r| *r.result.as_ref().unwrap() == 2.0));
     }
 
+    /// Child half of the test below: a rank panics *loudly* (the default
+    /// hook runs, on the rank's own stack) and the world still classifies
+    /// it and tears down.
     #[test]
-    fn large_world_smoke() {
-        let world = World::new(64);
+    #[ignore = "run by a_loud_rank_panic_with_a_full_backtrace_is_caught_on_its_own_stack"]
+    fn loud_rank_panic_child() {
+        let results = World::new(3).run(|comm| {
+            if comm.rank() == 1 {
+                QUIET_PANICS.set(false);
+                panic!("loud rank panic");
+            }
+            comm.barrier();
+        });
+        assert_eq!(
+            kinds(&results),
+            [
+                Some(PanicKind::FabricDead),
+                Some(PanicKind::Crash),
+                Some(PanicKind::FabricDead),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_loud_rank_panic_with_a_full_backtrace_is_caught_on_its_own_stack() {
+        // `RUST_BACKTRACE=full` makes the default hook walk and symbolize
+        // the whole panicking stack — a coroutine stack here — before the
+        // unwind reaches `run_rank`'s `catch_unwind`. The style is read
+        // once per process, hence the child.
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "world::tests::loud_rank_panic_child"])
+            .args(["--ignored", "--nocapture", "--test-threads=1"])
+            .env("RUST_BACKTRACE", "full")
+            .output()
+            .expect("re-run this test binary");
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert!(child.status.success(), "{stderr}");
+        assert!(stderr.contains("loud rank panic"), "{stderr}");
+        assert!(stderr.contains("stack backtrace"), "{stderr}");
+        assert!(stderr.contains("loud_rank_panic_child"), "{stderr}");
+    }
+
+    #[test]
+    fn largest_paper_scale_completes() {
+        // p=128 is the paper's largest deployment.
+        let world = World::new(128);
         let results = world.run(|comm| {
             let x = [Tf64::new(1.0)];
+            comm.barrier();
             comm.allreduce(ReduceOp::Sum, &x)[0].value()
         });
-        assert!(results.iter().all(|r| *r.result.as_ref().unwrap() == 64.0));
+        assert!(results.iter().all(|r| *r.result.as_ref().unwrap() == 128.0));
     }
 }
