@@ -186,12 +186,7 @@ fn gather_full(comm: &Comm, local: &[Tf64]) -> Vec<Tf64> {
     if comm.is_serial() {
         return local.to_vec();
     }
-    let parts = comm.allgather(local);
-    let mut full = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        full.extend(p);
-    }
-    full
+    comm.allgather(local).into_flat()
 }
 
 /// Run the CG benchmark on the calling rank; collective over `comm`.

@@ -21,7 +21,10 @@
 //! and first-contamination marking are outlined `#[cold]` functions.
 //! [`install`]/[`take`] convert between the packed [`RankCtx`] and the
 //! exploded form at rank boundaries — two points per trial, off the hot
-//! path.
+//! path. Ranks that share a thread as coroutines trade places far more
+//! often (every blocking receive), and for that nothing is converted:
+//! [`park`]/[`unpark`] lift the exploded form off the thread and put it
+//! back as it is.
 
 use crate::mask::OpMask;
 use crate::plan::{InjectionPlan, Operand, Target};
@@ -107,6 +110,7 @@ pub const HANG_GUARD_MSG: &str = "resilim: hang guard tripped (op budget exceede
 pub const DUE_MSG: &str = "resilim: detected uncorrectable error (rank killed)";
 
 /// Per-rank fault-injection context.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub struct RankCtx {
     rank: usize,
     region: Region,
@@ -378,6 +382,7 @@ struct ColdCtx {
 /// const-init fast path applies: accessing it is a direct TLS load with no
 /// lazy-initialization or destructor-registration branch. The cold half
 /// lives in the separate `COLD` thread-local.
+#[derive(Clone)]
 struct HotCtx {
     installed: Cell<bool>,
     region: Cell<Region>,
@@ -415,6 +420,35 @@ impl HotCtx {
             self.msgs_recvd_at_contam.set(self.msgs_recvd.get());
         }
     }
+    /// Overwrite every cell with `src`'s: the block move behind
+    /// [`unpark`] (a `&HotCtx` cannot be assigned to as a whole).
+    fn copy_from(&self, src: &HotCtx) {
+        self.installed.set(src.installed.get());
+        self.region.set(src.region.get());
+        self.mask.set(src.mask.get());
+        self.contaminated.set(src.contaminated.get());
+        self.taint_threshold.set(src.taint_threshold.get());
+        self.total_ops.set(src.total_ops.get());
+        self.op_cap.set(src.op_cap.get());
+        for i in 0..2 {
+            self.injectable[i].set(src.injectable[i].get());
+            self.next_pending[i].set(src.next_pending[i].get());
+            for k in 0..5 {
+                self.per_kind[i][k].set(src.per_kind[i][k].get());
+            }
+        }
+        self.replicate.set(src.replicate.get());
+        self.detected.set(src.detected.get());
+        self.msgs_sent.set(src.msgs_sent.get());
+        self.wire_fired.set(src.wire_fired.get());
+        self.msgs_recvd.set(src.msgs_recvd.get());
+        self.tainted_msgs_recvd.set(src.tainted_msgs_recvd.get());
+        self.first_contam_op.set(src.first_contam_op.get());
+        self.msgs_sent_at_contam.set(src.msgs_sent_at_contam.get());
+        self.msgs_recvd_at_contam
+            .set(src.msgs_recvd_at_contam.get());
+    }
+
     /// Explode a packed context into the cells. Caller must have cleared
     /// any previously installed context.
     fn set(&self, ctx: RankCtx) {
@@ -560,6 +594,41 @@ pub fn install(ctx: RankCtx) -> Option<RankCtx> {
 /// Remove and return the current thread's context.
 pub fn take() -> Option<RankCtx> {
     ACTIVE.with(|h| h.clear())
+}
+
+/// An installed context lifted off its thread by [`park`], in the
+/// exploded form it runs in: the hot cells as one block, the cold half
+/// (target queues, fired records) moved — their buffers change hands by
+/// pointer, nothing is re-packed, cloned or allocated.
+pub struct Parked {
+    hot: HotCtx,
+    cold: ColdCtx,
+}
+
+/// Lift the installed context (if any) off the current thread, leaving
+/// none installed, so that another rank can run on it; [`unpark`] puts
+/// it back exactly as it was. The pair is what a coroutine rank switch
+/// costs; [`take`]/[`install`] remain the way in and out of a rank.
+pub fn park() -> Option<Parked> {
+    ACTIVE.with(|h| {
+        if !h.installed.get() {
+            return None;
+        }
+        let hot = h.clone();
+        h.installed.set(false);
+        let cold = COLD.with(|c| c.take());
+        Some(Parked { hot, cold })
+    })
+}
+
+/// Put a [`park`]ed context back on the current thread, which must have
+/// none installed (whoever ran in between parked or took its own).
+pub fn unpark(parked: Parked) {
+    ACTIVE.with(|h| {
+        assert!(!h.installed.get(), "unpark over an installed context");
+        h.copy_from(&parked.hot);
+        COLD.with(|c| c.replace(parked.cold));
+    });
 }
 
 /// Whether a context is installed on this thread.
@@ -1491,7 +1560,8 @@ mod tests {
     #[test]
     fn install_take_roundtrip_preserves_state() {
         // Partially advance a context, take it off the thread, reinstall,
-        // and confirm counters/queues survive the explode/re-pack cycle.
+        // and confirm counters/queues survive the explode/re-pack cycle —
+        // and the park/unpark cycle, which re-packs nothing.
         let plan = InjectionPlan::multi(vec![
             target(Region::Common, 2, 5, Operand::A),
             target(Region::Common, 10, 6, Operand::B),
@@ -1506,6 +1576,12 @@ mod tests {
         assert_eq!(mid.taint_threshold(), 0.25);
         assert!(!is_installed());
         install(mid);
+        let parked = park().expect("a context is installed");
+        assert!(!is_installed());
+        assert!(park().is_none(), "nothing left to park");
+        let _ = a + a; // context-free: counted nowhere
+        unpark(parked);
+        assert!(is_installed());
         let f = a + a; // common idx 2: fires
         assert!(f.is_tainted());
         let report = take().unwrap().into_report();
@@ -1513,5 +1589,110 @@ mod tests {
         assert_eq!(report.fired.len(), 1);
         assert_eq!(report.planned, 2);
         assert!(report.contaminated);
+    }
+
+    /// A context in which no field still has the value a fresh one
+    /// starts with (`hang_guard_tripped` aside: tripping it panics), so a
+    /// field that does not make a round trip shows.
+    fn busy_ctx(rank: usize) -> RankCtx {
+        let plan = InjectionPlan::multi(vec![
+            target(Region::Common, 1, 55, Operand::A),
+            target(Region::Common, 40, 3, Operand::B),
+            target(Region::ParallelUnique, 30, 4, Operand::Result),
+        ]);
+        let ctx = RankCtx::new(rank, plan)
+            .with_taint_threshold(0.125)
+            .with_op_mask(OpMask::ALL)
+            .with_op_cap(1 << 20)
+            .with_replication(true);
+        assert!(install(ctx).is_none(), "leaked context");
+        let a = Tf64::new(1.5);
+        note_msg_send(&[a]);
+        note_values(&[a]);
+        let b = a + a; // common 0
+        let c = b * a; // common 1: fires, contaminates
+        let _ = c / a; // a division, counted under `OpMask::ALL`
+        let _ = c.sqrt(); // and a unary op
+        note_msg_send(&[c]); // tainted payload under replication: detected
+        note_values(&[c]); // taint crossing
+        note_wire_fired(1, 9);
+        set_region(Region::ParallelUnique);
+        let _ = a - b; // parallel-unique 0
+        let mut ctx = take().unwrap();
+        ctx.kill_on_fire = true; // nothing fires again before the compare
+        ctx
+    }
+
+    #[test]
+    fn park_unpark_roundtrips_every_field_across_another_contexts_run() {
+        let reference = busy_ctx(3);
+        let fresh = RankCtx::new(3, InjectionPlan::none());
+        macro_rules! all_differ {
+            ($($field:ident),*) => {$(
+                assert!(reference.$field != fresh.$field, stringify!($field));
+            )*};
+        }
+        all_differ!(
+            region,
+            injectable,
+            per_kind,
+            queues,
+            next_pending,
+            fired,
+            planned,
+            contaminated,
+            taint_threshold,
+            op_mask,
+            op_cap,
+            total_ops,
+            kill_on_fire,
+            replicate,
+            detected,
+            msgs_sent,
+            wire_fired,
+            msgs_recvd,
+            tainted_msgs_recvd,
+            first_contam_op,
+            msgs_sent_at_contam,
+            msgs_recvd_at_contam
+        );
+
+        // Park it, let a different context live on the thread — installed,
+        // worked, harvested, as another rank's time slice does — and put
+        // it back: every field is as it was, and the guest saw only its
+        // own ops.
+        install(busy_ctx(3));
+        let parked = park().unwrap();
+        let (_, guest) = with_clean_ctx(RankCtx::profiling(9).with_op_cap(77), || {
+            let x = Tf64::new(2.0);
+            let _ = x * x + x;
+            note_values(&[x]);
+        });
+        assert_eq!(guest.rank, 9);
+        assert_eq!(guest.profile.total(), 2);
+        assert_eq!(guest.msgs_recvd, 1);
+        assert!(!guest.contaminated && guest.fired.is_empty());
+        unpark(parked);
+        assert_eq!(take().unwrap(), reference);
+
+        // Parked twice in a row, with nothing in between, changes nothing
+        // either; and the context goes on where it stopped.
+        install(busy_ctx(3));
+        let parked = park().unwrap();
+        unpark(parked);
+        let a = Tf64::new(1.0);
+        let _ = a + a; // parallel-unique 1
+        let report = take().unwrap().into_report();
+        assert_eq!(report.profile.injectable(Region::ParallelUnique), 2);
+        assert_eq!(report.profile.total(), reference.profile().total() + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unpark over an installed context")]
+    fn unpark_refuses_to_overwrite_an_installed_context() {
+        install(RankCtx::profiling(0));
+        let parked = park().unwrap();
+        install(RankCtx::profiling(1));
+        unpark(parked);
     }
 }

@@ -3,17 +3,22 @@
 //! [`Comm`] wraps the shared [fabric](crate::fabric) with an
 //! MPI-flavoured API: tagged point-to-point messages plus the collectives
 //! the ported applications need (barrier, bcast, reduce, allreduce,
-//! gather, allgather, alltoallv, scatter, sendrecv).
+//! allgather, alltoallv, scatter, sendrecv).
 //!
 //! Design notes:
 //!
 //! * **Errors abort the job.** Fabric errors become panics with
 //!   recognisable messages (see [`crate::error`]); the world runner
 //!   classifies them. This mirrors the default `MPI_ERRORS_ARE_FATAL`.
-//! * **Collectives are linear and deterministic.** Reductions gather
-//!   contributions at the root and fold them in rank order 0,1,…,p−1, so
-//!   results are bit-reproducible and independent of arrival order.
-//!   With ≤128 ranks the O(p) fan-in is not a bottleneck.
+//! * **Collectives are linear and deterministic.** Reductions fold
+//!   contributions at the root in rank order 0,1,…,p−1 as they are
+//!   received, so results are bit-reproducible and independent of the
+//!   order they were sent in. The O(p) fan-in is most of a large trial:
+//!   at p=64 an allreduce is 126 messages and ~64 handoffs (≈ 14 µs
+//!   against 0.7 µs at p=4) and two thirds of a campaign's CPU is not app
+//!   compute (`simmpi.overhead_share` in `trial_budget`). Hence the rules
+//!   here: fold or concatenate on arrival, stage nothing per rank, and
+//!   hand a received buffer on instead of copying it.
 //! * **Reduction arithmetic is not instrumented.** The paper injects into
 //!   application computation, never into MPI internals, so collective
 //!   combines bypass the injection hook (and therefore also keep dynamic
@@ -64,6 +69,36 @@ impl ReduceOp {
 fn note_payload(payload: &Payload) {
     if let Payload::F64(values) = payload {
         ctx::note_values(values);
+    }
+}
+
+/// What [`Comm::allgather`] returns: every rank's buffer, concatenated in
+/// rank order, plus how many elements each rank contributed.
+#[derive(Debug)]
+pub struct Gathered {
+    flat: Vec<Tf64>,
+    counts: Vec<usize>,
+}
+
+impl Gathered {
+    /// Rank `r`'s contribution.
+    pub fn part(&self, r: usize) -> &[Tf64] {
+        self.parts().nth(r).expect("rank within the world")
+    }
+
+    /// Every rank's contribution, in rank order.
+    pub fn parts(&self) -> impl Iterator<Item = &[Tf64]> {
+        let mut rest = self.flat.as_slice();
+        self.counts.iter().map(move |&n| {
+            let (part, tail) = rest.split_at(n);
+            rest = tail;
+            part
+        })
+    }
+
+    /// The rank-ordered concatenation of all contributions.
+    pub fn into_flat(self) -> Vec<Tf64> {
+        self.flat
     }
 }
 
@@ -223,26 +258,28 @@ impl<'a> Comm<'a> {
             return Some(data.to_vec());
         }
         if self.rank == root {
-            // Gather all contributions first so folding is in rank order
-            // regardless of arrival order.
-            let mut parts: Vec<Option<Vec<Tf64>>> = vec![None; self.size];
-            parts[root] = Some(data.to_vec());
-            for src in 0..self.size {
-                if src != root {
-                    let payload = Self::chk(self.fabric.recv(self.rank, src, tag));
-                    note_payload(&payload);
-                    parts[src] = Some(Self::chk(payload.into_f64()));
-                }
-            }
-            let mut iter = parts.into_iter().map(|p| p.expect("all parts gathered"));
-            let mut acc = iter.next().expect("size >= 1");
-            for part in iter {
+            // Receives are matched by source in rank order, so folding
+            // each contribution as it arrives is the fixed order
+            // 0,1,…,p−1 whatever order the messages were sent in.
+            let mut acc = if root == 0 {
+                data.to_vec()
+            } else {
+                self.recv(0, tag)
+            };
+            for src in 1..self.size {
+                let received;
+                let part = if src == root {
+                    data
+                } else {
+                    received = self.recv(src, tag);
+                    &received
+                };
                 assert_eq!(
                     part.len(),
                     acc.len(),
                     "reduce: length mismatch across ranks"
                 );
-                for (a, b) in acc.iter_mut().zip(part) {
+                for (a, &b) in acc.iter_mut().zip(part) {
                     *a = op.combine(*a, b);
                 }
             }
@@ -268,49 +305,48 @@ impl<'a> Comm<'a> {
         self.allreduce(op, &[x])[0]
     }
 
-    /// Gather every rank's buffer at `root` (rank-indexed).
-    pub fn gather(&self, root: usize, data: &[Tf64]) -> Option<Vec<Vec<Tf64>>> {
+    /// Gather every rank's buffer at `root`, which concatenates them in
+    /// rank order as they arrive. The fan-in half of [`Comm::allgather`].
+    fn gather(&self, root: usize, data: &[Tf64]) -> Option<Gathered> {
         #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::GatherNs);
         let tag = self.next_coll_tag();
-        if self.size == 1 {
-            return Some(vec![data.to_vec()]);
-        }
-        if self.rank == root {
-            let mut out: Vec<Vec<Tf64>> = vec![Vec::new(); self.size];
-            out[root] = data.to_vec();
-            for src in 0..self.size {
-                if src != root {
-                    let payload = Self::chk(self.fabric.recv(self.rank, src, tag));
-                    note_payload(&payload);
-                    out[src] = Self::chk(payload.into_f64());
-                }
-            }
-            Some(out)
-        } else {
+        if self.rank != root {
             Self::chk(self.fabric.send(self.rank, root, tag, data.into()));
-            None
+            return None;
         }
+        // Sized for equal parts; uneven ones grow it.
+        let mut flat = Vec::with_capacity(data.len() * self.size);
+        let mut counts = Vec::with_capacity(self.size);
+        for src in 0..self.size {
+            let received;
+            let part = if src == root {
+                data
+            } else {
+                received = self.recv(src, tag);
+                &received
+            };
+            flat.extend_from_slice(part);
+            counts.push(part.len());
+        }
+        Some(Gathered { flat, counts })
     }
 
-    /// Allgather: every rank receives every rank's buffer (rank-indexed).
-    /// Buffers may have different lengths (allgatherv semantics).
-    pub fn allgather(&self, data: &[Tf64]) -> Vec<Vec<Tf64>> {
+    /// Allgather: every rank receives every rank's buffer, as one
+    /// rank-ordered concatenation plus per-rank counts. Buffers may have
+    /// different lengths (allgatherv semantics).
+    pub fn allgather(&self, data: &[Tf64]) -> Gathered {
         #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::AllgatherNs);
         let gathered = self.gather(0, data);
         if self.size == 1 {
             return gathered.expect("serial gather");
         }
-        // Broadcast the concatenation plus a length table.
+        // Fan out a length table, then the concatenation.
         let tag = self.next_coll_tag();
         if self.rank == 0 {
-            let parts = gathered.expect("root gather");
-            let lens: Vec<Tf64> = parts.iter().map(|p| Tf64::new(p.len() as f64)).collect();
-            let mut flat: Vec<Tf64> = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-            for p in &parts {
-                flat.extend_from_slice(p);
-            }
+            let all = gathered.expect("root gather");
+            let lens: Vec<Tf64> = all.counts.iter().map(|&n| Tf64::new(n as f64)).collect();
             for dst in 1..self.size {
                 Self::chk(
                     self.fabric
@@ -318,24 +354,33 @@ impl<'a> Comm<'a> {
                 );
                 Self::chk(
                     self.fabric
-                        .send(self.rank, dst, tag, flat.as_slice().into()),
+                        .send(self.rank, dst, tag, all.flat.as_slice().into()),
                 );
             }
-            parts
+            all
         } else {
             let lens_payload = Self::chk(self.fabric.recv(self.rank, 0, tag));
             let lens = Self::chk(lens_payload.into_f64());
             let flat_payload = Self::chk(self.fabric.recv(self.rank, 0, tag));
             note_payload(&flat_payload);
-            let flat = Self::chk(flat_payload.into_f64());
-            let mut out = Vec::with_capacity(self.size);
-            let mut off = 0usize;
-            for len in lens {
-                let n = len.value() as usize;
-                out.push(flat[off..off + n].to_vec());
-                off += n;
-            }
-            out
+            // The buffer that arrived is the buffer returned. The table
+            // crossed the wire too (`--fault-model msg` may have hit it):
+            // it alone decides where the parts are, as when every part
+            // was cut out by it.
+            let mut flat = Self::chk(flat_payload.into_f64());
+            let counts: Vec<usize> = lens.iter().map(|len| len.value() as usize).collect();
+            let total = counts
+                .iter()
+                .try_fold(0usize, |sum, &n| sum.checked_add(n))
+                .filter(|&total| total <= flat.len())
+                .unwrap_or_else(|| {
+                    panic!(
+                        "allgather: length table {counts:?} overruns {} elements",
+                        flat.len()
+                    )
+                });
+            flat.truncate(total);
+            Gathered { flat, counts }
         }
     }
 
@@ -475,7 +520,7 @@ mod tests {
             let g = r.result.unwrap();
             if rank == 1 {
                 let g = g.unwrap();
-                for (i, part) in g.iter().enumerate() {
+                for (i, part) in g.parts().enumerate() {
                     assert_eq!(part.len(), i + 1);
                     assert!(part.iter().all(|x| x.value() == i as f64));
                 }
@@ -491,11 +536,57 @@ mod tests {
         let results = world.run(|comm| {
             let mine = vec![Tf64::new(comm.rank() as f64); comm.rank() + 1];
             let all = comm.allgather(&mine);
-            all.iter().map(|p| p.len()).collect::<Vec<_>>()
+            all.parts().map(<[Tf64]>::len).collect::<Vec<_>>()
         });
         for r in results {
             assert_eq!(r.result.unwrap(), vec![1, 2, 3]);
         }
+    }
+
+    #[test]
+    fn allgather_cuts_the_parts_by_the_length_table_it_was_sent() {
+        // The table crosses the wire like any numeric message, so
+        // `--fault-model msg` can hit it. What the receiver then holds is
+        // decided by the table alone: a shrunk entry shifts and shortens
+        // the parts, an entry that overruns the payload crashes the rank.
+        use crate::error::PanicKind;
+        use crate::fabric::MsgFault;
+        use resilim_inject::RankCtx;
+        let run = |bit: u8| {
+            // Rank 0's first numeric send is the table [3.0, 3.0].
+            let fault = MsgFault {
+                src: 0,
+                msg_index: 0,
+                elem_sel: 0,
+                bit,
+            };
+            World::new(2).with_msg_fault(Some(fault)).run_with_ctx(
+                |rank| Some(RankCtx::profiling(rank)),
+                |comm| {
+                    let mine = [Tf64::new(comm.rank() as f64); 3];
+                    let all = comm.allgather(&mine);
+                    let parts: Vec<Vec<f64>> = all
+                        .parts()
+                        .map(|p| p.iter().map(|x| x.value()).collect())
+                        .collect();
+                    (parts, all.into_flat().len())
+                },
+            )
+        };
+        // 3.0 -> 2.0 (top mantissa bit).
+        let results = run(51);
+        let (parts, flat_len) = results[1].result.as_ref().unwrap();
+        assert_eq!(parts, &[vec![0.0, 0.0], vec![0.0, 1.0, 1.0]]);
+        assert_eq!(*flat_len, 5);
+        let (parts, flat_len) = results[0].result.as_ref().unwrap();
+        assert_eq!(parts, &[vec![0.0; 3], vec![1.0; 3]], "the root is upstream");
+        assert_eq!(*flat_len, 6);
+        // 3.0 -> 6.0 (lowest exponent bit).
+        let results = run(52);
+        assert_eq!(
+            results[1].result.as_ref().unwrap_err().kind,
+            PanicKind::Crash
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The in-memory message fabric and its run-to-block scheduler.
 //!
 //! One mailbox per rank plus one state per rank — `Ready`,
-//! `Blocked{src, tag}` or `Done` — behind a single lock. Exactly one rank
-//! of a world runs at a time (it "holds the baton"); the fabric decides
-//! who is next, a carrier (`crate::carrier`) moves the CPU there:
+//! `Blocked{src, tag}` or `Done`. Exactly one rank of a world runs at a
+//! time (it "holds the baton") and only that rank touches this state, so
+//! the baton is the only lock there is (`crate::baton`): a message costs
+//! a mailbox push and a pop, never a lock. The fabric decides who is
+//! next, a carrier (`crate::carrier`) moves the CPU there:
 //!
 //! * a **send** never blocks: it queues the message and, if the
 //!   destination is blocked on exactly that `(src, tag)`, makes it
@@ -16,18 +18,19 @@
 //! * **no `Ready` rank while some are `Blocked`** is a deadlock, detected
 //!   on the spot: a blocked rank's receive fails with
 //!   [`MpiError::RecvTimeout`] (classified as a hang);
-//! * when a rank dies the fabric is **poisoned**: every blocked rank
-//!   becomes `Ready` and every pending and future receive fails with
-//!   [`MpiError::FabricDead`], so one rank's crash tears the whole job
-//!   down in schedule order — the behaviour of `MPI_Abort`.
+//! * when a rank dies the fabric is **poisoned**: one flag is set, the
+//!   next handoff makes every blocked rank `Ready`, and every pending and
+//!   future receive fails with [`MpiError::FabricDead`], so one rank's
+//!   crash tears the whole job down in schedule order — the behaviour of
+//!   `MPI_Abort`.
 //!
 //! The schedule is therefore a function of the rank bodies alone: no
 //! wall clock, no thread timing, the same on every carrier.
 
+use crate::baton::Baton;
 use crate::carrier::Carrier;
 use crate::error::MpiError;
 use crate::payload::Payload;
-use parking_lot::Mutex;
 #[cfg(feature = "obs")]
 use resilim_obs as obs;
 use std::collections::VecDeque;
@@ -83,16 +86,25 @@ enum RankState {
     Done,
 }
 
-/// Mailboxes and the schedule, guarded together.
+/// Mailboxes and the schedule: what the baton holder owns.
 struct Sched {
     boxes: Vec<VecDeque<Envelope>>,
     ranks: Vec<RankState>,
-    /// The rank that holds the baton; `None` once every rank is done.
-    running: Option<usize>,
 }
 
+/// The baton's value once every rank is done.
+const NOBODY: usize = usize::MAX;
+
 impl Sched {
-    /// `from` just blocked or finished: pick the rank that runs next.
+    /// `from` blocks or finishes (enters `state`): pick the rank that
+    /// runs next.
+    ///
+    /// *Poison is lazy:* on a `dead` fabric every blocked rank is made
+    /// `Ready` first. [`Fabric::poison`] itself only sets the flag (it
+    /// may come from the watchdog thread, which holds no baton); that is
+    /// the same schedule as readying them at once, because a rank cannot
+    /// block on a dead fabric and nobody but the baton holder runs
+    /// between a poison and the next handoff.
     ///
     /// *Next-rank rule:* the first `Ready` rank in cyclic order after
     /// `from`. A constant, not a knob: under it a linear collective over
@@ -106,7 +118,15 @@ impl Sched {
     /// nothing to receive, which its `recv` reports as a timeout.
     ///
     /// Returns the new baton holder (`None`: every rank is done).
-    fn hand_on(&mut self, from: usize) -> Option<usize> {
+    fn hand_on(&mut self, from: usize, state: RankState, dead: bool) -> Option<usize> {
+        self.ranks[from] = state;
+        if dead {
+            for state in &mut self.ranks {
+                if matches!(state, RankState::Blocked { .. }) {
+                    *state = RankState::Ready;
+                }
+            }
+        }
         let n = self.ranks.len();
         let cyclic_from = |start: usize| (0..n).map(move |k| (start + k) % n);
         let mut next = cyclic_from(from + 1).find(|&r| self.ranks[r] == RankState::Ready);
@@ -122,7 +142,6 @@ impl Sched {
         if next.is_some_and(|r| r != from) {
             obs::count(obs::Counter::RankSwitches, 1);
         }
-        self.running = next;
         next
     }
 }
@@ -131,7 +150,7 @@ impl Sched {
 /// run.
 pub(crate) struct Fabric {
     size: usize,
-    sched: Mutex<Sched>,
+    sched: Baton<Sched>,
     dead: AtomicBool,
     msg_fault: Option<MsgFault>,
     carrier: Carrier,
@@ -143,11 +162,13 @@ impl Fabric {
     pub(crate) fn new(size: usize, msg_fault: Option<MsgFault>, carrier: Carrier) -> Fabric {
         Fabric {
             size,
-            sched: Mutex::new(Sched {
-                boxes: (0..size).map(|_| VecDeque::new()).collect(),
-                ranks: vec![RankState::Ready; size],
-                running: Some(0),
-            }),
+            sched: Baton::new(
+                0,
+                Sched {
+                    boxes: (0..size).map(|_| VecDeque::new()).collect(),
+                    ranks: vec![RankState::Ready; size],
+                },
+            ),
             dead: AtomicBool::new(false),
             msg_fault,
             carrier,
@@ -165,8 +186,11 @@ impl Fabric {
     }
 
     /// The rank that holds the baton (`None` once every rank is done).
+    /// An `Acquire` load: a rank that finds itself named here has seen
+    /// everything earlier holders did to the fabric.
     pub(crate) fn running(&self) -> Option<usize> {
-        self.sched.lock().running
+        let holder = self.sched.holder();
+        (holder != NOBODY).then_some(holder)
     }
 
     /// Whether the fabric has been poisoned.
@@ -174,28 +198,29 @@ impl Fabric {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Poison the fabric: every blocked rank becomes `Ready` (its receive
-    /// will fail), nobody is switched to — teardown follows the schedule.
-    /// May be called from outside the world (the trial watchdog).
+    /// Poison the fabric: every operation fails from now on, and the
+    /// next handoff readies every blocked rank (see [`Sched::hand_on`]).
+    /// Nobody is switched to — teardown follows the schedule. May be
+    /// called from outside the world (the trial watchdog), so it touches
+    /// nothing the baton guards.
     pub(crate) fn poison(&self) {
         self.dead.store(true, Ordering::Release);
-        // Under the lock, so a receiver between its dead-check and its
-        // handoff cannot be missed.
-        for state in &mut self.sched.lock().ranks {
-            if matches!(state, RankState::Blocked { .. }) {
-                *state = RankState::Ready;
-            }
-        }
+    }
+
+    /// `me`, the baton holder, enters `state` (`Blocked` or `Done`) and
+    /// gives the baton up; naming its successor is the last thing it does
+    /// to the scheduler state.
+    fn hand_on(&self, me: usize, state: RankState) -> Option<usize> {
+        let dead = self.is_dead();
+        let next = self
+            .sched
+            .pass(me, |sched| sched.hand_on(me, state, dead).unwrap_or(NOBODY));
+        (next != NOBODY).then_some(next)
     }
 
     /// `me` has finished (returned or panicked): hand the baton on.
     pub(crate) fn exit(&self, me: usize) {
-        let next = {
-            let mut sched = self.sched.lock();
-            sched.ranks[me] = RankState::Done;
-            sched.hand_on(me)
-        };
-        if let Some(next) = next {
+        if let Some(next) = self.hand_on(me, RankState::Done) {
             self.carrier.pass(next);
         }
     }
@@ -248,11 +273,12 @@ impl Fabric {
             obs::count(obs::Counter::MsgsSent, 1);
             obs::count(obs::Counter::BytesSent, payload.wire_bytes() as u64);
         }
-        let mut sched = self.sched.lock();
-        sched.boxes[dst].push_back(Envelope { src, tag, payload });
-        if sched.ranks[dst] == (RankState::Blocked { src, tag }) {
-            sched.ranks[dst] = RankState::Ready;
-        }
+        self.sched.hold(src, |sched| {
+            sched.boxes[dst].push_back(Envelope { src, tag, payload });
+            if sched.ranks[dst] == (RankState::Blocked { src, tag }) {
+                sched.ranks[dst] = RankState::Ready;
+            }
+        });
         Ok(())
     }
 
@@ -260,16 +286,20 @@ impl Fabric {
     /// giving the baton away until one is there. Non-matching messages
     /// stay buffered.
     pub(crate) fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Payload, MpiError> {
-        let mut waited = false;
-        loop {
-            let mut sched = self.sched.lock();
-            let mailbox = sched.boxes.get_mut(me).ok_or(MpiError::InvalidRank {
+        if me >= self.size {
+            return Err(MpiError::InvalidRank {
                 rank: me,
                 size: self.size,
-            })?;
-            if let Some(pos) = mailbox.iter().position(|e| e.src == src && e.tag == tag) {
-                let payload = mailbox.remove(pos).expect("position just found").payload;
-                drop(sched);
+            });
+        }
+        let mut waited = false;
+        loop {
+            let matched = self.sched.hold(me, |sched| {
+                let mailbox = &mut sched.boxes[me];
+                let pos = mailbox.iter().position(|e| e.src == src && e.tag == tag)?;
+                Some(mailbox.remove(pos).expect("position just found").payload)
+            });
+            if let Some(payload) = matched {
                 #[cfg(feature = "obs")]
                 note_recv(&payload);
                 return Ok(payload);
@@ -284,9 +314,9 @@ impl Fabric {
                 return Err(MpiError::RecvTimeout { rank: me, src, tag });
             }
             waited = true;
-            sched.ranks[me] = RankState::Blocked { src, tag };
-            let next = sched.hand_on(me).expect("a blocked rank is not done");
-            drop(sched);
+            let next = self
+                .hand_on(me, RankState::Blocked { src, tag })
+                .expect("a blocked rank is not done");
             if next != me {
                 self.carrier.switch(self, me, next);
             }
@@ -297,7 +327,20 @@ impl Fabric {
     /// clean SPMD program ends with an empty fabric.
     #[cfg(test)]
     fn pending_messages(&self) -> usize {
-        self.sched.lock().boxes.iter().map(VecDeque::len).sum()
+        self.peek(|sched| sched.boxes.iter().map(VecDeque::len).sum())
+    }
+
+    /// Look at the scheduler state as whoever holds the baton (tests
+    /// drive a fabric by hand from one thread).
+    #[cfg(test)]
+    fn peek<R>(&self, f: impl FnOnce(&mut Sched) -> R) -> R {
+        self.sched.hold(self.sched.holder(), f)
+    }
+
+    /// Move the baton by hand, outside the schedule.
+    #[cfg(test)]
+    fn give_baton(&self, to: usize) {
+        self.sched.pass(self.sched.holder(), |_| to);
     }
 }
 
@@ -306,18 +349,23 @@ mod tests {
     use super::*;
     use resilim_inject::Tf64;
 
-    /// A fabric driven by hand from the test thread: nothing here may
-    /// hand the baton to another rank.
+    /// A fabric driven by hand from the test thread, which plays every
+    /// rank: it moves the baton itself ([`Fabric::give_baton`]) and
+    /// nothing here may switch to another rank.
     fn fabric(n: usize) -> Fabric {
         Fabric::new(n, None, Carrier::threads())
     }
 
-    fn sched(states: &[RankState]) -> Sched {
-        Sched {
-            boxes: states.iter().map(|_| VecDeque::new()).collect(),
-            ranks: states.to_vec(),
-            running: None,
-        }
+    /// A fabric whose ranks are in `states`, `holder` holding the baton.
+    fn fabric_in(states: &[RankState], holder: usize) -> Fabric {
+        let f = fabric(states.len());
+        f.peek(|sched| sched.ranks = states.to_vec());
+        f.give_baton(holder);
+        f
+    }
+
+    fn states(f: &Fabric) -> Vec<RankState> {
+        f.peek(|sched| sched.ranks.clone())
     }
 
     const BLOCKED: RankState = RankState::Blocked { src: 0, tag: 0 };
@@ -327,6 +375,7 @@ mod tests {
     fn send_then_recv() {
         let f = fabric(2);
         f.send(0, 1, 7, Payload::F64(vec![Tf64::new(1.5)])).unwrap();
+        f.give_baton(1);
         let p = f.recv(1, 0, 7).unwrap();
         assert_eq!(p.into_f64().unwrap()[0].value(), 1.5);
         assert_eq!(f.pending_messages(), 0);
@@ -337,6 +386,7 @@ mod tests {
         let f = fabric(2);
         f.send(0, 1, 1, Payload::Bytes(vec![1])).unwrap();
         f.send(0, 1, 2, Payload::Bytes(vec![2])).unwrap();
+        f.give_baton(1);
         // Receive tag 2 first; tag 1 stays buffered.
         assert_eq!(f.recv(1, 0, 2).unwrap().into_bytes().unwrap(), vec![2]);
         assert_eq!(f.pending_messages(), 1);
@@ -346,42 +396,63 @@ mod tests {
     #[test]
     fn src_matching() {
         let f = fabric(3);
+        f.give_baton(2);
         f.send(2, 0, 9, Payload::Bytes(vec![2])).unwrap();
+        f.give_baton(1);
         f.send(1, 0, 9, Payload::Bytes(vec![1])).unwrap();
+        f.give_baton(0);
         assert_eq!(f.recv(0, 1, 9).unwrap().into_bytes().unwrap(), vec![1]);
         assert_eq!(f.recv(0, 2, 9).unwrap().into_bytes().unwrap(), vec![2]);
     }
 
     #[test]
+    #[should_panic(expected = "rank 1 does not hold the baton")]
+    fn only_the_baton_holder_may_touch_the_fabric() {
+        let _ = fabric(2).recv(1, 0, 0);
+    }
+
+    #[test]
     fn next_rank_is_the_first_ready_one_in_cyclic_order() {
-        let mut s = sched(&[Ready, BLOCKED, Ready, Ready]);
-        s.ranks[3] = BLOCKED; // rank 3 just blocked
-        assert_eq!(s.hand_on(3), Some(0), "wraps around");
-        let mut s = sched(&[Ready, BLOCKED, Done, Ready]);
-        assert_eq!(s.hand_on(1), Some(3), "skips done ranks, not back to 0");
-        assert_eq!(s.running, Some(3));
-        assert_eq!(s.ranks[1], BLOCKED, "no verdict while somebody can run");
+        let f = fabric_in(&[Ready, BLOCKED, Ready, Ready], 3);
+        assert_eq!(f.hand_on(3, BLOCKED), Some(0), "wraps around");
+        assert_eq!(f.running(), Some(0));
+        let f = fabric_in(&[Ready, Ready, Done, Ready], 1);
+        assert_eq!(
+            f.hand_on(1, BLOCKED),
+            Some(3),
+            "skips done ranks, not back to 0"
+        );
+        assert_eq!(f.running(), Some(3));
+        assert_eq!(states(&f)[1], BLOCKED, "no verdict while somebody can run");
     }
 
     #[test]
     fn nobody_ready_is_a_deadlock_and_the_blocking_rank_is_the_victim() {
-        let mut s = sched(&[BLOCKED, Done, BLOCKED]);
-        assert_eq!(s.hand_on(2), Some(2), "the detecting rank fails itself");
-        assert_eq!(s.ranks, [BLOCKED, Done, Ready]);
+        let f = fabric_in(&[BLOCKED, Done, Ready], 2);
+        assert_eq!(
+            f.hand_on(2, BLOCKED),
+            Some(2),
+            "the detecting rank fails itself"
+        );
+        assert_eq!(states(&f), [BLOCKED, Done, Ready]);
         // An exiting rank cannot fail: the next blocked one after it does.
-        let mut s = sched(&[BLOCKED, Done, BLOCKED]);
-        assert_eq!(s.hand_on(1), Some(2));
-        assert_eq!(s.ranks, [BLOCKED, Done, Ready]);
-        let mut s = sched(&[Done, Done]);
-        assert_eq!(s.hand_on(1), None, "everybody done: the world is over");
-        assert_eq!(s.running, None);
+        let f = fabric_in(&[BLOCKED, Ready, BLOCKED], 1);
+        assert_eq!(f.hand_on(1, Done), Some(2));
+        assert_eq!(states(&f), [BLOCKED, Done, Ready]);
+        assert_eq!(f.running(), Some(2));
+        let f = fabric_in(&[Done, Ready], 1);
+        assert_eq!(
+            f.hand_on(1, Done),
+            None,
+            "everybody done: the world is over"
+        );
+        assert_eq!(f.running(), None);
     }
 
     #[test]
     fn a_receive_nothing_can_match_fails_at_once() {
         // Rank 1 is done and rank 0 blocks: deadlock, no timer involved.
-        let f = fabric(2);
-        f.sched.lock().ranks[1] = Done;
+        let f = fabric_in(&[Ready, Done], 0);
         let err = f.recv(0, 1, 0).unwrap_err();
         assert_eq!(
             err,
@@ -398,43 +469,42 @@ mod tests {
 
     #[test]
     fn a_send_readies_exactly_the_receiver_it_matches() {
-        let f = fabric(3);
-        {
-            let mut s = f.sched.lock();
-            s.ranks[1] = RankState::Blocked { src: 0, tag: 5 };
-            s.ranks[2] = RankState::Blocked { src: 0, tag: 5 };
-        }
+        let waiting = RankState::Blocked { src: 0, tag: 5 };
+        let f = fabric_in(&[Ready, waiting, waiting], 0);
         f.send(0, 1, 4, Payload::Bytes(vec![])).unwrap(); // wrong tag
+        f.give_baton(2);
         f.send(2, 1, 5, Payload::Bytes(vec![])).unwrap(); // wrong source
-        assert_eq!(
-            f.sched.lock().ranks[1],
-            RankState::Blocked { src: 0, tag: 5 }
-        );
+        assert_eq!(states(&f)[1], waiting);
+        f.give_baton(0);
         f.send(0, 1, 5, Payload::Bytes(vec![])).unwrap();
-        assert_eq!(f.sched.lock().ranks[1], Ready);
-        assert_eq!(
-            f.sched.lock().ranks[2],
-            RankState::Blocked { src: 0, tag: 5 }
-        );
+        assert_eq!(states(&f), [Ready, Ready, waiting]);
         assert_eq!(f.running(), Some(0), "a send never moves the baton");
     }
 
     #[test]
     fn poison_readies_blocked_ranks_and_fails_pending_and_future_operations() {
-        let f = fabric(3);
+        let f = fabric_in(&[Ready, Ready, BLOCKED], 0);
         f.send(0, 1, 1, Payload::Bytes(vec![1])).unwrap();
-        f.sched.lock().ranks[2] = BLOCKED;
-        f.poison();
+        // From a thread that holds no baton, as the watchdog does.
+        std::thread::scope(|scope| {
+            scope.spawn(|| f.poison());
+        });
         assert!(f.is_dead());
-        assert_eq!(f.sched.lock().ranks[2], Ready);
         assert_eq!(f.running(), Some(0), "poison never moves the baton");
-        // What was already delivered can still be taken; nothing else.
-        assert_eq!(f.recv(1, 0, 1).unwrap().into_bytes().unwrap(), vec![1]);
-        assert_eq!(f.recv(1, 0, 2).unwrap_err(), MpiError::FabricDead);
+        assert_eq!(states(&f)[2], BLOCKED, "nor anything else it guards");
+        // Nothing can be sent and nobody can block any more...
         assert_eq!(
             f.send(0, 1, 5, Payload::Bytes(vec![])).unwrap_err(),
             MpiError::FabricDead
         );
+        assert_eq!(f.recv(0, 1, 2).unwrap_err(), MpiError::FabricDead);
+        assert_eq!(f.running(), Some(0));
+        // ...and the next handoff readies whoever was blocked.
+        assert_eq!(f.hand_on(0, Done), Some(1));
+        assert_eq!(states(&f), [Done, Ready, Ready]);
+        // What was already delivered can still be taken; nothing else.
+        assert_eq!(f.recv(1, 0, 1).unwrap().into_bytes().unwrap(), vec![1]);
+        assert_eq!(f.recv(1, 0, 2).unwrap_err(), MpiError::FabricDead);
     }
 
     #[test]
@@ -472,6 +542,7 @@ mod tests {
         // The sender never saw the corruption (it happened on the wire).
         assert!(!report.detected);
 
+        f.give_baton(1);
         let clean = f.recv(1, 0, 0).unwrap().into_f64().unwrap();
         assert!(clean.iter().all(|v| !v.is_tainted()));
         let bad = f.recv(1, 0, 1).unwrap().into_f64().unwrap();
@@ -494,6 +565,7 @@ mod tests {
         };
         let f = Fabric::new(2, Some(fault), Carrier::threads());
         f.send(0, 1, 0, Payload::F64(vec![Tf64::new(1.0)])).unwrap();
+        f.give_baton(1);
         let p = f.recv(1, 0, 0).unwrap().into_f64().unwrap();
         assert!(!p[0].is_tainted());
     }

@@ -39,6 +39,7 @@
 //! ```
 
 pub mod backend;
+mod baton;
 mod carrier;
 pub mod comm;
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]

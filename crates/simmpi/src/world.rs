@@ -442,6 +442,86 @@ mod tests {
         }
     }
 
+    /// Five ranks, all but rank 0 blocked on a message that never comes
+    /// and rank 0 holding the baton, torn down from that point: by rank 0
+    /// crashing (`outside: false`), or by a `poison()` from another thread
+    /// first — all the watchdog does — which rank 0, wedged in untracked
+    /// code, waits to see before it crashes the same way. Returns the
+    /// order the ranks unwound in and how each ended.
+    fn torn_down(pooled: bool, outside: bool) -> (Vec<usize>, Vec<Option<PanicKind>>) {
+        struct Unwound<'a>(&'a Mutex<Vec<usize>>, usize);
+        impl Drop for Unwound<'_> {
+            fn drop(&mut self) {
+                self.0.lock().push(self.1);
+            }
+        }
+        const PROCS: usize = 5;
+        install_quiet_hook();
+        let _caller = CallerState::borrow();
+        let carrier = if pooled {
+            carrier::pooled::carrier()
+        } else {
+            Carrier::threads()
+        };
+        let fabric = Fabric::new(PROCS, None, carrier);
+        let pool = WorldPool::new();
+        let order = Mutex::new(Vec::new());
+        let wedged = AtomicBool::new(false);
+        let body = |comm: &Comm| {
+            let _unwound = Unwound(&order, comm.rank());
+            if comm.rank() == 0 {
+                // Blocks once; by the next-rank rule the baton is back
+                // only when ranks 1..PROCS are all blocked.
+                comm.recv_bytes(PROCS - 1, 1);
+                if outside {
+                    wedged.store(true, Ordering::SeqCst);
+                    while !fabric.is_dead() {
+                        std::thread::yield_now();
+                    }
+                }
+                panic!("simulated application abort");
+            }
+            if comm.rank() == PROCS - 1 {
+                comm.send_bytes(0, 1, Vec::new());
+            }
+            comm.recv_bytes(0, 2);
+        };
+        let rank_job = |rank| run_rank(rank, &fabric, &|_| None, &body);
+        let results = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                if outside {
+                    while !wedged.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    fabric.poison();
+                }
+            });
+            if pooled {
+                carrier::pooled::run(pool.dispatch(PROCS), &fabric, rank_job)
+            } else {
+                carrier::run_on_threads(&fabric, rank_job)
+            }
+        });
+        (order.into_inner(), kinds(&results))
+    }
+
+    #[test]
+    fn a_poison_from_outside_tears_down_like_a_crash_at_the_same_point() {
+        // `poison()` from a thread without the baton is one flag store;
+        // the blocked ranks are readied by the next handoff, so teardown
+        // runs in schedule order from the baton holder on either way.
+        let mut expected = vec![Some(PanicKind::FabricDead); 5];
+        expected[0] = Some(PanicKind::Crash);
+        for pooled in [true, false] {
+            for outside in [false, true] {
+                let (order, kinds) = torn_down(pooled, outside);
+                let label = format!("pooled={pooled} outside={outside}");
+                assert_eq!(order, [0, 1, 2, 3, 4], "{label}");
+                assert_eq!(kinds, expected, "{label}");
+            }
+        }
+    }
+
     #[test]
     fn the_world_gives_the_callers_thread_back_as_it_found_it() {
         // Ranks run on this very thread: its panic-hook flag and an
@@ -663,6 +743,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore = "re-runs the test binary as a child process")]
     fn a_loud_rank_panic_with_a_full_backtrace_is_caught_on_its_own_stack() {
         // `RUST_BACKTRACE=full` makes the default hook walk and symbolize
         // the whole panicking stack — a coroutine stack here — before the

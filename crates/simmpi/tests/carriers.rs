@@ -24,7 +24,7 @@ fn body(fail: bool) -> impl Fn(&Comm) -> f64 + Send + Sync {
         let mut acc = comm.allreduce(ReduceOp::Sum, &mine)[0];
         for round in 0..3u64 {
             let got = comm.sendrecv((me + 1) % p, (me + p - 1) % p, round, &[acc]);
-            acc = acc + got[0];
+            acc += got[0];
             comm.barrier();
         }
         if fail && me == p - 1 {
@@ -32,7 +32,8 @@ fn body(fail: bool) -> impl Fn(&Comm) -> f64 + Send + Sync {
         }
         let all = comm.alltoallv(vec![vec![acc]; p]);
         let gathered = comm.allgather(&all[me]);
-        comm.allreduce_scalar(ReduceOp::Max, gathered[0][0]).value()
+        comm.allreduce_scalar(ReduceOp::Max, gathered.part(0)[0])
+            .value()
     }
 }
 

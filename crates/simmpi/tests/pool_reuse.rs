@@ -6,7 +6,8 @@
 //! This binary also audits heap traffic with a counting global allocator
 //! (per-thread counters, so concurrent tests don't pollute the
 //! measurement): the zero-injection tracked-op hot path performs no
-//! allocation per op, and a pooled world frees every block it allocates.
+//! allocation per op, a rank switch performs none either, and a pooled
+//! world frees every block it allocates.
 
 use resilim_inject::{ctx, InjectionPlan, Operand, RankCtx, Region, Target, Tf64};
 use resilim_simmpi::{PanicKind, ReduceOp, World, WorldPool};
@@ -294,6 +295,85 @@ fn pooled_matches_spawned_bitwise() {
         assert_eq!(ra.fired, rb.fired);
         assert_eq!(ra.contaminated, rb.contaminated);
     }
+}
+
+/// The thread carrier under load: p=8, 10 080 point-to-point messages,
+/// each pair received in the reverse of the order it was sent in (the
+/// mailboxes buffer unexpected messages) and from a peer that, more
+/// often than not, has not sent yet (the receive blocks: thousands of
+/// handoffs), with tracked ops in between. The baton is the only
+/// synchronisation between the rank threads — no lock guards the
+/// mailboxes — so every receive must find exactly what the pooled
+/// (single-thread) run finds: results and op profiles equal bitwise.
+/// Runs in debug and, in CI, in release.
+#[test]
+fn thread_carrier_under_message_load_matches_pooled_bitwise() {
+    const PROCS: usize = 8;
+    const ROUNDS: u64 = 90;
+    let mk_ctx = |rank: usize| Some(RankCtx::profiling(rank));
+    let body = |comm: &resilim_simmpi::Comm| {
+        let me = comm.rank();
+        let mut acc = Tf64::new(me as f64 + 1.0);
+        for round in 0..ROUNDS {
+            for k in 1..PROCS {
+                let (dst, src) = ((me + k) % PROCS, (me + PROCS - k) % PROCS);
+                comm.send(dst, 2 * round, &[acc]);
+                comm.send(dst, 2 * round + 1, &[acc + Tf64::new(k as f64)]);
+                let late = comm.recv(src, 2 * round + 1)[0];
+                let early = comm.recv(src, 2 * round)[0];
+                // Order-sensitive on purpose.
+                acc = (acc * Tf64::new(0.5) + late) * Tf64::new(0.25) + early;
+            }
+        }
+        acc.value().to_bits()
+    };
+    let pooled = World::new(PROCS).run_pooled(&WorldPool::new(), mk_ctx, body);
+    let spawned = World::new(PROCS).run_spawned(mk_ctx, body);
+    for (a, b) in pooled.iter().zip(&spawned) {
+        assert_eq!(a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+        let (ra, rb) = (
+            a.ctx_report.as_ref().unwrap(),
+            b.ctx_report.as_ref().unwrap(),
+        );
+        assert_eq!(ra.profile, rb.profile);
+        assert_eq!(ra.msgs_recvd, 2 * (PROCS as u64 - 1) * ROUNDS);
+        assert_eq!(ra.msgs_recvd, rb.msgs_recvd);
+    }
+}
+
+/// A rank switch — block in a receive, park the injection context, swap
+/// stacks, unpark — must not touch the heap. Measured inside one p=8
+/// world over barriers, whose messages are empty (`Vec::new()` does not
+/// allocate) and whose mailboxes stop growing after the first few: 200
+/// barriers are ~1 600 handoffs and 2 800 messages, and every rank's
+/// allocations land on this thread's counter (where ranks are threads,
+/// rank 0 counts its own only).
+#[test]
+fn rank_switches_do_not_allocate() {
+    let results = World::new(8).run_pooled(
+        &WorldPool::new(),
+        |rank| Some(RankCtx::profiling(rank)),
+        |comm| {
+            let mut acc = Tf64::new(1.0);
+            for _ in 0..8 {
+                comm.barrier(); // warm-up: mailboxes reach their capacity
+            }
+            let before = allocs_here();
+            for _ in 0..200 {
+                acc = acc * Tf64::new(0.5) + Tf64::new(1.0);
+                comm.barrier();
+            }
+            (allocs_here() - before, acc.value())
+        },
+    );
+    let (allocs, _) = results[0].result.as_ref().unwrap();
+    assert_eq!(*allocs, 0, "allocations over 200 barriers at p=8");
+    let report = results[0].ctx_report.as_ref().unwrap();
+    assert_eq!(
+        report.profile.total(),
+        400,
+        "the context came back each time"
+    );
 }
 
 /// The zero-injection hot path — context installed, plan empty — must

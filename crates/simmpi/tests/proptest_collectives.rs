@@ -64,8 +64,8 @@ proptest! {
                 .map(|i| Tf64::new((me * 100 + i) as f64))
                 .collect();
             comm.allgather(&mine)
-                .into_iter()
-                .map(|part| part.into_iter().map(|x| x.value() as usize).collect())
+                .parts()
+                .map(|part| part.iter().map(|x| x.value() as usize).collect())
                 .collect::<Vec<Vec<usize>>>()
         });
         for r in results {
