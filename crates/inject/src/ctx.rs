@@ -11,14 +11,28 @@
 //! The hooks run on *every* tracked floating-point operation, so their
 //! common case is the throughput floor of the whole campaign engine. The
 //! installed context lives exploded into thread-local cells (`HotCtx`):
-//! plain `Cell`s for everything the per-op path reads or bumps (region,
-//! counters, mask bits, pending-injection indices, contamination flag)
-//! and a `RefCell` only for the cold state (target queues, fired records,
-//! rank id). The per-op path therefore never borrows a `RefCell`, never
-//! allocates, and never calls through a function pointer: it is a handful
-//! of `Cell` loads/stores plus one compare against the precomputed
-//! next-pending op index. Firing an injection, tripping the hang guard,
-//! and first-contamination marking are outlined `#[cold]` functions.
+//! plain `Cell`s for everything the per-op path reads or writes (region,
+//! op budgets, contamination flag) and a `RefCell` only for the cold state
+//! (target queues, fired records, rank id). The per-op path therefore
+//! never borrows a `RefCell`, never allocates, and never calls through a
+//! function pointer.
+//!
+//! What the per-op path has to answer is "is this the op to fire at, or
+//! the op that trips the hang guard?" — *no* for all but a handful of the
+//! ops of a trial. So every `(region, kind)` pair has one **budget cell**:
+//! how many more ops of that kind may run in that region before either
+//! can happen. An op loads its cell, branches if it is zero and stores
+//! cell − 1; nothing else is counted or compared. A zero cell leads to the
+//! outlined `checked_op`, which does the exact bookkeeping — count the
+//! op, trip iff the exact total exceeds the cap, fire iff the kind is
+//! masked and the exact injectable index is the front target's — and then
+//! re-arms all ten cells from the exact state (`HotCtx::rearm` has the
+//! rule and why the unchecked ops can contain neither the firing nor the
+//! tripping op). Ops executed per cell = granted − remaining is exact at
+//! every instant, so every count the context reports is what a counter
+//! bumped per op would read. Firing an injection, tripping the hang
+//! guard, and first-contamination marking are outlined `#[cold]`
+//! functions.
 //! [`install`]/[`take`] convert between the packed [`RankCtx`] and the
 //! exploded form at rank boundaries — two points per trial, off the hot
 //! path. Ranks that share a thread as coroutines trade places far more
@@ -28,7 +42,7 @@
 
 use crate::mask::OpMask;
 use crate::plan::{InjectionPlan, Operand, Target};
-use crate::profile::{OpKind, OpProfile};
+use crate::profile::{masked_sum, OpKind, OpProfile};
 use crate::region::{Region, RegionGuard};
 use crate::smallbuf::InlineVec;
 use crate::tf64::Tf64;
@@ -114,15 +128,15 @@ pub const DUE_MSG: &str = "resilim: detected uncorrectable error (rank killed)";
 pub struct RankCtx {
     rank: usize,
     region: Region,
-    /// Injectable-op counters per region (the target index space).
-    injectable: [u64; 2],
-    /// Per-region, per-kind op counters.
+    /// Per-region, per-kind op counters. The total op count and the
+    /// per-region injectable counts (the target index space) are sums of
+    /// these, the second over `op_mask`.
     per_kind: [[u64; 5]; 2],
     /// Pending targets per region, ascending op_index.
     queues: [VecDeque<Target>; 2],
     /// Op-index of the front pending target per region (`u64::MAX` when
-    /// the queue is empty). The per-op hot path is a single compare
-    /// against this; the queue is only touched when an injection is due.
+    /// the queue is empty). The op budgets are armed from this; the queue
+    /// is only touched when an injection is due.
     next_pending: [u64; 2],
     fired: Vec<FiredRecord>,
     planned: usize,
@@ -140,7 +154,6 @@ pub struct RankCtx {
     /// `u64::MAX` means uncapped (a budget of 2^64 ops could never trip
     /// within a process lifetime anyway).
     op_cap: u64,
-    total_ops: u64,
     hang_guard_tripped: bool,
     /// DUE semantics: panic (with [`DUE_MSG`]) at the firing op instead of
     /// continuing with the corrupted value.
@@ -198,7 +211,6 @@ impl RankCtx {
         RankCtx {
             rank,
             region: Region::Common,
-            injectable: [0; 2],
             per_kind: [[0; 5]; 2],
             queues,
             next_pending,
@@ -208,7 +220,6 @@ impl RankCtx {
             taint_threshold: 0.0,
             op_mask: OpMask::FP_ARITH,
             op_cap: u64::MAX,
-            total_ops: 0,
             hang_guard_tripped: false,
             kill_on_fire: false,
             replicate: false,
@@ -327,10 +338,9 @@ impl RankCtx {
     /// Current op profile snapshot.
     pub fn profile(&self) -> OpProfile {
         let mut p = OpProfile::default();
-        for r in Region::ALL {
-            let i = r.index();
-            p.regions[i].injectable = self.injectable[i];
-            p.regions[i].per_kind = self.per_kind[i];
+        for (counts, per_kind) in p.regions.iter_mut().zip(self.per_kind) {
+            counts.per_kind = per_kind;
+            counts.injectable = masked_sum(&per_kind, self.op_mask);
         }
         p.msgs_sent = self.msgs_sent;
         p
@@ -348,7 +358,7 @@ impl RankCtx {
         if !self.contaminated {
             self.contaminated = true;
             if self.first_contam_op == u64::MAX {
-                self.first_contam_op = self.total_ops;
+                self.first_contam_op = self.per_kind.iter().flatten().sum();
                 self.msgs_sent_at_contam = self.msgs_sent;
                 self.msgs_recvd_at_contam = self.msgs_recvd;
             }
@@ -389,12 +399,18 @@ struct HotCtx {
     mask: Cell<OpMask>,
     contaminated: Cell<bool>,
     taint_threshold: Cell<f64>,
-    total_ops: Cell<u64>,
-    /// `u64::MAX` = uncapped, so the hot path is one unconditional compare.
+    /// `u64::MAX` = uncapped. Read when the budgets are re-armed, never
+    /// per op.
     op_cap: Cell<u64>,
-    injectable: [Cell<u64>; 2],
     next_pending: [Cell<u64>; 2],
-    per_kind: [[Cell<u64>; 5]; 2],
+    /// Budget cells: ops of `(region, kind)` that may still run before the
+    /// next one has to go through [`checked_op`]. The only cells the
+    /// per-op path writes.
+    budget: [[Cell<u64>; 5]; 2],
+    /// Everything ever granted to a cell, the ops counted one by one in
+    /// [`checked_op`] included: `granted − budget` is the exact number of
+    /// ops of that region and kind executed so far.
+    granted: [[Cell<u64>; 5]; 2],
     /// Replica-compare detection state. Touched per *message*, never per
     /// op — the hook fast path does not read these.
     replicate: Cell<bool>,
@@ -415,11 +431,79 @@ impl HotCtx {
     /// of every first-contamination path).
     fn snapshot_first_contam(&self) {
         if self.first_contam_op.get() == u64::MAX {
-            self.first_contam_op.set(self.total_ops.get());
+            self.first_contam_op.set(self.total_ops());
             self.msgs_sent_at_contam.set(self.msgs_sent.get());
             self.msgs_recvd_at_contam.set(self.msgs_recvd.get());
         }
     }
+
+    /// Exact ops executed so far per region and kind.
+    fn per_kind(&self) -> [[u64; 5]; 2] {
+        let mut counts = [[0; 5]; 2];
+        for (r, row) in counts.iter_mut().enumerate() {
+            for (k, n) in row.iter_mut().enumerate() {
+                *n = self.granted[r][k].get() - self.budget[r][k].get();
+            }
+        }
+        counts
+    }
+
+    /// Exact total of tracked ops executed so far.
+    fn total_ops(&self) -> u64 {
+        self.per_kind().iter().flatten().sum()
+    }
+
+    /// Re-arm the budget cells from the exact state.
+    fn rearm(&self) {
+        self.arm(self.per_kind());
+    }
+
+    /// Arm all ten budget cells for a context that has executed `counts`
+    /// ops, from `op_cap`, `mask` and `next_pending`:
+    ///
+    /// * *hang guard* — the op that trips is number `op_cap + 1`, so
+    ///   `op_cap − total` more may run unchecked; every cell gets at most
+    ///   a tenth of that, rounded down, and the ten together never reach
+    ///   the tripping op. A cap already exceeded leaves every cell empty:
+    ///   each later op trips again.
+    /// * *firing* — with the front target of region `r` at injectable
+    ///   index `N` and `done` injectable ops executed there, `N − done`
+    ///   masked ops of `r` come before the firing one; each of the `m`
+    ///   masked kinds of `r` gets at most `⌊(N − done)/m⌋`, and together
+    ///   they never reach it. An empty queue (`u64::MAX`) is a limit no
+    ///   run reaches; a front target the counters have already passed can
+    ///   never fire (nor, the queue being sorted, can anything behind it),
+    ///   so it must limit nothing — or it would pin its cells at zero.
+    ///
+    /// A cell takes the smaller of its limits. The kind whose cell ran out
+    /// consumed its whole share, so the distance to the nearer event
+    /// shrinks by at least 1/`m` (1/10 for the cap) per [`checked_op`]
+    /// visit: tens of visits per target in a trial of a million ops.
+    fn arm(&self, counts: [[u64; 5]; 2]) {
+        let mask = self.mask.get();
+        let masked = u64::from(mask.bits().count_ones());
+        let total: u64 = counts.iter().flatten().sum();
+        let cap_share = self.op_cap.get().saturating_sub(total) / 10;
+        for (r, row) in counts.iter().enumerate() {
+            let done = masked_sum(row, mask);
+            // (`max(1)`: an empty mask has no cell to share among.)
+            let fire_share = self.next_pending[r]
+                .get()
+                .checked_sub(done)
+                .map_or(u64::MAX, |ahead| ahead / masked.max(1));
+            for kind in OpKind::ALL {
+                let k = kind.index();
+                let grant = if mask.contains(kind) {
+                    cap_share.min(fire_share)
+                } else {
+                    cap_share
+                };
+                self.budget[r][k].set(grant);
+                self.granted[r][k].set(row[k] + grant);
+            }
+        }
+    }
+
     /// Overwrite every cell with `src`'s: the block move behind
     /// [`unpark`] (a `&HotCtx` cannot be assigned to as a whole).
     fn copy_from(&self, src: &HotCtx) {
@@ -428,13 +512,12 @@ impl HotCtx {
         self.mask.set(src.mask.get());
         self.contaminated.set(src.contaminated.get());
         self.taint_threshold.set(src.taint_threshold.get());
-        self.total_ops.set(src.total_ops.get());
         self.op_cap.set(src.op_cap.get());
         for i in 0..2 {
-            self.injectable[i].set(src.injectable[i].get());
             self.next_pending[i].set(src.next_pending[i].get());
             for k in 0..5 {
-                self.per_kind[i][k].set(src.per_kind[i][k].get());
+                self.budget[i][k].set(src.budget[i][k].get());
+                self.granted[i][k].set(src.granted[i][k].get());
             }
         }
         self.replicate.set(src.replicate.get());
@@ -457,15 +540,11 @@ impl HotCtx {
         self.mask.set(ctx.op_mask);
         self.contaminated.set(ctx.contaminated);
         self.taint_threshold.set(ctx.taint_threshold);
-        self.total_ops.set(ctx.total_ops);
         self.op_cap.set(ctx.op_cap);
         for i in 0..2 {
-            self.injectable[i].set(ctx.injectable[i]);
             self.next_pending[i].set(ctx.next_pending[i]);
-            for k in 0..5 {
-                self.per_kind[i][k].set(ctx.per_kind[i][k]);
-            }
         }
+        self.arm(ctx.per_kind);
         self.replicate.set(ctx.replicate);
         self.detected.set(ctx.detected);
         self.msgs_sent.set(ctx.msgs_sent);
@@ -497,23 +576,7 @@ impl HotCtx {
         Some(RankCtx {
             rank: cold.rank,
             region: self.region.get(),
-            injectable: [self.injectable[0].get(), self.injectable[1].get()],
-            per_kind: [
-                [
-                    self.per_kind[0][0].get(),
-                    self.per_kind[0][1].get(),
-                    self.per_kind[0][2].get(),
-                    self.per_kind[0][3].get(),
-                    self.per_kind[0][4].get(),
-                ],
-                [
-                    self.per_kind[1][0].get(),
-                    self.per_kind[1][1].get(),
-                    self.per_kind[1][2].get(),
-                    self.per_kind[1][3].get(),
-                    self.per_kind[1][4].get(),
-                ],
-            ],
+            per_kind: self.per_kind(),
             queues: cold.queues,
             next_pending: [self.next_pending[0].get(), self.next_pending[1].get()],
             fired: cold.fired,
@@ -522,7 +585,6 @@ impl HotCtx {
             taint_threshold: self.taint_threshold.get(),
             op_mask: self.mask.get(),
             op_cap: self.op_cap.get(),
-            total_ops: self.total_ops.get(),
             hang_guard_tripped: cold.hang_guard_tripped,
             kill_on_fire: cold.kill_on_fire,
             replicate: self.replicate.get(),
@@ -548,11 +610,13 @@ thread_local! {
             mask: Cell::new(OpMask::empty()),
             contaminated: Cell::new(false),
             taint_threshold: Cell::new(0.0),
-            total_ops: Cell::new(0),
             op_cap: Cell::new(u64::MAX),
-            injectable: [Cell::new(0), Cell::new(0)],
             next_pending: [Cell::new(u64::MAX), Cell::new(u64::MAX)],
-            per_kind: [
+            budget: [
+                [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
+                [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
+            ],
+            granted: [
                 [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
                 [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
             ],
@@ -901,24 +965,50 @@ fn hot() -> *const HotCtx {
     ACTIVE.with(|h| h as *const HotCtx)
 }
 
-/// Count the op on the fast path: per-kind counter, total-op counter, hang
-/// guard. Returns the region index.
-#[inline(always)]
-fn bump(h: &HotCtx, kind: OpKind) -> usize {
-    let r = h.region.get().index();
-    let pk = &h.per_kind[r][kind.index()];
-    pk.set(pk.get() + 1);
-    let total = h.total_ops.get() + 1;
-    h.total_ops.set(total);
+/// The op whose budget cell is empty: do the bookkeeping the budgets stand
+/// in for, exactly. Counts the op, trips the hang guard iff the exact total
+/// exceeds the cap, and returns the op's injectable index iff it is the
+/// one the front target of its region names — the caller then takes the
+/// fire path, which re-arms once the queue has moved on. Otherwise the
+/// cells are re-armed here and the op goes on as any other. Not generic:
+/// one copy serves every operator's [`checked_binop`]/[`checked_unop`].
+#[cold]
+#[inline(never)]
+fn checked_op(h: &HotCtx, r: usize, kind: OpKind) -> Option<u64> {
+    #[cfg(test)]
+    COLD_VISITS.with(|n| n.set(n.get() + 1));
+    // The cell is empty, so one more granted is one more executed.
+    let granted = &h.granted[r][kind.index()];
+    granted.set(granted.get() + 1);
+    let counts = h.per_kind();
+    let total: u64 = counts.iter().flatten().sum();
     if total > h.op_cap.get() {
+        h.arm(counts);
         hang_trip(h);
     }
-    r
+    let mask = h.mask.get();
+    if mask.contains(kind) {
+        let idx = masked_sum(&counts[r], mask) - 1;
+        if idx == h.next_pending[r].get() {
+            return Some(idx);
+        }
+    }
+    h.arm(counts);
+    None
 }
 
-/// The binary-operation hook: counts the op, possibly injects, computes
-/// both the corrupted-world and shadow-world results, and records
-/// contamination.
+#[cfg(test)]
+thread_local! {
+    /// [`checked_op`] visits on this thread: the performance property of
+    /// the budgets is pinned by a count (the `cold_visits_*` tests), not
+    /// by a clock.
+    static COLD_VISITS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The binary-operation hook: spends one op of the budget cell (or, the
+/// cell being empty, goes through `checked_op` and possibly injects),
+/// computes both the corrupted-world and shadow-world results, and
+/// records contamination.
 ///
 /// `f` must be a pure function of its operands (it is invoked twice, once
 /// per world).
@@ -929,14 +1019,19 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
     if !h.installed.get() {
         return Tf64::from_parts(f(a.value(), b.value()), f(a.shadow(), b.shadow()));
     }
-    let r = bump(h, kind);
-    if h.mask.get().contains(kind) {
-        let idx = h.injectable[r].get();
-        h.injectable[r].set(idx + 1);
-        if idx == h.next_pending[r].get() {
-            return fire_binop(h, r, idx, kind, a, b, &f);
-        }
+    let r = h.region.get().index();
+    let cell = &h.budget[r][kind.index()];
+    let left = cell.get();
+    if left == 0 {
+        return checked_binop(h, r, kind, a, b, &f);
     }
+    cell.set(left - 1);
+    plain_binop(h, a, b, &f)
+}
+
+/// Both worlds of an op nothing fires at, and the contamination check.
+#[inline(always)]
+fn plain_binop(h: &HotCtx, a: Tf64, b: Tf64, f: &impl Fn(f64, f64) -> f64) -> Tf64 {
     let v = f(a.value(), b.value());
     let sh = f(a.shadow(), b.shadow());
     if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
@@ -945,10 +1040,30 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
     Tf64::from_parts(v, sh)
 }
 
+/// [`hook_binop`] for the op whose budget cell is empty. Outlined whole —
+/// the per-op path never resumes after a call, so nothing it holds in
+/// registers has to survive one.
+#[cold]
+#[inline(never)]
+fn checked_binop(
+    h: &HotCtx,
+    r: usize,
+    kind: OpKind,
+    a: Tf64,
+    b: Tf64,
+    f: &impl Fn(f64, f64) -> f64,
+) -> Tf64 {
+    match checked_op(h, r, kind) {
+        Some(idx) => fire_binop(h, r, idx, kind, a, b, f),
+        None => plain_binop(h, a, b, f),
+    }
+}
+
 /// Fire path of [`hook_binop`]: pop every target due at dynamic op `idx`,
-/// apply input flips before and result flips after computing `f`, record
-/// the firings, and mark contamination. Stack-buffered — no heap traffic
-/// for plans with up to 8 flips on one op.
+/// re-arm the budgets for the new front target, apply input flips before
+/// and result flips after computing `f`, record the firings, and mark
+/// contamination. Stack-buffered — no heap traffic for plans with up to 8
+/// flips on one op.
 #[cold]
 #[inline(never)]
 fn fire_binop(
@@ -989,6 +1104,7 @@ fn fire_binop(
         let next = cold.queues[r].front().map_or(u64::MAX, |t| t.op_index);
         h.next_pending[r].set(next);
     });
+    h.rearm();
 
     let mut v = f(a.value(), b.value());
     let sh = f(a.shadow(), b.shadow());
@@ -1040,20 +1156,37 @@ pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     if !h.installed.get() {
         return Tf64::from_parts(f(a.value()), f(a.shadow()));
     }
-    let r = bump(h, kind);
-    if h.mask.get().contains(kind) {
-        let idx = h.injectable[r].get();
-        h.injectable[r].set(idx + 1);
-        if idx == h.next_pending[r].get() {
-            return fire_unop(h, r, idx, kind, a, &f);
-        }
+    let r = h.region.get().index();
+    let cell = &h.budget[r][kind.index()];
+    let left = cell.get();
+    if left == 0 {
+        return checked_unop(h, r, kind, a, &f);
     }
+    cell.set(left - 1);
+    plain_unop(h, a, &f)
+}
+
+/// Both worlds of a unary op nothing fires at, and the contamination
+/// check.
+#[inline(always)]
+fn plain_unop(h: &HotCtx, a: Tf64, f: &impl Fn(f64) -> f64) -> Tf64 {
     let v = f(a.value());
     let sh = f(a.shadow());
     if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
         observe_divergent(h, v, sh);
     }
     Tf64::from_parts(v, sh)
+}
+
+/// [`hook_unop`] for the op whose budget cell is empty (see
+/// [`checked_binop`]).
+#[cold]
+#[inline(never)]
+fn checked_unop(h: &HotCtx, r: usize, kind: OpKind, a: Tf64, f: &impl Fn(f64) -> f64) -> Tf64 {
+    match checked_op(h, r, kind) {
+        Some(idx) => fire_unop(h, r, idx, kind, a, f),
+        None => plain_unop(h, a, f),
+    }
 }
 
 /// Fire path of [`hook_unop`]: input flips are recorded before computing
@@ -1079,6 +1212,7 @@ fn fire_unop(
         let next = cold.queues[r].front().map_or(u64::MAX, |t| t.op_index);
         h.next_pending[r].set(next);
     });
+    h.rearm();
 
     let mut input_recs: InlineVec<(Target, f64, f64), 8> = InlineVec::new();
     let mut result_flips: InlineVec<Target, 8> = InlineVec::new();
@@ -1634,7 +1768,6 @@ mod tests {
         }
         all_differ!(
             region,
-            injectable,
             per_kind,
             queues,
             next_pending,
@@ -1644,7 +1777,6 @@ mod tests {
             taint_threshold,
             op_mask,
             op_cap,
-            total_ops,
             kill_on_fire,
             replicate,
             detected,
@@ -1685,6 +1817,113 @@ mod tests {
         let report = take().unwrap().into_report();
         assert_eq!(report.profile.injectable(Region::ParallelUnique), 2);
         assert_eq!(report.profile.total(), reference.profile().total() + 1);
+    }
+
+    /// A million tracked ops of every kind in both regions, add-heavy as
+    /// the apps are.
+    fn mixed_program() -> Tf64 {
+        let (x, y) = (Tf64::new(1.000_001), Tf64::new(0.75));
+        let mut acc = Tf64::new(0.5);
+        for i in 0..125_000u32 {
+            acc = acc * y + x; // mul, add
+            acc = (acc - x) / y + y; // sub, div, add
+            acc = acc.abs().min(x); // two of the "other" kind
+            if i % 8 == 0 {
+                set_region(Region::ParallelUnique);
+                acc = acc * x + y;
+                set_region(Region::Common);
+            } else {
+                acc += y;
+            }
+        }
+        acc
+    }
+
+    /// Run [`mixed_program`] under `plan` with the harness's hang cap
+    /// (8·N + 100 000 for a golden run of N ops) and return the number of
+    /// [`checked_op`] visits with the report.
+    fn cold_visits_of(plan: InjectionPlan, golden: &OpProfile) -> (u64, CtxReport) {
+        let cap = 8 * golden.total() + 100_000;
+        COLD_VISITS.with(|n| n.set(0));
+        let (_, report) = with_clean_ctx(RankCtx::new(0, plan).with_op_cap(cap), mixed_program);
+        assert_eq!(report.profile, *golden, "a plan never changes the counts");
+        assert!(!report.hang_guard_tripped);
+        (COLD_VISITS.with(|n| n.get()), report)
+    }
+
+    #[test]
+    fn cold_visits_per_target_stay_few() {
+        let (_, golden) = with_clean_ctx(RankCtx::profiling(0), mixed_program);
+        let golden = golden.profile;
+        assert!(golden.total() >= 1_000_000);
+        let last = golden.injectable(Region::Common) - 1;
+
+        // The longest approach there is: one target on the last
+        // injectable op.
+        let plan = InjectionPlan::single(target(Region::Common, last, 3, Operand::A));
+        let (visits, report) = cold_visits_of(plan, &golden);
+        assert_eq!(report.fired.len(), 1);
+        assert!(visits <= 64, "{visits} cold visits for one target");
+
+        // Eight targets spread over the run and both regions.
+        let unique = golden.injectable(Region::ParallelUnique);
+        let plan = InjectionPlan::multi(
+            (1..=6)
+                .map(|j| target(Region::Common, j * last / 6, 3, Operand::B))
+                .chain([
+                    target(Region::ParallelUnique, unique / 2, 3, Operand::A),
+                    target(Region::ParallelUnique, unique - 1, 3, Operand::Result),
+                ])
+                .collect(),
+        );
+        let (visits, report) = cold_visits_of(plan, &golden);
+        assert_eq!(report.fired.len(), 8);
+        assert!(visits <= 8 * 32, "{visits} cold visits for eight targets");
+
+        // No target at all: the cap's share alone, a handful of visits.
+        let (visits, _) = cold_visits_of(InjectionPlan::none(), &golden);
+        assert!(visits <= 8, "{visits} cold visits with no target");
+    }
+
+    #[test]
+    fn target_behind_the_counters_never_fires_and_pins_no_cell() {
+        // A context whose counters have passed its front target by the
+        // time it is installed: the target cannot fire, nothing queued
+        // behind it can, and its cells must not sit at zero for it.
+        let (_, golden) = with_clean_ctx(RankCtx::profiling(0), mixed_program);
+        let plan = InjectionPlan::multi(vec![
+            target(Region::Common, 10, 3, Operand::A),
+            target(Region::Common, 500_000, 3, Operand::A),
+        ]);
+        let mut ctx = RankCtx::new(0, plan);
+        ctx.per_kind[Region::Common.index()][OpKind::Add.index()] = 11;
+        COLD_VISITS.with(|n| n.set(0));
+        let (_, report) = with_clean_ctx(ctx, mixed_program);
+        assert!(report.fired.is_empty() && !report.contaminated);
+        assert_eq!(report.profile.total(), golden.profile.total() + 11);
+        assert_eq!(COLD_VISITS.with(|n| n.get()), 0);
+    }
+
+    #[test]
+    fn hang_guard_trips_at_exactly_the_op_past_the_cap() {
+        // Wherever the cap falls among the budgets' grants, the op that
+        // trips is number cap + 1, counted; and every op after it trips
+        // again.
+        for cap in [0u64, 1, 9, 10, 11, 99, 100, 101, 1234] {
+            assert!(install(RankCtx::profiling(0).with_op_cap(cap)).is_none());
+            let a = Tf64::new(1.0);
+            let ran = std::panic::catch_unwind(|| {
+                let mut acc = Tf64::new(0.0);
+                for i in 0..5000u32 {
+                    acc = if i % 3 == 0 { acc * a } else { acc + a };
+                }
+            });
+            assert!(ran.is_err());
+            assert!(std::panic::catch_unwind(|| a - a).is_err());
+            let report = take().unwrap().into_report();
+            assert!(report.hang_guard_tripped);
+            assert_eq!(report.profile.total(), cap + 2);
+        }
     }
 
     #[test]

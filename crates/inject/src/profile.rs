@@ -11,15 +11,16 @@
 //! * they provide the hang-guard budget (a corrupted run executing far more
 //!   ops than the fault-free run is classified as a hang).
 
+use crate::mask::OpMask;
 use crate::region::Region;
 use serde::{Deserialize, Serialize};
 
 /// Kinds of tracked floating-point operations.
 ///
-/// `Add`, `Sub` and `Mul` are *injectable* (the paper injects into floating
-/// point addition and multiplication); the remaining kinds are counted for
-/// completeness and participate in taint propagation but are not injection
-/// targets.
+/// Which kinds are *injectable* is the campaign's [`OpMask`]: by default
+/// `Add`, `Sub` and `Mul` (the paper injects into floating point addition
+/// and multiplication). Every kind is counted and participates in taint
+/// propagation, whether or not the mask makes it an injection target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OpKind {
     /// Floating-point addition.
@@ -28,7 +29,7 @@ pub enum OpKind {
     Sub,
     /// Floating-point multiplication.
     Mul,
-    /// Floating-point division (tracked, not injectable).
+    /// Floating-point division (not a target under the default mask).
     Div,
     /// Everything else routed through the hook (sqrt, abs, min/max, exp, …).
     Other,
@@ -56,7 +57,9 @@ impl OpKind {
         }
     }
 
-    /// Whether faults may be injected into this kind of operation.
+    /// Whether this kind is an injection target under the *default* mask
+    /// ([`OpMask::FP_ARITH`], the paper's add/sub/mul). What a campaign
+    /// injects into is its own [`OpMask`]: ask [`OpMask::contains`].
     #[inline]
     pub const fn injectable(self) -> bool {
         matches!(self, OpKind::Add | OpKind::Sub | OpKind::Mul)
@@ -66,7 +69,9 @@ impl OpKind {
 /// Operation counts for one region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionCounts {
-    /// Count of injectable ops (add/sub/mul) — the injection sample space.
+    /// Count of injectable ops — the injection sample space: the ops of
+    /// the kinds in the [`OpMask`] the run was counted with, i.e.
+    /// [`injectable_for`](Self::injectable_for) that mask.
     pub injectable: u64,
     /// Per-kind counts, indexed by [`OpKind::index`].
     pub per_kind: [u64; 5],
@@ -80,13 +85,19 @@ impl RegionCounts {
 
     /// Ops in this region matching an arbitrary mask (derived from the
     /// per-kind counts, independent of the mask the run was counted with).
-    pub fn injectable_for(&self, mask: crate::mask::OpMask) -> u64 {
-        OpKind::ALL
-            .into_iter()
-            .filter(|k| mask.contains(*k))
-            .map(|k| self.per_kind[k.index()])
-            .sum()
+    pub fn injectable_for(&self, mask: OpMask) -> u64 {
+        masked_sum(&self.per_kind, mask)
     }
+}
+
+/// Sum of the per-kind counts (indexed by [`OpKind::index`]) of the kinds
+/// in `mask`.
+pub(crate) fn masked_sum(per_kind: &[u64; 5], mask: OpMask) -> u64 {
+    OpKind::ALL
+        .into_iter()
+        .filter(|k| mask.contains(*k))
+        .map(|k| per_kind[k.index()])
+        .sum()
 }
 
 /// The dynamic-op profile of one rank's execution.

@@ -8,8 +8,8 @@ fn finite_f64() -> impl Strategy<Value = f64> {
     prop::num::f64::NORMAL | prop::num::f64::SUBNORMAL | prop::num::f64::ZERO
 }
 
-/// One step of the differential programs below: `acc = acc <op> const`,
-/// executed inside `region`.
+/// One step of the differential programs below: `acc = acc <op> const`
+/// (or `acc = |acc|`), executed inside `region`.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     op: u8,
@@ -17,42 +17,77 @@ struct Step {
     region: Region,
 }
 
+/// Number of distinct step ops; the last one is unary.
+const STEP_OPS: u8 = 7;
+const STEP_ABS: u8 = 6;
+
 fn step_kind(op: u8) -> OpKind {
-    match op % 6 {
+    match op {
         0 => OpKind::Add,
         1 => OpKind::Sub,
         2 => OpKind::Mul,
         3 => OpKind::Div,
-        _ => OpKind::Other, // min / max
+        _ => OpKind::Other, // min / max / abs
     }
 }
 
 fn step_apply(op: u8, a: f64, b: f64) -> f64 {
-    match op % 6 {
+    match op {
         0 => a + b,
         1 => a - b,
         2 => a * b,
         3 => a / b,
         4 => a.min(b),
-        _ => a.max(b),
+        5 => a.max(b),
+        _ => a.abs(),
     }
 }
 
 fn step_tf64(op: u8, a: Tf64, b: Tf64) -> Tf64 {
-    match op % 6 {
+    match op {
         0 => a + b,
         1 => a - b,
         2 => a * b,
         3 => a / b,
         4 => a.min(b),
-        _ => a.max(b),
+        5 => a.max(b),
+        _ => a.abs(),
     }
 }
 
+/// What happens to the installed context between two steps.
+#[derive(Debug, Clone, Copy)]
+enum Interlude {
+    /// `ctx::park`; a different context installed, worked and taken, as
+    /// another rank's time slice does; `ctx::unpark`.
+    Park,
+    /// `ctx::with`: the context is re-packed around a closure and
+    /// exploded again. The closure reads the exact op total.
+    With,
+    /// Take the context, change its mask, install it. The injectable
+    /// index is the sum of the masked kinds' counts, so this is the one
+    /// way to a target whose index is already *behind* the counters at
+    /// install: it never fires, and it blocks everything queued after it.
+    Remask(OpMask),
+}
+
+/// The masks a scenario draws from.
+fn masks() -> Vec<OpMask> {
+    vec![
+        OpMask::FP_ARITH,
+        OpMask::DIV,
+        OpMask::ALL,
+        OpMask::of(&[OpKind::Add]),
+        OpMask::of(&[OpKind::Mul]),
+        OpMask::of(&[OpKind::Other]),
+        OpMask::of(&[OpKind::Sub, OpKind::Div]),
+        OpMask::empty(),
+    ]
+}
+
 /// Execution-order list of injectable (region, op_index) slots for a
-/// program under the default mask, plus which slots sit right after a
-/// region switch.
-fn injectable_slots(steps: &[Step]) -> (Vec<(Region, u64)>, Vec<usize>) {
+/// program under `mask`, plus which slots sit right after a region switch.
+fn injectable_slots(steps: &[Step], mask: OpMask) -> (Vec<(Region, u64)>, Vec<usize>) {
     let mut slots = Vec::new();
     let mut boundary_slots = Vec::new();
     let mut inj = [0u64; 2];
@@ -63,7 +98,7 @@ fn injectable_slots(steps: &[Step]) -> (Vec<(Region, u64)>, Vec<usize>) {
             pending_boundary = true;
         }
         prev_region = Some(s.region);
-        if OpMask::FP_ARITH.contains(step_kind(s.op)) {
+        if mask.contains(step_kind(s.op)) {
             let r = s.region.index();
             slots.push((s.region, inj[r]));
             inj[r] += 1;
@@ -76,55 +111,137 @@ fn injectable_slots(steps: &[Step]) -> (Vec<(Region, u64)>, Vec<usize>) {
     (slots, boundary_slots)
 }
 
+/// Everything a run is compared on.
+#[derive(Debug, Default, PartialEq)]
+struct RunResult {
+    /// Final (value bits, shadow bits); `None` when the run did not reach
+    /// its end.
+    end: Option<(u64, u64)>,
+    /// (target, before bits, after bits, masked at site), firing order.
+    fired: Vec<(Target, u64, u64, bool)>,
+    contaminated: bool,
+    first_contam_op: Option<u64>,
+    per_kind: [[u64; 5]; 2],
+    /// Per region: ops of the kinds in the mask the run ended under.
+    injectable: [u64; 2],
+    hang_guard_tripped: bool,
+    /// DUE kill at the first firing op.
+    killed: bool,
+}
+
+fn masked_count(per_kind: &[u64; 5], mask: OpMask) -> u64 {
+    OpKind::ALL
+        .into_iter()
+        .filter(|k| mask.contains(*k))
+        .map(|k| per_kind[k.index()])
+        .sum()
+}
+
+/// The parameters of one differential scenario.
+#[derive(Debug, Clone)]
+struct Scenario {
+    init: f64,
+    steps: Vec<Step>,
+    targets: Vec<Target>,
+    mask: OpMask,
+    op_cap: u64,
+    kill_on_fire: bool,
+    /// `(before step, what)`; a position equal to the program length is
+    /// after the last step.
+    interludes: Vec<(usize, Interlude)>,
+}
+
 /// Reference ("slow-path") interpreter: the same semantics as the hook
 /// machinery, written as straight-line code over plain `(value, shadow)`
-/// pairs with no thread-locals, no `Cell`s, and no outlined fire path.
-/// Returns (value bits, shadow bits, fired, contaminated, injectable
-/// counts per region).
-#[allow(clippy::type_complexity)]
-fn reference_run(
-    init: f64,
-    steps: &[Step],
-    targets: &[Target],
-) -> (u64, u64, Vec<(Target, u64, u64, bool)>, bool, [u64; 2]) {
+/// pairs with no thread-locals, no `Cell`s, no budgets and no outlined
+/// fire path: every op is counted, compared against the cap and, when its
+/// kind is masked, against the front target.
+fn reference_run(sc: &Scenario) -> RunResult {
     // Same canonical ordering the plan gives the real run.
-    let sorted = InjectionPlan::multi(targets.to_vec());
+    let sorted = InjectionPlan::multi(sc.targets.clone());
     let mut queues: [VecDeque<Target>; 2] = [VecDeque::new(), VecDeque::new()];
     for &t in sorted.targets() {
         queues[t.region.index()].push_back(t);
     }
-    let (mut v, mut sh) = (init, init);
-    let mut inj = [0u64; 2];
-    let mut fired = Vec::new();
-    let mut contaminated = false;
-    for s in steps {
+    let (mut v, mut sh) = (sc.init, sc.init);
+    let mut mask = sc.mask;
+    let mut total = 0u64;
+    let mut out = RunResult::default();
+    // The one interlude the reference has to know of.
+    let remask = |at: usize, mask: &mut OpMask| {
+        for (pos, what) in &sc.interludes {
+            if let (true, Interlude::Remask(m)) = (*pos == at, what) {
+                *mask = *m;
+            }
+        }
+    };
+    let mut steps = sc.steps.iter().enumerate();
+    let ended = loop {
+        let Some((i, s)) = steps.next() else {
+            break true;
+        };
+        remask(i, &mut mask);
         let r = s.region.index();
         let kind = step_kind(s.op);
+        out.per_kind[r][kind.index()] += 1;
+        total += 1;
+        if total > sc.op_cap {
+            out.hang_guard_tripped = true;
+            break false;
+        }
+        let contaminate = |out: &mut RunResult| {
+            if !out.contaminated {
+                out.contaminated = true;
+                out.first_contam_op = Some(total);
+            }
+        };
+        let mut due: Vec<Target> = Vec::new();
+        if mask.contains(kind) {
+            let idx = masked_count(&out.per_kind[r], mask) - 1;
+            while queues[r].front().is_some_and(|t| t.op_index == idx) {
+                due.push(queues[r].pop_front().unwrap());
+            }
+        }
         let (mut av, ash) = (v, sh);
         let (mut bv, bsh) = (s.c, s.c);
+        let unary = s.op == STEP_ABS;
+        // Input flips, in queue order. On a unary op both operand names
+        // mean the one operand, and the flip is recorded at once (never
+        // masked at site); on a binary op it is recorded with the result
+        // flips, all under one masked-at-site flag.
         let mut recs: Vec<(Target, f64, f64)> = Vec::new();
-        if OpMask::FP_ARITH.contains(kind) {
-            let idx = inj[r];
-            inj[r] += 1;
-            while queues[r].front().is_some_and(|t| t.op_index == idx) {
-                let t = queues[r].pop_front().unwrap();
-                match t.operand {
-                    Operand::A => {
-                        let before = av;
-                        av = t.apply(av);
-                        recs.push((t, before, av));
-                    }
-                    Operand::B => {
-                        let before = bv;
-                        bv = t.apply(bv);
-                        recs.push((t, before, bv));
-                    }
-                    Operand::Result => recs.push((t, 0.0, 0.0)),
+        for &t in &due {
+            match t.operand {
+                Operand::B if !unary => {
+                    let before = bv;
+                    bv = t.apply(bv);
+                    recs.push((t, before, bv));
                 }
+                Operand::A | Operand::B => {
+                    let before = av;
+                    av = t.apply(av);
+                    recs.push((t, before, av));
+                }
+                Operand::Result if !unary => recs.push((t, 0.0, 0.0)),
+                Operand::Result => {}
             }
+        }
+        if unary && !recs.is_empty() {
+            for (t, before, after) in recs.drain(..) {
+                out.fired
+                    .push((t, before.to_bits(), after.to_bits(), false));
+            }
+            contaminate(&mut out);
         }
         let mut nv = step_apply(s.op, av, bv);
         let nsh = step_apply(s.op, ash, bsh);
+        if unary {
+            recs.extend(
+                due.iter()
+                    .filter(|t| matches!(t.operand, Operand::Result))
+                    .map(|&t| (t, 0.0, 0.0)),
+            );
+        }
         for rec in recs.iter_mut() {
             if matches!(rec.0.operand, Operand::Result) {
                 rec.1 = nv;
@@ -135,34 +252,210 @@ fn reference_run(
         if !recs.is_empty() {
             let masked = nv.to_bits() == nsh.to_bits();
             for (t, before, after) in recs {
-                fired.push((t, before.to_bits(), after.to_bits(), masked));
+                out.fired
+                    .push((t, before.to_bits(), after.to_bits(), masked));
             }
-            contaminated = true;
+            contaminate(&mut out);
+        }
+        if sc.kill_on_fire && !due.is_empty() {
+            out.killed = true;
+            break false;
         }
         if nv.to_bits() != nsh.to_bits() {
-            contaminated = true;
+            contaminate(&mut out);
         }
         v = nv;
         sh = nsh;
+    };
+    if ended {
+        remask(sc.steps.len(), &mut mask);
+        out.end = Some((v.to_bits(), sh.to_bits()));
     }
-    (v.to_bits(), sh.to_bits(), fired, contaminated, inj)
+    out.injectable = out.per_kind.map(|row| masked_count(&row, mask));
+    out
 }
 
-/// Strategy for a short program with region switches scattered through it.
-fn program() -> impl Strategy<Value = (f64, Vec<Step>)> {
-    let step =
-        (0u8..6, 0.1f64..3.0, any::<bool>(), any::<bool>()).prop_map(|(op, mag, neg, parallel)| {
-            Step {
-                op,
-                c: if neg { -mag } else { mag },
-                region: if parallel {
-                    Region::ParallelUnique
-                } else {
-                    Region::Common
-                },
+/// The same scenario on the real hook machinery. Also returns what each
+/// `With` interlude read as the op total, with what it should have read
+/// (one op per step).
+fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
+    let prev = ctx::install(
+        RankCtx::new(0, InjectionPlan::multi(sc.targets.clone()))
+            .with_op_mask(sc.mask)
+            .with_op_cap(sc.op_cap)
+            .with_kill_on_fire(sc.kill_on_fire),
+    );
+    assert!(prev.is_none(), "leaked context");
+    let mut totals = Vec::new();
+    let interlude = |at: usize, totals: &mut Vec<(u64, u64)>| {
+        for (_, what) in sc.interludes.iter().filter(|(pos, _)| *pos == at) {
+            match what {
+                Interlude::Park => {
+                    let parked = ctx::park().expect("installed");
+                    // A guest whose every cell differs from the host's.
+                    let guest = InjectionPlan::single(Target {
+                        region: Region::Common,
+                        op_index: 1,
+                        bit: 40,
+                        operand: Operand::A,
+                    });
+                    ctx::install(
+                        RankCtx::new(9, guest)
+                            .with_op_mask(OpMask::ALL)
+                            .with_op_cap(1000),
+                    );
+                    let x = Tf64::new(2.0);
+                    let y = (x * x + x).abs();
+                    let guest = ctx::take().expect("guest").into_report();
+                    assert_eq!((guest.profile.total(), guest.fired.len()), (3, 1));
+                    assert!(y.is_tainted());
+                    ctx::unpark(parked);
+                }
+                Interlude::With => {
+                    let total = ctx::with(|c| c.profile().total()).expect("installed");
+                    totals.push((total, at as u64));
+                }
+                Interlude::Remask(m) => {
+                    let c = ctx::take().expect("installed");
+                    ctx::install(c.with_op_mask(*m));
+                }
             }
-        });
-    (-2.0f64..2.0, prop::collection::vec(step, 4..40))
+        }
+    };
+    let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut acc = Tf64::new(sc.init);
+        for (i, s) in sc.steps.iter().enumerate() {
+            interlude(i, &mut totals);
+            let _g = ctx::enter_region(s.region);
+            acc = step_tf64(s.op, acc, Tf64::new(s.c));
+        }
+        interlude(sc.steps.len(), &mut totals);
+        (acc.value().to_bits(), acc.shadow().to_bits())
+    }));
+    let report = ctx::take().expect("installed").into_report();
+    let killed = match &end {
+        Ok(_) => false,
+        Err(payload) => {
+            let msg = payload.downcast_ref::<String>().expect("a panic message");
+            assert!(
+                msg == ctx::DUE_MSG || msg == ctx::HANG_GUARD_MSG,
+                "unexpected panic: {msg}"
+            );
+            msg == ctx::DUE_MSG
+        }
+    };
+    assert_eq!(report.detected, killed);
+    assert_eq!(report.planned, sc.targets.len());
+    let result = RunResult {
+        end: end.ok(),
+        fired: report
+            .fired
+            .iter()
+            .map(|f| {
+                (
+                    f.target,
+                    f.before.to_bits(),
+                    f.after.to_bits(),
+                    f.masked_at_site,
+                )
+            })
+            .collect(),
+        contaminated: report.contaminated,
+        first_contam_op: report.first_contam_op,
+        per_kind: report.profile.regions.map(|c| c.per_kind),
+        injectable: report.profile.regions.map(|c| c.injectable),
+        hang_guard_tripped: report.hang_guard_tripped,
+        killed,
+    };
+    (result, totals)
+}
+
+/// Strategy for a program with region switches scattered through it.
+fn program() -> impl Strategy<Value = (f64, Vec<Step>)> {
+    let step = (0..STEP_OPS, 0.1f64..3.0, any::<bool>(), any::<bool>()).prop_map(
+        |(op, mag, neg, parallel)| Step {
+            op,
+            c: if neg { -mag } else { mag },
+            region: if parallel {
+                Region::ParallelUnique
+            } else {
+                Region::Common
+            },
+        },
+    );
+    (-2.0f64..2.0, prop::collection::vec(step, 4..96))
+}
+
+/// Strategy for a whole scenario: a program, a mask, a hang cap drawn
+/// over every position of the program (or out of reach), up to eight
+/// targets — on the adversarial windows (first and last injectable op,
+/// first one after each region switch), on arbitrary slots, on arbitrary
+/// indices of either region (some past the end), and on or right after
+/// the previous target's index — and up to four interludes.
+fn scenario() -> impl Strategy<Value = Scenario> {
+    let flips = prop::collection::vec((0usize..4096, 0u8..64, 0u8..3, 0u8..4), 0..9);
+    let interludes = prop::collection::vec((0usize..4096, 0u8..4, 0usize..8), 0..5);
+    (
+        program(),
+        (0usize..8, 0usize..160, 0u8..4),
+        flips,
+        interludes,
+    )
+        .prop_map(|((init, steps), (mask, cap, kill), flips, interludes)| {
+            let n = steps.len();
+            let mask = masks()[mask];
+            let (slots, boundary_slots) = injectable_slots(&steps, mask);
+            let mut windows: Vec<usize> = Vec::new();
+            if !slots.is_empty() {
+                windows.push(0);
+                windows.push(slots.len() - 1);
+                windows.extend(boundary_slots.iter().copied());
+            }
+            let mut targets: Vec<Target> = Vec::new();
+            for (which, bit, operand, mode) in flips {
+                let (region, op_index) = match (mode, targets.last()) {
+                    (0, _) if !windows.is_empty() => slots[windows[which % windows.len()]],
+                    (1, _) if !slots.is_empty() => slots[which % slots.len()],
+                    (2, Some(prev)) => (prev.region, prev.op_index + (which % 2) as u64),
+                    _ => (Region::ALL[(which / 1024) % 2], (which % (n + 4)) as u64),
+                };
+                targets.push(Target {
+                    region,
+                    op_index,
+                    bit,
+                    operand: match operand {
+                        0 => Operand::A,
+                        1 => Operand::B,
+                        _ => Operand::Result,
+                    },
+                });
+            }
+            Scenario {
+                init,
+                // Half the scenarios trip somewhere in the program;
+                // the rest run under the harness's cap or none.
+                op_cap: match cap {
+                    c if c <= n => c as u64,
+                    c if c % 2 == 0 => 8 * n as u64 + 100_000,
+                    _ => u64::MAX,
+                },
+                kill_on_fire: kill == 0,
+                interludes: interludes
+                    .into_iter()
+                    .map(|(at, what, m)| {
+                        let what = match what {
+                            0 => Interlude::Park,
+                            1 => Interlude::With,
+                            _ => Interlude::Remask(masks()[m]),
+                        };
+                        (at % (n + 1), what)
+                    })
+                    .collect(),
+                steps,
+                targets,
+                mask,
+            }
+        })
 }
 
 proptest! {
@@ -269,80 +562,6 @@ proptest! {
         }
     }
 
-    /// Differential identity between the optimized hook machinery (the
-    /// "fast path": exploded thread-local cells, precomputed next-pending
-    /// compare, outlined `#[cold]` fire functions) and a straight-line
-    /// reference interpreter with none of those tricks. Final value and
-    /// shadow bits, fired records (order, before/after bits, masked
-    /// flags), contamination, and injectable counts must all match for
-    /// programs with region switches and injection windows placed at
-    /// region boundaries, the first op, the last op, and arbitrary slots.
-    #[test]
-    fn fast_path_matches_reference(
-        (init, steps) in program(),
-        flips in prop::collection::vec(
-            (0usize..4096, 0u8..64, 0u8..3, any::<bool>()),
-            0..4,
-        ),
-    ) {
-        let (slots, boundary_slots) = injectable_slots(&steps);
-        // The adversarial windows: first injectable op, last one, and the
-        // first injectable op after every region switch.
-        let mut windows: Vec<usize> = Vec::new();
-        if !slots.is_empty() {
-            windows.push(0);
-            windows.push(slots.len() - 1);
-            windows.extend(boundary_slots.iter().copied());
-        }
-        let mut targets = Vec::new();
-        for (which, bit, operand, special) in flips {
-            if slots.is_empty() {
-                break;
-            }
-            let slot = if special && !windows.is_empty() {
-                windows[which % windows.len()]
-            } else {
-                which % slots.len()
-            };
-            let (region, op_index) = slots[slot];
-            targets.push(Target {
-                region,
-                op_index,
-                bit,
-                operand: match operand {
-                    0 => Operand::A,
-                    1 => Operand::B,
-                    _ => Operand::Result,
-                },
-            });
-        }
-
-        let (want_v, want_sh, want_fired, want_cont, want_inj) =
-            reference_run(init, &steps, &targets);
-
-        ctx::install(RankCtx::new(0, InjectionPlan::multi(targets.clone())));
-        let mut acc = Tf64::new(init);
-        for s in &steps {
-            let _g = ctx::enter_region(s.region);
-            acc = step_tf64(s.op, acc, Tf64::new(s.c));
-        }
-        let report = ctx::take().unwrap().into_report();
-
-        prop_assert_eq!(acc.value().to_bits(), want_v);
-        prop_assert_eq!(acc.shadow().to_bits(), want_sh);
-        prop_assert_eq!(report.contaminated, want_cont);
-        prop_assert_eq!(report.profile.injectable(Region::Common), want_inj[0]);
-        prop_assert_eq!(report.profile.injectable(Region::ParallelUnique), want_inj[1]);
-        prop_assert_eq!(report.planned, targets.len());
-        prop_assert_eq!(report.fired.len(), want_fired.len());
-        for (got, want) in report.fired.iter().zip(&want_fired) {
-            prop_assert_eq!(got.target, want.0);
-            prop_assert_eq!(got.before.to_bits(), want.1);
-            prop_assert_eq!(got.after.to_bits(), want.2);
-            prop_assert_eq!(got.masked_at_site, want.3);
-        }
-    }
-
     /// Op counting is independent of injection: a plan never changes how
     /// many dynamic ops are counted.
     #[test]
@@ -367,5 +586,30 @@ proptest! {
             injected.profile.injectable(Region::Common),
             clean.profile.injectable(Region::Common)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Differential identity between the hook machinery (the "fast
+    /// path": exploded thread-local cells, per-(region, kind) op budgets,
+    /// outlined `#[cold]` checked-op and fire functions) and a
+    /// straight-line reference interpreter that counts and checks every
+    /// op. Whatever mask, hang cap, plan and kill switch the scenario
+    /// draws, and wherever the context is parked under another one,
+    /// re-packed by `ctx::with` or re-masked: the run trips or dies at
+    /// exactly the reference's op or ends on the same value and shadow
+    /// bits, with the same fired records (order, before/after bits,
+    /// masked flags), contamination, first-contamination op and per-kind
+    /// counts — and the op total reads exact whenever it is looked at.
+    #[test]
+    fn fast_path_matches_reference(sc in scenario()) {
+        let want = reference_run(&sc);
+        let (got, totals) = hooked_run(&sc);
+        prop_assert_eq!(&got, &want, "{:?}", sc);
+        for (read, executed) in totals {
+            prop_assert_eq!(read, executed, "{:?}", sc);
+        }
     }
 }
