@@ -89,7 +89,7 @@ mod opts;
 mod trace;
 
 use opts::{parse_args, Options};
-use resilim_harness::{CampaignRunner, RetryPolicy};
+use resilim_harness::CampaignRunner;
 use std::process::ExitCode;
 
 /// Turn the observability recorder on and install the requested sinks.
@@ -133,7 +133,7 @@ fn build_runner(opts: &Options) -> CampaignRunner {
         runner = runner.with_trial_deadline(std::time::Duration::from_secs_f64(secs));
     }
     if let Some(retries) = opts.retries {
-        runner = runner.with_retry_policy(RetryPolicy::default().with_max_retries(retries));
+        runner = runner.with_max_retries(retries);
     }
     if let Some(batch) = opts.batch {
         runner = runner.with_trial_batch(batch);

@@ -1,30 +1,32 @@
-//! Single-trial execution: draw the injection plan, run the world on an
-//! [`ExecBackend`], harvest and classify the outcome.
+//! Single-trial execution: draw the injection plan, run the world on
+//! one of its two carriers, harvest and classify the outcome.
 
 use super::spec::{CampaignSpec, ErrorSpec};
 use crate::golden::GoldenRun;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use resilim_apps::AppOutput;
 use resilim_core::{TrialFeatures, SPREAD_WINDOWS};
 use resilim_inject::{
     FailureKind, FaultPattern, InjectionPlan, Operand, RankCtx, Region, Target, TestOutcome,
 };
-use resilim_simmpi::{ExecBackend, MsgFault, PanicKind, World};
+use resilim_simmpi::{MsgFault, PanicKind, RankOutcome, World};
 use std::collections::HashMap;
+use std::time::Duration;
 
-/// Plan and execute a single fault-injection test on `backend`. The
-/// second return is whether the wall-clock watchdog tripped *and* the
-/// trial failed because of it — a trial that completes despite a late
-/// trip is classified normally. The third is the trial's extracted
+/// Plan and execute a single fault-injection test: on fresh rank threads
+/// when `spawn_per_trial` (the reference carrier), on pooled coroutines
+/// otherwise, under the wall-clock watchdog when `deadline` is set. The
+/// second return is whether the watchdog killed the trial (see
+/// [`classify_failure`]) — a trial that completes despite a late trip is
+/// classified normally. The third is the trial's extracted
 /// [`TrialFeatures`], harvested from the same per-rank context reports
 /// the classification reads (no extra instrumentation pass).
 pub(super) fn execute_trial(
     spec: &CampaignSpec,
     golden: &GoldenRun,
-    op_cap: u64,
     test: usize,
-    backend: &dyn ExecBackend<AppOutput>,
+    spawn_per_trial: bool,
+    deadline: Option<Duration>,
 ) -> (TestOutcome, bool, TrialFeatures) {
     let mut rng =
         SmallRng::seed_from_u64(spec.seed ^ resilim_apps::util::splitmix64(test as u64 + 0x1000));
@@ -47,10 +49,13 @@ pub(super) fn execute_trial(
         _ => 0.0,
     };
 
-    let world = World::new(spec.procs).with_msg_fault(msg_fault);
+    let world = World::new(spec.procs)
+        .with_msg_fault(msg_fault)
+        .with_deadline(deadline);
     let app = spec.spec.clone();
     let plans_ref = &plans;
     let kill_on_fire = spec.fault_model.kills_on_fire();
+    let op_cap = golden.op_cap();
     let mk_ctx = move |rank: usize| {
         let plan = plans_ref
             .get(&rank)
@@ -61,11 +66,16 @@ pub(super) fn execute_trial(
                 .with_op_cap(op_cap)
                 .with_taint_threshold(spec.taint_threshold)
                 .with_op_mask(spec.op_mask)
-                .with_kill_on_fire(kill_on_fire),
+                .with_kill_on_fire(kill_on_fire)
+                .with_replication(spec.replicate),
         )
     };
     let body = move |comm: &resilim_simmpi::Comm| app.run_rank(comm);
-    let (results, tripped) = backend.run(&world, &mk_ctx, &body);
+    let results = if spawn_per_trial {
+        world.run_spawned(mk_ctx, body)
+    } else {
+        world.run_with_ctx(mk_ctx, body)
+    };
 
     // Harvest: contamination, fired count, detection, failures, rank-0
     // output. Every field is a function of the seed for a *failed* trial
@@ -74,7 +84,6 @@ pub(super) fn execute_trial(
     let mut contaminated = 0usize;
     let mut fired = 0usize;
     let mut detected = false;
-    let mut failure: Option<FailureKind> = None;
     let mut output = None;
     // Feature accumulators, reduced from the same reports.
     let mut per_kind = [0u64; 5];
@@ -112,40 +121,14 @@ pub(super) fn execute_trial(
         // a live message even though no op-level target existed.
         fired += report.fired.len() + report.wire_fired as usize;
         detected |= report.detected;
-        match &r.result {
-            Ok(out) => {
-                if r.rank == 0 {
-                    output = Some(out.clone());
-                }
-            }
-            Err(panic) => {
-                let kind = match panic.kind {
-                    PanicKind::HangGuard | PanicKind::RecvTimeout => FailureKind::Hang,
-                    PanicKind::Crash => FailureKind::Crash,
-                    PanicKind::Due => FailureKind::Due,
-                    // Secondary death: keep looking for the primary
-                    // cause; default to crash if none found.
-                    PanicKind::FabricDead => FailureKind::Crash,
-                };
-                failure = Some(match (failure, panic.kind) {
-                    // A DUE kill is the primary cause by construction
-                    // (the one injected fault halted that rank; every
-                    // other death is fallout), so it is never displaced.
-                    (Some(FailureKind::Due), _) => FailureKind::Due,
-                    // A real crash/hang overrides a secondary failure.
-                    (Some(prev), PanicKind::FabricDead) => prev,
-                    _ => kind,
-                });
-            }
+        if let (0, Ok(out)) = (r.rank, &r.result) {
+            output = Some(out.clone());
         }
     }
+    let (failure, wall_clock_kill) = classify_failure(&results);
     // A DUE kill *is* a detection event even if the killed rank's report
     // was the only witness.
     let detected = detected || failure == Some(FailureKind::Due);
-    // A watchdog trip only counts when it actually killed the trial:
-    // a run that completed before the poison landed has a legitimate
-    // outcome and must not be reclassified (or retried).
-    let tripped = tripped && failure.is_some();
 
     // Reduce the accumulators into the feature record. The label and
     // detection flag are stamped below once the outcome is classified.
@@ -197,7 +180,7 @@ pub(super) fn execute_trial(
     if let Some(kind) = failure {
         let outcome = TestOutcome::failure(kind, contaminated, fired).with_detected(detected);
         features.label = outcome.kind.index() as u8;
-        return (outcome, tripped, features);
+        return (outcome, wall_clock_kill, features);
     }
     let output = output.expect("rank 0 finished without failure");
     let outcome = if output.identical(&golden.output) {
@@ -210,6 +193,46 @@ pub(super) fn execute_trial(
     let outcome = outcome.with_detected(detected);
     features.label = outcome.kind.index() as u8;
     (outcome, false, features)
+}
+
+/// A trial's failure class, read off its ranks' outcomes, and whether it
+/// was a wall-clock kill — the watchdog's doing, not the trial's.
+///
+/// A rank that ended [`PanicKind::FabricDead`] died of somebody else's
+/// failure; every other kind is a *primary* cause. The primary cause
+/// wins over secondary deaths, a later one over an earlier one, and a
+/// DUE kill over everything (the one injected fault halted that rank;
+/// every other death is fallout). With no primary cause anywhere the
+/// class defaults to crash.
+///
+/// The kill rule is exact, because a fabric has only two poisoners: a
+/// panicking rank, whose own kind is always primary (`World`'s
+/// `run_rank` classifies the panic and only then poisons), and the
+/// world's watchdog (`watched`). A `FabricDead` error exists only on an
+/// already-dead fabric (`Fabric::send` and `Fabric::recv` check before
+/// anything else). So a failed trial in which *every* failed rank is
+/// `FabricDead` was killed by the wall clock, and one with any primary
+/// cause has that cause as its real outcome, however late the watchdog
+/// fired too; a run that finished before the poison landed has no
+/// failure at all, so it is not a kill either.
+fn classify_failure<T>(results: &[RankOutcome<T>]) -> (Option<FailureKind>, bool) {
+    let mut failure = None;
+    let mut primary = false;
+    for kind in results
+        .iter()
+        .filter_map(|r| r.result.as_ref().err())
+        .map(|p| p.kind)
+    {
+        primary |= kind != PanicKind::FabricDead;
+        failure = Some(match (failure, kind) {
+            (Some(FailureKind::Due), _) => FailureKind::Due,
+            (Some(prev), PanicKind::FabricDead) => prev,
+            (_, PanicKind::HangGuard | PanicKind::RecvTimeout) => FailureKind::Hang,
+            (_, PanicKind::Due) => FailureKind::Due,
+            (_, PanicKind::Crash | PanicKind::FabricDead) => FailureKind::Crash,
+        });
+    }
+    (failure, failure.is_some() && !primary)
 }
 
 /// Draw the injection plan(s) for one test: a map rank → plan, plus the
@@ -347,5 +370,101 @@ fn draw_operand(rng: &mut SmallRng) -> Operand {
         Operand::A
     } else {
         Operand::B
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use resilim_simmpi::RankPanic;
+    use PanicKind::{Crash, Due, FabricDead, HangGuard};
+
+    /// Synthetic rank outcomes: `None` finished, `Some(kind)` panicked.
+    fn ended(kinds: &[Option<PanicKind>]) -> Vec<RankOutcome<()>> {
+        kinds
+            .iter()
+            .enumerate()
+            .map(|(rank, kind)| RankOutcome {
+                rank,
+                result: kind.map_or(Ok(()), |kind| {
+                    Err(RankPanic {
+                        kind,
+                        message: String::new(),
+                    })
+                }),
+                ctx_report: None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_wall_clock_kill_is_a_failure_with_no_primary_cause() {
+        let kill = (Some(FailureKind::Crash), true);
+        assert_eq!(classify_failure(&ended(&[Some(FabricDead); 3])), kill);
+        assert_eq!(
+            classify_failure(&ended(&[None, Some(FabricDead)])),
+            kill,
+            "a rank that finished first changes nothing"
+        );
+        // Any primary cause is the trial's own outcome, never retried.
+        let cases = [
+            (
+                vec![Some(FabricDead), Some(Crash), Some(FabricDead)],
+                FailureKind::Crash,
+            ),
+            (vec![Some(HangGuard), Some(FabricDead)], FailureKind::Hang),
+            (vec![Some(FabricDead), Some(Due)], FailureKind::Due),
+            (vec![Some(Due), Some(Crash)], FailureKind::Due),
+        ];
+        for (kinds, class) in cases {
+            assert_eq!(
+                classify_failure(&ended(&kinds)),
+                (Some(class), false),
+                "{kinds:?}"
+            );
+        }
+        assert_eq!(classify_failure(&ended(&[None, None])), (None, false));
+    }
+
+    #[test]
+    fn real_worlds_under_a_deadline_are_killed_only_when_it_fires() {
+        // Real worlds under a watchdog that never fires: a hang-guard trip
+        // is a hang and a clean run is no failure at all.
+        let world = World::new(2).with_deadline(Some(Duration::from_secs(30)));
+        let spinning = world.run_with_ctx(
+            |rank| Some(RankCtx::profiling(rank).with_op_cap(100)),
+            |comm| {
+                let mut acc = resilim_inject::Tf64::ZERO;
+                if comm.rank() == 1 {
+                    loop {
+                        acc += 1.0;
+                    }
+                }
+                comm.barrier();
+            },
+        );
+        assert_eq!(
+            classify_failure(&spinning),
+            (Some(FailureKind::Hang), false)
+        );
+        let clean = world.run_spawned(|_| None, |comm| comm.barrier());
+        assert_eq!(classify_failure(&clean), (None, false));
+
+        // And one that does fire, on a rank wedged in untracked code.
+        let wedged = World::new(2)
+            .with_deadline(Some(Duration::from_millis(50)))
+            .run_spawned(
+                |_| None,
+                |comm| {
+                    if comm.rank() == 1 {
+                        loop {
+                            std::thread::sleep(Duration::from_millis(2));
+                            comm.send_bytes(0, 8, Vec::new());
+                        }
+                    }
+                    comm.barrier();
+                },
+            );
+        assert_eq!(classify_failure(&wedged), (Some(FailureKind::Crash), true));
     }
 }

@@ -15,8 +15,9 @@
 //! * [`spec`] — the vocabulary: [`CampaignSpec`] (what to run, including
 //!   the optional adaptive [`resilim_core::StopRule`]) and
 //!   [`CampaignResult`].
-//! * [`exec`](self) — one trial: plan → run on an
-//!   [`resilim_simmpi::ExecBackend`] → classify (private).
+//! * [`exec`](self) — one trial: plan → run the world on its pooled or
+//!   spawned carrier → classify, wall-clock kills told apart from the
+//!   trial's own failures (private).
 //! * [`stream`] — completed trials flow as [`TrialRecord`] events
 //!   through a deterministic reorder buffer into composable
 //!   [`TrialConsumer`]s.

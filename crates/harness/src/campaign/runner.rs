@@ -10,12 +10,10 @@ use super::spec::{CampaignResult, CampaignSpec};
 use super::stream::{TrialConsumer, TrialRecord};
 use crate::features::FeatureStore;
 use crate::golden::{Flights, GoldenRun, GoldenStore};
-use crate::ledger::{RetryPolicy, Shard, TrialLedger};
+use crate::ledger::{self, Shard, TrialLedger};
 use parking_lot::Mutex;
-use resilim_apps::AppOutput;
 use resilim_inject::{FailureKind, TestOutcome};
 use resilim_obs as obs;
-use resilim_simmpi::{ExecBackend, PooledBackend, ReplicatedBackend, SpawnedBackend};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::path::PathBuf;
@@ -65,11 +63,11 @@ pub struct CampaignRunner {
     pub(super) shard: Option<Shard>,
     /// Wall-clock watchdog per trial; `None` disables the watchdog.
     trial_deadline: Option<Duration>,
-    /// Retry budget/backoff for watchdog-tripped trials.
-    retry: RetryPolicy,
+    /// Retry budget for trials the watchdog killed.
+    max_retries: u32,
     /// Carry each trial's ranks on freshly spawned threads instead of
     /// coroutines over the global [`resilim_simmpi::WorldPool`]
-    /// (differential backend for `resilim check`'s replay-identity
+    /// (the reference carrier for `resilim check`'s replay-identity
     /// oracle).
     spawn_per_trial: bool,
     /// Trials admitted/committed per pipeline transaction (`--batch`).
@@ -95,7 +93,7 @@ impl CampaignRunner {
             resume: false,
             shard: None,
             trial_deadline: None,
-            retry: RetryPolicy::default(),
+            max_retries: ledger::DEFAULT_MAX_RETRIES,
             spawn_per_trial: false,
             trial_batch: 1,
         }
@@ -164,31 +162,33 @@ impl CampaignRunner {
         self.shard
     }
 
-    /// Arm the per-trial wall-clock watchdog: a trial still running
-    /// after `deadline` has its fabric poisoned and is retried under
-    /// the runner's [`RetryPolicy`]. Pick a deadline generously above
-    /// the slowest legitimate trial — a trip on a healthy trial would
-    /// (after retries) record a `Hang` a fresh run would not.
+    /// Arm the per-trial wall-clock watchdog (on either carrier): a
+    /// trial still running after `deadline` has its fabric poisoned and
+    /// is retried, with exponential backoff, up to the runner's retry
+    /// budget ([`CampaignRunner::with_max_retries`]). Pick a deadline
+    /// generously above the slowest legitimate trial — a trip on a
+    /// healthy trial would (after retries) record a `Hang` a fresh run
+    /// would not.
     pub fn with_trial_deadline(mut self, deadline: Duration) -> CampaignRunner {
         self.trial_deadline = Some(deadline);
         self
     }
 
-    /// Replace the watchdog retry policy (budget + backoff).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> CampaignRunner {
-        self.retry = retry;
+    /// How many times a trial the watchdog killed is re-run before it
+    /// is recorded as a `Hang` (default 2; 0 records the kill directly).
+    pub fn with_max_retries(mut self, max_retries: u32) -> CampaignRunner {
+        self.max_retries = max_retries;
         self
     }
 
     /// Execute each trial on freshly spawned rank threads
-    /// ([`resilim_simmpi::SpawnedBackend`]) instead of the
-    /// process-global pool ([`resilim_simmpi::PooledBackend`]).
-    /// Semantically identical — both backends follow the fabric's one
-    /// schedule through the same per-rank execution path — and therefore
-    /// bitwise identical in outcome, failed trials included, which is
-    /// exactly what `resilim check`'s replay-identity oracle asserts. Incompatible with the trial watchdog (the spawned
-    /// backend has no deadline plumbing); enabling both panics at
-    /// campaign time.
+    /// ([`resilim_simmpi::World::run_spawned`]) instead of coroutines
+    /// over the process-global pool
+    /// ([`resilim_simmpi::World::run_with_ctx`]). Semantically identical
+    /// — both carriers follow the fabric's one schedule through the same
+    /// per-rank execution path — and therefore bitwise identical in
+    /// outcome, failed trials included, which is exactly what `resilim
+    /// check`'s replay-identity oracle asserts.
     pub fn with_spawn_per_trial(mut self) -> CampaignRunner {
         self.spawn_per_trial = true;
         self
@@ -228,26 +228,6 @@ impl CampaignRunner {
     /// The golden-run store.
     pub fn golden(&self) -> &GoldenStore {
         &self.golden
-    }
-
-    /// The [`ExecBackend`] this runner's configuration selects, wrapped
-    /// with TeaMPI-style replica payload comparison when the spec asks
-    /// for it (`--replicate`).
-    fn exec_backend(&self, replicate: bool) -> Box<dyn ExecBackend<AppOutput>> {
-        let base: Box<dyn ExecBackend<AppOutput>> = if self.spawn_per_trial {
-            assert!(
-                self.trial_deadline.is_none(),
-                "spawn-per-trial backend has no watchdog plumbing"
-            );
-            Box::new(SpawnedBackend)
-        } else {
-            Box::new(PooledBackend::with_deadline(self.trial_deadline))
-        };
-        if replicate {
-            Box::new(ReplicatedBackend::new(base))
-        } else {
-            base
-        }
     }
 
     /// Run (or fetch from cache) a campaign. Concurrent callers with the
@@ -367,8 +347,9 @@ impl CampaignRunner {
         TrialExecutor {
             spec: spec.clone(),
             golden: self.golden.get_masked(&spec.spec, spec.procs, spec.op_mask),
-            backend: self.exec_backend(spec.replicate),
-            retry: self.retry,
+            spawn_per_trial: self.spawn_per_trial,
+            deadline: self.trial_deadline,
+            max_retries: self.max_retries,
             campaign_id: obs::next_campaign_id(),
         }
     }
@@ -431,8 +412,8 @@ impl CampaignRunner {
 }
 
 /// Everything needed to execute any single trial of one campaign, on
-/// any thread: the spec, the profiled golden run, the configured
-/// [`ExecBackend`], and the watchdog retry policy.
+/// any thread: the spec, the profiled golden run, the carrier, and the
+/// watchdog deadline and retry budget.
 ///
 /// [`CampaignRunner::trial_executor`] is the one place they are built;
 /// the one-shot runner and the `resilim serve` scheduler both execute
@@ -442,8 +423,9 @@ impl CampaignRunner {
 pub struct TrialExecutor {
     spec: CampaignSpec,
     golden: Arc<GoldenRun>,
-    backend: Box<dyn ExecBackend<AppOutput>>,
-    retry: RetryPolicy,
+    spawn_per_trial: bool,
+    deadline: Option<Duration>,
+    max_retries: u32,
     campaign_id: u64,
 }
 
@@ -477,18 +459,18 @@ impl TrialExecutor {
         let t = obs::timer();
         let mut attempt: u32 = 0;
         let (outcome, features) = loop {
-            let (outcome, tripped, features) = exec::execute_trial(
+            let (outcome, killed, features) = exec::execute_trial(
                 &self.spec,
                 &self.golden,
-                self.golden.op_cap(),
                 test,
-                self.backend.as_ref(),
+                self.spawn_per_trial,
+                self.deadline,
             );
-            if !tripped {
+            if !killed {
                 break (outcome, features);
             }
             obs::count(obs::Counter::TrialDeadlineTrips, 1);
-            if attempt < self.retry.max_retries {
+            if attempt < self.max_retries {
                 attempt += 1;
                 obs::count(obs::Counter::TrialRetries, 1);
                 obs::emit(&obs::Event::TrialRetry {
@@ -496,7 +478,7 @@ impl TrialExecutor {
                     test,
                     attempt,
                 });
-                std::thread::sleep(self.retry.backoff(attempt - 1));
+                std::thread::sleep(ledger::backoff(attempt - 1));
                 continue;
             }
             // Retry budget exhausted: record the wedge as a hang so the
@@ -771,14 +753,24 @@ mod tests {
 
     #[test]
     fn spawn_per_trial_backend_matches_pooled() {
+        // Both carriers, with and without a (never-tripping) watchdog:
+        // one result, bitwise.
         let spec = campaign(App::Lu, 2, ErrorSpec::OneParallel, 12);
         let pooled = CampaignRunner::new().run_uncached(&spec);
-        let spawned = CampaignRunner::new()
-            .with_spawn_per_trial()
-            .run_uncached(&spec);
-        assert_eq!(pooled.outcomes, spawned.outcomes);
-        assert_eq!(pooled.fi, spawned.fi);
-        assert_eq!(pooled.prop.counts, spawned.prop.counts);
+        let deadline = Duration::from_secs(30);
+        for runner in [
+            CampaignRunner::new().with_spawn_per_trial(),
+            CampaignRunner::new().with_trial_deadline(deadline),
+            CampaignRunner::new()
+                .with_spawn_per_trial()
+                .with_trial_deadline(deadline),
+        ] {
+            let other = runner.run_uncached(&spec);
+            assert_eq!(pooled.outcomes, other.outcomes);
+            assert_eq!(pooled.fi, other.fi);
+            assert_eq!(pooled.prop.counts, other.prop.counts);
+            assert_eq!(pooled.features, other.features);
+        }
     }
 
     #[test]

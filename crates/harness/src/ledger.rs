@@ -1,5 +1,5 @@
 //! Durable per-trial campaign ledger: crash-tolerant resume, shardable
-//! execution, and bounded retry policy.
+//! execution, and bounded retry.
 //!
 //! A campaign of `n` trials used to be all-or-nothing: a crash, OOM
 //! kill, or CI timeout at trial `n-1` threw every result away. The
@@ -20,10 +20,10 @@
 //!   processes or CI jobs each run a disjoint slice. Their ledgers —
 //!   merged in one directory — reassemble into the complete campaign
 //!   via `resilim merge`.
-//! * **Retry** ([`RetryPolicy`]): a wedged trial (watchdog deadline
-//!   trip) is retried with exponential backoff; after the budget is
-//!   exhausted it is recorded as a `Hang` outcome instead of wedging
-//!   the campaign.
+//! * **Retry**: a wedged trial (killed by the watchdog deadline) is
+//!   retried with exponential backoff (50 ms, doubling, capped at 2 s);
+//!   after the budget (`--retries`, default 2) is exhausted it is
+//!   recorded as a `Hang` outcome instead of wedging the campaign.
 //!
 //! Corruption tolerance mirrors the golden cache: every line is parsed
 //! independently, and a truncated tail, interleaved garbage, a
@@ -110,49 +110,27 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// Bounded retry with exponential backoff for wedged (watchdog-tripped)
-/// trials.
-///
-/// Deterministic in-simulation crashes and hangs are *final* outcomes —
-/// re-running them would reproduce them bitwise — so the policy applies
-/// only to trials the wall-clock watchdog killed, which signal external
-/// interference (machine load, a wedged worker) rather than the fault
-/// under study. After `max_retries` the trial is recorded as a `Hang`.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = record the trip directly).
-    pub max_retries: u32,
-    /// Backoff before retry 1; doubles per retry.
-    pub base_backoff: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff: Duration,
-}
+// Bounded retry with exponential backoff for wedged trials.
+//
+// Deterministic in-simulation crashes and hangs are *final* outcomes —
+// re-running them would reproduce them bitwise — so retry applies only
+// to trials the wall-clock watchdog killed, which signal external
+// interference (machine load, a wedged worker) rather than the fault
+// under study. After the retry budget the trial is recorded as a `Hang`.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
-        }
-    }
-}
+/// Watchdog retries after the first attempt unless `--retries` says
+/// otherwise (0 = record the kill directly).
+pub(crate) const DEFAULT_MAX_RETRIES: u32 = 2;
+/// Backoff before the first retry; doubles per retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(50);
+/// Upper bound on any single backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_secs(2);
 
-impl RetryPolicy {
-    /// Same backoff schedule, different retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> RetryPolicy {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Backoff before retry `attempt` (0-based): `base * 2^attempt`,
-    /// capped at [`RetryPolicy::max_backoff`].
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
-    }
+/// Backoff before retry `attempt` (0-based): [`BASE_BACKOFF`]` *
+/// 2^attempt`, capped at [`MAX_BACKOFF`].
+pub(crate) fn backoff(attempt: u32) -> Duration {
+    let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
+    BASE_BACKOFF.saturating_mul(factor).min(MAX_BACKOFF)
 }
 
 /// Append-only, crash-tolerant per-trial ledger for one campaign: the
@@ -221,15 +199,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_retries: 5,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(300),
-        };
-        assert_eq!(p.backoff(0), Duration::from_millis(50));
-        assert_eq!(p.backoff(1), Duration::from_millis(100));
-        assert_eq!(p.backoff(2), Duration::from_millis(200));
-        assert_eq!(p.backoff(3), Duration::from_millis(300), "capped");
-        assert_eq!(p.backoff(63), Duration::from_millis(300), "no overflow");
+        assert_eq!(backoff(0), BASE_BACKOFF);
+        assert_eq!(backoff(1), BASE_BACKOFF * 2);
+        assert_eq!(backoff(2), BASE_BACKOFF * 4);
+        assert_eq!(backoff(5), BASE_BACKOFF * 32);
+        assert_eq!(backoff(6), MAX_BACKOFF, "capped");
+        assert_eq!(backoff(63), MAX_BACKOFF, "no overflow");
     }
 }

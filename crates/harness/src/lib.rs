@@ -18,7 +18,7 @@
 //!   CLI and benches render.
 //! * [`ledger`] — durable per-trial ledger (append-only JSONL): crash
 //!   recovery (`--resume`), deterministic sharding (`--shard i/N` +
-//!   `resilim merge`), and the watchdog retry policy.
+//!   `resilim merge`), and watchdog retry with backoff.
 //! * [`features`] — durable per-trial feature store (the learned
 //!   predictors' training data), keyed and sharded exactly like the
 //!   ledger.
@@ -46,5 +46,5 @@ pub use campaign::{
 };
 pub use features::FeatureStore;
 pub use golden::{golden_cache_file_name, GoldenRun, GoldenStore, GOLDEN_CACHE_VERSION};
-pub use ledger::{RetryPolicy, Shard, TrialLedger, LEDGER_VERSION};
+pub use ledger::{Shard, TrialLedger, LEDGER_VERSION};
 pub use store::{CampaignSummary, ResultStore};

@@ -46,13 +46,11 @@ use crate::profile::{masked_sum, OpKind, OpProfile};
 use crate::region::{Region, RegionGuard};
 use crate::smallbuf::InlineVec;
 use crate::tf64::Tf64;
-#[cfg(feature = "obs")]
 use resilim_obs as obs;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
 /// Trace name for a region (`"common"` / `"parallel_unique"`).
-#[cfg(feature = "obs")]
 fn region_trace_name(r: Region) -> &'static str {
     match r {
         Region::Common => "common",
@@ -306,7 +304,6 @@ impl RankCtx {
         let profile = self.profile();
         // Ops are aggregated by the per-region counters and flushed once
         // per rank here — never evented per-op.
-        #[cfg(feature = "obs")]
         if obs::enabled() {
             obs::count(
                 obs::Counter::OpsCommon,
@@ -362,7 +359,6 @@ impl RankCtx {
                 self.msgs_sent_at_contam = self.msgs_sent;
                 self.msgs_recvd_at_contam = self.msgs_recvd;
             }
-            #[cfg(feature = "obs")]
             if obs::enabled() {
                 obs::count(obs::Counter::TaintBorn, 1);
                 obs::emit(&obs::Event::TaintBorn { rank: self.rank });
@@ -820,7 +816,6 @@ pub fn note_wire_fired(msg_index: u64, bit: u8) {
             return;
         }
         h.wire_fired.set(h.wire_fired.get() + 1);
-        #[cfg(feature = "obs")]
         if obs::enabled() {
             obs::count(obs::Counter::MsgFaultsFired, 1);
             obs::emit(&obs::Event::WireFaultFired {
@@ -829,8 +824,6 @@ pub fn note_wire_fired(msg_index: u64, bit: u8) {
                 bit,
             });
         }
-        #[cfg(not(feature = "obs"))]
-        let _ = (msg_index, bit);
     });
 }
 
@@ -843,7 +836,6 @@ fn replica_detect(h: &HotCtx) {
         return;
     }
     h.detected.set(true);
-    #[cfg(feature = "obs")]
     if obs::enabled() {
         obs::count(obs::Counter::ReplicaDetections, 1);
         obs::emit(&obs::Event::ReplicaDetection {
@@ -862,7 +854,6 @@ fn contaminate(h: &HotCtx) {
     }
     h.contaminated.set(true);
     h.snapshot_first_contam();
-    #[cfg(feature = "obs")]
     if obs::enabled() {
         obs::count(obs::Counter::TaintBorn, 1);
         obs::emit(&obs::Event::TaintBorn {
@@ -878,18 +869,14 @@ fn contaminate_cold(h: &HotCtx, cold: &ColdCtx) {
     }
     h.contaminated.set(true);
     h.snapshot_first_contam();
-    #[cfg(feature = "obs")]
     if obs::enabled() {
         obs::count(obs::Counter::TaintBorn, 1);
         obs::emit(&obs::Event::TaintBorn { rank: cold.rank });
     }
-    #[cfg(not(feature = "obs"))]
-    let _ = cold;
 }
 
 /// Record a fired fault and its observability event (cold borrow held).
 fn record_fired(cold: &mut ColdCtx, rec: FiredRecord) {
-    #[cfg(feature = "obs")]
     if obs::enabled() {
         obs::count(obs::Counter::InjectionsFired, 1);
         obs::emit(&obs::Event::InjectionFired {
@@ -909,7 +896,6 @@ fn hang_trip(_h: &HotCtx) -> ! {
     COLD.with(|c| {
         let mut cold = c.borrow_mut();
         cold.hang_guard_tripped = true;
-        #[cfg(feature = "obs")]
         if obs::enabled() {
             obs::count(obs::Counter::HangGuardTrips, 1);
             obs::emit(&obs::Event::HangGuardTrip { rank: cold.rank });
@@ -927,7 +913,6 @@ fn hang_trip(_h: &HotCtx) -> ! {
 fn due_trip(h: &HotCtx) -> ! {
     // The kill is itself a detection event.
     h.detected.set(true);
-    #[cfg(feature = "obs")]
     if obs::enabled() {
         obs::count(obs::Counter::DueKills, 1);
         obs::emit(&obs::Event::DueKill {

@@ -17,7 +17,7 @@
 //!   (a block copy, nothing re-packed). Measured on the same guest: a
 //!   p=2 ping-pong round trip — two messages, two handoffs — takes
 //!   ≈ 0.25 µs, a p=64 barrier — 126 messages, ~64 handoffs — ≈ 9 µs.
-//!   `World::run_pooled*` uses it where it exists and the thread carrier
+//!   `World::run_pooled` uses it where it exists and the thread carrier
 //!   elsewhere — chosen by target, never by an option.
 
 use crate::fabric::Fabric;
@@ -112,7 +112,7 @@ pub(crate) fn run_on_threads<R: Send>(fabric: &Fabric, job: impl Fn(usize) -> R 
     })
 }
 
-/// The carrier behind `World::run_pooled*` on this target: coroutines.
+/// The carrier behind `World::run_pooled` on this target: coroutines.
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
 pub(crate) mod pooled {
     use super::Carrier;
@@ -202,7 +202,7 @@ pub(crate) mod pooled {
     }
 }
 
-/// The carrier behind `World::run_pooled*` on this target: no coroutine
+/// The carrier behind `World::run_pooled` on this target: no coroutine
 /// switch here, so threads.
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]
 pub(crate) mod pooled {

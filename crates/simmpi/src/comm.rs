@@ -32,7 +32,6 @@ use crate::error::MpiError;
 use crate::fabric::Fabric;
 use crate::payload::Payload;
 use resilim_inject::{ctx, Tf64};
-#[cfg(feature = "obs")]
 use resilim_obs as obs;
 use std::cell::Cell;
 
@@ -187,7 +186,6 @@ impl<'a> Comm<'a> {
     /// Combined send-to-`dst` + receive-from-`src` (halo-exchange staple;
     /// deadlock-free because sends never block).
     pub fn sendrecv(&self, dst: usize, src: usize, tag: u64, data: &[Tf64]) -> Vec<Tf64> {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::SendrecvNs);
         self.send(dst, tag, data);
         self.recv(src, tag)
@@ -199,7 +197,6 @@ impl<'a> Comm<'a> {
 
     /// Synchronize all ranks.
     pub fn barrier(&self) {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::BarrierNs);
         let tag = self.next_coll_tag();
         if self.size == 1 {
@@ -226,7 +223,6 @@ impl<'a> Comm<'a> {
 
     /// Broadcast `data` from `root`; non-root buffers are overwritten.
     pub fn bcast(&self, root: usize, data: &mut Vec<Tf64>) {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::BcastNs);
         let tag = self.next_coll_tag();
         if self.size == 1 {
@@ -251,7 +247,6 @@ impl<'a> Comm<'a> {
     /// Reduce `data` elementwise onto `root`; returns `Some(result)` at the
     /// root and `None` elsewhere. Contributions fold in rank order.
     pub fn reduce(&self, root: usize, op: ReduceOp, data: &[Tf64]) -> Option<Vec<Tf64>> {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::ReduceNs);
         let tag = self.next_coll_tag();
         if self.size == 1 {
@@ -292,7 +287,6 @@ impl<'a> Comm<'a> {
 
     /// Allreduce: reduce onto rank 0, then broadcast the result.
     pub fn allreduce(&self, op: ReduceOp, data: &[Tf64]) -> Vec<Tf64> {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::AllreduceNs);
         let reduced = self.reduce(0, op, data);
         let mut buf = reduced.unwrap_or_default();
@@ -308,7 +302,6 @@ impl<'a> Comm<'a> {
     /// Gather every rank's buffer at `root`, which concatenates them in
     /// rank order as they arrive. The fan-in half of [`Comm::allgather`].
     fn gather(&self, root: usize, data: &[Tf64]) -> Option<Gathered> {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::GatherNs);
         let tag = self.next_coll_tag();
         if self.rank != root {
@@ -336,7 +329,6 @@ impl<'a> Comm<'a> {
     /// rank-ordered concatenation plus per-rank counts. Buffers may have
     /// different lengths (allgatherv semantics).
     pub fn allgather(&self, data: &[Tf64]) -> Gathered {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::AllgatherNs);
         let gathered = self.gather(0, data);
         if self.size == 1 {
@@ -388,7 +380,6 @@ impl<'a> Comm<'a> {
     /// `d`; returns `incoming[s]` from each rank `s`. (The FT transpose
     /// backbone.)
     pub fn alltoallv(&self, outgoing: Vec<Vec<Tf64>>) -> Vec<Vec<Tf64>> {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::AlltoallvNs);
         assert_eq!(
             outgoing.len(),
@@ -416,7 +407,6 @@ impl<'a> Comm<'a> {
 
     /// Scatter `chunks` (one per rank, provided at `root`) to all ranks.
     pub fn scatter(&self, root: usize, chunks: Option<&[Vec<Tf64>]>) -> Vec<Tf64> {
-        #[cfg(feature = "obs")]
         let _span = obs::span(obs::Hist::ScatterNs);
         let tag = self.next_coll_tag();
         if self.rank == root {

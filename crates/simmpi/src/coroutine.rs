@@ -1,7 +1,7 @@
 //! Stackful coroutines: the fast carrier of the fabric's schedule.
 //!
 //! Every rank of a pooled world is one [`Coroutine`] on the thread that
-//! called `World::run_pooled*`; a rank that blocks in a receive calls
+//! called `World::run_pooled`; a rank that blocks in a receive calls
 //! [`suspend`] and the world's driver loop [`Coroutine::resume`]s
 //! whichever rank the fabric scheduled next. A switch is a swap of the
 //! callee-saved registers and the stack pointer — no kernel, no futex, no

@@ -31,14 +31,12 @@ use crate::baton::Baton;
 use crate::carrier::Carrier;
 use crate::error::MpiError;
 use crate::payload::Payload;
-#[cfg(feature = "obs")]
 use resilim_obs as obs;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Count a delivered (matched) message. Taint scanning only happens with
 /// the recorder on, so the disabled path never touches the payload.
-#[cfg(feature = "obs")]
 fn note_recv(payload: &Payload) {
     if obs::enabled() {
         obs::count(obs::Counter::MsgsRecvd, 1);
@@ -134,11 +132,9 @@ impl Sched {
             next = cyclic_from(from).find(|&r| matches!(self.ranks[r], RankState::Blocked { .. }));
             if let Some(victim) = next {
                 self.ranks[victim] = RankState::Ready;
-                #[cfg(feature = "obs")]
                 obs::count(obs::Counter::DeadlocksDetected, 1);
             }
         }
-        #[cfg(feature = "obs")]
         if next.is_some_and(|r| r != from) {
             obs::count(obs::Counter::RankSwitches, 1);
         }
@@ -268,7 +264,6 @@ impl Fabric {
             });
         }
         let payload = self.outbound(src, payload);
-        #[cfg(feature = "obs")]
         if obs::enabled() {
             obs::count(obs::Counter::MsgsSent, 1);
             obs::count(obs::Counter::BytesSent, payload.wire_bytes() as u64);
@@ -300,7 +295,6 @@ impl Fabric {
                 Some(mailbox.remove(pos).expect("position just found").payload)
             });
             if let Some(payload) = matched {
-                #[cfg(feature = "obs")]
                 note_recv(&payload);
                 return Ok(payload);
             }

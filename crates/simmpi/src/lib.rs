@@ -21,6 +21,16 @@
 //!   where) repeats exactly, and a deadlock is detected the moment it
 //!   forms instead of by a timer.
 //!
+//! A [`World`] is run one way per carrier: [`World::run_with_ctx`] puts
+//! its ranks on coroutines cached in the process-wide [`WorldPool`] (the
+//! fast path), [`World::run_spawned`] on fresh threads (the independent
+//! reference it must match bitwise). Everything else about a run is a
+//! property of the world or of the rank contexts it is handed: a wire
+//! fault ([`World::with_msg_fault`]), a wall-clock watchdog
+//! ([`World::with_deadline`], honoured by both carriers), TeaMPI-style
+//! replica comparison
+//! ([`RankCtx::with_replication`](resilim_inject::RankCtx::with_replication)).
+//!
 //! ## Example
 //!
 //! ```
@@ -38,7 +48,6 @@
 //! }
 //! ```
 
-pub mod backend;
 mod baton;
 mod carrier;
 pub mod comm;
@@ -50,7 +59,6 @@ pub mod payload;
 pub mod pool;
 pub mod world;
 
-pub use backend::{ExecBackend, PooledBackend, ReplicatedBackend, SpawnedBackend};
 pub use comm::{Comm, ReduceOp};
 pub use error::{MpiError, PanicKind, RankPanic};
 pub use fabric::MsgFault;

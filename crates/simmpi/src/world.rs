@@ -7,7 +7,8 @@
 //! ranks are coroutines on the calling thread, their stacks cached in a
 //! [`WorldPool`]; [`World::run_spawned`] carries the same schedule on
 //! fresh OS threads — the independent reference the pooled path must
-//! match bitwise (see `carrier.rs`).
+//! match bitwise (see `carrier.rs`). A world's optional wall-clock
+//! deadline ([`World::with_deadline`]) is honoured on both.
 
 use crate::carrier::{self, Carrier};
 use crate::comm::Comm;
@@ -18,7 +19,6 @@ use parking_lot::{Condvar, Mutex};
 use resilim_inject::{ctx, CtxReport, RankCtx};
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -38,6 +38,7 @@ pub struct RankOutcome<T> {
 pub struct World {
     size: usize,
     msg_fault: Option<MsgFault>,
+    deadline: Option<Duration>,
 }
 
 thread_local! {
@@ -94,6 +95,7 @@ impl World {
         World {
             size,
             msg_fault: None,
+            deadline: None,
         }
     }
 
@@ -101,6 +103,24 @@ impl World {
     /// matching message (see [`crate::fabric::MsgFault`]).
     pub fn with_msg_fault(mut self, fault: Option<MsgFault>) -> World {
         self.msg_fault = fault;
+        self
+    }
+
+    /// Arm a wall-clock watchdog (`None` disarms it): every run of this
+    /// world, on either carrier, has its fabric poisoned once `deadline`
+    /// has passed (MPI-abort semantics), so a rank wedged in untracked
+    /// code fails at its next fabric call and every blocked rank when its
+    /// turn comes.
+    ///
+    /// Deadlock needs no deadline — the fabric detects it exactly — and
+    /// ranks spinning in tracked computation are reaped by the injection
+    /// hang guard's op budget. The watchdog is for what the schedule
+    /// cannot see: a loop without tracked ops, a sleep, foreign I/O. Its
+    /// victims end [`PanicKind::FabricDead`](crate::PanicKind) on every
+    /// failed rank, which is how callers tell a wall-clock kill from the
+    /// trial's own failure (a panicking rank's kind is never that).
+    pub fn with_deadline(mut self, deadline: Option<Duration>) -> World {
+        self.deadline = deadline;
         self
     }
 
@@ -129,6 +149,8 @@ impl World {
     ///
     /// Ranks execute on the process-wide [`WorldPool`]; semantics are
     /// identical to [`World::run_spawned`], which tests use as the oracle.
+    /// The whole world runs on the calling thread (a single-rank world
+    /// inline, with no rank context at all).
     pub fn run_with_ctx<T, F, M>(&self, mk_ctx: M, body: F) -> Vec<RankOutcome<T>>
     where
         T: Send,
@@ -136,24 +158,6 @@ impl World {
         M: Fn(usize) -> Option<RankCtx> + Send + Sync,
     {
         self.run_pooled(WorldPool::global(), mk_ctx, body)
-    }
-
-    /// [`World::run_with_ctx`] with an optional wall-clock deadline: the
-    /// trial-watchdog hook campaign runners use to survive wedged
-    /// trials. Returns the rank outcomes plus whether the deadline
-    /// tripped. See [`World::run_pooled_deadline`].
-    pub fn run_with_ctx_deadline<T, F, M>(
-        &self,
-        mk_ctx: M,
-        body: F,
-        deadline: Option<Duration>,
-    ) -> (Vec<RankOutcome<T>>, bool)
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Send + Sync,
-        M: Fn(usize) -> Option<RankCtx> + Send + Sync,
-    {
-        self.run_pooled_deadline(WorldPool::global(), mk_ctx, body, deadline)
     }
 
     /// [`World::run_with_ctx`] on an explicit pool (tests use private
@@ -164,43 +168,11 @@ impl World {
         F: Fn(&Comm) -> T + Send + Sync,
         M: Fn(usize) -> Option<RankCtx> + Send + Sync,
     {
-        self.run_pooled_deadline(pool, mk_ctx, body, None).0
-    }
-
-    /// [`World::run_pooled`] plus an optional wall-clock deadline.
-    ///
-    /// The whole world runs on the calling thread (a single-rank world
-    /// inline, with no rank context at all). Deadlock needs no deadline —
-    /// the fabric detects it exactly. The watchdog is for what the
-    /// schedule cannot see: a rank wedged in *untracked* code (a loop
-    /// without tracked ops, a sleep, foreign I/O). With `deadline:
-    /// Some(d)` a watchdog thread poisons the fabric after `d`
-    /// (MPI-abort semantics), so the wedged rank fails at its next fabric
-    /// call and every blocked rank when its turn comes; ranks spinning in
-    /// tracked computation are reaped by the injection hang guard's op
-    /// budget instead.
-    ///
-    /// Returns `(outcomes, tripped)`; `tripped` is true only when the
-    /// watchdog itself poisoned the fabric (never for an in-simulation
-    /// crash), so callers can distinguish "the trial misbehaved" from
-    /// "the trial ran out of wall clock" and retry the latter.
-    pub fn run_pooled_deadline<T, F, M>(
-        &self,
-        pool: &WorldPool,
-        mk_ctx: M,
-        body: F,
-        deadline: Option<Duration>,
-    ) -> (Vec<RankOutcome<T>>, bool)
-    where
-        T: Send,
-        F: Fn(&Comm) -> T + Send + Sync,
-        M: Fn(usize) -> Option<RankCtx> + Send + Sync,
-    {
         install_quiet_hook();
         let fabric = Fabric::new(self.size, self.msg_fault, carrier::pooled::carrier());
         let contexts = pool.dispatch(self.size);
         let rank_job = |rank| run_rank(rank, &fabric, &mk_ctx, &body);
-        watched(&fabric, deadline, || {
+        watched(&fabric, self.deadline, || {
             let _caller = CallerState::borrow();
             if self.size == 1 {
                 vec![rank_job(0)]
@@ -222,22 +194,24 @@ impl World {
     {
         install_quiet_hook();
         let fabric = Fabric::new(self.size, self.msg_fault, Carrier::threads());
-        carrier::run_on_threads(&fabric, |rank| run_rank(rank, &fabric, &mk_ctx, &body))
+        watched(&fabric, self.deadline, || {
+            carrier::run_on_threads(&fabric, |rank| run_rank(rank, &fabric, &mk_ctx, &body))
+        })
     }
 }
 
 /// Run `world` under an optional wall-clock watchdog that poisons
-/// `fabric` once `deadline` has passed; the flag says whether it did.
-fn watched<R>(fabric: &Fabric, deadline: Option<Duration>, world: impl FnOnce() -> R) -> (R, bool) {
+/// `fabric` once `deadline` has passed — with [`run_rank`]'s poison on a
+/// rank panic, the only two ways a fabric dies.
+fn watched<R>(fabric: &Fabric, deadline: Option<Duration>, world: impl FnOnce() -> R) -> R {
     let Some(deadline) = deadline else {
-        return (world(), false);
+        return world();
     };
     // The watchdog borrows the fabric, so it must be a scoped thread; it
     // is signalled (not detached) so a fast trial never leaves a timer
     // thread behind.
     let finished = (Mutex::new(false), Condvar::new());
-    let tripped = AtomicBool::new(false);
-    let out = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         scope.spawn(|| {
             let wake = Instant::now() + deadline;
             let (lock, cv) = &finished;
@@ -245,7 +219,6 @@ fn watched<R>(fabric: &Fabric, deadline: Option<Duration>, world: impl FnOnce() 
             while !*done {
                 if cv.wait_until(&mut done, wake).timed_out() {
                     if !*done {
-                        tripped.store(true, Ordering::SeqCst);
                         fabric.poison();
                     }
                     break;
@@ -257,8 +230,7 @@ fn watched<R>(fabric: &Fabric, deadline: Option<Duration>, world: impl FnOnce() 
         *lock.lock() = true;
         cv.notify_all();
         out
-    });
-    (out, tripped.load(Ordering::SeqCst))
+    })
 }
 
 /// One rank's whole trial: context install, body under `catch_unwind`,
@@ -297,6 +269,7 @@ mod tests {
     use crate::comm::ReduceOp;
     use crate::error::PanicKind;
     use resilim_inject::{InjectionPlan, Operand, Region, Target, Tf64};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn serial_world() {
@@ -322,7 +295,7 @@ mod tests {
     #[test]
     fn spawned_and_pooled_backends_agree() {
         // The replay oracle of `resilim check` asserts campaign-level
-        // bitwise identity across execution backends; this pins the
+        // bitwise identity across the two carriers; this pins the
         // substrate half of that contract: the same body over the same
         // contexts returns identical rank results whether ranks come
         // on pooled rank contexts or on freshly spawned threads.
@@ -337,6 +310,7 @@ mod tests {
         assert_eq!(pooled.len(), spawned.len());
         for (p, s) in pooled.iter().zip(spawned.iter()) {
             assert_eq!(p.rank, s.rank);
+            assert_eq!(*p.result.as_ref().unwrap(), 10.0);
             assert_eq!(p.result.as_ref().unwrap(), s.result.as_ref().unwrap());
             let (pr, sr) = (
                 p.ctx_report.as_ref().unwrap(),
@@ -685,10 +659,11 @@ mod tests {
         // the fabric now and then. Nothing but the wall-clock watchdog
         // can end this trial: once it has poisoned the fabric, rank 1's
         // next send fails, and rank 0 (blocked on a message that never
-        // comes) fails when its turn arrives.
-        let (results, tripped) = World::new(2).run_with_ctx_deadline(
-            |_| None,
-            |comm| {
+        // comes) fails when its turn arrives. No rank has a cause of its
+        // own: every one ends `FabricDead`, the mark of a wall-clock kill.
+        let world = World::new(2).with_deadline(Some(Duration::from_millis(50)));
+        for (carrier, run) in CARRIERS {
+            let results = run(&world, |comm| {
                 if comm.rank() == 0 {
                     let _ = comm.recv(1, 7);
                 } else {
@@ -697,26 +672,68 @@ mod tests {
                         comm.send_bytes(0, 8, Vec::new());
                     }
                 }
-            },
-            Some(Duration::from_millis(50)),
-        );
-        assert!(tripped, "watchdog must have fired");
-        assert_eq!(
-            kinds(&results),
-            [Some(PanicKind::FabricDead), Some(PanicKind::FabricDead)]
-        );
+            });
+            assert_eq!(
+                kinds(&results),
+                [Some(PanicKind::FabricDead), Some(PanicKind::FabricDead)],
+                "{carrier}"
+            );
+        }
     }
 
     #[test]
     fn deadline_untouched_run_reports_untripped() {
+        // A world that finishes well inside its deadline is not touched,
+        // and does not wait for the watchdog to time out either.
+        let world = World::new(2).with_deadline(Some(Duration::from_secs(30)));
+        for (carrier, run) in CARRIERS {
+            let start = Instant::now();
+            let results = run(&world, |comm| {
+                let sum = comm.allreduce_scalar(ReduceOp::Sum, Tf64::new(1.0));
+                assert_eq!(sum.value(), 2.0);
+            });
+            assert!(start.elapsed() < Duration::from_secs(10), "{carrier}");
+            assert_eq!(kinds(&results), [None, None], "{carrier}");
+        }
+    }
+
+    #[test]
+    fn replicated_contexts_detect_divergent_payloads() {
+        // TeaMPI-style replication is a property of each rank's context:
+        // the shadow world is the clean replica, and payloads are compared
+        // between worlds at every send and receive point.
         let world = World::new(2);
-        let (results, tripped) = world.run_with_ctx_deadline(
-            |_| None,
-            |comm| comm.allreduce_scalar(ReduceOp::Sum, Tf64::new(1.0)).value(),
-            Some(Duration::from_secs(30)),
-        );
-        assert!(!tripped);
-        assert!(results.iter().all(|r| *r.result.as_ref().unwrap() == 2.0));
+        let mk_ctx = |replicate: bool| {
+            move |rank: usize| {
+                let plan = if rank == 0 {
+                    InjectionPlan::single(Target {
+                        region: Region::Common,
+                        op_index: 0,
+                        bit: 55,
+                        operand: Operand::A,
+                    })
+                } else {
+                    InjectionPlan::none()
+                };
+                Some(RankCtx::new(rank, plan).with_replication(replicate))
+            }
+        };
+        let body = |comm: &Comm| {
+            let mine = Tf64::new(1.0) + Tf64::new(2.0); // corrupted on rank 0
+            comm.allreduce_scalar(ReduceOp::Sum, mine).value()
+        };
+        let replicated = world.run_with_ctx(mk_ctx(true), body);
+        // The corrupted payload crossed the fabric: both the sender's and
+        // the receiver's replica compare points saw the divergence.
+        for o in &replicated {
+            assert!(o.ctx_report.as_ref().unwrap().detected, "rank {}", o.rank);
+        }
+        // Replication only observes: values are identical to the plain run.
+        let plain = world.run_with_ctx(mk_ctx(false), body);
+        for (r, p) in replicated.iter().zip(plain.iter()) {
+            assert_eq!(r.result.as_ref().unwrap(), p.result.as_ref().unwrap());
+            assert!(!p.ctx_report.as_ref().unwrap().detected);
+        }
     }
 
     /// Child half of the test below: a rank panics *loudly* (the default

@@ -5,8 +5,6 @@
 //! Single `#[test]` on purpose: the obs recorder and the panic hook are
 //! process-global, so concurrent tests would see each other's counts.
 
-#![cfg(feature = "obs")] // the handoff counts are read from the recorder
-
 use resilim_inject::{RankCtx, Tf64};
 use resilim_obs as obs;
 use resilim_simmpi::{Comm, ReduceOp, World};

@@ -1,47 +1,13 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Implements the API surface the workspace's benches use — groups,
-//! `bench_function` / `bench_with_input`, throughput annotation,
-//! `criterion_group!` / `criterion_main!` — with a straightforward
-//! wall-clock measurement loop (no statistics engine, plots, or saved
-//! baselines). Timings print per benchmark as mean time/iteration plus
-//! derived throughput where annotated.
+//! `bench_function`, `criterion_group!` / `criterion_main!` — with a
+//! straightforward wall-clock measurement loop (no statistics engine,
+//! plots, or saved baselines). Timings print per benchmark as mean
+//! time/iteration.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Opaque-to-the-optimizer value sink.
-pub use std::hint::black_box;
-
-/// Throughput annotation: scales the report by per-iteration work.
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// Identifier for a parameterized benchmark: `function/parameter`.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `function/parameter`.
-    pub fn new(function: impl Into<String>, parameter: impl std::fmt::Display) -> BenchmarkId {
-        BenchmarkId {
-            id: format!("{}/{}", function.into(), parameter),
-        }
-    }
-
-    /// Parameter-only id.
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> BenchmarkId {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
-}
 
 /// The timing loop handed to benchmark closures.
 pub struct Bencher {
@@ -65,11 +31,6 @@ impl Bencher {
 pub struct Criterion {}
 
 impl Criterion {
-    /// A fresh harness (configuration methods are accepted and ignored).
-    pub fn default() -> Criterion {
-        Criterion {}
-    }
-
     /// Open a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -78,21 +39,8 @@ impl Criterion {
             measurement_time: Duration::from_secs(1),
             warm_up_time: Duration::from_millis(200),
             sample_size: 10,
-            throughput: None,
         }
     }
-
-    /// Ungrouped benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Criterion {
-        let mut group = self.benchmark_group("");
-        group.bench_function(name.to_string(), f);
-        group.finish();
-        self
-    }
-
-    /// Final report hook (criterion prints a summary; the shim's output
-    /// is per-benchmark, so this is a no-op).
-    pub fn final_summary(&mut self) {}
 }
 
 /// A group of benchmarks sharing measurement settings.
@@ -102,7 +50,6 @@ pub struct BenchmarkGroup<'a> {
     measurement_time: Duration,
     warm_up_time: Duration,
     sample_size: usize,
-    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -124,32 +71,9 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Annotate per-iteration work for throughput reporting.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
     /// Run a benchmark in this group.
-    pub fn bench_function<I: Into<BenchId>, F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: I,
-        mut f: F,
-    ) -> &mut Self {
-        let id = id.into().0;
-        self.run(&id, &mut f);
-        self
-    }
-
-    /// Run a benchmark with an input value.
-    pub fn bench_with_input<I: Into<BenchId>, T: ?Sized, F: FnMut(&mut Bencher, &T)>(
-        &mut self,
-        id: I,
-        input: &T,
-        mut f: F,
-    ) -> &mut Self {
-        let id = id.into().0;
-        self.run(&id, &mut |b| f(b, input));
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+        self.run(id, &mut f);
         self
     }
 
@@ -157,11 +81,7 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 
     fn run(&mut self, id: &str, f: &mut dyn FnMut(&mut Bencher)) {
-        let label = if self.name.is_empty() {
-            id.to_string()
-        } else {
-            format!("{}/{}", self.name, id)
-        };
+        let label = format!("{}/{}", self.name, id);
 
         // Warm up and calibrate: grow the iteration count until one batch
         // costs ~1/sample_size of the measurement budget.
@@ -210,42 +130,11 @@ impl BenchmarkGroup<'_> {
             per_iter = Duration::from_nanos((total.as_nanos() / total_iters as u128) as u64);
         }
 
-        let mut line = format!(
+        println!(
             "{label:<40} time: {} (best {})",
             fmt_duration(per_iter),
             fmt_duration(best)
         );
-        if let Some(tp) = self.throughput {
-            let secs = per_iter.as_secs_f64().max(1e-12);
-            match tp {
-                Throughput::Elements(n) => {
-                    line.push_str(&format!("  thrpt: {:.3e} elem/s", n as f64 / secs));
-                }
-                Throughput::Bytes(n) => {
-                    line.push_str(&format!("  thrpt: {:.3e} B/s", n as f64 / secs));
-                }
-            }
-        }
-        println!("{line}");
-    }
-}
-
-/// Anything accepted as a benchmark id (`&str`, `String`, [`BenchmarkId`]).
-pub struct BenchId(String);
-
-impl From<&str> for BenchId {
-    fn from(s: &str) -> BenchId {
-        BenchId(s.to_string())
-    }
-}
-impl From<String> for BenchId {
-    fn from(s: String) -> BenchId {
-        BenchId(s)
-    }
-}
-impl From<BenchmarkId> for BenchId {
-    fn from(id: BenchmarkId) -> BenchId {
-        BenchId(id.id)
     }
 }
 
@@ -267,13 +156,6 @@ fn fmt_duration(d: Duration) -> String {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $( $target(&mut criterion); )+
-        }
-    };
-    (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let _ = $cfg;
             let mut criterion = $crate::Criterion::default();
             $( $target(&mut criterion); )+
         }
