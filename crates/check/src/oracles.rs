@@ -137,11 +137,12 @@ impl std::fmt::Display for Violation {
 }
 
 macro_rules! ensure {
-    ($oracle:expr, $cond:expr, $($msg:tt)+) => {
-        if !$cond {
+    ($oracle:expr, $cond:expr, $($msg:tt)+) => {{
+        let holds: bool = $cond;
+        if !holds {
             return Err(Violation::new($oracle, format!($($msg)+)));
         }
-    };
+    }};
 }
 
 /// Run every oracle against `case`, cheapest first, sharing one
@@ -626,7 +627,7 @@ fn fault_models(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
     for (i, (p, r)) in plain.outcomes.iter().zip(repl.outcomes.iter()).enumerate() {
         ensure!(
             o,
-            p.clone().with_detected(false) == r.clone().with_detected(false),
+            p.with_detected(false) == r.with_detected(false),
             "replication perturbed trial {i}: {p:?} vs {r:?}"
         );
         ensure!(
@@ -831,15 +832,13 @@ fn predictor_divergence(case: &CaseSpec, m: &CampaignResult) -> Result<(), Viola
             kind.name(),
             pred.rates
         );
-        for k in 0..3 {
-            let gap = (pred.rates[k] - measured[k]).abs();
+        for (k, (learned, truth)) in pred.rates.iter().zip(measured).enumerate() {
+            let gap = (learned - truth).abs();
             ensure!(
                 o,
                 gap <= IN_SAMPLE_BOUND,
-                "{} class {k}: learned {:.3} vs measured {:.3} (in-sample gap {gap:.3} > {IN_SAMPLE_BOUND})",
-                kind.name(),
-                pred.rates[k],
-                measured[k]
+                "{} class {k}: learned {learned:.3} vs measured {truth:.3} (in-sample gap {gap:.3} > {IN_SAMPLE_BOUND})",
+                kind.name()
             );
         }
         let gap = (pred.success() - eq8.success()).abs();

@@ -3,8 +3,8 @@
 //! (`resilim_core::claims`, DESIGN.md §13).
 //!
 //! The contract: every registered claim must be attested by at least
-//! one artifact (a test, a check oracle, or a bench), and every
-//! attestation must name a registered claim. `resilim trace-matrix`
+//! one artifact (a test or a check oracle), and every attestation must
+//! name a registered claim. `resilim trace-matrix`
 //! renders the join as a Markdown matrix (committed as
 //! `docs/TRACEABILITY.md`) or JSON, and exits non-zero when the
 //! contract is broken — so deleting a proof, renaming a claim, or
@@ -39,8 +39,6 @@ pub enum ArtifactKind {
     Test,
     /// A `resilim check` oracle (`crates/check/src`).
     Oracle,
-    /// A regeneration bench (`benches/`).
-    Bench,
 }
 
 impl ArtifactKind {
@@ -49,14 +47,11 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Test => "test",
             ArtifactKind::Oracle => "oracle",
-            ArtifactKind::Bench => "bench",
         }
     }
 
     fn of_path(rel: &str) -> ArtifactKind {
-        if rel.contains("benches/") {
-            ArtifactKind::Bench
-        } else if rel.starts_with("crates/check/src") {
+        if rel.starts_with("crates/check/src") {
             ArtifactKind::Oracle
         } else {
             ArtifactKind::Test
@@ -401,11 +396,6 @@ mod tests {
             "crates/check/src/oracles.rs",
             "EQ7",
             ArtifactKind::Oracle
-        ));
-        assert!(has(
-            "crates/bench/benches/tables.rs",
-            "TABLE1",
-            ArtifactKind::Bench
         ));
         // The registry's own macro-smoke tests are excluded.
         assert!(!atts.iter().any(|a| a.file == "crates/core/src/claims.rs"));

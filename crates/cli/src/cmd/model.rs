@@ -89,18 +89,17 @@ fn learned(opts: &Options, kind: PredictorKind) -> Result<(), String> {
             features_dir.display()
         ));
     }
-    let predict_one: Box<dyn Fn(&TrialFeatures) -> [f64; 3]> = match kind {
+    let report = match kind {
         PredictorKind::Logistic => {
             let m = LogisticModel::fit(&data)?;
-            Box::new(move |f| m.predict_one(f))
+            build_report(kind, &data, &|f| m.predict_one(f), eq8_rates(opts))
         }
         PredictorKind::Stumps => {
             let m = StumpsModel::fit(&data)?;
-            Box::new(move |f| m.predict_one(f))
+            build_report(kind, &data, &|f| m.predict_one(f), eq8_rates(opts))
         }
         PredictorKind::Eq8 => unreachable!("eq8 takes the closed-form path"),
     };
-    let report = build_report(kind, &data, &predict_one, eq8_rates(opts));
     let text = render(&report);
     emit(opts, text, &report)
 }

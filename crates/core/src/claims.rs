@@ -6,8 +6,8 @@
 //! Each [`Claim`] names one verifiable statement — an equation of the
 //! model (Eq. 1–9), an empirical observation (O1–O4), a table, a
 //! figure, or a repo-level proof obligation (`INV_*`) that the paper's
-//! arithmetic silently relies on. Tests, check oracles, and benches
-//! attest the claims they verify with the [`verifies!`](crate::verifies) macro:
+//! arithmetic silently relies on. Tests and check oracles attest the
+//! claims they verify with the [`verifies!`](crate::verifies) macro:
 //!
 //! ```
 //! # fn some_test_body() {
@@ -177,7 +177,7 @@ impl Claim {
     }
 }
 
-/// Attest that the enclosing test, oracle, or bench verifies the named
+/// Attest that the enclosing test or check oracle verifies the named
 /// claims.
 ///
 /// Expands to a compile-checked reference into the claims registry, so

@@ -9,8 +9,8 @@
 //! The paper is internally inconsistent about the sample points
 //! themselves: Eq. 7's expansion uses `{1, 2p/S, 3p/S, …, p}`
 //! (= bucket upper edges with `x₁ = 1`) while Eq. 8's worked example uses
-//! `{1, 16, 32, 64}` for `S = 4, p = 64`. Both are provided; benches
-//! compare them (see DESIGN.md).
+//! `{1, 16, 32, 64}` for `S = 4, p = 64`. Both are provided;
+//! `examples/ablations.rs` compares them (see DESIGN.md).
 
 use serde::{Deserialize, Serialize};
 

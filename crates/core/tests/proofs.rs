@@ -528,13 +528,13 @@ fn proof_eq8_degenerates_when_s_equals_p() {
                     .predict();
                     let mut expect = [0.0f64; 3];
                     for (x, w) in weights.iter().enumerate() {
-                        for k in 0..3 {
-                            expect[k] += w * pick(x + 1).rates()[k];
+                        for (e, rate) in expect.iter_mut().zip(pick(x + 1).rates()) {
+                            *e += w * rate;
                         }
                     }
-                    for k in 0..3 {
+                    for (got, want) in pred.rates.iter().zip(expect) {
                         assert!(
-                            (pred.rates[k] - expect[k]).abs() < 1e-12,
+                            (got - want).abs() < 1e-12,
                             "s==p degeneracy broken (p={p}, total={total})"
                         );
                     }

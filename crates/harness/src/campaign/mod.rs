@@ -40,7 +40,7 @@ pub mod stream;
 
 pub use aggregate::{aggregate_outcomes, CampaignAccumulator};
 pub use run::CampaignRun;
-pub use runner::{auto_worker_count, work_loop, CampaignRunner, TrialExecutor};
+pub use runner::{work_loop, CampaignRunner, TrialExecutor};
 pub use spec::{
     validate_fault_model, CampaignResult, CampaignSpec, ErrorSpec, DEFAULT_TAINT_THRESHOLD,
 };

@@ -25,21 +25,15 @@ use std::time::{Duration, Instant};
 enum Parallelism {
     /// Exactly `k` worker threads (1 = sequential).
     Fixed(usize),
-    /// [`auto_worker_count`] of the host's cores.
+    /// One worker per logical CPU of the host, at every scale.
+    ///
+    /// Each worker runs one world at a time, and a world occupies exactly
+    /// one core whatever its `procs` — its ranks are coroutines of the
+    /// worker's own thread, one runnable at a time — so trials, not
+    /// ranks, are the parallel unit. On a 1-core host it is 1 and the
+    /// runner drives its single worker inline, spawning no scoped threads
+    /// for parallelism the host cannot deliver.
     Auto,
-}
-
-/// The worker count `--jobs auto` resolves to on a host with `cores`
-/// logical CPUs for a `procs`-rank deployment: `cores`, at every scale.
-///
-/// Each worker runs one world at a time, and a world occupies exactly
-/// one core whatever its `procs` — its ranks are coroutines of the
-/// worker's own thread, one runnable at a time — so trials, not ranks,
-/// are the parallel unit. On a 1-core host it is 1 and the runner drives
-/// its single worker inline, spawning no scoped threads for parallelism
-/// the host cannot deliver.
-pub fn auto_worker_count(cores: usize, _procs: usize) -> usize {
-    cores.max(1)
 }
 
 /// Runs campaigns, caching both golden runs and whole campaign results
@@ -214,14 +208,12 @@ impl CampaignRunner {
         self.trial_batch
     }
 
-    /// The worker count a campaign at `procs` ranks would use.
-    pub fn effective_parallelism(&self, procs: usize) -> usize {
+    /// The worker count a campaign at `procs` ranks would use — the same
+    /// at every `procs`, since a world occupies one core whatever its size.
+    pub fn effective_parallelism(&self, _procs: usize) -> usize {
         match self.parallelism {
             Parallelism::Fixed(k) => k,
-            Parallelism::Auto => {
-                let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                auto_worker_count(cores, procs)
-            }
+            Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -279,7 +271,7 @@ impl CampaignRunner {
     }
 
     /// Run a campaign without touching the campaign cache (golden runs are
-    /// still cached). Used by benches that time campaign execution.
+    /// still cached). Used where campaign execution itself is timed.
     /// Panics like [`CampaignRunner::run`] on an unopenable store.
     pub fn run_uncached(&self, spec: &CampaignSpec) -> CampaignResult {
         self.execute(spec).unwrap_or_else(|e| panic!("{e}"))
@@ -577,12 +569,10 @@ mod tests {
     /// the host cannot run in parallel.
     #[test]
     fn auto_worker_count_clamps_to_one_on_small_hosts() {
-        for procs in [0, 1, 4, 64, 128] {
-            assert_eq!(auto_worker_count(1, procs), 1);
-            assert_eq!(auto_worker_count(2, procs), 2);
-            assert_eq!(auto_worker_count(64, procs), 64);
-            // Degenerate core counts still yield a worker.
-            assert_eq!(auto_worker_count(0, procs), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let runner = CampaignRunner::new().with_auto_parallelism();
+        for procs in [1, 4, 64, 128] {
+            assert_eq!(runner.effective_parallelism(procs), cores);
         }
     }
 

@@ -24,7 +24,7 @@ pub enum ErrorSpec {
     /// a uniformly random rank (`FI_par_unique`'s measurement).
     OneParallelUnique,
     /// Like [`ErrorSpec::OneParallel`] but flipping `k` bits of the chosen
-    /// operand (multi-bit extension; ablation benches).
+    /// operand (multi-bit extension; `examples/ablations.rs`).
     OneParallelMultiBit(u8),
 }
 

@@ -92,8 +92,8 @@ mod tests {
     #[test]
     fn table2_small_campaign_similarity() {
         resilim_core::verifies!(TABLE2, O3);
-        // Full 64-rank campaigns are exercised by the bench/CLI path; unit
-        // test the wiring at reduced scales with few tests.
+        // Full 64-rank campaigns are exercised by `tests/paper_shapes.rs`
+        // and the CLI; unit test the wiring at reduced scales with few tests.
         let runner = CampaignRunner::new();
         let cfg = ExperimentConfig {
             tests: 25,

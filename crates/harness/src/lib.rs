@@ -15,7 +15,7 @@
 //!   [`PropagationProfile`](resilim_core::PropagationProfile).
 //! * [`experiments`] — one entry point per paper artifact (Table 1/2,
 //!   Figures 1–3 and 5–8) returning typed, serializable results that the
-//!   CLI and benches render.
+//!   CLI renders.
 //! * [`ledger`] — durable per-trial ledger (append-only JSONL): crash
 //!   recovery (`--resume`), deterministic sharding (`--shard i/N` +
 //!   `resilim merge`), and watchdog retry with backoff.
@@ -40,9 +40,9 @@ pub mod report;
 pub mod store;
 
 pub use campaign::{
-    aggregate_outcomes, auto_worker_count, validate_fault_model, CampaignAccumulator,
-    CampaignResult, CampaignRun, CampaignRunner, CampaignSpec, ErrorSpec, TrialConsumer,
-    TrialExecutor, TrialPipeline, TrialRecord,
+    aggregate_outcomes, validate_fault_model, CampaignAccumulator, CampaignResult, CampaignRun,
+    CampaignRunner, CampaignSpec, ErrorSpec, TrialConsumer, TrialExecutor, TrialPipeline,
+    TrialRecord,
 };
 pub use features::FeatureStore;
 pub use golden::{golden_cache_file_name, GoldenRun, GoldenStore, GOLDEN_CACHE_VERSION};

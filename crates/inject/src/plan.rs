@@ -29,7 +29,7 @@ pub enum Operand {
 ///
 /// The paper evaluates single-bit flips but explicitly keeps the model
 /// agnostic of the pattern; multi-bit flips are provided as the natural
-/// extension and exercised by the ablation benches.
+/// extension and exercised by `examples/ablations.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultPattern {
     /// Flip exactly one bit of the selected operand.

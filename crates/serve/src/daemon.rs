@@ -115,11 +115,7 @@ impl Journal {
                 continue; // torn tail write or foreign line: skip
             };
             match entry.op.as_str() {
-                "submit" => {
-                    if !live.contains(&entry.spec) {
-                        live.push(entry.spec);
-                    }
-                }
+                "submit" if !live.contains(&entry.spec) => live.push(entry.spec),
                 "cancel" => live.retain(|s| *s != entry.spec),
                 _ => {}
             }
@@ -444,7 +440,10 @@ fn stream_watch(
                 }
             }
             Ok(WatchEvent::Terminal { state, summary }) => {
-                let _ = protocol::write_line(writer, &Response::done(id, state.as_str(), summary));
+                let _ = protocol::write_line(
+                    writer,
+                    &Response::done(id, state.as_str(), summary.map(|s| *s)),
+                );
                 return true;
             }
             Err(mpsc::RecvTimeoutError::Timeout) => continue,

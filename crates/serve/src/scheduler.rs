@@ -81,8 +81,9 @@ pub enum WatchEvent {
     Terminal {
         /// Final state (never [`CampaignState::Running`]).
         state: CampaignState,
-        /// The final aggregates ([`CampaignState::Done`] only).
-        summary: Option<CampaignSummary>,
+        /// The final aggregates ([`CampaignState::Done`] only), boxed so
+        /// a progress event stays small.
+        summary: Option<Box<CampaignSummary>>,
     },
 }
 
@@ -153,7 +154,7 @@ impl Entry {
         }
         let terminal = WatchEvent::Terminal {
             state,
-            summary: self.summary.clone(),
+            summary: self.summary.clone().map(Box::new),
         };
         for watcher in self.watchers.drain(..) {
             let _ = watcher.send(terminal.clone());
@@ -439,7 +440,7 @@ impl Scheduler {
         } else {
             let _ = tx.send(WatchEvent::Terminal {
                 state: entry.state,
-                summary: entry.summary.clone(),
+                summary: entry.summary.clone().map(Box::new),
             });
         }
         Some(rx)

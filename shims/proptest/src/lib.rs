@@ -72,6 +72,14 @@ pub mod strategy {
         {
             Map { inner: self, f }
         }
+
+        /// Type-erase this strategy (an arm of a [`Union`]).
+        fn boxed(self) -> Box<dyn Strategy<Value = Self::Value>>
+        where
+            Self: Sized + 'static,
+        {
+            Box::new(self)
+        }
     }
 
     /// Strategy always producing one fixed value (`proptest::strategy::Just`).
@@ -194,10 +202,7 @@ pub use strategy::{Just, Strategy};
 #[macro_export]
 macro_rules! prop_oneof {
     ($($strat:expr),+ $(,)?) => {{
-        let mut __arms: ::std::vec::Vec<::std::boxed::Box<dyn $crate::Strategy<Value = _>>> =
-            ::std::vec::Vec::new();
-        $(__arms.push(::std::boxed::Box::new($strat));)+
-        $crate::strategy::Union::new(__arms)
+        $crate::strategy::Union::new(::std::vec![$($crate::Strategy::boxed($strat)),+])
     }};
 }
 
@@ -399,8 +404,17 @@ impl Default for ProptestConfig {
 #[doc(hidden)]
 pub const ASSUME_REJECT: &str = "__proptest_shim_assume__";
 
-/// Define property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running `cases` deterministic samples.
+/// Run one sampled case of a property body. The body is a closure so the
+/// `prop_assert*!` macros can `return` its failure.
+#[doc(hidden)]
+pub fn run_case(case: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    case()
+}
+
+/// Define property tests: each `#[test] fn name(pat in strategy, ...)
+/// { body }` becomes a test running `cases` deterministic samples. As
+/// with the real crate, the `#[test]` attribute is written at the call
+/// site; the macro passes attributes through and adds none.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -421,16 +435,13 @@ macro_rules! __proptest_fns {
      $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
             let mut __rng =
                 $crate::test_runner::TestRng::from_name(concat!(module_path!(), "::", stringify!($name)));
             for __case in 0..__cfg.cases {
                 $(let $pat = $crate::Strategy::sample(&$strat, &mut __rng);)*
-                let __outcome: ::std::result::Result<(), ::std::string::String> =
-                    (|| { $body ::std::result::Result::Ok(()) })();
-                match __outcome {
+                match $crate::run_case(|| { $body ::std::result::Result::Ok(()) }) {
                     ::std::result::Result::Ok(()) => {}
                     ::std::result::Result::Err(e) if e.starts_with($crate::ASSUME_REJECT) => {}
                     ::std::result::Result::Err(e) => {
@@ -532,12 +543,14 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
         fn ranges_stay_in_bounds(x in 3u64..10, y in -5i64..5, z in 0.0f64..1.0) {
             prop_assert!((3..10).contains(&x));
             prop_assert!((-5..5).contains(&y));
             prop_assert!((0.0..1.0).contains(&z), "z = {z}");
         }
 
+        #[test]
         fn vec_and_select(
             v in prop::collection::vec(0u32..7, 2..5),
             pick in prop::sample::select(vec![10usize, 20, 30]),
@@ -547,20 +560,24 @@ mod tests {
             prop_assert_eq!(pick % 10, 0);
         }
 
+        #[test]
         fn tuples_map_and_assume((a, b) in (0u32..100, 0u32..100).prop_map(|(x, y)| (x, x + y))) {
             prop_assume!(a % 7 != 0);
             prop_assert!(b >= a);
             prop_assert_ne!(a % 7, 0);
         }
 
+        #[test]
         fn f64_classes(x in prop::num::f64::NORMAL | prop::num::f64::SUBNORMAL | prop::num::f64::ZERO) {
             prop_assert!(x == 0.0 || x.is_normal() || x.is_subnormal());
         }
 
+        #[test]
         fn any_u64_covers_high_bits(x in any::<u64>()) {
             let _ = x;
         }
 
+        #[test]
         fn oneof_and_just(
             x in prop_oneof![
                 Just(0usize),
@@ -571,6 +588,7 @@ mod tests {
             prop_assert!(x == 0 || (10..=12).contains(&x) || x == 20 || x == 30, "x = {x}");
         }
 
+        #[test]
         fn inclusive_ranges_hit_both_ends(x in 5u8..=6) {
             prop_assert!(x == 5 || x == 6);
         }

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use resilim::core::{
-    bucket_of, cosine_similarity, rmse, sample_cases, sample_for, FiResult, ModelInputs, PaperEq8,
-    PropagationProfile, SamplePoints, TestOutcome,
+    bucket_of, cosine_similarity, prediction_error, rmse, sample_cases, sample_for, FiResult,
+    ModelInputs, OutcomeKind, PaperEq8, PropagationProfile, SamplePoints, StopRule, TestOutcome,
 };
 use std::collections::BTreeMap;
 
@@ -51,6 +51,53 @@ fn sampling_scales() -> impl Strategy<Value = (usize, usize)> {
         let p = s << extra.min(7 - ls);
         (p, s)
     })
+}
+
+/// One test outcome of any class, contaminating `0..max_contam` ranks
+/// (so out-of-range counts reach the profiles' clamping too).
+fn arbitrary_outcome(max_contam: usize) -> impl Strategy<Value = TestOutcome> {
+    (0u8..3, any::<bool>(), 0usize..max_contam).prop_map(|(kind, masked, c)| match kind {
+        0 => TestOutcome::success(masked, c, 1),
+        1 => TestOutcome::sdc(c, 1),
+        _ => TestOutcome::failure(resilim::core::FailureKind::Crash, c, 1),
+    })
+}
+
+/// Model inputs at `(p, s)`: serial results for every sample case and for
+/// x = 1..=s, then the small-scale per-contamination results (masked out
+/// where `observed` is false), then the parallel-unique result, all drawn
+/// in order from `fis`; the small-scale profile is `hist[..s]`.
+fn model_inputs(
+    (p, s): (usize, usize),
+    strategy: SamplePoints,
+    fis: &[FiResult],
+    observed: &[bool],
+    hist: &[u64],
+    unique_share: f64,
+    alpha_threshold: f64,
+) -> ModelInputs {
+    let mut it = fis.iter().copied();
+    let mut serial = BTreeMap::new();
+    for x in sample_cases(p, s, strategy).into_iter().chain(1..=s) {
+        serial.entry(x).or_insert_with(|| it.next().unwrap());
+    }
+    let mut small_prop = PropagationProfile::new(s);
+    small_prop.counts.copy_from_slice(&hist[..s]);
+    let small_by_contam = observed[..s]
+        .iter()
+        .map(|&seen| it.next().filter(|_| seen))
+        .collect();
+    ModelInputs {
+        p,
+        s,
+        strategy,
+        serial,
+        small_prop,
+        small_by_contam,
+        unique_share,
+        fi_unique: it.next(),
+        alpha_threshold,
+    }
 }
 
 proptest! {
@@ -320,5 +367,247 @@ proptest! {
         prop_assert!(rmse(&exact) < 1e-12);
         let offset: Vec<(f64, f64)> = values.iter().map(|&v| (v, v + off)).collect();
         prop_assert!((rmse(&offset) - off).abs() < 1e-9);
+    }
+
+    /// The per-trial error is a symmetric distance, and RMSE (Eq. 9) sits
+    /// between the mean and the largest per-trial error.
+    #[test]
+    fn rmse_is_bounded_by_mean_and_max_error(
+        pairs in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..30),
+    ) {
+        let errors: Vec<f64> = pairs.iter().map(|&(m, p)| prediction_error(m, p)).collect();
+        for (&(m, p), &e) in pairs.iter().zip(&errors) {
+            prop_assert!(e >= 0.0);
+            prop_assert_eq!(e, prediction_error(p, m));
+            prop_assert_eq!(prediction_error(m, m), 0.0);
+        }
+        let mean = errors.iter().sum::<f64>() / errors.len() as f64;
+        let max = errors.iter().copied().fold(0.0, f64::max);
+        let r = rmse(&pairs);
+        prop_assert!(mean <= r + 1e-12, "mean {} > rmse {}", mean, r);
+        prop_assert!(r <= max + 1e-12, "rmse {} > max {}", r, max);
+    }
+
+    /// Merging two deployments equals recording both sets of outcomes, and
+    /// the merged success rate is the count-weighted mean of the two.
+    #[test]
+    fn fi_merge_equals_recording_both(
+        a in prop::collection::vec(arbitrary_outcome(8), 0..40),
+        b in prop::collection::vec(arbitrary_outcome(8), 1..40),
+    ) {
+        let (fa, fb) = (FiResult::from_outcomes(&a), FiResult::from_outcomes(&b));
+        let mut merged = fa;
+        merged.merge(&fb);
+        prop_assert_eq!(merged, FiResult::from_outcomes(a.iter().chain(&b)));
+        let (na, nb) = (fa.total() as f64, fb.total() as f64);
+        let weighted = (na * fa.success_rate() + nb * fb.success_rate()) / (na + nb);
+        prop_assert!((merged.success_rate() - weighted).abs() < 1e-12);
+    }
+
+    /// A deployment's rates partition 1 (0 everywhere when empty), each
+    /// class's rate matches its slot in `rates()`, and only successes
+    /// can be masked.
+    #[test]
+    fn fi_rates_partition_and_masked_successes(
+        outcomes in prop::collection::vec(arbitrary_outcome(8), 0..60),
+    ) {
+        let fi = FiResult::from_outcomes(&outcomes);
+        prop_assert_eq!(fi.total(), outcomes.len() as u64);
+        let sum: f64 = fi.rates().iter().sum();
+        let expect = if outcomes.is_empty() { 0.0 } else { 1.0 };
+        prop_assert!((sum - expect).abs() < 1e-12, "rates sum to {}", sum);
+        for kind in OutcomeKind::ALL {
+            prop_assert_eq!(fi.rate(kind), fi.rates()[kind.index()]);
+        }
+        prop_assert!(fi.masked <= fi.counts[OutcomeKind::Success.index()]);
+        prop_assert_eq!(fi.masked, outcomes.iter().filter(|o| o.masked).count() as u64);
+    }
+
+    /// The Wilson interval lies in [0, 1], contains the observed rate, and
+    /// widens monotonically with the confidence multiplier.
+    #[test]
+    fn wilson_interval_brackets_the_rate(
+        fi in arbitrary_fi(),
+        z in 0.5f64..3.0,
+        dz in 0.0f64..2.0,
+    ) {
+        for kind in OutcomeKind::ALL {
+            let (lo, hi) = fi.wilson_ci(kind, z);
+            let rate = fi.rate(kind);
+            prop_assert!(0.0 <= lo && hi <= 1.0, "{}: ({}, {})", kind, lo, hi);
+            prop_assert!(lo <= rate + 1e-12 && rate <= hi + 1e-12,
+                "{}: rate {} outside ({}, {})", kind, rate, lo, hi);
+            let (wide_lo, wide_hi) = fi.wilson_ci(kind, z + dz);
+            prop_assert!(wide_lo <= lo + 1e-12 && hi <= wide_hi + 1e-12,
+                "{}: z {} gives ({}, {}), z {} gives ({}, {})",
+                kind, z, lo, hi, z + dz, wide_lo, wide_hi);
+        }
+    }
+
+    /// A stop rule is satisfied only past its trial floor and under its
+    /// width target, and relaxing either one never withdraws a stop.
+    #[test]
+    fn stop_rule_needs_floor_and_width(
+        fi in arbitrary_fi(),
+        target in 0.01f64..0.3,
+        min_tests in 0u64..400,
+    ) {
+        let rule = StopRule::new(target).with_min_tests(min_tests);
+        let widest = rule.widest_halfwidth(&fi);
+        prop_assert!((0.0..=0.5 + 1e-12).contains(&widest));
+        prop_assert_eq!(rule.satisfied(&fi), fi.total() >= min_tests && widest <= target);
+        prop_assert!(!rule.with_min_tests(fi.total() + 1).satisfied(&fi));
+        if rule.satisfied(&fi) {
+            prop_assert!(StopRule::new(target * 2.0).with_min_tests(min_tests).satisfied(&fi));
+            prop_assert!(rule.with_min_tests(min_tests / 2).satisfied(&fi));
+        }
+    }
+
+    /// A propagation profile clamps contamination into [1, p], merges like
+    /// the concatenation of its outcomes, and its `r` agrees with `r_vec`.
+    #[test]
+    fn propagation_profile_clamps_and_merges(
+        p in prop::sample::select(vec![1usize, 2, 4, 8, 16, 32, 64]),
+        a in prop::collection::vec(arbitrary_outcome(70), 0..40),
+        b in prop::collection::vec(arbitrary_outcome(70), 1..40),
+    ) {
+        let mut merged = PropagationProfile::from_outcomes(p, &a);
+        merged.merge(&PropagationProfile::from_outcomes(p, &b));
+        let all: Vec<TestOutcome> = a.into_iter().chain(b).collect();
+        prop_assert_eq!(&merged, &PropagationProfile::from_outcomes(p, &all));
+        prop_assert_eq!(merged.total(), all.len() as u64);
+        let at_most_one = all.iter().filter(|o| o.contaminated_ranks <= 1).count() as u64;
+        let at_least_p = all.iter().filter(|o| o.contaminated_ranks >= p).count() as u64;
+        prop_assert!(merged.counts[0] >= at_most_one);
+        prop_assert!(merged.counts[p - 1] >= at_least_p);
+        for x in 2..p {
+            let exact = all.iter().filter(|o| o.contaminated_ranks == x).count() as u64;
+            prop_assert_eq!(merged.counts[x - 1], exact);
+        }
+        let r = merged.r_vec();
+        prop_assert!((r.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        for x in 1..=p {
+            prop_assert_eq!(merged.r(x), r[x - 1]);
+        }
+        prop_assert_eq!(merged.r(0), 0.0);
+        prop_assert_eq!(merged.r(p + 1), 0.0);
+    }
+
+    /// The model reads its measurements only as rates: scaling every
+    /// count (serial, small-scale, unique, and the profile) by a power of
+    /// two leaves the prediction bitwise unchanged.
+    #[test]
+    fn prediction_is_invariant_to_count_scaling(
+        scale in scales(),
+        strategy in prop::sample::select(ALL_STRATEGIES.to_vec()),
+        fis in prop::collection::vec(arbitrary_fi(), 40),
+        observed in prop::collection::vec(any::<bool>(), 8),
+        hist in prop::collection::vec(1u64..100, 8),
+        unique_share in 0.0f64..0.3,
+        log_k in 1u32..5,
+    ) {
+        let k = 1u64 << log_k;
+        let scaled_fis: Vec<FiResult> = fis
+            .iter()
+            .map(|fi| FiResult { counts: fi.counts.map(|c| c * k), masked: fi.masked * k })
+            .collect();
+        let scaled_hist: Vec<u64> = hist.iter().map(|h| h * k).collect();
+        let base = PaperEq8::new(model_inputs(
+            scale, strategy, &fis, &observed, &hist, unique_share, 0.20,
+        ))
+        .predict();
+        let scaled = PaperEq8::new(model_inputs(
+            scale, strategy, &scaled_fis, &observed, &scaled_hist, unique_share, 0.20,
+        ))
+        .predict();
+        prop_assert_eq!(base.rates, scaled.rates);
+        prop_assert_eq!(base.common_rates, scaled.common_rates);
+        prop_assert_eq!(base.divergence, scaled.divergence);
+        prop_assert_eq!(base.used_alpha, scaled.used_alpha);
+        for (b, s) in base.per_bucket.iter().zip(&scaled.per_bucket) {
+            prop_assert_eq!((b.weight, b.rates, b.tuned), (s.weight, s.rates, s.tuned));
+        }
+    }
+
+    /// α fine-tuning (Eq. 8) is on exactly when the divergence exceeds
+    /// the threshold, and then replaces every observed bucket's serial
+    /// value with its small-scale result; otherwise each bucket keeps the
+    /// serial value at its sample case, weighted by the small profile.
+    #[test]
+    fn alpha_tuning_replaces_exactly_the_observed_buckets(
+        scale in scales(),
+        strategy in prop::sample::select(ALL_STRATEGIES.to_vec()),
+        fis in prop::collection::vec(arbitrary_fi(), 40),
+        observed in prop::collection::vec(any::<bool>(), 8),
+        hist in prop::collection::vec(1u64..100, 8),
+        alpha_threshold in 0.0f64..1.0,
+    ) {
+        let inputs = model_inputs(scale, strategy, &fis, &observed, &hist, 0.0, alpha_threshold);
+        let pred = PaperEq8::new(inputs.clone()).predict();
+        prop_assert_eq!(pred.used_alpha, pred.divergence > alpha_threshold);
+        let (p, s) = scale;
+        prop_assert_eq!(pred.per_bucket.len(), s);
+        let cases = sample_cases(p, s, strategy);
+        let weights = inputs.small_prop.r_vec();
+        for (j, term) in pred.per_bucket.iter().enumerate() {
+            prop_assert_eq!(term.bucket, j + 1);
+            prop_assert_eq!(term.sample_x, cases[j]);
+            prop_assert_eq!(term.weight, weights[j]);
+            match inputs.small_by_contam[j] {
+                Some(small) if pred.used_alpha => {
+                    prop_assert!(term.tuned);
+                    prop_assert_eq!(term.rates, small.rates());
+                }
+                _ => {
+                    prop_assert!(!term.tuned);
+                    prop_assert_eq!(term.rates, inputs.serial[&term.sample_x].rates());
+                }
+            }
+        }
+    }
+
+    /// When the small-scale run agrees with the serial one at every
+    /// contamination count, the divergence is zero and no bucket is tuned.
+    #[test]
+    fn agreeing_small_scale_never_tunes(
+        scale in scales(),
+        fis in prop::collection::vec(arbitrary_fi(), 40),
+        hist in prop::collection::vec(1u64..100, 8),
+    ) {
+        let (_, s) = scale;
+        let mut inputs = model_inputs(
+            scale, SamplePoints::BucketUpper, &fis, &[true; 8], &hist, 0.0, 0.20,
+        );
+        inputs.small_by_contam = (1..=s).map(|x| Some(inputs.serial[&x])).collect();
+        let pred = PaperEq8::new(inputs).predict();
+        prop_assert_eq!(pred.divergence, 0.0);
+        prop_assert!(!pred.used_alpha);
+        prop_assert!(pred.per_bucket.iter().all(|t| !t.tuned));
+    }
+
+    /// Eq. 1: the prediction mixes the common-computation rates and the
+    /// parallel-unique rates linearly in `unique_share`, and the common
+    /// term does not depend on it.
+    #[test]
+    fn unique_term_is_a_linear_mixture(
+        scale in scales(),
+        fis in prop::collection::vec(arbitrary_fi(), 40),
+        hist in prop::collection::vec(1u64..100, 8),
+        unique_share in 0.0f64..1.0,
+    ) {
+        let inputs = |share| model_inputs(
+            scale, SamplePoints::BucketUpper, &fis, &[true; 8], &hist, share, 0.20,
+        );
+        let mixed_inputs = inputs(unique_share);
+        let unique = mixed_inputs.fi_unique.unwrap().rates();
+        let common_only = PaperEq8::new(inputs(0.0)).predict();
+        let mixed = PaperEq8::new(mixed_inputs).predict();
+        prop_assert_eq!(common_only.rates, common_only.common_rates);
+        prop_assert_eq!(mixed.common_rates, common_only.common_rates);
+        for ((&rate, &common), &unique) in mixed.rates.iter().zip(&mixed.common_rates).zip(&unique) {
+            let expect = (1.0 - unique_share) * common + unique_share * unique;
+            prop_assert!((rate - expect).abs() < 1e-12);
+        }
+        prop_assert!((mixed.rates.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }
