@@ -11,6 +11,7 @@ use crate::case::CaseSpec;
 use crate::ops::SamplingOps;
 use resilim_core::{
     cosine_similarity, fit_predictor, ModelInputs, PaperEq8, PredictorKind, SamplePoints,
+    ALPHA_THRESHOLD,
 };
 use resilim_harness::{
     aggregate_outcomes, CampaignResult, CampaignRunner, CampaignSummary, ErrorSpec,
@@ -146,7 +147,9 @@ macro_rules! ensure {
 }
 
 /// Run every oracle against `case`, cheapest first, sharing one
-/// measured ground-truth campaign. `Ok(())` = the case is clean.
+/// measured ground-truth campaign, and one runner between the two
+/// divergence oracles so the model inputs are measured once.
+/// `Ok(())` = the case is clean.
 pub fn check_case(case: &CaseSpec, ops: &dyn SamplingOps) -> Result<(), Violation> {
     case.validate()
         .map_err(|e| Violation::new(Oracle::Distribution, e))?;
@@ -159,8 +162,9 @@ pub fn check_case(case: &CaseSpec, ops: &dyn SamplingOps) -> Result<(), Violatio
     ledger_roundtrip(case, &measured)?;
     serve_identity(case, &measured)?;
     fault_models(case, &measured)?;
-    model_divergence(case, &measured)?;
-    predictor_divergence(case, &measured)?;
+    let runner = CampaignRunner::new();
+    model_divergence(case, &measured, &runner)?;
+    predictor_divergence(case, &measured, &runner)?;
     Ok(())
 }
 
@@ -177,8 +181,12 @@ pub fn run_oracle(case: &CaseSpec, oracle: Oracle, ops: &dyn SamplingOps) -> Res
         Oracle::LedgerRoundtrip => ledger_roundtrip(case, &run_measured(case)?),
         Oracle::ServeIdentity => serve_identity(case, &run_measured(case)?),
         Oracle::FaultModels => fault_models(case, &run_measured(case)?),
-        Oracle::ModelDivergence => model_divergence(case, &run_measured(case)?),
-        Oracle::PredictorDivergence => predictor_divergence(case, &run_measured(case)?),
+        Oracle::ModelDivergence => {
+            model_divergence(case, &run_measured(case)?, &CampaignRunner::new())
+        }
+        Oracle::PredictorDivergence => {
+            predictor_divergence(case, &run_measured(case)?, &CampaignRunner::new())
+        }
     }
 }
 
@@ -695,10 +703,13 @@ pub fn divergence_bound(tests: usize) -> f64 {
 }
 
 /// Build the closed-form model's inputs from the case's serial +
-/// small-scale campaigns (cached across oracles through the runner's
+/// small-scale campaigns (cached across oracles through `runner`'s
 /// campaign cache). Shared by the two divergence oracles.
-fn eq8_inputs(case: &CaseSpec, o: Oracle) -> Result<ModelInputs, Violation> {
-    let runner = CampaignRunner::new();
+fn eq8_inputs(
+    case: &CaseSpec,
+    runner: &CampaignRunner,
+    o: Oracle,
+) -> Result<ModelInputs, Violation> {
     let mut serial = BTreeMap::new();
     let mut needed: Vec<usize> = resilim_core::sample_cases(case.procs, case.s, case.strategy);
     needed.extend(1..=case.s);
@@ -717,14 +728,18 @@ fn eq8_inputs(case: &CaseSpec, o: Oracle) -> Result<ModelInputs, Violation> {
         small_by_contam: small.by_contam_optional(),
         unique_share: 0.0,
         fi_unique: None,
-        alpha_threshold: 0.20,
+        alpha_threshold: ALPHA_THRESHOLD,
     })
 }
 
 /// Predicted-vs-measured divergence plus predictor distribution
 /// invariants, using the case's serial + small-scale campaigns as model
 /// inputs — the end-to-end differential test of the paper's pipeline.
-fn model_divergence(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
+fn model_divergence(
+    case: &CaseSpec,
+    m: &CampaignResult,
+    runner: &CampaignRunner,
+) -> Result<(), Violation> {
     resilim_core::verifies!(EQ1, EQ4, EQ6, O4);
     let o = Oracle::ModelDivergence;
     // Eq. 8 models the baseline single-bit-flip process; a measured
@@ -733,7 +748,7 @@ fn model_divergence(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation
     if !case.fault_model.is_default() || case.replicate {
         return Ok(());
     }
-    let pred = PaperEq8::new(eq8_inputs(case, o)?).predict();
+    let pred = PaperEq8::new(eq8_inputs(case, runner, o)?).predict();
     let sum: f64 = pred.rates.iter().sum();
     ensure!(o, (sum - 1.0).abs() < 1e-9, "predicted rates sum to {sum}");
     ensure!(
@@ -782,7 +797,11 @@ pub const IN_SAMPLE_BOUND: f64 = 0.15;
 ///   closed-form prediction built from the same case — by the triangle
 ///   inequality through the measured rates, gross disagreement means
 ///   one of the two predictors is broken.
-fn predictor_divergence(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
+fn predictor_divergence(
+    case: &CaseSpec,
+    m: &CampaignResult,
+    runner: &CampaignRunner,
+) -> Result<(), Violation> {
     resilim_core::verifies!(INV_PREDICT);
     let o = Oracle::PredictorDivergence;
     // Like model_divergence: eq8 models the baseline single-bit-flip
@@ -810,7 +829,7 @@ fn predictor_divergence(case: &CaseSpec, m: &CampaignResult) -> Result<(), Viola
         return Ok(()); // nothing to train on
     }
     let measured = m.fi.rates();
-    let eq8 = PaperEq8::new(eq8_inputs(case, o)?).predict();
+    let eq8 = PaperEq8::new(eq8_inputs(case, runner, o)?).predict();
     let bound = divergence_bound(case.tests) + IN_SAMPLE_BOUND;
     for kind in [PredictorKind::Logistic, PredictorKind::Stumps] {
         let model = fit_predictor(kind, &m.features)
@@ -888,7 +907,7 @@ mod tests {
         let case = CaseSpec::smoke_roster().remove(0);
         let measured = run_measured(&case).unwrap();
         assert_eq!(measured.features.len(), measured.outcomes.len());
-        predictor_divergence(&case, &measured).unwrap();
+        predictor_divergence(&case, &measured, &CampaignRunner::new()).unwrap();
     }
 
     #[test]
@@ -896,7 +915,7 @@ mod tests {
         let case = CaseSpec::smoke_roster().remove(0);
         let mut measured = run_measured(&case).unwrap();
         measured.features.pop();
-        let v = predictor_divergence(&case, &measured).unwrap_err();
+        let v = predictor_divergence(&case, &measured, &CampaignRunner::new()).unwrap_err();
         assert_eq!(v.oracle, Oracle::PredictorDivergence);
         assert!(v.message.contains("feature pipeline"), "{}", v.message);
     }

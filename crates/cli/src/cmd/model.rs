@@ -37,7 +37,7 @@ fn eq8(opts: &Options) -> Result<(), String> {
     let app = *opts.apps.first().ok_or("model needs --apps <one app>")?;
     let p = opts.scale.unwrap_or(LARGE_SCALE);
     let s = opts.small.unwrap_or(4);
-    let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default(), 0.0)?;
+    let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default())?;
     let pred = PaperEq8::new(inputs).predict();
     let text = format!(
         "predicted {app} at {p} ranks (from stored serial + {s}-rank data):\n  \
@@ -113,8 +113,7 @@ fn eq8_rates(opts: &Options) -> Option<[f64; 3]> {
     let app = *opts.apps.first()?;
     let p = opts.scale.unwrap_or(LARGE_SCALE);
     let s = opts.small.unwrap_or(4);
-    let inputs =
-        model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default(), 0.0).ok()?;
+    let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default()).ok()?;
     Some(rates(&PaperEq8::new(inputs).predict()))
 }
 

@@ -58,9 +58,13 @@ pub struct ModelInputs {
     /// computation (`FI_par_unique`); required when `unique_share > 0`.
     pub fi_unique: Option<FiResult>,
     /// Relative divergence (on the success rate) beyond which α
-    /// fine-tuning activates. The paper uses 0.20.
+    /// fine-tuning activates. The paper uses [`ALPHA_THRESHOLD`].
     pub alpha_threshold: f64,
 }
+
+/// The paper's α fine-tuning threshold (§4.2): serial-vs-small-scale
+/// divergence beyond 20 % switches the buckets to the small-scale results.
+pub const ALPHA_THRESHOLD: f64 = 0.20;
 
 /// One bucket's contribution to the prediction (for reporting).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]

@@ -6,8 +6,9 @@ use crate::golden::GoldenRun;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use resilim_core::{TrialFeatures, SPREAD_WINDOWS};
+use resilim_inject::fault::draw_operand;
 use resilim_inject::{
-    FailureKind, FaultPattern, InjectionPlan, Operand, RankCtx, Region, Target, TestOutcome,
+    FailureKind, FaultPattern, InjectionPlan, RankCtx, Region, Target, TestOutcome,
 };
 use resilim_simmpi::{MsgFault, PanicKind, RankOutcome, World};
 use std::collections::HashMap;
@@ -294,10 +295,7 @@ fn plan_test(
                 ErrorSpec::OneParallelMultiBit(k) => FaultPattern::MultiBit(k),
                 _ => FaultPattern::SingleBit,
             };
-            let targets = spec
-                .fault_model
-                .model()
-                .op_targets(rng, pattern, region, op_index);
+            let targets = spec.fault_model.op_targets(rng, pattern, region, op_index);
             plans.insert(rank, InjectionPlan::multi(targets));
         }
         ErrorSpec::OneParallelUnique => {
@@ -363,14 +361,6 @@ fn plan_test(
         }
     }
     (plans, None)
-}
-
-fn draw_operand(rng: &mut SmallRng) -> Operand {
-    if rng.gen_bool(0.5) {
-        Operand::A
-    } else {
-        Operand::B
-    }
 }
 
 #[cfg(test)]

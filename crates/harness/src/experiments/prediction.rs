@@ -7,7 +7,9 @@ use crate::campaign::{CampaignRunner, ErrorSpec};
 use crate::experiments::ExperimentConfig;
 use crate::report::{pct, Table};
 use resilim_apps::App;
-use resilim_core::{prediction_error, sample_cases, FiResult, ModelInputs, PaperEq8, SamplePoints};
+use resilim_core::{
+    prediction_error, sample_cases, FiResult, ModelInputs, PaperEq8, SamplePoints, ALPHA_THRESHOLD,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -168,7 +170,7 @@ pub fn build_inputs_spec(
         small_by_contam: small.by_contam_optional(),
         unique_share,
         fi_unique,
-        alpha_threshold: 0.20,
+        alpha_threshold: ALPHA_THRESHOLD,
     }
 }
 

@@ -276,15 +276,14 @@ impl ResultStore {
 ///
 /// Requires: serial campaigns (`SerialErrors(x)`) at every sample case of
 /// `(p, s, strategy)` plus `x = 1..=s`, and a 1-error campaign at `s`
-/// ranks. Uses a parallel-unique campaign at `s` ranks plus
-/// `unique_share` when provided.
+/// ranks. The offline path predicts without Eq. 1's parallel-unique term:
+/// `unique_share` is 0, so no parallel-unique campaign is read.
 pub fn model_inputs_from_store(
     store: &ResultStore,
     app: &str,
     p: usize,
     s: usize,
     strategy: resilim_core::SamplePoints,
-    unique_share: f64,
 ) -> Result<resilim_core::ModelInputs, String> {
     let all = store
         .load_all()
@@ -314,16 +313,6 @@ pub fn model_inputs_from_store(
         .ok_or(format!(
             "store is missing the {s}-rank 1-error campaign for {app}"
         ))?;
-    let fi_unique = all
-        .iter()
-        .filter(baseline)
-        .find(|sum| sum.app == app && sum.procs == s && sum.errors == ErrorSpec::OneParallelUnique)
-        .map(|sum| sum.fi);
-    let unique_share = if fi_unique.is_some() {
-        unique_share
-    } else {
-        0.0
-    };
     Ok(resilim_core::ModelInputs {
         p,
         s,
@@ -331,9 +320,9 @@ pub fn model_inputs_from_store(
         serial,
         small_prop: small.prop.clone(),
         small_by_contam: small.by_contam_optional(),
-        unique_share,
-        fi_unique,
-        alpha_threshold: 0.20,
+        unique_share: 0.0,
+        fi_unique: None,
+        alpha_threshold: resilim_core::ALPHA_THRESHOLD,
     })
 }
 
@@ -424,29 +413,17 @@ mod tests {
         store.save(&CampaignSummary::of(&spec, &result)).unwrap();
 
         // Offline: rebuild the inputs and predict.
-        let inputs = model_inputs_from_store(
-            &store,
-            "lu",
-            p,
-            s,
-            resilim_core::SamplePoints::BucketUpper,
-            0.0,
-        )
-        .unwrap();
+        let inputs =
+            model_inputs_from_store(&store, "lu", p, s, resilim_core::SamplePoints::BucketUpper)
+                .unwrap();
         let pred = resilim_core::PaperEq8::new(inputs).predict();
         let total: f64 = pred.rates.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
 
         // Missing data is reported, not panicked.
-        let err = model_inputs_from_store(
-            &store,
-            "cg",
-            p,
-            s,
-            resilim_core::SamplePoints::BucketUpper,
-            0.0,
-        )
-        .unwrap_err();
+        let err =
+            model_inputs_from_store(&store, "cg", p, s, resilim_core::SamplePoints::BucketUpper)
+                .unwrap_err();
         assert!(err.contains("missing"), "{err}");
         std::fs::remove_dir_all(store.dir()).unwrap();
     }

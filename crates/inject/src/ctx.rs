@@ -9,12 +9,13 @@
 //! ## Hot path
 //!
 //! The hooks run on *every* tracked floating-point operation, so their
-//! common case is the throughput floor of the whole campaign engine. The
-//! installed context lives exploded into thread-local cells (`HotCtx`):
+//! common case is the throughput floor of the whole campaign engine. A
+//! [`RankCtx`] is the form the context runs in: hot cells (`HotCtx`),
 //! plain `Cell`s for everything the per-op path reads or writes (region,
-//! op budgets, contamination flag) and a `RefCell` only for the cold state
-//! (target queues, fired records, rank id). The per-op path therefore
-//! never borrows a `RefCell`, never allocates, and never calls through a
+//! op budgets, contamination flag, rank id) and the per-message counters,
+//! plus a cold half (`ColdCtx`: target queues, fired records) that sits
+//! behind a `RefCell` while installed. The per-op path therefore never
+//! borrows a `RefCell`, never allocates, and never calls through a
 //! function pointer.
 //!
 //! What the per-op path has to answer is "is this the op to fire at, or
@@ -33,12 +34,16 @@
 //! bumped per op would read. Firing an injection, tripping the hang
 //! guard, and first-contamination marking are outlined `#[cold]`
 //! functions.
-//! [`install`]/[`take`] convert between the packed [`RankCtx`] and the
-//! exploded form at rank boundaries — two points per trial, off the hot
-//! path. Ranks that share a thread as coroutines trade places far more
-//! often (every blocking receive), and for that nothing is converted:
-//! [`park`]/[`unpark`] lift the exploded form off the thread and put it
-//! back as it is.
+//!
+//! The cells are armed where the limits they are armed from change:
+//! [`RankCtx::new`] arms them, and [`RankCtx::with_op_cap`] /
+//! [`RankCtx::with_op_mask`] re-arm them from the exact counts.
+//! [`install`] copies the cells onto the thread and moves the cold half
+//! in; [`take`] copies them out and moves the cold half out. Neither
+//! counts, packs or re-arms, so a context leaves its thread and comes
+//! back exactly as it was — at a rank's entry and exit, and at every
+//! coroutine handoff between ranks that share a thread (every blocking
+//! receive).
 
 use crate::mask::OpMask;
 use crate::plan::{InjectionPlan, Operand, Target};
@@ -121,62 +126,14 @@ pub const HANG_GUARD_MSG: &str = "resilim: hang guard tripped (op budget exceede
 /// failure rather than a crash.
 pub const DUE_MSG: &str = "resilim: detected uncorrectable error (rank killed)";
 
-/// Per-rank fault-injection context.
+/// Per-rank fault-injection context, in the form it runs in: the hot
+/// cells the hooks read and the cold half the fire paths borrow (see the
+/// module docs). [`install`] puts both on the thread, [`take`] lifts them
+/// off again.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 pub struct RankCtx {
-    rank: usize,
-    region: Region,
-    /// Per-region, per-kind op counters. The total op count and the
-    /// per-region injectable counts (the target index space) are sums of
-    /// these, the second over `op_mask`.
-    per_kind: [[u64; 5]; 2],
-    /// Pending targets per region, ascending op_index.
-    queues: [VecDeque<Target>; 2],
-    /// Op-index of the front pending target per region (`u64::MAX` when
-    /// the queue is empty). The op budgets are armed from this; the queue
-    /// is only touched when an injection is due.
-    next_pending: [u64; 2],
-    fired: Vec<FiredRecord>,
-    planned: usize,
-    contaminated: bool,
-    /// Relative significance threshold for *contamination marking*: a rank
-    /// counts as contaminated only when it holds a value whose corrupted
-    /// and shadow worlds differ by more than this relative amount. Zero
-    /// (the default) means any bitwise difference contaminates. Value
-    /// taint itself stays bit-exact regardless.
-    taint_threshold: f64,
-    /// Which operation kinds are injection targets (and counted in the
-    /// per-region `injectable` index space).
-    op_mask: OpMask,
-    /// Abort (panic) when total tracked ops exceed this budget.
-    /// `u64::MAX` means uncapped (a budget of 2^64 ops could never trip
-    /// within a process lifetime anyway).
-    op_cap: u64,
-    hang_guard_tripped: bool,
-    /// DUE semantics: panic (with [`DUE_MSG`]) at the firing op instead of
-    /// continuing with the corrupted value.
-    kill_on_fire: bool,
-    /// Replica-compare detection (TeaMPI-style): the shadow world doubles
-    /// as the clean replica, and every message payload is compared between
-    /// worlds at the send/receive points.
-    replicate: bool,
-    detected: bool,
-    /// Numeric messages this rank sent through the fabric.
-    msgs_sent: u64,
-    /// Wire faults fired on this rank's outgoing messages.
-    wire_fired: u64,
-    /// Numeric messages this rank received through the fabric.
-    msgs_recvd: u64,
-    /// Received messages carrying significant taint (crossings).
-    tainted_msgs_recvd: u64,
-    /// Tracked-op index at first contamination (`u64::MAX` = never): the
-    /// snapshot behind the feature pipeline's spread trajectory. Written
-    /// only inside the already-cold first-contamination paths.
-    first_contam_op: u64,
-    /// Messages sent when first contaminated.
-    msgs_sent_at_contam: u64,
-    /// Messages received when first contaminated.
-    msgs_recvd_at_contam: u64,
+    hot: HotCtx,
+    cold: ColdCtx,
 }
 
 /// Whether a (corrupted, shadow) pair differs *significantly* at relative
@@ -201,35 +158,19 @@ impl RankCtx {
     /// New context for `rank` with an injection plan.
     pub fn new(rank: usize, plan: InjectionPlan) -> Self {
         let planned = plan.len();
-        let queues = plan.into_queues();
-        let next_pending = [
-            queues[0].front().map_or(u64::MAX, |t| t.op_index),
-            queues[1].front().map_or(u64::MAX, |t| t.op_index),
-        ];
-        RankCtx {
-            rank,
-            region: Region::Common,
-            per_kind: [[0; 5]; 2],
-            queues,
-            next_pending,
-            fired: Vec::new(),
+        let cold = ColdCtx {
+            queues: plan.into_queues(),
             planned,
-            contaminated: false,
-            taint_threshold: 0.0,
-            op_mask: OpMask::FP_ARITH,
-            op_cap: u64::MAX,
-            hang_guard_tripped: false,
-            kill_on_fire: false,
-            replicate: false,
-            detected: false,
-            msgs_sent: 0,
-            wire_fired: 0,
-            msgs_recvd: 0,
-            tainted_msgs_recvd: 0,
-            first_contam_op: u64::MAX,
-            msgs_sent_at_contam: 0,
-            msgs_recvd_at_contam: 0,
+            ..ColdCtx::new()
+        };
+        let hot = HotCtx::new();
+        hot.installed.set(true);
+        hot.rank.set(rank);
+        for (next, queue) in hot.next_pending.iter().zip(&cold.queues) {
+            next.set(queue.front().map_or(u64::MAX, |t| t.op_index));
         }
+        hot.rearm();
+        RankCtx { hot, cold }
     }
 
     /// Profiling context: counts ops, injects nothing.
@@ -239,64 +180,61 @@ impl RankCtx {
 
     /// Set the hang-guard budget: the context panics (with
     /// [`HANG_GUARD_MSG`]) once more than `cap` tracked ops execute.
-    pub fn with_op_cap(mut self, cap: u64) -> Self {
-        self.op_cap = cap;
+    /// Re-arms the budget cells from the exact counts, so a context that
+    /// has already run may be re-capped.
+    pub fn with_op_cap(self, cap: u64) -> Self {
+        self.hot.op_cap.set(cap);
+        self.hot.rearm();
         self
     }
 
     /// Set the relative significance threshold for contamination marking
     /// (see [`significant_divergence`]). Zero means bitwise.
-    pub fn with_taint_threshold(mut self, theta: f64) -> Self {
-        self.taint_threshold = theta;
+    pub fn with_taint_threshold(self, theta: f64) -> Self {
+        self.hot.taint_threshold.set(theta);
         self
     }
 
     /// The contamination significance threshold.
     pub fn taint_threshold(&self) -> f64 {
-        self.taint_threshold
+        self.hot.taint_threshold.get()
     }
 
     /// Set which operation kinds are injection targets. The default is
     /// the paper's floating-point add/sub/mul; the index space of plan
     /// targets is counted over exactly this set, so plans and profiles
-    /// must use the same mask.
-    pub fn with_op_mask(mut self, mask: OpMask) -> Self {
-        self.op_mask = mask;
+    /// must use the same mask. Re-arms the budget cells from the exact
+    /// counts, so a context that has already run may be re-masked.
+    pub fn with_op_mask(self, mask: OpMask) -> Self {
+        self.hot.mask.set(mask);
+        self.hot.rearm();
         self
     }
 
     /// The injectable-operation mask.
     pub fn op_mask(&self) -> OpMask {
-        self.op_mask
+        self.hot.mask.get()
     }
 
     /// Arm DUE semantics: a fired fault kills the rank (panic with
     /// [`DUE_MSG`]) instead of silently continuing. The fault is recorded
     /// and the rank marked contaminated before the kill.
     pub fn with_kill_on_fire(mut self, kill: bool) -> Self {
-        self.kill_on_fire = kill;
+        self.cold.kill_on_fire = kill;
         self
     }
 
     /// Enable replica payload comparison: every message payload this rank
     /// sends or receives is compared against the shadow (replica) world,
     /// and the first significant divergence sets the `detected` flag.
-    pub fn with_replication(mut self, replicate: bool) -> Self {
-        self.replicate = replicate;
+    pub fn with_replication(self, replicate: bool) -> Self {
+        self.hot.replicate.set(replicate);
         self
-    }
-
-    /// Mark the rank contaminated if the value pair diverges significantly.
-    #[inline]
-    pub fn observe(&mut self, value: Tf64) {
-        if significant_divergence(value.value(), value.shadow(), self.taint_threshold) {
-            self.mark_contaminated();
-        }
     }
 
     /// Rank id.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.hot.rank.get()
     }
 
     /// Extract the final report.
@@ -315,89 +253,104 @@ impl RankCtx {
             );
             obs::observe(obs::Hist::OpsPerRank, profile.total());
         }
+        let h = &self.hot;
+        let first_contam_op = h.first_contam_op.get();
         CtxReport {
-            rank: self.rank,
+            rank: h.rank.get(),
             profile,
-            fired: self.fired,
-            planned: self.planned,
-            contaminated: self.contaminated,
-            hang_guard_tripped: self.hang_guard_tripped,
-            detected: self.detected,
-            wire_fired: self.wire_fired,
-            msgs_recvd: self.msgs_recvd,
-            tainted_msgs_recvd: self.tainted_msgs_recvd,
-            first_contam_op: (self.first_contam_op != u64::MAX).then_some(self.first_contam_op),
-            msgs_sent_at_contam: self.msgs_sent_at_contam,
-            msgs_recvd_at_contam: self.msgs_recvd_at_contam,
+            fired: self.cold.fired,
+            planned: self.cold.planned,
+            contaminated: h.contaminated.get(),
+            hang_guard_tripped: self.cold.hang_guard_tripped,
+            detected: h.detected.get(),
+            wire_fired: h.wire_fired.get(),
+            msgs_recvd: h.msgs_recvd.get(),
+            tainted_msgs_recvd: h.tainted_msgs_recvd.get(),
+            first_contam_op: (first_contam_op != u64::MAX).then_some(first_contam_op),
+            msgs_sent_at_contam: h.msgs_sent_at_contam.get(),
+            msgs_recvd_at_contam: h.msgs_recvd_at_contam.get(),
         }
     }
 
     /// Current op profile snapshot.
     pub fn profile(&self) -> OpProfile {
+        let mask = self.hot.mask.get();
         let mut p = OpProfile::default();
-        for (counts, per_kind) in p.regions.iter_mut().zip(self.per_kind) {
+        for (counts, per_kind) in p.regions.iter_mut().zip(self.hot.per_kind()) {
             counts.per_kind = per_kind;
-            counts.injectable = masked_sum(&per_kind, self.op_mask);
+            counts.injectable = masked_sum(&per_kind, mask);
         }
-        p.msgs_sent = self.msgs_sent;
+        p.msgs_sent = self.hot.msgs_sent.get();
         p
     }
 
     /// Whether the rank has been contaminated so far.
     pub fn is_contaminated(&self) -> bool {
-        self.contaminated
-    }
-
-    /// Mark the rank contaminated (called on tainted values and tainted
-    /// incoming messages).
-    #[inline]
-    pub fn mark_contaminated(&mut self) {
-        if !self.contaminated {
-            self.contaminated = true;
-            if self.first_contam_op == u64::MAX {
-                self.first_contam_op = self.per_kind.iter().flatten().sum();
-                self.msgs_sent_at_contam = self.msgs_sent;
-                self.msgs_recvd_at_contam = self.msgs_recvd;
-            }
-            if obs::enabled() {
-                obs::count(obs::Counter::TaintBorn, 1);
-                obs::emit(&obs::Event::TaintBorn { rank: self.rank });
-            }
-        }
+        self.hot.contaminated.get()
     }
 }
 
-/// Cold half of the active context: everything the per-op fast path never
-/// touches. Behind the thread-local's only `RefCell`, borrowed exclusively
-/// from `#[cold]` outlined paths and at install/take boundaries.
-#[derive(Default)]
+/// Cold half of a context: everything the per-op fast path never
+/// touches. Installed, it is behind the thread-local's only `RefCell`,
+/// borrowed exclusively from `#[cold]` outlined paths.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct ColdCtx {
-    rank: usize,
     /// Pending targets per region, ascending op_index.
     queues: [VecDeque<Target>; 2],
     fired: Vec<FiredRecord>,
     planned: usize,
     hang_guard_tripped: bool,
-    /// DUE semantics: kill the rank at the firing op. Only read on the
+    /// DUE semantics: panic (with [`DUE_MSG`]) at the firing op instead
+    /// of continuing with the corrupted value. Only read on the
     /// already-cold fire paths.
     kill_on_fire: bool,
 }
 
-/// The installed context in exploded form (see module docs): `Cell`s for
-/// the per-op fast path. Contains no `Drop` types, so the `thread_local!`
-/// const-init fast path applies: accessing it is a direct TLS load with no
-/// lazy-initialization or destructor-registration branch. The cold half
-/// lives in the separate `COLD` thread-local.
+impl ColdCtx {
+    /// Nothing planned or fired: a fresh thread's cold half, and the one
+    /// [`RankCtx::new`] starts from.
+    const fn new() -> ColdCtx {
+        ColdCtx {
+            queues: [VecDeque::new(), VecDeque::new()],
+            fired: Vec::new(),
+            planned: 0,
+            hang_guard_tripped: false,
+            kill_on_fire: false,
+        }
+    }
+}
+
+/// Hot cells of a context (see module docs): `Cell`s for the per-op fast
+/// path and the per-message counters. Contains no `Drop` types, so the
+/// `thread_local!` const-init fast path applies: accessing the installed
+/// cells is a direct TLS load with no lazy-initialization or
+/// destructor-registration branch. The cold half lives in the separate
+/// `COLD` thread-local.
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct HotCtx {
+    /// Whether these cells are a context. [`RankCtx::new`] sets it, so it
+    /// travels with the other cells; [`take`] clears it on the thread.
     installed: Cell<bool>,
+    rank: Cell<usize>,
     region: Cell<Region>,
+    /// Which operation kinds are injection targets (and counted in the
+    /// per-region injectable index space).
     mask: Cell<OpMask>,
     contaminated: Cell<bool>,
+    /// Relative significance threshold for *contamination marking*: a rank
+    /// counts as contaminated only when it holds a value whose corrupted
+    /// and shadow worlds differ by more than this relative amount. Zero
+    /// (the default) means any bitwise difference contaminates. Value
+    /// taint itself stays bit-exact regardless.
     taint_threshold: Cell<f64>,
+    /// Hang-guard budget: abort once total tracked ops exceed it.
     /// `u64::MAX` = uncapped. Read when the budgets are re-armed, never
     /// per op.
     op_cap: Cell<u64>,
+    /// Op-index of the front pending target per region (`u64::MAX` when
+    /// the queue is empty). The budgets are armed from this; the queue is
+    /// only touched when an injection is due.
     next_pending: [Cell<u64>; 2],
     /// Budget cells: ops of `(region, kind)` that may still run before the
     /// next one has to go through [`checked_op`]. The only cells the
@@ -407,29 +360,48 @@ struct HotCtx {
     /// [`checked_op`] included: `granted − budget` is the exact number of
     /// ops of that region and kind executed so far.
     granted: [[Cell<u64>; 5]; 2],
-    /// Replica-compare detection state. Touched per *message*, never per
+    /// Replica-compare detection (TeaMPI-style): the shadow world doubles
+    /// as the clean replica, and every message payload is compared between
+    /// worlds at the send/receive points. Touched per *message*, never per
     /// op — the hook fast path does not read these.
     replicate: Cell<bool>,
     detected: Cell<bool>,
     msgs_sent: Cell<u64>,
     wire_fired: Cell<u64>,
     /// Feature counters (see [`CtxReport`]). Touched per message or inside
-    /// the already-`#[cold]` first-contamination paths — never per op.
+    /// the already-`#[cold]` [`contaminate`] — never per op.
     msgs_recvd: Cell<u64>,
     tainted_msgs_recvd: Cell<u64>,
+    /// Tracked-op index at first contamination (`u64::MAX` = never).
     first_contam_op: Cell<u64>,
     msgs_sent_at_contam: Cell<u64>,
     msgs_recvd_at_contam: Cell<u64>,
 }
 
 impl HotCtx {
-    /// Snapshot the first-contamination feature counters (idempotent; part
-    /// of every first-contamination path).
-    fn snapshot_first_contam(&self) {
-        if self.first_contam_op.get() == u64::MAX {
-            self.first_contam_op.set(self.total_ops());
-            self.msgs_sent_at_contam.set(self.msgs_sent.get());
-            self.msgs_recvd_at_contam.set(self.msgs_recvd.get());
+    /// Not a context, nothing counted or armed: a fresh thread's cells,
+    /// and the ones [`RankCtx::new`] starts from.
+    const fn new() -> HotCtx {
+        HotCtx {
+            installed: Cell::new(false),
+            rank: Cell::new(0),
+            region: Cell::new(Region::Common),
+            mask: Cell::new(OpMask::FP_ARITH),
+            contaminated: Cell::new(false),
+            taint_threshold: Cell::new(0.0),
+            op_cap: Cell::new(u64::MAX),
+            next_pending: [const { Cell::new(u64::MAX) }; 2],
+            budget: [const { [const { Cell::new(0) }; 5] }; 2],
+            granted: [const { [const { Cell::new(0) }; 5] }; 2],
+            replicate: Cell::new(false),
+            detected: Cell::new(false),
+            msgs_sent: Cell::new(0),
+            wire_fired: Cell::new(0),
+            msgs_recvd: Cell::new(0),
+            tainted_msgs_recvd: Cell::new(0),
+            first_contam_op: Cell::new(u64::MAX),
+            msgs_sent_at_contam: Cell::new(0),
+            msgs_recvd_at_contam: Cell::new(0),
         }
     }
 
@@ -500,10 +472,11 @@ impl HotCtx {
         }
     }
 
-    /// Overwrite every cell with `src`'s: the block move behind
-    /// [`unpark`] (a `&HotCtx` cannot be assigned to as a whole).
+    /// Overwrite every cell with `src`'s: how [`install`] puts a context's
+    /// cells on the thread (a `&HotCtx` cannot be assigned to as a whole).
     fn copy_from(&self, src: &HotCtx) {
         self.installed.set(src.installed.get());
+        self.rank.set(src.rank.get());
         self.region.set(src.region.get());
         self.mask.set(src.mask.get());
         self.contaminated.set(src.contaminated.get());
@@ -527,168 +500,55 @@ impl HotCtx {
         self.msgs_recvd_at_contam
             .set(src.msgs_recvd_at_contam.get());
     }
-
-    /// Explode a packed context into the cells. Caller must have cleared
-    /// any previously installed context.
-    fn set(&self, ctx: RankCtx) {
-        self.installed.set(true);
-        self.region.set(ctx.region);
-        self.mask.set(ctx.op_mask);
-        self.contaminated.set(ctx.contaminated);
-        self.taint_threshold.set(ctx.taint_threshold);
-        self.op_cap.set(ctx.op_cap);
-        for i in 0..2 {
-            self.next_pending[i].set(ctx.next_pending[i]);
-        }
-        self.arm(ctx.per_kind);
-        self.replicate.set(ctx.replicate);
-        self.detected.set(ctx.detected);
-        self.msgs_sent.set(ctx.msgs_sent);
-        self.wire_fired.set(ctx.wire_fired);
-        self.msgs_recvd.set(ctx.msgs_recvd);
-        self.tainted_msgs_recvd.set(ctx.tainted_msgs_recvd);
-        self.first_contam_op.set(ctx.first_contam_op);
-        self.msgs_sent_at_contam.set(ctx.msgs_sent_at_contam);
-        self.msgs_recvd_at_contam.set(ctx.msgs_recvd_at_contam);
-        COLD.with(|c| {
-            *c.borrow_mut() = ColdCtx {
-                rank: ctx.rank,
-                queues: ctx.queues,
-                fired: ctx.fired,
-                planned: ctx.planned,
-                hang_guard_tripped: ctx.hang_guard_tripped,
-                kill_on_fire: ctx.kill_on_fire,
-            }
-        });
-    }
-
-    /// Re-pack the cells into a context, clearing the installed flag.
-    fn clear(&self) -> Option<RankCtx> {
-        if !self.installed.get() {
-            return None;
-        }
-        self.installed.set(false);
-        let cold = COLD.with(|c| std::mem::take(&mut *c.borrow_mut()));
-        Some(RankCtx {
-            rank: cold.rank,
-            region: self.region.get(),
-            per_kind: self.per_kind(),
-            queues: cold.queues,
-            next_pending: [self.next_pending[0].get(), self.next_pending[1].get()],
-            fired: cold.fired,
-            planned: cold.planned,
-            contaminated: self.contaminated.get(),
-            taint_threshold: self.taint_threshold.get(),
-            op_mask: self.mask.get(),
-            op_cap: self.op_cap.get(),
-            hang_guard_tripped: cold.hang_guard_tripped,
-            kill_on_fire: cold.kill_on_fire,
-            replicate: self.replicate.get(),
-            detected: self.detected.get(),
-            msgs_sent: self.msgs_sent.get(),
-            wire_fired: self.wire_fired.get(),
-            msgs_recvd: self.msgs_recvd.get(),
-            tainted_msgs_recvd: self.tainted_msgs_recvd.get(),
-            first_contam_op: self.first_contam_op.get(),
-            msgs_sent_at_contam: self.msgs_sent_at_contam.get(),
-            msgs_recvd_at_contam: self.msgs_recvd_at_contam.get(),
-        })
-    }
 }
 
 thread_local! {
-    /// Hot half: every field is a `Cell` of a `Copy` type (no destructor),
-    /// so `ACTIVE.with` compiles down to direct thread-local loads/stores.
-    static ACTIVE: HotCtx = const {
-        HotCtx {
-            installed: Cell::new(false),
-            region: Cell::new(Region::Common),
-            mask: Cell::new(OpMask::empty()),
-            contaminated: Cell::new(false),
-            taint_threshold: Cell::new(0.0),
-            op_cap: Cell::new(u64::MAX),
-            next_pending: [Cell::new(u64::MAX), Cell::new(u64::MAX)],
-            budget: [
-                [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
-                [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
-            ],
-            granted: [
-                [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
-                [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
-            ],
-            replicate: Cell::new(false),
-            detected: Cell::new(false),
-            msgs_sent: Cell::new(0),
-            wire_fired: Cell::new(0),
-            msgs_recvd: Cell::new(0),
-            tainted_msgs_recvd: Cell::new(0),
-            first_contam_op: Cell::new(u64::MAX),
-            msgs_sent_at_contam: Cell::new(0),
-            msgs_recvd_at_contam: Cell::new(0),
-        }
-    };
+    /// The installed context's hot cells: every field is a `Cell` of a
+    /// `Copy` type (no destructor), so `ACTIVE.with` compiles down to
+    /// direct thread-local loads/stores.
+    static ACTIVE: HotCtx = const { HotCtx::new() };
 
-    /// Cold half: target queues, fired records, rank id. Only touched by
-    /// `#[cold]` outlined paths and at install/take boundaries.
-    static COLD: RefCell<ColdCtx> = const {
-        RefCell::new(ColdCtx {
-            rank: 0,
-            queues: [VecDeque::new(), VecDeque::new()],
-            fired: Vec::new(),
-            planned: 0,
-            hang_guard_tripped: false,
-            kill_on_fire: false,
-        })
-    };
+    /// The installed context's cold half. Only touched by `#[cold]`
+    /// outlined paths and by [`install`]/[`take`].
+    static COLD: RefCell<ColdCtx> = const { RefCell::new(ColdCtx::new()) };
 }
 
-/// Install a context on the current thread, returning the previous one.
+/// Install a context on the current thread, returning the one it
+/// displaces. The cells are copied in and the cold half is moved in, as
+/// they are: nothing is re-armed, summed or allocated.
 pub fn install(ctx: RankCtx) -> Option<RankCtx> {
-    ACTIVE.with(|h| {
-        let prev = h.clear();
-        h.set(ctx);
-        prev
-    })
+    // A rank switching back in finds nothing installed. Returning a
+    // literal `None` there, not a local that held `take()`'s result,
+    // spares every handoff a copy of the whole `Option<RankCtx>`.
+    if !is_installed() {
+        put(ctx);
+        return None;
+    }
+    let prev = take();
+    put(ctx);
+    prev
 }
 
-/// Remove and return the current thread's context.
+/// Copy `ctx`'s cells onto the thread and move its cold half in.
+fn put(ctx: RankCtx) {
+    ACTIVE.with(|h| h.copy_from(&ctx.hot));
+    COLD.with(|c| *c.borrow_mut() = ctx.cold);
+}
+
+/// Remove and return the current thread's context, leaving none
+/// installed. The cells are copied out and the cold half is moved out
+/// (its buffers change hands by pointer), so [`install`] puts the context
+/// back exactly as it was — whatever ran on the thread in between.
 pub fn take() -> Option<RankCtx> {
-    ACTIVE.with(|h| h.clear())
-}
-
-/// An installed context lifted off its thread by [`park`], in the
-/// exploded form it runs in: the hot cells as one block, the cold half
-/// (target queues, fired records) moved — their buffers change hands by
-/// pointer, nothing is re-packed, cloned or allocated.
-pub struct Parked {
-    hot: HotCtx,
-    cold: ColdCtx,
-}
-
-/// Lift the installed context (if any) off the current thread, leaving
-/// none installed, so that another rank can run on it; [`unpark`] puts
-/// it back exactly as it was. The pair is what a coroutine rank switch
-/// costs; [`take`]/[`install`] remain the way in and out of a rank.
-pub fn park() -> Option<Parked> {
     ACTIVE.with(|h| {
         if !h.installed.get() {
             return None;
         }
         let hot = h.clone();
         h.installed.set(false);
-        let cold = COLD.with(|c| c.take());
-        Some(Parked { hot, cold })
+        let cold = COLD.with(|c| c.replace(ColdCtx::new()));
+        Some(RankCtx { hot, cold })
     })
-}
-
-/// Put a [`park`]ed context back on the current thread, which must have
-/// none installed (whoever ran in between parked or took its own).
-pub fn unpark(parked: Parked) {
-    ACTIVE.with(|h| {
-        assert!(!h.installed.get(), "unpark over an installed context");
-        h.copy_from(&parked.hot);
-        COLD.with(|c| c.replace(parked.cold));
-    });
 }
 
 /// Whether a context is installed on this thread.
@@ -698,8 +558,8 @@ pub fn is_installed() -> bool {
 
 /// Run `f` with mutable access to the installed context (if any).
 ///
-/// The context is re-packed for the duration of `f`; tracked arithmetic
-/// performed *inside* `f` runs context-free.
+/// The context is taken off the thread for the duration of `f`; tracked
+/// arithmetic performed *inside* `f` runs context-free.
 pub fn with<R>(f: impl FnOnce(&mut RankCtx) -> R) -> Option<R> {
     let mut ctx = take()?;
     let r = f(&mut ctx);
@@ -819,7 +679,7 @@ pub fn note_wire_fired(msg_index: u64, bit: u8) {
         if obs::enabled() {
             obs::count(obs::Counter::MsgFaultsFired, 1);
             obs::emit(&obs::Event::WireFaultFired {
-                rank: COLD.with(|c| c.borrow().rank),
+                rank: h.rank.get(),
                 msg_index,
                 bit,
             });
@@ -827,8 +687,7 @@ pub fn note_wire_fired(msg_index: u64, bit: u8) {
     });
 }
 
-/// First replica-compare detection (idempotent). Must not be called while
-/// the cold half is borrowed.
+/// First replica-compare detection (idempotent).
 #[cold]
 #[inline(never)]
 fn replica_detect(h: &HotCtx) {
@@ -838,14 +697,13 @@ fn replica_detect(h: &HotCtx) {
     h.detected.set(true);
     if obs::enabled() {
         obs::count(obs::Counter::ReplicaDetections, 1);
-        obs::emit(&obs::Event::ReplicaDetection {
-            rank: COLD.with(|c| c.borrow().rank),
-        });
+        obs::emit(&obs::Event::ReplicaDetection { rank: h.rank.get() });
     }
 }
 
-/// First-contamination marking (idempotent). Must not be called while the
-/// cold half is borrowed — fire paths use [`contaminate_cold`] instead.
+/// First-contamination marking (idempotent): set the flag and snapshot
+/// the feature counters at that moment. Touches only the hot cells, so
+/// the fire paths call it with the cold half borrowed.
 #[cold]
 #[inline(never)]
 fn contaminate(h: &HotCtx) {
@@ -853,34 +711,22 @@ fn contaminate(h: &HotCtx) {
         return;
     }
     h.contaminated.set(true);
-    h.snapshot_first_contam();
+    h.first_contam_op.set(h.total_ops());
+    h.msgs_sent_at_contam.set(h.msgs_sent.get());
+    h.msgs_recvd_at_contam.set(h.msgs_recvd.get());
     if obs::enabled() {
         obs::count(obs::Counter::TaintBorn, 1);
-        obs::emit(&obs::Event::TaintBorn {
-            rank: COLD.with(|c| c.borrow().rank),
-        });
+        obs::emit(&obs::Event::TaintBorn { rank: h.rank.get() });
     }
 }
 
-/// [`contaminate`] for callers already holding the cold borrow.
-fn contaminate_cold(h: &HotCtx, cold: &ColdCtx) {
-    if h.contaminated.get() {
-        return;
-    }
-    h.contaminated.set(true);
-    h.snapshot_first_contam();
-    if obs::enabled() {
-        obs::count(obs::Counter::TaintBorn, 1);
-        obs::emit(&obs::Event::TaintBorn { rank: cold.rank });
-    }
-}
-
-/// Record a fired fault and its observability event (cold borrow held).
-fn record_fired(cold: &mut ColdCtx, rec: FiredRecord) {
+/// Record a fired fault of `rank` and its observability event (cold
+/// borrow held).
+fn record_fired(rank: usize, cold: &mut ColdCtx, rec: FiredRecord) {
     if obs::enabled() {
         obs::count(obs::Counter::InjectionsFired, 1);
         obs::emit(&obs::Event::InjectionFired {
-            rank: cold.rank,
+            rank,
             region: region_trace_name(rec.target.region),
             op_index: rec.target.op_index,
             bit: rec.target.bit,
@@ -892,15 +738,12 @@ fn record_fired(cold: &mut ColdCtx, rec: FiredRecord) {
 /// Hang-guard trip: record it, then panic with the recognisable payload.
 #[cold]
 #[inline(never)]
-fn hang_trip(_h: &HotCtx) -> ! {
-    COLD.with(|c| {
-        let mut cold = c.borrow_mut();
-        cold.hang_guard_tripped = true;
-        if obs::enabled() {
-            obs::count(obs::Counter::HangGuardTrips, 1);
-            obs::emit(&obs::Event::HangGuardTrip { rank: cold.rank });
-        }
-    });
+fn hang_trip(h: &HotCtx) -> ! {
+    COLD.with(|c| c.borrow_mut().hang_guard_tripped = true);
+    if obs::enabled() {
+        obs::count(obs::Counter::HangGuardTrips, 1);
+        obs::emit(&obs::Event::HangGuardTrip { rank: h.rank.get() });
+    }
     panic!("{HANG_GUARD_MSG}");
 }
 
@@ -915,9 +758,7 @@ fn due_trip(h: &HotCtx) -> ! {
     h.detected.set(true);
     if obs::enabled() {
         obs::count(obs::Counter::DueKills, 1);
-        obs::emit(&obs::Event::DueKill {
-            rank: COLD.with(|c| c.borrow().rank),
-        });
+        obs::emit(&obs::Event::DueKill { rank: h.rank.get() });
     }
     panic!("{DUE_MSG}");
 }
@@ -1107,6 +948,7 @@ fn fire_binop(
             let mut cold = c.borrow_mut();
             for &(t, before, after) in recs.iter() {
                 record_fired(
+                    h.rank.get(),
                     &mut cold,
                     FiredRecord {
                         target: t,
@@ -1117,7 +959,7 @@ fn fire_binop(
                     },
                 );
             }
-            contaminate_cold(h, &cold);
+            contaminate(h);
         });
         if kill {
             due_trip(h);
@@ -1217,6 +1059,7 @@ fn fire_unop(
             let mut cold = c.borrow_mut();
             for &(t, before, after) in input_recs.iter() {
                 record_fired(
+                    h.rank.get(),
                     &mut cold,
                     FiredRecord {
                         target: t,
@@ -1227,7 +1070,7 @@ fn fire_unop(
                     },
                 );
             }
-            contaminate_cold(h, &cold);
+            contaminate(h);
         });
     }
 
@@ -1245,6 +1088,7 @@ fn fire_unop(
             let mut cold = c.borrow_mut();
             for &(t, before, after) in recs.iter() {
                 record_fired(
+                    h.rank.get(),
                     &mut cold,
                     FiredRecord {
                         target: t,
@@ -1255,7 +1099,7 @@ fn fire_unop(
                     },
                 );
             }
-            contaminate_cold(h, &cold);
+            contaminate(h);
         });
     }
 
@@ -1595,7 +1439,7 @@ mod tests {
         let (_, report) = with_clean_ctx(RankCtx::profiling(0), || {
             note_wire_fired(4, 17);
             let mid = take().unwrap();
-            install(mid); // explode/re-pack must preserve the counter
+            install(mid); // take/install must preserve the counter
             note_wire_fired(9, 3);
         });
         assert_eq!(report.wire_fired, 2);
@@ -1637,7 +1481,7 @@ mod tests {
         let (_, report) = with_clean_ctx(RankCtx::profiling(0), || {
             note_values(&[Tf64::from_parts(2.5, 2.0)]);
             let mid = take().unwrap();
-            install(mid); // explode/re-pack must preserve the counters
+            install(mid); // take/install must preserve the counters
             note_values(&[Tf64::new(1.0)]);
         });
         assert_eq!(report.msgs_recvd, 2);
@@ -1676,40 +1520,6 @@ mod tests {
         assert!(!(a * b).is_tainted());
     }
 
-    #[test]
-    fn install_take_roundtrip_preserves_state() {
-        // Partially advance a context, take it off the thread, reinstall,
-        // and confirm counters/queues survive the explode/re-pack cycle —
-        // and the park/unpark cycle, which re-packs nothing.
-        let plan = InjectionPlan::multi(vec![
-            target(Region::Common, 2, 5, Operand::A),
-            target(Region::Common, 10, 6, Operand::B),
-        ]);
-        let prev = install(RankCtx::new(7, plan).with_taint_threshold(0.25));
-        assert!(prev.is_none());
-        let a = Tf64::new(1.0);
-        let _ = a + a; // common idx 0
-        let _ = a * a; // common idx 1
-        let mid = take().unwrap();
-        assert_eq!(mid.rank(), 7);
-        assert_eq!(mid.taint_threshold(), 0.25);
-        assert!(!is_installed());
-        install(mid);
-        let parked = park().expect("a context is installed");
-        assert!(!is_installed());
-        assert!(park().is_none(), "nothing left to park");
-        let _ = a + a; // context-free: counted nowhere
-        unpark(parked);
-        assert!(is_installed());
-        let f = a + a; // common idx 2: fires
-        assert!(f.is_tainted());
-        let report = take().unwrap().into_report();
-        assert_eq!(report.profile.injectable(Region::Common), 3);
-        assert_eq!(report.fired.len(), 1);
-        assert_eq!(report.planned, 2);
-        assert!(report.contaminated);
-    }
-
     /// A context in which no field still has the value a fresh one
     /// starts with (`hang_guard_tripped` aside: tripping it panics), so a
     /// field that does not make a round trip shows.
@@ -1737,51 +1547,60 @@ mod tests {
         note_wire_fired(1, 9);
         set_region(Region::ParallelUnique);
         let _ = a - b; // parallel-unique 0
-        let mut ctx = take().unwrap();
-        ctx.kill_on_fire = true; // nothing fires again before the compare
-        ctx
+                       // Nothing fires again before the compare.
+        take().unwrap().with_kill_on_fire(true)
     }
 
     #[test]
-    fn park_unpark_roundtrips_every_field_across_another_contexts_run() {
+    fn take_install_roundtrips_every_field_across_another_contexts_run() {
         let reference = busy_ctx(3);
-        let fresh = RankCtx::new(3, InjectionPlan::none());
+        let fresh = RankCtx::profiling(0);
+        // `installed` is set in every context: it is the thread's flag.
         macro_rules! all_differ {
-            ($($field:ident),*) => {$(
-                assert!(reference.$field != fresh.$field, stringify!($field));
+            ($($half:ident.$field:ident),*) => {$(
+                assert!(
+                    reference.$half.$field != fresh.$half.$field,
+                    stringify!($half.$field)
+                );
             )*};
         }
         all_differ!(
-            region,
-            per_kind,
-            queues,
-            next_pending,
-            fired,
-            planned,
-            contaminated,
-            taint_threshold,
-            op_mask,
-            op_cap,
-            kill_on_fire,
-            replicate,
-            detected,
-            msgs_sent,
-            wire_fired,
-            msgs_recvd,
-            tainted_msgs_recvd,
-            first_contam_op,
-            msgs_sent_at_contam,
-            msgs_recvd_at_contam
+            hot.rank,
+            hot.region,
+            hot.mask,
+            hot.contaminated,
+            hot.taint_threshold,
+            hot.op_cap,
+            hot.next_pending,
+            hot.budget,
+            hot.granted,
+            hot.replicate,
+            hot.detected,
+            hot.msgs_sent,
+            hot.wire_fired,
+            hot.msgs_recvd,
+            hot.tainted_msgs_recvd,
+            hot.first_contam_op,
+            hot.msgs_sent_at_contam,
+            hot.msgs_recvd_at_contam,
+            cold.queues,
+            cold.fired,
+            cold.planned,
+            cold.kill_on_fire
         );
 
-        // Park it, let a different context live on the thread — installed,
-        // worked, harvested, as another rank's time slice does — and put
-        // it back: every field is as it was, and the guest saw only its
-        // own ops.
-        install(busy_ctx(3));
-        let parked = park().unwrap();
+        // Take it off the thread, let a different context live there —
+        // installed, worked, harvested, as another rank's time slice does
+        // — and put it back: every field is as it was, and the guest saw
+        // only its own ops.
+        assert!(install(busy_ctx(3)).is_none());
+        let ctx = take().unwrap();
+        assert!(!is_installed());
+        assert!(take().is_none(), "nothing left to take");
+        assert_eq!((ctx.rank(), ctx.taint_threshold()), (3, 0.125));
+        let x = Tf64::new(2.0);
+        let _ = x * x; // context-free: counted nowhere
         let (_, guest) = with_clean_ctx(RankCtx::profiling(9).with_op_cap(77), || {
-            let x = Tf64::new(2.0);
             let _ = x * x + x;
             note_values(&[x]);
         });
@@ -1789,19 +1608,24 @@ mod tests {
         assert_eq!(guest.profile.total(), 2);
         assert_eq!(guest.msgs_recvd, 1);
         assert!(!guest.contaminated && guest.fired.is_empty());
-        unpark(parked);
+        assert!(install(ctx).is_none());
         assert_eq!(take().unwrap(), reference);
 
-        // Parked twice in a row, with nothing in between, changes nothing
-        // either; and the context goes on where it stopped.
-        install(busy_ctx(3));
-        let parked = park().unwrap();
-        unpark(parked);
+        // Taken twice in a row, with nothing in between, changes nothing
+        // either; and the context goes on where it stopped, up to the
+        // next target's op.
+        install(busy_ctx(3).with_kill_on_fire(false));
+        let ctx = take().unwrap();
+        install(ctx);
         let a = Tf64::new(1.0);
-        let _ = a + a; // parallel-unique 1
+        for _ in 1..30 {
+            assert!(!(a + a).is_tainted()); // parallel-unique 1..=29
+        }
+        assert!((a + a).is_tainted()); // parallel-unique 30: fires
         let report = take().unwrap().into_report();
-        assert_eq!(report.profile.injectable(Region::ParallelUnique), 2);
-        assert_eq!(report.profile.total(), reference.profile().total() + 1);
+        assert_eq!(report.fired.len(), 2);
+        assert_eq!(report.profile.injectable(Region::ParallelUnique), 31);
+        assert_eq!(report.profile.total(), reference.profile().total() + 30);
     }
 
     /// A million tracked ops of every kind in both regions, add-heavy as
@@ -1873,15 +1697,17 @@ mod tests {
     #[test]
     fn target_behind_the_counters_never_fires_and_pins_no_cell() {
         // A context whose counters have passed its front target by the
-        // time it is installed: the target cannot fire, nothing queued
+        // time its cells are armed: the target cannot fire, nothing queued
         // behind it can, and its cells must not sit at zero for it.
         let (_, golden) = with_clean_ctx(RankCtx::profiling(0), mixed_program);
         let plan = InjectionPlan::multi(vec![
             target(Region::Common, 10, 3, Operand::A),
             target(Region::Common, 500_000, 3, Operand::A),
         ]);
-        let mut ctx = RankCtx::new(0, plan);
-        ctx.per_kind[Region::Common.index()][OpKind::Add.index()] = 11;
+        let ctx = RankCtx::new(0, plan);
+        let adds = &ctx.hot.granted[Region::Common.index()][OpKind::Add.index()];
+        adds.set(adds.get() + 11); // eleven adds already executed
+        ctx.hot.rearm();
         COLD_VISITS.with(|n| n.set(0));
         let (_, report) = with_clean_ctx(ctx, mixed_program);
         assert!(report.fired.is_empty() && !report.contaminated);
@@ -1912,11 +1738,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unpark over an installed context")]
-    fn unpark_refuses_to_overwrite_an_installed_context() {
-        install(RankCtx::profiling(0));
-        let parked = park().unwrap();
-        install(RankCtx::profiling(1));
-        unpark(parked);
+    fn install_returns_the_context_it_displaces() {
+        assert!(install(RankCtx::profiling(0)).is_none());
+        let displaced = install(RankCtx::profiling(1)).expect("rank 0 was installed");
+        assert_eq!(displaced, RankCtx::profiling(0));
+        assert_eq!(take().unwrap().rank(), 1);
     }
 }

@@ -4,8 +4,9 @@
 //! floating-point operation*. This module makes the model a first-class,
 //! selectable dimension of a campaign: a [`FaultModelSpec`] names the
 //! model (and is folded into ledger/cache keys so resume and dedup stay
-//! correct), and a [`FaultModel`] turns the harness's uniformly-drawn
-//! injection *site* into the concrete [`Target`]s to corrupt.
+//! correct), and [`FaultModelSpec::op_targets`] turns the harness's
+//! uniformly-drawn injection *site* into the concrete [`Target`]s to
+//! corrupt.
 //!
 //! Four models ship:
 //!
@@ -119,78 +120,50 @@ impl FaultModelSpec {
         matches!(self, FaultModelSpec::Due)
     }
 
-    /// Instantiate the model behind the trait.
-    pub fn model(&self) -> Box<dyn FaultModel> {
-        match self {
-            FaultModelSpec::BitFlip => Box::new(SingleBitFlip),
-            FaultModelSpec::Burst(k) => Box::new(BurstFlip { width: *k }),
-            FaultModelSpec::Due => Box::new(DueKill),
-            FaultModelSpec::Msg => Box::new(MsgCorrupt),
-        }
-    }
-}
-
-/// One fault model: given the uniformly-drawn injection site (region +
-/// dynamic op index), decide the applied corruption.
-///
-/// Implementations draw from `rng` in a fixed, documented order — the
-/// draws are part of a campaign's deterministic identity.
-pub trait FaultModel: Send + Sync {
-    /// The spec this model was instantiated from.
-    fn spec(&self) -> FaultModelSpec;
-
-    /// The operand-level targets for one drawn op site. `pattern` is the
-    /// campaign's error pattern (`par` → [`FaultPattern::SingleBit`],
-    /// `par:xK` → [`FaultPattern::MultiBit`]); models that define their
-    /// own bit geometry (burst) ignore it and are restricted to `par`.
-    fn op_targets(
-        &self,
-        rng: &mut SmallRng,
-        pattern: FaultPattern,
-        region: Region,
-        op_index: u64,
-    ) -> Vec<Target>;
-}
-
-/// Draw the afflicted operand — shared by every op-targeting model, in
-/// the pre-trait order (operand before bits).
-fn draw_operand(rng: &mut SmallRng) -> Operand {
-    if rng.gen_bool(0.5) {
-        Operand::A
-    } else {
-        Operand::B
-    }
-}
-
-/// The baseline single-bit (or `par:xK` multi-bit) operand flip.
-///
-/// Draw order is the pre-trait `draw_targets` exactly: operand first,
-/// then the bit(s) — single `gen_range(0..64)`, or a `BTreeSet` filled
-/// by rejection for `MultiBit(k)`.
-pub struct SingleBitFlip;
-
-impl FaultModel for SingleBitFlip {
-    fn spec(&self) -> FaultModelSpec {
-        FaultModelSpec::BitFlip
-    }
-
-    fn op_targets(
+    /// The operand-level targets this model corrupts at one uniformly
+    /// drawn op site (region + dynamic op index). Draws from `rng` in a
+    /// fixed order — the draws are part of a campaign's deterministic
+    /// identity. `pattern` is the campaign's error pattern (`par` →
+    /// [`FaultPattern::SingleBit`], `par:xK` → [`FaultPattern::MultiBit`]).
+    ///
+    /// * `BitFlip` and `Due` — the baseline flip, drawn in the pre-trait
+    ///   `draw_targets` order exactly: operand first, then the bit(s) — a
+    ///   single `gen_range(0..64)`, or a `BTreeSet` filled by rejection
+    ///   for `MultiBit(k)`. DUE differs only in that the executing context
+    ///   is armed with kill-on-fire, so the rank panics (with
+    ///   [`DUE_MSG`](crate::ctx::DUE_MSG)) at the firing op.
+    /// * `Burst(width)` — `width` consecutive bits of one operand; the
+    ///   start bit is uniform over `0..=64-width`, so the burst never
+    ///   wraps. It defines its own bit geometry, ignores `pattern`, and
+    ///   is restricted to `par`.
+    /// * `Msg` — none: the site is a message, not an op. The harness draws
+    ///   `(sender, message index, element, bit)` from golden per-rank send
+    ///   counts and arms the fabric with it.
+    pub fn op_targets(
         &self,
         rng: &mut SmallRng,
         pattern: FaultPattern,
         region: Region,
         op_index: u64,
     ) -> Vec<Target> {
-        let operand = draw_operand(rng);
-        let bits: Vec<u8> = match pattern {
-            FaultPattern::MultiBit(k) => {
+        let (operand, bits): (Operand, Vec<u8>) = match (*self, pattern) {
+            (FaultModelSpec::Msg, _) => return Vec::new(),
+            (FaultModelSpec::Burst(width), _) => {
+                let operand = draw_operand(rng);
+                let start = rng.gen_range(0..(65 - width));
+                (operand, (start..start + width).collect())
+            }
+            (FaultModelSpec::BitFlip | FaultModelSpec::Due, FaultPattern::SingleBit) => {
+                (draw_operand(rng), vec![rng.gen_range(0..64)])
+            }
+            (FaultModelSpec::BitFlip | FaultModelSpec::Due, FaultPattern::MultiBit(k)) => {
+                let operand = draw_operand(rng);
                 let mut set = std::collections::BTreeSet::new();
                 while set.len() < k as usize {
                     set.insert(rng.gen_range(0..64u8));
                 }
-                set.into_iter().collect()
+                (operand, set.into_iter().collect())
             }
-            FaultPattern::SingleBit => vec![rng.gen_range(0..64)],
         };
         bits.into_iter()
             .map(|bit| Target {
@@ -203,79 +176,12 @@ impl FaultModel for SingleBitFlip {
     }
 }
 
-/// `width` consecutive bits of one operand flip together. The start bit
-/// is uniform over `0..=64-width`, so the burst never wraps.
-pub struct BurstFlip {
-    /// Number of consecutive bits flipped (2..=8).
-    pub width: u8,
-}
-
-impl FaultModel for BurstFlip {
-    fn spec(&self) -> FaultModelSpec {
-        FaultModelSpec::Burst(self.width)
-    }
-
-    fn op_targets(
-        &self,
-        rng: &mut SmallRng,
-        _pattern: FaultPattern,
-        region: Region,
-        op_index: u64,
-    ) -> Vec<Target> {
-        let operand = draw_operand(rng);
-        let start: u8 = rng.gen_range(0..(65 - self.width));
-        (start..start + self.width)
-            .map(|bit| Target {
-                region,
-                op_index,
-                bit,
-                operand,
-            })
-            .collect()
-    }
-}
-
-/// Detected-uncorrectable error: the corruption draw is the baseline
-/// single-bit flip, but the executing context is armed with
-/// kill-on-fire, so the rank panics (with
-/// [`DUE_MSG`](crate::ctx::DUE_MSG)) at the firing op.
-pub struct DueKill;
-
-impl FaultModel for DueKill {
-    fn spec(&self) -> FaultModelSpec {
-        FaultModelSpec::Due
-    }
-
-    fn op_targets(
-        &self,
-        rng: &mut SmallRng,
-        pattern: FaultPattern,
-        region: Region,
-        op_index: u64,
-    ) -> Vec<Target> {
-        SingleBitFlip.op_targets(rng, pattern, region, op_index)
-    }
-}
-
-/// Message-payload corruption. The injection site is a message, not an
-/// op: the harness draws `(sender, message index, element, bit)` from
-/// golden per-rank send counts and arms the fabric with it, so this
-/// model plans no op targets at all.
-pub struct MsgCorrupt;
-
-impl FaultModel for MsgCorrupt {
-    fn spec(&self) -> FaultModelSpec {
-        FaultModelSpec::Msg
-    }
-
-    fn op_targets(
-        &self,
-        _rng: &mut SmallRng,
-        _pattern: FaultPattern,
-        _region: Region,
-        _op_index: u64,
-    ) -> Vec<Target> {
-        Vec::new()
+/// Draw the afflicted operand, A or B with equal odds.
+pub fn draw_operand(rng: &mut SmallRng) -> Operand {
+    if rng.gen_bool(0.5) {
+        Operand::A
+    } else {
+        Operand::B
     }
 }
 
@@ -355,7 +261,7 @@ mod tests {
 
     #[test]
     fn bitflip_matches_legacy_draw_sequence() {
-        let model = FaultModelSpec::BitFlip.model();
+        let model = FaultModelSpec::BitFlip;
         for seed in 0..200u64 {
             for (pattern, multi) in [
                 (FaultPattern::SingleBit, None),
@@ -378,7 +284,7 @@ mod tests {
     fn burst_flips_consecutive_bits_of_one_operand() {
         for seed in 0..100u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let model = BurstFlip { width: 4 };
+            let model = FaultModelSpec::Burst(4);
             let targets =
                 model.op_targets(&mut rng, FaultPattern::SingleBit, Region::ParallelUnique, 7);
             assert_eq!(targets.len(), 4);
@@ -397,15 +303,17 @@ mod tests {
     fn due_draws_like_the_baseline() {
         let mut a = SmallRng::seed_from_u64(99);
         let mut b = SmallRng::seed_from_u64(99);
-        let due = DueKill.op_targets(&mut a, FaultPattern::SingleBit, Region::Common, 3);
-        let base = SingleBitFlip.op_targets(&mut b, FaultPattern::SingleBit, Region::Common, 3);
+        let due =
+            FaultModelSpec::Due.op_targets(&mut a, FaultPattern::SingleBit, Region::Common, 3);
+        let base =
+            FaultModelSpec::BitFlip.op_targets(&mut b, FaultPattern::SingleBit, Region::Common, 3);
         assert_eq!(due, base);
     }
 
     #[test]
     fn msg_model_plans_no_op_targets() {
         let mut rng = SmallRng::seed_from_u64(1);
-        assert!(MsgCorrupt
+        assert!(FaultModelSpec::Msg
             .op_targets(&mut rng, FaultPattern::SingleBit, Region::Common, 0)
             .is_empty());
     }

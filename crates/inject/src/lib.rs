@@ -63,7 +63,7 @@ mod smallbuf;
 pub mod tf64;
 
 pub use ctx::{CtxReport, FiredRecord, RankCtx};
-pub use fault::{FaultModel, FaultModelSpec};
+pub use fault::FaultModelSpec;
 pub use mask::OpMask;
 pub use outcome::{FailureKind, OutcomeKind, TestOutcome};
 pub use plan::{FaultPattern, InjectionPlan, Operand, Target};

@@ -58,8 +58,8 @@ fn step_tf64(op: u8, a: Tf64, b: Tf64) -> Tf64 {
 /// What happens to the installed context between two steps.
 #[derive(Debug, Clone, Copy)]
 enum Interlude {
-    /// `ctx::park`; a different context installed, worked and taken, as
-    /// another rank's time slice does; `ctx::unpark`.
+    /// `ctx::take`; a different context installed, worked and taken, as
+    /// another rank's time slice does; `ctx::install`.
     Park,
     /// `ctx::with`: the context is re-packed around a closure and
     /// exploded again. The closure reads the exact op total.
@@ -291,7 +291,7 @@ fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
         for (_, what) in sc.interludes.iter().filter(|(pos, _)| *pos == at) {
             match what {
                 Interlude::Park => {
-                    let parked = ctx::park().expect("installed");
+                    let parked = ctx::take().expect("installed");
                     // A guest whose every cell differs from the host's.
                     let guest = InjectionPlan::single(Target {
                         region: Region::Common,
@@ -309,7 +309,7 @@ fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
                     let guest = ctx::take().expect("guest").into_report();
                     assert_eq!((guest.profile.total(), guest.fired.len()), (3, 1));
                     assert!(y.is_tainted());
-                    ctx::unpark(parked);
+                    ctx::install(parked);
                 }
                 Interlude::With => {
                     let total = ctx::with(|c| c.profile().total()).expect("installed");

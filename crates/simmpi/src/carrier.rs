@@ -13,10 +13,11 @@
 //!   p=64 trial makes ~13 k handoffs.
 //! * **Coroutines** ([`pooled`], x86_64 Linux): every rank is a stackful
 //!   coroutine on the thread that runs the world; a handoff is a
-//!   user-level register swap plus parking the rank's injection context
-//!   (a block copy, nothing re-packed). Measured on the same guest: a
-//!   p=2 ping-pong round trip — two messages, two handoffs — takes
-//!   ≈ 0.25 µs, a p=64 barrier — 126 messages, ~64 handoffs — ≈ 9 µs.
+//!   user-level register swap plus taking the rank's injection context
+//!   off the thread and installing it again (a block copy, nothing
+//!   re-armed). Measured on the same guest: a p=2 ping-pong round trip
+//!   — two messages, two handoffs — takes ≈ 0.25 µs, a p=64 barrier —
+//!   126 messages, ~64 handoffs — ≈ 9 µs.
 //!   `World::run_pooled` uses it where it exists and the thread carrier
 //!   elsewhere — chosen by target, never by an option.
 
@@ -130,11 +131,15 @@ pub(crate) mod pooled {
     pub(super) fn switch() {
         // Thread-locals belong to the thread, not to the coroutine: the
         // rank's injection context leaves with it and comes back with it,
-        // parked on the rank's own stack in the form it runs in.
-        let parked = ctx::park();
+        // kept on the rank's own stack in the form it runs in.
+        let mine = ctx::take();
         coroutine::suspend();
-        if let Some(parked) = parked {
-            ctx::unpark(parked);
+        if let Some(mine) = mine {
+            // Whoever ran in between took its own context with it.
+            assert!(
+                ctx::install(mine).is_none(),
+                "rank switched in over an installed context"
+            );
         }
     }
 
