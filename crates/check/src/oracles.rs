@@ -711,11 +711,9 @@ fn eq8_inputs(
     o: Oracle,
 ) -> Result<ModelInputs, Violation> {
     let mut serial = BTreeMap::new();
-    let mut needed: Vec<usize> = resilim_core::sample_cases(case.procs, case.s, case.strategy);
-    needed.extend(1..=case.s);
-    for x in needed {
+    for x in ModelInputs::serial_cases(case.procs, case.s, case.strategy) {
         let spec = case.serial_campaign(x).map_err(|e| Violation::new(o, e))?;
-        serial.entry(x).or_insert_with(|| runner.run(&spec).fi);
+        serial.insert(x, runner.run(&spec).fi);
     }
     let small_spec = case.small_campaign().map_err(|e| Violation::new(o, e))?;
     let small = runner.run(&small_spec);

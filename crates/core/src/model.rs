@@ -62,6 +62,26 @@ pub struct ModelInputs {
     pub alpha_threshold: f64,
 }
 
+impl ModelInputs {
+    /// The serial campaigns (`FI_ser_x`) the model reads when predicting
+    /// `p` from `s`: the sample cases, plus `x = 1..=s` for the α check
+    /// against the small scale's conditional results (§4.2). Ascending,
+    /// no duplicates.
+    ///
+    /// ```
+    /// use resilim_core::{ModelInputs, SamplePoints};
+    /// let cases = ModelInputs::serial_cases(64, 4, SamplePoints::BucketUpper);
+    /// assert_eq!(cases, [1, 2, 3, 4, 32, 48, 64]);
+    /// ```
+    pub fn serial_cases(p: usize, s: usize, strategy: SamplePoints) -> Vec<usize> {
+        let mut cases = sample_cases(p, s, strategy);
+        cases.extend(1..=s);
+        cases.sort_unstable();
+        cases.dedup();
+        cases
+    }
+}
+
 /// The paper's α fine-tuning threshold (§4.2): serial-vs-small-scale
 /// divergence beyond 20 % switches the buckets to the small-scale results.
 pub const ALPHA_THRESHOLD: f64 = 0.20;

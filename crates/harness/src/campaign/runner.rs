@@ -9,7 +9,7 @@ use super::run::assemble;
 use super::spec::{CampaignResult, CampaignSpec};
 use super::stream::{TrialConsumer, TrialRecord};
 use crate::features::FeatureStore;
-use crate::golden::{Flights, GoldenRun, GoldenStore};
+use crate::golden::{GoldenRun, GoldenStore};
 use crate::ledger::{self, Shard, TrialLedger};
 use parking_lot::Mutex;
 use resilim_inject::{FailureKind, TestOutcome};
@@ -42,9 +42,6 @@ enum Parallelism {
 pub struct CampaignRunner {
     golden: GoldenStore,
     cache: Mutex<HashMap<String, Arc<CampaignResult>>>,
-    /// In-flight campaigns, single-flight per key (see
-    /// [`GoldenStore::get_masked`] for the pattern).
-    flights: Flights<String, CampaignResult>,
     parallelism: Parallelism,
     /// Durable per-trial ledger directory (`--store DIR/ledger`).
     pub(super) ledger_dir: Option<PathBuf>,
@@ -80,7 +77,6 @@ impl CampaignRunner {
         CampaignRunner {
             golden: GoldenStore::new(),
             cache: Mutex::new(HashMap::new()),
-            flights: Mutex::new(HashMap::new()),
             parallelism: Parallelism::Fixed(1),
             ledger_dir: None,
             feature_dir: None,
@@ -222,9 +218,10 @@ impl CampaignRunner {
         &self.golden
     }
 
-    /// Run (or fetch from cache) a campaign. Concurrent callers with the
-    /// same spec are deduplicated: one runs the campaign, the rest wait
-    /// for its result (fig8/table2 fan-out shares serial sub-campaigns).
+    /// Run (or fetch from cache) a campaign. Experiments call this one
+    /// campaign at a time, so the cache needs no single-flight: two
+    /// concurrent callers of one uncached spec each run it, with
+    /// identical results.
     ///
     /// Panics when a configured store cannot be opened — a campaign
     /// asked to be durable never runs non-durably; callers that want
@@ -248,26 +245,10 @@ impl CampaignRunner {
             note_campaign_lookup(true);
             return Ok(Arc::clone(hit));
         }
-        let flight = Arc::clone(self.flights.lock().entry(key.clone()).or_default());
-        let mut slot = flight.lock();
-        if let Some(result) = slot.as_ref() {
-            note_campaign_lookup(true);
-            return Ok(Arc::clone(result));
-        }
-        if let Some(hit) = self.cache.lock().get(&key) {
-            // Published between our cache miss and flight acquisition.
-            note_campaign_lookup(true);
-            return Ok(Arc::clone(hit));
-        }
         note_campaign_lookup(false);
-        let result = self.execute(spec).map(Arc::new);
-        if let Ok(result) = &result {
-            self.cache.lock().insert(key.clone(), Arc::clone(result));
-            *slot = Some(Arc::clone(result));
-        }
-        drop(slot);
-        self.flights.lock().remove(&key);
-        result
+        let result = Arc::new(self.execute(spec)?);
+        self.cache.lock().insert(key, Arc::clone(&result));
+        Ok(result)
     }
 
     /// Run a campaign without touching the campaign cache (golden runs are

@@ -285,8 +285,10 @@ pub struct CampaignResult {
     /// The golden run the campaign classified against.
     pub golden: Arc<GoldenRun>,
     /// Observability counters/histograms accumulated while this campaign
-    /// ran (all zeros unless the recorder was enabled). Snapshot deltas:
-    /// exact when campaigns don't run concurrently in one process.
+    /// ran (all zeros unless the recorder was enabled). Snapshot deltas
+    /// of process-wide counters: exact on every one-shot path, which runs
+    /// one campaign at a time; under `resilim serve`, whose campaigns
+    /// overlap, they include the neighbours' work.
     pub metrics: obs::MetricsSnapshot,
 }
 

@@ -34,10 +34,10 @@ pub struct Fig8 {
 /// Regenerate Figure 8: predictions for `p = 64` using small scales
 /// `scales` (paper: 4, 8, 16, 32), over all apps.
 ///
-/// The scale points fan out onto scoped threads: the campaigns they need
-/// are disjoint except for the shared serial sub-campaigns, which the
-/// runner's single-flight cache runs exactly once. Points are collected
-/// in input order, so the output is identical to the sequential sweep.
+/// The scale points run one after another, so each campaign's wall
+/// clock — the FI-time column — is measured with the host to itself
+/// (each campaign already runs its trials on every core). Points share
+/// their serial sub-campaigns through the runner's campaign cache.
 pub fn fig8(runner: &CampaignRunner, cfg: &ExperimentConfig, scales: &[usize]) -> Fig8 {
     let apps: Vec<App> = App::ALL.to_vec();
     let point_for = |s: usize| -> Fig8Point {
@@ -73,20 +73,9 @@ pub fn fig8(runner: &CampaignRunner, cfg: &ExperimentConfig, scales: &[usize]) -
             fi_time_normalized,
         }
     };
-    let points: Vec<Fig8Point> = std::thread::scope(|scope| {
-        let point_for = &point_for;
-        let handles: Vec<_> = scales
-            .iter()
-            .map(|&s| scope.spawn(move || point_for(s)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fig8 scale-point worker"))
-            .collect()
-    });
     Fig8 {
         p: LARGE_SCALE,
-        points,
+        points: scales.iter().map(|&s| point_for(s)).collect(),
     }
 }
 

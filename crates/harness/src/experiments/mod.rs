@@ -27,14 +27,13 @@ mod weak;
 pub use fig3::{fig3, Fig3, Fig3App};
 pub use fig8::{fig8, Fig8, Fig8Point};
 pub use motivation::{motivation, Motivation, MotivationRow};
-pub use prediction::{
-    build_inputs, build_inputs_spec, prediction, PredictionReport, PredictionRow,
-};
+pub use prediction::{build_inputs, prediction, PredictionReport, PredictionRow};
 pub use propagation::{fig_propagation, PropagationFigure};
 pub use table1::{table1, Table1, Table1Row};
 pub use table2::{table2, Table2, Table2Row};
 pub use weak::{weak_scaling, WeakRow, WeakScaling};
 
+use crate::campaign::{CampaignSpec, ErrorSpec};
 use serde::{Deserialize, Serialize};
 
 /// Shared experiment knobs.
@@ -47,37 +46,25 @@ pub struct ExperimentConfig {
     pub tests: usize,
     /// Campaign seed.
     pub seed: u64,
-    /// Contamination-significance threshold passed to every campaign
-    /// (see [`crate::campaign::DEFAULT_TAINT_THRESHOLD`]).
-    pub taint_threshold: f64,
     /// Optional adaptive stop rule applied to every campaign the
     /// experiment runs; `tests` becomes an upper bound when set.
     pub stop: Option<resilim_core::StopRule>,
 }
 
 impl ExperimentConfig {
-    /// The campaign this config implies for one deployment. Experiment
-    /// pipelines share `tests`/`seed`/`taint_threshold` across every
-    /// campaign they run; only the workload, scale, and fault pattern
-    /// vary per call site — keeping the spec construction here means a
-    /// new knob (like the op mask) propagates to all of them at once.
+    /// The campaign this config implies for one deployment: the
+    /// [`CampaignSpec::new`] defaults plus this config's `tests`, `seed`
+    /// and `stop`. Only the workload, scale, and fault pattern vary per
+    /// call site.
     pub fn campaign(
         &self,
         spec: resilim_apps::ProblemSpec,
         procs: usize,
-        errors: crate::campaign::ErrorSpec,
-    ) -> crate::campaign::CampaignSpec {
-        crate::campaign::CampaignSpec {
-            spec,
-            procs,
-            errors,
-            tests: self.tests,
-            seed: self.seed,
-            taint_threshold: self.taint_threshold,
-            op_mask: Default::default(),
-            fault_model: Default::default(),
-            replicate: false,
+        errors: ErrorSpec,
+    ) -> CampaignSpec {
+        CampaignSpec {
             stop: self.stop,
+            ..CampaignSpec::new(spec, procs, errors, self.tests, self.seed)
         }
     }
 }
@@ -87,7 +74,6 @@ impl Default for ExperimentConfig {
         ExperimentConfig {
             tests: 200,
             seed: 2018,
-            taint_threshold: crate::campaign::DEFAULT_TAINT_THRESHOLD,
             stop: None,
         }
     }

@@ -6,9 +6,9 @@
 use crate::campaign::{CampaignRunner, ErrorSpec};
 use crate::experiments::ExperimentConfig;
 use crate::report::{pct, Table};
-use resilim_apps::App;
+use resilim_apps::{App, ProblemSpec};
 use resilim_core::{
-    prediction_error, sample_cases, FiResult, ModelInputs, PaperEq8, SamplePoints, ALPHA_THRESHOLD,
+    prediction_error, FiResult, ModelInputs, PaperEq8, SamplePoints, ALPHA_THRESHOLD,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -73,7 +73,7 @@ pub fn prediction(
             p <= app.max_procs(),
             "{app} does not decompose to {p} ranks"
         );
-        let inputs = build_inputs(runner, cfg, app, p, s, strategy);
+        let inputs = build_inputs(runner, cfg, &app.default_spec(), p, s, strategy);
         let pred = PaperEq8::new(inputs).predict();
 
         // Validation: the actually measured large-scale campaign.
@@ -105,44 +105,23 @@ pub fn prediction(
     }
 }
 
-/// Assemble the model inputs for one app's default problem (see
-/// [`build_inputs_spec`]).
+/// Assemble the model inputs for `problem` — **only** serial and
+/// small-scale measurements (plus the target-scale op-share, which the
+/// paper takes as given from an execution-time model).
 pub fn build_inputs(
     runner: &CampaignRunner,
     cfg: &ExperimentConfig,
-    app: App,
-    p: usize,
-    s: usize,
-    strategy: SamplePoints,
-) -> ModelInputs {
-    build_inputs_spec(runner, cfg, &app.default_spec(), p, s, strategy)
-}
-
-/// Assemble the model inputs for an arbitrary problem — **only** serial
-/// and small-scale measurements (plus the target-scale op-share, which
-/// the paper takes as given from an execution-time model).
-pub fn build_inputs_spec(
-    runner: &CampaignRunner,
-    cfg: &ExperimentConfig,
-    problem: &resilim_apps::ProblemSpec,
+    problem: &ProblemSpec,
     p: usize,
     s: usize,
     strategy: SamplePoints,
 ) -> ModelInputs {
     let campaign =
         |procs: usize, errors: ErrorSpec| runner.run(&cfg.campaign(problem.clone(), procs, errors));
-    // Serial multi-error campaigns at the S sample cases, plus FI_ser_x
-    // for x = 1..=s so the α divergence check can compare against the
-    // small-scale conditional results (paper §4.2).
-    let mut serial = BTreeMap::new();
-    for &x in &sample_cases(p, s, strategy) {
-        serial.insert(x, campaign(1, ErrorSpec::SerialErrors(x)).fi);
-    }
-    for x in 1..=s {
-        serial
-            .entry(x)
-            .or_insert_with(|| campaign(1, ErrorSpec::SerialErrors(x)).fi);
-    }
+    let serial: BTreeMap<usize, FiResult> = ModelInputs::serial_cases(p, s, strategy)
+        .into_iter()
+        .map(|x| (x, campaign(1, ErrorSpec::SerialErrors(x)).fi))
+        .collect();
 
     // Small-scale 1-error campaign: propagation profile + conditionals.
     let small = campaign(s, ErrorSpec::OneParallel);
@@ -280,7 +259,8 @@ mod tests {
             seed: 11,
             ..Default::default()
         };
-        let inputs = build_inputs(&runner, &cfg, App::Ft, 4, 2, SamplePoints::BucketUpper);
+        let ft = App::Ft.default_spec();
+        let inputs = build_inputs(&runner, &cfg, &ft, 4, 2, SamplePoints::BucketUpper);
         assert!(inputs.unique_share > UNIQUE_SHARE_CUTOFF);
         assert!(inputs.fi_unique.is_some());
     }

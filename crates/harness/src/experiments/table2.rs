@@ -31,9 +31,9 @@ pub struct Table2 {
 
 /// Regenerate Table 2 from 1-error campaigns at 4, 8 and 64 ranks.
 ///
-/// The apps fan out onto scoped threads (their campaigns are disjoint);
-/// rows are joined in `App::ALL` order, so the table is identical to the
-/// sequential sweep.
+/// The apps run one after another in `App::ALL` order; each campaign
+/// runs its trials on every core, so nothing overlaps it and its
+/// `campaign_end` counts are its own.
 pub fn table2(runner: &CampaignRunner, cfg: &ExperimentConfig) -> Table2 {
     let rows_for = |app: App| -> Vec<Table2Row> {
         let campaign_at = |procs: usize| {
@@ -53,18 +53,9 @@ pub fn table2(runner: &CampaignRunner, cfg: &ExperimentConfig) -> Table2 {
         }
         rows
     };
-    let rows: Vec<Table2Row> = std::thread::scope(|scope| {
-        let rows_for = &rows_for;
-        let handles: Vec<_> = App::ALL
-            .into_iter()
-            .map(|app| scope.spawn(move || rows_for(app)))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("table2 app worker"))
-            .collect()
-    });
-    Table2 { rows }
+    Table2 {
+        rows: App::ALL.into_iter().flat_map(rows_for).collect(),
+    }
 }
 
 impl Table2 {

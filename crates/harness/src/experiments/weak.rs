@@ -8,8 +8,8 @@
 //!    when the serial runs use the (large) weak problem of the target
 //!    scale.
 
-use crate::campaign::{CampaignRunner, CampaignSpec, ErrorSpec};
-use crate::experiments::{build_inputs_spec, ExperimentConfig};
+use crate::campaign::{CampaignRunner, ErrorSpec};
+use crate::experiments::{build_inputs, ExperimentConfig};
 use crate::report::{pct, Table};
 use resilim_apps::App;
 use resilim_core::{prediction_error, PaperEq8, SamplePoints};
@@ -55,14 +55,8 @@ pub fn weak_scaling(
     for &app in apps {
         for &p in targets {
             let problem = app.weak_spec(p);
-            let measured = runner.run(&CampaignSpec::new(
-                problem.clone(),
-                p,
-                ErrorSpec::OneParallel,
-                cfg.tests,
-                cfg.seed,
-            ));
-            let inputs = build_inputs_spec(runner, cfg, &problem, p, s, SamplePoints::default());
+            let measured = runner.run(&cfg.campaign(problem.clone(), p, ErrorSpec::OneParallel));
+            let inputs = build_inputs(runner, cfg, &problem, p, s, SamplePoints::default());
             let pred = PaperEq8::new(inputs).predict();
             let m = measured.fi.rates();
             rows.push(WeakRow {
@@ -130,5 +124,21 @@ mod tests {
         assert!((row.measured.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!((row.predicted.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(study.render().contains("Weak scaling"));
+    }
+
+    /// The measured target campaign is the one the config implies, as
+    /// the model inputs are: under an adaptive rule both stop early.
+    #[test]
+    fn measured_campaign_follows_an_adaptive_config() {
+        let runner = CampaignRunner::new();
+        let cfg = ExperimentConfig {
+            tests: 60,
+            seed: 2,
+            stop: Some(resilim_core::StopRule::new(0.3).with_min_tests(8)),
+        };
+        let study = weak_scaling(&runner, &cfg, &[App::Lu], 2, &[4]);
+        let target = runner.run(&cfg.campaign(App::Lu.weak_spec(4), 4, ErrorSpec::OneParallel));
+        assert!(target.stopped_early, "the rule must stop before 60 trials");
+        assert_eq!(study.rows[0].measured, target.fi.rates());
     }
 }

@@ -126,9 +126,9 @@ struct GoldenRecord {
 type Key = (String, usize, OpMask);
 
 /// Single-flight registry: one slot per in-flight key. The measuring
-/// caller holds the slot's lock until the value is published; same-key
+/// caller holds the slot's lock until the run is published; same-key
 /// callers block on the slot and share the leader's `Arc`.
-pub(crate) type Flights<K, V> = Mutex<HashMap<K, Arc<Mutex<Option<Arc<V>>>>>>;
+type Flights = Mutex<HashMap<Key, Arc<Mutex<Option<Arc<GoldenRun>>>>>>;
 
 /// FNV-1a over a sequence of byte groups: a *deterministic* file-name
 /// hash (std's `DefaultHasher` is randomly keyed per process, which
@@ -168,13 +168,15 @@ pub fn golden_cache_file_name(spec: &ProblemSpec, procs: usize, mask: OpMask) ->
 /// disk layer (wired to the CLI's `--store DIR`) extends that across
 /// process invocations. Lookups are *single-flight*: concurrent callers
 /// of the same key agree on one measurer and wait for it instead of
-/// profiling the deployment once each.
+/// profiling the deployment once each. The concurrent callers are
+/// `resilim serve`'s connection threads, which profile a submission's
+/// golden run before it is queued.
 #[derive(Debug, Default)]
 pub struct GoldenStore {
     cache: Mutex<HashMap<Key, Arc<GoldenRun>>>,
     /// In-flight measurements: one slot per key; the measuring caller
     /// holds the slot's lock until the run is published.
-    flights: Flights<Key, GoldenRun>,
+    flights: Flights,
     disk: Option<PathBuf>,
 }
 

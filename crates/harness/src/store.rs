@@ -274,8 +274,9 @@ impl ResultStore {
 /// scale `p` of `app` from the summaries saved in `store` — the offline
 /// half of the paper's workflow.
 ///
-/// Requires: serial campaigns (`SerialErrors(x)`) at every sample case of
-/// `(p, s, strategy)` plus `x = 1..=s`, and a 1-error campaign at `s`
+/// Requires: serial campaigns (`SerialErrors(x)`) at every
+/// [`serial_cases`](resilim_core::ModelInputs::serial_cases) of
+/// `(p, s, strategy)`, and a 1-error campaign at `s`
 /// ranks. The offline path predicts without Eq. 1's parallel-unique term:
 /// `unique_share` is 0, so no parallel-unique campaign is read.
 pub fn model_inputs_from_store(
@@ -300,9 +301,7 @@ pub fn model_inputs_from_store(
             .map(|sum| sum.fi)
     };
     let mut serial = std::collections::BTreeMap::new();
-    let mut needed: Vec<usize> = resilim_core::sample_cases(p, s, strategy);
-    needed.extend(1..=s);
-    for x in needed {
+    for x in resilim_core::ModelInputs::serial_cases(p, s, strategy) {
         let fi = serial_at(x).ok_or(format!("store is missing serial campaign x={x} for {app}"))?;
         serial.insert(x, fi);
     }
@@ -397,12 +396,9 @@ mod tests {
         let store = ResultStore::open(temp_dir("model")).unwrap();
         let (p, s) = (4usize, 2usize);
         // Measure and persist everything the model needs.
-        let mut cases: Vec<usize> =
-            resilim_core::sample_cases(p, s, resilim_core::SamplePoints::BucketUpper);
-        cases.extend(1..=s);
-        cases.sort_unstable();
-        cases.dedup();
-        for x in cases {
+        for x in
+            resilim_core::ModelInputs::serial_cases(p, s, resilim_core::SamplePoints::BucketUpper)
+        {
             let spec =
                 CampaignSpec::new(App::Lu.default_spec(), 1, ErrorSpec::SerialErrors(x), 12, 3);
             let result = runner.run(&spec);

@@ -1,11 +1,13 @@
 //! The observability layer must be a pure observer: enabling tracing may
 //! not change any campaign statistic, and the trace must reconcile with
-//! the statistics it narrates.
+//! the statistics it narrates — per campaign, also across the campaigns
+//! of one experiment.
 //!
 //! Single `#[test]` on purpose: the recorder and sink registry are
 //! process-global, so concurrent tests would see each other's events.
 
 use resilim_apps::App;
+use resilim_harness::experiments::{self, ExperimentConfig};
 use resilim_harness::{CampaignRunner, CampaignSpec, ErrorSpec};
 use resilim_obs as obs;
 use std::sync::Arc;
@@ -160,4 +162,43 @@ fn tracing_is_deterministic_and_reconciles() {
         obs::busy_within_wall(busy, wall, spec.tests as u64),
         "parallel utilization must be ≤ 100% (busy {busy} vs wall {wall})"
     );
+
+    // Attribution across an experiment's campaigns: Table 2 runs its 18
+    // campaigns one at a time, so the per-campaign `campaign_end` counts
+    // partition the process's counts over the call exactly.
+    let sink = Arc::new(obs::MemorySink::new());
+    obs::add_sink(sink.clone());
+    obs::set_enabled(true);
+    let before = obs::MetricsSnapshot::capture();
+    let cfg = ExperimentConfig {
+        tests: 4,
+        ..Default::default()
+    };
+    experiments::table2(&CampaignRunner::new().with_auto_parallelism(), &cfg);
+    let process = obs::MetricsSnapshot::capture().delta(&before);
+    obs::set_enabled(false);
+    obs::clear_sinks();
+    let (mut ended, mut switches, mut ended_trials, mut trial_events) = (0, 0, 0, 0);
+    for e in &sink.events() {
+        match e {
+            obs::Event::CampaignEnd {
+                trials,
+                rank_switches,
+                ..
+            } => {
+                ended += 1;
+                switches += rank_switches;
+                ended_trials += trials;
+            }
+            obs::Event::Trial { .. } => trial_events += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(ended, 18, "one campaign_end per Table 2 campaign");
+    assert_eq!(
+        switches,
+        process.counter(obs::Counter::RankSwitches),
+        "campaign_end rank_switches must sum to the process's"
+    );
+    assert_eq!(ended_trials, trial_events, "one trial event per trial");
 }

@@ -80,21 +80,18 @@ fn warm_golden_cache_does_not_change_results() {
 }
 
 #[test]
-fn concurrent_same_key_campaigns_share_one_run() {
-    // Single-flight: hammer one key from several threads; all callers
-    // must get the same Arc (one execution), matching the sequential run.
+fn concurrent_same_key_campaigns_match_sequential() {
+    // Hammer one key from several threads of one runner: whichever
+    // callers run the campaign and whichever hit the cache, every result
+    // equals the sequential run's.
     let runner = CampaignRunner::new();
     let spec = CampaignSpec::new(App::Lu.default_spec(), 2, ErrorSpec::OneParallel, 8, 99);
     let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| runner.run(&spec))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for r in &results[1..] {
-        assert!(
-            std::sync::Arc::ptr_eq(&results[0], r),
-            "concurrent callers must share one campaign execution"
-        );
-    }
     let oracle = CampaignRunner::new().run_uncached(&spec);
-    assert_identical(&results[0], &oracle, "single-flight campaign");
+    for (i, r) in results.iter().enumerate() {
+        assert_identical(r, &oracle, &format!("concurrent caller {i}"));
+    }
 }

@@ -95,7 +95,8 @@ pub enum Event {
         trials: usize,
         /// Baton handoffs between ranks while the campaign ran, golden
         /// profiling included (the campaign's delta of the process-wide
-        /// `rank_switches` counter: exact when campaigns do not overlap).
+        /// `rank_switches` counter: exact on one-shot paths, which run
+        /// one campaign at a time; served campaigns overlap).
         rank_switches: u64,
         /// Deadlocks the fabric detected in the same window.
         deadlocks: u64,

@@ -51,6 +51,7 @@ fn main() {
             .fi
             .success_rate();
         let mut row = format!("{:<10}", app.name());
+        let problem = app.default_spec();
         for strategy in [
             SamplePoints::BucketUpper,
             SamplePoints::PaperEq8,
@@ -59,7 +60,7 @@ fn main() {
             // Disable alpha so the serial sample points actually matter
             // (with alpha active, bucket values come from the small scale
             // and every strategy coincides).
-            let mut inputs = build_inputs(&runner, &cfg, app, 64, 4, strategy);
+            let mut inputs = build_inputs(&runner, &cfg, &problem, 64, 4, strategy);
             inputs.alpha_threshold = f64::INFINITY;
             let pred = PaperEq8::new(inputs).predict();
             row.push_str(&format!(
@@ -90,8 +91,10 @@ fn main() {
             .fi
             .success_rate();
         let mut row = format!("{:<10}", app.name());
+        let problem = app.default_spec();
         for threshold in [0.20, f64::INFINITY, 0.0] {
-            let mut inputs = build_inputs(&runner, &cfg, app, 64, 4, SamplePoints::BucketUpper);
+            let mut inputs =
+                build_inputs(&runner, &cfg, &problem, 64, 4, SamplePoints::BucketUpper);
             inputs.alpha_threshold = threshold;
             let pred = PaperEq8::new(inputs).predict();
             row.push_str(&format!(

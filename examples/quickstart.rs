@@ -25,7 +25,15 @@ fn main() {
     //    sparse sample cases, plus one small-scale campaign for the
     //    propagation profile r' (and the α fine-tuning data).
     println!("measuring serial + {small}-rank inputs for {app}...");
-    let inputs = build_inputs(&runner, &cfg, app, large, small, SamplePoints::BucketUpper);
+    let problem = app.default_spec();
+    let inputs = build_inputs(
+        &runner,
+        &cfg,
+        &problem,
+        large,
+        small,
+        SamplePoints::BucketUpper,
+    );
     println!(
         "  serial sample cases: {:?}",
         inputs.serial.keys().collect::<Vec<_>>()

@@ -62,7 +62,8 @@ fn prediction_pipeline_end_to_end() {
     // is a sane probability triple near the measured value.
     let runner = CampaignRunner::new();
     let cfg = cfg(40);
-    let inputs = build_inputs(&runner, &cfg, App::Lu, 8, 2, SamplePoints::BucketUpper);
+    let lu = App::Lu.default_spec();
+    let inputs = build_inputs(&runner, &cfg, &lu, 8, 2, SamplePoints::BucketUpper);
     let pred = PaperEq8::new(inputs).predict();
     let measured = runner.run(&CampaignSpec::new(
         App::Lu.default_spec(),
