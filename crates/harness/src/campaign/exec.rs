@@ -449,7 +449,7 @@ mod tests {
                     if comm.rank() == 1 {
                         loop {
                             std::thread::sleep(Duration::from_millis(2));
-                            comm.send_bytes(0, 8, Vec::new());
+                            comm.send(0, 8, &[]);
                         }
                     }
                     comm.barrier();

@@ -283,11 +283,6 @@ impl RankCtx {
         p.msgs_sent = self.hot.msgs_sent.get();
         p
     }
-
-    /// Whether the rank has been contaminated so far.
-    pub fn is_contaminated(&self) -> bool {
-        self.hot.contaminated.get()
-    }
 }
 
 /// Cold half of a context: everything the per-op fast path never
@@ -587,18 +582,6 @@ pub(crate) fn set_region(r: Region) {
             h.region.set(r);
         }
     });
-}
-
-/// Report externally observed taint (e.g. a received message containing
-/// tainted elements) to the current rank's context, unconditionally.
-pub fn note_taint(tainted: bool) {
-    if tainted {
-        ACTIVE.with(|h| {
-            if h.installed.get() {
-                contaminate(h);
-            }
-        });
-    }
 }
 
 /// Report received values to the current rank's context: the rank is
@@ -1487,16 +1470,6 @@ mod tests {
         assert_eq!(report.msgs_recvd, 2);
         assert_eq!(report.tainted_msgs_recvd, 1);
         assert_eq!(report.first_contam_op, Some(0));
-    }
-
-    #[test]
-    fn note_taint_marks_contamination() {
-        let (_, report) = with_clean_ctx(RankCtx::profiling(0), || {
-            note_taint(false);
-            assert!(!with(|c| c.is_contaminated()).unwrap());
-            note_taint(true);
-        });
-        assert!(report.contaminated);
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub enum FaultPattern {
     MultiBit(u8),
 }
 
-impl FaultPattern {
-    /// Number of bits this pattern flips.
-    pub fn bits_flipped(self) -> u8 {
-        match self {
-            FaultPattern::SingleBit => 1,
-            FaultPattern::MultiBit(k) => k,
-        }
-    }
-}
-
 /// One planned fault: flip `bit` of `operand` of the `op_index`-th dynamic
 /// injectable FP operation executed in `region` (per-region counting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -209,12 +199,6 @@ mod tests {
         let queues = plan.into_queues();
         assert_eq!(queues[Region::Common.index()].len(), 2);
         assert_eq!(queues[Region::ParallelUnique.index()].len(), 1);
-    }
-
-    #[test]
-    fn fault_pattern_bits() {
-        assert_eq!(FaultPattern::SingleBit.bits_flipped(), 1);
-        assert_eq!(FaultPattern::MultiBit(3).bits_flipped(), 3);
     }
 
     #[test]

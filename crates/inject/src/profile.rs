@@ -70,8 +70,7 @@ impl OpKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RegionCounts {
     /// Count of injectable ops — the injection sample space: the ops of
-    /// the kinds in the [`OpMask`] the run was counted with, i.e.
-    /// [`injectable_for`](Self::injectable_for) that mask.
+    /// the kinds in the [`OpMask`] the run was counted with.
     pub injectable: u64,
     /// Per-kind counts, indexed by [`OpKind::index`].
     pub per_kind: [u64; 5],
@@ -81,12 +80,6 @@ impl RegionCounts {
     /// Total tracked ops in this region.
     pub fn total(&self) -> u64 {
         self.per_kind.iter().sum()
-    }
-
-    /// Ops in this region matching an arbitrary mask (derived from the
-    /// per-kind counts, independent of the mask the run was counted with).
-    pub fn injectable_for(&self, mask: OpMask) -> u64 {
-        masked_sum(&self.per_kind, mask)
     }
 }
 
@@ -105,7 +98,8 @@ pub(crate) fn masked_sum(per_kind: &[u64; 5], mask: OpMask) -> u64 {
 pub struct OpProfile {
     /// Counts per region, indexed by [`Region::index`].
     pub regions: [RegionCounts; 2],
-    /// Numeric (F64-payload) messages this rank sent through the fabric.
+    /// Numeric messages (all but the barrier's empty tokens) this rank
+    /// sent through the fabric.
     /// The message-corruption fault model draws its injection site
     /// uniformly from `0..msgs_sent` across ranks, exactly as op faults
     /// draw from `0..injectable`.
@@ -132,20 +126,6 @@ impl OpProfile {
     /// Total tracked ops across regions and kinds.
     pub fn total(&self) -> u64 {
         self.regions.iter().map(|c| c.total()).sum()
-    }
-
-    /// Fraction of injectable ops that are parallel-unique.
-    ///
-    /// This is the repo's operational stand-in for the paper's Table 1
-    /// "percentage of parallel-unique computation" (the paper measures
-    /// execution-time share; under uniform-over-ops injection the op share
-    /// is exactly the probability `prob_2` of Equation 1).
-    pub fn parallel_unique_share(&self) -> f64 {
-        let total = self.injectable_total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.injectable(Region::ParallelUnique) as f64 / total as f64
     }
 
     /// Merge another profile into this one (summing all counters).
@@ -198,12 +178,6 @@ mod tests {
         let p = sample_profile();
         assert_eq!(p.injectable_total(), 100);
         assert_eq!(p.total(), 111);
-        assert!((p.parallel_unique_share() - 0.10).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_profile_share_is_zero() {
-        assert_eq!(OpProfile::default().parallel_unique_share(), 0.0);
     }
 
     #[test]
@@ -216,6 +190,5 @@ mod tests {
         assert_eq!(a.injectable_total(), 200);
         assert_eq!(a.total(), 222);
         assert_eq!(a.msgs_sent, 12);
-        assert!((a.parallel_unique_share() - 0.10).abs() < 1e-12);
     }
 }

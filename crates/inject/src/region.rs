@@ -34,11 +34,6 @@ impl Region {
             Region::ParallelUnique => 1,
         }
     }
-
-    /// Inverse of [`Region::index`].
-    pub fn from_index(i: usize) -> Option<Region> {
-        Region::ALL.get(i).copied()
-    }
 }
 
 impl std::fmt::Display for Region {
@@ -71,14 +66,6 @@ impl Drop for RegionGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn region_index_roundtrip() {
-        for r in Region::ALL {
-            assert_eq!(Region::from_index(r.index()), Some(r));
-        }
-        assert_eq!(Region::from_index(2), None);
-    }
 
     #[test]
     fn region_display() {

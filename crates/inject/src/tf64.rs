@@ -79,12 +79,6 @@ impl Tf64 {
         self.v.is_finite()
     }
 
-    /// Whether the corrupted value is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.v.is_nan()
-    }
-
     /// Square root (tracked, not injectable).
     #[inline]
     pub fn sqrt(self) -> Tf64 {
@@ -139,21 +133,6 @@ impl Tf64 {
         hook_binop(OpKind::Other, self, Tf64::new(n as f64), |a, b| {
             a.powi(b as i32)
         })
-    }
-
-    /// Reciprocal (tracked division).
-    #[inline]
-    pub fn recip(self) -> Tf64 {
-        Tf64::ONE / self
-    }
-
-    /// Strip taint: both worlds become the corrupted value.
-    ///
-    /// Used to model operations that round-trip values through a channel
-    /// the tracker cannot see (e.g. text output re-parsed as input).
-    #[inline]
-    pub fn launder(self) -> Tf64 {
-        Tf64::new(self.v)
     }
 }
 
@@ -284,16 +263,6 @@ pub fn dot(a: &[Tf64], b: &[Tf64]) -> Tf64 {
     acc
 }
 
-/// Euclidean norm with fixed order.
-pub fn norm2(xs: &[Tf64]) -> Tf64 {
-    dot(xs, xs).sqrt()
-}
-
-/// Whether any element of a slice is tainted.
-pub fn any_tainted(xs: &[Tf64]) -> bool {
-    xs.iter().any(|x| x.is_tainted())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,16 +347,6 @@ mod tests {
         let n = f64::NAN;
         let t = Tf64::from_parts(n, n);
         assert!(!t.is_tainted());
-        assert!(t.is_nan());
-    }
-
-    #[test]
-    fn launder_strips_taint() {
-        let t = Tf64::from_parts(2.0, 1.0);
-        assert!(t.is_tainted());
-        let l = t.launder();
-        assert!(!l.is_tainted());
-        assert_eq!(l.value(), 2.0);
     }
 
     #[test]
@@ -395,10 +354,6 @@ mod tests {
         let xs = [Tf64::new(1.0), Tf64::new(2.0), Tf64::new(3.0)];
         assert_eq!(sum(&xs).value(), 6.0);
         assert_eq!(dot(&xs, &xs).value(), 14.0);
-        assert_eq!(norm2(&xs).value(), 14.0f64.sqrt());
-        assert!(!any_tainted(&xs));
-        let ys = [Tf64::new(1.0), Tf64::from_parts(2.0, 2.5)];
-        assert!(any_tainted(&ys));
     }
 
     #[test]
@@ -416,9 +371,8 @@ mod tests {
     }
 
     #[test]
-    fn powi_and_recip() {
+    fn powi() {
         let a = Tf64::new(2.0);
         assert_eq!(a.powi(10).value(), 1024.0);
-        assert_eq!(a.recip().value(), 0.5);
     }
 }

@@ -5,7 +5,7 @@
 //! Values are observations only — nothing in the campaign pipeline reads
 //! them back, so enabling metrics cannot alter a campaign statistic.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Monotonic event counters.
@@ -172,53 +172,6 @@ impl Counter {
     }
 }
 
-/// Point-in-time level gauges (counters go up; gauges go up *and*
-/// down). The only consumer so far is the service daemon's
-/// active-campaign level; kept in the same recorder so `--metrics`
-/// reports and tests read them uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Campaigns currently registered and not yet finished in a
-    /// `resilim serve` daemon.
-    ServeActiveCampaigns,
-}
-
-impl Gauge {
-    /// Every gauge, in stable report order.
-    pub const ALL: [Gauge; 1] = [Gauge::ServeActiveCampaigns];
-
-    /// Stable snake_case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::ServeActiveCampaigns => "serve_active_campaigns",
-        }
-    }
-}
-
-const NUM_GAUGES: usize = Gauge::ALL.len();
-
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_I64: AtomicI64 = AtomicI64::new(0);
-
-static GAUGES: [AtomicI64; NUM_GAUGES] = [ZERO_I64; NUM_GAUGES];
-
-/// Move a gauge by `delta` (negative = down). Unlike counters, gauges
-/// are *state*, not observations: they track live service levels and
-/// are therefore recorded even while the event recorder is disabled —
-/// a daemon that enables tracing mid-flight must not see a skewed
-/// level.
-#[inline]
-pub fn gauge_add(g: Gauge, delta: i64) {
-    GAUGES[g as usize].fetch_add(delta, Ordering::Relaxed);
-}
-
-/// A gauge's current level.
-#[inline]
-pub fn gauge(g: Gauge) -> i64 {
-    GAUGES[g as usize].load(Ordering::Relaxed)
-}
-
 /// Log₂-bucketed histograms (bucket `i ≥ 1` covers `[2^(i−1), 2^i)`;
 /// bucket 0 holds zeros).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,20 +183,12 @@ pub enum Hist {
     OpsPerRank,
     /// Latency of `barrier`, nanoseconds.
     BarrierNs,
-    /// Latency of `bcast`, nanoseconds.
-    BcastNs,
-    /// Latency of `reduce`, nanoseconds.
-    ReduceNs,
     /// Latency of `allreduce` (vector and scalar), nanoseconds.
     AllreduceNs,
-    /// Latency of `gather`, nanoseconds.
-    GatherNs,
     /// Latency of `allgather`, nanoseconds.
     AllgatherNs,
     /// Latency of `alltoallv`, nanoseconds.
     AlltoallvNs,
-    /// Latency of `scatter`, nanoseconds.
-    ScatterNs,
     /// Latency of `sendrecv`, nanoseconds.
     SendrecvNs,
 }
@@ -253,17 +198,13 @@ pub const HIST_BUCKETS: usize = 65;
 
 impl Hist {
     /// Every histogram, in stable report order.
-    pub const ALL: [Hist; 11] = [
+    pub const ALL: [Hist; 7] = [
         Hist::TrialLatencyUs,
         Hist::OpsPerRank,
         Hist::BarrierNs,
-        Hist::BcastNs,
-        Hist::ReduceNs,
         Hist::AllreduceNs,
-        Hist::GatherNs,
         Hist::AllgatherNs,
         Hist::AlltoallvNs,
-        Hist::ScatterNs,
         Hist::SendrecvNs,
     ];
 
@@ -273,13 +214,9 @@ impl Hist {
             Hist::TrialLatencyUs => "trial_latency_us",
             Hist::OpsPerRank => "ops_per_rank",
             Hist::BarrierNs => "barrier_ns",
-            Hist::BcastNs => "bcast_ns",
-            Hist::ReduceNs => "reduce_ns",
             Hist::AllreduceNs => "allreduce_ns",
-            Hist::GatherNs => "gather_ns",
             Hist::AllgatherNs => "allgather_ns",
             Hist::AlltoallvNs => "alltoallv_ns",
-            Hist::ScatterNs => "scatter_ns",
             Hist::SendrecvNs => "sendrecv_ns",
         }
     }
@@ -352,14 +289,6 @@ pub fn span(h: Hist) -> Span {
     Span {
         hist: h,
         start: timer(),
-    }
-}
-
-/// Record a span's elapsed time in microseconds.
-#[inline]
-pub fn observe_elapsed_us(h: Hist, start: Option<Instant>) {
-    if let Some(start) = start {
-        observe(h, start.elapsed().as_micros().min(u64::MAX as u128) as u64);
     }
 }
 

@@ -24,12 +24,18 @@ use crate::protocol::{self, Request, Response, SubmitSpec, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WatchEvent};
 use resilim_harness::CampaignRunner;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
+
+/// The longest request line a connection may send, newline included. A
+/// `submit` line is under 1 KiB; a client that streams more without a
+/// newline gets an error and is disconnected instead of growing the
+/// daemon's buffer for as long as it keeps writing.
+const MAX_REQUEST_LINE: u64 = 64 * 1024;
 
 /// Set by the SIGTERM/SIGINT handler; polled by every accept loop.
 static TERM: AtomicBool = AtomicBool::new(false);
@@ -272,8 +278,8 @@ fn accept_loop(
 }
 
 /// Serve one connection: a sequence of requests, one JSON object per
-/// line, each answered by one (or, for `watch`, a stream of) response
-/// lines.
+/// line of at most [`MAX_REQUEST_LINE`] bytes, each answered by one (or,
+/// for `watch`, a stream of) response lines.
 fn handle_connection(
     stream: UnixStream,
     scheduler: &Scheduler,
@@ -294,9 +300,18 @@ fn handle_connection(
             return;
         }
         // NB: on timeout, `read_line` has already appended any bytes it
-        // read into `line` — keep them and retry for the rest.
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
+        // read into `line` — keep them and retry for the rest, within
+        // what is left of the cap.
+        let room = MAX_REQUEST_LINE.saturating_sub(line.len() as u64);
+        match (&mut reader).take(room).read_line(&mut line) {
+            Ok(0) if room > 0 => return, // client hung up
+            Ok(_) if line.len() as u64 >= MAX_REQUEST_LINE && !line.ends_with('\n') => {
+                let _ = protocol::write_line(
+                    &mut writer,
+                    &Response::error(format!("request line longer than {MAX_REQUEST_LINE} bytes")),
+                );
+                return;
+            }
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;

@@ -144,7 +144,6 @@ impl Entry {
     /// Enter a terminal state and tell everyone watching.
     fn end(&mut self, state: CampaignState) {
         self.state = state;
-        obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
         if obs::enabled() {
             obs::emit(&obs::Event::ServeCampaignDone {
                 id: self.id(),
@@ -331,7 +330,6 @@ impl Scheduler {
             return Ok((id, true));
         }
         let id = run.id();
-        obs::gauge_add(obs::Gauge::ServeActiveCampaigns, 1);
         self.note_submit(id, spec, false);
         run.announce();
         let mut entry = Entry {

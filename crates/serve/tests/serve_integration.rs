@@ -298,6 +298,26 @@ fn daemon_rejects_bad_requests() {
     assert_eq!(resp.kind, "error");
     assert!(resp.message.unwrap().contains("protocol"));
 
+    // A request line past the daemon's 64 KiB cap is answered with one
+    // error line and the connection closed, not buffered without end.
+    {
+        use std::io::{BufRead, BufReader, Write};
+        let mut raw = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        raw.write_all(&vec![b'x'; 64 * 1024 + 1]).unwrap();
+        let mut reader = BufReader::new(raw);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let resp: resilim_serve::Response = serde_json::from_str(&line).unwrap();
+        assert_eq!(resp.kind, "error");
+        assert!(resp.message.unwrap().contains("longer than"), "{line}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "closed");
+    }
+    // The daemon still serves a fresh client.
+    let mut client = Client::connect(&socket).unwrap();
+    assert_eq!(client.call(&Request::list()).unwrap().kind, "list");
+
     daemon.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

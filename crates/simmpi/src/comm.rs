@@ -1,17 +1,19 @@
 //! The per-rank communicator handle.
 //!
-//! [`Comm`] wraps the shared [fabric](crate::fabric) with an
-//! MPI-flavoured API: tagged point-to-point messages plus the collectives
-//! the ported applications need (barrier, bcast, reduce, allreduce,
-//! allgather, alltoallv, scatter, sendrecv).
+//! [`Comm`] wraps the shared fabric with an MPI-flavoured API: tagged
+//! point-to-point messages plus the collectives the six applications call
+//! (barrier, allreduce, allgather, alltoallv, sendrecv). A message is a
+//! buffer of tracked floats; the barrier's empty tokens are the only
+//! messages that are not numeric sends.
 //!
 //! Design notes:
 //!
 //! * **Errors abort the job.** Fabric errors become panics with
-//!   recognisable messages (see [`crate::error`]); the world runner
-//!   classifies them. This mirrors the default `MPI_ERRORS_ARE_FATAL`.
+//!   recognisable messages; the world runner classifies them (see
+//!   [`PanicKind`](crate::PanicKind)). This mirrors the default
+//!   `MPI_ERRORS_ARE_FATAL`.
 //! * **Collectives are linear and deterministic.** Reductions fold
-//!   contributions at the root in rank order 0,1,…,p−1 as they are
+//!   contributions at rank 0 in rank order 0,1,…,p−1 as they are
 //!   received, so results are bit-reproducible and independent of the
 //!   order they were sent in. The O(p) fan-in is most of a large trial:
 //!   at p=64 an allreduce is 126 messages and ~64 handoffs (≈ 14 µs
@@ -24,24 +26,21 @@
 //!   combines bypass the injection hook (and therefore also keep dynamic
 //!   op counts identical across scales). Taint still propagates, because
 //!   it is carried by the values themselves.
-//! * **Every received numeric payload reports its taint** to the current
-//!   rank's injection context — that is how cross-rank contamination
-//!   (paper §3.2) becomes observable.
+//! * **Every received payload reports its taint** to the current rank's
+//!   injection context — that is how cross-rank contamination (paper
+//!   §3.2) becomes observable.
 
 use crate::error::MpiError;
 use crate::fabric::Fabric;
-use crate::payload::Payload;
 use resilim_inject::{ctx, Tf64};
 use resilim_obs as obs;
 use std::cell::Cell;
 
-/// Reduction operators for [`Comm::reduce`]/[`Comm::allreduce`].
+/// Reduction operators for [`Comm::allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Elementwise sum.
     Sum,
-    /// Elementwise product.
-    Prod,
     /// Elementwise minimum.
     Min,
     /// Elementwise maximum.
@@ -55,19 +54,10 @@ impl ReduceOp {
     pub fn combine(self, a: Tf64, b: Tf64) -> Tf64 {
         let f: fn(f64, f64) -> f64 = match self {
             ReduceOp::Sum => |x, y| x + y,
-            ReduceOp::Prod => |x, y| x * y,
             ReduceOp::Min => f64::min,
             ReduceOp::Max => f64::max,
         };
         Tf64::from_parts(f(a.value(), b.value()), f(a.shadow(), b.shadow()))
-    }
-}
-
-/// Report a received payload's (significance-thresholded) taint to the
-/// current rank's injection context.
-fn note_payload(payload: &Payload) {
-    if let Payload::F64(values) = payload {
-        ctx::note_values(values);
     }
 }
 
@@ -112,7 +102,6 @@ pub struct Comm<'a> {
     coll_seq: Cell<u64>,
 }
 
-#[allow(clippy::needless_range_loop)] // receives are matched by explicit src rank
 impl<'a> Comm<'a> {
     /// Handle for `rank` over a shared fabric.
     pub(crate) fn new(rank: usize, fabric: &'a Fabric) -> Comm<'a> {
@@ -155,6 +144,11 @@ impl<'a> Comm<'a> {
         COLL_TAG_BASE | seq
     }
 
+    /// Send `data` to `dst` under any tag (collectives use their own).
+    fn post(&self, dst: usize, tag: u64, data: Vec<Tf64>) {
+        Self::chk(self.fabric.send(self.rank, dst, tag, data));
+    }
+
     // ----------------------------------------------------------------
     // Point-to-point
     // ----------------------------------------------------------------
@@ -162,25 +156,15 @@ impl<'a> Comm<'a> {
     /// Send tracked floats to `dst` (non-blocking buffered send).
     pub fn send(&self, dst: usize, tag: u64, data: &[Tf64]) {
         debug_assert!(tag < COLL_TAG_BASE, "user tags must be < 2^63");
-        Self::chk(self.fabric.send(self.rank, dst, tag, data.into()));
+        self.post(dst, tag, data.to_vec());
     }
 
-    /// Receive tracked floats from `src`.
+    /// Receive tracked floats from `src`, reporting their taint to this
+    /// rank's injection context.
     pub fn recv(&self, src: usize, tag: u64) -> Vec<Tf64> {
         let payload = Self::chk(self.fabric.recv(self.rank, src, tag));
-        note_payload(&payload);
-        Self::chk(payload.into_f64())
-    }
-
-    /// Send raw bytes to `dst`.
-    pub fn send_bytes(&self, dst: usize, tag: u64, data: Vec<u8>) {
-        debug_assert!(tag < COLL_TAG_BASE, "user tags must be < 2^63");
-        Self::chk(self.fabric.send(self.rank, dst, tag, data.into()));
-    }
-
-    /// Receive raw bytes from `src`.
-    pub fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
-        Self::chk(Self::chk(self.fabric.recv(self.rank, src, tag)).into_bytes())
+        ctx::note_values(&payload);
+        payload
     }
 
     /// Combined send-to-`dst` + receive-from-`src` (halo-exchange staple;
@@ -195,7 +179,8 @@ impl<'a> Comm<'a> {
     // Collectives (all ranks must call, in the same order)
     // ----------------------------------------------------------------
 
-    /// Synchronize all ranks.
+    /// Synchronize all ranks. Its tokens are empty and bypass the
+    /// sender-side hooks, so a barrier never counts as a numeric send.
     pub fn barrier(&self) {
         let _span = obs::span(obs::Hist::BarrierNs);
         let tag = self.next_coll_tag();
@@ -204,94 +189,22 @@ impl<'a> Comm<'a> {
         }
         if self.rank == 0 {
             for src in 1..self.size {
-                let _ = Self::chk(self.fabric.recv(self.rank, src, tag));
+                Self::chk(self.fabric.recv(self.rank, src, tag));
             }
             for dst in 1..self.size {
-                Self::chk(
-                    self.fabric
-                        .send(self.rank, dst, tag, Payload::Bytes(Vec::new())),
-                );
+                Self::chk(self.fabric.send_token(self.rank, dst, tag));
             }
         } else {
-            Self::chk(
-                self.fabric
-                    .send(self.rank, 0, tag, Payload::Bytes(Vec::new())),
-            );
-            let _ = Self::chk(self.fabric.recv(self.rank, 0, tag));
-        }
-    }
-
-    /// Broadcast `data` from `root`; non-root buffers are overwritten.
-    pub fn bcast(&self, root: usize, data: &mut Vec<Tf64>) {
-        let _span = obs::span(obs::Hist::BcastNs);
-        let tag = self.next_coll_tag();
-        if self.size == 1 {
-            return;
-        }
-        if self.rank == root {
-            for dst in 0..self.size {
-                if dst != root {
-                    Self::chk(
-                        self.fabric
-                            .send(self.rank, dst, tag, data.as_slice().into()),
-                    );
-                }
-            }
-        } else {
-            let payload = Self::chk(self.fabric.recv(self.rank, root, tag));
-            note_payload(&payload);
-            *data = Self::chk(payload.into_f64());
-        }
-    }
-
-    /// Reduce `data` elementwise onto `root`; returns `Some(result)` at the
-    /// root and `None` elsewhere. Contributions fold in rank order.
-    pub fn reduce(&self, root: usize, op: ReduceOp, data: &[Tf64]) -> Option<Vec<Tf64>> {
-        let _span = obs::span(obs::Hist::ReduceNs);
-        let tag = self.next_coll_tag();
-        if self.size == 1 {
-            return Some(data.to_vec());
-        }
-        if self.rank == root {
-            // Receives are matched by source in rank order, so folding
-            // each contribution as it arrives is the fixed order
-            // 0,1,…,p−1 whatever order the messages were sent in.
-            let mut acc = if root == 0 {
-                data.to_vec()
-            } else {
-                self.recv(0, tag)
-            };
-            for src in 1..self.size {
-                let received;
-                let part = if src == root {
-                    data
-                } else {
-                    received = self.recv(src, tag);
-                    &received
-                };
-                assert_eq!(
-                    part.len(),
-                    acc.len(),
-                    "reduce: length mismatch across ranks"
-                );
-                for (a, &b) in acc.iter_mut().zip(part) {
-                    *a = op.combine(*a, b);
-                }
-            }
-            Some(acc)
-        } else {
-            Self::chk(self.fabric.send(self.rank, root, tag, data.into()));
-            None
+            Self::chk(self.fabric.send_token(self.rank, 0, tag));
+            Self::chk(self.fabric.recv(self.rank, 0, tag));
         }
     }
 
     /// Allreduce: reduce onto rank 0, then broadcast the result.
     pub fn allreduce(&self, op: ReduceOp, data: &[Tf64]) -> Vec<Tf64> {
         let _span = obs::span(obs::Hist::AllreduceNs);
-        let reduced = self.reduce(0, op, data);
-        let mut buf = reduced.unwrap_or_default();
-        self.bcast(0, &mut buf);
-        buf
+        let reduced = self.reduce(op, data);
+        self.bcast(reduced)
     }
 
     /// Scalar allreduce convenience.
@@ -299,27 +212,63 @@ impl<'a> Comm<'a> {
         self.allreduce(op, &[x])[0]
     }
 
-    /// Gather every rank's buffer at `root`, which concatenates them in
-    /// rank order as they arrive. The fan-in half of [`Comm::allgather`].
-    fn gather(&self, root: usize, data: &[Tf64]) -> Option<Gathered> {
-        let _span = obs::span(obs::Hist::GatherNs);
+    /// Reduce `data` elementwise onto rank 0: `Some(result)` there, `None`
+    /// elsewhere. The fan-in half of [`Comm::allreduce`].
+    fn reduce(&self, op: ReduceOp, data: &[Tf64]) -> Option<Vec<Tf64>> {
         let tag = self.next_coll_tag();
-        if self.rank != root {
-            Self::chk(self.fabric.send(self.rank, root, tag, data.into()));
+        if self.rank != 0 {
+            self.post(0, tag, data.to_vec());
+            return None;
+        }
+        // Receives are matched by source in rank order, so folding each
+        // contribution as it arrives is the fixed order 0,1,…,p−1
+        // whatever order the messages were sent in.
+        let mut acc = data.to_vec();
+        for src in 1..self.size {
+            let part = self.recv(src, tag);
+            assert_eq!(
+                part.len(),
+                acc.len(),
+                "reduce: length mismatch across ranks"
+            );
+            for (a, &b) in acc.iter_mut().zip(&part) {
+                *a = op.combine(*a, b);
+            }
+        }
+        Some(acc)
+    }
+
+    /// Rank 0's `data` (`Some` exactly there) on every rank. The fan-out
+    /// half of [`Comm::allreduce`].
+    fn bcast(&self, data: Option<Vec<Tf64>>) -> Vec<Tf64> {
+        let tag = self.next_coll_tag();
+        match data {
+            Some(data) => {
+                for dst in 1..self.size {
+                    self.post(dst, tag, data.clone());
+                }
+                data
+            }
+            None => self.recv(0, tag),
+        }
+    }
+
+    /// Gather every rank's buffer at rank 0, which concatenates them in
+    /// rank order as they arrive. The fan-in half of [`Comm::allgather`].
+    fn gather(&self, data: &[Tf64]) -> Option<Gathered> {
+        let tag = self.next_coll_tag();
+        if self.rank != 0 {
+            self.post(0, tag, data.to_vec());
             return None;
         }
         // Sized for equal parts; uneven ones grow it.
         let mut flat = Vec::with_capacity(data.len() * self.size);
         let mut counts = Vec::with_capacity(self.size);
-        for src in 0..self.size {
-            let received;
-            let part = if src == root {
-                data
-            } else {
-                received = self.recv(src, tag);
-                &received
-            };
-            flat.extend_from_slice(part);
+        flat.extend_from_slice(data);
+        counts.push(data.len());
+        for src in 1..self.size {
+            let part = self.recv(src, tag);
+            flat.extend_from_slice(&part);
             counts.push(part.len());
         }
         Some(Gathered { flat, counts })
@@ -330,50 +279,41 @@ impl<'a> Comm<'a> {
     /// different lengths (allgatherv semantics).
     pub fn allgather(&self, data: &[Tf64]) -> Gathered {
         let _span = obs::span(obs::Hist::AllgatherNs);
-        let gathered = self.gather(0, data);
+        let gathered = self.gather(data);
         if self.size == 1 {
             return gathered.expect("serial gather");
         }
         // Fan out a length table, then the concatenation.
         let tag = self.next_coll_tag();
-        if self.rank == 0 {
-            let all = gathered.expect("root gather");
+        if let Some(all) = gathered {
             let lens: Vec<Tf64> = all.counts.iter().map(|&n| Tf64::new(n as f64)).collect();
             for dst in 1..self.size {
-                Self::chk(
-                    self.fabric
-                        .send(self.rank, dst, tag, lens.as_slice().into()),
-                );
-                Self::chk(
-                    self.fabric
-                        .send(self.rank, dst, tag, all.flat.as_slice().into()),
-                );
+                self.post(dst, tag, lens.clone());
+                self.post(dst, tag, all.flat.clone());
             }
-            all
-        } else {
-            let lens_payload = Self::chk(self.fabric.recv(self.rank, 0, tag));
-            let lens = Self::chk(lens_payload.into_f64());
-            let flat_payload = Self::chk(self.fabric.recv(self.rank, 0, tag));
-            note_payload(&flat_payload);
-            // The buffer that arrived is the buffer returned. The table
-            // crossed the wire too (`--fault-model msg` may have hit it):
-            // it alone decides where the parts are, as when every part
-            // was cut out by it.
-            let mut flat = Self::chk(flat_payload.into_f64());
-            let counts: Vec<usize> = lens.iter().map(|len| len.value() as usize).collect();
-            let total = counts
-                .iter()
-                .try_fold(0usize, |sum, &n| sum.checked_add(n))
-                .filter(|&total| total <= flat.len())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "allgather: length table {counts:?} overruns {} elements",
-                        flat.len()
-                    )
-                });
-            flat.truncate(total);
-            Gathered { flat, counts }
+            return all;
         }
+        // Only the buffer is reported to the injection context as a
+        // received payload; the table is bookkeeping.
+        let lens = Self::chk(self.fabric.recv(self.rank, 0, tag));
+        // The buffer that arrived is the buffer returned. The table
+        // crossed the wire too (`--fault-model msg` may have hit it): it
+        // alone decides where the parts are, as when every part was cut
+        // out by it.
+        let mut flat = self.recv(0, tag);
+        let counts: Vec<usize> = lens.iter().map(|len| len.value() as usize).collect();
+        let total = counts
+            .iter()
+            .try_fold(0usize, |sum, &n| sum.checked_add(n))
+            .filter(|&total| total <= flat.len())
+            .unwrap_or_else(|| {
+                panic!(
+                    "allgather: length table {counts:?} overruns {} elements",
+                    flat.len()
+                )
+            });
+        flat.truncate(total);
+        Gathered { flat, counts }
     }
 
     /// All-to-all with per-destination buffers: `outgoing[d]` goes to rank
@@ -392,40 +332,15 @@ impl<'a> Comm<'a> {
             if dst == self.rank {
                 incoming[dst] = buf;
             } else {
-                Self::chk(self.fabric.send(self.rank, dst, tag, buf.into()));
+                self.post(dst, tag, buf);
             }
         }
-        for src in 0..self.size {
+        for (src, slot) in incoming.iter_mut().enumerate() {
             if src != self.rank {
-                let payload = Self::chk(self.fabric.recv(self.rank, src, tag));
-                note_payload(&payload);
-                incoming[src] = Self::chk(payload.into_f64());
+                *slot = self.recv(src, tag);
             }
         }
         incoming
-    }
-
-    /// Scatter `chunks` (one per rank, provided at `root`) to all ranks.
-    pub fn scatter(&self, root: usize, chunks: Option<&[Vec<Tf64>]>) -> Vec<Tf64> {
-        let _span = obs::span(obs::Hist::ScatterNs);
-        let tag = self.next_coll_tag();
-        if self.rank == root {
-            let chunks = chunks.expect("root must provide chunks");
-            assert_eq!(chunks.len(), self.size, "scatter: need one chunk per rank");
-            for (dst, chunk) in chunks.iter().enumerate() {
-                if dst != root {
-                    Self::chk(
-                        self.fabric
-                            .send(self.rank, dst, tag, chunk.as_slice().into()),
-                    );
-                }
-            }
-            chunks[root].clone()
-        } else {
-            let payload = Self::chk(self.fabric.recv(self.rank, root, tag));
-            note_payload(&payload);
-            Self::chk(payload.into_f64())
-        }
     }
 }
 
@@ -439,7 +354,6 @@ mod tests {
         let a = Tf64::new(3.0);
         let b = Tf64::new(5.0);
         assert_eq!(ReduceOp::Sum.combine(a, b).value(), 8.0);
-        assert_eq!(ReduceOp::Prod.combine(a, b).value(), 15.0);
         assert_eq!(ReduceOp::Min.combine(a, b).value(), 3.0);
         assert_eq!(ReduceOp::Max.combine(a, b).value(), 5.0);
     }
@@ -483,32 +397,15 @@ mod tests {
     }
 
     #[test]
-    fn bcast_from_nonzero_root() {
-        let world = World::new(4);
-        let results = world.run(|comm| {
-            let mut data = if comm.rank() == 2 {
-                vec![Tf64::new(7.5), Tf64::new(-1.0)]
-            } else {
-                Vec::new()
-            };
-            comm.bcast(2, &mut data);
-            (data[0].value(), data[1].value())
-        });
-        for r in results {
-            assert_eq!(r.result.unwrap(), (7.5, -1.0));
-        }
-    }
-
-    #[test]
     fn gather_rank_ordered() {
         let world = World::new(4);
         let results = world.run(|comm| {
             let mine = vec![Tf64::new(comm.rank() as f64); comm.rank() + 1];
-            comm.gather(1, &mine)
+            comm.gather(&mine)
         });
         for (rank, r) in results.into_iter().enumerate() {
             let g = r.result.unwrap();
-            if rank == 1 {
+            if rank == 0 {
                 let g = g.unwrap();
                 for (i, part) in g.parts().enumerate() {
                     assert_eq!(part.len(), i + 1);
@@ -539,8 +436,7 @@ mod tests {
         // `--fault-model msg` can hit it. What the receiver then holds is
         // decided by the table alone: a shrunk entry shifts and shortens
         // the parts, an entry that overruns the payload crashes the rank.
-        use crate::error::PanicKind;
-        use crate::fabric::MsgFault;
+        use crate::{MsgFault, PanicKind};
         use resilim_inject::RankCtx;
         let run = |bit: u8| {
             // Rank 0's first numeric send is the table [3.0, 3.0].
@@ -603,19 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_chunks() {
-        let world = World::new(3);
-        let results = world.run(|comm| {
-            let chunks: Option<Vec<Vec<Tf64>>> = (comm.rank() == 0)
-                .then(|| (0..3).map(|i| vec![Tf64::new(i as f64 * 2.0)]).collect());
-            comm.scatter(0, chunks.as_deref())[0].value()
-        });
-        for (rank, r) in results.into_iter().enumerate() {
-            assert_eq!(r.result.unwrap(), rank as f64 * 2.0);
-        }
-    }
-
-    #[test]
     fn sendrecv_ring() {
         let p = 5;
         let world = World::new(p);
@@ -641,6 +524,49 @@ mod tests {
             true
         });
         assert!(results.into_iter().all(|r| r.result.unwrap()));
+    }
+
+    #[test]
+    fn barrier_tokens_are_not_numeric_sends() {
+        // A barrier's tokens are scheduled like any message, but they
+        // never enter a rank's send profile or the wire-fault index:
+        // otherwise the fault armed on rank 0's first numeric send would
+        // fire on a token, and golden profiles would count barriers.
+        use crate::MsgFault;
+        use resilim_inject::RankCtx;
+        let fault = MsgFault {
+            src: 0,
+            msg_index: 0,
+            elem_sel: 0,
+            bit: 52,
+        };
+        let run = |send: bool| {
+            World::new(4).with_msg_fault(Some(fault)).run_with_ctx(
+                |rank| Some(RankCtx::profiling(rank)),
+                move |comm| {
+                    comm.barrier();
+                    if send && comm.rank() == 0 {
+                        comm.send(1, 0, &[Tf64::new(1.0)]);
+                    }
+                    if send && comm.rank() == 1 {
+                        comm.recv(0, 0);
+                    }
+                    comm.barrier();
+                },
+            )
+        };
+        for o in run(false) {
+            let report = o.ctx_report.expect("profiling context");
+            assert_eq!(report.profile.msgs_sent, 0, "rank {}", o.rank);
+            assert_eq!(report.wire_fired, 0, "rank {}", o.rank);
+            assert!(!report.contaminated, "rank {}", o.rank);
+        }
+        // Control: one numeric message is counted and takes the fault.
+        let control = run(true);
+        let sender = control[0].ctx_report.as_ref().unwrap();
+        assert_eq!(sender.profile.msgs_sent, 1);
+        assert_eq!(sender.wire_fired, 1);
+        assert!(control[1].ctx_report.as_ref().unwrap().contaminated);
     }
 
     #[test]

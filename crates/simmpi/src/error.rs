@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// MPI abort. The [`World`](crate::World) runner classifies those panics
 /// back into [`PanicKind`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MpiError {
+pub(crate) enum MpiError {
     /// No matching message can ever arrive: every other rank is blocked
     /// or done (a deadlock, detected by the fabric's scheduler the moment
     /// it forms — the name dates from when a timer inferred it).
@@ -24,11 +24,6 @@ pub enum MpiError {
     },
     /// The fabric was poisoned because another rank panicked.
     FabricDead,
-    /// A payload had the wrong variant or length for the operation.
-    PayloadMismatch {
-        /// Human-readable description of the mismatch.
-        what: &'static str,
-    },
     /// A rank index was out of range.
     InvalidRank {
         /// The offending rank index.
@@ -46,9 +41,6 @@ impl std::fmt::Display for MpiError {
                 "{RECV_TIMEOUT_MSG}: rank {rank} waiting for src {src} tag {tag}"
             ),
             MpiError::FabricDead => write!(f, "{FABRIC_DEAD_MSG}"),
-            MpiError::PayloadMismatch { what } => {
-                write!(f, "resilim-simmpi: payload mismatch: {what}")
-            }
             MpiError::InvalidRank { rank, size } => {
                 write!(f, "resilim-simmpi: invalid rank {rank} (world size {size})")
             }
@@ -56,12 +48,10 @@ impl std::fmt::Display for MpiError {
     }
 }
 
-impl std::error::Error for MpiError {}
-
 /// Marker message for receive-timeout panics.
-pub const RECV_TIMEOUT_MSG: &str = "resilim-simmpi: receive timed out";
+pub(crate) const RECV_TIMEOUT_MSG: &str = "resilim-simmpi: receive timed out";
 /// Marker message for fabric-poisoned panics (secondary failures).
-pub const FABRIC_DEAD_MSG: &str = "resilim-simmpi: fabric dead (another rank failed)";
+pub(crate) const FABRIC_DEAD_MSG: &str = "resilim-simmpi: fabric dead (another rank failed)";
 
 /// Classification of a rank's panic, recovered from the panic payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -30,20 +30,18 @@
 use crate::baton::Baton;
 use crate::carrier::Carrier;
 use crate::error::MpiError;
-use crate::payload::Payload;
+use resilim_inject::{ctx, Tf64};
 use resilim_obs as obs;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Count a delivered (matched) message. Taint scanning only happens with
 /// the recorder on, so the disabled path never touches the payload.
-fn note_recv(payload: &Payload) {
+fn note_recv(payload: &[Tf64]) {
     if obs::enabled() {
         obs::count(obs::Counter::MsgsRecvd, 1);
-        obs::count(
-            obs::Counter::TaintedElemsRecvd,
-            payload.tainted_elems() as u64,
-        );
+        let tainted = payload.iter().filter(|x| x.is_tainted()).count();
+        obs::count(obs::Counter::TaintedElemsRecvd, tainted as u64);
     }
 }
 
@@ -51,7 +49,7 @@ fn note_recv(payload: &Payload) {
 /// of the `msg_index`-th numeric message sent by rank `src`.
 ///
 /// The corruption happens *on the wire*: the sender's replica compare
-/// point ([`resilim_inject::ctx::note_msg_send`]) sees the payload before
+/// point ([`ctx::note_msg_send`]) sees the payload before
 /// the flip, so only the receiver can observe it. The element is selected
 /// as `elem_sel % len`, so one uniform draw covers payloads of any length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +68,7 @@ pub struct MsgFault {
 struct Envelope {
     src: usize,
     tag: u64,
-    payload: Payload,
+    payload: Vec<Tf64>,
 }
 
 /// What the scheduler knows about one rank.
@@ -222,38 +220,51 @@ impl Fabric {
     }
 
     /// Route an outgoing payload through the sender-side hooks: count the
-    /// numeric send into the rank's profile (and replica-compare it), then
-    /// apply the armed wire fault if this is its message. Order matters —
-    /// the replica compare must see the pre-corruption payload.
-    fn outbound(&self, src: usize, payload: Payload) -> Payload {
-        match payload {
-            Payload::F64(mut values) => {
-                let idx = resilim_inject::ctx::note_msg_send(&values);
-                if let (Some(idx), Some(fault)) = (idx, self.msg_fault) {
-                    if fault.src == src && fault.msg_index == idx && !values.is_empty() {
-                        let e = (fault.elem_sel % values.len() as u64) as usize;
-                        let v = values[e];
-                        let corrupted =
-                            f64::from_bits(v.value().to_bits() ^ (1u64 << (fault.bit & 63)));
-                        values[e] = resilim_inject::Tf64::from_parts(corrupted, v.shadow());
-                        resilim_inject::ctx::note_wire_fired(idx, fault.bit & 63);
-                    }
-                }
-                Payload::F64(values)
+    /// send into the rank's profile (and replica-compare it), then apply
+    /// the armed wire fault if this is its message. Order matters — the
+    /// replica compare must see the pre-corruption payload.
+    fn outbound(&self, src: usize, mut values: Vec<Tf64>) -> Vec<Tf64> {
+        let idx = ctx::note_msg_send(&values);
+        if let (Some(idx), Some(fault)) = (idx, self.msg_fault) {
+            if fault.src == src && fault.msg_index == idx && !values.is_empty() {
+                let e = (fault.elem_sel % values.len() as u64) as usize;
+                let v = values[e];
+                let corrupted = f64::from_bits(v.value().to_bits() ^ (1u64 << (fault.bit & 63)));
+                values[e] = Tf64::from_parts(corrupted, v.shadow());
+                ctx::note_wire_fired(idx, fault.bit & 63);
             }
-            p => p,
         }
+        values
     }
 
-    /// Deliver a message to `dst`'s mailbox. Never blocks, never switches:
-    /// a receiver blocked on exactly this message becomes `Ready`.
+    /// Deliver a message to `dst`'s mailbox through the sender-side hooks
+    /// ([`Fabric::outbound`]). Never blocks, never switches: a receiver
+    /// blocked on exactly this message becomes `Ready`.
     pub(crate) fn send(
         &self,
         src: usize,
         dst: usize,
         tag: u64,
-        payload: Payload,
+        payload: Vec<Tf64>,
     ) -> Result<(), MpiError> {
+        self.check_open(dst)?;
+        let payload = self.outbound(src, payload);
+        self.post(src, dst, tag, payload);
+        Ok(())
+    }
+
+    /// Deliver an empty synchronisation token (the barrier's) to `dst`.
+    /// Scheduled and counted like any message, but it bypasses the
+    /// sender-side hooks: it is no numeric send, so it never enters the
+    /// rank's profile or the wire-fault index.
+    pub(crate) fn send_token(&self, src: usize, dst: usize, tag: u64) -> Result<(), MpiError> {
+        self.check_open(dst)?;
+        self.post(src, dst, tag, Vec::new());
+        Ok(())
+    }
+
+    /// Whether a message to `dst` can be sent at all.
+    fn check_open(&self, dst: usize) -> Result<(), MpiError> {
         if self.is_dead() {
             return Err(MpiError::FabricDead);
         }
@@ -263,10 +274,16 @@ impl Fabric {
                 size: self.size,
             });
         }
-        let payload = self.outbound(src, payload);
+        Ok(())
+    }
+
+    /// Queue a message in `dst`'s mailbox, readying `dst` if it is
+    /// blocked on exactly it.
+    fn post(&self, src: usize, dst: usize, tag: u64, payload: Vec<Tf64>) {
         if obs::enabled() {
             obs::count(obs::Counter::MsgsSent, 1);
-            obs::count(obs::Counter::BytesSent, payload.wire_bytes() as u64);
+            // 8 per tracked f64: the width a real MPI transfer would move.
+            obs::count(obs::Counter::BytesSent, payload.len() as u64 * 8);
         }
         self.sched.hold(src, |sched| {
             sched.boxes[dst].push_back(Envelope { src, tag, payload });
@@ -274,13 +291,12 @@ impl Fabric {
                 sched.ranks[dst] = RankState::Ready;
             }
         });
-        Ok(())
     }
 
     /// Receive the first message matching `(src, tag)` in `me`'s mailbox,
     /// giving the baton away until one is there. Non-matching messages
     /// stay buffered.
-    pub(crate) fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Payload, MpiError> {
+    pub(crate) fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<Tf64>, MpiError> {
         if me >= self.size {
             return Err(MpiError::InvalidRank {
                 rank: me,
@@ -341,7 +357,6 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilim_inject::Tf64;
 
     /// A fabric driven by hand from the test thread, which plays every
     /// rank: it moves the baton itself ([`Fabric::give_baton`]) and
@@ -358,6 +373,11 @@ mod tests {
         f
     }
 
+    /// A one-element message.
+    fn msg(x: f64) -> Vec<Tf64> {
+        vec![Tf64::new(x)]
+    }
+
     fn states(f: &Fabric) -> Vec<RankState> {
         f.peek(|sched| sched.ranks.clone())
     }
@@ -368,35 +388,35 @@ mod tests {
     #[test]
     fn send_then_recv() {
         let f = fabric(2);
-        f.send(0, 1, 7, Payload::F64(vec![Tf64::new(1.5)])).unwrap();
+        f.send(0, 1, 7, msg(1.5)).unwrap();
         f.give_baton(1);
         let p = f.recv(1, 0, 7).unwrap();
-        assert_eq!(p.into_f64().unwrap()[0].value(), 1.5);
+        assert_eq!(p[0].value(), 1.5);
         assert_eq!(f.pending_messages(), 0);
     }
 
     #[test]
     fn tag_matching_buffers_out_of_order() {
         let f = fabric(2);
-        f.send(0, 1, 1, Payload::Bytes(vec![1])).unwrap();
-        f.send(0, 1, 2, Payload::Bytes(vec![2])).unwrap();
+        f.send(0, 1, 1, msg(1.0)).unwrap();
+        f.send(0, 1, 2, msg(2.0)).unwrap();
         f.give_baton(1);
         // Receive tag 2 first; tag 1 stays buffered.
-        assert_eq!(f.recv(1, 0, 2).unwrap().into_bytes().unwrap(), vec![2]);
+        assert_eq!(f.recv(1, 0, 2).unwrap(), msg(2.0));
         assert_eq!(f.pending_messages(), 1);
-        assert_eq!(f.recv(1, 0, 1).unwrap().into_bytes().unwrap(), vec![1]);
+        assert_eq!(f.recv(1, 0, 1).unwrap(), msg(1.0));
     }
 
     #[test]
     fn src_matching() {
         let f = fabric(3);
         f.give_baton(2);
-        f.send(2, 0, 9, Payload::Bytes(vec![2])).unwrap();
+        f.send(2, 0, 9, msg(2.0)).unwrap();
         f.give_baton(1);
-        f.send(1, 0, 9, Payload::Bytes(vec![1])).unwrap();
+        f.send(1, 0, 9, msg(1.0)).unwrap();
         f.give_baton(0);
-        assert_eq!(f.recv(0, 1, 9).unwrap().into_bytes().unwrap(), vec![1]);
-        assert_eq!(f.recv(0, 2, 9).unwrap().into_bytes().unwrap(), vec![2]);
+        assert_eq!(f.recv(0, 1, 9).unwrap(), msg(1.0));
+        assert_eq!(f.recv(0, 2, 9).unwrap(), msg(2.0));
     }
 
     #[test]
@@ -457,20 +477,20 @@ mod tests {
             }
         );
         // The verdict did not poison anything: a later send still lands.
-        f.send(0, 0, 3, Payload::Bytes(vec![9])).unwrap();
-        assert_eq!(f.recv(0, 0, 3).unwrap().into_bytes().unwrap(), vec![9]);
+        f.send(0, 0, 3, msg(9.0)).unwrap();
+        assert_eq!(f.recv(0, 0, 3).unwrap(), msg(9.0));
     }
 
     #[test]
     fn a_send_readies_exactly_the_receiver_it_matches() {
         let waiting = RankState::Blocked { src: 0, tag: 5 };
         let f = fabric_in(&[Ready, waiting, waiting], 0);
-        f.send(0, 1, 4, Payload::Bytes(vec![])).unwrap(); // wrong tag
+        f.send(0, 1, 4, Vec::new()).unwrap(); // wrong tag
         f.give_baton(2);
-        f.send(2, 1, 5, Payload::Bytes(vec![])).unwrap(); // wrong source
+        f.send(2, 1, 5, Vec::new()).unwrap(); // wrong source
         assert_eq!(states(&f)[1], waiting);
         f.give_baton(0);
-        f.send(0, 1, 5, Payload::Bytes(vec![])).unwrap();
+        f.send(0, 1, 5, Vec::new()).unwrap();
         assert_eq!(states(&f), [Ready, Ready, waiting]);
         assert_eq!(f.running(), Some(0), "a send never moves the baton");
     }
@@ -478,7 +498,7 @@ mod tests {
     #[test]
     fn poison_readies_blocked_ranks_and_fails_pending_and_future_operations() {
         let f = fabric_in(&[Ready, Ready, BLOCKED], 0);
-        f.send(0, 1, 1, Payload::Bytes(vec![1])).unwrap();
+        f.send(0, 1, 1, msg(1.0)).unwrap();
         // From a thread that holds no baton, as the watchdog does.
         std::thread::scope(|scope| {
             scope.spawn(|| f.poison());
@@ -488,7 +508,7 @@ mod tests {
         assert_eq!(states(&f)[2], BLOCKED, "nor anything else it guards");
         // Nothing can be sent and nobody can block any more...
         assert_eq!(
-            f.send(0, 1, 5, Payload::Bytes(vec![])).unwrap_err(),
+            f.send(0, 1, 5, Vec::new()).unwrap_err(),
             MpiError::FabricDead
         );
         assert_eq!(f.recv(0, 1, 2).unwrap_err(), MpiError::FabricDead);
@@ -497,7 +517,7 @@ mod tests {
         assert_eq!(f.hand_on(0, Done), Some(1));
         assert_eq!(states(&f), [Done, Ready, Ready]);
         // What was already delivered can still be taken; nothing else.
-        assert_eq!(f.recv(1, 0, 1).unwrap().into_bytes().unwrap(), vec![1]);
+        assert_eq!(f.recv(1, 0, 1).unwrap(), msg(1.0));
         assert_eq!(f.recv(1, 0, 2).unwrap_err(), MpiError::FabricDead);
     }
 
@@ -505,7 +525,7 @@ mod tests {
     fn invalid_rank() {
         let f = fabric(2);
         assert!(matches!(
-            f.send(0, 5, 0, Payload::Bytes(vec![])),
+            f.send(0, 5, 0, Vec::new()),
             Err(MpiError::InvalidRank { rank: 5, size: 2 })
         ));
         assert!(matches!(
@@ -516,7 +536,7 @@ mod tests {
 
     #[test]
     fn armed_wire_fault_corrupts_the_indexed_message_only() {
-        use resilim_inject::{ctx, RankCtx};
+        use resilim_inject::RankCtx;
         let fault = MsgFault {
             src: 0,
             msg_index: 1,
@@ -526,10 +546,10 @@ mod tests {
         let f = Fabric::new(2, Some(fault), Carrier::threads());
         let prev = ctx::install(RankCtx::profiling(0));
         assert!(prev.is_none(), "leaked context from another test");
-        let msg = || Payload::F64(vec![Tf64::new(1.0), Tf64::new(2.0)]);
-        f.send(0, 1, 0, msg()).unwrap(); // send 0: clean
-        f.send(0, 1, 1, msg()).unwrap(); // send 1: corrupted on the wire
-        f.send(0, 1, 2, Payload::Bytes(vec![9])).unwrap(); // not numeric: uncounted
+        let pair = || vec![Tf64::new(1.0), Tf64::new(2.0)];
+        f.send(0, 1, 0, pair()).unwrap(); // send 0: clean
+        f.send(0, 1, 1, pair()).unwrap(); // send 1: corrupted on the wire
+        f.send_token(0, 1, 2).unwrap(); // a token: uncounted
         let report = ctx::take().unwrap().into_report();
         assert_eq!(report.profile.msgs_sent, 2);
         assert_eq!(report.wire_fired, 1);
@@ -537,9 +557,9 @@ mod tests {
         assert!(!report.detected);
 
         f.give_baton(1);
-        let clean = f.recv(1, 0, 0).unwrap().into_f64().unwrap();
+        let clean = f.recv(1, 0, 0).unwrap();
         assert!(clean.iter().all(|v| !v.is_tainted()));
-        let bad = f.recv(1, 0, 1).unwrap().into_f64().unwrap();
+        let bad = f.recv(1, 0, 1).unwrap();
         // elem_sel 5 % len 2 = element 1; shadow keeps the true value.
         assert!(!bad[0].is_tainted());
         assert!(bad[1].is_tainted());
@@ -558,9 +578,9 @@ mod tests {
             bit: 52,
         };
         let f = Fabric::new(2, Some(fault), Carrier::threads());
-        f.send(0, 1, 0, Payload::F64(vec![Tf64::new(1.0)])).unwrap();
+        f.send(0, 1, 0, msg(1.0)).unwrap();
         f.give_baton(1);
-        let p = f.recv(1, 0, 0).unwrap().into_f64().unwrap();
+        let p = f.recv(1, 0, 0).unwrap();
         assert!(!p[0].is_tainted());
     }
 }

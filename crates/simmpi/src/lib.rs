@@ -9,8 +9,8 @@
 //! the paper's MPI workloads at 1–128 "ranks" on a single machine, with
 //! three properties real MPI does not give us:
 //!
-//! * **Taint-carrying messages** — payloads are
-//!   [`Tf64`](resilim_inject::Tf64) buffers, so an error injected in one
+//! * **Taint-carrying messages** — every message is a
+//!   [`Tf64`](resilim_inject::Tf64) buffer, so an error injected in one
 //!   rank observably contaminates every rank whose memory it reaches
 //!   (paper §3.2, Figures 1–2).
 //! * **Deterministic collectives** — reductions fold contributions in rank
@@ -50,18 +50,16 @@
 
 mod baton;
 mod carrier;
-pub mod comm;
+mod comm;
 #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
 mod coroutine;
-pub mod error;
-pub mod fabric;
-pub mod payload;
-pub mod pool;
-pub mod world;
+mod error;
+mod fabric;
+mod pool;
+mod world;
 
-pub use comm::{Comm, ReduceOp};
-pub use error::{MpiError, PanicKind, RankPanic};
+pub use comm::{Comm, Gathered, ReduceOp};
+pub use error::{PanicKind, RankPanic};
 pub use fabric::MsgFault;
-pub use payload::Payload;
 pub use pool::WorldPool;
 pub use world::{RankOutcome, World};

@@ -100,7 +100,7 @@ impl World {
     }
 
     /// Arm a wire fault: every fabric this world creates corrupts the
-    /// matching message (see [`crate::fabric::MsgFault`]).
+    /// matching message (see [`MsgFault`]).
     pub fn with_msg_fault(mut self, fault: Option<MsgFault>) -> World {
         self.msg_fault = fault;
         self
@@ -266,8 +266,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::ReduceOp;
-    use crate::error::PanicKind;
+    use crate::{PanicKind, ReduceOp};
     use resilim_inject::{InjectionPlan, Operand, Region, Target, Tf64};
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -405,11 +404,11 @@ mod tests {
         for (carrier, run) in CARRIERS {
             let results = run(&World::new(2), |comm| {
                 if comm.rank() == 0 {
-                    assert_eq!(comm.recv_bytes(1, 5), vec![42]);
-                    assert_eq!(comm.recv_bytes(1, 4), vec![41]);
+                    assert_eq!(comm.recv(1, 5), [Tf64::new(42.0)]);
+                    assert_eq!(comm.recv(1, 4), [Tf64::new(41.0)]);
                 } else {
-                    comm.send_bytes(0, 4, vec![41]);
-                    comm.send_bytes(0, 5, vec![42]);
+                    comm.send(0, 4, &[Tf64::new(41.0)]);
+                    comm.send(0, 5, &[Tf64::new(42.0)]);
                 }
             });
             assert_eq!(kinds(&results), [None, None], "{carrier}");
@@ -446,7 +445,7 @@ mod tests {
             if comm.rank() == 0 {
                 // Blocks once; by the next-rank rule the baton is back
                 // only when ranks 1..PROCS are all blocked.
-                comm.recv_bytes(PROCS - 1, 1);
+                comm.recv(PROCS - 1, 1);
                 if outside {
                     wedged.store(true, Ordering::SeqCst);
                     while !fabric.is_dead() {
@@ -456,9 +455,9 @@ mod tests {
                 panic!("simulated application abort");
             }
             if comm.rank() == PROCS - 1 {
-                comm.send_bytes(0, 1, Vec::new());
+                comm.send(0, 1, &[]);
             }
-            comm.recv_bytes(0, 2);
+            comm.recv(0, 2);
         };
         let rank_job = |rank| run_rank(rank, &fabric, &|_| None, &body);
         let results = std::thread::scope(|scope| {
@@ -669,7 +668,7 @@ mod tests {
                 } else {
                     loop {
                         std::thread::sleep(Duration::from_millis(2));
-                        comm.send_bytes(0, 8, Vec::new());
+                        comm.send(0, 8, &[]);
                     }
                 }
             });

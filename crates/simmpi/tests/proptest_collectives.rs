@@ -12,13 +12,14 @@ fn world_size() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Allreduce(Sum/Min/Max/Prod) equals the sequential rank-order fold.
+    /// Allreduce(Sum/Min/Max) equals the sequential rank-order fold on every
+    /// rank, bitwise.
     #[test]
     fn allreduce_matches_sequential_fold(
         p in world_size(),
         per_rank in prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 3), 8),
     ) {
-        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max, ReduceOp::Prod] {
+        for op in [ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max] {
             let world = World::new(p);
             let data = per_rank.clone();
             let results = world.run(move |comm| {
@@ -35,7 +36,6 @@ proptest! {
                 for (e, &x) in expect.iter_mut().zip(contribution.iter()) {
                     *e = match op {
                         ReduceOp::Sum => *e + x,
-                        ReduceOp::Prod => *e * x,
                         ReduceOp::Min => e.min(x),
                         ReduceOp::Max => e.max(x),
                     };
@@ -43,6 +43,7 @@ proptest! {
             }
             for r in results {
                 let got = r.result.unwrap();
+                prop_assert_eq!(got.len(), expect.len());
                 for (g, e) in got.iter().zip(expect.iter()) {
                     prop_assert_eq!(g.to_bits(), e.to_bits(), "{:?} p={}", op, p);
                 }
@@ -99,46 +100,6 @@ proptest! {
             for (src, got) in incoming.into_iter().enumerate() {
                 prop_assert_eq!(got, salt as usize + src * p + rank);
             }
-        }
-    }
-
-    /// Scatter delivers chunk i to rank i.
-    #[test]
-    fn scatter_delivers_by_rank(p in world_size(), root_sel in 0usize..8) {
-        let root = root_sel % p;
-        let world = World::new(p);
-        let results = world.run(move |comm| {
-            let chunks: Option<Vec<Vec<Tf64>>> = (comm.rank() == root)
-                .then(|| (0..p).map(|i| vec![Tf64::new(i as f64 * 3.0)]).collect());
-            comm.scatter(root, chunks.as_deref())[0].value()
-        });
-        for (rank, r) in results.into_iter().enumerate() {
-            prop_assert_eq!(r.result.unwrap(), rank as f64 * 3.0);
-        }
-    }
-
-    /// bcast replicates the root's buffer everywhere bitwise.
-    #[test]
-    fn bcast_replicates_bitwise(
-        p in world_size(),
-        data in prop::collection::vec(prop::num::f64::NORMAL, 0..5),
-        root_sel in 0usize..8,
-    ) {
-        let root = root_sel % p;
-        let world = World::new(p);
-        let data2 = data.clone();
-        let results = world.run(move |comm| {
-            let mut buf: Vec<Tf64> = if comm.rank() == root {
-                data2.iter().map(|&x| Tf64::new(x)).collect()
-            } else {
-                Vec::new()
-            };
-            comm.bcast(root, &mut buf);
-            buf.into_iter().map(|x| x.value().to_bits()).collect::<Vec<u64>>()
-        });
-        let expect: Vec<u64> = data.iter().map(|x| x.to_bits()).collect();
-        for r in results {
-            prop_assert_eq!(r.result.unwrap(), expect.clone());
         }
     }
 }
