@@ -61,7 +61,7 @@ impl FiAccumulator {
     pub fn record(&mut self, outcome: &TestOutcome) {
         self.fi.record(outcome);
         self.prop.record(outcome);
-        match outcome.contaminated_ranks {
+        match outcome.contaminated_ranks as usize {
             0 => self.uncontaminated.record(outcome),
             x => self.by_contam[x.min(self.procs) - 1].record(outcome),
         }
@@ -204,7 +204,7 @@ mod tests {
         for outcome in outcomes {
             fi.record(outcome);
             prop.record(outcome);
-            match outcome.contaminated_ranks {
+            match outcome.contaminated_ranks as usize {
                 0 => uncontaminated.record(outcome),
                 x => by_contam[x.min(procs) - 1].record(outcome),
             }

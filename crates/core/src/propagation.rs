@@ -43,7 +43,7 @@ impl PropagationProfile {
 
     /// Record one test.
     pub fn record(&mut self, o: &TestOutcome) {
-        let x = o.contaminated_ranks.clamp(1, self.p);
+        let x = (o.contaminated_ranks as usize).clamp(1, self.p);
         self.counts[x - 1] += 1;
     }
 

@@ -39,7 +39,7 @@ proptest! {
         for o in &outcomes {
             fi.record(o);
             prop.record(o);
-            match o.contaminated_ranks {
+            match o.contaminated_ranks as usize {
                 0 => uncontaminated.record(o),
                 x => by_contam[x.min(procs) - 1].record(o),
             }

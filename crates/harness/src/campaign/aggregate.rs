@@ -122,8 +122,8 @@ impl TrialConsumer for ObsTrialConsumer {
                     OutcomeKind::Failure => "failure",
                 },
                 masked: rec.outcome.masked,
-                contaminated: rec.outcome.contaminated_ranks,
-                fired: rec.outcome.injections_fired,
+                contaminated: rec.outcome.contaminated_ranks as usize,
+                fired: rec.outcome.injections_fired as usize,
                 latency_us: rec.latency_us,
             });
         }

@@ -460,8 +460,8 @@ impl TrialExecutor {
             // feature label follows the reclassification.
             let outcome = TestOutcome::failure(
                 FailureKind::Hang,
-                outcome.contaminated_ranks,
-                outcome.injections_fired,
+                outcome.contaminated_ranks as usize,
+                outcome.injections_fired as usize,
             )
             .with_detected(outcome.detected);
             let mut features = features;

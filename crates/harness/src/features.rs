@@ -92,7 +92,7 @@ impl FeatureStore {
     /// holds. Same corruption tolerance as [`FeatureStore::load`].
     pub fn load_all(dir: impl AsRef<Path>) -> Vec<TrialFeatures> {
         let mut keyed: HashMap<(String, u64, usize), TrialFeatures> = HashMap::new();
-        let _ = Self::scan(dir.as_ref(), |_, rec| {
+        let _ = Self::scan(dir.as_ref(), None, |_, rec| {
             keyed.insert((rec.key, rec.seed, rec.trial), rec.features);
             Ok(())
         });
@@ -124,6 +124,9 @@ mod tests {
         ]);
         let k2 = FeatureStore::open(&dir, "k2", 7).unwrap();
         k2.append_batch(&[(0, feat(OutcomeKind::Failure, 30))]);
+        // A keyed load reads one campaign's files; the training loader
+        // reads every campaign's.
+        assert_eq!(FeatureStore::load(&dir, "k1", 7).len(), 2);
         assert_eq!(FeatureStore::load_all(&dir).len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }

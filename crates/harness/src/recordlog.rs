@@ -6,9 +6,11 @@
 //!
 //! Each process appends to its own file (`<prefix>-<fnv64(key)>-<pid>.jsonl`)
 //! so concurrent shards sharing a store directory never interleave
-//! partial lines; loading scans every `*.jsonl` file in the directory
-//! and filters by `(version, key, seed)`, which is also exactly how
-//! shard files merge.
+//! partial lines. The file name is part of the store format: a keyed
+//! load reads only the `<prefix>-<fnv64(key)>-*.jsonl` files (so its cost
+//! is the campaign's, not the store's) and filters their records by
+//! `(version, key, seed)`, which is also exactly how shard files merge.
+//! A renamed file is not read.
 //!
 //! Corruption tolerance mirrors the golden cache: every line is parsed
 //! independently, and a truncated tail, interleaved garbage, a
@@ -93,11 +95,16 @@ impl<R: LogRecord> RecordLog<R> {
 
     /// This process's append-file name for `key`.
     pub fn file_name(key: &str) -> String {
+        format!("{}{}.jsonl", Self::file_prefix(key), std::process::id())
+    }
+
+    /// What every append-file name for `key` starts with, whichever
+    /// process wrote it: `<prefix>-<fnv64(key)>-`.
+    pub fn file_prefix(key: &str) -> String {
         format!(
-            "{}-{:016x}-{}.jsonl",
+            "{}-{:016x}-",
             R::PREFIX,
-            crate::golden::fnv64(&[key.as_bytes()]),
-            std::process::id()
+            crate::golden::fnv64(&[key.as_bytes()])
         )
     }
 
@@ -142,15 +149,16 @@ impl<R: LogRecord> RecordLog<R> {
         }
     }
 
-    /// Load every valid record for `(key, seed)` from all log files
-    /// under `dir`: trial index → value. Tolerates a missing directory,
+    /// Load every valid record for `(key, seed)` from the log files
+    /// under `dir` named for `key` ([`RecordLog::file_prefix`]; a renamed
+    /// file is not read): trial index → value. Tolerates a missing directory,
     /// unreadable files, truncated/corrupt lines, stale versions, and
     /// foreign-campaign records — each degrades to "not recorded". Files
     /// are scanned in name order and later records win (re-runs of a
     /// trial are deterministic, so this is cosmetic).
     pub fn load(dir: impl AsRef<Path>, key: &str, seed: u64) -> HashMap<usize, R::Value> {
         let mut out = HashMap::new();
-        let _ = Self::scan(dir.as_ref(), |_, rec| {
+        let _ = Self::scan(dir.as_ref(), Some(key), |_, rec| {
             let (_, rec_key, rec_seed, trial) = rec.identity();
             if rec_key == key && rec_seed == seed {
                 out.insert(trial, rec.into_value());
@@ -185,7 +193,7 @@ impl<R: LogRecord> RecordLog<R> {
         seed: u64,
     ) -> Result<HashMap<usize, R::Value>, String> {
         let mut out = HashMap::new();
-        Self::scan(dir.as_ref(), |path, rec| {
+        Self::scan(dir.as_ref(), Some(key), |path, rec| {
             let (_, rec_key, rec_seed, trial) = rec.identity();
             if rec_key != key {
                 return Ok(());
@@ -216,19 +224,31 @@ impl<R: LogRecord> RecordLog<R> {
 
     /// Visit every parseable current-version record under `dir`, with
     /// its source path, in file-name order; the first visitor error
-    /// ends the scan. Unparseable lines and stale versions are skipped
-    /// here so every loader shares one corruption-tolerance policy.
+    /// ends the scan. With a `key`, only the files named for it are
+    /// opened; without one, every `*.jsonl` file is. Unparseable lines
+    /// and stale versions are skipped here so every loader shares one
+    /// corruption-tolerance policy. The records of a named file still
+    /// carry their own key (fnv64 can collide), so visitors check it.
     pub(crate) fn scan(
         dir: &Path,
+        key: Option<&str>,
         mut visit: impl FnMut(&Path, R) -> Result<(), String>,
     ) -> Result<(), String> {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return Ok(());
         };
+        let prefix = key.map(Self::file_prefix);
         let mut paths: Vec<PathBuf> = entries
             .flatten()
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
+            .filter(|p| {
+                prefix.as_deref().is_none_or(|prefix| {
+                    p.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| n.starts_with(prefix))
+                })
+            })
             .collect();
         paths.sort();
         for path in paths {
@@ -371,9 +391,11 @@ mod tests {
         dir.join(RecordLog::<R>::file_name(key))
     }
 
-    /// A second log file no process owns, holding `text`.
-    fn plant<R: LogRecord>(dir: &Path, text: &str) {
-        std::fs::write(dir.join(format!("{}-zzz.jsonl", R::PREFIX)), text).unwrap();
+    /// A second log file for `key` that no live process owns (the shape
+    /// another pid's run leaves behind), holding `text`.
+    fn plant<R: LogRecord>(dir: &Path, key: &str, text: &str) {
+        let name = format!("{}zzz.jsonl", RecordLog::<R>::file_prefix(key));
+        std::fs::write(dir.join(name), text).unwrap();
     }
 
     /// A well-formed line whose version stamp is not the current one.
@@ -403,18 +425,25 @@ mod tests {
         let raw = std::fs::read_to_string(file).unwrap();
         let line = raw.lines().next().unwrap();
         // Interleave garbage, a stale-version record for trial 5, and a
-        // truncated final line for trial 3 into a second file.
+        // truncated final line for trial 3 into a second file, next to a
+        // good record for trial 4 that proves the file was read.
         let stale5 = stale::<R>(line).replace("\"trial\":0", "\"trial\":5");
+        let good4 = line.replace("\"trial\":0", "\"trial\":4");
         let torn3 = line.replace("\"trial\":0", "\"trial\":3");
         plant::<R>(
             &dir,
-            &format!("not json at all\n{stale5}\n{}", &torn3[..torn3.len() / 2]),
+            "k",
+            &format!(
+                "not json at all\n{stale5}\n{good4}\n{}",
+                &torn3[..torn3.len() / 2]
+            ),
         );
         for map in [
             RecordLog::<R>::load(&dir, "k", 1),
             RecordLog::<R>::load_strict(&dir, "k", 1).expect("corruption is not fatal"),
         ] {
-            assert_eq!(map.len(), 2);
+            assert_eq!(map.len(), 3);
+            assert_eq!(map[&4], R::value(0));
             assert!(
                 !map.contains_key(&5),
                 "stale-version record must be ignored"
@@ -438,7 +467,7 @@ mod tests {
         // A well-formed record for trial 1 lands in a *second* file, as
         // if the same shard ran twice into one store directory.
         let raw = std::fs::read_to_string(file).unwrap();
-        plant::<R>(&dir, &format!("{}\n", raw.lines().nth(1).unwrap()));
+        plant::<R>(&dir, "k", &format!("{}\n", raw.lines().nth(1).unwrap()));
         // Lenient load dedupes (resume semantics)…
         assert_eq!(RecordLog::<R>::load(&dir, "k", 1).len(), 2);
         // …but the merge path must fail loudly.
@@ -458,13 +487,34 @@ mod tests {
             .unwrap()
             .replace("\"seed\":1", "\"seed\":2")
             .replace("\"trial\":0", "\"trial\":7");
-        plant::<R>(&dir, &forged);
+        plant::<R>(&dir, "k", &forged);
         // Lenient load silently skips it (different campaign)…
         assert_eq!(RecordLog::<R>::load(&dir, "k", 1).len(), 1);
         // …strict load refuses to merge.
         let err = RecordLog::<R>::load_strict(&dir, "k", 1).unwrap_err();
         assert!(err.contains("identity"), "{err}");
         assert!(err.contains("seed 2"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A keyed load opens only the files named for its key: a store of
+    /// 1 000 other campaigns, each file holding a forged duplicate of our
+    /// trial 0 and a garbage line, changes neither loader's answer.
+    fn loads_read_only_the_keys_files<R: Sample>() {
+        let dir = temp_dir::<R>("foreign");
+        let file = write::<R>(&dir, "k", 1, &[0, 1]);
+        let raw = std::fs::read_to_string(file).unwrap();
+        let dup0 = raw.lines().next().unwrap();
+        for other in 0..1000 {
+            let name = RecordLog::<R>::file_name(&format!("other-{other}"));
+            std::fs::write(dir.join(name), format!("{dup0}\nnot json\n")).unwrap();
+        }
+        let strict = RecordLog::<R>::load_strict(&dir, "k", 1).expect("foreign files are not read");
+        for map in [RecordLog::<R>::load(&dir, "k", 1), strict] {
+            assert_eq!(map.len(), 2);
+            assert_eq!(map[&0], R::value(0));
+            assert_eq!(map[&1], R::value(1));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -516,6 +566,10 @@ mod tests {
                 #[test]
                 fn strict_load_rejects_identity_mismatch() {
                     super::strict_load_rejects_identity_mismatch::<$record>();
+                }
+                #[test]
+                fn loads_read_only_the_keys_files() {
+                    super::loads_read_only_the_keys_files::<$record>();
                 }
                 #[test]
                 fn a_tear_at_every_byte_offset_keeps_the_complete_records() {

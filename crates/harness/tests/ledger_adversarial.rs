@@ -38,6 +38,16 @@ fn run_shards(dir: &std::path::Path, spec: &CampaignSpec) -> String {
         .to_string()
 }
 
+/// A ledger file for `spec`'s key that no live process owns — what a
+/// run from another pid leaves behind. Loads read only files named for
+/// the key, so a planted file must carry that name to be seen at all.
+fn planted(dir: &std::path::Path, spec: &CampaignSpec, tag: &str) -> PathBuf {
+    dir.join(format!(
+        "{}zzz-{tag}.jsonl",
+        TrialLedger::file_prefix(&spec.ledger_key())
+    ))
+}
+
 #[test]
 fn merge_rejects_duplicated_trial_record() {
     let dir = temp_dir("dup");
@@ -52,7 +62,7 @@ fn merge_rejects_duplicated_trial_record() {
 
     // Drop a copy of an existing record into a second ledger file — the
     // on-disk shape of "the same shard ran twice into this store".
-    std::fs::write(dir.join("trials-zzz-dup.jsonl"), format!("{line}\n")).unwrap();
+    std::fs::write(planted(&dir, &spec, "dup"), format!("{line}\n")).unwrap();
     let err = CampaignRunner::new()
         .with_ledger_dir(&dir)
         .merged_from_ledger(&spec)
@@ -74,7 +84,7 @@ fn merge_rejects_identity_mismatched_record() {
         .replace("\"seed\":11", "\"seed\":12")
         .replace("\"trial\":0", "\"trial\":999");
     assert_ne!(forged, line, "fixture relies on seed/trial spellings");
-    std::fs::write(dir.join("trials-zzz-forged.jsonl"), format!("{forged}\n")).unwrap();
+    std::fs::write(planted(&dir, &spec, "forged"), format!("{forged}\n")).unwrap();
     let err = CampaignRunner::new()
         .with_ledger_dir(&dir)
         .merged_from_ledger(&spec)

@@ -98,8 +98,16 @@ fn tracing_is_deterministic_and_reconciles() {
     assert!(ended, "campaign_end event missing");
     assert_eq!(trials, spec.tests, "one trial event per test");
 
-    let fired_in_outcomes: usize = traced.outcomes.iter().map(|o| o.injections_fired).sum();
-    let contam_in_outcomes: usize = traced.outcomes.iter().map(|o| o.contaminated_ranks).sum();
+    let fired_in_outcomes: usize = traced
+        .outcomes
+        .iter()
+        .map(|o| o.injections_fired as usize)
+        .sum();
+    let contam_in_outcomes: usize = traced
+        .outcomes
+        .iter()
+        .map(|o| o.contaminated_ranks as usize)
+        .sum();
     assert_eq!(fired_in_trials, fired_in_outcomes);
     assert_eq!(
         injection_events, fired_in_outcomes,

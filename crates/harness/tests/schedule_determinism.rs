@@ -124,7 +124,7 @@ fn failed_trials_and_handoff_counts_repeat_exactly() {
     assert!(
         failing
             .iter()
-            .any(|(spec, _, o)| (1..spec.procs).contains(&o.contaminated_ranks)),
+            .any(|(spec, _, o)| (1..spec.procs).contains(&(o.contaminated_ranks as usize))),
         "need failures torn down mid-propagation: that is where the race was"
     );
 

@@ -73,14 +73,24 @@ pub struct TestOutcome {
     pub masked: bool,
     /// Number of MPI ranks contaminated by the end of the run (≥ 1 for any
     /// test whose injection fired; the paper's Figures 1/2 histogram this).
-    pub contaminated_ranks: usize,
+    pub contaminated_ranks: u32,
     /// Number of planned faults that actually fired.
-    pub injections_fired: usize,
+    pub injections_fired: u32,
     /// Whether the corruption was *detected* during the run — by the DUE
     /// machinery (the kill is the detection) or by a replica payload
     /// comparison under `--replicate`. Always `false` for undetectable
     /// silent corruption without a detector deployed.
     pub detected: bool,
+}
+
+// Campaigns keep every delivered outcome (results, loaded ledgers, the
+// reorder buffer), so the record stays at two `u32` counts and four
+// one-byte fields.
+const _: () = assert!(std::mem::size_of::<TestOutcome>() == 12);
+
+/// A rank or fault count as stored in a [`TestOutcome`].
+fn count(n: usize) -> u32 {
+    u32::try_from(n).expect("a trial's rank and fault counts fit in u32")
 }
 
 impl TestOutcome {
@@ -90,8 +100,8 @@ impl TestOutcome {
             kind: OutcomeKind::Success,
             failure: None,
             masked,
-            contaminated_ranks: contaminated,
-            injections_fired: fired,
+            contaminated_ranks: count(contaminated),
+            injections_fired: count(fired),
             detected: false,
         }
     }
@@ -102,8 +112,8 @@ impl TestOutcome {
             kind: OutcomeKind::Sdc,
             failure: None,
             masked: false,
-            contaminated_ranks: contaminated,
-            injections_fired: fired,
+            contaminated_ranks: count(contaminated),
+            injections_fired: count(fired),
             detected: false,
         }
     }
@@ -114,8 +124,8 @@ impl TestOutcome {
             kind: OutcomeKind::Failure,
             failure: Some(kind),
             masked: false,
-            contaminated_ranks: contaminated,
-            injections_fired: fired,
+            contaminated_ranks: count(contaminated),
+            injections_fired: count(fired),
             detected: false,
         }
     }
@@ -216,5 +226,14 @@ mod tests {
         let s = serde_json::to_string(&o).unwrap();
         let back: TestOutcome = serde_json::from_str(&s).unwrap();
         assert_eq!(back, o);
+        // The on-disk form a ledger line carries parses and prints back
+        // byte for byte.
+        for line in [
+            r#"{"kind":"Failure","failure":"Due","masked":false,"contaminated_ranks":64,"injections_fired":8,"detected":true}"#,
+            r#"{"kind":"Success","failure":null,"masked":true,"contaminated_ranks":0,"injections_fired":1,"detected":false}"#,
+        ] {
+            let o: TestOutcome = serde_json::from_str(line).unwrap();
+            assert_eq!(serde_json::to_string(&o).unwrap(), line);
+        }
     }
 }

@@ -477,11 +477,11 @@ proptest! {
         prop_assert_eq!(&merged, &PropagationProfile::from_outcomes(p, &all));
         prop_assert_eq!(merged.total(), all.len() as u64);
         let at_most_one = all.iter().filter(|o| o.contaminated_ranks <= 1).count() as u64;
-        let at_least_p = all.iter().filter(|o| o.contaminated_ranks >= p).count() as u64;
+        let at_least_p = all.iter().filter(|o| o.contaminated_ranks as usize >= p).count() as u64;
         prop_assert!(merged.counts[0] >= at_most_one);
         prop_assert!(merged.counts[p - 1] >= at_least_p);
         for x in 2..p {
-            let exact = all.iter().filter(|o| o.contaminated_ranks == x).count() as u64;
+            let exact = all.iter().filter(|o| o.contaminated_ranks as usize == x).count() as u64;
             prop_assert_eq!(merged.counts[x - 1], exact);
         }
         let r = merged.r_vec();
