@@ -123,9 +123,12 @@ impl TraceReport {
                 }
                 "cache_lookup" => {
                     let hit = matches!(obj.get("hit"), Some(Value::Bool(true)));
+                    // A golden disk hit is already counted by its
+                    // "golden" lookup; any other cache name is skipped.
                     let slot = match obj.get("cache").and_then(Value::as_str) {
                         Some("golden") => &mut report.golden_cache,
-                        _ => &mut report.campaign_cache,
+                        Some("campaign") => &mut report.campaign_cache,
+                        _ => continue,
                     };
                     slot.0 += u64::from(hit);
                     slot.1 += 1;
@@ -303,6 +306,8 @@ mod tests {
     fn aggregates_trials_per_app() {
         let path = write_temp(concat!(
             "{\"ev\":\"cache_lookup\",\"cache\":\"campaign\",\"hit\":false}\n",
+            "{\"ev\":\"cache_lookup\",\"cache\":\"golden\",\"hit\":true}\n",
+            "{\"ev\":\"cache_lookup\",\"cache\":\"golden-disk\",\"hit\":true}\n",
             "{\"ev\":\"campaign_start\",\"campaign\":1,\"app\":\"cg\",\"procs\":4,\"tests\":3,\"errors\":\"OneParallel\"}\n",
             "{\"ev\":\"injection_fired\",\"rank\":0,\"region\":\"common\",\"op_index\":5,\"bit\":9}\n",
             "{\"ev\":\"trial\",\"campaign\":1,\"test\":0,\"kind\":\"success\",\"masked\":true,\"contaminated\":1,\"fired\":1,\"latency_us\":100}\n",
@@ -312,12 +317,13 @@ mod tests {
         ));
         let report = TraceReport::from_file(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(report.events, 7);
+        assert_eq!(report.events, 9);
         let cg = &report.apps["cg"];
         assert_eq!(cg.trials, 3);
         assert_eq!((cg.success, cg.sdc, cg.failure), (1, 1, 1));
         assert_eq!(cg.latencies_us, vec![100, 200, 300]);
         assert_eq!(cg.taint_spread[&4], 2);
+        assert_eq!(report.golden_cache, (1, 1));
         assert_eq!(report.campaign_cache, (0, 1));
         assert_eq!(report.injections_fired, 1);
         assert_eq!((report.rank_switches, report.deadlocks_detected), (1059, 1));

@@ -190,12 +190,6 @@ impl PredictorKind {
                 format!("unknown predictor '{name}' ({})", names.join("|"))
             })
     }
-
-    /// Whether this predictor trains on a per-trial feature store (the
-    /// learned models) rather than on campaign-level model inputs.
-    pub fn needs_features(self) -> bool {
-        !matches!(self, PredictorKind::Eq8)
-    }
 }
 
 /// The paper's closed-form predictor (Eq. 1 + Eq. 8): validates inputs
@@ -536,9 +530,6 @@ mod tests {
             assert_eq!(PredictorKind::parse(kind.name()), Ok(kind));
         }
         assert!(PredictorKind::parse("crystal-ball").is_err());
-        assert!(!PredictorKind::Eq8.needs_features());
-        assert!(PredictorKind::Logistic.needs_features());
-        assert!(PredictorKind::Stumps.needs_features());
         let via_trait: &dyn Predictor = &PaperEq8::new(base_inputs());
         assert_eq!(via_trait.name(), "eq8");
     }

@@ -145,19 +145,20 @@ pub(crate) fn fnv64(parts: &[&[u8]]) -> u64 {
     h
 }
 
-fn key_file_hash(key: &Key) -> u64 {
-    fnv64(&[
+/// File name of the disk record of `key`: the one place it is built.
+fn key_file_name(key: &Key) -> String {
+    let hash = fnv64(&[
         key.0.as_bytes(),
         &(key.1 as u64).to_le_bytes(),
         &[key.2.bits()],
-    ])
+    ]);
+    format!("golden-{hash:016x}.json")
 }
 
 /// File name of a deployment's golden-cache entry inside the cache
 /// directory (exposed so tests and operators can locate entries).
 pub fn golden_cache_file_name(spec: &ProblemSpec, procs: usize, mask: OpMask) -> String {
-    let key = (spec.cache_key(), procs, mask);
-    format!("golden-{:016x}.json", key_file_hash(&key))
+    key_file_name(&(spec.cache_key(), procs, mask))
 }
 
 /// Process-wide cache of golden runs, keyed by `(problem, scale, mask)`,
@@ -252,7 +253,7 @@ impl GoldenStore {
     /// `None` (re-measure); a corrupt cache must never break a campaign.
     fn load_disk(&self, key: &Key, spec: &ProblemSpec) -> Option<GoldenRun> {
         let dir = self.disk.as_ref()?;
-        let path = dir.join(format!("golden-{:016x}.json", key_file_hash(key)));
+        let path = dir.join(key_file_name(key));
         let raw = std::fs::read_to_string(path).ok()?;
         let rec: GoldenRecord = serde_json::from_str(&raw).ok()?;
         if rec.version != GOLDEN_CACHE_VERSION
@@ -296,7 +297,7 @@ impl GoldenStore {
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        let path = dir.join(format!("golden-{:016x}.json", key_file_hash(key)));
+        let path = dir.join(key_file_name(key));
         let _ = crate::store::write_atomic(&path, &json);
     }
 

@@ -35,6 +35,12 @@
 //! guard, and first-contamination marking are outlined `#[cold]`
 //! functions.
 //!
+//! Both hooks leave for one cold path, generic over the op's operands:
+//! `checked` (a `[Tf64; 2]` or a `[Tf64; 1]`) and, at a target, `fire`.
+//! A unary op's one operand takes both A and B flips, and every flip of
+//! an op — input or result — is masked at site exactly when the op's
+//! result still equals the shadow's.
+//!
 //! The cells are armed where the limits they are armed from change:
 //! [`RankCtx::new`] arms them, and [`RankCtx::with_op_cap`] /
 //! [`RankCtx::with_op_mask`] re-arm them from the exact counts.
@@ -49,7 +55,6 @@ use crate::mask::OpMask;
 use crate::plan::{InjectionPlan, Operand, Target};
 use crate::profile::{masked_sum, OpKind, OpProfile};
 use crate::region::{Region, RegionGuard};
-use crate::smallbuf::InlineVec;
 use crate::tf64::Tf64;
 use resilim_obs as obs;
 use std::cell::{Cell, RefCell};
@@ -127,7 +132,7 @@ pub const HANG_GUARD_MSG: &str = "resilim: hang guard tripped (op budget exceede
 pub const DUE_MSG: &str = "resilim: detected uncorrectable error (rank killed)";
 
 /// Per-rank fault-injection context, in the form it runs in: the hot
-/// cells the hooks read and the cold half the fire paths borrow (see the
+/// cells the hooks read and the cold half the fire path borrows (see the
 /// module docs). [`install`] puts both on the thread, [`take`] lifts them
 /// off again.
 #[cfg_attr(test, derive(Debug, PartialEq))]
@@ -297,7 +302,7 @@ struct ColdCtx {
     hang_guard_tripped: bool,
     /// DUE semantics: panic (with [`DUE_MSG`]) at the firing op instead
     /// of continuing with the corrupted value. Only read on the
-    /// already-cold fire paths.
+    /// already-cold fire path.
     kill_on_fire: bool,
 }
 
@@ -685,8 +690,7 @@ fn replica_detect(h: &HotCtx) {
 }
 
 /// First-contamination marking (idempotent): set the flag and snapshot
-/// the feature counters at that moment. Touches only the hot cells, so
-/// the fire paths call it with the cold half borrowed.
+/// the feature counters at that moment. Touches only the hot cells.
 #[cold]
 #[inline(never)]
 fn contaminate(h: &HotCtx) {
@@ -701,21 +705,6 @@ fn contaminate(h: &HotCtx) {
         obs::count(obs::Counter::TaintBorn, 1);
         obs::emit(&obs::Event::TaintBorn { rank: h.rank.get() });
     }
-}
-
-/// Record a fired fault of `rank` and its observability event (cold
-/// borrow held).
-fn record_fired(rank: usize, cold: &mut ColdCtx, rec: FiredRecord) {
-    if obs::enabled() {
-        obs::count(obs::Counter::InjectionsFired, 1);
-        obs::emit(&obs::Event::InjectionFired {
-            rank,
-            region: region_trace_name(rec.target.region),
-            op_index: rec.target.op_index,
-            bit: rec.target.bit,
-        });
-    }
-    cold.fired.push(rec);
 }
 
 /// Hang-guard trip: record it, then panic with the recognisable payload.
@@ -780,7 +769,7 @@ fn hot() -> *const HotCtx {
 /// one the front target of its region names — the caller then takes the
 /// fire path, which re-arms once the queue has moved on. Otherwise the
 /// cells are re-armed here and the op goes on as any other. Not generic:
-/// one copy serves every operator's [`checked_binop`]/[`checked_unop`].
+/// one copy serves every operator's [`checked`].
 #[cold]
 #[inline(never)]
 fn checked_op(h: &HotCtx, r: usize, kind: OpKind) -> Option<u64> {
@@ -815,7 +804,7 @@ thread_local! {
 }
 
 /// The binary-operation hook: spends one op of the budget cell (or, the
-/// cell being empty, goes through `checked_op` and possibly injects),
+/// cell being empty, goes through [`checked`] and possibly injects),
 /// computes both the corrupted-world and shadow-world results, and
 /// records contamination.
 ///
@@ -832,15 +821,9 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
     let cell = &h.budget[r][kind.index()];
     let left = cell.get();
     if left == 0 {
-        return checked_binop(h, r, kind, a, b, &f);
+        return checked(h, r, kind, [a, b], &|[x, y]: [f64; 2]| f(x, y));
     }
     cell.set(left - 1);
-    plain_binop(h, a, b, &f)
-}
-
-/// Both worlds of an op nothing fires at, and the contamination check.
-#[inline(always)]
-fn plain_binop(h: &HotCtx, a: Tf64, b: Tf64, f: &impl Fn(f64, f64) -> f64) -> Tf64 {
     let v = f(a.value(), b.value());
     let sh = f(a.shadow(), b.shadow());
     if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
@@ -849,116 +832,11 @@ fn plain_binop(h: &HotCtx, a: Tf64, b: Tf64, f: &impl Fn(f64, f64) -> f64) -> Tf
     Tf64::from_parts(v, sh)
 }
 
-/// [`hook_binop`] for the op whose budget cell is empty. Outlined whole —
-/// the per-op path never resumes after a call, so nothing it holds in
-/// registers has to survive one.
-#[cold]
-#[inline(never)]
-fn checked_binop(
-    h: &HotCtx,
-    r: usize,
-    kind: OpKind,
-    a: Tf64,
-    b: Tf64,
-    f: &impl Fn(f64, f64) -> f64,
-) -> Tf64 {
-    match checked_op(h, r, kind) {
-        Some(idx) => fire_binop(h, r, idx, kind, a, b, f),
-        None => plain_binop(h, a, b, f),
-    }
-}
-
-/// Fire path of [`hook_binop`]: pop every target due at dynamic op `idx`,
-/// re-arm the budgets for the new front target, apply input flips before
-/// and result flips after computing `f`, record the firings, and mark
-/// contamination. Stack-buffered — no heap traffic for plans with up to 8
-/// flips on one op.
-#[cold]
-#[inline(never)]
-fn fire_binop(
-    h: &HotCtx,
-    r: usize,
-    idx: u64,
-    kind: OpKind,
-    mut a: Tf64,
-    mut b: Tf64,
-    f: &impl Fn(f64, f64) -> f64,
-) -> Tf64 {
-    let mut recs: InlineVec<(Target, f64, f64), 8> = InlineVec::new();
-    let mut kill = false;
-    COLD.with(|c| {
-        let mut cold = c.borrow_mut();
-        kill = cold.kill_on_fire;
-        while matches!(cold.queues[r].front(), Some(t) if t.op_index == idx) {
-            let t = cold.queues[r].pop_front().expect("front just matched");
-            // Apply input-operand flips to the corrupted world only;
-            // result-operand flips are applied after computing f.
-            let (before, after) = match t.operand {
-                Operand::A => {
-                    let before = a.value();
-                    let after = t.apply(before);
-                    a = Tf64::from_parts(after, a.shadow());
-                    (before, after)
-                }
-                Operand::B => {
-                    let before = b.value();
-                    let after = t.apply(before);
-                    b = Tf64::from_parts(after, b.shadow());
-                    (before, after)
-                }
-                Operand::Result => (0.0, 0.0), // sentinel; patched below
-            };
-            recs.push((t, before, after));
-        }
-        let next = cold.queues[r].front().map_or(u64::MAX, |t| t.op_index);
-        h.next_pending[r].set(next);
-    });
-    h.rearm();
-
-    let mut v = f(a.value(), b.value());
-    let sh = f(a.shadow(), b.shadow());
-
-    if !recs.is_empty() {
-        for (t, before, after) in recs.iter_mut() {
-            if matches!(t.operand, Operand::Result) {
-                *before = v;
-                v = t.apply(v);
-                *after = v;
-            }
-        }
-        let masked = v.to_bits() == sh.to_bits();
-        COLD.with(|c| {
-            let mut cold = c.borrow_mut();
-            for &(t, before, after) in recs.iter() {
-                record_fired(
-                    h.rank.get(),
-                    &mut cold,
-                    FiredRecord {
-                        target: t,
-                        kind,
-                        before,
-                        after,
-                        masked_at_site: masked,
-                    },
-                );
-            }
-            contaminate(h);
-        });
-        if kill {
-            due_trip(h);
-        }
-    }
-
-    if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
-        observe_divergent(h, v, sh);
-    }
-    Tf64::from_parts(v, sh)
-}
-
-/// The unary-operation hook (sqrt, abs, exp, …): counted as
-/// [`OpKind::Other`] (or the given kind). Not a target under the default
-/// mask, but extended masks (e.g. [`OpMask::ALL`]) may fire here: input
-/// flips corrupt the operand, result flips corrupt the output.
+/// The unary-operation hook (sqrt, abs, exp, …): [`hook_binop`] with one
+/// operand, counted as [`OpKind::Other`] (or the given kind). Not a target
+/// under the default mask, but extended masks (e.g. [`OpMask::ALL`]) may
+/// fire here: an A or B flip corrupts the operand, a result flip the
+/// output.
 #[inline(always)]
 pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     // Safety: see `hot` — same-thread, immediate use.
@@ -970,16 +848,9 @@ pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     let cell = &h.budget[r][kind.index()];
     let left = cell.get();
     if left == 0 {
-        return checked_unop(h, r, kind, a, &f);
+        return checked(h, r, kind, [a], &|[x]: [f64; 1]| f(x));
     }
     cell.set(left - 1);
-    plain_unop(h, a, &f)
-}
-
-/// Both worlds of a unary op nothing fires at, and the contamination
-/// check.
-#[inline(always)]
-fn plain_unop(h: &HotCtx, a: Tf64, f: &impl Fn(f64) -> f64) -> Tf64 {
     let v = f(a.value());
     let sh = f(a.shadow());
     if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
@@ -988,110 +859,104 @@ fn plain_unop(h: &HotCtx, a: Tf64, f: &impl Fn(f64) -> f64) -> Tf64 {
     Tf64::from_parts(v, sh)
 }
 
-/// [`hook_unop`] for the op whose budget cell is empty (see
-/// [`checked_binop`]).
+/// A hook's op whose budget cell is empty, over the op's `N` operands.
+/// Outlined whole — the per-op path never resumes after a call, so nothing
+/// it holds in registers has to survive one.
 #[cold]
 #[inline(never)]
-fn checked_unop(h: &HotCtx, r: usize, kind: OpKind, a: Tf64, f: &impl Fn(f64) -> f64) -> Tf64 {
-    match checked_op(h, r, kind) {
-        Some(idx) => fire_unop(h, r, idx, kind, a, f),
-        None => plain_unop(h, a, f),
+fn checked<const N: usize>(
+    h: &HotCtx,
+    r: usize,
+    kind: OpKind,
+    x: [Tf64; N],
+    f: &impl Fn([f64; N]) -> f64,
+) -> Tf64 {
+    if let Some(idx) = checked_op(h, r, kind) {
+        return fire(h, r, idx, kind, x, f);
     }
+    let v = f(x.map(Tf64::value));
+    let sh = f(x.map(Tf64::shadow));
+    if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
+        observe_divergent(h, v, sh);
+    }
+    Tf64::from_parts(v, sh)
 }
 
-/// Fire path of [`hook_unop`]: input flips are recorded before computing
-/// `f` (they are never masked-at-site by construction), result flips after.
+/// Fire path: pop every target due at dynamic op `idx` and re-arm the
+/// budgets for the new front target; flip the corrupted world of operand
+/// A (`x[0]`) or B (`x[N - 1]`, the same one on a unary op) before
+/// computing `f`, and of the result after. Every flip of the op is
+/// recorded in queue order under one masked-at-site flag: whether the
+/// result still equals the shadow's. A fire always contaminates the rank.
 #[cold]
 #[inline(never)]
-fn fire_unop(
+fn fire<const N: usize>(
     h: &HotCtx,
     r: usize,
     idx: u64,
     kind: OpKind,
-    mut a: Tf64,
-    f: &impl Fn(f64) -> f64,
+    mut x: [Tf64; N],
+    f: &impl Fn([f64; N]) -> f64,
 ) -> Tf64 {
-    let mut due: InlineVec<Target, 8> = InlineVec::new();
-    let mut kill = false;
-    COLD.with(|c| {
+    let (first, kill) = COLD.with(|c| {
         let mut cold = c.borrow_mut();
-        kill = cold.kill_on_fire;
+        let first = cold.fired.len();
         while matches!(cold.queues[r].front(), Some(t) if t.op_index == idx) {
-            due.push(cold.queues[r].pop_front().expect("front just matched"));
+            let t = cold.queues[r].pop_front().expect("front just matched");
+            let at = match t.operand {
+                Operand::A => Some(0),
+                Operand::B => Some(N - 1),
+                Operand::Result => None, // patched once `f` has run
+            };
+            let (before, after) = at.map_or((0.0, 0.0), |i| {
+                let before = x[i].value();
+                let after = t.apply(before);
+                x[i] = Tf64::from_parts(after, x[i].shadow());
+                (before, after)
+            });
+            if obs::enabled() {
+                obs::count(obs::Counter::InjectionsFired, 1);
+                obs::emit(&obs::Event::InjectionFired {
+                    rank: h.rank.get(),
+                    region: region_trace_name(t.region),
+                    op_index: t.op_index,
+                    bit: t.bit,
+                });
+            }
+            cold.fired.push(FiredRecord {
+                target: t,
+                kind,
+                before,
+                after,
+                masked_at_site: false,
+            });
         }
         let next = cold.queues[r].front().map_or(u64::MAX, |t| t.op_index);
         h.next_pending[r].set(next);
+        (first, cold.kill_on_fire)
     });
     h.rearm();
 
-    let mut input_recs: InlineVec<(Target, f64, f64), 8> = InlineVec::new();
-    let mut result_flips: InlineVec<Target, 8> = InlineVec::new();
-    for &t in due.iter() {
-        match t.operand {
-            Operand::A | Operand::B => {
-                let before = a.value();
-                let after = t.apply(before);
-                a = Tf64::from_parts(after, a.shadow());
-                input_recs.push((t, before, after));
+    let mut v = f(x.map(Tf64::value));
+    let sh = f(x.map(Tf64::shadow));
+    COLD.with(|c| {
+        let mut cold = c.borrow_mut();
+        let recs = &mut cold.fired[first..];
+        for rec in recs.iter_mut() {
+            if rec.target.operand == Operand::Result {
+                rec.before = v;
+                v = rec.target.apply(v);
+                rec.after = v;
             }
-            Operand::Result => result_flips.push(t),
-        }
-    }
-    if !input_recs.is_empty() {
-        COLD.with(|c| {
-            let mut cold = c.borrow_mut();
-            for &(t, before, after) in input_recs.iter() {
-                record_fired(
-                    h.rank.get(),
-                    &mut cold,
-                    FiredRecord {
-                        target: t,
-                        kind,
-                        before,
-                        after,
-                        masked_at_site: false,
-                    },
-                );
-            }
-            contaminate(h);
-        });
-    }
-
-    let mut v = f(a.value());
-    let sh = f(a.shadow());
-    if !result_flips.is_empty() {
-        let mut recs: InlineVec<(Target, f64, f64), 8> = InlineVec::new();
-        for &t in result_flips.iter() {
-            let before = v;
-            v = t.apply(v);
-            recs.push((t, before, v));
         }
         let masked = v.to_bits() == sh.to_bits();
-        COLD.with(|c| {
-            let mut cold = c.borrow_mut();
-            for &(t, before, after) in recs.iter() {
-                record_fired(
-                    h.rank.get(),
-                    &mut cold,
-                    FiredRecord {
-                        target: t,
-                        kind,
-                        before,
-                        after,
-                        masked_at_site: masked,
-                    },
-                );
-            }
-            contaminate(h);
-        });
-    }
-
-    if kill && !due.is_empty() {
+        for rec in recs {
+            rec.masked_at_site = masked;
+        }
+    });
+    contaminate(h);
+    if kill {
         due_trip(h);
-    }
-
-    if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
-        observe_divergent(h, v, sh);
     }
     Tf64::from_parts(v, sh)
 }
@@ -1303,6 +1168,24 @@ mod tests {
         assert_eq!(report.fired.len(), 1);
         assert_eq!(report.fired[0].kind, OpKind::Other);
         assert!(report.contaminated);
+    }
+
+    #[test]
+    fn unary_input_flip_can_be_masked_at_site() {
+        // A sign flip of abs's operand — named A or B, the one operand —
+        // returns the shadow's bits: masked at site, as on a binary op.
+        for operand in [Operand::A, Operand::B] {
+            let plan = InjectionPlan::single(target(Region::Common, 0, 63, operand));
+            let (r, report) =
+                with_clean_ctx(RankCtx::new(0, plan).with_op_mask(OpMask::ALL), || {
+                    Tf64::new(-2.0).abs()
+                });
+            assert!(!r.is_tainted());
+            assert_eq!(report.fired.len(), 1);
+            let rec = report.fired[0];
+            assert_eq!((rec.before, rec.after), (-2.0, 2.0));
+            assert!(rec.masked_at_site, "{operand:?}");
+        }
     }
 
     #[test]

@@ -59,7 +59,6 @@ pub mod outcome;
 pub mod plan;
 pub mod profile;
 pub mod region;
-mod smallbuf;
 pub mod tf64;
 
 pub use ctx::{CtxReport, FiredRecord, RankCtx};

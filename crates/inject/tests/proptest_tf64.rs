@@ -204,11 +204,10 @@ fn reference_run(sc: &Scenario) -> RunResult {
         }
         let (mut av, ash) = (v, sh);
         let (mut bv, bsh) = (s.c, s.c);
+        // On a unary op both operand names mean the one operand. Every
+        // flip is recorded in queue order, all under one masked-at-site
+        // flag; a result flip's values are known once the op has run.
         let unary = s.op == STEP_ABS;
-        // Input flips, in queue order. On a unary op both operand names
-        // mean the one operand, and the flip is recorded at once (never
-        // masked at site); on a binary op it is recorded with the result
-        // flips, all under one masked-at-site flag.
         let mut recs: Vec<(Target, f64, f64)> = Vec::new();
         for &t in &due {
             match t.operand {
@@ -222,26 +221,11 @@ fn reference_run(sc: &Scenario) -> RunResult {
                     av = t.apply(av);
                     recs.push((t, before, av));
                 }
-                Operand::Result if !unary => recs.push((t, 0.0, 0.0)),
-                Operand::Result => {}
+                Operand::Result => recs.push((t, 0.0, 0.0)),
             }
-        }
-        if unary && !recs.is_empty() {
-            for (t, before, after) in recs.drain(..) {
-                out.fired
-                    .push((t, before.to_bits(), after.to_bits(), false));
-            }
-            contaminate(&mut out);
         }
         let mut nv = step_apply(s.op, av, bv);
         let nsh = step_apply(s.op, ash, bsh);
-        if unary {
-            recs.extend(
-                due.iter()
-                    .filter(|t| matches!(t.operand, Operand::Result))
-                    .map(|&t| (t, 0.0, 0.0)),
-            );
-        }
         for rec in recs.iter_mut() {
             if matches!(rec.0.operand, Operand::Result) {
                 rec.1 = nv;
