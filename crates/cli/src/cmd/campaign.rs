@@ -7,7 +7,8 @@ use resilim_harness::CampaignRunner;
 
 /// Run one deployment; print or `--store` its summary.
 pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
-    let (spec, app, procs, errors) = one_deployment(opts)?;
+    let (_, spec) = one_deployment(opts)?;
+    let (app, procs, errors) = (spec.spec.app(), spec.procs, spec.errors);
     // An unwritable `--store` is an error before any trial runs, not a
     // silently non-durable campaign.
     let result = runner.try_run(&spec).map_err(|e| e.to_string())?;
@@ -83,7 +84,8 @@ pub fn merge(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     if opts.store.is_none() {
         return Err("merge needs --store DIR (the shards' ledger directory)".into());
     }
-    let (spec, app, procs, errors) = one_deployment(opts)?;
+    let (_, spec) = one_deployment(opts)?;
+    let (app, procs, errors) = (spec.spec.app(), spec.procs, spec.errors);
     let result = runner.merged_from_ledger(&spec)?;
     let summary = CampaignSummary::of(&spec, &result);
     if let Some(dir) = &opts.store {

@@ -7,7 +7,7 @@
 //! daemons — say, one per store — can coexist on one machine.
 
 use crate::opts::{emit, one_deployment, Options};
-use resilim_serve::{CampaignState, Client, Request, ServeConfig, SubmitSpec};
+use resilim_serve::{CampaignState, Client, Request, ServeConfig};
 use std::path::PathBuf;
 
 /// The daemon socket the flags address.
@@ -43,9 +43,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 /// with `--watch`, stream progress and print the final summary in the
 /// same shape `resilim campaign` prints.
 pub fn submit(opts: &Options) -> Result<(), String> {
-    let (spec, app, procs, errors) = one_deployment(opts)?;
+    let (wire, spec) = one_deployment(opts)?;
+    let (app, procs, errors) = (spec.spec.app(), spec.procs, spec.errors);
     let mut client = Client::connect(socket_path(opts))?;
-    let (id, deduped) = client.submit(SubmitSpec::of_campaign(&spec))?;
+    let (id, deduped) = client.submit(wire)?;
     if !opts.watch {
         let text = format!(
             "campaign {id} submitted{}\n",

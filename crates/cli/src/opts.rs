@@ -7,8 +7,9 @@
 use resilim_apps::App;
 use resilim_core::{PredictorKind, StopRule};
 use resilim_harness::experiments::ExperimentConfig;
-use resilim_harness::{CampaignSpec, ErrorSpec, Shard};
+use resilim_harness::{CampaignSpec, Shard};
 use resilim_inject::FaultModelSpec;
+use resilim_serve::SubmitSpec;
 use std::io::Write as _;
 
 /// Parsed command line: the subcommand plus every flag.
@@ -316,32 +317,33 @@ pub fn write_svg(opts: &Options, svg: String) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse an `--errors` spelling: `par`, `ser:N`, `unique`, `multi:K`.
-///
-/// Delegates to [`ErrorSpec::parse`] so the CLI, the wire protocol, and
-/// every other front end accept exactly the same vocabulary.
-pub fn parse_errors(spec: &str, procs: usize) -> Result<ErrorSpec, String> {
-    ErrorSpec::parse(spec, procs)
-}
-
 /// Resolve the single-deployment flags (`--apps`, `--scale`, `--errors`,
-/// `--tests`, `--seed`, `--fault-model`, `--replicate`) shared by the
-/// `campaign` and `merge` commands.
-pub fn one_deployment(opts: &Options) -> Result<(CampaignSpec, App, usize, ErrorSpec), String> {
-    let app = *opts
+/// `--tests`, `--seed`, `--fault-model`, `--replicate`, `--adaptive`)
+/// shared by the `campaign`, `merge` and `submit` commands: the wire
+/// form `submit` sends, and the campaign it validates into through
+/// [`SubmitSpec::to_campaign`], the one gate every front end shares.
+pub fn one_deployment(opts: &Options) -> Result<(SubmitSpec, CampaignSpec), String> {
+    let app = opts
         .apps
         .first()
         .ok_or(format!("{} needs --apps <one app>", opts.command))?;
-    let procs = opts.scale.unwrap_or(1);
-    let errors = parse_errors(opts.errors.as_deref().unwrap_or("par"), procs)?;
-    let fault_model = opts.fault_model.unwrap_or_default();
-    resilim_harness::validate_fault_model(fault_model, errors, procs)?;
-    let spec = opts
-        .cfg
-        .campaign(app.default_spec(), procs, errors)
-        .with_fault_model(fault_model)
-        .with_replication(opts.replicate);
-    Ok((spec, app, procs, errors))
+    let stop = opts.cfg.stop;
+    let wire = SubmitSpec {
+        app: app.name().to_string(),
+        procs: opts.scale.unwrap_or(1),
+        errors: opts.errors.clone().unwrap_or_else(|| "par".into()),
+        tests: opts.cfg.tests,
+        seed: opts.cfg.seed,
+        ci: stop.map(|rule| rule.ci_halfwidth),
+        min_tests: stop.map(|rule| rule.min_tests),
+        fault_model: opts
+            .fault_model
+            .filter(|model| !model.is_default())
+            .map(|model| model.cli_name()),
+        replicate: opts.replicate.then_some(true),
+    };
+    let spec = wire.to_campaign()?;
+    Ok((wire, spec))
 }
 
 /// Emit one experiment's text and JSON forms.
@@ -510,7 +512,7 @@ mod tests {
         ])
         .is_err());
         assert!(run(&["campaign", "--fault-model", "msg"]).is_err());
-        let (spec, ..) = run(&[
+        let (_, spec) = run(&[
             "campaign",
             "--fault-model",
             "msg",

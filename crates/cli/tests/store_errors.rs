@@ -2,6 +2,8 @@
 //! must fail loudly — non-zero exit, the directory and the OS error on
 //! stderr — *before* running any trial, instead of finishing a silently
 //! non-durable campaign that a later `--resume` would quietly re-run.
+//! A deployment no app can decompose fails the same way, with an error
+//! line rather than a panic.
 
 use std::process::Command;
 
@@ -35,4 +37,17 @@ fn unwritable_store_fails_the_campaign_before_any_trial() {
         "a trial ran before the store error: {events}"
     );
     std::fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn undecomposable_scale_is_an_error_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_resilim"))
+        .args(["campaign", "--apps", "lu", "--scale", "3", "--tests", "4"])
+        .output()
+        .expect("spawn resilim");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("power of two"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no summary may be printed");
 }

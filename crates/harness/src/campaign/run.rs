@@ -7,7 +7,9 @@
 //! store, obs trial events), and the wall-clock/metrics baselines. Its
 //! life is [`CampaignRunner::open_run`] → any interleaving of
 //! [`CampaignRun::claim`] / [`CampaignRun::deliver`] →
-//! [`CampaignRun::finish`].
+//! [`CampaignRun::finish`], the one place a [`CampaignResult`] is
+//! built. A ledger merge ([`CampaignRunner::merged_from_ledger`]) is
+//! the same life with nothing to claim.
 //!
 //! Schedulers are policies over it: the one-shot runner drives a single
 //! run from `workers` threads, `resilim serve` interleaves many runs
@@ -18,15 +20,14 @@ use super::aggregate::{CampaignAccumulator, ObsTrialConsumer};
 use super::runner::{CampaignRunner, TrialExecutor};
 use super::spec::{CampaignResult, CampaignSpec, ErrorSpec};
 use super::stream::{TrialConsumer, TrialPipeline, TrialRecord};
-use crate::features::FeatureLine;
-use crate::golden::GoldenRun;
-use crate::ledger::LedgerLine;
+use crate::features::{FeatureLine, FeatureStore};
+use crate::ledger::{LedgerLine, TrialLedger};
 use crate::recordlog::{LogConsumer, LogRecord, RecordLog};
 use resilim_obs as obs;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The sinks of one run, fed in this order per delivered record.
 struct RunSinks {
@@ -70,8 +71,9 @@ pub struct CampaignRun {
     metrics_before: obs::MetricsSnapshot,
 }
 
-/// One of the run's stores, opened for appending, and the records it
-/// already held (empty unless resuming).
+/// One of the run's stores, opened for appending (`None` without a
+/// store, and for a merge), and the records it already held (empty
+/// unless resuming or merging).
 type Opened<R> = (
     Option<RecordLog<R>>,
     HashMap<usize, <R as LogRecord>::Value>,
@@ -120,27 +122,77 @@ impl CampaignRunner {
     /// partition/skip/completion-order combination aggregates bitwise
     /// identically.
     pub fn open_run(&self, spec: &CampaignSpec) -> std::io::Result<CampaignRun> {
+        let owned = (0..spec.tests)
+            .filter(|&t| self.shard.is_none_or(|s| s.owns(t)))
+            .collect();
+        let key = spec.ledger_key();
+        let ledger = open_log(self.ledger_dir.as_deref(), self.resume, &key, spec.seed)?;
+        // Resumed trials' features were persisted by the run that
+        // executed them: reload them so the in-memory result still
+        // carries a full training set, without re-appending them (the
+        // log consumers skip resumed records).
+        let features = open_log(self.feature_dir.as_deref(), self.resume, &key, spec.seed)?;
+        Ok(self.seeded_run(spec, owned, ledger, features))
+    }
+
+    /// Assemble a whole-campaign [`CampaignResult`] purely from the
+    /// ledger — the `resilim merge` path after N shards each ran their
+    /// partition into a shared (or artifact-collected) ledger directory.
+    ///
+    /// A merge is a run that executes nothing: it owns all of
+    /// `0..spec.tests` whatever the shard, is seeded from the ledger's
+    /// strict loader and the feature store's lenient one, opens no store
+    /// for writing, and fails naming the trials still to claim. So a
+    /// merged result is bitwise identical to a single-process run of the
+    /// same deployment, and an adaptive ledger merges to its stopped
+    /// prefix.
+    pub fn merged_from_ledger(&self, spec: &CampaignSpec) -> Result<CampaignResult, String> {
+        let dir = self
+            .ledger_dir
+            .as_ref()
+            .ok_or("merge needs a ledger directory (--store DIR)")?;
+        let key = spec.ledger_key();
+        let held = TrialLedger::load_strict(dir, &key, spec.seed)?;
+        // Trials whose features were lost to corruption are simply
+        // absent from the merged training set: unlike outcomes, the
+        // aggregate statistics do not depend on them.
+        let features = self
+            .feature_dir
+            .as_ref()
+            .map_or_else(HashMap::new, |dir| FeatureStore::load(dir, &key, spec.seed));
+        let owned = (0..spec.tests).collect();
+        let mut run = self.seeded_run(spec, owned, (None, held), (None, features));
+        run.announce();
+        let missing = run.claim(spec.tests);
+        if let Some(first) = missing.first() {
+            return Err(format!(
+                "ledger incomplete: {}/{} trials missing (e.g. trial {first})",
+                missing.len(),
+                spec.tests,
+            ));
+        }
+        Ok(run.finish())
+    }
+
+    /// The one constructor behind [`CampaignRunner::open_run`] and
+    /// [`CampaignRunner::merged_from_ledger`]: a run over the `owned`
+    /// trials (ascending) appending to the given stores, its pipeline
+    /// seeded with every owned record they already hold.
+    fn seeded_run(
+        &self,
+        spec: &CampaignSpec,
+        owned: Vec<usize>,
+        (ledger, held): Opened<LedgerLine>,
+        (feature_store, held_features): Opened<FeatureLine>,
+    ) -> CampaignRun {
         if let ErrorSpec::SerialErrors(_) = spec.errors {
             assert_eq!(spec.procs, 1, "SerialErrors campaigns run serially");
         }
         let metrics_before = obs::MetricsSnapshot::capture();
         let executor = Arc::new(self.trial_executor(spec));
         let started = Instant::now();
-        let owned: Vec<usize> = (0..spec.tests)
-            .filter(|&t| self.shard.is_none_or(|s| s.owns(t)))
-            .collect();
-        let key = spec.ledger_key();
-        let (ledger, mut resumed) =
-            open_log::<LedgerLine>(self.ledger_dir.as_deref(), self.resume, &key, spec.seed)?;
-        resumed.retain(|&t, _| t < spec.tests);
-        // Resumed trials' features were persisted by the run that
-        // executed them: reload them so the in-memory result still
-        // carries a full training set, without re-appending them (the
-        // log consumers skip resumed records).
-        let (feature_store, resumed_features) =
-            open_log::<FeatureLine>(self.feature_dir.as_deref(), self.resume, &key, spec.seed)?;
         let (seeds, pending): (Vec<usize>, Vec<usize>) =
-            owned.iter().copied().partition(|t| resumed.contains_key(t));
+            owned.iter().copied().partition(|t| held.contains_key(t));
         let sinks = RunSinks {
             acc: CampaignAccumulator::new(spec.procs, spec.stop),
             ledger: LogConsumer::new(ledger, self.trial_batch),
@@ -164,11 +216,11 @@ impl CampaignRunner {
         for t in seeds {
             run.pipeline.push(TrialRecord::resumed(
                 t,
-                resumed[&t],
-                resumed_features.get(&t).copied(),
+                held[&t],
+                held_features.get(&t).copied(),
             ));
         }
-        Ok(run)
+        run
     }
 }
 
@@ -307,39 +359,19 @@ impl CampaignRun {
             &mut self.pipeline.consumers.acc,
             CampaignAccumulator::new(spec.procs, None),
         );
-        assemble(
-            spec.procs,
-            acc,
+        let (outcomes, features, fi, prop, by_contam, uncontaminated) = acc.into_parts();
+        CampaignResult {
+            procs: spec.procs,
+            fi,
+            prop,
+            by_contam,
+            uncontaminated,
+            outcomes,
+            features,
             stopped_early,
             wall,
-            Arc::clone(self.executor.golden()),
+            golden: Arc::clone(self.executor.golden()),
             metrics,
-        )
-    }
-}
-
-/// The one place a [`CampaignResult`] is put together, for live runs
-/// and for ledger merges alike.
-pub(super) fn assemble(
-    procs: usize,
-    acc: CampaignAccumulator,
-    stopped_early: bool,
-    wall: Duration,
-    golden: Arc<GoldenRun>,
-    metrics: obs::MetricsSnapshot,
-) -> CampaignResult {
-    let (outcomes, features, fi, prop, by_contam, uncontaminated) = acc.into_parts();
-    CampaignResult {
-        procs,
-        fi,
-        prop,
-        by_contam,
-        uncontaminated,
-        outcomes,
-        features,
-        stopped_early,
-        wall,
-        golden,
-        metrics,
+        }
     }
 }

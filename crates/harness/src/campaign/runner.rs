@@ -3,14 +3,11 @@
 //! [`CampaignRun`](super::CampaignRun), and the per-trial execution
 //! seam ([`TrialExecutor`], [`work_loop`]) every scheduler shares.
 
-use super::aggregate::CampaignAccumulator;
 use super::exec;
-use super::run::assemble;
 use super::spec::{CampaignResult, CampaignSpec};
-use super::stream::{TrialConsumer, TrialRecord};
-use crate::features::FeatureStore;
+use super::stream::TrialRecord;
 use crate::golden::{GoldenRun, GoldenStore};
-use crate::ledger::{self, Shard, TrialLedger};
+use crate::ledger::{self, Shard};
 use parking_lot::Mutex;
 use resilim_inject::{FailureKind, TestOutcome};
 use resilim_obs as obs;
@@ -325,62 +322,6 @@ impl CampaignRunner {
             max_retries: self.max_retries,
             campaign_id: obs::next_campaign_id(),
         }
-    }
-
-    /// Assemble a whole-campaign [`CampaignResult`] purely from the
-    /// ledger — the `resilim merge` path after N shards each ran their
-    /// partition into a shared (or artifact-collected) ledger directory.
-    ///
-    /// Fails if any trial index in `0..spec.tests` is missing; the
-    /// aggregation over the recorded outcomes is the same fold the live
-    /// path streams through, so a merged result is bitwise identical to
-    /// a single-process run of the same deployment.
-    pub fn merged_from_ledger(&self, spec: &CampaignSpec) -> Result<CampaignResult, String> {
-        let dir = self
-            .ledger_dir
-            .as_ref()
-            .ok_or("merge needs a ledger directory (--store DIR)")?;
-        let metrics_before = obs::MetricsSnapshot::capture();
-        let start = Instant::now();
-        let key = spec.ledger_key();
-        let mut records = TrialLedger::load_strict(dir, &key, spec.seed)?;
-        records.retain(|&t, _| t < spec.tests);
-        let missing: Vec<usize> = (0..spec.tests)
-            .filter(|t| !records.contains_key(t))
-            .collect();
-        if !missing.is_empty() {
-            return Err(format!(
-                "ledger incomplete: {}/{} trials missing (e.g. trial {})",
-                missing.len(),
-                spec.tests,
-                missing[0]
-            ));
-        }
-        let golden = self.golden.get_masked(&spec.spec, spec.procs, spec.op_mask);
-        // Feature shards merge alongside the ledger (lenient loader:
-        // trials whose features were lost to corruption are simply
-        // absent from the merged training set — unlike outcomes, the
-        // aggregate statistics do not depend on them).
-        let features = match &self.feature_dir {
-            Some(dir) => FeatureStore::load(dir, &key, spec.seed),
-            None => HashMap::new(),
-        };
-        let mut acc = CampaignAccumulator::new(spec.procs, None);
-        for t in 0..spec.tests {
-            acc.consume(&TrialRecord::resumed(
-                t,
-                records[&t],
-                features.get(&t).copied(),
-            ));
-        }
-        Ok(assemble(
-            spec.procs,
-            acc,
-            false,
-            start.elapsed(),
-            golden,
-            obs::MetricsSnapshot::capture().delta(&metrics_before),
-        ))
     }
 }
 

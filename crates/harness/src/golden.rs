@@ -10,7 +10,7 @@ use resilim_simmpi::World;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Version stamp of the on-disk golden-run record. Bump whenever the
@@ -125,11 +125,6 @@ struct GoldenRecord {
 
 type Key = (String, usize, OpMask);
 
-/// Single-flight registry: one slot per in-flight key. The measuring
-/// caller holds the slot's lock until the run is published; same-key
-/// callers block on the slot and share the leader's `Arc`.
-type Flights = Mutex<HashMap<Key, Arc<Mutex<Option<Arc<GoldenRun>>>>>>;
-
 /// FNV-1a over a sequence of byte groups: a *deterministic* file-name
 /// hash (std's `DefaultHasher` is randomly keyed per process, which
 /// would defeat a cross-process cache). Shared by the golden cache and
@@ -174,10 +169,10 @@ pub fn golden_cache_file_name(spec: &ProblemSpec, procs: usize, mask: OpMask) ->
 /// golden run before it is queued.
 #[derive(Debug, Default)]
 pub struct GoldenStore {
-    cache: Mutex<HashMap<Key, Arc<GoldenRun>>>,
-    /// In-flight measurements: one slot per key; the measuring caller
-    /// holds the slot's lock until the run is published.
-    flights: Flights,
+    /// One cell per key, filled once: the first caller loads or
+    /// measures the run inside the cell's init, and same-key callers
+    /// block on it and share the filled `Arc`.
+    cache: Mutex<HashMap<Key, Arc<OnceLock<Arc<GoldenRun>>>>>,
     disk: Option<PathBuf>,
 }
 
@@ -207,45 +202,32 @@ impl GoldenStore {
     /// measurements — so a fully warm store reports zero misses.
     pub fn get_masked(&self, spec: &ProblemSpec, procs: usize, mask: OpMask) -> Arc<GoldenRun> {
         let key = (spec.cache_key(), procs, mask);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            note_lookup(true);
-            return Arc::clone(hit);
-        }
-        let flight = Arc::clone(self.flights.lock().entry(key.clone()).or_default());
-        let mut slot = flight.lock();
-        if let Some(run) = slot.as_ref() {
-            // The in-flight measurer finished while we waited.
-            note_lookup(true);
-            return Arc::clone(run);
-        }
-        // The flight entry may be fresh even though the run was already
-        // published (measurer removes its entry after filling the memory
-        // cache); re-check before measuring.
-        if let Some(hit) = self.cache.lock().get(&key) {
-            note_lookup(true);
-            return Arc::clone(hit);
-        }
-        let run = match self.load_disk(&key, spec) {
-            Some(run) => {
-                note_lookup(true);
-                obs::emit(&obs::Event::CacheLookup {
-                    cache: "golden-disk",
-                    hit: true,
-                });
-                Arc::new(run)
+        let cell = Arc::clone(self.cache.lock().entry(key.clone()).or_default());
+        let mut filled = false;
+        let run = cell.get_or_init(|| {
+            filled = true;
+            match self.load_disk(&key, spec) {
+                Some(run) => {
+                    note_lookup(true);
+                    obs::emit(&obs::Event::CacheLookup {
+                        cache: "golden-disk",
+                        hit: true,
+                    });
+                    Arc::new(run)
+                }
+                None => {
+                    note_lookup(false);
+                    let run = Arc::new(GoldenRun::measure_masked(spec, procs, mask));
+                    self.save_disk(&key, &run);
+                    run
+                }
             }
-            None => {
-                note_lookup(false);
-                let run = Arc::new(GoldenRun::measure_masked(spec, procs, mask));
-                self.save_disk(&key, &run);
-                run
-            }
-        };
-        self.cache.lock().insert(key.clone(), Arc::clone(&run));
-        *slot = Some(Arc::clone(&run));
-        drop(slot);
-        self.flights.lock().remove(&key);
-        run
+        });
+        if !filled {
+            // A memory hit, or a wait on the caller that filled it.
+            note_lookup(true);
+        }
+        Arc::clone(run)
     }
 
     /// Load and validate a disk record. Any failure — unreadable file,
@@ -303,7 +285,11 @@ impl GoldenStore {
 
     /// Number of cached runs (memory layer).
     pub fn len(&self) -> usize {
-        self.cache.lock().len()
+        self.cache
+            .lock()
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     /// Whether the store is empty.
@@ -372,6 +358,28 @@ mod tests {
         assert_eq!(store.len(), 1);
         let _c = store.get(&spec, 4);
         assert_eq!(store.len(), 2);
+    }
+
+    /// Concurrent first lookups of one key profile it once: every
+    /// caller gets the same `Arc`.
+    #[test]
+    fn concurrent_first_lookups_share_one_run() {
+        let store = GoldenStore::new();
+        let spec = App::Lu.default_spec();
+        let start = std::sync::Barrier::new(8);
+        let runs: Vec<Arc<GoldenRun>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.get(&spec, 2)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(runs.iter().all(|run| Arc::ptr_eq(run, &runs[0])));
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

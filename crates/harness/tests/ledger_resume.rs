@@ -6,6 +6,7 @@
 //! may not leak into the results.
 
 use resilim_apps::App;
+use resilim_core::StopRule;
 use resilim_harness::{CampaignRunner, CampaignSpec, ErrorSpec, Shard, TrialLedger};
 use std::path::PathBuf;
 
@@ -161,6 +162,39 @@ fn merge_reports_missing_trials() {
     // No ledger dir at all is a distinct, earlier error.
     let err = CampaignRunner::new().merged_from_ledger(&spec).unwrap_err();
     assert!(err.contains("ledger directory"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A merge is a run that executes nothing, so it honours the stop rule:
+/// the ledger of a live adaptive campaign holds only its stopped prefix,
+/// and merging it rebuilds that prefix instead of reporting the trials
+/// past the stop as missing.
+#[test]
+fn adaptive_ledger_merges_into_the_stopped_result() {
+    let dir = temp_dir("adaptive");
+    let spec = spec(60).with_stop(StopRule::new(0.3).with_min_tests(8));
+    let runner = CampaignRunner::new().with_ledger_dir(&dir);
+    let live = runner.run_uncached(&spec);
+    assert!(live.stopped_early, "the fixture relies on an early stop");
+    let merged = runner.merged_from_ledger(&spec).unwrap();
+    assert_eq!(merged.stopped_early, live.stopped_early);
+    assert_eq!(merged.outcomes, live.outcomes);
+    assert_eq!(merged.fi, live.fi);
+
+    // A trial lost *before* the stop point leaves the prefix unfinished:
+    // the merge still names the gap.
+    let file = own_ledger_file(&dir, &spec.ledger_key());
+    let raw = std::fs::read_to_string(&file).unwrap();
+    let kept: String = raw
+        .lines()
+        .filter(|l| !l.contains("\"trial\":3,"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(kept.lines().count() + 1, raw.lines().count());
+    std::fs::write(&file, kept).unwrap();
+    let err = runner.merged_from_ledger(&spec).unwrap_err();
+    assert!(err.contains("ledger incomplete"), "{err}");
+    assert!(err.contains("(e.g. trial 3)"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

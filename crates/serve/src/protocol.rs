@@ -53,8 +53,10 @@ impl SubmitSpec {
     /// Validate and translate into the harness [`CampaignSpec`].
     pub fn to_campaign(&self) -> Result<CampaignSpec, String> {
         let app = App::parse(&self.app).ok_or(format!("unknown app '{}'", self.app))?;
-        if self.procs == 0 {
-            return Err("procs must be >= 1".into());
+        // Every app decomposes its default problem over a power-of-two
+        // world only; any other `procs` would panic in golden profiling.
+        if !self.procs.is_power_of_two() {
+            return Err(format!("procs must be a power of two, got {}", self.procs));
         }
         if self.procs > app.max_procs() {
             return Err(format!(
@@ -409,7 +411,8 @@ mod tests {
         };
         assert!(bad(|s| s.app = "nope".into()).contains("unknown app"));
         assert!(bad(|s| s.procs = 0).contains("procs"));
-        assert!(bad(|s| s.procs = 10_000).contains("at most"));
+        assert!(bad(|s| s.procs = 3).contains("power of two"));
+        assert!(bad(|s| s.procs = 1 << 14).contains("at most"));
         assert!(bad(|s| s.tests = 0).contains("tests"));
         assert!(bad(|s| s.errors = "bogus".into()).contains("unknown"));
         assert!(bad(|s| s.ci = Some(0.9)).contains("half-width"));

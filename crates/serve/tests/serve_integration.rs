@@ -290,6 +290,31 @@ fn daemon_rejects_bad_requests() {
     let err = client.submit(bad).unwrap_err();
     assert!(err.contains("unknown app"), "{err}");
 
+    // A well-formed submission no app can decompose (LU at p=3) is
+    // refused with an error line before golden profiling could panic
+    // the connection thread, and the same connection goes on serving.
+    {
+        use std::io::{BufRead, BufReader, Write};
+        let mut raw = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let mut submit = |wire: SubmitSpec| {
+            let mut line = serde_json::to_string(&Request::submit(wire)).unwrap();
+            line.push('\n');
+            raw.write_all(line.as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            serde_json::from_str::<resilim_serve::Response>(&reply).unwrap()
+        };
+        let mut odd = SubmitSpec::of_campaign(&spec(App::Lu, 2, 2, 1));
+        odd.procs = 3;
+        let resp = submit(odd);
+        assert_eq!(resp.kind, "error");
+        assert!(resp.message.unwrap().contains("power of two"));
+        let resp = submit(SubmitSpec::of_campaign(&spec(App::Lu, 2, 2, 1)));
+        assert_eq!(resp.kind, "submitted");
+    }
+
     // A request from the future is refused.
     let mut client = Client::connect(&socket).unwrap();
     let mut req = Request::list();

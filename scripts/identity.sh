@@ -11,12 +11,13 @@
 # On both sides: `resilim campaign` for cg and pennant under the bitflip,
 # burst:3, due, msg and msg --replicate fault models (--scale 8 --errors
 # par --tests 60 --seed 7 --json) into one --store; bitflip and
-# msg --replicate again into a second store with --trial-timeout 30; and
+# msg --replicate again into a second store with --trial-timeout 30; each
+# stored campaign followed by `resilim merge` with the same flags; and
 # `cargo run --release --example ablations`. Then one verdict per
-# artifact: the summaries (stdout and stored, wall_secs dropped), the
-# sorted ledger lines, the sorted feature lines, the golden records
-# (wall_secs dropped) and the ablations stdout. Exits non-zero on any
-# difference.
+# artifact: the summaries (campaign and merge stdout, stored; wall_secs
+# dropped), the sorted ledger lines, the sorted feature lines, the golden
+# records (wall_secs dropped) and the ablations stdout. Exits non-zero on
+# any difference.
 #
 # The parent is exported with `git archive` (the repository and its
 # worktree list are left alone) and each side is built from its own
@@ -28,7 +29,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,24p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,25p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -59,21 +60,28 @@ run_side() { # side
     runs=$work/runs/$1
     rm -rf "$runs"
     mkdir -p "$runs/stdout" "$runs/out"
+    # One campaign into a store, then its merge from that store.
+    stored() { # store name flags...
+        store=$runs/$1 name=$2
+        shift 2
+        "$bin" campaign "$@" --json --store "$store" \
+            >"$runs/stdout/$name.json" 2>>"$runs/stderr.log"
+        "$bin" merge "$@" --json --store "$store" \
+            >"$runs/stdout/$name-merged.json" 2>>"$runs/stderr.log"
+    }
     for app in cg pennant; do
         for model in bitflip burst:3 due msg "msg --replicate"; do
             echo "$1: $app $model" >&2
             name=$app-$(echo "$model" | tr ' :' '_-')
             # `$model` unquoted: "msg --replicate" is two arguments.
             # shellcheck disable=SC2086
-            "$bin" campaign --apps "$app" --scale 8 --errors par --tests 60 --seed 7 \
-                --json --store "$runs/store" --fault-model $model \
-                >"$runs/stdout/$name.json" 2>>"$runs/stderr.log"
+            stored store "$name" --apps "$app" --scale 8 --errors par --tests 60 \
+                --seed 7 --fault-model $model
             case $model in
             bitflip | "msg --replicate")
                 # shellcheck disable=SC2086
-                "$bin" campaign --apps "$app" --scale 8 --errors par --tests 60 --seed 7 \
-                    --json --store "$runs/store-timeout" --trial-timeout 30 \
-                    --fault-model $model >"$runs/stdout/$name-timeout.json" 2>>"$runs/stderr.log"
+                stored store-timeout "$name-timeout" --apps "$app" --scale 8 --errors par \
+                    --tests 60 --seed 7 --trial-timeout 30 --fault-model $model
                 ;;
             esac
         done
