@@ -4,9 +4,9 @@
 //! Differential & metamorphic validation of the resilience model: the
 //! paper's whole claim is that a cheap serial/small-scale model predicts
 //! expensive large-scale fault-injection outcomes, so this crate
-//! continuously cross-validates `resilim_core::Predictor` (and the
-//! campaign machinery underneath it) against measured ground truth on
-//! randomized mini-campaigns.
+//! continuously cross-validates the predictors of `resilim_core` (and
+//! the campaign machinery underneath them) against measured ground truth
+//! on randomized mini-campaigns.
 //!
 //! The pieces (DESIGN.md §8):
 //!

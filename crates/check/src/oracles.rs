@@ -10,13 +10,13 @@
 use crate::case::CaseSpec;
 use crate::ops::SamplingOps;
 use resilim_core::{
-    cosine_similarity, fit_predictor, ModelInputs, PaperEq8, PredictorKind, SamplePoints,
-    ALPHA_THRESHOLD,
+    cosine_similarity, fit_predictor, mean_rates, ModelInputs, PaperEq8, PredictorKind,
+    SamplePoints, ALPHA_THRESHOLD,
 };
 use resilim_harness::{
     aggregate_outcomes, CampaignResult, CampaignRunner, CampaignSummary, ErrorSpec,
 };
-use resilim_inject::{FailureKind, FaultModelSpec};
+use resilim_inject::{FailureKind, FaultModelSpec, OutcomeKind};
 use resilim_serve::{Client, Daemon, ServeConfig, SubmitSpec};
 use std::collections::BTreeMap;
 
@@ -830,10 +830,10 @@ fn predictor_divergence(
     let eq8 = PaperEq8::new(eq8_inputs(case, runner, o)?).predict();
     let bound = divergence_bound(case.tests) + IN_SAMPLE_BOUND;
     for kind in [PredictorKind::Logistic, PredictorKind::Stumps] {
-        let model = fit_predictor(kind, &m.features)
+        let predict = fit_predictor(kind, &m.features)
             .map_err(|e| Violation::new(o, format!("{} failed to fit: {e}", kind.name())))?;
-        let pred = model.predict();
-        let sum: f64 = pred.rates.iter().sum();
+        let rates = mean_rates(&m.features, predict);
+        let sum: f64 = rates.iter().sum();
         ensure!(
             o,
             (sum - 1.0).abs() < 1e-6,
@@ -842,14 +842,11 @@ fn predictor_divergence(
         );
         ensure!(
             o,
-            pred.rates
-                .iter()
-                .all(|r| (-1e-12..=1.0 + 1e-12).contains(r)),
-            "{} rate outside [0, 1]: {:?}",
+            rates.iter().all(|r| (-1e-12..=1.0 + 1e-12).contains(r)),
+            "{} rate outside [0, 1]: {rates:?}",
             kind.name(),
-            pred.rates
         );
-        for (k, (learned, truth)) in pred.rates.iter().zip(measured).enumerate() {
+        for (k, (learned, truth)) in rates.iter().zip(measured).enumerate() {
             let gap = (learned - truth).abs();
             ensure!(
                 o,
@@ -858,13 +855,13 @@ fn predictor_divergence(
                 kind.name()
             );
         }
-        let gap = (pred.success() - eq8.success()).abs();
+        let success = rates[OutcomeKind::Success.index()];
+        let gap = (success - eq8.success()).abs();
         ensure!(
             o,
             gap <= bound,
-            "{} success {:.3} vs eq8 {:.3}: gap {gap:.3} exceeds bound {bound:.3}",
+            "{} success {success:.3} vs eq8 {:.3}: gap {gap:.3} exceeds bound {bound:.3}",
             kind.name(),
-            pred.success(),
             eq8.success()
         );
     }

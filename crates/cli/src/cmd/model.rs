@@ -11,7 +11,7 @@
 
 use crate::opts::{emit, Options};
 use resilim_core::{
-    empirical_rates, LogisticModel, PaperEq8, Prediction, PredictorKind, SamplePoints, StumpsModel,
+    empirical_rates, fit_predictor, mean_rates, PaperEq8, PredictorKind, SamplePoints,
     TrialFeatures,
 };
 use resilim_harness::experiments::LARGE_SCALE;
@@ -89,17 +89,8 @@ fn learned(opts: &Options, kind: PredictorKind) -> Result<(), String> {
             features_dir.display()
         ));
     }
-    let report = match kind {
-        PredictorKind::Logistic => {
-            let m = LogisticModel::fit(&data)?;
-            build_report(kind, &data, &|f| m.predict_one(f), eq8_rates(opts))
-        }
-        PredictorKind::Stumps => {
-            let m = StumpsModel::fit(&data)?;
-            build_report(kind, &data, &|f| m.predict_one(f), eq8_rates(opts))
-        }
-        PredictorKind::Eq8 => unreachable!("eq8 takes the closed-form path"),
-    };
+    let predict = fit_predictor(kind, &data)?;
+    let report = build_report(kind, &data, &predict, eq8_rates(opts));
     let text = render(&report);
     emit(opts, text, &report)
 }
@@ -114,26 +105,8 @@ fn eq8_rates(opts: &Options) -> Option<[f64; 3]> {
     let p = opts.scale.unwrap_or(LARGE_SCALE);
     let s = opts.small.unwrap_or(4);
     let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default()).ok()?;
-    Some(rates(&PaperEq8::new(inputs).predict()))
-}
-
-fn rates(pred: &Prediction) -> [f64; 3] {
-    [pred.success(), pred.sdc(), pred.failure()]
-}
-
-/// Mean predicted probability over a set of records.
-fn mean_predicted(
-    records: &[&TrialFeatures],
-    predict_one: &dyn Fn(&TrialFeatures) -> [f64; 3],
-) -> [f64; 3] {
-    let mut sum = [0.0f64; 3];
-    for f in records {
-        let p = predict_one(f);
-        for (s, p) in sum.iter_mut().zip(p) {
-            *s += p;
-        }
-    }
-    sum.map(|s| s / records.len().max(1) as f64)
+    let pred = PaperEq8::new(inputs).predict();
+    Some([pred.success(), pred.sdc(), pred.failure()])
 }
 
 fn build_report(
@@ -158,16 +131,15 @@ fn build_report(
                 contaminated_ranks,
                 trials: n,
                 measured: measured.map(|c| c / n as f64),
-                predicted: mean_predicted(&records, predict_one),
+                predicted: mean_rates(records.iter().copied(), predict_one),
             }
         })
         .collect();
-    let all: Vec<&TrialFeatures> = data.iter().collect();
     LearnedReport {
         predictor: kind.name(),
         records: data.len(),
         measured: empirical_rates(data),
-        predicted: mean_predicted(&all, predict_one),
+        predicted: mean_rates(data, predict_one),
         eq8,
         curve,
     }

@@ -81,7 +81,7 @@ declare_claims! {
     /// Eq. 1 — the mixture.
     EQ1: Equation = "FI_par = prob1 * FI_common + prob2 * FI_unique: the \
         large-scale result is a convex mixture of the common-computation \
-        term and the parallel-unique term (`Predictor::predict`).";
+        term and the parallel-unique term (`PaperEq8::predict`).";
     /// Eq. 2 — the mixture weights.
     EQ2: Equation = "prob1 + prob2 = 1: the mixture weights are the \
         common/parallel-unique shares of injectable operations \
@@ -103,7 +103,7 @@ declare_claims! {
     EQ6: Equation = "When serial and small-scale results diverge by more \
         than the threshold (paper: 20%), bucket values are replaced by \
         the small-scale per-contamination results FI'_ser(x_j) = \
-        FI_small_par(j) (`Predictor::divergence`, §4.2).";
+        FI_small_par(j) (`PaperEq8::divergence`, §4.2).";
     /// Eq. 7 — sparse serial sample cases.
     EQ7: Equation = "The S serial sample cases {1, 2p/S, ..., p} are \
         strictly increasing, in range, and cover every bucket of the \
@@ -111,7 +111,7 @@ declare_claims! {
     /// Eq. 8 — the sparse closed form.
     EQ8: Equation = "FI_common = sum_j r'_j * FI_ser(x_j) with bucket map \
         ceil(x*S/p): the sparse propagation-weighted sum, degenerating \
-        to direct measurement when s = p (`Predictor::predict`).";
+        to direct measurement when s = p (`PaperEq8::predict`).";
     /// Eq. 9 — prediction accuracy.
     EQ9: Equation = "Prediction accuracy is the absolute rate error per \
         deployment and RMSE over (measured, predicted) pairs \
@@ -162,12 +162,12 @@ declare_claims! {
         point estimate, and the interval width is monotone non-increasing \
         in the number of trials at a fixed rate.";
     /// Predictor-registry agreement.
-    INV_PREDICT: Invariant = "PaperEq8 routed through the Predictor trait \
-        is bitwise identical to the pre-registry implementation, and the \
-        learned predictors (logistic, stumps) trained on a campaign's own \
-        per-trial features reproduce its outcome rates within a bounded \
-        disagreement of PaperEq8 on seeded mini-campaigns (the \
-        predictor-divergence oracle's bound).";
+    INV_PREDICT: Invariant = "PaperEq8's rates are bitwise identical to \
+        the pre-registry implementation's, and the learned predictors \
+        (logistic, stumps) trained on a campaign's own per-trial features \
+        have mean per-trial probabilities that reproduce its outcome rates \
+        within a bounded disagreement of PaperEq8 on seeded mini-campaigns \
+        (the predictor-divergence oracle's bound).";
 }
 
 impl Claim {

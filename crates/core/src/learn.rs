@@ -1,8 +1,11 @@
 //! Learned resilience predictors: no-heavy-deps in-repo learners over
 //! per-trial [`TrialFeatures`].
 //!
-//! Two implementations of the [`Predictor`] trait that train on a
-//! feature store instead of evaluating the paper's closed form:
+//! Two learners that train on a feature store instead of evaluating the
+//! paper's closed form. A fitted model is a function from one trial's
+//! features to its `[success, sdc, failure]` probabilities
+//! ([`fit_predictor`] returns it as a closure); a campaign-level
+//! prediction is that function's mean over the trials ([`mean_rates`]):
 //!
 //! * [`LogisticModel`] — multinomial (3-class softmax) logistic
 //!   regression fit by full-batch gradient descent on standardized
@@ -17,7 +20,7 @@
 //! and the `predictor-divergence` oracle rely on.
 
 use crate::features::{TrialFeatures, FEATURE_DIM};
-use crate::model::{flat_prediction, Prediction, Predictor, PredictorKind};
+use crate::model::PredictorKind;
 
 /// Gradient-descent iterations for [`LogisticModel::fit`].
 const LOGISTIC_ITERS: usize = 400;
@@ -39,6 +42,23 @@ pub fn empirical_rates(data: &[TrialFeatures]) -> [f64; 3] {
     }
     let total = data.len().max(1) as f64;
     counts.map(|c| c as f64 / total)
+}
+
+/// Mean predicted `[success, sdc, failure]` probabilities over a set of
+/// trials (zeros for an empty set).
+pub fn mean_rates<'a>(
+    records: impl IntoIterator<Item = &'a TrialFeatures>,
+    predict: impl Fn(&TrialFeatures) -> [f64; 3],
+) -> [f64; 3] {
+    let mut sum = [0.0f64; 3];
+    let mut n = 0usize;
+    for f in records {
+        for (s, p) in sum.iter_mut().zip(predict(f)) {
+            *s += p;
+        }
+        n += 1;
+    }
+    sum.map(|s| s / n.max(1) as f64)
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -97,11 +117,6 @@ pub struct LogisticModel {
     standardizer: Standardizer,
     /// Per-class weight vector, bias last.
     weights: [[f64; FEATURE_DIM + 1]; 3],
-    /// Mean predicted class probabilities over the training set — the
-    /// model's campaign-level rate prediction.
-    train_rates: [f64; 3],
-    /// Training-set size (reporting).
-    pub trained_on: usize,
 }
 
 impl LogisticModel {
@@ -139,22 +154,9 @@ impl LogisticModel {
                 }
             }
         }
-
-        let mut train_rates = [0.0f64; 3];
-        for xi in &x {
-            let p = softmax_probs(&weights, xi);
-            for (r, pc) in train_rates.iter_mut().zip(&p) {
-                *r += pc;
-            }
-        }
-        for r in &mut train_rates {
-            *r /= n;
-        }
         Ok(LogisticModel {
             standardizer,
             weights,
-            train_rates,
-            trained_on: data.len(),
         })
     }
 
@@ -183,16 +185,6 @@ fn softmax_probs(weights: &[[f64; FEATURE_DIM + 1]; 3], x: &[f64; FEATURE_DIM]) 
     e
 }
 
-impl Predictor for LogisticModel {
-    fn name(&self) -> &'static str {
-        PredictorKind::Logistic.name()
-    }
-
-    fn predict(&self) -> Prediction {
-        flat_prediction(self.train_rates)
-    }
-}
-
 /// One decision stump of a boosted ensemble: `x[feature] <= threshold`
 /// adds `left`, else `right`, to the class logit.
 #[derive(Debug, Clone, Copy)]
@@ -211,9 +203,6 @@ pub struct StumpsModel {
     base: [f64; 3],
     /// Per-class boosted ensemble.
     stumps: [Vec<Stump>; 3],
-    train_rates: [f64; 3],
-    /// Training-set size (reporting).
-    pub trained_on: usize,
 }
 
 impl StumpsModel {
@@ -259,26 +248,11 @@ impl StumpsModel {
                 stumps[c].push(stump);
             }
         }
-
-        let mut model = StumpsModel {
+        Ok(StumpsModel {
             standardizer,
             base,
             stumps,
-            train_rates: [0.0; 3],
-            trained_on: data.len(),
-        };
-        let mut train_rates = [0.0f64; 3];
-        for f in data {
-            let p = model.predict_one(f);
-            for (r, pc) in train_rates.iter_mut().zip(&p) {
-                *r += pc;
-            }
-        }
-        for r in &mut train_rates {
-            *r /= n as f64;
-        }
-        model.train_rates = train_rates;
-        Ok(model)
+        })
     }
 
     /// Predicted class probabilities for one trial (per-class sigmoids,
@@ -359,28 +333,26 @@ fn best_stump(x: &[[f64; FEATURE_DIM]], resid: &[f64], hess: &[f64]) -> Option<S
     best.map(|(_, s)| s)
 }
 
-impl Predictor for StumpsModel {
-    fn name(&self) -> &'static str {
-        PredictorKind::Stumps.name()
-    }
-
-    fn predict(&self) -> Prediction {
-        flat_prediction(self.train_rates)
-    }
-}
-
-/// Train the learned predictor `kind` selects on a feature set. Errors on
-/// [`PredictorKind::Eq8`] (which is built from
+/// Train the learned predictor `kind` selects on a feature set, as a
+/// function from one trial's features to its `[success, sdc, failure]`
+/// probabilities. Errors on [`PredictorKind::Eq8`] (which is built from
 /// [`ModelInputs`](crate::ModelInputs), not features) and on degenerate
 /// feature sets.
+#[allow(clippy::type_complexity)]
 pub fn fit_predictor(
     kind: PredictorKind,
     data: &[TrialFeatures],
-) -> Result<Box<dyn Predictor>, String> {
+) -> Result<Box<dyn Fn(&TrialFeatures) -> [f64; 3]>, String> {
     match kind {
         PredictorKind::Eq8 => Err("eq8 is built from model inputs, not features".into()),
-        PredictorKind::Logistic => Ok(Box::new(LogisticModel::fit(data)?)),
-        PredictorKind::Stumps => Ok(Box::new(StumpsModel::fit(data)?)),
+        PredictorKind::Logistic => {
+            let model = LogisticModel::fit(data)?;
+            Ok(Box::new(move |f: &TrialFeatures| model.predict_one(f)))
+        }
+        PredictorKind::Stumps => {
+            let model = StumpsModel::fit(data)?;
+            Ok(Box::new(move |f: &TrialFeatures| model.predict_one(f)))
+        }
     }
 }
 
@@ -420,7 +392,7 @@ mod tests {
         let data = dataset();
         let model = LogisticModel::fit(&data).unwrap();
         let rates = empirical_rates(&data);
-        let pred = model.predict().rates;
+        let pred = mean_rates(&data, |f| model.predict_one(f));
         for (p, r) in pred.iter().zip(&rates) {
             assert!(
                 (p - r).abs() < 0.05,
@@ -439,7 +411,7 @@ mod tests {
         let data = dataset();
         let model = StumpsModel::fit(&data).unwrap();
         let rates = empirical_rates(&data);
-        let pred = model.predict().rates;
+        let pred = mean_rates(&data, |f| model.predict_one(f));
         for (p, r) in pred.iter().zip(&rates) {
             assert!(
                 (p - r).abs() < 0.10,
@@ -454,9 +426,9 @@ mod tests {
     fn training_is_deterministic() {
         let data = dataset();
         for kind in [PredictorKind::Logistic, PredictorKind::Stumps] {
-            let a = fit_predictor(kind, &data).unwrap().predict();
-            let b = fit_predictor(kind, &data).unwrap().predict();
-            assert_eq!(a.rates.map(f64::to_bits), b.rates.map(f64::to_bits));
+            let a = mean_rates(&data, fit_predictor(kind, &data).unwrap());
+            let b = mean_rates(&data, fit_predictor(kind, &data).unwrap());
+            assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         }
     }
 
@@ -474,9 +446,9 @@ mod tests {
                 TrialFeatures::quiet(OutcomeKind::Success, 2, 100 + i, [1.0, 0.0, 0.0, 0.0, 0.0])
             })
             .collect();
-        let model = LogisticModel::fit(&data).unwrap();
-        assert!(model.predict().rates[0] > 0.9);
-        let model = StumpsModel::fit(&data).unwrap();
-        assert!(model.predict().rates[0] > 0.9);
+        for kind in [PredictorKind::Logistic, PredictorKind::Stumps] {
+            let predict = fit_predictor(kind, &data).unwrap();
+            assert!(mean_rates(&data, predict)[0] > 0.9, "{kind:?}");
+        }
     }
 }

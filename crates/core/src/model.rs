@@ -1,6 +1,5 @@
-//! Resilience predictors: the [`Predictor`] trait, its registry
-//! ([`PredictorKind`]), and the paper's closed-form model [`PaperEq8`]
-//! (paper §4, Equations 1–8).
+//! Resilience predictors: the registry ([`PredictorKind`]) and the
+//! paper's closed-form model [`PaperEq8`] (paper §4, Equations 1–8).
 //!
 //! `FI_par = prob₁ · FI_common + prob₂ · FI_unique` where
 //! `FI_common = Σⱼ r'ⱼ · FI_ser(xⱼ)`:
@@ -21,9 +20,11 @@
 //!
 //! The learned predictors of the registry (logistic regression and
 //! gradient-boosted stumps over per-trial
-//! [`TrialFeatures`](crate::TrialFeatures)) live in [`crate::learn`]; they implement the
-//! same [`Predictor`] trait, so `resilim model` and the
-//! `predictor-divergence` check oracle treat all three uniformly.
+//! [`TrialFeatures`](crate::TrialFeatures)) live in [`crate::learn`]:
+//! [`fit_predictor`](crate::fit_predictor) fits one into a per-trial
+//! probability function, and [`mean_rates`](crate::mean_rates) averages
+//! it into campaign-level rates for `resilim model` and the
+//! `predictor-divergence` check oracle.
 
 use crate::fi::FiResult;
 use crate::propagation::PropagationProfile;
@@ -132,25 +133,11 @@ impl Prediction {
     }
 }
 
-/// A resilience predictor: anything that can produce the outcome-rate
-/// distribution of a deployment.
-///
-/// [`PaperEq8`] is the paper's closed-form model; the learned models in
-/// [`crate::learn`] implement the same trait from per-trial features. The
-/// registry ([`PredictorKind`]) enumerates the available implementations
-/// so front ends can select one by name.
-pub trait Predictor {
-    /// Stable registry name (`eq8`, `logistic`, `stumps`).
-    fn name(&self) -> &'static str;
-    /// Produce the predicted outcome-rate distribution.
-    fn predict(&self) -> Prediction;
-}
-
-/// The predictor registry: every [`Predictor`] implementation, by stable
-/// CLI name. `resilim model --predictor <name>` and the check suite's
-/// `predictor-divergence` oracle select implementations through this
-/// enum, so adding a predictor means adding a variant here (and the
-/// compiler then points at every front end that must learn about it).
+/// The predictor registry: every predictor, by stable CLI name.
+/// `resilim model --predictor <name>` selects through this enum: `eq8`
+/// is [`PaperEq8`], built from [`ModelInputs`]; the learned kinds are
+/// fitted on per-trial features by [`fit_predictor`](crate::fit_predictor),
+/// the one dispatch over them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
     /// The paper's closed-form sparse model ([`PaperEq8`]).
@@ -322,29 +309,6 @@ impl PaperEq8 {
     }
 }
 
-impl Predictor for PaperEq8 {
-    fn name(&self) -> &'static str {
-        PredictorKind::Eq8.name()
-    }
-
-    fn predict(&self) -> Prediction {
-        PaperEq8::predict(self)
-    }
-}
-
-/// A [`Prediction`] carrying only an outcome-rate distribution — how the
-/// learned predictors (which have no bucket structure or α machinery)
-/// report through the shared [`Prediction`] type.
-pub fn flat_prediction(rates: [f64; 3]) -> Prediction {
-    Prediction {
-        rates,
-        used_alpha: false,
-        divergence: 0.0,
-        per_bucket: Vec::new(),
-        common_rates: rates,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,17 +446,15 @@ mod tests {
         assert!((pred.success() - 0.8).abs() < 1e-12);
     }
 
-    /// Golden snapshot of the pre-refactor `Predictor` output: routing
-    /// `PaperEq8` through the new trait must stay *bitwise* identical.
-    /// The expected values are the exact IEEE-754 bit patterns the
-    /// concrete pre-trait implementation produced on `base_inputs()`
+    /// Golden snapshot of `PaperEq8`'s output: it must stay *bitwise*
+    /// identical to the exact IEEE-754 bit patterns the closed form
+    /// produced on `base_inputs()` before the predictor registry existed
     /// (with and without α tuning and the Eq. 1 unique term).
     #[test]
-    fn paper_eq8_via_trait_is_bitwise_identical_to_snapshot() {
+    fn paper_eq8_is_bitwise_identical_to_snapshot() {
         crate::verifies!(EQ8, INV_PREDICT);
         let snapshot = |inputs: ModelInputs| -> [u64; 3] {
-            let p: &dyn Predictor = &PaperEq8::new(inputs);
-            let pred = p.predict();
+            let pred = PaperEq8::new(inputs).predict();
             [
                 pred.rates[0].to_bits(),
                 pred.rates[1].to_bits(),
@@ -530,16 +492,5 @@ mod tests {
             assert_eq!(PredictorKind::parse(kind.name()), Ok(kind));
         }
         assert!(PredictorKind::parse("crystal-ball").is_err());
-        let via_trait: &dyn Predictor = &PaperEq8::new(base_inputs());
-        assert_eq!(via_trait.name(), "eq8");
-    }
-
-    #[test]
-    fn flat_prediction_carries_rates_only() {
-        let pred = flat_prediction([0.5, 0.3, 0.2]);
-        assert_eq!(pred.rates, [0.5, 0.3, 0.2]);
-        assert_eq!(pred.common_rates, [0.5, 0.3, 0.2]);
-        assert!(!pred.used_alpha);
-        assert!(pred.per_bucket.is_empty());
     }
 }

@@ -6,9 +6,8 @@ use crate::golden::GoldenRun;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use resilim_core::{TrialFeatures, SPREAD_WINDOWS};
-use resilim_inject::fault::draw_operand;
 use resilim_inject::{
-    FailureKind, FaultPattern, InjectionPlan, RankCtx, Region, Target, TestOutcome,
+    FailureKind, FaultModelSpec, InjectionPlan, Operand, RankCtx, Region, Target, TestOutcome,
 };
 use resilim_simmpi::{MsgFault, PanicKind, RankOutcome, World};
 use std::collections::HashMap;
@@ -238,6 +237,11 @@ fn classify_failure<T>(results: &[RankOutcome<T>]) -> (Option<FailureKind>, bool
 
 /// Draw the injection plan(s) for one test: a map rank → plan, plus the
 /// armed wire fault for message-targeting models (`None` otherwise).
+///
+/// This is the only code that draws from a trial's RNG, and the order of
+/// its draws is part of every campaign's identity: the same seed must
+/// plan the same faults in every release, or stored ledgers stop
+/// matching re-runs.
 fn plan_test(
     rng: &mut SmallRng,
     spec: &CampaignSpec,
@@ -270,6 +274,11 @@ fn plan_test(
         };
         return (plans, Some(fault));
     }
+    assert!(
+        !matches!(spec.fault_model, FaultModelSpec::Burst(_))
+            || spec.errors == ErrorSpec::OneParallel,
+        "--fault-model burst is only defined for --errors par"
+    );
     match spec.errors {
         ErrorSpec::OneParallel | ErrorSpec::OneParallelMultiBit(_) => {
             // Uniform over every injectable op of the whole execution.
@@ -288,31 +297,36 @@ fn plan_test(
                 }
             }
             let (rank, region, op_index) = chosen.expect("g < total");
-            // The fault model decides what the fault *is* at the drawn
-            // site. The default model's draws are proven bit-identical
-            // to the pre-trait code, so historical campaigns reproduce.
-            let pattern = match spec.errors {
-                ErrorSpec::OneParallelMultiBit(k) => FaultPattern::MultiBit(k),
-                _ => FaultPattern::SingleBit,
+            // The site, then the operand, then the bits: a burst is
+            // `width` adjacent bits starting uniformly in 0..=64-width
+            // (so it never wraps), anything else `k` distinct bits, in
+            // ascending order (`k = 1` for `par`).
+            let operand = draw_operand(rng);
+            let bits: Vec<u8> = match (spec.fault_model, spec.errors) {
+                (FaultModelSpec::Burst(width), _) => {
+                    let start = rng.gen_range(0..(65 - width));
+                    (start..start + width).collect()
+                }
+                (_, ErrorSpec::OneParallelMultiBit(k)) => distinct_bits(rng, k),
+                _ => distinct_bits(rng, 1),
             };
-            let targets = spec.fault_model.op_targets(rng, pattern, region, op_index);
+            let targets = bits
+                .into_iter()
+                .map(|bit| Target {
+                    region,
+                    op_index,
+                    bit,
+                    operand,
+                })
+                .collect();
             plans.insert(rank, InjectionPlan::multi(targets));
         }
         ErrorSpec::OneParallelUnique => {
-            // This arm's draw order predates the fault-model trait (bit
-            // before operand) and is frozen for reproducibility; models
-            // with their own bit geometry are restricted to `par` by
-            // CLI validation, and DUE's draws equal the baseline's.
-            assert!(
-                !matches!(spec.fault_model, resilim_inject::FaultModelSpec::Burst(_)),
-                "--fault-model burst is only defined for --errors par"
-            );
-            // Uniform over the parallel-unique ops of the whole execution.
+            // Uniform over the parallel-unique ops of the whole execution
+            // (`open_run` refuses a deployment without any). This arm
+            // draws the bit before the operand, and that order is frozen.
             let total = golden.injectable(Region::ParallelUnique);
-            assert!(
-                total > 0,
-                "OneParallelUnique needs parallel-unique computation"
-            );
+            assert!(total > 0, "no parallel-unique ops profiled");
             let mut g = rng.gen_range(0..total);
             let mut chosen = None;
             for (rank, profile) in golden.profiles.iter().enumerate() {
@@ -335,10 +349,6 @@ fn plan_test(
             );
         }
         ErrorSpec::SerialErrors(x) => {
-            assert!(
-                !matches!(spec.fault_model, resilim_inject::FaultModelSpec::Burst(_)),
-                "--fault-model burst is only defined for --errors par"
-            );
             let total = golden.profiles[0].injectable(Region::Common);
             assert!(
                 (x as u64) <= total,
@@ -363,11 +373,191 @@ fn plan_test(
     (plans, None)
 }
 
+/// The afflicted operand, A or B with equal odds.
+fn draw_operand(rng: &mut SmallRng) -> Operand {
+    if rng.gen_bool(0.5) {
+        Operand::A
+    } else {
+        Operand::B
+    }
+}
+
+/// `k` distinct bit positions (`k <= 64`, which `ErrorSpec::parse`
+/// enforces), drawn by rejection and returned in ascending order.
+fn distinct_bits(rng: &mut SmallRng, k: u8) -> Vec<u8> {
+    let mut set = std::collections::BTreeSet::new();
+    while set.len() < k as usize {
+        set.insert(rng.gen_range(0..64u8));
+    }
+    set.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resilim_apps::{App, AppOutput};
+    use resilim_inject::{OpMask, OpProfile, RegionCounts};
     use resilim_simmpi::RankPanic;
     use PanicKind::{Crash, Due, FabricDead, HangGuard};
+
+    /// A two-rank golden run with `[common, parallel-unique]` injectable
+    /// ops per rank: planning reads nothing else of it.
+    fn golden() -> GoldenRun {
+        let profile = |common, unique| OpProfile {
+            regions: [common, unique].map(|injectable| RegionCounts {
+                injectable,
+                per_kind: [0; 5],
+            }),
+            msgs_sent: 3,
+        };
+        GoldenRun {
+            spec: App::Cg.default_spec(),
+            procs: 2,
+            op_mask: OpMask::FP_ARITH,
+            output: AppOutput { digest: Vec::new() },
+            profiles: vec![profile(500, 20), profile(700, 30)],
+            wall: Duration::ZERO,
+        }
+    }
+
+    fn spec(errors: ErrorSpec, model: FaultModelSpec) -> CampaignSpec {
+        CampaignSpec::new(App::Cg.default_spec(), 2, errors, 1, 0).with_fault_model(model)
+    }
+
+    /// `plan_test` from a fresh RNG, and that RNG's next draw: later
+    /// draws in the same trial depend on where planning left it.
+    fn planned(seed: u64, spec: &CampaignSpec) -> (HashMap<usize, InjectionPlan>, u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (plans, msg) = plan_test(&mut rng, spec, &golden());
+        assert!(msg.is_none());
+        (plans, rng.next_u64())
+    }
+
+    /// The original target draw, copied verbatim from the harness's
+    /// `draw_targets` as it was before fault models existed: the
+    /// `par`/`multi:K` arm of `plan_test` must reproduce it bit for bit
+    /// after its site draw, or historical campaigns change.
+    fn legacy_draw_targets(
+        rng: &mut SmallRng,
+        multi_bit: Option<u8>,
+        region: Region,
+        op_index: u64,
+    ) -> Vec<Target> {
+        let operand = if rng.gen_bool(0.5) {
+            Operand::A
+        } else {
+            Operand::B
+        };
+        let bits: Vec<u8> = match multi_bit {
+            Some(k) => {
+                let mut set = std::collections::BTreeSet::new();
+                while set.len() < k as usize {
+                    set.insert(rng.gen_range(0..64u8));
+                }
+                set.into_iter().collect()
+            }
+            None => vec![rng.gen_range(0..64)],
+        };
+        bits.into_iter()
+            .map(|bit| Target {
+                region,
+                op_index,
+                bit,
+                operand,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bitflip_matches_legacy_draw_sequence() {
+        let golden = golden();
+        for seed in 0..200u64 {
+            for (errors, multi) in [
+                (ErrorSpec::OneParallel, None),
+                (ErrorSpec::OneParallelMultiBit(2), Some(2)),
+                (ErrorSpec::OneParallelMultiBit(5), Some(5)),
+            ] {
+                let (ours, next) = planned(seed, &spec(errors, FaultModelSpec::BitFlip));
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut g = rng.gen_range(0..golden.injectable_total());
+                let mut site = None;
+                'site: for (rank, profile) in golden.profiles.iter().enumerate() {
+                    for region in Region::ALL {
+                        if g < profile.injectable(region) {
+                            site = Some((rank, region, g));
+                            break 'site;
+                        }
+                        g -= profile.injectable(region);
+                    }
+                }
+                let (rank, region, op_index) = site.unwrap();
+                let legacy = legacy_draw_targets(&mut rng, multi, region, op_index);
+                assert_eq!(ours.len(), 1);
+                assert_eq!(ours[&rank].targets(), legacy, "seed {seed} {errors:?}");
+                assert_eq!(next, rng.next_u64(), "rng state diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn multi_one_plans_like_par() {
+        for seed in 0..200u64 {
+            for model in [FaultModelSpec::BitFlip, FaultModelSpec::Due] {
+                assert_eq!(
+                    planned(seed, &spec(ErrorSpec::OneParallelMultiBit(1), model)),
+                    planned(seed, &spec(ErrorSpec::OneParallel, model)),
+                    "seed {seed} {model:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn burst_flips_consecutive_bits_of_one_operand() {
+        for seed in 0..100u64 {
+            let (plans, _) = planned(
+                seed,
+                &spec(ErrorSpec::OneParallel, FaultModelSpec::Burst(4)),
+            );
+            assert_eq!(plans.len(), 1);
+            let targets = plans.values().next().unwrap().targets();
+            assert_eq!(targets.len(), 4);
+            let first = targets[0];
+            for (i, t) in targets.iter().enumerate() {
+                assert_eq!(t.operand, first.operand, "one operand per burst");
+                assert_eq!(t.bit, first.bit + i as u8, "consecutive bits");
+                assert!(t.bit < 64);
+                assert_eq!((t.region, t.op_index), (first.region, first.op_index));
+            }
+        }
+    }
+
+    #[test]
+    fn due_draws_like_the_baseline() {
+        for seed in 0..50u64 {
+            for errors in [
+                ErrorSpec::OneParallel,
+                ErrorSpec::OneParallelMultiBit(3),
+                ErrorSpec::OneParallelUnique,
+            ] {
+                assert_eq!(
+                    planned(seed, &spec(errors, FaultModelSpec::Due)),
+                    planned(seed, &spec(errors, FaultModelSpec::BitFlip)),
+                    "seed {seed} {errors:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn msg_model_plans_a_wire_fault_and_no_op_plan() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let spec = spec(ErrorSpec::OneParallel, FaultModelSpec::Msg);
+        let (plans, msg) = plan_test(&mut rng, &spec, &golden());
+        assert!(plans.is_empty());
+        let fault = msg.expect("a wire fault");
+        assert!(fault.src < 2 && fault.msg_index < 3 && fault.bit < 64);
+    }
 
     /// Synthetic rank outcomes: `None` finished, `Some(kind)` panicked.
     fn ended(kinds: &[Option<PanicKind>]) -> Vec<RankOutcome<()>> {

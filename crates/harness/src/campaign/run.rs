@@ -23,6 +23,7 @@ use super::stream::{TrialConsumer, TrialPipeline, TrialRecord};
 use crate::features::{FeatureLine, FeatureStore};
 use crate::ledger::{LedgerLine, TrialLedger};
 use crate::recordlog::{LogConsumer, LogRecord, RecordLog};
+use resilim_inject::Region;
 use resilim_obs as obs;
 use std::collections::HashMap;
 use std::path::Path;
@@ -70,6 +71,10 @@ pub struct CampaignRun {
     started: Instant,
     metrics_before: obs::MetricsSnapshot,
 }
+
+/// A run's metrics baseline and executor, taken before its stores are
+/// seeded (see `CampaignRunner::prepare`).
+type Prepared = (obs::MetricsSnapshot, Arc<TrialExecutor>);
 
 /// One of the run's stores, opened for appending (`None` without a
 /// store, and for a merge), and the records it already held (empty
@@ -121,10 +126,17 @@ impl CampaignRunner {
     /// index and delivered in owned order, so any
     /// partition/skip/completion-order combination aggregates bitwise
     /// identically.
+    ///
+    /// A deployment whose golden run leaves the spec's errors nothing to
+    /// draw from (`unique` without parallel-unique operations) is refused
+    /// here, before any store is opened or any trial claimed.
     pub fn open_run(&self, spec: &CampaignSpec) -> std::io::Result<CampaignRun> {
         let owned = (0..spec.tests)
             .filter(|&t| self.shard.is_none_or(|s| s.owns(t)))
             .collect();
+        let prepared = self
+            .prepare(spec)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let key = spec.ledger_key();
         let ledger = open_log(self.ledger_dir.as_deref(), self.resume, &key, spec.seed)?;
         // Resumed trials' features were persisted by the run that
@@ -132,7 +144,7 @@ impl CampaignRunner {
         // carries a full training set, without re-appending them (the
         // log consumers skip resumed records).
         let features = open_log(self.feature_dir.as_deref(), self.resume, &key, spec.seed)?;
-        Ok(self.seeded_run(spec, owned, ledger, features))
+        Ok(self.seeded_run(prepared, owned, ledger, features))
     }
 
     /// Assemble a whole-campaign [`CampaignResult`] purely from the
@@ -161,7 +173,7 @@ impl CampaignRunner {
             .as_ref()
             .map_or_else(HashMap::new, |dir| FeatureStore::load(dir, &key, spec.seed));
         let owned = (0..spec.tests).collect();
-        let mut run = self.seeded_run(spec, owned, (None, held), (None, features));
+        let mut run = self.seeded_run(self.prepare(spec)?, owned, (None, held), (None, features));
         run.announce();
         let missing = run.claim(spec.tests);
         if let Some(first) = missing.first() {
@@ -174,22 +186,42 @@ impl CampaignRunner {
         Ok(run.finish())
     }
 
+    /// The golden-run half of opening a run, shared by
+    /// [`CampaignRunner::open_run`] and
+    /// [`CampaignRunner::merged_from_ledger`]: the metrics baseline and
+    /// the executor (which profiles or fetches the golden run), or an
+    /// error naming the app and scale when that run has no site for the
+    /// spec's errors.
+    fn prepare(&self, spec: &CampaignSpec) -> Result<Prepared, String> {
+        if let ErrorSpec::SerialErrors(_) = spec.errors {
+            assert_eq!(spec.procs, 1, "SerialErrors campaigns run serially");
+        }
+        let metrics_before = obs::MetricsSnapshot::capture();
+        let executor = self.trial_executor(spec);
+        if spec.errors == ErrorSpec::OneParallelUnique
+            && executor.golden().injectable(Region::ParallelUnique) == 0
+        {
+            return Err(format!(
+                "--errors unique: {} at --scale {} has no parallel-unique operations to inject into",
+                spec.spec.app().name(),
+                spec.procs
+            ));
+        }
+        Ok((metrics_before, Arc::new(executor)))
+    }
+
     /// The one constructor behind [`CampaignRunner::open_run`] and
     /// [`CampaignRunner::merged_from_ledger`]: a run over the `owned`
     /// trials (ascending) appending to the given stores, its pipeline
     /// seeded with every owned record they already hold.
     fn seeded_run(
         &self,
-        spec: &CampaignSpec,
+        (metrics_before, executor): Prepared,
         owned: Vec<usize>,
         (ledger, held): Opened<LedgerLine>,
         (feature_store, held_features): Opened<FeatureLine>,
     ) -> CampaignRun {
-        if let ErrorSpec::SerialErrors(_) = spec.errors {
-            assert_eq!(spec.procs, 1, "SerialErrors campaigns run serially");
-        }
-        let metrics_before = obs::MetricsSnapshot::capture();
-        let executor = Arc::new(self.trial_executor(spec));
+        let spec = executor.spec();
         let started = Instant::now();
         let (seeds, pending): (Vec<usize>, Vec<usize>) =
             owned.iter().copied().partition(|t| held.contains_key(t));

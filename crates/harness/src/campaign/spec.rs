@@ -29,9 +29,10 @@ pub enum ErrorSpec {
 }
 
 impl ErrorSpec {
-    /// Parse the CLI spelling: `par`, `ser:N`, `unique`, or `multi:K`.
-    /// `procs` is the deployment's rank count, needed because `ser:N`
-    /// campaigns are only defined serially.
+    /// Parse the CLI spelling: `par`, `ser:N` (N ≥ 1), `unique`, or
+    /// `multi:K` (K in 1..=64, the bits of one operand). `procs` is the
+    /// deployment's rank count, needed because `ser:N` campaigns are only
+    /// defined serially.
     pub fn parse(spec: &str, procs: usize) -> Result<ErrorSpec, String> {
         if spec == "par" {
             return Ok(ErrorSpec::OneParallel);
@@ -43,14 +44,20 @@ impl ErrorSpec {
             if procs != 1 {
                 return Err("ser:N campaigns need --scale 1".into());
             }
-            return Ok(ErrorSpec::SerialErrors(
-                n.parse().map_err(|e| format!("ser:N: {e}"))?,
-            ));
+            let n: usize = n.parse().map_err(|e| format!("ser:N: {e}"))?;
+            if n == 0 {
+                return Err("ser:N needs N >= 1 (ser:0 would inject nothing)".into());
+            }
+            return Ok(ErrorSpec::SerialErrors(n));
         }
         if let Some(k) = spec.strip_prefix("multi:") {
-            return Ok(ErrorSpec::OneParallelMultiBit(
-                k.parse().map_err(|e| format!("multi:K: {e}"))?,
-            ));
+            let k: u8 = k.parse().map_err(|e| format!("multi:K: {e}"))?;
+            if !(1..=64).contains(&k) {
+                return Err(format!(
+                    "multi:K needs K in 1..=64 (the bits of one operand), got {k}"
+                ));
+            }
+            return Ok(ErrorSpec::OneParallelMultiBit(k));
         }
         Err(format!(
             "unknown --errors '{spec}' (par|ser:N|unique|multi:K)"
@@ -438,6 +445,8 @@ mod tests {
             (ErrorSpec::SerialErrors(3), 1),
             (ErrorSpec::OneParallelUnique, 4),
             (ErrorSpec::OneParallelMultiBit(2), 4),
+            (ErrorSpec::OneParallelMultiBit(1), 4),
+            (ErrorSpec::OneParallelMultiBit(64), 4),
         ];
         for (errors, procs) in specs {
             assert_eq!(ErrorSpec::parse(&errors.cli_name(), procs), Ok(errors));
@@ -446,6 +455,22 @@ mod tests {
         assert!(ErrorSpec::parse("ser:x", 1).is_err());
         assert!(ErrorSpec::parse("multi:x", 4).is_err());
         assert!(ErrorSpec::parse("bogus", 4).is_err());
+    }
+
+    #[test]
+    fn error_counts_outside_the_draw_are_refused() {
+        // Zero errors would report a campaign that injected nothing as
+        // 100 % success; past 64 distinct bits the bit draw never ends.
+        for (spelling, procs) in [
+            ("ser:0", 1),
+            ("multi:0", 4),
+            ("multi:65", 4),
+            ("multi:255", 4),
+        ] {
+            let err = ErrorSpec::parse(spelling, procs).unwrap_err();
+            assert!(err.contains("needs"), "{spelling}: {err}");
+        }
+        assert!(ErrorSpec::parse("multi:256", 4).is_err());
     }
 
     /// Keys minted before fault models existed must keep identifying the

@@ -38,8 +38,8 @@
 //! Both hooks leave for one cold path, generic over the op's operands:
 //! `checked` (a `[Tf64; 2]` or a `[Tf64; 1]`) and, at a target, `fire`.
 //! A unary op's one operand takes both A and B flips, and every flip of
-//! an op — input or result — is masked at site exactly when the op's
-//! result still equals the shadow's.
+//! an op is masked at site exactly when the op's result still equals the
+//! shadow's.
 //!
 //! The cells are armed where the limits they are armed from change:
 //! [`RankCtx::new`] arms them, and [`RankCtx::with_op_cap`] /
@@ -804,7 +804,7 @@ thread_local! {
 }
 
 /// The binary-operation hook: spends one op of the budget cell (or, the
-/// cell being empty, goes through [`checked`] and possibly injects),
+/// cell being empty, goes through the outlined `checked` and possibly injects),
 /// computes both the corrupted-world and shadow-world results, and
 /// records contamination.
 ///
@@ -835,8 +835,7 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
 /// The unary-operation hook (sqrt, abs, exp, …): [`hook_binop`] with one
 /// operand, counted as [`OpKind::Other`] (or the given kind). Not a target
 /// under the default mask, but extended masks (e.g. [`OpMask::ALL`]) may
-/// fire here: an A or B flip corrupts the operand, a result flip the
-/// output.
+/// fire here: an A or B flip corrupts the one operand.
 #[inline(always)]
 pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     // Safety: see `hot` — same-thread, immediate use.
@@ -885,9 +884,9 @@ fn checked<const N: usize>(
 /// Fire path: pop every target due at dynamic op `idx` and re-arm the
 /// budgets for the new front target; flip the corrupted world of operand
 /// A (`x[0]`) or B (`x[N - 1]`, the same one on a unary op) before
-/// computing `f`, and of the result after. Every flip of the op is
-/// recorded in queue order under one masked-at-site flag: whether the
-/// result still equals the shadow's. A fire always contaminates the rank.
+/// computing `f`. Every flip of the op is recorded in queue order under
+/// one masked-at-site flag: whether the result still equals the
+/// shadow's. A fire always contaminates the rank.
 #[cold]
 #[inline(never)]
 fn fire<const N: usize>(
@@ -903,17 +902,13 @@ fn fire<const N: usize>(
         let first = cold.fired.len();
         while matches!(cold.queues[r].front(), Some(t) if t.op_index == idx) {
             let t = cold.queues[r].pop_front().expect("front just matched");
-            let at = match t.operand {
-                Operand::A => Some(0),
-                Operand::B => Some(N - 1),
-                Operand::Result => None, // patched once `f` has run
+            let i = match t.operand {
+                Operand::A => 0,
+                Operand::B => N - 1,
             };
-            let (before, after) = at.map_or((0.0, 0.0), |i| {
-                let before = x[i].value();
-                let after = t.apply(before);
-                x[i] = Tf64::from_parts(after, x[i].shadow());
-                (before, after)
-            });
+            let before = x[i].value();
+            let after = t.apply(before);
+            x[i] = Tf64::from_parts(after, x[i].shadow());
             if obs::enabled() {
                 obs::count(obs::Counter::InjectionsFired, 1);
                 obs::emit(&obs::Event::InjectionFired {
@@ -937,21 +932,12 @@ fn fire<const N: usize>(
     });
     h.rearm();
 
-    let mut v = f(x.map(Tf64::value));
+    let v = f(x.map(Tf64::value));
     let sh = f(x.map(Tf64::shadow));
+    let masked_at_site = v.to_bits() == sh.to_bits();
     COLD.with(|c| {
-        let mut cold = c.borrow_mut();
-        let recs = &mut cold.fired[first..];
-        for rec in recs.iter_mut() {
-            if rec.target.operand == Operand::Result {
-                rec.before = v;
-                v = rec.target.apply(v);
-                rec.after = v;
-            }
-        }
-        let masked = v.to_bits() == sh.to_bits();
-        for rec in recs {
-            rec.masked_at_site = masked;
+        for rec in &mut c.borrow_mut().fired[first..] {
+            rec.masked_at_site = masked_at_site;
         }
     });
     contaminate(h);
@@ -1020,18 +1006,20 @@ mod tests {
     }
 
     #[test]
-    fn result_operand_flip() {
-        let plan = InjectionPlan::single(target(Region::Common, 0, 52, Operand::Result));
+    fn operand_flip_records_the_value_before_and_after() {
+        // Bit 52, the lowest exponent bit, halves 1.0.
+        let plan = InjectionPlan::single(target(Region::Common, 0, 52, Operand::A));
         let (_, report) = with_clean_ctx(RankCtx::new(0, plan), || {
             let a = Tf64::new(1.0);
             let b = Tf64::new(2.0);
             let c = a + b;
             assert!(c.is_tainted());
-            assert_eq!(c.shadow(), 3.0);
-            assert_ne!(c.value(), 3.0);
+            assert_eq!((c.value(), c.shadow()), (2.5, 3.0));
         });
         assert_eq!(report.fired.len(), 1);
-        assert_eq!(report.fired[0].before, 3.0);
+        let rec = report.fired[0];
+        assert_eq!((rec.before, rec.after), (1.0, 0.5));
+        assert!(!rec.masked_at_site);
     }
 
     #[test]
@@ -1154,15 +1142,15 @@ mod tests {
     #[test]
     fn extended_mask_fires_on_unary_ops() {
         use crate::mask::OpMask;
-        let plan = InjectionPlan::single(target(Region::Common, 0, 52, Operand::Result));
+        let plan = InjectionPlan::single(target(Region::Common, 0, 52, Operand::A));
         let (_, report) = with_clean_ctx(
             RankCtx::new(0, plan).with_op_mask(OpMask::of(&[OpKind::Other])),
             || {
                 let a = Tf64::new(4.0);
-                let r = a.sqrt(); // Other idx 0: result flip
+                let r = a.sqrt(); // Other idx 0: its operand becomes 2.0
                 assert!(r.is_tainted());
                 assert_eq!(r.shadow(), 2.0);
-                assert_ne!(r.value(), 2.0);
+                assert_eq!(r.value(), 2.0f64.sqrt());
             },
         );
         assert_eq!(report.fired.len(), 1);
@@ -1383,7 +1371,7 @@ mod tests {
         let plan = InjectionPlan::multi(vec![
             target(Region::Common, 1, 55, Operand::A),
             target(Region::Common, 40, 3, Operand::B),
-            target(Region::ParallelUnique, 30, 4, Operand::Result),
+            target(Region::ParallelUnique, 30, 4, Operand::B),
         ]);
         let ctx = RankCtx::new(rank, plan)
             .with_taint_threshold(0.125)
@@ -1537,7 +1525,7 @@ mod tests {
                 .map(|j| target(Region::Common, j * last / 6, 3, Operand::B))
                 .chain([
                     target(Region::ParallelUnique, unique / 2, 3, Operand::A),
-                    target(Region::ParallelUnique, unique - 1, 3, Operand::Result),
+                    target(Region::ParallelUnique, unique - 1, 3, Operand::B),
                 ])
                 .collect(),
         );

@@ -65,7 +65,7 @@ pub use ctx::{CtxReport, FiredRecord, RankCtx};
 pub use fault::FaultModelSpec;
 pub use mask::OpMask;
 pub use outcome::{FailureKind, OutcomeKind, TestOutcome};
-pub use plan::{FaultPattern, InjectionPlan, Operand, Target};
+pub use plan::{InjectionPlan, Operand, Target};
 pub use profile::{OpKind, OpProfile, RegionCounts};
 pub use region::{Region, RegionGuard};
 pub use tf64::Tf64;

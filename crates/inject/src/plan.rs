@@ -11,36 +11,20 @@
 //! common computation, §3.3/§4).
 
 use crate::region::Region;
-use serde::{Deserialize, Serialize};
 
-/// Which operand of a binary FP operation receives the bit flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Which input operand of an FP operation receives the bit flip (on a
+/// unary operation both name its one operand).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operand {
     /// Left-hand operand.
     A,
     /// Right-hand operand.
     B,
-    /// The operation's result (an "output operand" in the paper's terms).
-    Result,
-}
-
-/// The fault pattern of a deployment (paper §2, "fault injection
-/// configuration").
-///
-/// The paper evaluates single-bit flips but explicitly keeps the model
-/// agnostic of the pattern; multi-bit flips are provided as the natural
-/// extension and exercised by `examples/ablations.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultPattern {
-    /// Flip exactly one bit of the selected operand.
-    SingleBit,
-    /// Flip `k` distinct bits of the selected operand.
-    MultiBit(u8),
 }
 
 /// One planned fault: flip `bit` of `operand` of the `op_index`-th dynamic
 /// injectable FP operation executed in `region` (per-region counting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Target {
     /// Region whose dynamic-op counter the index refers to.
     pub region: Region,
@@ -65,8 +49,9 @@ impl Target {
 ///
 /// Targets are stored sorted by `(region, op_index)`; duplicate
 /// `(region, op_index)` pairs are allowed (two flips on the same dynamic
-/// op) and fire in order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// op) and fire in order. Plans are never persisted: a trial's plan is
+/// re-drawn from its seed.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InjectionPlan {
     targets: Vec<Target>,
 }

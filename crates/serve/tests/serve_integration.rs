@@ -311,9 +311,36 @@ fn daemon_rejects_bad_requests() {
         let resp = submit(odd);
         assert_eq!(resp.kind, "error");
         assert!(resp.message.unwrap().contains("power of two"));
+        // Error counts the bit draw cannot honour, and `unique` on a
+        // deployment with no parallel-unique operations (every app at one
+        // rank), are refused before any worker claims a trial.
+        for (procs, errors, why) in [
+            (2, "multi:0", "1..=64"),
+            (2, "multi:65", "1..=64"),
+            (1, "ser:0", "N >= 1"),
+            (
+                1,
+                "unique",
+                "lu at --scale 1 has no parallel-unique operations",
+            ),
+        ] {
+            let mut wire = SubmitSpec::of_campaign(&spec(App::Lu, procs, 2, 1));
+            wire.errors = errors.into();
+            let resp = submit(wire);
+            assert_eq!(resp.kind, "error", "{errors}");
+            let message = resp.message.unwrap();
+            assert!(message.contains(why), "{errors}: {message}");
+        }
         let resp = submit(SubmitSpec::of_campaign(&spec(App::Lu, 2, 2, 1)));
         assert_eq!(resp.kind, "submitted");
     }
+    // The daemon's one worker survived the refusals: a valid campaign
+    // submitted after them runs to completion.
+    let mut client = Client::connect(&socket).unwrap();
+    let (_, summary) = client
+        .submit_and_wait(SubmitSpec::of_campaign(&spec(App::Lu, 2, 3, 2)))
+        .unwrap();
+    assert_eq!(summary.expect("done campaigns carry a summary").tests, 3);
 
     // A request from the future is refused.
     let mut client = Client::connect(&socket).unwrap();

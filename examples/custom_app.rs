@@ -71,7 +71,7 @@ fn main() {
         region: Region::Common,
         op_index: ops / 3,
         bit: 54, // exponent bit: a large-magnitude corruption
-        operand: Operand::Result,
+        operand: Operand::A,
     });
     let faulty = world.run_with_ctx(
         move |rank| {

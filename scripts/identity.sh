@@ -10,14 +10,16 @@
 #
 # On both sides: `resilim campaign` for cg and pennant under the bitflip,
 # burst:3, due, msg and msg --replicate fault models (--scale 8 --errors
-# par --tests 60 --seed 7 --json) into one --store; bitflip and
-# msg --replicate again into a second store with --trial-timeout 30; each
-# stored campaign followed by `resilim merge` with the same flags; and
+# par --tests 60 --seed 7 --json), plus cg under --errors multi:3, into
+# one --store; bitflip and msg --replicate again into a second store with
+# --trial-timeout 30; each stored campaign followed by `resilim merge`
+# with the same flags; `resilim model --predictor logistic` and
+# `--predictor stumps` (--json) over the first store's features; and
 # `cargo run --release --example ablations`. Then one verdict per
 # artifact: the summaries (campaign and merge stdout, stored; wall_secs
 # dropped), the sorted ledger lines, the sorted feature lines, the golden
-# records (wall_secs dropped) and the ablations stdout. Exits non-zero on
-# any difference.
+# records (wall_secs dropped), the two model reports and the ablations
+# stdout. Exits non-zero on any difference.
 #
 # The parent is exported with `git archive` (the repository and its
 # worktree list are left alone) and each side is built from its own
@@ -29,7 +31,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,25p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,27p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -86,6 +88,13 @@ run_side() { # side
             esac
         done
     done
+    echo "$1: cg multi:3" >&2
+    stored store cg-multi-3 --apps cg --scale 8 --errors multi:3 --tests 60 --seed 7
+    for predictor in logistic stumps; do
+        echo "$1: model --predictor $predictor" >&2
+        "$bin" model --store "$runs/store" --predictor "$predictor" --json \
+            >"$runs/out/model-$predictor.txt" 2>>"$runs/stderr.log"
+    done
     echo "$1: ablations example" >&2
     (cd "$src" && CARGO_TARGET_DIR=$target cargo run --release --offline --quiet \
         --example ablations) >"$runs/out/ablations.txt"
@@ -115,7 +124,7 @@ echo "identity: parent $(echo "$sha" | cut -c1-7) vs working tree"
 status=0
 for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
-    ablations.txt; do
+    model-logistic.txt model-stumps.txt ablations.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
         printf '%-28s identical (%s lines)\n' "${f%.txt}" "$lines"

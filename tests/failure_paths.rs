@@ -50,13 +50,13 @@ fn primary_crash_vs_secondary_fabric_death() {
     let results = world.run_with_ctx(
         |rank| {
             let plan = if rank == 1 {
-                // Sign-flip an early multiplication result: coordinates go
-                // negative, the shoelace area guard trips.
+                // Sign-flip an operand early in the run:
+                // coordinates go negative, the shoelace area guard trips.
                 InjectionPlan::single(Target {
                     region: Region::Common,
                     op_index: 5,
                     bit: 63,
-                    operand: Operand::Result,
+                    operand: Operand::A,
                 })
             } else {
                 InjectionPlan::none()

@@ -1,6 +1,6 @@
 //! Cross-crate tests pinning down injection semantics: region targeting,
-//! plan serialization, significance classification, and golden-profile
-//! consistency between planning and execution.
+//! significance classification, and golden-profile consistency between
+//! planning and execution.
 
 use resilim::apps::{ft, App};
 use resilim::harness::GoldenRun;
@@ -71,29 +71,6 @@ fn golden_profile_bounds_the_index_space() {
     };
     assert_eq!(run_with_index(count - 1), 1, "last op must be reachable");
     assert_eq!(run_with_index(count), 0, "beyond the profile nothing fires");
-}
-
-/// Injection plans survive JSON round trips (stored campaigns replay
-/// exactly).
-#[test]
-fn plans_serialize_roundtrip() {
-    let plan = InjectionPlan::multi(vec![
-        Target {
-            region: Region::Common,
-            op_index: 17,
-            bit: 63,
-            operand: Operand::Result,
-        },
-        Target {
-            region: Region::ParallelUnique,
-            op_index: 2,
-            bit: 0,
-            operand: Operand::B,
-        },
-    ]);
-    let json = serde_json::to_string(&plan).unwrap();
-    let back: InjectionPlan = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, plan);
 }
 
 /// The significance predicate: relative thresholding with sane edge
