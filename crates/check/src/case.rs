@@ -132,42 +132,21 @@ impl CaseSpec {
         App::parse(&self.app).ok_or_else(|| format!("unknown app '{}' in case spec", self.app))
     }
 
-    /// The single builder every campaign of this case goes through: the
-    /// case's app, trial count, and seed are fixed; only the scale and
-    /// fault pattern vary per derived campaign. Keeping the
-    /// [`CampaignSpec`] field list in one place means a new spec field
-    /// cannot silently diverge between the measured, small-scale, and
-    /// serial campaigns.
-    fn campaign(&self, procs: usize, errors: ErrorSpec) -> Result<CampaignSpec, String> {
+    /// The measured ("ground truth") campaign this case checks against.
+    /// Only the measured side carries the case's fault model and
+    /// replication: the model-input campaigns measure the baseline
+    /// process the paper's predictor is defined over.
+    pub fn measured_campaign(&self) -> Result<CampaignSpec, String> {
         let app = self.resolve_app()?;
         Ok(CampaignSpec::new(
             app.default_spec(),
-            procs,
-            errors,
+            self.procs,
+            self.errors,
             self.tests,
             self.seed,
-        ))
-    }
-
-    /// The measured ("ground truth") campaign this case checks against.
-    /// Only the measured side carries the case's fault model and
-    /// replication: the model-input campaigns below measure the baseline
-    /// process the paper's predictor is defined over.
-    pub fn measured_campaign(&self) -> Result<CampaignSpec, String> {
-        Ok(self
-            .campaign(self.procs, self.errors)?
-            .with_fault_model(self.fault_model)
-            .with_replication(self.replicate))
-    }
-
-    /// The small-scale (s-rank, 1-error) campaign the model side uses.
-    pub fn small_campaign(&self) -> Result<CampaignSpec, String> {
-        self.campaign(self.s, ErrorSpec::OneParallel)
-    }
-
-    /// The serial campaign measuring `FI_ser_x`.
-    pub fn serial_campaign(&self, x: usize) -> Result<CampaignSpec, String> {
-        self.campaign(1, ErrorSpec::SerialErrors(x))
+        )
+        .with_fault_model(self.fault_model)
+        .with_replication(self.replicate))
     }
 
     /// Structural validity: the invariants generation and shrinking must

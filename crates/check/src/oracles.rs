@@ -11,14 +11,14 @@ use crate::case::CaseSpec;
 use crate::ops::SamplingOps;
 use resilim_core::{
     cosine_similarity, fit_predictor, mean_rates, ModelInputs, PaperEq8, PredictorKind,
-    SamplePoints, ALPHA_THRESHOLD,
+    SamplePoints,
 };
+use resilim_harness::experiments::{build_inputs, ExperimentConfig};
 use resilim_harness::{
     aggregate_outcomes, CampaignResult, CampaignRunner, CampaignSummary, ErrorSpec,
 };
 use resilim_inject::{FailureKind, FaultModelSpec, OutcomeKind};
 use resilim_serve::{Client, Daemon, ServeConfig, SubmitSpec};
-use std::collections::BTreeMap;
 
 /// The oracles `resilim check` runs, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,8 +62,10 @@ pub enum Oracle {
     /// the unreplicated run modulo the `detected` bit, which it may only
     /// ever add).
     FaultModels,
-    /// Predicted vs measured: the closed-form prediction from
-    /// serial + small-scale inputs is a probability distribution and
+    /// Predicted vs measured: the closed-form prediction (Eq. 1 over
+    /// Eq. 8, its inputs assembled by the harness's `build_inputs` from
+    /// serial, small-scale and parallel-unique campaigns, as the figures
+    /// assemble them) is a probability distribution and
     /// stays within a (generous, documented) divergence bound of the
     /// measured large-scale result.
     ModelDivergence,
@@ -702,37 +704,36 @@ pub fn divergence_bound(tests: usize) -> f64 {
     0.35 + 1.5 * (0.25 / tests as f64).sqrt()
 }
 
-/// Build the closed-form model's inputs from the case's serial +
-/// small-scale campaigns (cached across oracles through `runner`'s
-/// campaign cache). Shared by the two divergence oracles.
-fn eq8_inputs(
+/// The closed-form model's inputs for the case, assembled by the
+/// harness's own [`build_inputs`] — serial, small-scale and (above the
+/// cutoff) parallel-unique campaigns, so Eq. 1's prob₂ term is checked
+/// as the Fig. 5–8 pipelines ship it. Campaigns are cached across the
+/// two divergence oracles through `runner`'s campaign cache.
+fn case_inputs(
     case: &CaseSpec,
     runner: &CampaignRunner,
     o: Oracle,
 ) -> Result<ModelInputs, Violation> {
-    let mut serial = BTreeMap::new();
-    for x in ModelInputs::serial_cases(case.procs, case.s, case.strategy) {
-        let spec = case.serial_campaign(x).map_err(|e| Violation::new(o, e))?;
-        serial.insert(x, runner.run(&spec).fi);
-    }
-    let small_spec = case.small_campaign().map_err(|e| Violation::new(o, e))?;
-    let small = runner.run(&small_spec);
-    Ok(ModelInputs {
-        p: case.procs,
-        s: case.s,
-        strategy: case.strategy,
-        serial,
-        small_prop: small.prop.clone(),
-        small_by_contam: small.by_contam_optional(),
-        unique_share: 0.0,
-        fi_unique: None,
-        alpha_threshold: ALPHA_THRESHOLD,
-    })
+    let app = case.resolve_app().map_err(|e| Violation::new(o, e))?;
+    let cfg = ExperimentConfig {
+        tests: case.tests,
+        seed: case.seed,
+        stop: None,
+    };
+    Ok(build_inputs(
+        runner,
+        &cfg,
+        &app.default_spec(),
+        case.procs,
+        case.s,
+        case.strategy,
+    ))
 }
 
 /// Predicted-vs-measured divergence plus predictor distribution
-/// invariants, using the case's serial + small-scale campaigns as model
-/// inputs — the end-to-end differential test of the paper's pipeline.
+/// invariants, using the case's serial, small-scale and parallel-unique
+/// campaigns as model inputs — the end-to-end differential test of the
+/// paper's pipeline.
 fn model_divergence(
     case: &CaseSpec,
     m: &CampaignResult,
@@ -746,7 +747,7 @@ fn model_divergence(
     if !case.fault_model.is_default() || case.replicate {
         return Ok(());
     }
-    let pred = PaperEq8::new(eq8_inputs(case, runner, o)?).predict();
+    let pred = PaperEq8::new(case_inputs(case, runner, o)?).predict();
     let sum: f64 = pred.rates.iter().sum();
     ensure!(o, (sum - 1.0).abs() < 1e-9, "predicted rates sum to {sum}");
     ensure!(
@@ -827,7 +828,7 @@ fn predictor_divergence(
         return Ok(()); // nothing to train on
     }
     let measured = m.fi.rates();
-    let eq8 = PaperEq8::new(eq8_inputs(case, runner, o)?).predict();
+    let eq8 = PaperEq8::new(case_inputs(case, runner, o)?).predict();
     let bound = divergence_bound(case.tests) + IN_SAMPLE_BOUND;
     for kind in [PredictorKind::Logistic, PredictorKind::Stumps] {
         let predict = fit_predictor(kind, &m.features)
@@ -903,6 +904,20 @@ mod tests {
         let measured = run_measured(&case).unwrap();
         assert_eq!(measured.features.len(), measured.outcomes.len());
         predictor_divergence(&case, &measured, &CampaignRunner::new()).unwrap();
+    }
+
+    /// The divergence oracles predict with Eq. 1's parallel-unique term,
+    /// as the figures do: FT's unique share clears the cutoff, so its
+    /// inputs carry prob₂ and the measured `FI_par_unique`.
+    #[test]
+    fn ft_smoke_case_inputs_include_the_unique_term() {
+        let case = CaseSpec::smoke_roster()
+            .into_iter()
+            .find(|c| c.app == "ft")
+            .unwrap();
+        let inputs = case_inputs(&case, &CampaignRunner::new(), Oracle::ModelDivergence).unwrap();
+        assert!(inputs.unique_share > 0.0, "{}", inputs.unique_share);
+        assert!(inputs.fi_unique.is_some());
     }
 
     #[test]

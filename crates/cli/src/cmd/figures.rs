@@ -19,7 +19,7 @@ pub fn propagation(opts: &Options, runner: &CampaignRunner, command: &str) -> Re
 
 /// Figure 3 — serial multi-error vs parallel contamination.
 pub fn fig3(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
-    let fig = experiments::fig3(runner, &opts.cfg, &opts.apps, opts.small.unwrap_or(8));
+    let fig = experiments::fig3(runner, &opts.cfg, opts.apps(), opts.small.unwrap_or(8));
     write_svg(opts, fig.to_svg())?;
     emit(opts, fig.render(), &fig)
 }

@@ -10,8 +10,9 @@
 //! holds the summaries eq8 needs.
 
 use crate::opts::{emit, Options};
+use resilim_apps::App;
 use resilim_core::{
-    empirical_rates, fit_predictor, mean_rates, PaperEq8, PredictorKind, SamplePoints,
+    empirical_rates, fit_predictor, mean_rates, PaperEq8, Prediction, PredictorKind, SamplePoints,
     TrialFeatures,
 };
 use resilim_harness::experiments::LARGE_SCALE;
@@ -32,13 +33,7 @@ pub fn model(opts: &Options) -> Result<(), String> {
 /// → [`PaperEq8`] → large-scale rates. Output is unchanged from before
 /// the predictor registry existed.
 fn eq8(opts: &Options) -> Result<(), String> {
-    let dir = opts.store.as_ref().ok_or("model needs --store DIR")?;
-    let store = ResultStore::open(dir).map_err(|e| e.to_string())?;
-    let app = *opts.apps.first().ok_or("model needs --apps <one app>")?;
-    let p = opts.scale.unwrap_or(LARGE_SCALE);
-    let s = opts.small.unwrap_or(4);
-    let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default())?;
-    let pred = PaperEq8::new(inputs).predict();
+    let (app, p, s, pred) = stored_eq8(opts)?;
     let text = format!(
         "predicted {app} at {p} ranks (from stored serial + {s}-rank data):\n  \
          success {:.1}%  SDC {:.1}%  failure {:.1}%  (alpha: {})\n",
@@ -48,6 +43,19 @@ fn eq8(opts: &Options) -> Result<(), String> {
         if pred.used_alpha { "yes" } else { "no" },
     );
     emit(opts, text, &pred)
+}
+
+/// Eq. 8 over the store's serial + small-scale summaries: the app, the
+/// target and small scales, and the prediction. The one stored-eq8 path,
+/// for `--predictor eq8` and the learned report's eq8 column alike.
+fn stored_eq8(opts: &Options) -> Result<(App, usize, usize, Prediction), String> {
+    let dir = opts.store.as_ref().ok_or("model needs --store DIR")?;
+    let store = ResultStore::open(dir).map_err(|e| e.to_string())?;
+    let app = opts.apps()[0];
+    let p = opts.scale.unwrap_or(LARGE_SCALE);
+    let s = opts.small.unwrap_or(4);
+    let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default())?;
+    Ok((app, p, s, PaperEq8::new(inputs).predict()))
 }
 
 /// One contaminated-rank bucket of the Fig 3-style curve: how trials
@@ -90,23 +98,14 @@ fn learned(opts: &Options, kind: PredictorKind) -> Result<(), String> {
         ));
     }
     let predict = fit_predictor(kind, &data)?;
-    let report = build_report(kind, &data, &predict, eq8_rates(opts));
+    // The eq8 side-by-side column: `None` when the store lacks the
+    // serial + small-scale summaries the closed-form model needs (a
+    // feature store written by plain campaigns has no obligation to
+    // hold them).
+    let eq8 = stored_eq8(opts).ok().map(|(.., pred)| pred.rates);
+    let report = build_report(kind, &data, &predict, eq8);
     let text = render(&report);
     emit(opts, text, &report)
-}
-
-/// The eq8 side-by-side column: `None` when the store lacks the serial +
-/// small-scale summaries the closed-form model needs (a feature store
-/// written by plain campaigns has no obligation to hold them).
-fn eq8_rates(opts: &Options) -> Option<[f64; 3]> {
-    let dir = opts.store.as_ref()?;
-    let store = ResultStore::open(dir).ok()?;
-    let app = *opts.apps.first()?;
-    let p = opts.scale.unwrap_or(LARGE_SCALE);
-    let s = opts.small.unwrap_or(4);
-    let inputs = model_inputs_from_store(&store, app.name(), p, s, SamplePoints::default()).ok()?;
-    let pred = PaperEq8::new(inputs).predict();
-    Some([pred.success(), pred.sdc(), pred.failure()])
 }
 
 fn build_report(

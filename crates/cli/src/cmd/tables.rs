@@ -21,7 +21,7 @@ pub fn table2(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
 pub fn apps(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     let mut text = String::from("fault-free verification runs\n");
     let mut rows = Vec::new();
-    for &app in &opts.apps {
+    for &app in opts.apps() {
         let golden = runner.golden().get(&app.default_spec(), 1);
         let par = runner
             .golden()
@@ -56,13 +56,13 @@ pub fn weak(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
         Some(p) => vec![p],
         None => vec![4, 16],
     };
-    let study = experiments::weak_scaling(runner, &opts.cfg, &opts.apps, s, &targets);
+    let study = experiments::weak_scaling(runner, &opts.cfg, opts.apps(), s, &targets);
     emit(opts, study.render(), &study)
 }
 
 /// Selected apps that decompose to at least `p` ranks.
 pub(super) fn apps_at_scale(opts: &Options, p: usize) -> Vec<App> {
-    opts.apps
+    opts.apps()
         .iter()
         .copied()
         .filter(|a| a.max_procs() >= p)

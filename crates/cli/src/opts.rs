@@ -18,7 +18,10 @@ pub struct Options {
     pub cfg: ExperimentConfig,
     pub json: bool,
     pub out: Option<String>,
-    pub apps: Vec<App>,
+    /// `--apps`; `None` = not given. Table and figure commands then use
+    /// every app ([`Options::apps`]); `campaign`/`merge`/`submit` refuse
+    /// anything but exactly one.
+    pub apps: Option<Vec<App>>,
     pub small: Option<usize>,
     pub scale: Option<usize>,
     pub errors: Option<String>,
@@ -109,6 +112,13 @@ pub fn usage() -> &'static str {
      \u{20}       [--write FILE] [--check] [--root DIR]"
 }
 
+impl Options {
+    /// The selected apps: `--apps`, or every app when it was not given.
+    pub fn apps(&self) -> &[App] {
+        self.apps.as_deref().unwrap_or(&App::ALL)
+    }
+}
+
 /// Parse the argument vector (program name already stripped).
 pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let command = args.next().ok_or_else(|| usage().to_string())?;
@@ -117,7 +127,7 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
         cfg: ExperimentConfig::default(),
         json: false,
         out: None,
-        apps: App::ALL.to_vec(),
+        apps: None,
         small: None,
         scale: None,
         errors: None,
@@ -169,10 +179,11 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
             "--out" => opts.out = Some(value("--out")?),
             "--apps" => {
                 let list = value("--apps")?;
-                opts.apps = list
-                    .split(',')
-                    .map(|s| App::parse(s.trim()).ok_or(format!("unknown app '{s}'")))
-                    .collect::<Result<Vec<_>, _>>()?;
+                opts.apps = Some(
+                    list.split(',')
+                        .map(|s| App::parse(s.trim()).ok_or(format!("unknown app '{s}'")))
+                        .collect::<Result<Vec<_>, _>>()?,
+                );
             }
             "--small" => {
                 opts.small = Some(
@@ -323,10 +334,9 @@ pub fn write_svg(opts: &Options, svg: String) -> Result<(), String> {
 /// form `submit` sends, and the campaign it validates into through
 /// [`SubmitSpec::to_campaign`], the one gate every front end shares.
 pub fn one_deployment(opts: &Options) -> Result<(SubmitSpec, CampaignSpec), String> {
-    let app = opts
-        .apps
-        .first()
-        .ok_or(format!("{} needs --apps <one app>", opts.command))?;
+    let [app] = opts.apps.as_deref().unwrap_or_default() else {
+        return Err(format!("{} needs --apps <exactly one app>", opts.command));
+    };
     let stop = opts.cfg.stop;
     let wire = SubmitSpec {
         app: app.name().to_string(),
@@ -379,13 +389,13 @@ mod tests {
         assert_eq!(opts.cfg.tests, 500);
         assert_eq!(opts.cfg.seed, 9);
         assert!(opts.json);
-        assert_eq!(opts.apps.len(), App::ALL.len());
+        assert_eq!(opts.apps(), App::ALL);
     }
 
     #[test]
     fn parses_app_list() {
         let opts = parse(&["table2", "--apps", "cg,ft"]).unwrap();
-        assert_eq!(opts.apps, vec![App::Cg, App::Ft]);
+        assert_eq!(opts.apps(), [App::Cg, App::Ft]);
     }
 
     #[test]
@@ -489,10 +499,11 @@ mod tests {
 
     #[test]
     fn fault_model_deployment_combinations_are_validated() {
-        let run = |args: &[&str]| one_deployment(&parse(args).unwrap());
+        let run = |args: &[&str]| {
+            one_deployment(&parse(&[&["campaign", "--apps", "cg"], args].concat()).unwrap())
+        };
         // burst/msg need par errors; msg needs a communicating world.
         assert!(run(&[
-            "campaign",
             "--fault-model",
             "burst",
             "--errors",
@@ -501,30 +512,13 @@ mod tests {
             "2"
         ])
         .is_err());
-        assert!(run(&[
-            "campaign",
-            "--fault-model",
-            "msg",
-            "--errors",
-            "unique",
-            "--scale",
-            "2"
-        ])
-        .is_err());
-        assert!(run(&["campaign", "--fault-model", "msg"]).is_err());
-        let (_, spec) = run(&[
-            "campaign",
-            "--fault-model",
-            "msg",
-            "--scale",
-            "2",
-            "--replicate",
-        ])
-        .unwrap();
+        assert!(run(&["--fault-model", "msg", "--errors", "unique", "--scale", "2"]).is_err());
+        assert!(run(&["--fault-model", "msg"]).is_err());
+        let (_, spec) = run(&["--fault-model", "msg", "--scale", "2", "--replicate"]).unwrap();
         assert_eq!(spec.fault_model, FaultModelSpec::Msg);
         assert!(spec.replicate);
         // due works at any deployment shape.
-        assert!(run(&["campaign", "--fault-model", "due", "--errors", "ser:2"]).is_ok());
+        assert!(run(&["--fault-model", "due", "--errors", "ser:2"]).is_ok());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! stderr — *before* running any trial, instead of finishing a silently
 //! non-durable campaign that a later `--resume` would quietly re-run.
 //! A deployment no app can decompose fails the same way, with an error
-//! line rather than a panic.
+//! line rather than a panic, and so does a single-deployment command
+//! that is not given exactly one app.
 
 use std::process::Command;
 
@@ -50,6 +51,33 @@ fn undecomposable_scale_is_an_error_not_a_panic() {
     assert!(stderr.contains("power of two"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "no summary may be printed");
+}
+
+/// `campaign`, `merge` and `submit` run one deployment: without
+/// `--apps`, or with more than one app, they must refuse before doing
+/// anything rather than silently pick one.
+#[test]
+fn single_deployment_commands_need_exactly_one_app() {
+    let store = std::env::temp_dir().join(format!("resilim-one-app-{}", std::process::id()));
+    let store = store.to_str().unwrap();
+    for apps in [&[][..], &["--apps", "lu,cg"]] {
+        for command in [&["campaign"][..], &["merge", "--store", store], &["submit"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_resilim"))
+                .args(command)
+                .args(apps)
+                .args(["--scale", "2", "--tests", "3"])
+                .output()
+                .expect("spawn resilim");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command:?} {apps:?}: {stderr}");
+            assert!(
+                stderr.contains("exactly one app"),
+                "{command:?} {apps:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "no summary may be printed");
+        }
+    }
+    let _ = std::fs::remove_dir_all(store);
 }
 
 #[test]

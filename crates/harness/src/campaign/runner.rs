@@ -17,29 +17,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How many fault-injection tests a runner executes concurrently.
-#[derive(Debug, Clone, Copy)]
-enum Parallelism {
-    /// Exactly `k` worker threads (1 = sequential).
-    Fixed(usize),
-    /// One worker per logical CPU of the host, at every scale.
-    ///
-    /// Each worker runs one world at a time, and a world occupies exactly
-    /// one core whatever its `procs` — its ranks are coroutines of the
-    /// worker's own thread, one runnable at a time — so trials, not
-    /// ranks, are the parallel unit. On a 1-core host it is 1 and the
-    /// runner drives its single worker inline, spawning no scoped threads
-    /// for parallelism the host cannot deliver.
-    Auto,
-}
-
 /// Runs campaigns, caching both golden runs and whole campaign results
 /// (experiment pipelines share many deployments — e.g. every Figure 8
 /// sweep reuses the serial sample campaigns it has in common).
 pub struct CampaignRunner {
     golden: GoldenStore,
     cache: Mutex<HashMap<String, Arc<CampaignResult>>>,
-    parallelism: Parallelism,
+    /// Fault-injection tests run concurrently (1 = sequential), resolved
+    /// once by [`CampaignRunner::with_test_parallelism`] or
+    /// [`CampaignRunner::with_auto_parallelism`].
+    test_workers: usize,
     /// Durable per-trial ledger directory (`--store DIR/ledger`).
     pub(super) ledger_dir: Option<PathBuf>,
     /// Durable per-trial feature-store directory
@@ -74,7 +61,7 @@ impl CampaignRunner {
         CampaignRunner {
             golden: GoldenStore::new(),
             cache: Mutex::new(HashMap::new()),
-            parallelism: Parallelism::Fixed(1),
+            test_workers: 1,
             ledger_dir: None,
             feature_dir: None,
             resume: false,
@@ -91,7 +78,7 @@ impl CampaignRunner {
     /// core count). Results are bitwise identical to a sequential run:
     /// every test's randomness is derived from its index.
     pub fn with_test_parallelism(mut self, k: usize) -> CampaignRunner {
-        self.parallelism = Parallelism::Fixed(k.max(1));
+        self.test_workers = k.max(1);
         self
     }
 
@@ -99,9 +86,15 @@ impl CampaignRunner {
     /// `available_parallelism()` workers, at every `procs`.
     /// Same bitwise-determinism guarantee as
     /// [`CampaignRunner::with_test_parallelism`].
-    pub fn with_auto_parallelism(mut self) -> CampaignRunner {
-        self.parallelism = Parallelism::Auto;
-        self
+    ///
+    /// Each worker runs one world at a time, and a world occupies exactly
+    /// one core whatever its `procs` — its ranks are coroutines of the
+    /// worker's own thread, one runnable at a time — so trials, not
+    /// ranks, are the parallel unit. On a 1-core host it is 1 and the
+    /// runner drives its single worker inline, spawning no scoped threads
+    /// for parallelism the host cannot deliver.
+    pub fn with_auto_parallelism(self) -> CampaignRunner {
+        self.with_test_parallelism(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Persist golden runs under `dir` so later processes skip
@@ -201,13 +194,11 @@ impl CampaignRunner {
         self.trial_batch
     }
 
-    /// The worker count a campaign at `procs` ranks would use — the same
-    /// at every `procs`, since a world occupies one core whatever its size.
+    /// The worker count every campaign of this runner uses, resolved when
+    /// the runner was configured. `procs` does not change it: a world
+    /// occupies one core whatever its size.
     pub fn effective_parallelism(&self, _procs: usize) -> usize {
-        match self.parallelism {
-            Parallelism::Fixed(k) => k,
-            Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
+        self.test_workers
     }
 
     /// The golden-run store.
@@ -269,9 +260,7 @@ impl CampaignRunner {
     fn execute(&self, spec: &CampaignSpec) -> std::io::Result<CampaignResult> {
         let run = self.open_run(spec)?;
         run.announce();
-        let workers = self
-            .effective_parallelism(spec.procs)
-            .min(run.unclaimed().max(1));
+        let workers = self.test_workers.min(run.unclaimed().max(1));
         let executor = Arc::clone(run.executor());
         let run = Mutex::new(run);
         let worker = || {

@@ -300,15 +300,6 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Small-scale conditional results as the model wants them:
-    /// `None` where a contamination class was never observed.
-    pub fn by_contam_optional(&self) -> Vec<Option<FiResult>> {
-        self.by_contam
-            .iter()
-            .map(|fi| if fi.total() > 0 { Some(*fi) } else { None })
-            .collect()
-    }
-
     /// Trials a detected-uncorrectable error killed (`--fault-model due`).
     pub fn due_count(&self) -> usize {
         self.outcomes

@@ -6,12 +6,12 @@
 use crate::campaign::{CampaignRunner, ErrorSpec};
 use crate::experiments::ExperimentConfig;
 use crate::report::{pct, Table};
+use crate::store::CampaignSummary;
 use resilim_apps::{App, ProblemSpec};
-use resilim_core::{
-    prediction_error, FiResult, ModelInputs, PaperEq8, SamplePoints, ALPHA_THRESHOLD,
-};
+use resilim_core::{prediction_error, ModelInputs, PaperEq8, SamplePoints, ALPHA_THRESHOLD};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Parallel-unique shares below this are ignored (Observation 2: "the
 /// chance to inject an error into it is small").
@@ -116,41 +116,58 @@ pub fn build_inputs(
     s: usize,
     strategy: SamplePoints,
 ) -> ModelInputs {
-    let campaign =
-        |procs: usize, errors: ErrorSpec| runner.run(&cfg.campaign(problem.clone(), procs, errors));
-    let serial: BTreeMap<usize, FiResult> = ModelInputs::serial_cases(p, s, strategy)
-        .into_iter()
-        .map(|x| (x, campaign(1, ErrorSpec::SerialErrors(x)).fi))
-        .collect();
-
-    // Small-scale 1-error campaign: propagation profile + conditionals.
-    let small = campaign(s, ErrorSpec::OneParallel);
-
-    // Parallel-unique handling (Eq. 1): prob₂ from the target-scale op
-    // profile (a fault-free profile — the paper takes this share as a
-    // given input from an execution-time model), FI_par_unique from a
-    // region-targeted small-scale campaign.
+    // prob₂ from the target-scale op profile: a fault-free profile, the
+    // share the paper takes as given from an execution-time model.
     let unique_share = runner.golden().get(problem, p).unique_share();
-    let (unique_share, fi_unique): (f64, Option<FiResult>) = if unique_share > UNIQUE_SHARE_CUTOFF {
-        (
-            unique_share,
-            Some(campaign(s, ErrorSpec::OneParallelUnique).fi),
-        )
+    let Ok(inputs) = assemble_inputs(p, s, strategy, unique_share, |procs, errors| {
+        let spec = cfg.campaign(problem.clone(), procs, errors);
+        Ok::<_, Infallible>(CampaignSummary::of(&spec, &runner.run(&spec)))
+    });
+    inputs
+}
+
+/// The one place Eq. 8's [`ModelInputs`] are built from measured
+/// campaigns, live ([`build_inputs`]) or offline
+/// ([`model_inputs_from_store`](crate::store::model_inputs_from_store)).
+/// `measure(procs, errors)` looks up one campaign of the workload. Read:
+/// the serial campaigns at every [`ModelInputs::serial_cases`], the
+/// `s`-rank 1-error campaign (propagation profile + conditionals) and,
+/// when the target-scale `unique_share` clears [`UNIQUE_SHARE_CUTOFF`],
+/// the `s`-rank parallel-unique campaign behind Eq. 1's prob₂ term.
+pub(crate) fn assemble_inputs<E>(
+    p: usize,
+    s: usize,
+    strategy: SamplePoints,
+    unique_share: f64,
+    measure: impl Fn(usize, ErrorSpec) -> Result<CampaignSummary, E>,
+) -> Result<ModelInputs, E> {
+    let mut serial = BTreeMap::new();
+    for x in ModelInputs::serial_cases(p, s, strategy) {
+        serial.insert(x, measure(1, ErrorSpec::SerialErrors(x))?.fi);
+    }
+    let small = measure(s, ErrorSpec::OneParallel)?;
+    let (unique_share, fi_unique) = if unique_share > UNIQUE_SHARE_CUTOFF {
+        let unique = measure(s, ErrorSpec::OneParallelUnique)?;
+        (unique_share, Some(unique.fi))
     } else {
         (0.0, None)
     };
-
-    ModelInputs {
+    Ok(ModelInputs {
         p,
         s,
         strategy,
         serial,
-        small_prop: small.prop.clone(),
-        small_by_contam: small.by_contam_optional(),
+        // `None` where a contamination class was never observed.
+        small_by_contam: small
+            .by_contam
+            .iter()
+            .map(|fi| (fi.total() > 0).then_some(*fi))
+            .collect(),
+        small_prop: small.prop,
         unique_share,
         fi_unique,
         alpha_threshold: ALPHA_THRESHOLD,
-    }
+    })
 }
 
 impl PredictionReport {

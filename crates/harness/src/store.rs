@@ -98,14 +98,6 @@ impl CampaignSummary {
         !self.fault_model.is_default() || self.replicate
     }
 
-    /// The conditional results in the model's optional form.
-    pub fn by_contam_optional(&self) -> Vec<Option<FiResult>> {
-        self.by_contam
-            .iter()
-            .map(|fi| if fi.total() > 0 { Some(*fi) } else { None })
-            .collect()
-    }
-
     /// Canonical file name for this deployment. Baseline campaigns keep
     /// their historical names; non-default models (and replication) get
     /// a suffix so they never clobber a baseline record.
@@ -272,7 +264,8 @@ impl ResultStore {
 
 /// Assemble [`ModelInputs`](resilim_core::ModelInputs) for predicting
 /// scale `p` of `app` from the summaries saved in `store` — the offline
-/// half of the paper's workflow.
+/// half of the paper's workflow, through the same assembler as the live
+/// [`build_inputs`](crate::experiments::build_inputs).
 ///
 /// Requires: serial campaigns (`SerialErrors(x)`) at every
 /// [`serial_cases`](resilim_core::ModelInputs::serial_cases) of
@@ -289,39 +282,25 @@ pub fn model_inputs_from_store(
     let all = store
         .load_all()
         .map_err(|e| format!("cannot read store: {e}"))?;
-    // The paper's model is calibrated on baseline (single-bit, unmitigated)
-    // measurements only; summaries from other fault models never feed it.
-    let baseline = |sum: &&CampaignSummary| sum.fault_model.is_default() && !sum.replicate;
-    let serial_at = |x: usize| -> Option<FiResult> {
+    crate::experiments::assemble_inputs(p, s, strategy, 0.0, |procs, errors| {
         all.iter()
-            .filter(baseline)
+            // The paper's model is calibrated on baseline (single-bit,
+            // unmitigated) measurements only; summaries from other fault
+            // models never feed it.
             .find(|sum| {
-                sum.app == app && sum.procs == 1 && sum.errors == ErrorSpec::SerialErrors(x)
+                sum.app == app
+                    && sum.procs == procs
+                    && sum.errors == errors
+                    && sum.fault_model.is_default()
+                    && !sum.replicate
             })
-            .map(|sum| sum.fi)
-    };
-    let mut serial = std::collections::BTreeMap::new();
-    for x in resilim_core::ModelInputs::serial_cases(p, s, strategy) {
-        let fi = serial_at(x).ok_or(format!("store is missing serial campaign x={x} for {app}"))?;
-        serial.insert(x, fi);
-    }
-    let small = all
-        .iter()
-        .filter(baseline)
-        .find(|sum| sum.app == app && sum.procs == s && sum.errors == ErrorSpec::OneParallel)
-        .ok_or(format!(
-            "store is missing the {s}-rank 1-error campaign for {app}"
-        ))?;
-    Ok(resilim_core::ModelInputs {
-        p,
-        s,
-        strategy,
-        serial,
-        small_prop: small.prop.clone(),
-        small_by_contam: small.by_contam_optional(),
-        unique_share: 0.0,
-        fi_unique: None,
-        alpha_threshold: resilim_core::ALPHA_THRESHOLD,
+            .cloned()
+            .ok_or_else(|| match errors {
+                ErrorSpec::SerialErrors(x) => {
+                    format!("store is missing serial campaign x={x} for {app}")
+                }
+                _ => format!("store is missing the {procs}-rank 1-error campaign for {app}"),
+            })
     })
 }
 
@@ -393,33 +372,45 @@ mod tests {
     #[test]
     fn model_inputs_reconstructed_from_store() {
         let runner = CampaignRunner::new();
+        let cfg = crate::experiments::ExperimentConfig {
+            tests: 12,
+            seed: 3,
+            stop: None,
+        };
         let store = ResultStore::open(temp_dir("model")).unwrap();
         let (p, s) = (4usize, 2usize);
+        let strategy = resilim_core::SamplePoints::BucketUpper;
         // Measure and persist everything the model needs.
-        for x in
-            resilim_core::ModelInputs::serial_cases(p, s, resilim_core::SamplePoints::BucketUpper)
-        {
-            let spec =
-                CampaignSpec::new(App::Lu.default_spec(), 1, ErrorSpec::SerialErrors(x), 12, 3);
+        let serial = resilim_core::ModelInputs::serial_cases(p, s, strategy)
+            .into_iter()
+            .map(|x| (1, ErrorSpec::SerialErrors(x)));
+        for (procs, errors) in serial.chain([(s, ErrorSpec::OneParallel)]) {
+            let spec = cfg.campaign(App::Lu.default_spec(), procs, errors);
             let result = runner.run(&spec);
             store.save(&CampaignSummary::of(&spec, &result)).unwrap();
         }
-        let spec = CampaignSpec::new(App::Lu.default_spec(), s, ErrorSpec::OneParallel, 12, 3);
-        let result = runner.run(&spec);
-        store.save(&CampaignSummary::of(&spec, &result)).unwrap();
 
         // Offline: rebuild the inputs and predict.
-        let inputs =
-            model_inputs_from_store(&store, "lu", p, s, resilim_core::SamplePoints::BucketUpper)
-                .unwrap();
+        let inputs = model_inputs_from_store(&store, "lu", p, s, strategy).unwrap();
         let pred = resilim_core::PaperEq8::new(inputs).predict();
         let total: f64 = pred.rates.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
 
+        // LU has no parallel-unique computation, so the live route over
+        // the same campaigns predicts the very same bits.
+        let live = crate::experiments::build_inputs(
+            &runner,
+            &cfg,
+            &App::Lu.default_spec(),
+            p,
+            s,
+            strategy,
+        );
+        let live = resilim_core::PaperEq8::new(live).predict();
+        assert_eq!(live.rates.map(f64::to_bits), pred.rates.map(f64::to_bits));
+
         // Missing data is reported, not panicked.
-        let err =
-            model_inputs_from_store(&store, "cg", p, s, resilim_core::SamplePoints::BucketUpper)
-                .unwrap_err();
+        let err = model_inputs_from_store(&store, "cg", p, s, strategy).unwrap_err();
         assert!(err.contains("missing"), "{err}");
         std::fs::remove_dir_all(store.dir()).unwrap();
     }

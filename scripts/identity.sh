@@ -14,11 +14,14 @@
 # one --store; bitflip and msg --replicate again into a second store with
 # --trial-timeout 30; each stored campaign followed by `resilim merge`
 # with the same flags; `resilim model --predictor logistic` and
-# `--predictor stumps` (--json) over the first store's features; and
+# `--predictor stumps` (--json) over the first store's features; cg's
+# serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
+# --scale 2 --errors par into a third store, and `resilim model
+# --predictor eq8 --apps cg --scale 8 --small 2 --json` over it; and
 # `cargo run --release --example ablations`. Then one verdict per
 # artifact: the summaries (campaign and merge stdout, stored; wall_secs
 # dropped), the sorted ledger lines, the sorted feature lines, the golden
-# records (wall_secs dropped), the two model reports and the ablations
+# records (wall_secs dropped), the three model reports and the ablations
 # stdout. Exits non-zero on any difference.
 #
 # The parent is exported with `git archive` (the repository and its
@@ -31,7 +34,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,27p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,30p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -95,6 +98,17 @@ run_side() { # side
         "$bin" model --store "$runs/store" --predictor "$predictor" --json \
             >"$runs/out/model-$predictor.txt" 2>>"$runs/stderr.log"
     done
+    # Offline Eq. 8 from a store of its own: serial_cases(8, 2,
+    # BucketUpper) = {1, 2, 8}, and the 2-rank 1-error campaign.
+    echo "$1: model --predictor eq8" >&2
+    for errors in ser:1 ser:2 ser:8; do
+        "$bin" campaign --apps cg --scale 1 --errors "$errors" --tests 60 --seed 7 \
+            --store "$runs/store-eq8" >/dev/null 2>>"$runs/stderr.log"
+    done
+    "$bin" campaign --apps cg --scale 2 --errors par --tests 60 --seed 7 \
+        --store "$runs/store-eq8" >/dev/null 2>>"$runs/stderr.log"
+    "$bin" model --store "$runs/store-eq8" --predictor eq8 --apps cg --scale 8 --small 2 \
+        --json >"$runs/out/model-eq8.txt" 2>>"$runs/stderr.log"
     echo "$1: ablations example" >&2
     (cd "$src" && CARGO_TARGET_DIR=$target cargo run --release --offline --quiet \
         --example ablations) >"$runs/out/ablations.txt"
@@ -124,7 +138,7 @@ echo "identity: parent $(echo "$sha" | cut -c1-7) vs working tree"
 status=0
 for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
-    model-logistic.txt model-stumps.txt ablations.txt; do
+    model-logistic.txt model-stumps.txt model-eq8.txt ablations.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
         printf '%-28s identical (%s lines)\n' "${f%.txt}" "$lines"
