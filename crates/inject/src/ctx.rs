@@ -35,6 +35,21 @@
 //! guard, and first-contamination marking are outlined `#[cold]`
 //! functions.
 //!
+//! What the hook does past the budget is set by one **mode** cell: a
+//! thread with no context is *untracked* (plain two-world arithmetic); an
+//! installed context is *tracked* (count, fire) or, while it may hold a
+//! value tainted below the significance threshold θ without being
+//! contaminated, *watching*: only then does an op compare its result's
+//! two worlds, because only then can the compare mark anything. A
+//! context starts tracked; [`note_values`] receiving sub-θ taint, or
+//! [`Tf64::from_parts`] building a tainted value, on an uncontaminated
+//! context starts watching; contamination (a fire, a significant message
+//! or op result) ends it. A rank that is neither contaminated nor
+//! watching holds no tainted value — a hook result is tainted only if an
+//! operand is, and every other way a tainted value comes to a rank goes
+//! through one of those transitions — so its ops' results never differ
+//! and the compare it skips could never have marked it.
+//!
 //! Both hooks leave for one cold path, generic over the op's operands:
 //! `checked` (a `[Tf64; 2]` or a `[Tf64; 1]`) and, at a target, `fire`.
 //! A unary op's one operand takes both A and B flips, and every flip of
@@ -96,8 +111,13 @@ pub struct CtxReport {
     pub fired: Vec<FiredRecord>,
     /// Number of faults that were planned.
     pub planned: usize,
-    /// Whether this rank was ever contaminated (held a tainted value,
-    /// produced one, or received one in a message).
+    /// Whether this rank was ever contaminated: a fault fired on it, it
+    /// received a message carrying an element whose two worlds differ
+    /// significantly (see [`significant_divergence`]), or one of its
+    /// tracked ops produced such a result. Taint below the threshold θ
+    /// does not contaminate: a rank can hold and compute with it and still
+    /// report `false`. (A context's θ defaults to 0, where any taint is
+    /// significant; campaigns default to 1e-9.)
     pub contaminated: bool,
     /// Whether the hang guard tripped (op budget exceeded).
     pub hang_guard_tripped: bool,
@@ -169,7 +189,7 @@ impl RankCtx {
             ..ColdCtx::new()
         };
         let hot = HotCtx::new();
-        hot.installed.set(true);
+        hot.mode.set(Mode::Tracked);
         hot.rank.set(rank);
         for (next, queue) in hot.next_pending.iter().zip(&cold.queues) {
             next.set(queue.front().map_or(u64::MAX, |t| t.op_index));
@@ -320,6 +340,19 @@ impl ColdCtx {
     }
 }
 
+/// What the per-op hook does on a thread (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// No context installed: plain two-world arithmetic.
+    Untracked,
+    /// A context that is contaminated or holds no tainted value: count
+    /// and fire.
+    Tracked,
+    /// An uncontaminated context that may hold taint below θ: count, fire
+    /// and compare every result's two worlds.
+    Watching,
+}
+
 /// Hot cells of a context (see module docs): `Cell`s for the per-op fast
 /// path and the per-message counters. Contains no `Drop` types, so the
 /// `thread_local!` const-init fast path applies: accessing the installed
@@ -329,9 +362,10 @@ impl ColdCtx {
 #[derive(Clone)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 struct HotCtx {
-    /// Whether these cells are a context. [`RankCtx::new`] sets it, so it
-    /// travels with the other cells; [`take`] clears it on the thread.
-    installed: Cell<bool>,
+    /// Whether these cells are a context and whether its ops compare
+    /// their results. [`RankCtx::new`] makes it tracked, so it travels
+    /// with the other cells; [`take`] leaves the thread untracked.
+    mode: Cell<Mode>,
     rank: Cell<usize>,
     region: Cell<Region>,
     /// Which operation kinds are injection targets (and counted in the
@@ -383,7 +417,7 @@ impl HotCtx {
     /// and the ones [`RankCtx::new`] starts from.
     const fn new() -> HotCtx {
         HotCtx {
-            installed: Cell::new(false),
+            mode: Cell::new(Mode::Untracked),
             rank: Cell::new(0),
             region: Cell::new(Region::Common),
             mask: Cell::new(OpMask::FP_ARITH),
@@ -402,6 +436,19 @@ impl HotCtx {
             first_contam_op: Cell::new(u64::MAX),
             msgs_sent_at_contam: Cell::new(0),
             msgs_recvd_at_contam: Cell::new(0),
+        }
+    }
+
+    /// Whether these cells are a context.
+    fn installed(&self) -> bool {
+        self.mode.get() != Mode::Untracked
+    }
+
+    /// An uncontaminated context that may now hold taint below θ starts
+    /// watching; a contaminated one, or none, stays as it is.
+    fn watch(&self) {
+        if self.mode.get() == Mode::Tracked && !self.contaminated.get() {
+            self.mode.set(Mode::Watching);
         }
     }
 
@@ -475,7 +522,7 @@ impl HotCtx {
     /// Overwrite every cell with `src`'s: how [`install`] puts a context's
     /// cells on the thread (a `&HotCtx` cannot be assigned to as a whole).
     fn copy_from(&self, src: &HotCtx) {
-        self.installed.set(src.installed.get());
+        self.mode.set(src.mode.get());
         self.rank.set(src.rank.get());
         self.region.set(src.region.get());
         self.mask.set(src.mask.get());
@@ -541,11 +588,11 @@ fn put(ctx: RankCtx) {
 /// back exactly as it was — whatever ran on the thread in between.
 pub fn take() -> Option<RankCtx> {
     ACTIVE.with(|h| {
-        if !h.installed.get() {
+        if !h.installed() {
             return None;
         }
         let hot = h.clone();
-        h.installed.set(false);
+        h.mode.set(Mode::Untracked);
         let cold = COLD.with(|c| c.replace(ColdCtx::new()));
         Some(RankCtx { hot, cold })
     })
@@ -553,7 +600,7 @@ pub fn take() -> Option<RankCtx> {
 
 /// Whether a context is installed on this thread.
 pub fn is_installed() -> bool {
-    ACTIVE.with(|h| h.installed.get())
+    ACTIVE.with(HotCtx::installed)
 }
 
 /// Run `f` with mutable access to the installed context (if any).
@@ -570,7 +617,7 @@ pub fn with<R>(f: impl FnOnce(&mut RankCtx) -> R) -> Option<R> {
 /// Enter a computation region; restored when the guard drops.
 pub fn enter_region(r: Region) -> RegionGuard {
     let prev = ACTIVE.with(|h| {
-        if h.installed.get() {
+        if h.installed() {
             let prev = h.region.get();
             h.region.set(r);
             Some(prev)
@@ -583,7 +630,7 @@ pub fn enter_region(r: Region) -> RegionGuard {
 
 pub(crate) fn set_region(r: Region) {
     ACTIVE.with(|h| {
-        if h.installed.get() {
+        if h.installed() {
             h.region.set(r);
         }
     });
@@ -592,10 +639,11 @@ pub(crate) fn set_region(r: Region) {
 /// Report received values to the current rank's context: the rank is
 /// marked contaminated when any element diverges beyond the context's
 /// significance threshold (how the runtime accounts message-borne
-/// contamination).
+/// contamination), and an uncontaminated rank that receives only taint
+/// below it starts watching its ops' results.
 pub fn note_values(values: &[Tf64]) {
     ACTIVE.with(|h| {
-        if !h.installed.get() {
+        if !h.installed() {
             return;
         }
         h.msgs_recvd.set(h.msgs_recvd.get() + 1);
@@ -605,14 +653,20 @@ pub fn note_values(values: &[Tf64]) {
         // the per-message taint-crossing stamp (counts every message). The
         // scan breaks at the first divergent element; on the zero-injection
         // path nothing is tainted, so the per-element check is the same
-        // bits compare it always was.
+        // bits compare it always was. Taint below θ only starts watching.
         let theta = h.taint_threshold.get();
-        let mut crossed = false;
+        let (mut crossed, mut tainted) = (false, false);
         for &v in values {
-            if v.is_tainted() && significant_divergence(v.value(), v.shadow(), theta) {
-                crossed = true;
-                break;
+            if v.is_tainted() {
+                tainted = true;
+                if significant_divergence(v.value(), v.shadow(), theta) {
+                    crossed = true;
+                    break;
+                }
             }
+        }
+        if tainted && !crossed {
+            h.watch();
         }
         if crossed {
             h.tainted_msgs_recvd.set(h.tainted_msgs_recvd.get() + 1);
@@ -638,7 +692,7 @@ pub fn note_values(values: &[Tf64]) {
 /// corruption on the wire is only observable at the receiver.
 pub fn note_msg_send(values: &[Tf64]) -> Option<u64> {
     ACTIVE.with(|h| {
-        if !h.installed.get() {
+        if !h.installed() {
             return None;
         }
         let idx = h.msgs_sent.get();
@@ -660,7 +714,7 @@ pub fn note_msg_send(values: &[Tf64]) -> Option<u64> {
 /// outgoing messages. Called by the fabric after corrupting the payload.
 pub fn note_wire_fired(msg_index: u64, bit: u8) {
     ACTIVE.with(|h| {
-        if !h.installed.get() {
+        if !h.installed() {
             return;
         }
         h.wire_fired.set(h.wire_fired.get() + 1);
@@ -689,8 +743,18 @@ fn replica_detect(h: &HotCtx) {
     }
 }
 
-/// First-contamination marking (idempotent): set the flag and snapshot
-/// the feature counters at that moment. Touches only the hot cells.
+/// A tainted value was built on this thread by [`Tf64::from_parts`]: an
+/// uncontaminated context starts watching.
+#[cold]
+#[inline(never)]
+pub(crate) fn note_born_taint() {
+    // Safety: see `hot` — same-thread, immediate use.
+    unsafe { &*hot() }.watch();
+}
+
+/// First-contamination marking (idempotent): set the flag, end watching
+/// (a contaminated rank has nothing left to compare for) and snapshot the
+/// feature counters at that moment. Touches only the hot cells.
 #[cold]
 #[inline(never)]
 fn contaminate(h: &HotCtx) {
@@ -698,6 +762,7 @@ fn contaminate(h: &HotCtx) {
         return;
     }
     h.contaminated.set(true);
+    h.mode.set(Mode::Tracked);
     h.first_contam_op.set(h.total_ops());
     h.msgs_sent_at_contam.set(h.msgs_sent.get());
     h.msgs_recvd_at_contam.set(h.msgs_recvd.get());
@@ -737,8 +802,8 @@ fn due_trip(h: &HotCtx) -> ! {
 
 /// Divergent-result observation: mark contamination when the divergence is
 /// significant at the installed threshold. Callers pre-check the cheap
-/// conditions (bits differ, not yet contaminated) so the fast path only
-/// pays a compare.
+/// conditions (the context is watching, so not yet contaminated, and the
+/// bits differ).
 #[cold]
 #[inline(never)]
 fn observe_divergent(h: &HotCtx, v: f64, sh: f64) {
@@ -805,8 +870,8 @@ thread_local! {
 
 /// The binary-operation hook: spends one op of the budget cell (or, the
 /// cell being empty, goes through the outlined `checked` and possibly injects),
-/// computes both the corrupted-world and shadow-world results, and
-/// records contamination.
+/// computes both the corrupted-world and shadow-world results, and, on a
+/// watching context, records contamination.
 ///
 /// `f` must be a pure function of its operands (it is invoked twice, once
 /// per world).
@@ -814,8 +879,9 @@ thread_local! {
 pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -> Tf64 {
     // Safety: see `hot` — same-thread, immediate use.
     let h = unsafe { &*hot() };
-    if !h.installed.get() {
-        return Tf64::from_parts(f(a.value(), b.value()), f(a.shadow(), b.shadow()));
+    let mode = h.mode.get();
+    if mode == Mode::Untracked {
+        return Tf64::computed(f(a.value(), b.value()), f(a.shadow(), b.shadow()));
     }
     let r = h.region.get().index();
     let cell = &h.budget[r][kind.index()];
@@ -826,10 +892,10 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
     cell.set(left - 1);
     let v = f(a.value(), b.value());
     let sh = f(a.shadow(), b.shadow());
-    if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
+    if mode == Mode::Watching && v.to_bits() != sh.to_bits() {
         observe_divergent(h, v, sh);
     }
-    Tf64::from_parts(v, sh)
+    Tf64::computed(v, sh)
 }
 
 /// The unary-operation hook (sqrt, abs, exp, …): [`hook_binop`] with one
@@ -840,8 +906,9 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
 pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     // Safety: see `hot` — same-thread, immediate use.
     let h = unsafe { &*hot() };
-    if !h.installed.get() {
-        return Tf64::from_parts(f(a.value()), f(a.shadow()));
+    let mode = h.mode.get();
+    if mode == Mode::Untracked {
+        return Tf64::computed(f(a.value()), f(a.shadow()));
     }
     let r = h.region.get().index();
     let cell = &h.budget[r][kind.index()];
@@ -852,10 +919,10 @@ pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     cell.set(left - 1);
     let v = f(a.value());
     let sh = f(a.shadow());
-    if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
+    if mode == Mode::Watching && v.to_bits() != sh.to_bits() {
         observe_divergent(h, v, sh);
     }
-    Tf64::from_parts(v, sh)
+    Tf64::computed(v, sh)
 }
 
 /// A hook's op whose budget cell is empty, over the op's `N` operands.
@@ -875,10 +942,10 @@ fn checked<const N: usize>(
     }
     let v = f(x.map(Tf64::value));
     let sh = f(x.map(Tf64::shadow));
-    if v.to_bits() != sh.to_bits() && !h.contaminated.get() {
+    if h.mode.get() == Mode::Watching && v.to_bits() != sh.to_bits() {
         observe_divergent(h, v, sh);
     }
-    Tf64::from_parts(v, sh)
+    Tf64::computed(v, sh)
 }
 
 /// Fire path: pop every target due at dynamic op `idx` and re-arm the
@@ -908,7 +975,7 @@ fn fire<const N: usize>(
             };
             let before = x[i].value();
             let after = t.apply(before);
-            x[i] = Tf64::from_parts(after, x[i].shadow());
+            x[i] = Tf64::computed(after, x[i].shadow());
             if obs::enabled() {
                 obs::count(obs::Counter::InjectionsFired, 1);
                 obs::emit(&obs::Event::InjectionFired {
@@ -944,7 +1011,7 @@ fn fire<const N: usize>(
     if kill {
         due_trip(h);
     }
-    Tf64::from_parts(v, sh)
+    Tf64::computed(v, sh)
 }
 
 #[cfg(test)]
@@ -1399,7 +1466,7 @@ mod tests {
     fn take_install_roundtrips_every_field_across_another_contexts_run() {
         let reference = busy_ctx(3);
         let fresh = RankCtx::profiling(0);
-        // `installed` is set in every context: it is the thread's flag.
+        // `mode` is tracked in both: neither holds sub-threshold taint.
         macro_rules! all_differ {
             ($($half:ident.$field:ident),*) => {$(
                 assert!(

@@ -42,14 +42,46 @@ impl Tf64 {
         Tf64 { v: x, sh: x }
     }
 
-    /// Assemble from explicit corrupted/shadow values (used by the
-    /// injection hook and by message deserialization).
+    /// Assemble from explicit corrupted/shadow values (MPI-internal
+    /// reductions, values born tainted in tests and probes).
+    ///
+    /// A value whose worlds differ is *born tainted*, and the rank that
+    /// builds it must watch its ops' results from then on: built on a
+    /// thread whose installed context is not contaminated, it puts that
+    /// context into watching mode (see [`ctx`](crate::ctx)), so that
+    /// whatever it grows into is marked as soon as it diverges
+    /// significantly. A context installed *after* the value was built
+    /// does not know of it: build tainted values under the context that
+    /// computes with them, or hand them over through
+    /// [`ctx::note_values`](crate::ctx::note_values) as the fabric does.
     #[inline]
-    pub const fn from_parts(value: f64, shadow: f64) -> Tf64 {
+    pub fn from_parts(value: f64, shadow: f64) -> Tf64 {
+        let t = Tf64::computed(value, shadow);
+        if t.is_tainted() {
+            crate::ctx::note_born_taint();
+        }
+        t
+    }
+
+    /// Assemble a value computed from values the rank already holds (the
+    /// hook's results, a flipped operand): its taint, if any, is accounted
+    /// for, so unlike [`Tf64::from_parts`] this checks nothing.
+    #[inline]
+    pub(crate) const fn computed(value: f64, shadow: f64) -> Tf64 {
         Tf64 {
             v: value,
             sh: shadow,
         }
+    }
+
+    /// This value with bit `bit` (`< 64`) of its corrupted world flipped,
+    /// for a payload that is leaving the rank: the fabric's wire fault.
+    /// Unlike [`Tf64::from_parts`] it leaves the calling (sending) rank's
+    /// mode alone; the element is the receiver's, whose
+    /// [`ctx::note_values`](crate::ctx::note_values) accounts for it.
+    #[inline]
+    pub fn flipped_in_transit(self, bit: u8) -> Tf64 {
+        Tf64::computed(f64::from_bits(self.v.to_bits() ^ (1u64 << bit)), self.sh)
     }
 
     /// The corrupted-world value (what the run actually computes).
@@ -199,7 +231,7 @@ impl Neg for Tf64 {
     /// is not an FP ALU op in the paper's injectable set).
     #[inline]
     fn neg(self) -> Tf64 {
-        Tf64::from_parts(-self.v, -self.sh)
+        Tf64::computed(-self.v, -self.sh)
     }
 }
 

@@ -9,12 +9,31 @@ fn finite_f64() -> impl Strategy<Value = f64> {
 }
 
 /// One step of the differential programs below: `acc = acc <op> const`
-/// (or `acc = |acc|`), executed inside `region`.
+/// (or `acc = |acc|`), executed inside `region`. The constant is born
+/// tainted when `c_shadow` differs from `c`: the hooked run builds it
+/// with `Tf64::from_parts` under the installed context.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     op: u8,
     c: f64,
+    c_shadow: f64,
     region: Region,
+}
+
+/// Relative taints a born-tainted constant or a received element carries,
+/// clean first: against the thresholds below, each is under some θ and
+/// over others, and 6e-10 and 6e-4 sit just under one, so that a product
+/// of two such values or one cancellation in a subtraction carries their
+/// taint over it.
+const TAINTS: [f64; 7] = [0.0, 1e-15, 6e-10, 1e-6, 6e-4, 1e-2, 1.0];
+
+/// The significance thresholds a scenario runs under (0 = bitwise).
+const THETAS: [f64; 3] = [0.0, 1e-9, 1e-3];
+
+/// `(value, shadow)` of a tracked scalar whose corrupted world is `x`
+/// off by the relative amount `rel`.
+fn tainted(x: f64, rel: f64) -> (f64, f64) {
+    (x + x * rel, x)
 }
 
 /// Number of distinct step ops; the last one is unary.
@@ -69,6 +88,11 @@ enum Interlude {
     /// way to a target whose index is already *behind* the counters at
     /// install: it never fires, and it blocks everything queued after it.
     Remask(OpMask),
+    /// A message arrives: its `(value, shadow)` elements, built before
+    /// the context was installed (on the sending rank, as it were), go
+    /// through `ctx::note_values`, and the first one is the next step's
+    /// operand in place of its constant.
+    Recv([(f64, f64); 2]),
 }
 
 /// The masks a scenario draws from.
@@ -121,6 +145,8 @@ struct RunResult {
     fired: Vec<(Target, u64, u64, bool)>,
     contaminated: bool,
     first_contam_op: Option<u64>,
+    msgs_recvd: u64,
+    tainted_msgs_recvd: u64,
     per_kind: [[u64; 5]; 2],
     /// Per region: ops of the kinds in the mask the run ended under.
     injectable: [u64; 2],
@@ -146,6 +172,8 @@ struct Scenario {
     mask: OpMask,
     op_cap: u64,
     kill_on_fire: bool,
+    /// Contamination significance threshold.
+    theta: f64,
     /// `(before step, what)`; a position equal to the program length is
     /// after the last step.
     interludes: Vec<(usize, Interlude)>,
@@ -153,9 +181,10 @@ struct Scenario {
 
 /// Reference ("slow-path") interpreter: the same semantics as the hook
 /// machinery, written as straight-line code over plain `(value, shadow)`
-/// pairs with no thread-locals, no `Cell`s, no budgets and no outlined
-/// fire path: every op is counted, compared against the cap and, when its
-/// kind is masked, against the front target.
+/// pairs with no thread-locals, no `Cell`s, no budgets, no modes and no
+/// outlined fire path: every op is counted, compared against the cap and,
+/// when its kind is masked, against the front target, and every result's
+/// two worlds are compared at θ.
 fn reference_run(sc: &Scenario) -> RunResult {
     // Same canonical ordering the plan gives the real run.
     let sorted = InjectionPlan::multi(sc.targets.clone());
@@ -167,20 +196,43 @@ fn reference_run(sc: &Scenario) -> RunResult {
     let mut mask = sc.mask;
     let mut total = 0u64;
     let mut out = RunResult::default();
-    // The one interlude the reference has to know of.
-    let remask = |at: usize, mask: &mut OpMask| {
-        for (pos, what) in &sc.interludes {
-            if let (true, Interlude::Remask(m)) = (*pos == at, what) {
-                *mask = *m;
+    let significant = |v: f64, sh: f64| ctx::significant_divergence(v, sh, sc.theta);
+    let contaminate = |out: &mut RunResult, total: u64| {
+        if !out.contaminated {
+            out.contaminated = true;
+            out.first_contam_op = Some(total);
+        }
+    };
+    // The interludes the reference has to know of: a remask, and a
+    // message (counted, stamped when any element is significantly
+    // tainted, its first element held for the next step).
+    let interlude = |at: usize,
+                     total: u64,
+                     mask: &mut OpMask,
+                     held: &mut Option<(f64, f64)>,
+                     out: &mut RunResult| {
+        for (_, what) in sc.interludes.iter().filter(|(pos, _)| *pos == at) {
+            match what {
+                Interlude::Remask(m) => *mask = *m,
+                Interlude::Recv(payload) => {
+                    out.msgs_recvd += 1;
+                    if payload.iter().any(|&(v, sh)| significant(v, sh)) {
+                        out.tainted_msgs_recvd += 1;
+                        contaminate(out, total);
+                    }
+                    *held = Some(payload[0]);
+                }
+                Interlude::Park | Interlude::With => {}
             }
         }
     };
+    let mut held = None;
     let mut steps = sc.steps.iter().enumerate();
     let ended = loop {
         let Some((i, s)) = steps.next() else {
             break true;
         };
-        remask(i, &mut mask);
+        interlude(i, total, &mut mask, &mut held, &mut out);
         let r = s.region.index();
         let kind = step_kind(s.op);
         out.per_kind[r][kind.index()] += 1;
@@ -189,12 +241,6 @@ fn reference_run(sc: &Scenario) -> RunResult {
             out.hang_guard_tripped = true;
             break false;
         }
-        let contaminate = |out: &mut RunResult| {
-            if !out.contaminated {
-                out.contaminated = true;
-                out.first_contam_op = Some(total);
-            }
-        };
         let mut due: Vec<Target> = Vec::new();
         if mask.contains(kind) {
             let idx = masked_count(&out.per_kind[r], mask) - 1;
@@ -203,7 +249,7 @@ fn reference_run(sc: &Scenario) -> RunResult {
             }
         }
         let (mut av, ash) = (v, sh);
-        let (mut bv, bsh) = (s.c, s.c);
+        let (mut bv, bsh) = held.take().unwrap_or((s.c, s.c_shadow));
         // On a unary op both operand names mean the one operand. Every
         // flip is recorded in queue order, all under one masked-at-site
         // flag.
@@ -226,20 +272,20 @@ fn reference_run(sc: &Scenario) -> RunResult {
                 out.fired
                     .push((t, before.to_bits(), after.to_bits(), masked));
             }
-            contaminate(&mut out);
+            contaminate(&mut out, total);
         }
         if sc.kill_on_fire && !due.is_empty() {
             out.killed = true;
             break false;
         }
-        if nv.to_bits() != nsh.to_bits() {
-            contaminate(&mut out);
+        if significant(nv, nsh) {
+            contaminate(&mut out, total);
         }
         v = nv;
         sh = nsh;
     };
     if ended {
-        remask(sc.steps.len(), &mut mask);
+        interlude(sc.steps.len(), total, &mut mask, &mut held, &mut out);
         out.end = Some((v.to_bits(), sh.to_bits()));
     }
     out.injectable = out.per_kind.map(|row| masked_count(&row, mask));
@@ -250,16 +296,29 @@ fn reference_run(sc: &Scenario) -> RunResult {
 /// `With` interlude read as the op total, with what it should have read
 /// (one op per step).
 fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
+    // Messages are built where no context is installed, as on their
+    // sender: only `note_values` can tell the receiving context of them.
+    assert!(!ctx::is_installed(), "leaked context");
+    let payloads: Vec<[Tf64; 2]> = sc
+        .interludes
+        .iter()
+        .map(|(_, what)| match what {
+            Interlude::Recv(p) => p.map(|(v, sh)| Tf64::from_parts(v, sh)),
+            _ => [Tf64::ZERO; 2],
+        })
+        .collect();
     let prev = ctx::install(
         RankCtx::new(0, InjectionPlan::multi(sc.targets.clone()))
             .with_op_mask(sc.mask)
             .with_op_cap(sc.op_cap)
-            .with_kill_on_fire(sc.kill_on_fire),
+            .with_kill_on_fire(sc.kill_on_fire)
+            .with_taint_threshold(sc.theta),
     );
     assert!(prev.is_none(), "leaked context");
     let mut totals = Vec::new();
-    let interlude = |at: usize, totals: &mut Vec<(u64, u64)>| {
-        for (_, what) in sc.interludes.iter().filter(|(pos, _)| *pos == at) {
+    let interlude = |at: usize, totals: &mut Vec<(u64, u64)>, held: &mut Option<Tf64>| {
+        let here = sc.interludes.iter().zip(&payloads);
+        for ((_, what), payload) in here.filter(|((pos, _), _)| *pos == at) {
             match what {
                 Interlude::Park => {
                     let parked = ctx::take().expect("installed");
@@ -290,17 +349,25 @@ fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
                     let c = ctx::take().expect("installed");
                     ctx::install(c.with_op_mask(*m));
                 }
+                Interlude::Recv(_) => {
+                    ctx::note_values(payload);
+                    *held = Some(payload[0]);
+                }
             }
         }
     };
     let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut acc = Tf64::new(sc.init);
+        let mut held = None;
         for (i, s) in sc.steps.iter().enumerate() {
-            interlude(i, &mut totals);
+            interlude(i, &mut totals, &mut held);
             let _g = ctx::enter_region(s.region);
-            acc = step_tf64(s.op, acc, Tf64::new(s.c));
+            let b = held
+                .take()
+                .unwrap_or_else(|| Tf64::from_parts(s.c, s.c_shadow));
+            acc = step_tf64(s.op, acc, b);
         }
-        interlude(sc.steps.len(), &mut totals);
+        interlude(sc.steps.len(), &mut totals, &mut held);
         (acc.value().to_bits(), acc.shadow().to_bits())
     }));
     let report = ctx::take().expect("installed").into_report();
@@ -333,6 +400,8 @@ fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
             .collect(),
         contaminated: report.contaminated,
         first_contam_op: report.first_contam_op,
+        msgs_recvd: report.msgs_recvd,
+        tainted_msgs_recvd: report.tainted_msgs_recvd,
         per_kind: report.profile.regions.map(|c| c.per_kind),
         injectable: report.profile.regions.map(|c| c.injectable),
         hang_guard_tripped: report.hang_guard_tripped,
@@ -341,19 +410,28 @@ fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
     (result, totals)
 }
 
-/// Strategy for a program with region switches scattered through it.
+/// A relative taint drawn from `0..12`: clean about half the time.
+fn taint_of(draw: usize) -> f64 {
+    TAINTS.get(draw).copied().unwrap_or(0.0)
+}
+
+/// Strategy for a program with region switches and born-tainted
+/// constants scattered through it.
 fn program() -> impl Strategy<Value = (f64, Vec<Step>)> {
-    let step = (0..STEP_OPS, 0.1f64..3.0, any::<bool>(), any::<bool>()).prop_map(
-        |(op, mag, neg, parallel)| Step {
+    let flags = (any::<bool>(), any::<bool>(), 0usize..12);
+    let step = (0..STEP_OPS, 0.1f64..3.0, flags).prop_map(|(op, mag, (neg, parallel, taint))| {
+        let (c, c_shadow) = tainted(if neg { -mag } else { mag }, taint_of(taint));
+        Step {
             op,
-            c: if neg { -mag } else { mag },
+            c,
+            c_shadow,
             region: if parallel {
                 Region::ParallelUnique
             } else {
                 Region::Common
             },
-        },
-    );
+        }
+    });
     (-2.0f64..2.0, prop::collection::vec(step, 4..96))
 }
 
@@ -362,17 +440,30 @@ fn program() -> impl Strategy<Value = (f64, Vec<Step>)> {
 /// targets — on the adversarial windows (first and last injectable op,
 /// first one after each region switch), on arbitrary slots, on arbitrary
 /// indices of either region (some past the end), and on or right after
-/// the previous target's index — and up to four interludes.
+/// the previous target's index — up to four interludes (messages among
+/// them), a significance threshold, and born-tainted constants in half of
+/// the programs.
 fn scenario() -> impl Strategy<Value = Scenario> {
     let flips = prop::collection::vec((0usize..4096, 0u8..64, 0u8..2, 0u8..4), 0..9);
-    let interludes = prop::collection::vec((0usize..4096, 0u8..4, 0usize..8), 0..5);
-    (
-        program(),
-        (0usize..8, 0usize..160, 0u8..4),
-        flips,
-        interludes,
-    )
-        .prop_map(|((init, steps), (mask, cap, kill), flips, interludes)| {
+    let element = || (0.1f64..3.0, 0usize..12).prop_map(|(x, taint)| tainted(x, taint_of(taint)));
+    let interludes = prop::collection::vec(
+        (0usize..4096, 0u8..6, 0usize..8, (element(), element())),
+        0..5,
+    );
+    let knobs = (
+        (0usize..8, 0usize..160),
+        (0u8..4, 0usize..THETAS.len(), any::<bool>()),
+    );
+    (program(), knobs, flips, interludes).prop_map(
+        |((init, mut steps), knobs, flips, interludes)| {
+            let ((mask, cap), (kill, theta, born)) = knobs;
+            // Half the programs have no born-tainted constant, so
+            // that a message is the only way their taint arrives.
+            if !born {
+                for s in &mut steps {
+                    s.c_shadow = s.c;
+                }
+            }
             let n = steps.len();
             let mask = masks()[mask];
             let (slots, boundary_slots) = injectable_slots(&steps, mask);
@@ -407,13 +498,15 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     _ => u64::MAX,
                 },
                 kill_on_fire: kill == 0,
+                theta: THETAS[theta],
                 interludes: interludes
                     .into_iter()
-                    .map(|(at, what, m)| {
+                    .map(|(at, what, m, (first, second))| {
                         let what = match what {
                             0 => Interlude::Park,
                             1 => Interlude::With,
-                            _ => Interlude::Remask(masks()[m]),
+                            2 | 3 => Interlude::Remask(masks()[m]),
+                            _ => Interlude::Recv([first, second]),
                         };
                         (at % (n + 1), what)
                     })
@@ -422,7 +515,8 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 targets,
                 mask,
             }
-        })
+        },
+    )
 }
 
 proptest! {
@@ -563,13 +657,16 @@ proptest! {
     /// path": exploded thread-local cells, per-(region, kind) op budgets,
     /// outlined `#[cold]` checked-op and fire functions) and a
     /// straight-line reference interpreter that counts and checks every
-    /// op. Whatever mask, hang cap, plan and kill switch the scenario
-    /// draws, and wherever the context is parked under another one,
-    /// re-packed by `ctx::with` or re-masked: the run trips or dies at
+    /// op and compares every result. Whatever mask, hang cap, plan, kill
+    /// switch and threshold the scenario draws, whichever constants are
+    /// born tainted, and wherever the context is parked under another
+    /// one, re-packed by `ctx::with`, re-masked or handed a message with
+    /// taint under or over the threshold: the run trips or dies at
     /// exactly the reference's op or ends on the same value and shadow
     /// bits, with the same fired records (order, before/after bits,
-    /// masked flags), contamination, first-contamination op and per-kind
-    /// counts — and the op total reads exact whenever it is looked at.
+    /// masked flags), contamination, first-contamination op, message and
+    /// taint-crossing counts and per-kind counts — and the op total reads
+    /// exact whenever it is looked at.
     #[test]
     fn fast_path_matches_reference(sc in scenario()) {
         let want = reference_run(&sc);

@@ -228,9 +228,7 @@ impl Fabric {
         if let (Some(idx), Some(fault)) = (idx, self.msg_fault) {
             if fault.src == src && fault.msg_index == idx && !values.is_empty() {
                 let e = (fault.elem_sel % values.len() as u64) as usize;
-                let v = values[e];
-                let corrupted = f64::from_bits(v.value().to_bits() ^ (1u64 << (fault.bit & 63)));
-                values[e] = Tf64::from_parts(corrupted, v.shadow());
+                values[e] = values[e].flipped_in_transit(fault.bit & 63);
                 ctx::note_wire_fired(idx, fault.bit & 63);
             }
         }

@@ -13,7 +13,9 @@
 # par --tests 60 --seed 7 --json), plus cg under --errors multi:3, into
 # one --store; bitflip and msg --replicate again into a second store with
 # --trial-timeout 30; each stored campaign followed by `resilim merge`
-# with the same flags; `resilim model --predictor logistic` and
+# with the same flags; minife at --scale 64 (--errors par --tests 24
+# --seed 7) into a store of its own, where sub-threshold taint crosses
+# the most ranks, and its merge; `resilim model --predictor logistic` and
 # `--predictor stumps` (--json) over the first store's features; cg's
 # serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
 # --scale 2 --errors par into a third store, and `resilim model
@@ -34,7 +36,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,30p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,32p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -93,6 +95,8 @@ run_side() { # side
     done
     echo "$1: cg multi:3" >&2
     stored store cg-multi-3 --apps cg --scale 8 --errors multi:3 --tests 60 --seed 7
+    echo "$1: minife p=64" >&2
+    stored store-p64 minife-p64 --apps minife --scale 64 --errors par --tests 24 --seed 7
     for predictor in logistic stumps; do
         echo "$1: model --predictor $predictor" >&2
         "$bin" model --store "$runs/store" --predictor "$predictor" --json \
@@ -115,11 +119,11 @@ run_side() { # side
 
     # Fixed file order (C locale), wall-clock fields dropped.
     nowall() { sed 's/"wall_secs": *[-+.0-9eE]*/"wall_secs":-/g'; }
-    for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json store/*.json store-timeout/*.json); do
+    for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json store/*.json store-timeout/*.json store-p64/*.json); do
         echo "== $f"
         nowall <"$runs/$f"
     done >"$runs/out/summaries.txt"
-    for s in store store-timeout; do
+    for s in store store-timeout store-p64; do
         cat "$runs/$s"/ledger/*.jsonl | LC_ALL=C sort >"$runs/out/$s.ledger.txt"
         cat "$runs/$s"/features/*.jsonl | LC_ALL=C sort >"$runs/out/$s.features.txt"
         for f in $(cd "$runs/$s/golden" && LC_ALL=C ls); do
@@ -138,6 +142,7 @@ echo "identity: parent $(echo "$sha" | cut -c1-7) vs working tree"
 status=0
 for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
+    store-p64.ledger.txt store-p64.features.txt store-p64.golden.txt \
     model-logistic.txt model-stumps.txt model-eq8.txt ablations.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
