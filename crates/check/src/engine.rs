@@ -269,8 +269,18 @@ mod tests {
             case: CaseSpec::smoke_roster().remove(0),
             original: None,
         };
-        record.oracle = "no-such-oracle".into();
-        assert!(replay(&record, &CoreOps).is_err());
+        // Retired oracle names (folded into `identity`) are unknown too.
+        for retired in [
+            "no-such-oracle",
+            "replay",
+            "streaming-identity",
+            "ledger-roundtrip",
+            "serve-identity",
+        ] {
+            record.oracle = retired.into();
+            let err = replay(&record, &CoreOps).unwrap_err();
+            assert!(err.contains("unknown oracle"), "{retired}: {err}");
+        }
         record.oracle = "bucket-cover".into();
         record.version = REPRO_VERSION + 1;
         assert!(replay(&record, &CoreOps).is_err());

@@ -19,9 +19,10 @@
 //!   that the engine *catches, shrinks, and replays* a model bug).
 //! * [`oracles`] — the oracle library: distribution/partition
 //!   invariants, bucket-cover, grouping conservation & refinement
-//!   consistency, bitwise replay identity across execution backends,
-//!   predicted-vs-measured divergence, learned-vs-closed-form
-//!   predictor divergence, and ledger round-trip.
+//!   consistency, the fault-model laws, bitwise identity of every
+//!   execution shape (workers, carriers, batching, ledger merge, daemon)
+//!   with the jobs=1 result, predicted-vs-measured divergence, and
+//!   learned-vs-closed-form predictor divergence.
 //! * [`engine`] — the case loop (budgeted or counted), obs events
 //!   (`check_case` / `check_shrink`) and counters, repro-record
 //!   emission, and deterministic replay.

@@ -19,6 +19,7 @@ use resilim_harness::{
 };
 use resilim_inject::{FailureKind, FaultModelSpec, OutcomeKind};
 use resilim_serve::{Client, Daemon, ServeConfig, SubmitSpec};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The oracles `resilim check` runs, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,23 +38,13 @@ pub enum Oracle {
     /// grouping, refinement consistency (group p→coarse equals group
     /// p→fine refolded), cosine self-similarity exactly 1.
     Grouping,
-    /// Bitwise replay identity: jobs=1, jobs=4, jobs=auto, and the
-    /// spawn-per-trial backend produce identical outcome vectors.
-    Replay,
-    /// Streaming aggregation identity: every campaign's online
-    /// aggregates (FiResult, propagation profile, conditional splits)
-    /// are bitwise equal to batch re-aggregation of its outcome vector,
-    /// across jobs=1, jobs=4, jobs=auto, and the spawn-per-trial
-    /// backend.
-    StreamingIdentity,
-    /// Durable-ledger round trip: a ledgered run merged back from disk
-    /// equals the live result bitwise.
-    LedgerRoundtrip,
-    /// Service identity: the same campaign submitted over a daemon's
-    /// unix socket (`resilim serve`) yields a summary bitwise equal to
-    /// the one-shot CLI path — concurrency, the wire protocol, and the
-    /// scheduler's delivery pipeline introduce no divergence.
-    ServeIdentity,
+    /// Execution-shape identity: every way resilim produces the case's
+    /// campaign — parallel workers, the spawn-per-trial carrier, batched
+    /// admission, a ledger and feature store merged back from disk, a
+    /// daemon over its socket — yields the measured jobs=1 result
+    /// bitwise, whose streamed aggregates equal the batch fold of its
+    /// outcomes.
+    Identity,
     /// Fault-model laws, on model campaigns derived from the case: DUE
     /// is all-or-nothing (fired ⇒ detected rank-kill failure, not fired
     /// ⇒ anything but), message corruption always finds a wire to
@@ -80,14 +71,11 @@ pub enum Oracle {
 
 impl Oracle {
     /// Every oracle, cheap-first.
-    pub const ALL: [Oracle; 10] = [
+    pub const ALL: [Oracle; 7] = [
         Oracle::BucketCover,
         Oracle::Distribution,
         Oracle::Grouping,
-        Oracle::Replay,
-        Oracle::StreamingIdentity,
-        Oracle::LedgerRoundtrip,
-        Oracle::ServeIdentity,
+        Oracle::Identity,
         Oracle::FaultModels,
         Oracle::ModelDivergence,
         Oracle::PredictorDivergence,
@@ -99,10 +87,7 @@ impl Oracle {
             Oracle::BucketCover => "bucket-cover",
             Oracle::Distribution => "distribution",
             Oracle::Grouping => "grouping",
-            Oracle::Replay => "replay",
-            Oracle::StreamingIdentity => "streaming-identity",
-            Oracle::LedgerRoundtrip => "ledger-roundtrip",
-            Oracle::ServeIdentity => "serve-identity",
+            Oracle::Identity => "identity",
             Oracle::FaultModels => "fault-models",
             Oracle::ModelDivergence => "model-divergence",
             Oracle::PredictorDivergence => "predictor-divergence",
@@ -159,10 +144,7 @@ pub fn check_case(case: &CaseSpec, ops: &dyn SamplingOps) -> Result<(), Violatio
     let measured = run_measured(case)?;
     distribution(case, &measured)?;
     grouping(case, &measured)?;
-    replay_identity(case, &measured)?;
-    streaming_identity(case, &measured)?;
-    ledger_roundtrip(case, &measured)?;
-    serve_identity(case, &measured)?;
+    identity(case, &measured)?;
     fault_models(case, &measured)?;
     let runner = CampaignRunner::new();
     model_divergence(case, &measured, &runner)?;
@@ -178,10 +160,7 @@ pub fn run_oracle(case: &CaseSpec, oracle: Oracle, ops: &dyn SamplingOps) -> Res
         Oracle::BucketCover => bucket_cover(case, ops),
         Oracle::Distribution => distribution(case, &run_measured(case)?),
         Oracle::Grouping => grouping(case, &run_measured(case)?),
-        Oracle::Replay => replay_identity(case, &run_measured(case)?),
-        Oracle::StreamingIdentity => streaming_identity(case, &run_measured(case)?),
-        Oracle::LedgerRoundtrip => ledger_roundtrip(case, &run_measured(case)?),
-        Oracle::ServeIdentity => serve_identity(case, &run_measured(case)?),
+        Oracle::Identity => identity(case, &run_measured(case)?),
         Oracle::FaultModels => fault_models(case, &run_measured(case)?),
         Oracle::ModelDivergence => {
             model_divergence(case, &run_measured(case)?, &CampaignRunner::new())
@@ -428,175 +407,110 @@ fn grouping(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Bitwise replay identity across every execution backend.
-fn replay_identity(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
-    let o = Oracle::Replay;
+/// Execution-shape identity: every producer of the case's campaign must
+/// reproduce the measured jobs=1 result bitwise — its outcomes, its
+/// per-trial features, and its summary minus wall clock (the daemon's
+/// client sees only the summary). The reference's own streamed
+/// aggregates must equal the batch fold of its outcomes, so by
+/// transitivity every producer's do too: a reordering bug, a dropped
+/// record, a lossy store or a divergent accumulator shows up as a
+/// mismatch here.
+///
+/// Batch sizes 7 (odd, not a divisor of typical test counts) and 64 (the
+/// reorder-window size) are the adversarial admission granularities.
+fn identity(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
+    resilim_core::verifies!(INV_MERGE);
+    let o = Oracle::Identity;
     let spec = case.measured_campaign().map_err(|e| Violation::new(o, e))?;
-    let backends: [(&str, CampaignRunner); 3] = [
-        ("jobs=4", CampaignRunner::new().with_test_parallelism(4)),
-        ("jobs=auto", CampaignRunner::new().with_auto_parallelism()),
-        (
-            "spawn-per-trial",
-            CampaignRunner::new().with_spawn_per_trial(),
-        ),
-    ];
-    for (name, runner) in backends {
-        let other = runner.run_uncached(&spec);
+    let (fi, prop, by_contam, uncontaminated) = aggregate_outcomes(spec.procs, &m.outcomes);
+    ensure!(
+        o,
+        m.fi == fi
+            && m.prop.counts == prop.counts
+            && m.by_contam == by_contam
+            && m.uncontaminated == uncontaminated,
+        "jobs=1: streamed aggregates != batch fold of its outcomes"
+    );
+    let want = CampaignSummary::of(&spec, m);
+    let same_summary = |name: &str, mut got: CampaignSummary| {
+        got.wall_secs = want.wall_secs;
+        ensure!(o, got == want, "{name}: summary diverges from jobs=1");
+        Ok(())
+    };
+    let same = |name: &str, r: &CampaignResult| {
         ensure!(
             o,
-            other.outcomes == m.outcomes,
+            r.outcomes == m.outcomes,
             "{name} diverges from jobs=1: first mismatch at trial {}",
             m.outcomes
                 .iter()
-                .zip(other.outcomes.iter())
+                .zip(r.outcomes.iter())
                 .position(|(a, b)| a != b)
                 .map_or_else(|| "<length>".to_string(), |i| i.to_string())
         );
-        ensure!(o, other.fi == m.fi, "{name}: aggregated FiResult diverges");
         ensure!(
             o,
-            other.prop.counts == m.prop.counts,
-            "{name}: propagation histogram diverges"
+            r.features == m.features,
+            "{name}: per-trial features diverge from jobs=1"
         );
-    }
-    Ok(())
-}
-
-/// Streaming aggregation identity: the campaign's online aggregates
-/// (built trial-by-trial through the reorder buffer) must be bitwise
-/// equal to batch re-aggregation of its final outcome vector, for every
-/// execution backend. This is the differential oracle for the streaming
-/// pipeline: a reordering bug, a dropped record, or a divergent
-/// accumulator shows up as streamed ≠ batch.
-fn streaming_identity(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
-    resilim_core::verifies!(INV_MERGE);
-    let o = Oracle::StreamingIdentity;
-    let spec = case.measured_campaign().map_err(|e| Violation::new(o, e))?;
-    let compare = |name: &str, r: &CampaignResult| -> Result<(), Violation> {
-        let (fi, prop, by_contam, uncontaminated) = aggregate_outcomes(spec.procs, &r.outcomes);
-        ensure!(o, r.fi == fi, "{name}: streamed FiResult != batch");
-        ensure!(
-            o,
-            r.prop.counts == prop.counts,
-            "{name}: streamed propagation profile != batch"
-        );
-        ensure!(
-            o,
-            r.by_contam == by_contam,
-            "{name}: streamed by-contamination split != batch"
-        );
-        ensure!(
-            o,
-            r.uncontaminated == uncontaminated,
-            "{name}: streamed uncontaminated split != batch"
-        );
-        Ok(())
+        same_summary(name, CampaignSummary::of(&spec, r))
     };
-    compare("jobs=1", m)?;
-    // Batched admission (`--batch`) must be observationally invisible:
-    // the reorder buffer delivers in owned-index order whatever the push
-    // granularity, so every batch size must reproduce the jobs=1 result
-    // bitwise. 7 (odd, not a divisor of typical test counts) and 64 (the
-    // reorder-window size) are the adversarial choices.
-    let backends: [(&str, CampaignRunner); 6] = [
-        ("jobs=4", CampaignRunner::new().with_test_parallelism(4)),
-        ("jobs=auto", CampaignRunner::new().with_auto_parallelism()),
-        (
-            "spawn-per-trial",
-            CampaignRunner::new().with_spawn_per_trial(),
-        ),
-        ("batch=7", CampaignRunner::new().with_trial_batch(7)),
-        (
-            "batch=7 jobs=4",
-            CampaignRunner::new()
-                .with_test_parallelism(4)
-                .with_trial_batch(7),
-        ),
-        (
-            "batch=64 jobs=4",
-            CampaignRunner::new()
-                .with_test_parallelism(4)
-                .with_trial_batch(64),
-        ),
-    ];
-    for (name, runner) in backends {
-        compare(name, &runner.run_uncached(&spec))?;
-    }
-    Ok(())
-}
-
-/// Durable-ledger round trip: run with a ledger, merge from disk,
-/// compare bitwise against the live result.
-fn ledger_roundtrip(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
-    let o = Oracle::LedgerRoundtrip;
-    let spec = case.measured_campaign().map_err(|e| Violation::new(o, e))?;
+    static SCRATCH: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "resilim-check-ledger-{}-{}-{}",
+        "resilim-check-identity-{}-{}",
         std::process::id(),
-        case.id,
-        case.seed
+        SCRATCH.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let runner = CampaignRunner::new().with_ledger_dir(&dir);
-    runner.run_uncached(&spec);
-    let merged = runner.merged_from_ledger(&spec);
     let result = (|| {
-        let merged = merged.map_err(|e| Violation::new(o, format!("merge failed: {e}")))?;
-        ensure!(
-            o,
-            merged.outcomes == m.outcomes,
-            "ledger round trip diverges from the live run"
-        );
-        ensure!(o, merged.fi == m.fi, "merged FiResult diverges");
-        Ok(())
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Service identity: submit the measured campaign through a real
-/// daemon socket and require the summary a client receives to be
-/// bitwise equal (modulo wall clock) to the one-shot run. Exercises
-/// the whole serving stack — wire protocol, scheduler admission,
-/// reorder delivery, finalization — against the same ground truth.
-fn serve_identity(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
-    let o = Oracle::ServeIdentity;
-    let spec = case.measured_campaign().map_err(|e| Violation::new(o, e))?;
-    let want = CampaignSummary::of(&spec, m);
-    let dir = std::env::temp_dir().join(format!(
-        "resilim-check-serve-{}-{}-{}",
-        std::process::id(),
-        case.id,
-        case.seed
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).map_err(|e| Violation::new(o, format!("tmp dir: {e}")))?;
-    let socket = dir.join("check.sock");
-    let result = (|| {
+        let runners: [(&str, CampaignRunner); 6] = [
+            ("jobs=4", CampaignRunner::new().with_test_parallelism(4)),
+            ("jobs=auto", CampaignRunner::new().with_auto_parallelism()),
+            (
+                "spawn-per-trial",
+                CampaignRunner::new().with_spawn_per_trial(),
+            ),
+            ("batch=7", CampaignRunner::new().with_trial_batch(7)),
+            (
+                "batch=7 jobs=4",
+                CampaignRunner::new()
+                    .with_test_parallelism(4)
+                    .with_trial_batch(7),
+            ),
+            (
+                "batch=64 jobs=4",
+                CampaignRunner::new()
+                    .with_test_parallelism(4)
+                    .with_trial_batch(64),
+            ),
+        ];
+        for (name, runner) in runners {
+            same(name, &runner.run_uncached(&spec))?;
+        }
+        let stored = CampaignRunner::new()
+            .with_ledger_dir(dir.join("ledger"))
+            .with_feature_dir(dir.join("features"));
+        same("ledgered", &stored.run_uncached(&spec))?;
+        let merged = stored
+            .merged_from_ledger(&spec)
+            .map_err(|e| Violation::new(o, format!("merge failed: {e}")))?;
+        same("merged from ledger", &merged)?;
+        let socket = dir.join("check.sock");
         let daemon = Daemon::spawn(ServeConfig {
             socket: socket.clone(),
             store: None,
             workers: 2,
-            // Batched claims through the scheduler must not change the
-            // summary either.
             batch: 7,
         })
         .map_err(|e| Violation::new(o, format!("daemon spawn: {e}")))?;
-        let mut client = Client::connect_retry(&socket, std::time::Duration::from_secs(10))
-            .map_err(|e| Violation::new(o, format!("connect: {e}")))?;
-        let (_id, summary) = client
-            .submit_and_wait(SubmitSpec::of_campaign(&spec))
-            .map_err(|e| Violation::new(o, format!("submit: {e}")))?;
+        let served = Client::connect_retry(&socket, std::time::Duration::from_secs(10))
+            .and_then(|mut client| client.submit_and_wait(SubmitSpec::of_campaign(&spec)));
         daemon.stop();
-        let mut got =
-            summary.ok_or_else(|| Violation::new(o, "campaign finished without a summary"))?;
-        got.wall_secs = want.wall_secs;
-        ensure!(
-            o,
-            got == want,
-            "daemon-served summary diverges from the one-shot run"
-        );
-        Ok(())
+        let (_id, summary) = served.map_err(|e| Violation::new(o, format!("daemon: {e}")))?;
+        same_summary(
+            "daemon",
+            summary.ok_or_else(|| Violation::new(o, "campaign finished without a summary"))?,
+        )
     })();
     let _ = std::fs::remove_dir_all(&dir);
     result
@@ -928,5 +842,32 @@ mod tests {
         let v = predictor_divergence(&case, &measured, &CampaignRunner::new()).unwrap_err();
         assert_eq!(v.oracle, Oracle::PredictorDivergence);
         assert!(v.message.contains("feature pipeline"), "{}", v.message);
+    }
+
+    /// Each of the identity oracle's comparisons catches a perturbed
+    /// reference on its own: the outcome change keeps the batch fold
+    /// (only the `detected` bit moves), the feature pop touches no
+    /// aggregate, and the `by_contam` change meets the streamed-vs-batch
+    /// check, which runs before any producer.
+    #[test]
+    fn identity_catches_a_perturbed_reference() {
+        let case = CaseSpec::smoke_roster().remove(0);
+        let measured = run_measured(&case).unwrap();
+        identity(&case, &measured).unwrap();
+        let caught = |perturb: &dyn Fn(&mut CampaignResult)| {
+            let mut m = measured.clone();
+            perturb(&mut m);
+            let v = identity(&case, &m).unwrap_err();
+            assert_eq!(v.oracle, Oracle::Identity);
+            v.message
+        };
+        let msg = caught(&|m| m.outcomes[0].detected ^= true);
+        assert!(msg.contains("first mismatch at trial 0"), "{msg}");
+        let msg = caught(&|m| {
+            m.features.pop();
+        });
+        assert!(msg.contains("per-trial features diverge"), "{msg}");
+        let msg = caught(&|m| m.by_contam[0].counts[0] += 1);
+        assert!(msg.contains("streamed aggregates != batch fold"), "{msg}");
     }
 }

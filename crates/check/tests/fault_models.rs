@@ -1,25 +1,22 @@
-//! Determinism acceptance suite for the fault-model library (ISSUE 8):
-//! every non-default model — burst, DUE, message corruption — and the
-//! replicated backend must produce bitwise-identical outcome vectors
-//! whatever the execution shape: jobs=1 vs jobs=auto, batched admission
-//! at 1/7/64, and a daemon-served run vs the one-shot path.
+//! Determinism acceptance suite for the fault-model library: every
+//! non-default model — burst, DUE, message corruption — and the
+//! replicated backend must pass the `identity` oracle, so every
+//! execution shape (parallel workers, the spawn-per-trial carrier,
+//! batched admission, a ledger merged back from disk, a daemon-served
+//! run) reproduces the jobs=1 result bitwise.
 
 use resilim_apps::App;
-use resilim_check::CaseSpec;
-use resilim_harness::{CampaignRunner, CampaignSummary};
+use resilim_check::{run_oracle, CaseSpec, CoreOps, Oracle};
 use resilim_inject::FaultModelSpec;
-use resilim_serve::{Client, Daemon, ServeConfig, SubmitSpec};
 
-/// One deployment per model, built through the same [`CaseSpec`] path
-/// the check engine uses so the suite and the fuzzer agree on shape.
-fn deployments() -> Vec<(&'static str, resilim_harness::CampaignSpec)> {
+#[test]
+fn fault_models_are_bitwise_deterministic_across_execution_shapes() {
     let mut case = CaseSpec::smoke_roster().remove(0);
     case.procs = 2;
     case.s = 2;
     case.tests = 10;
     case.seed = 4242;
     case.app = App::ALL[0].name().to_string();
-    let mut out = Vec::new();
     for (name, model, replicate) in [
         ("burst", FaultModelSpec::Burst(3), false),
         ("due", FaultModelSpec::Due, false),
@@ -28,69 +25,8 @@ fn deployments() -> Vec<(&'static str, resilim_harness::CampaignSpec)> {
     ] {
         case.fault_model = model;
         case.replicate = replicate;
-        case.validate().expect("suite deployments are valid");
-        out.push((name, case.measured_campaign().unwrap()));
-    }
-    out
-}
-
-#[test]
-fn fault_models_are_bitwise_deterministic_across_execution_shapes() {
-    for (name, spec) in deployments() {
-        let baseline = CampaignRunner::new().run_uncached(&spec);
-        let variants: [(&str, CampaignRunner); 5] = [
-            ("jobs=auto", CampaignRunner::new().with_auto_parallelism()),
-            ("jobs=4", CampaignRunner::new().with_test_parallelism(4)),
-            ("batch=7", CampaignRunner::new().with_trial_batch(7)),
-            (
-                "batch=64 jobs=4",
-                CampaignRunner::new()
-                    .with_test_parallelism(4)
-                    .with_trial_batch(64),
-            ),
-            (
-                "spawn-per-trial",
-                CampaignRunner::new().with_spawn_per_trial(),
-            ),
-        ];
-        for (variant, runner) in variants {
-            let other = runner.run_uncached(&spec);
-            assert_eq!(
-                other.outcomes, baseline.outcomes,
-                "{name}: {variant} diverges from jobs=1"
-            );
-            assert_eq!(other.fi, baseline.fi, "{name}: {variant} FiResult");
+        if let Err(v) = run_oracle(&case, Oracle::Identity, &CoreOps) {
+            panic!("{name}: {v}");
         }
-        // Reruns of the same shape are bitwise identical too.
-        let again = CampaignRunner::new().run_uncached(&spec);
-        assert_eq!(again.outcomes, baseline.outcomes, "{name}: rerun");
     }
-}
-
-#[test]
-fn fault_models_served_summary_matches_one_shot() {
-    let dir = std::env::temp_dir().join(format!("resilim-check-fm-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let socket = dir.join("fm.sock");
-    let daemon = Daemon::spawn(ServeConfig {
-        socket: socket.clone(),
-        store: None,
-        workers: 2,
-        batch: 7,
-    })
-    .expect("daemon spawns");
-    let mut client =
-        Client::connect_retry(&socket, std::time::Duration::from_secs(10)).expect("connect");
-    for (name, spec) in deployments() {
-        let want = CampaignSummary::of(&spec, &CampaignRunner::new().run_uncached(&spec));
-        let (_id, summary) = client
-            .submit_and_wait(SubmitSpec::of_campaign(&spec))
-            .unwrap_or_else(|e| panic!("{name}: submit failed: {e}"));
-        let mut got = summary.unwrap_or_else(|| panic!("{name}: no summary"));
-        got.wall_secs = want.wall_secs;
-        assert_eq!(got, want, "{name}: served summary diverges from one-shot");
-    }
-    daemon.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }

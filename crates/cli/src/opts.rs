@@ -212,7 +212,11 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
                 opts.jobs = if v == "auto" {
                     None
                 } else {
-                    Some(v.parse().map_err(|e| format!("--jobs: {e}"))?)
+                    let k: usize = v.parse().map_err(|e| format!("--jobs: {e}"))?;
+                    if k == 0 {
+                        return Err("--jobs must be >= 1 (or auto)".into());
+                    }
+                    Some(k)
                 }
             }
             "--batch" => {
@@ -274,11 +278,13 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
                 opts.budget = Some(secs);
             }
             "--cases" => {
-                opts.cases = Some(
-                    value("--cases")?
-                        .parse()
-                        .map_err(|e| format!("--cases: {e}"))?,
-                )
+                let n: u64 = value("--cases")?
+                    .parse()
+                    .map_err(|e| format!("--cases: {e}"))?;
+                if n == 0 {
+                    return Err("--cases must be >= 1".into());
+                }
+                opts.cases = Some(n);
             }
             "--replay" => opts.replay = Some(value("--replay")?),
             "--repro-dir" => opts.repro_dir = Some(value("--repro-dir")?),
@@ -423,6 +429,8 @@ mod tests {
         assert_eq!(parse(&["fig5", "--jobs", "auto"]).unwrap().jobs, None);
         assert_eq!(parse(&["fig5", "--jobs", "3"]).unwrap().jobs, Some(3));
         assert!(parse(&["fig5", "--jobs", "many"]).is_err());
+        assert!(parse(&["campaign", "--jobs", "0"]).is_err());
+        assert!(parse(&["serve", "--jobs", "0"]).is_err());
     }
 
     #[test]
@@ -606,6 +614,7 @@ mod tests {
         );
         assert!(parse(&["check", "--budget", "-3"]).is_err());
         assert!(parse(&["check", "--budget", "soon"]).is_err());
+        assert!(parse(&["check", "--cases", "0"]).is_err());
         let bogus = parse(&["check", "--inject-bug", "nope"]).unwrap();
         assert!(crate::cmd::check::check_ops(&bogus).is_err());
     }

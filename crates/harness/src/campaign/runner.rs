@@ -42,7 +42,7 @@ pub struct CampaignRunner {
     max_retries: u32,
     /// Carry each trial's ranks on freshly spawned threads instead of
     /// coroutines over the global [`resilim_simmpi::WorldPool`]
-    /// (the reference carrier for `resilim check`'s replay-identity
+    /// (the reference carrier for `resilim check`'s `identity`
     /// oracle).
     spawn_per_trial: bool,
     /// Trials admitted/committed per pipeline transaction (`--batch`).
@@ -168,7 +168,7 @@ impl CampaignRunner {
     /// — both carriers follow the fabric's one schedule through the same
     /// per-rank execution path — and therefore bitwise identical in
     /// outcome, failed trials included, which is exactly what `resilim
-    /// check`'s replay-identity oracle asserts.
+    /// check`'s `identity` oracle asserts.
     pub fn with_spawn_per_trial(mut self) -> CampaignRunner {
         self.spawn_per_trial = true;
         self

@@ -1,5 +1,5 @@
 //! The client side of the wire protocol: what `resilim submit`,
-//! `resilim status`, the CI smoke test, and the `serve-identity` check
+//! `resilim status`, the CI smoke test, and the `identity` check
 //! oracle use to talk to a daemon.
 
 use crate::protocol::{self, Request, Response, SubmitSpec};

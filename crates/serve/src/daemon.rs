@@ -131,7 +131,7 @@ impl Journal {
 }
 
 /// A running daemon handle (in-process embedding: tests, the
-/// `serve-identity` oracle). The CLI entry point is [`run`].
+/// `identity` check oracle). The CLI entry point is [`run`].
 pub struct Daemon {
     scheduler: Arc<Scheduler>,
     socket: PathBuf,

@@ -26,7 +26,7 @@
 //!   durable submission journal (restart resume), and graceful
 //!   drain-on-shutdown (SIGTERM or a `shutdown` request).
 //! * [`client`] — the client side the `resilim submit`/`status`
-//!   subcommands and the `serve-identity` check oracle connect with.
+//!   subcommands and the `identity` check oracle connect with.
 //!
 //! Everything is `std` + workspace shims: no async runtime, no HTTP —
 //! one thread per connection, a JSON object per line.
