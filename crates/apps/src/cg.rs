@@ -170,10 +170,11 @@ impl SparseMatrix {
 /// Local matvec: `w = A[rows] * x_full` over this rank's row block.
 fn local_matvec(a: &SparseMatrix, rows: std::ops::Range<usize>, x_full: &[Tf64]) -> Vec<Tf64> {
     let mut w = Vec::with_capacity(rows.len());
-    for i in rows {
+    for bounds in a.row_ptr[rows.start..=rows.end].windows(2) {
+        let (cols, vals) = (&a.cols[bounds[0]..bounds[1]], &a.vals[bounds[0]..bounds[1]]);
         let mut acc = Tf64::ZERO;
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            acc += Tf64::new(a.vals[k]) * x_full[a.cols[k]];
+        for (&c, &v) in cols.iter().zip(vals) {
+            acc += Tf64::new(v) * x_full[c];
         }
         w.push(acc);
     }
@@ -213,15 +214,15 @@ pub fn run(prob: &CgProblem, comm: &Comm) -> AppOutput {
             let p_full = gather_full(comm, &p);
             let q = local_matvec(&a, rows.clone(), &p_full);
             let alpha = rho / global_dot(comm, &p, &q);
-            for i in 0..nl {
-                z[i] += alpha * p[i];
-                r[i] -= alpha * q[i];
+            for ((zi, ri), (&pi, &qi)) in z.iter_mut().zip(&mut r).zip(p.iter().zip(&q)) {
+                *zi += alpha * pi;
+                *ri -= alpha * qi;
             }
             let rho0 = rho;
             rho = global_dot(comm, &r, &r);
             let beta = rho / rho0;
-            for i in 0..nl {
-                p[i] = r[i] + beta * p[i];
+            for (pi, &ri) in p.iter_mut().zip(&r) {
+                *pi = ri + beta * *pi;
             }
         }
 

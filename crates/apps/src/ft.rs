@@ -23,7 +23,7 @@
 //!
 //! Step 2 runs inside [`Region::ParallelUnique`](resilim_inject::Region).
 
-use crate::util::{block_owner, block_range, hash_range, pack_cplx, unpack_cplx, Cplx};
+use crate::util::{block_range, hash_range, Cplx};
 use crate::AppOutput;
 use resilim_inject::{ctx, Region, Tf64};
 use resilim_simmpi::Comm;
@@ -75,10 +75,10 @@ impl Twiddles {
         Twiddles { w }
     }
 
-    /// `W_n^k` as an untainted complex constant.
+    /// `W_n^k` (`k < n`) as an untainted complex constant.
     #[inline]
     fn factor(&self, k: usize) -> Cplx {
-        let (c, s) = self.w[k % self.w.len()];
+        let (c, s) = self.w[k];
         Cplx::new(c, s)
     }
 }
@@ -98,17 +98,20 @@ fn fft_inplace(buf: &mut [Cplx], tw: &Twiddles) {
             buf.swap(i, j);
         }
     }
+    debug_assert_eq!(tw.w.len(), n);
     let mut len = 2;
     while len <= n {
         let half = len / 2;
+        // Butterfly k of a span uses W_n^{k·n/len}.
         let step = n / len;
-        for start in (0..n).step_by(len) {
-            for k in 0..half {
-                let w = tw.factor(k * step);
-                let t = w.mul(buf[start + k + half]);
-                let u = buf[start + k];
-                buf[start + k] = u.add(t);
-                buf[start + k + half] = u.sub(t);
+        for span in buf.chunks_exact_mut(len) {
+            let (lo, hi) = span.split_at_mut(half);
+            let factors = tw.w.iter().step_by(step);
+            for ((a, b), &(c, s)) in lo.iter_mut().zip(hi).zip(factors) {
+                let t = Cplx::new(c, s).mul(*b);
+                let u = *a;
+                *a = u.add(t);
+                *b = u.sub(t);
             }
         }
         len *= 2;
@@ -129,6 +132,20 @@ fn ifft_inplace(buf: &mut [Cplx], tw: &Twiddles) {
     let scale = Tf64::new(1.0 / n as f64);
     for c in buf.iter_mut() {
         *c = c.conj().scale(scale);
+    }
+}
+
+/// Append a complex value to an interleaved message payload.
+fn push_cplx(buf: &mut Vec<Tf64>, c: Cplx) {
+    buf.push(c.re);
+    buf.push(c.im);
+}
+
+/// Complex value `t` of an interleaved message payload.
+fn cplx_at(buf: &[Tf64], t: usize) -> Cplx {
+    Cplx {
+        re: buf[2 * t],
+        im: buf[2 * t + 1],
     }
 }
 
@@ -207,14 +224,13 @@ impl<'a, 'c> Ft<'a, 'c> {
         let (nx, ny) = (self.prob.nx, self.prob.ny);
         let mut line = Vec::with_capacity(nx.max(ny));
         for j in 0..self.m {
-            for y in 0..ny {
-                load_line(field, self.idx(j, y, 0), 1, nx, &mut line);
+            // x lines are contiguous: transform them where they lie.
+            for x_line in field[self.idx(j, 0, 0)..self.idx(j + 1, 0, 0)].chunks_exact_mut(nx) {
                 if inverse {
-                    ifft_inplace(&mut line, &self.tw_x);
+                    ifft_inplace(x_line, &self.tw_x);
                 } else {
-                    fft_inplace(&mut line, &self.tw_x);
+                    fft_inplace(x_line, &self.tw_x);
                 }
-                store_line(field, self.idx(j, y, 0), 1, &line);
             }
             for x in 0..nx {
                 load_line(field, self.idx(j, 0, x), nx, ny, &mut line);
@@ -231,6 +247,13 @@ impl<'a, 'c> Ft<'a, 'c> {
     /// Number of (pencil, j) pairs in the four-step redistribution.
     fn total_pairs(&self) -> usize {
         self.pencils * self.m
+    }
+
+    /// Field index `pencil + j·(nx·ny)` of every pair, in pair order
+    /// `u = pencil·M + j`.
+    fn pair_slots(&self) -> impl Iterator<Item = usize> {
+        let (m, stride) = (self.m, self.pencils);
+        (0..self.pencils).flat_map(move |pencil| (0..m).map(move |j| pencil + j * stride))
     }
 
     /// Forward z transform: four-step across ranks (plain FFT when serial).
@@ -259,49 +282,44 @@ impl<'a, 'c> Ft<'a, 'c> {
         {
             let _region = ctx::enter_region(Region::ParallelUnique);
             let r = self.comm.rank();
-            for j in 0..self.m {
+            for (j, plane) in field.chunks_exact_mut(stride).enumerate() {
                 let w = self.tw_n.factor((r * j) % self.prob.nz);
-                for pencil in 0..self.pencils {
-                    let i = pencil + j * stride;
-                    field[i] = field[i].mul(w);
+                for c in plane {
+                    *c = c.mul(w);
                 }
             }
         }
 
         // Step 3: all-to-all — pair (pencil, j) moves to its block owner.
+        // Pairs are numbered u = pencil·M + j and blocks are contiguous in
+        // u, so rank s takes the next `block_range(total, p, s).len()`.
         let total = self.total_pairs();
-        let mut outgoing: Vec<Vec<Cplx>> = vec![Vec::new(); p];
-        for pencil in 0..self.pencils {
-            for j in 0..self.m {
-                let u = pencil * self.m + j;
-                outgoing[block_owner(total, p, u)].push(field[pencil + j * stride]);
-            }
-        }
-        let incoming = self
-            .comm
-            .alltoallv(outgoing.into_iter().map(|v| pack_cplx(&v)).collect())
-            .into_iter()
-            .map(|v| unpack_cplx(&v))
-            .collect::<Vec<_>>();
+        let mut pairs = self.pair_slots().map(|i| field[i]);
+        let outgoing = (0..p)
+            .map(|s| {
+                let n = block_range(total, p, s).len();
+                let mut buf = Vec::with_capacity(2 * n);
+                pairs.by_ref().take(n).for_each(|c| push_cplx(&mut buf, c));
+                buf
+            })
+            .collect();
+        let incoming = self.comm.alltoallv(outgoing);
 
         // Step 4 (common): P-point FFT across the rank dimension for each
         // owned pair.
-        let my_pairs = block_range(total, p, self.comm.rank());
-        let npairs = my_pairs.len();
+        let npairs = block_range(total, p, self.comm.rank()).len();
         let mut freq = vec![Cplx::ZERO; npairs * p];
-        let mut rline = Vec::with_capacity(p);
-        for (t, _u) in my_pairs.enumerate() {
-            rline.clear();
-            rline.extend((0..p).map(|src| incoming[src][t]));
-            fft_inplace(&mut rline, &self.tw_p);
-            freq[t * p..(t + 1) * p].copy_from_slice(&rline);
+        for (t, line) in freq.chunks_exact_mut(p).enumerate() {
+            for (c, part) in line.iter_mut().zip(&incoming) {
+                *c = cplx_at(part, t);
+            }
+            fft_inplace(line, &self.tw_p);
         }
         freq
     }
 
     /// Inverse z transform: frequency layout back to the spatial cyclic
     /// layout (reverses the four steps).
-    #[allow(clippy::needless_range_loop)] // messages are matched by src rank
     fn inverse_z(&self, freq: &[Cplx]) -> Vec<Cplx> {
         let p = self.comm.size();
         let (nx, ny) = (self.prob.nx, self.prob.ny);
@@ -318,46 +336,36 @@ impl<'a, 'c> Ft<'a, 'c> {
         }
 
         // Step 4⁻¹ (common): inverse P-point FFT per owned pair.
-        let total = self.total_pairs();
-        let my_pairs = block_range(total, p, self.comm.rank());
+        let npairs = freq.len() / p;
         let mut rline = Vec::with_capacity(p);
-        let mut by_dest: Vec<Vec<Cplx>> = vec![Vec::new(); p];
+        let mut by_dest: Vec<Vec<Tf64>> = (0..p).map(|_| Vec::with_capacity(2 * npairs)).collect();
         // Un-FFT each pair line, then route element r back to rank r.
-        for (t, _u) in my_pairs.clone().enumerate() {
+        for pair in freq.chunks_exact(p) {
             rline.clear();
-            rline.extend_from_slice(&freq[t * p..(t + 1) * p]);
+            rline.extend_from_slice(pair);
             ifft_inplace(&mut rline, &self.tw_p);
-            for (r, &c) in rline.iter().enumerate() {
-                by_dest[r].push(c);
+            for (buf, &c) in by_dest.iter_mut().zip(&rline) {
+                push_cplx(buf, c);
             }
         }
-        let incoming = self
-            .comm
-            .alltoallv(by_dest.into_iter().map(|v| pack_cplx(&v)).collect())
-            .into_iter()
-            .map(|v| unpack_cplx(&v))
-            .collect::<Vec<_>>();
+        let incoming = self.comm.alltoallv(by_dest);
 
         // Reassemble my B_r[pencil, j] values: from each owner rank `s`, in
-        // ascending pair index within s's block.
+        // ascending pair index within s's block (so in ascending u overall).
         let mut field = vec![Cplx::ZERO; self.m * stride];
-        for s in 0..p {
-            for (t, u) in block_range(total, p, s).enumerate() {
-                let pencil = u / self.m;
-                let j = u % self.m;
-                field[pencil + j * stride] = incoming[s][t];
-            }
+        let values = incoming.iter().flat_map(|part| part.chunks_exact(2));
+        for (i, c) in self.pair_slots().zip(values) {
+            field[i] = Cplx { re: c[0], im: c[1] };
         }
 
         // Step 2⁻¹ (parallel-unique): conjugate twiddles.
         {
             let _region = ctx::enter_region(Region::ParallelUnique);
             let r = self.comm.rank();
-            for j in 0..self.m {
+            for (j, plane) in field.chunks_exact_mut(stride).enumerate() {
                 let w = self.tw_n.factor((r * j) % self.prob.nz).conj();
-                for pencil in 0..self.pencils {
-                    let i = pencil + j * stride;
-                    field[i] = field[i].mul(w);
+                for c in plane {
+                    *c = c.mul(w);
                 }
             }
         }
@@ -377,50 +385,53 @@ impl<'a, 'c> Ft<'a, 'c> {
     fn evolve(&self, freq: &[Cplx], t: usize) -> Vec<Cplx> {
         let p = self.comm.size();
         let (nx, ny, nz) = (self.prob.nx, self.prob.ny, self.prob.nz);
-        let signed = |k: usize, n: usize| -> f64 {
-            if k <= n / 2 {
+        // Squared signed wavenumber of index k on an n-point axis.
+        let sq = |k: usize, n: usize| -> f64 {
+            let signed = if k <= n / 2 {
                 k as f64
             } else {
                 k as f64 - n as f64
-            }
+            };
+            signed.powi(2)
         };
         let coeff = Tf64::new(-self.prob.alpha * t as f64);
         let mut out = Vec::with_capacity(freq.len());
         if p == 1 {
-            // Serial layout: [j][y][x] with kz = j.
+            // Serial layout: [j][y][x] with kz = j, which is field order.
+            let mut it = freq.iter();
             for j in 0..nz {
+                let sz = sq(j, nz);
                 for y in 0..ny {
-                    for x in 0..nx {
-                        let ksq =
-                            signed(x, nx).powi(2) + signed(y, ny).powi(2) + signed(j, nz).powi(2);
+                    let sy = sq(y, ny);
+                    for (x, &c) in it.by_ref().take(nx).enumerate() {
+                        let ksq = sq(x, nx) + sy + sz;
                         let factor = (coeff * ksq).exp();
-                        out.push(freq[self.idx(j, y, x)].scale(factor));
+                        out.push(c.scale(factor));
                     }
                 }
             }
-            // Rebuild in field order.
-            let mut field = vec![Cplx::ZERO; freq.len()];
-            let mut it = out.into_iter();
-            for j in 0..nz {
-                for y in 0..ny {
-                    for x in 0..nx {
-                        field[self.idx(j, y, x)] = it.next().expect("size match");
-                    }
-                }
-            }
-            return field;
+            return out;
         }
-        let total = self.total_pairs();
-        for (t_local, u) in block_range(total, p, self.comm.rank()).enumerate() {
-            let pencil = u / self.m;
-            let j = u % self.m;
-            let y = pencil / nx;
-            let x = pencil % nx;
-            for q in 0..p {
+        // My pairs u = pencil·M + j, pencil = y·nx + x, walked in order.
+        let first = block_range(self.total_pairs(), p, self.comm.rank()).start;
+        let (mut j, pencil) = (first % self.m, first / self.m);
+        let (mut x, mut y) = (pencil % nx, pencil / nx);
+        for pair in freq.chunks_exact(p) {
+            let sxy = sq(x, nx) + sq(y, ny);
+            for (q, &c) in pair.iter().enumerate() {
                 let kz = q * self.m + j;
-                let ksq = signed(x, nx).powi(2) + signed(y, ny).powi(2) + signed(kz, nz).powi(2);
+                let ksq = sxy + sq(kz, nz);
                 let factor = (coeff * ksq).exp();
-                out.push(freq[t_local * p + q].scale(factor));
+                out.push(c.scale(factor));
+            }
+            j += 1;
+            if j == self.m {
+                j = 0;
+                x += 1;
+                if x == nx {
+                    x = 0;
+                    y += 1;
+                }
             }
         }
         out

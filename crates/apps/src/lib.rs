@@ -26,7 +26,7 @@
 //! | FT  | 3-D FFT + evolve (spectral PDE) | cyclic z-planes | alltoallv (four-step z-FFT) | inter-stage twiddle scaling |
 //! | MG  | V-cycle multigrid Poisson | 1-D z slabs, shrinking active set | halo exchange per level, redistribution | none |
 //! | LU  | SSOR wavefront solver | 2-D pencils | pipelined plane send/recv | none |
-//! | MiniFE | FE assembly + CG solve | 1-D element slabs | halo exchange, recursive-doubling dots | reduction combine adds |
+//! | MiniFE | FE assembly + CG solve (stencil matvec over a halo-extended vector) | 1-D element slabs | halo exchange, recursive-doubling dots | reduction combine adds |
 //! | PENNANT | staggered-grid Lagrangian hydro | 1-D zone slabs | boundary-point force/mass sums, dt min-reduce | none |
 
 pub mod cg;

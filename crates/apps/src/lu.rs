@@ -195,42 +195,45 @@ impl<'a, 'c> Lu<'a, 'c> {
         let (lx, ly) = (self.lx(), self.ly());
         let [west, east, north, south] = self.halo(u, TAG_HALO);
         let c = Tf64::new(self.prob.c);
+        let plane = lx * ly;
         let mut r = vec![Tf64::ZERO; u.len()];
+        // (x, y) run over local coordinates; `i` is the local index.
+        let mut i = 0;
         for z in 0..nz {
-            for y in self.ys..self.ye {
-                for x in self.xs..self.xe {
+            for y in 0..ly {
+                for x in 0..lx {
                     let mut nb = Tf64::ZERO;
                     // x neighbours.
-                    if x > self.xs {
-                        nb += u[self.idx(x - 1, y, z)];
-                    } else if x > 0 {
-                        nb += west[z * ly + (y - self.ys)];
+                    if x > 0 {
+                        nb += u[i - 1];
+                    } else if self.xs > 0 {
+                        nb += west[z * ly + y];
                     }
-                    if x + 1 < self.xe {
-                        nb += u[self.idx(x + 1, y, z)];
-                    } else if x + 1 < self.prob.nx {
-                        nb += east[z * ly + (y - self.ys)];
+                    if x + 1 < lx {
+                        nb += u[i + 1];
+                    } else if self.xe < self.prob.nx {
+                        nb += east[z * ly + y];
                     }
                     // y neighbours.
-                    if y > self.ys {
-                        nb += u[self.idx(x, y - 1, z)];
-                    } else if y > 0 {
-                        nb += north[z * lx + (x - self.xs)];
+                    if y > 0 {
+                        nb += u[i - lx];
+                    } else if self.ys > 0 {
+                        nb += north[z * lx + x];
                     }
-                    if y + 1 < self.ye {
-                        nb += u[self.idx(x, y + 1, z)];
-                    } else if y + 1 < self.prob.ny {
-                        nb += south[z * lx + (x - self.xs)];
+                    if y + 1 < ly {
+                        nb += u[i + lx];
+                    } else if self.ye < self.prob.ny {
+                        nb += south[z * lx + x];
                     }
                     // z neighbours (always local).
                     if z > 0 {
-                        nb += u[self.idx(x, y, z - 1)];
+                        nb += u[i - plane];
                     }
                     if z + 1 < nz {
-                        nb += u[self.idx(x, y, z + 1)];
+                        nb += u[i + plane];
                     }
-                    let i = self.idx(x, y, z);
                     r[i] = f[i] - (u[i] - c * nb);
+                    i += 1;
                 }
             }
         }
@@ -241,10 +244,12 @@ impl<'a, 'c> Lu<'a, 'c> {
     /// couples to the west/north/below neighbours. For each k-plane the
     /// rank receives its west and north inflow lines, computes its block,
     /// and forwards its east/south outflow.
+    #[allow(clippy::needless_range_loop)] // inflow lines are empty at a physical boundary
     fn lower_sweep(&self, r: &[Tf64]) -> Vec<Tf64> {
         let nz = self.prob.nz;
         let (lx, ly) = (self.lx(), self.ly());
         let c = Tf64::new(self.prob.c);
+        let plane = lx * ly;
         let mut d = vec![Tf64::ZERO; r.len()];
         for z in 0..nz {
             let west_in: Vec<Tf64> = if self.bi > 0 {
@@ -261,24 +266,30 @@ impl<'a, 'c> Lu<'a, 'c> {
             } else {
                 Vec::new()
             };
-            for y in self.ys..self.ye {
-                for x in self.xs..self.xe {
+            // Local (x, y); `i` is the local index of (x, y, z). The west
+            // neighbour d[i − 1] is the value computed just before, kept
+            // in `west` rather than read back from memory.
+            let mut i = z * plane;
+            for y in 0..ly {
+                let mut west = Tf64::ZERO;
+                for x in 0..lx {
                     let mut dep = Tf64::ZERO;
-                    if x > self.xs {
-                        dep += d[self.idx(x - 1, y, z)];
-                    } else if x > 0 {
-                        dep += west_in[y - self.ys];
+                    if x > 0 {
+                        dep += west;
+                    } else if self.xs > 0 {
+                        dep += west_in[y];
                     }
-                    if y > self.ys {
-                        dep += d[self.idx(x, y - 1, z)];
-                    } else if y > 0 {
-                        dep += north_in[x - self.xs];
+                    if y > 0 {
+                        dep += d[i - lx];
+                    } else if self.ys > 0 {
+                        dep += north_in[x];
                     }
                     if z > 0 {
-                        dep += d[self.idx(x, y, z - 1)];
+                        dep += d[i - plane];
                     }
-                    let i = self.idx(x, y, z);
-                    d[i] = r[i] + c * dep;
+                    west = r[i] + c * dep;
+                    d[i] = west;
+                    i += 1;
                 }
             }
             // Forward outflow boundaries for this plane.
@@ -314,6 +325,7 @@ impl<'a, 'c> Lu<'a, 'c> {
         let nz = self.prob.nz;
         let (lx, ly) = (self.lx(), self.ly());
         let c = Tf64::new(self.prob.c);
+        let plane = lx * ly;
         let mut e = vec![Tf64::ZERO; dstar.len()];
         for z in (0..nz).rev() {
             let east_in: Vec<Tf64> = if self.bi + 1 < self.px {
@@ -332,24 +344,28 @@ impl<'a, 'c> Lu<'a, 'c> {
             } else {
                 Vec::new()
             };
-            for y in (self.ys..self.ye).rev() {
-                for x in (self.xs..self.xe).rev() {
+            // Local (x, y), walked backwards; `i` is the local index. The
+            // east neighbour e[i + 1] is the value computed just before.
+            for y in (0..ly).rev() {
+                let mut east = Tf64::ZERO;
+                for x in (0..lx).rev() {
+                    let i = (z * ly + y) * lx + x;
                     let mut dep = Tf64::ZERO;
-                    if x + 1 < self.xe {
-                        dep += e[self.idx(x + 1, y, z)];
-                    } else if x + 1 < self.prob.nx {
-                        dep += east_in[y - self.ys];
+                    if x + 1 < lx {
+                        dep += east;
+                    } else if self.xe < self.prob.nx {
+                        dep += east_in[y];
                     }
-                    if y + 1 < self.ye {
-                        dep += e[self.idx(x, y + 1, z)];
-                    } else if y + 1 < self.prob.ny {
-                        dep += south_in[x - self.xs];
+                    if y + 1 < ly {
+                        dep += e[i + lx];
+                    } else if self.ye < self.prob.ny {
+                        dep += south_in[x];
                     }
                     if z + 1 < nz {
-                        dep += e[self.idx(x, y, z + 1)];
+                        dep += e[i + plane];
                     }
-                    let i = self.idx(x, y, z);
-                    e[i] = dstar[i] + c * dep;
+                    east = dstar[i] + c * dep;
+                    e[i] = east;
                 }
             }
             if self.bi > 0 {

@@ -97,6 +97,21 @@ const TAG_UNFOLD: u64 = 0x4D47300;
 #[allow(clippy::unusual_byte_groupings)]
 const TAG_CABOVE: u64 = 0x4D47400;
 
+/// Row `y` of a plane whose rows are `n` long.
+#[inline]
+fn row(plane: &[Tf64], y: usize, n: usize) -> &[Tf64] {
+    &plane[y * n..(y + 1) * n]
+}
+
+/// `rhs − (6·u − Σ nbrs)` at one point, the nbrs summed in the order
+/// given (x−, x+, y−, y+, z−, z+).
+#[inline(always)]
+fn stencil_residual(rhs: Tf64, u: Tf64, nbrs: [Tf64; 6]) -> Tf64 {
+    let [xm, xp, ym, yp, zb, za] = nbrs;
+    let au = Tf64::new(6.0) * u - (xm + xp + ym + yp + zb + za);
+    rhs - au
+}
+
 struct Mg<'a, 'c> {
     prob: &'a MgProblem,
     comm: &'a Comm<'c>,
@@ -166,30 +181,41 @@ impl<'a, 'c> Mg<'a, 'c> {
     fn residual(&self, l: usize, u: &[Tf64], rhs: &[Tf64]) -> Vec<Tf64> {
         let lev = &self.levels[l];
         let (below, above) = self.halo(l, u);
+        let (nx, ny, plane) = (lev.nx, lev.ny, lev.plane());
         let mut out = vec![Tf64::ZERO; u.len()];
-        let six = Tf64::new(6.0);
-        let local_nz = u.len() / lev.plane();
-        for z in 0..local_nz {
-            for y in 0..lev.ny {
-                for x in 0..lev.nx {
-                    let i = lev.idx(z, y, x);
-                    let xm = lev.idx(z, y, (x + lev.nx - 1) % lev.nx);
-                    let xp = lev.idx(z, y, (x + 1) % lev.nx);
-                    let ym = lev.idx(z, (y + lev.ny - 1) % lev.ny, x);
-                    let yp = lev.idx(z, (y + 1) % lev.ny, x);
-                    let zb = if z == 0 {
-                        below[y * lev.nx + x]
-                    } else {
-                        u[lev.idx(z - 1, y, x)]
-                    };
-                    let za = if z + 1 == local_nz {
-                        above[y * lev.nx + x]
-                    } else {
-                        u[lev.idx(z + 1, y, x)]
-                    };
-                    let au = six * u[i] - (u[xm] + u[xp] + u[ym] + u[yp] + zb + za);
-                    out[i] = rhs[i] - au;
+        let local_nz = u.len() / plane;
+        let planes = |z: usize| {
+            let cur = &u[z * plane..(z + 1) * plane];
+            let zb = if z == 0 {
+                &below[..]
+            } else {
+                &u[(z - 1) * plane..z * plane]
+            };
+            let za = if z + 1 == local_nz {
+                &above[..]
+            } else {
+                &u[(z + 1) * plane..(z + 2) * plane]
+            };
+            (cur, zb, za)
+        };
+        let out_planes = out.chunks_exact_mut(plane).zip(rhs.chunks_exact(plane));
+        for (z, (out_pl, rhs_pl)) in out_planes.enumerate() {
+            let (cur, zb, za) = planes(z);
+            for y in 0..ny {
+                let ym = if y == 0 { ny - 1 } else { y - 1 };
+                let yp = if y + 1 == ny { 0 } else { y + 1 };
+                let (r, rm, rp) = (row(cur, y, nx), row(cur, ym, nx), row(cur, yp, nx));
+                let (b, a, h) = (row(zb, y, nx), row(za, y, nx), row(rhs_pl, y, nx));
+                let o = &mut out_pl[y * nx..(y + 1) * nx];
+                // Point x with its x-neighbours xm and xp; only the two
+                // end points wrap (nx ≥ 2, asserted in `Mg::new`).
+                let nbrs =
+                    |x: usize, xm: usize, xp: usize| [r[xm], r[xp], rm[x], rp[x], b[x], a[x]];
+                o[0] = stencil_residual(h[0], r[0], nbrs(0, nx - 1, 1));
+                for x in 1..nx - 1 {
+                    o[x] = stencil_residual(h[x], r[x], nbrs(x, x - 1, x + 1));
                 }
+                o[nx - 1] = stencil_residual(h[nx - 1], r[nx - 1], nbrs(nx - 1, nx - 2, 0));
             }
         }
         out
@@ -211,13 +237,14 @@ impl<'a, 'c> Mg<'a, 'c> {
         let lf = &self.levels[l];
         let lc = &self.levels[l + 1];
         let (below, above) = self.halo(l, fine);
-        let get = |z: isize, y: usize, x: usize| -> Tf64 {
+        let plane_f = lf.plane();
+        let plane = |z: isize| -> &[Tf64] {
             if z < 0 {
-                below[y * lf.nx + x]
+                &below
             } else if z as usize >= lf.w {
-                above[y * lf.nx + x]
+                &above
             } else {
-                fine[lf.idx(z as usize, y, x)]
+                &fine[z as usize * plane_f..(z as usize + 1) * plane_f]
             }
         };
         let me = self.me();
@@ -226,20 +253,25 @@ impl<'a, 'c> Mg<'a, 'c> {
         let z0 = lf.z0(me);
         let quarter = Tf64::new(0.25);
         let half = Tf64::new(0.5);
-        let mut produced = Vec::new();
+        let nx = lf.nx;
+        let mut produced = Vec::with_capacity(lf.w.div_ceil(2) * lc.plane());
         let mut zf = if z0.is_multiple_of(2) { 0isize } else { 1 };
         while (zf as usize) < lf.w {
+            let planes = [plane(zf - 1), plane(zf), plane(zf + 1)];
             for yc in 0..lc.ny {
+                // The two fine rows under coarse row `yc`, in each plane.
+                let y = 2 * yc;
+                let rows = planes.map(|pl| (row(pl, y, nx), row(pl, y + 1, nx)));
                 for xc in 0..lc.nx {
+                    let x = 2 * xc;
                     let mut plane_avg = [Tf64::ZERO; 3];
-                    for (pi, dz) in [-1isize, 0, 1].into_iter().enumerate() {
+                    for (avg, (r0, r1)) in plane_avg.iter_mut().zip(rows) {
                         let mut s = Tf64::ZERO;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                s += get(zf + dz, (2 * yc + dy) % lf.ny, (2 * xc + dx) % lf.nx);
-                            }
-                        }
-                        plane_avg[pi] = s * quarter;
+                        s += r0[x];
+                        s += r0[x + 1];
+                        s += r1[x];
+                        s += r1[x + 1];
+                        *avg = s * quarter;
                     }
                     produced.push(
                         quarter * plane_avg[0] + half * plane_avg[1] + quarter * plane_avg[2],
@@ -370,7 +402,8 @@ impl<'a, 'c> Mg<'a, 'c> {
             }
         }
 
-        for dz in 0..lf.w {
+        let (nx, ncx) = (lf.nx, lc.nx);
+        for (dz, fine_pl) in fine.chunks_exact_mut(lf.plane()).enumerate() {
             let gz = z0 + dz;
             let zc = gz / 2;
             let c0 = &plane_of[&zc];
@@ -379,16 +412,18 @@ impl<'a, 'c> Mg<'a, 'c> {
             } else {
                 None
             };
-            for y in 0..lf.ny {
-                for x in 0..lf.nx {
-                    let yc = (y / 2) % lc.ny;
-                    let xc = (x / 2) % lc.nx;
-                    let ci = yc * lc.nx + xc;
-                    let corr = match c1 {
-                        None => c0[ci],
-                        Some(c1) => half * (c0[ci] + c1[ci]),
+            for (y, fine_row) in fine_pl.chunks_exact_mut(nx).enumerate() {
+                // Fine (x, y) takes coarse (x / 2, y / 2).
+                let ci = (y / 2) * ncx;
+                let c0_row = &c0[ci..ci + ncx];
+                let c1_row = c1.map(|c1| &c1[ci..ci + ncx]);
+                for (x, f) in fine_row.iter_mut().enumerate() {
+                    let xc = x / 2;
+                    let corr = match c1_row {
+                        None => c0_row[xc],
+                        Some(c1_row) => half * (c0_row[xc] + c1_row[xc]),
                     };
-                    fine[lf.idx(dz, y, x)] += corr;
+                    *f += corr;
                 }
             }
         }

@@ -127,37 +127,33 @@ impl<'a, 'c> MiniFe<'a, 'c> {
         z == 0 || z == self.nnz - 1
     }
 
-    /// Assemble the local rows (dense per-row maps keyed by global column).
-    /// Returns (per-owned-row column/value lists, rhs).
-    #[allow(clippy::type_complexity)]
-    fn assemble(&self) -> (Vec<Vec<(usize, Tf64)>>, Vec<Tf64>) {
+    /// Grid coordinates `(x, y, z)` of node `g`.
+    fn node_coords(&self, g: usize) -> (usize, usize, usize) {
+        let (z, in_plane) = (g / self.plane(), g % self.plane());
+        (in_plane % self.nnx, in_plane / self.nnx, z)
+    }
+
+    /// Offset of each stencil place's column from the row's node id,
+    /// shifted up by place 13's (the row itself), so it stays unsigned:
+    /// column = row + `offsets[slot]` − `offsets[13]`.
+    fn stencil_offsets(&self) -> [usize; 27] {
+        std::array::from_fn(|slot| (slot / 9) * self.plane() + (slot / 3 % 3) * self.nnx + slot % 3)
+    }
+
+    /// Assemble the local rows into a [`StencilMatrix`] over the
+    /// halo-extended vector, and the rhs.
+    fn assemble(&self) -> (StencilMatrix, Vec<Tf64>) {
         let plane = self.plane();
         let nrows = (self.nz1 - self.nz0) * plane;
-        // Accumulation uses a dense map per local row: columns are at most
-        // 27 per row.
-        let mut rows: Vec<Vec<(usize, Tf64)>> = vec![Vec::new(); nrows];
+        // One block per node layer: a single block of every row (≈ 0.5 MB
+        // serially) is an allocation the allocator maps on the first trial
+        // and then keeps resident in each worker's heap.
+        let mut rows = vec![vec![StencilRow::EMPTY; plane]; self.nz1 - self.nz0];
         let mut rhs = vec![Tf64::ZERO; nrows];
         // Contributions to rows owned by neighbours, flattened as
         // (row, col, value) triplets per destination.
         let p = self.comm.size();
         let mut export: Vec<Vec<(usize, usize, Tf64)>> = vec![Vec::new(); p];
-
-        let add = |rows: &mut Vec<Vec<(usize, Tf64)>>,
-                   export: &mut Vec<Vec<(usize, usize, Tf64)>>,
-                   gr: usize,
-                   gz: usize,
-                   gc: usize,
-                   v: Tf64| {
-            if self.owns_layer(gz) {
-                let lr = gr - self.nz0 * plane;
-                match rows[lr].iter_mut().find(|(c, _)| *c == gc) {
-                    Some((_, acc)) => *acc += v,
-                    None => rows[lr].push((gc, v)),
-                }
-            } else {
-                export[self.layer_owner(gz)].push((gr, gc, v));
-            }
-        };
 
         for ez in self.ez0..self.ez1 {
             for ey in 0..self.prob.ny {
@@ -168,10 +164,16 @@ impl<'a, 'c> MiniFe<'a, 'c> {
                         let gr = self.node_id(gx, gy, gz);
                         for b in 0..8 {
                             let (bx, by, bz) = corner(b);
-                            let gc = self.node_id(ex + bx, ey + by, ez + bz);
                             let k = element_stiffness(a, b);
-                            if k != 0.0 {
-                                add(&mut rows, &mut export, gr, gz, gc, Tf64::new(k));
+                            if k == 0.0 {
+                                continue;
+                            }
+                            if self.owns_layer(gz) {
+                                let slot = stencil_slot((gx, gy, gz), (ex + bx, ey + by, ez + bz));
+                                rows[gz - self.nz0][gy * self.nnx + gx].add(slot, Tf64::new(k));
+                            } else {
+                                let gc = self.node_id(ex + bx, ey + by, ez + bz);
+                                export[self.layer_owner(gz)].push((gr, gc, Tf64::new(k)));
                             }
                         }
                     }
@@ -206,55 +208,65 @@ impl<'a, 'c> MiniFe<'a, 'c> {
                 for t in buf.chunks_exact(3) {
                     let gr = t[0].value() as usize;
                     let gc = t[1].value() as usize;
-                    let gz = gr / plane;
-                    assert!(self.owns_layer(gz), "imported row must be mine");
-                    let lr = gr - self.nz0 * plane;
-                    match rows[lr].iter_mut().find(|(c, _)| *c == gc) {
-                        Some((_, acc)) => *acc += t[2],
-                        None => rows[lr].push((gc, t[2])),
-                    }
+                    let r = self.node_coords(gr);
+                    assert!(self.owns_layer(r.2), "imported row must be mine");
+                    let slot = stencil_slot(r, self.node_coords(gc));
+                    rows[r.2 - self.nz0][r.1 * self.nnx + r.0].add(slot, t[2]);
                 }
             }
         }
 
         // Dirichlet boundary conditions: u(z=0) = 0, u(z=top) = 1.
         // Row replacement on boundary rows; column elimination moves known
-        // values to the RHS of interior rows.
+        // values to the RHS of interior rows, in the order the columns
+        // first appeared.
         let one = Tf64::ONE;
-        for lr in 0..nrows {
-            let gz = (lr + self.nz0 * plane) / plane;
+        let top = (self.nnz - 1) * plane;
+        let offsets = self.stencil_offsets();
+        let layers = rows.iter_mut().zip(rhs.chunks_exact_mut(plane));
+        for (lz, (layer_rows, layer_rhs)) in layers.enumerate() {
+            let gz = self.nz0 + lz;
             if self.is_dirichlet(gz) {
-                let gr = lr + self.nz0 * plane;
-                rows[lr] = vec![(gr, Tf64::ONE)];
-                rhs[lr] = if gz == 0 { Tf64::ZERO } else { one };
-            } else {
-                // Eliminate boundary columns into the RHS.
-                let mut kept = Vec::with_capacity(rows[lr].len());
-                for &(gc, v) in &rows[lr] {
-                    let cz = gc / plane;
-                    if self.is_dirichlet(cz) {
-                        if cz != 0 {
-                            rhs[lr] -= v * one;
-                        }
-                        // z = 0 boundary contributes 0.
-                    } else {
-                        kept.push((gc, v));
-                    }
+                for (row, b) in layer_rows.iter_mut().zip(layer_rhs) {
+                    *row = StencilRow::EMPTY;
+                    row.add(13, Tf64::ONE);
+                    *b = if gz == 0 { Tf64::ZERO } else { one };
                 }
-                rows[lr] = kept;
+                continue;
+            }
+            let gr0 = gz * plane;
+            for (i, (row, b)) in layer_rows.iter_mut().zip(layer_rhs).enumerate() {
+                for slot in row.order[..usize::from(row.len)]
+                    .iter()
+                    .map(|&s| usize::from(s))
+                {
+                    let gc = gr0 + i + offsets[slot] - offsets[13];
+                    if gc >= top {
+                        *b -= row.vals[slot] * one;
+                    } else if gc >= plane {
+                        continue;
+                    }
+                    // The z = 0 boundary contributes 0.
+                    row.present &= !(1 << slot);
+                }
             }
         }
-
-        // Deterministic column order (assembly order varies per rank count).
-        for row in rows.iter_mut() {
-            row.sort_by_key(|(c, _)| *c);
-        }
-        (rows, rhs)
+        // Row 0 is node nz0·plane; the extended vector starts one layer
+        // lower where a neighbour rank owns that layer.
+        let first = if self.nz0 > 0 { plane } else { 0 };
+        (
+            StencilMatrix {
+                rows,
+                offsets,
+                first,
+            },
+            rhs,
+        )
     }
 
     /// Matvec with halo exchange: needs node layers nz0−1 and nz1 from the
-    /// neighbouring ranks.
-    fn matvec(&self, rows: &[Vec<(usize, Tf64)>], x: &[Tf64], out: &mut Vec<Tf64>) {
+    /// neighbouring ranks, which go around `x` in the halo-extended `ext`.
+    fn matvec(&self, a: &StencilMatrix, x: &[Tf64], ext: &mut Vec<Tf64>, out: &mut Vec<Tf64>) {
         let plane = self.plane();
         let p = self.comm.size();
         let me = self.comm.rank();
@@ -276,26 +288,77 @@ impl<'a, 'c> MiniFe<'a, 'c> {
                 above = self.comm.recv(me + 1, TAG_HALO);
             }
         }
-        let fetch = |g: usize| -> Tf64 {
-            let gz = g / plane;
-            if self.owns_layer(gz) {
-                x[g - self.nz0 * plane]
-            } else if gz + 1 == self.nz0 {
-                below[g - (self.nz0 - 1) * plane]
-            } else {
-                debug_assert_eq!(gz, self.nz1);
-                above[g - self.nz1 * plane]
-            }
-        };
+        ext.clear();
+        ext.extend_from_slice(&below);
+        ext.extend_from_slice(x);
+        ext.extend_from_slice(&above);
         out.clear();
-        for row in rows {
+        let center = a.offsets[13];
+        for (at, row) in (a.first..).zip(a.rows.iter().flatten()) {
+            // Ascending stencil place is ascending column.
             let mut acc = Tf64::ZERO;
-            for &(gc, v) in row {
-                acc += v * fetch(gc);
+            let mut present = row.present;
+            while present != 0 {
+                let slot = present.trailing_zeros() as usize;
+                present &= present - 1;
+                acc += row.vals[slot] * ext[at + a.offsets[slot] - center];
             }
             out.push(acc);
         }
     }
+}
+
+/// Place of column node `c` in row node `r`'s 27-point stencil, from the
+/// two nodes' grid coordinates (each differs by at most one).
+fn stencil_slot(r: (usize, usize, usize), c: (usize, usize, usize)) -> usize {
+    (c.2 + 1 - r.2) * 9 + (c.1 + 1 - r.1) * 3 + (c.0 + 1 - r.0)
+}
+
+/// One local row: a value per place of its 27-point stencil
+/// ([`stencil_slot`]), which places hold an entry, and the places in the
+/// order their first contribution arrived (the order the Dirichlet
+/// elimination follows).
+#[derive(Clone)]
+struct StencilRow {
+    vals: [Tf64; 27],
+    present: u32,
+    order: [u8; 27],
+    len: u8,
+}
+
+impl StencilRow {
+    const EMPTY: StencilRow = StencilRow {
+        vals: [Tf64::ZERO; 27],
+        present: 0,
+        order: [0; 27],
+        len: 0,
+    };
+
+    /// Accumulate `v` at stencil place `slot`: the first contribution
+    /// is the entry, later ones are added to it.
+    fn add(&mut self, slot: usize, v: Tf64) {
+        if self.present & (1 << slot) == 0 {
+            self.present |= 1 << slot;
+            self.vals[slot] = v;
+            self.order[usize::from(self.len)] = slot as u8;
+            self.len += 1;
+        } else {
+            self.vals[slot] += v;
+        }
+    }
+}
+
+/// The assembled local rows by node layer, each keeping its entries at
+/// their stencil places. Place `slot` of (layer-major) row `i` is column
+/// `first + i + offsets[slot] − offsets[13]` of the halo-extended vector
+/// `[layer nz0−1 | owned layers | layer nz1]` (a halo layer is present
+/// only where a neighbour rank owns it), so the matvec reads every
+/// operand from one slice and needs no column array.
+struct StencilMatrix {
+    rows: Vec<Vec<StencilRow>>,
+    offsets: [usize; 27],
+    /// Extended-vector index of row 0's node.
+    first: usize,
 }
 
 /// Run the MiniFE benchmark on the calling rank; collective over `comm`.
@@ -303,7 +366,7 @@ impl<'a, 'c> MiniFe<'a, 'c> {
 /// Digest: `[final residual², u·rhs energy, Σu]`.
 pub fn run(prob: &MiniFeProblem, comm: &Comm) -> AppOutput {
     let fe = MiniFe::new(prob, comm);
-    let (rows, rhs) = fe.assemble();
+    let (a, rhs) = fe.assemble();
     let n = rhs.len();
 
     // CG with fixed iteration count.
@@ -312,18 +375,19 @@ pub fn run(prob: &MiniFeProblem, comm: &Comm) -> AppOutput {
     let mut p_vec = r.clone();
     let mut rho = global_dot(comm, &r, &r);
     let mut q = Vec::with_capacity(n);
+    let mut ext = Vec::with_capacity(n + 2 * fe.plane());
     for _ in 0..prob.cg_iters {
-        fe.matvec(&rows, &p_vec, &mut q);
+        fe.matvec(&a, &p_vec, &mut ext, &mut q);
         let alpha = rho / global_dot(comm, &p_vec, &q);
-        for i in 0..n {
-            x[i] += alpha * p_vec[i];
-            r[i] -= alpha * q[i];
+        for ((xi, ri), (&pi, &qi)) in x.iter_mut().zip(&mut r).zip(p_vec.iter().zip(&q)) {
+            *xi += alpha * pi;
+            *ri -= alpha * qi;
         }
         let rho0 = rho;
         rho = global_dot(comm, &r, &r);
         let beta = rho / rho0;
-        for i in 0..n {
-            p_vec[i] = r[i] + beta * p_vec[i];
+        for (pi, &ri) in p_vec.iter_mut().zip(&r) {
+            *pi = ri + beta * *pi;
         }
     }
 

@@ -107,8 +107,10 @@ impl Cplx {
         }
     }
 
-    /// Complex multiplication (tracked).
-    #[inline]
+    /// Complex multiplication (tracked). Always inlined: out of line,
+    /// every butterfly passed both operands and the product through
+    /// memory.
+    #[inline(always)]
     pub fn mul(self, o: Cplx) -> Cplx {
         Cplx {
             re: self.re * o.re - self.im * o.im,
@@ -172,27 +174,6 @@ pub fn sample_state(
         return probes;
     }
     comm.allreduce(resilim_simmpi::ReduceOp::Sum, &probes)
-}
-
-/// Pack a complex slice into an interleaved Tf64 buffer (for messages).
-pub fn pack_cplx(src: &[Cplx]) -> Vec<Tf64> {
-    let mut out = Vec::with_capacity(src.len() * 2);
-    for c in src {
-        out.push(c.re);
-        out.push(c.im);
-    }
-    out
-}
-
-/// Unpack an interleaved Tf64 buffer into complex values.
-pub fn unpack_cplx(src: &[Tf64]) -> Vec<Cplx> {
-    assert!(
-        src.len().is_multiple_of(2),
-        "unpack_cplx: odd buffer length"
-    );
-    src.chunks_exact(2)
-        .map(|p| Cplx { re: p[0], im: p[1] })
-        .collect()
 }
 
 #[cfg(test)]
@@ -267,16 +248,6 @@ mod tests {
         assert_eq!(s.im.value(), 2.0);
         assert_eq!(a.conj().im.value(), -2.0);
         assert_eq!(a.scale(Tf64::new(2.0)).re.value(), 2.0);
-    }
-
-    #[test]
-    fn cplx_pack_roundtrip() {
-        let xs = vec![Cplx::new(1.0, 2.0), Cplx::new(-3.0, 0.5)];
-        let packed = pack_cplx(&xs);
-        let back = unpack_cplx(&packed);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[1].re.value(), -3.0);
-        assert_eq!(back[1].im.value(), 0.5);
     }
 
     #[test]

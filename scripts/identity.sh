@@ -15,10 +15,14 @@
 # --trial-timeout 30; each stored campaign followed by `resilim merge`
 # with the same flags; minife at --scale 64 (--errors par --tests 24
 # --seed 7) into a store of its own, where sub-threshold taint crosses
-# the most ranks, and its merge; `resilim model --predictor logistic` and
+# the most ranks, and its merge; ft, mg, lu and minife at --scale 8
+# (--errors par --tests 60 --seed 7) and all six apps' serial --scale 1
+# --errors ser:8 campaigns into a store of their own (`store-apps`),
+# each with its merge, so every app kernel is compared at p=8 and p=1;
+# `resilim model --predictor logistic` and
 # `--predictor stumps` (--json) over the first store's features; cg's
 # serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
-# --scale 2 --errors par into a third store, and `resilim model
+# --scale 2 --errors par into another store (`store-eq8`), and `resilim model
 # --predictor eq8 --apps cg --scale 8 --small 2 --json` over it; and
 # `cargo run --release --example ablations`. Then one verdict per
 # artifact: the summaries (campaign and merge stdout, stored; wall_secs
@@ -36,7 +40,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,32p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,36p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -97,6 +101,14 @@ run_side() { # side
     stored store cg-multi-3 --apps cg --scale 8 --errors multi:3 --tests 60 --seed 7
     echo "$1: minife p=64" >&2
     stored store-p64 minife-p64 --apps minife --scale 64 --errors par --tests 24 --seed 7
+    for app in ft mg lu minife; do
+        echo "$1: $app p=8" >&2
+        stored store-apps "$app-p8" --apps "$app" --scale 8 --errors par --tests 60 --seed 7
+    done
+    for app in cg ft mg lu minife pennant; do
+        echo "$1: $app ser:8" >&2
+        stored store-apps "$app-ser8" --apps "$app" --scale 1 --errors ser:8 --tests 60 --seed 7
+    done
     for predictor in logistic stumps; do
         echo "$1: model --predictor $predictor" >&2
         "$bin" model --store "$runs/store" --predictor "$predictor" --json \
@@ -119,11 +131,12 @@ run_side() { # side
 
     # Fixed file order (C locale), wall-clock fields dropped.
     nowall() { sed 's/"wall_secs": *[-+.0-9eE]*/"wall_secs":-/g'; }
-    for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json store/*.json store-timeout/*.json store-p64/*.json); do
+    for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json store/*.json store-timeout/*.json store-p64/*.json \
+        store-apps/*.json); do
         echo "== $f"
         nowall <"$runs/$f"
     done >"$runs/out/summaries.txt"
-    for s in store store-timeout store-p64; do
+    for s in store store-timeout store-p64 store-apps; do
         cat "$runs/$s"/ledger/*.jsonl | LC_ALL=C sort >"$runs/out/$s.ledger.txt"
         cat "$runs/$s"/features/*.jsonl | LC_ALL=C sort >"$runs/out/$s.features.txt"
         for f in $(cd "$runs/$s/golden" && LC_ALL=C ls); do
@@ -143,6 +156,7 @@ status=0
 for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
     store-p64.ledger.txt store-p64.features.txt store-p64.golden.txt \
+    store-apps.ledger.txt store-apps.features.txt store-apps.golden.txt \
     model-logistic.txt model-stumps.txt model-eq8.txt ablations.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
