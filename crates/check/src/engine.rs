@@ -269,13 +269,15 @@ mod tests {
             case: CaseSpec::smoke_roster().remove(0),
             original: None,
         };
-        // Retired oracle names (folded into `identity`) are unknown too.
+        // Retired oracle names (folded into `identity`, or deleted with
+        // the learned predictors) are unknown too.
         for retired in [
             "no-such-oracle",
             "replay",
             "streaming-identity",
             "ledger-roundtrip",
             "serve-identity",
+            "predictor-divergence",
         ] {
             record.oracle = retired.into();
             let err = replay(&record, &CoreOps).unwrap_err();

@@ -4,7 +4,7 @@
 //! Differential & metamorphic validation of the resilience model: the
 //! paper's whole claim is that a cheap serial/small-scale model predicts
 //! expensive large-scale fault-injection outcomes, so this crate
-//! continuously cross-validates the predictors of `resilim_core` (and
+//! continuously cross-validates the predictor of `resilim_core` (and
 //! the campaign machinery underneath them) against measured ground truth
 //! on randomized mini-campaigns.
 //!
@@ -18,11 +18,11 @@
 //!   [`OffByOneBucket`] deliberately mis-buckets (the acceptance test
 //!   that the engine *catches, shrinks, and replays* a model bug).
 //! * [`oracles`] — the oracle library: distribution/partition
-//!   invariants, bucket-cover, grouping conservation & refinement
-//!   consistency, the fault-model laws, bitwise identity of every
-//!   execution shape (workers, carriers, batching, ledger merge, daemon)
-//!   with the jobs=1 result, predicted-vs-measured divergence, and
-//!   learned-vs-closed-form predictor divergence.
+//!   invariants (and one label-consistent feature record per trial),
+//!   bucket-cover, grouping conservation & refinement consistency, the
+//!   fault-model laws, bitwise identity of every execution shape
+//!   (workers, carriers, batching, ledger merge, daemon) with the jobs=1
+//!   result, and predicted-vs-measured divergence.
 //! * [`engine`] — the case loop (budgeted or counted), obs events
 //!   (`check_case` / `check_shrink`) and counters, repro-record
 //!   emission, and deterministic replay.

@@ -9,15 +9,12 @@
 
 use crate::case::CaseSpec;
 use crate::ops::SamplingOps;
-use resilim_core::{
-    cosine_similarity, fit_predictor, mean_rates, ModelInputs, PaperEq8, PredictorKind,
-    SamplePoints,
-};
+use resilim_core::{cosine_similarity, ModelInputs, PaperEq8, SamplePoints};
 use resilim_harness::experiments::{build_inputs, ExperimentConfig};
 use resilim_harness::{
     aggregate_outcomes, CampaignResult, CampaignRunner, CampaignSummary, ErrorSpec,
 };
-use resilim_inject::{FailureKind, FaultModelSpec, OutcomeKind};
+use resilim_inject::{FailureKind, FaultModelSpec};
 use resilim_serve::{Client, Daemon, ServeConfig, SubmitSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,8 +28,9 @@ pub enum Oracle {
     BucketCover,
     /// Measured campaign: outcome counts form a probability
     /// distribution, conditional results partition the totals, the
-    /// propagation histogram conserves trials, and uncontaminated
-    /// trials never fired an injection.
+    /// propagation histogram conserves trials, uncontaminated trials
+    /// never fired an injection, and the feature stream carries one
+    /// record per trial labelled with that trial's outcome.
     Distribution,
     /// Propagation grouping: mass conservation at every divisor
     /// grouping, refinement consistency (group p→coarse equals group
@@ -60,25 +58,17 @@ pub enum Oracle {
     /// stays within a (generous, documented) divergence bound of the
     /// measured large-scale result.
     ModelDivergence,
-    /// Learned vs closed-form: the registry's learned predictors
-    /// (logistic, stumps), trained on the measured campaign's own
-    /// per-trial features, emit probability distributions whose
-    /// campaign-level rates track the measured rates in-sample and stay
-    /// within a documented bound of the PaperEq8 prediction built from
-    /// the same case.
-    PredictorDivergence,
 }
 
 impl Oracle {
     /// Every oracle, cheap-first.
-    pub const ALL: [Oracle; 7] = [
+    pub const ALL: [Oracle; 6] = [
         Oracle::BucketCover,
         Oracle::Distribution,
         Oracle::Grouping,
         Oracle::Identity,
         Oracle::FaultModels,
         Oracle::ModelDivergence,
-        Oracle::PredictorDivergence,
     ];
 
     /// Stable kebab-case name (traces, repro records, CLI).
@@ -90,7 +80,6 @@ impl Oracle {
             Oracle::Identity => "identity",
             Oracle::FaultModels => "fault-models",
             Oracle::ModelDivergence => "model-divergence",
-            Oracle::PredictorDivergence => "predictor-divergence",
         }
     }
 
@@ -134,8 +123,7 @@ macro_rules! ensure {
 }
 
 /// Run every oracle against `case`, cheapest first, sharing one
-/// measured ground-truth campaign, and one runner between the two
-/// divergence oracles so the model inputs are measured once.
+/// measured ground-truth campaign.
 /// `Ok(())` = the case is clean.
 pub fn check_case(case: &CaseSpec, ops: &dyn SamplingOps) -> Result<(), Violation> {
     case.validate()
@@ -146,9 +134,7 @@ pub fn check_case(case: &CaseSpec, ops: &dyn SamplingOps) -> Result<(), Violatio
     grouping(case, &measured)?;
     identity(case, &measured)?;
     fault_models(case, &measured)?;
-    let runner = CampaignRunner::new();
-    model_divergence(case, &measured, &runner)?;
-    predictor_divergence(case, &measured, &runner)?;
+    model_divergence(case, &measured)?;
     Ok(())
 }
 
@@ -162,12 +148,7 @@ pub fn run_oracle(case: &CaseSpec, oracle: Oracle, ops: &dyn SamplingOps) -> Res
         Oracle::Grouping => grouping(case, &run_measured(case)?),
         Oracle::Identity => identity(case, &run_measured(case)?),
         Oracle::FaultModels => fault_models(case, &run_measured(case)?),
-        Oracle::ModelDivergence => {
-            model_divergence(case, &run_measured(case)?, &CampaignRunner::new())
-        }
-        Oracle::PredictorDivergence => {
-            predictor_divergence(case, &run_measured(case)?, &CampaignRunner::new())
-        }
+        Oracle::ModelDivergence => model_divergence(case, &run_measured(case)?),
     }
 }
 
@@ -342,6 +323,24 @@ fn distribution(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
             o,
             out.is_causally_consistent(),
             "trial {i} is causally inconsistent: {out:?}"
+        );
+    }
+    // Features are per-trial: one record per outcome, label-consistent
+    // with it (both flow through the same reorder buffer).
+    ensure!(
+        o,
+        m.features.len() == m.outcomes.len(),
+        "feature pipeline produced {} records for {} trials",
+        m.features.len(),
+        m.outcomes.len()
+    );
+    for (i, (f, out)) in m.features.iter().zip(&m.outcomes).enumerate() {
+        ensure!(
+            o,
+            f.outcome() == out.kind,
+            "trial {i}: feature label {:?} disagrees with outcome {:?}",
+            f.outcome(),
+            out.kind
         );
     }
     Ok(())
@@ -621,21 +620,18 @@ pub fn divergence_bound(tests: usize) -> f64 {
 /// The closed-form model's inputs for the case, assembled by the
 /// harness's own [`build_inputs`] — serial, small-scale and (above the
 /// cutoff) parallel-unique campaigns, so Eq. 1's prob₂ term is checked
-/// as the Fig. 5–8 pipelines ship it. Campaigns are cached across the
-/// two divergence oracles through `runner`'s campaign cache.
-fn case_inputs(
-    case: &CaseSpec,
-    runner: &CampaignRunner,
-    o: Oracle,
-) -> Result<ModelInputs, Violation> {
-    let app = case.resolve_app().map_err(|e| Violation::new(o, e))?;
+/// as the Fig. 5–8 pipelines ship it.
+fn case_inputs(case: &CaseSpec) -> Result<ModelInputs, Violation> {
+    let app = case
+        .resolve_app()
+        .map_err(|e| Violation::new(Oracle::ModelDivergence, e))?;
     let cfg = ExperimentConfig {
         tests: case.tests,
         seed: case.seed,
         stop: None,
     };
     Ok(build_inputs(
-        runner,
+        &CampaignRunner::new(),
         &cfg,
         &app.default_spec(),
         case.procs,
@@ -648,11 +644,7 @@ fn case_inputs(
 /// invariants, using the case's serial, small-scale and parallel-unique
 /// campaigns as model inputs — the end-to-end differential test of the
 /// paper's pipeline.
-fn model_divergence(
-    case: &CaseSpec,
-    m: &CampaignResult,
-    runner: &CampaignRunner,
-) -> Result<(), Violation> {
+fn model_divergence(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
     resilim_core::verifies!(EQ1, EQ4, EQ6, O4);
     let o = Oracle::ModelDivergence;
     // Eq. 8 models the baseline single-bit-flip process; a measured
@@ -661,7 +653,7 @@ fn model_divergence(
     if !case.fault_model.is_default() || case.replicate {
         return Ok(());
     }
-    let pred = PaperEq8::new(case_inputs(case, runner, o)?).predict();
+    let pred = PaperEq8::new(case_inputs(case)?).predict();
     let sum: f64 = pred.rates.iter().sum();
     ensure!(o, (sum - 1.0).abs() < 1e-9, "predicted rates sum to {sum}");
     ensure!(
@@ -681,105 +673,6 @@ fn model_divergence(
         pred.success(),
         m.fi.success_rate()
     );
-    Ok(())
-}
-
-/// Maximum tolerated gap between a learned predictor's in-sample rates
-/// and the measured campaign rates it trained on.
-///
-/// Both learners' campaign-level prediction is the mean of their
-/// per-trial probabilities over the training set, which at the optimum
-/// matches the empirical class rates exactly (the softmax bias
-/// condition / the Newton leaf condition). The slack covers a fixed,
-/// finite optimization budget on small and near-degenerate training
-/// sets — a larger gap means the feature pipeline or a learner broke,
-/// not that optimization was unlucky.
-pub const IN_SAMPLE_BOUND: f64 = 0.15;
-
-/// Learned-predictor laws, on the measured campaign's own features:
-///
-/// * **Features are per-trial**: the feature stream carries exactly one
-///   record per trial, label-consistent with the outcome vector (both
-///   flow through the same reorder buffer).
-/// * **Distributions stay lawful**: each learned predictor's rates are
-///   a probability distribution.
-/// * **In-sample fidelity**: trained on the campaign's features, the
-///   learned rates track the measured rates within [`IN_SAMPLE_BOUND`].
-/// * **Bounded disagreement with eq8**: the learned prediction stays
-///   within [`divergence_bound`]` + `[`IN_SAMPLE_BOUND`] of the
-///   closed-form prediction built from the same case — by the triangle
-///   inequality through the measured rates, gross disagreement means
-///   one of the two predictors is broken.
-fn predictor_divergence(
-    case: &CaseSpec,
-    m: &CampaignResult,
-    runner: &CampaignRunner,
-) -> Result<(), Violation> {
-    resilim_core::verifies!(INV_PREDICT);
-    let o = Oracle::PredictorDivergence;
-    // Like model_divergence: eq8 models the baseline single-bit-flip
-    // process, so other fault models are a different experiment.
-    if !case.fault_model.is_default() || case.replicate {
-        return Ok(());
-    }
-    ensure!(
-        o,
-        m.features.len() == m.outcomes.len(),
-        "feature pipeline produced {} records for {} trials",
-        m.features.len(),
-        m.outcomes.len()
-    );
-    for (i, (f, out)) in m.features.iter().zip(m.outcomes.iter()).enumerate() {
-        ensure!(
-            o,
-            f.outcome() == out.kind,
-            "trial {i}: feature label {:?} disagrees with outcome {:?}",
-            f.outcome(),
-            out.kind
-        );
-    }
-    if m.features.len() < 2 {
-        return Ok(()); // nothing to train on
-    }
-    let measured = m.fi.rates();
-    let eq8 = PaperEq8::new(case_inputs(case, runner, o)?).predict();
-    let bound = divergence_bound(case.tests) + IN_SAMPLE_BOUND;
-    for kind in [PredictorKind::Logistic, PredictorKind::Stumps] {
-        let predict = fit_predictor(kind, &m.features)
-            .map_err(|e| Violation::new(o, format!("{} failed to fit: {e}", kind.name())))?;
-        let rates = mean_rates(&m.features, predict);
-        let sum: f64 = rates.iter().sum();
-        ensure!(
-            o,
-            (sum - 1.0).abs() < 1e-6,
-            "{} rates sum to {sum}",
-            kind.name()
-        );
-        ensure!(
-            o,
-            rates.iter().all(|r| (-1e-12..=1.0 + 1e-12).contains(r)),
-            "{} rate outside [0, 1]: {rates:?}",
-            kind.name(),
-        );
-        for (k, (learned, truth)) in rates.iter().zip(measured).enumerate() {
-            let gap = (learned - truth).abs();
-            ensure!(
-                o,
-                gap <= IN_SAMPLE_BOUND,
-                "{} class {k}: learned {learned:.3} vs measured {truth:.3} (in-sample gap {gap:.3} > {IN_SAMPLE_BOUND})",
-                kind.name()
-            );
-        }
-        let success = rates[OutcomeKind::Success.index()];
-        let gap = (success - eq8.success()).abs();
-        ensure!(
-            o,
-            gap <= bound,
-            "{} success {success:.3} vs eq8 {:.3}: gap {gap:.3} exceeds bound {bound:.3}",
-            kind.name(),
-            eq8.success()
-        );
-    }
     Ok(())
 }
 
@@ -811,16 +704,7 @@ mod tests {
         assert!(divergence_bound(1000) > 0.35);
     }
 
-    #[test]
-    fn predictor_divergence_passes_on_a_smoke_case() {
-        resilim_core::verifies!(INV_PREDICT);
-        let case = CaseSpec::smoke_roster().remove(0);
-        let measured = run_measured(&case).unwrap();
-        assert_eq!(measured.features.len(), measured.outcomes.len());
-        predictor_divergence(&case, &measured, &CampaignRunner::new()).unwrap();
-    }
-
-    /// The divergence oracles predict with Eq. 1's parallel-unique term,
+    /// The divergence oracle predicts with Eq. 1's parallel-unique term,
     /// as the figures do: FT's unique share clears the cutoff, so its
     /// inputs carry prob₂ and the measured `FI_par_unique`.
     #[test]
@@ -829,19 +713,28 @@ mod tests {
             .into_iter()
             .find(|c| c.app == "ft")
             .unwrap();
-        let inputs = case_inputs(&case, &CampaignRunner::new(), Oracle::ModelDivergence).unwrap();
+        let inputs = case_inputs(&case).unwrap();
         assert!(inputs.unique_share > 0.0, "{}", inputs.unique_share);
         assert!(inputs.fi_unique.is_some());
     }
 
+    /// The distribution oracle holds the feature stream to one record per
+    /// trial, each labelled with its trial's outcome.
     #[test]
-    fn predictor_divergence_catches_a_dropped_feature_stream() {
+    fn distribution_catches_a_broken_feature_stream() {
         let case = CaseSpec::smoke_roster().remove(0);
-        let mut measured = run_measured(&case).unwrap();
-        measured.features.pop();
-        let v = predictor_divergence(&case, &measured, &CampaignRunner::new()).unwrap_err();
-        assert_eq!(v.oracle, Oracle::PredictorDivergence);
+        let measured = run_measured(&case).unwrap();
+        distribution(&case, &measured).unwrap();
+        let mut dropped = measured.clone();
+        dropped.features.pop();
+        let v = distribution(&case, &dropped).unwrap_err();
+        assert_eq!(v.oracle, Oracle::Distribution);
         assert!(v.message.contains("feature pipeline"), "{}", v.message);
+        let mut relabelled = measured;
+        relabelled.features[0].label = (relabelled.features[0].label + 1) % 3;
+        let v = distribution(&case, &relabelled).unwrap_err();
+        assert_eq!(v.oracle, Oracle::Distribution);
+        assert!(v.message.contains("feature label"), "{}", v.message);
     }
 
     /// Each of the identity oracle's comparisons catches a perturbed

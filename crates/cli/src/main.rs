@@ -66,11 +66,9 @@
 //! split one campaign, and `resilim merge` reassembles their ledgers
 //! (and feature shards) into the whole-campaign result.
 //!
-//! Prediction: `resilim model` predicts from a `--store` directory.
-//! `--predictor eq8` (default) is the paper's closed form from stored
-//! serial + small-scale summaries; `--predictor logistic|stumps` trains
-//! the registry's learned predictors on the per-trial feature store and
-//! reports measured-vs-predicted curves with eq8 alongside.
+//! Prediction: `resilim model` predicts from a `--store` directory: the
+//! paper's closed form (Eq. 8) over stored serial + small-scale
+//! summaries.
 //! `--trial-timeout SECS` arms a per-trial watchdog that kills and
 //! retries wedged trials (`--retries N` bounds the attempts).
 //!

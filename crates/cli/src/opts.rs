@@ -5,7 +5,7 @@
 //! [`parse_args`] so subcommands can trust the combination they see.
 
 use resilim_apps::App;
-use resilim_core::{PredictorKind, StopRule};
+use resilim_core::StopRule;
 use resilim_harness::experiments::ExperimentConfig;
 use resilim_harness::{CampaignSpec, Shard};
 use resilim_inject::FaultModelSpec;
@@ -33,10 +33,6 @@ pub struct Options {
     /// TeaMPI-style replica payload comparison (`--replicate`).
     pub replicate: bool,
     pub store: Option<String>,
-    /// `model`: which registry predictor to run (`--predictor
-    /// eq8|logistic|stumps`; default eq8). Learned predictors train on
-    /// the feature store under `--store DIR/features/`.
-    pub predictor: PredictorKind,
     pub svg: Option<String>,
     /// Concurrent fault-injection tests; `None` = auto
     /// (`available_parallelism()`, the default).
@@ -100,7 +96,6 @@ pub fn usage() -> &'static str {
      \u{20}       [--tests N] [--seed S] [--json] [--out FILE]\n\
      \u{20}       [--apps cg,ft,...] [--small S] [--scale P]\n\
      \u{20}       [--errors par|ser:N|unique|multi:K] [--store DIR] [--svg FILE] [--jobs K|auto]\n\
-     \u{20}       [--predictor eq8|logistic|stumps]\n\
      \u{20}       [--fault-model bitflip|burst[:K]|due|msg] [--replicate]\n\
      \u{20}       [--batch N]\n\
      \u{20}       [--adaptive] [--ci HALFWIDTH] [--min-tests N]\n\
@@ -134,7 +129,6 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
         fault_model: None,
         replicate: false,
         store: None,
-        predictor: PredictorKind::Eq8,
         svg: None,
         jobs: None,
         batch: None,
@@ -205,7 +199,6 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
             }
             "--replicate" => opts.replicate = true,
             "--store" => opts.store = Some(value("--store")?),
-            "--predictor" => opts.predictor = PredictorKind::parse(&value("--predictor")?)?,
             "--svg" => opts.svg = Some(value("--svg")?),
             "--jobs" => {
                 let v = value("--jobs")?;
@@ -530,21 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_predictor_flag() {
-        assert_eq!(parse(&["model"]).unwrap().predictor, PredictorKind::Eq8);
-        assert_eq!(
-            parse(&["model", "--predictor", "logistic"])
-                .unwrap()
-                .predictor,
-            PredictorKind::Logistic
-        );
-        assert_eq!(
-            parse(&["model", "--predictor", "stumps"])
-                .unwrap()
-                .predictor,
-            PredictorKind::Stumps
-        );
-        assert!(parse(&["model", "--predictor", "oracle"]).is_err());
+    fn model_has_no_predictor_flag() {
+        let err = parse(&["model", "--predictor", "eq8"]).err().unwrap();
+        assert!(err.starts_with("unknown flag '--predictor'"), "{err}");
     }
 
     #[test]

@@ -161,13 +161,11 @@ declare_claims! {
     INV_WILSON: Invariant = "wilson_ci bounds lie in [0, 1], bracket the \
         point estimate, and the interval width is monotone non-increasing \
         in the number of trials at a fixed rate.";
-    /// Predictor-registry agreement.
+    /// Eq. 8 output fidelity.
     INV_PREDICT: Invariant = "PaperEq8's rates are bitwise identical to \
-        the pre-registry implementation's, and the learned predictors \
-        (logistic, stumps) trained on a campaign's own per-trial features \
-        have mean per-trial probabilities that reproduce its outcome rates \
-        within a bounded disagreement of PaperEq8 on seeded mini-campaigns \
-        (the predictor-divergence oracle's bound).";
+        the committed snapshot of the closed form's output (plain Eq. 8, \
+        alpha-tuned, and Eq. 1-mixed), so refactoring the predictor \
+        cannot move a prediction.";
 }
 
 impl Claim {

@@ -1,15 +1,18 @@
-//! Per-trial feature records for the learned predictors.
+//! Per-trial feature records: what one fault-injection trial did.
 //!
-//! PARIS (Guo et al.) and FlipTracker show that dynamic features the
-//! instrumentation already observes for free — operation mix, taint
-//! spread, communication position — predict fault-injection outcomes
-//! well. [`TrialFeatures`] is the fixed-size record of those features for
-//! one trial: the harness extracts it from the per-rank context reports
-//! at classification time, streams it through the same reorder buffer as
-//! the trial outcome (so extraction is deterministic across worker counts
-//! and batch sizes), and persists it in the feature store next to the
-//! trial ledger. The learners in [`crate::learn`] consume the flattened
-//! [`TrialFeatures::vector`] form.
+//! [`TrialFeatures`] is the fixed-size record of the dynamic features the
+//! instrumentation observes for free — operation mix, taint spread,
+//! communication position — for one trial: the harness extracts it from
+//! the per-rank context reports at classification time, streams it
+//! through the same reorder buffer as the trial outcome (so extraction is
+//! deterministic across worker counts and batch sizes), and persists it
+//! in the feature store next to the trial ledger. PARIS (Guo et al.)
+//! learns from features like these, but taken from runs without fault
+//! injection; these are measured on the injected trials themselves, so
+//! they describe a campaign rather than predict one. They stay as a
+//! per-trial audit record: `resilim check`'s `identity` oracle compares
+//! them across execution shapes, and its `distribution` oracle holds
+//! them to one label-consistent record per trial.
 //!
 //! The record is `Copy` on purpose: it rides inside the harness's
 //! `TrialRecord` (also `Copy`) through lock-free batch hand-off, so every
@@ -116,10 +119,10 @@ impl TrialFeatures {
         }
     }
 
-    /// Flatten into the learner's input vector (the label and the
-    /// detection flag are *not* features — they are what the learners
-    /// predict). Counts enter as `ln(1 + x)` so scale differences across
-    /// deployments do not drown the mix fractions.
+    /// Flatten into [`LogisticModel`](crate::LogisticModel)'s input
+    /// vector (the label and the detection flag are *not* features —
+    /// they are what it fits). Counts enter as `ln(1 + x)` so scale
+    /// differences across deployments do not drown the mix fractions.
     pub fn vector(&self) -> [f64; FEATURE_DIM] {
         let ln1p = |x: u64| (1.0 + x as f64).ln();
         let windows = self.spread_window.map(|w| w as f64);
@@ -151,32 +154,6 @@ impl TrialFeatures {
             ln1p(self.taint_crossings),
         ]
     }
-
-    /// Human-readable names for [`TrialFeatures::vector`] components
-    /// (reports and model introspection).
-    pub fn feature_names() -> [&'static str; FEATURE_DIM] {
-        [
-            "procs",
-            "contaminated_ranks",
-            "contaminated_frac",
-            "ln_total_ops",
-            "mix_add",
-            "mix_sub",
-            "mix_mul",
-            "mix_div",
-            "mix_other",
-            "unique_frac",
-            "ln_first_contam_op",
-            "spread_w0",
-            "spread_w1",
-            "spread_w2",
-            "spread_w3",
-            "spread_rate",
-            "inject_rank_msg_share",
-            "ln_msgs_before_contam",
-            "ln_taint_crossings",
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -203,11 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_matches_names_and_dim() {
+    fn vector_has_the_feature_dim() {
         let f = sample();
         let v = f.vector();
         assert_eq!(v.len(), FEATURE_DIM);
-        assert_eq!(TrialFeatures::feature_names().len(), FEATURE_DIM);
         assert_eq!(v[0], 4.0);
         assert_eq!(v[1], 3.0);
         assert_eq!(v[2], 0.75);

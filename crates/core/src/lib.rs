@@ -40,8 +40,8 @@ pub use accuracy::{prediction_error, rmse};
 pub use claims::{Claim, ClaimKind};
 pub use features::{TrialFeatures, FEATURE_DIM, FEATURE_SCHEMA_VERSION, SPREAD_WINDOWS};
 pub use fi::FiResult;
-pub use learn::{empirical_rates, fit_predictor, mean_rates, LogisticModel, StumpsModel};
-pub use model::{ModelInputs, PaperEq8, Prediction, PredictorKind, ALPHA_THRESHOLD};
+pub use learn::LogisticModel;
+pub use model::{ModelInputs, PaperEq8, Prediction, ALPHA_THRESHOLD};
 pub use propagation::{cosine_similarity, PropagationProfile};
 pub use sampling::{bucket_of, sample_cases, sample_for, SamplePoints};
 

@@ -1,5 +1,5 @@
-//! Resilience predictors: the registry ([`PredictorKind`]) and the
-//! paper's closed-form model [`PaperEq8`] (paper §4, Equations 1–8).
+//! The paper's closed-form resilience model [`PaperEq8`] (paper §4,
+//! Equations 1–8).
 //!
 //! `FI_par = prob₁ · FI_common + prob₂ · FI_unique` where
 //! `FI_common = Σⱼ r'ⱼ · FI_ser(xⱼ)`:
@@ -17,14 +17,6 @@
 //! * `prob₂` — the probability an error lands in the parallel-unique
 //!   computation (its share of injectable operations), with `FI_unique`
 //!   measured by region-targeted injection at the small scale.
-//!
-//! The learned predictors of the registry (logistic regression and
-//! gradient-boosted stumps over per-trial
-//! [`TrialFeatures`](crate::TrialFeatures)) live in [`crate::learn`]:
-//! [`fit_predictor`](crate::fit_predictor) fits one into a per-trial
-//! probability function, and [`mean_rates`](crate::mean_rates) averages
-//! it into campaign-level rates for `resilim model` and the
-//! `predictor-divergence` check oracle.
 
 use crate::fi::FiResult;
 use crate::propagation::PropagationProfile;
@@ -130,52 +122,6 @@ impl Prediction {
     /// Predicted failure rate.
     pub fn failure(&self) -> f64 {
         self.rates[OutcomeKind::Failure.index()]
-    }
-}
-
-/// The predictor registry: every predictor, by stable CLI name.
-/// `resilim model --predictor <name>` selects through this enum: `eq8`
-/// is [`PaperEq8`], built from [`ModelInputs`]; the learned kinds are
-/// fitted on per-trial features by [`fit_predictor`](crate::fit_predictor),
-/// the one dispatch over them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// The paper's closed-form sparse model ([`PaperEq8`]).
-    Eq8,
-    /// Multinomial logistic regression over per-trial features
-    /// ([`crate::learn::LogisticModel`]).
-    Logistic,
-    /// Gradient-boosted decision stumps over per-trial features
-    /// ([`crate::learn::StumpsModel`]).
-    Stumps,
-}
-
-impl PredictorKind {
-    /// Every registered predictor, in presentation order.
-    pub const ALL: [PredictorKind; 3] = [
-        PredictorKind::Eq8,
-        PredictorKind::Logistic,
-        PredictorKind::Stumps,
-    ];
-
-    /// Stable CLI spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            PredictorKind::Eq8 => "eq8",
-            PredictorKind::Logistic => "logistic",
-            PredictorKind::Stumps => "stumps",
-        }
-    }
-
-    /// Parse the CLI spelling.
-    pub fn parse(name: &str) -> Result<PredictorKind, String> {
-        PredictorKind::ALL
-            .into_iter()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| {
-                let names: Vec<&str> = PredictorKind::ALL.iter().map(|k| k.name()).collect();
-                format!("unknown predictor '{name}' ({})", names.join("|"))
-            })
     }
 }
 
@@ -484,13 +430,5 @@ mod tests {
             [0x3FE63D70A3D70A3E, 0x3FD3851EB851EB86, 0],
             "Eq. 1-mixed rates drifted from the pre-refactor snapshot"
         );
-    }
-
-    #[test]
-    fn registry_names_round_trip() {
-        for kind in PredictorKind::ALL {
-            assert_eq!(PredictorKind::parse(kind.name()), Ok(kind));
-        }
-        assert!(PredictorKind::parse("crystal-ball").is_err());
     }
 }

@@ -113,9 +113,8 @@ impl CampaignRunner {
 
     /// Persist every freshly executed trial's
     /// [`TrialFeatures`](resilim_core::TrialFeatures) under
-    /// `dir` (the CLI wires `--store DIR` to `DIR/features`) — the
-    /// learned predictors' training data, keyed exactly like the
-    /// ledger. See [`crate::features`].
+    /// `dir` (the CLI wires `--store DIR` to `DIR/features`), keyed
+    /// exactly like the ledger. See [`crate::features`].
     pub fn with_feature_dir(mut self, dir: impl Into<PathBuf>) -> CampaignRunner {
         self.feature_dir = Some(dir.into());
         self

@@ -277,11 +277,10 @@ pub struct CampaignResult {
     pub uncontaminated: FiResult,
     /// Raw per-test outcomes (test `i` used seed `hash(seed, i)`).
     pub outcomes: Vec<TestOutcome>,
-    /// Per-trial feature records in delivery order — the learned
-    /// predictors' training data. May be shorter than `outcomes` when
-    /// resumed trials' features are not on disk (feature extraction
-    /// postdates the ledger), and empty for merged results without a
-    /// feature store.
+    /// Per-trial feature records in delivery order. May be shorter than
+    /// `outcomes` when resumed trials' features are not on disk (feature
+    /// extraction postdates the ledger), and empty for merged results
+    /// without a feature store.
     pub features: Vec<TrialFeatures>,
     /// Whether an adaptive [`StopRule`] ended the campaign before its
     /// `tests` ceiling (always `false` in fixed mode).

@@ -3,12 +3,20 @@
 //! 74.5 % more instructions than serial execution and that F-SEFI's fault
 //! injection time grows 58 % — here we measure the tracked-op and
 //! campaign-wall-time growth of every app.
+//!
+//! A campaign's wall time on a shared host moves by tens of percent from
+//! run to run, so the time growth is measured [`TIMING_REPEATS`] times on
+//! a one-worker runner (the campaigns alternate serial, parallel) and
+//! reported as the median with its min..max range.
 
 use crate::campaign::{CampaignRunner, ErrorSpec};
 use crate::experiments::ExperimentConfig;
 use crate::report::Table;
 use resilim_apps::App;
 use serde::{Deserialize, Serialize};
+
+/// How many times each of the two campaigns is timed.
+const TIMING_REPEATS: usize = 3;
 
 /// Scale-growth measurements for one app.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -21,12 +29,17 @@ pub struct MotivationRow {
     pub parallel_ops: u64,
     /// Relative op growth (`parallel/serial − 1`).
     pub op_growth: f64,
-    /// Serial 1-error campaign wall seconds.
+    /// Serial 1-error campaign wall seconds (median of the repeats).
     pub serial_fi_secs: f64,
-    /// Parallel 1-error campaign wall seconds.
+    /// Parallel 1-error campaign wall seconds (median of the repeats).
     pub parallel_fi_secs: f64,
-    /// Relative fault-injection time growth.
+    /// Relative fault-injection time growth (`parallel/serial − 1`), the
+    /// median over the repeats.
     pub fi_time_growth: f64,
+    /// Smallest fault-injection time growth of the repeats.
+    pub fi_time_growth_min: f64,
+    /// Largest fault-injection time growth of the repeats.
+    pub fi_time_growth_max: f64,
 }
 
 /// The motivation study.
@@ -39,30 +52,54 @@ pub struct Motivation {
 }
 
 /// Measure op-count and FI-time growth from serial to `procs` ranks.
+/// Op counts come from `runner`'s golden runs; the campaigns are timed
+/// uncached on a one-worker runner of their own, so `runner`'s worker
+/// count and campaign cache do not enter the times.
 pub fn motivation(runner: &CampaignRunner, cfg: &ExperimentConfig, procs: usize) -> Motivation {
+    let timer = CampaignRunner::new();
     let mut rows = Vec::new();
     for app in App::ALL {
-        let serial_golden = runner.golden().get(&app.default_spec(), 1);
-        let par_golden = runner.golden().get(&app.default_spec(), procs);
-        let serial_ops: u64 = serial_golden.profiles.iter().map(|p| p.total()).sum();
-        let parallel_ops: u64 = par_golden.profiles.iter().map(|p| p.total()).sum();
+        let ops = |p| -> u64 {
+            let golden = runner.golden().get(&app.default_spec(), p);
+            golden.profiles.iter().map(|r| r.total()).sum()
+        };
+        let (serial_ops, parallel_ops) = (ops(1), ops(procs));
+        // The timed campaigns must not include a golden measurement.
+        timer.golden().get(&app.default_spec(), 1);
+        timer.golden().get(&app.default_spec(), procs);
 
-        let serial_fi =
-            runner.run(&cfg.campaign(app.default_spec(), 1, ErrorSpec::SerialErrors(1)));
-        let par_fi = runner.run(&cfg.campaign(app.default_spec(), procs, ErrorSpec::OneParallel));
-        let serial_fi_secs = serial_fi.wall.as_secs_f64();
-        let parallel_fi_secs = par_fi.wall.as_secs_f64();
+        let serial = cfg.campaign(app.default_spec(), 1, ErrorSpec::SerialErrors(1));
+        let parallel = cfg.campaign(app.default_spec(), procs, ErrorSpec::OneParallel);
+        let mut serial_secs = Vec::with_capacity(TIMING_REPEATS);
+        let mut parallel_secs = Vec::with_capacity(TIMING_REPEATS);
+        let mut growth = Vec::with_capacity(TIMING_REPEATS);
+        for _ in 0..TIMING_REPEATS {
+            let s = timer.run_uncached(&serial).wall.as_secs_f64();
+            let p = timer.run_uncached(&parallel).wall.as_secs_f64();
+            serial_secs.push(s);
+            parallel_secs.push(p);
+            growth.push(p / s.max(1e-9) - 1.0);
+        }
+        let fi_time_growth = median(&mut growth);
         rows.push(MotivationRow {
             app: app.name().to_string(),
             serial_ops,
             parallel_ops,
             op_growth: parallel_ops as f64 / serial_ops.max(1) as f64 - 1.0,
-            serial_fi_secs,
-            parallel_fi_secs,
-            fi_time_growth: parallel_fi_secs / serial_fi_secs.max(1e-9) - 1.0,
+            serial_fi_secs: median(&mut serial_secs),
+            parallel_fi_secs: median(&mut parallel_secs),
+            fi_time_growth,
+            fi_time_growth_min: growth[0],
+            fi_time_growth_max: growth[TIMING_REPEATS - 1],
         });
     }
     Motivation { procs, rows }
+}
+
+/// The median of `xs`, which it leaves sorted.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 impl Motivation {
@@ -79,6 +116,7 @@ impl Motivation {
                 "ops parallel",
                 "op growth",
                 "FI time growth",
+                "min..max",
             ],
         );
         for r in &self.rows {
@@ -88,6 +126,11 @@ impl Motivation {
                 r.parallel_ops.to_string(),
                 format!("{:+.1}%", r.op_growth * 100.0),
                 format!("{:+.1}%", r.fi_time_growth * 100.0),
+                format!(
+                    "{:+.1}..{:+.1}%",
+                    r.fi_time_growth_min * 100.0,
+                    r.fi_time_growth_max * 100.0
+                ),
             ]);
         }
         t.render()
@@ -118,6 +161,15 @@ mod tests {
                 row.app,
                 row.parallel_ops,
                 row.serial_ops
+            );
+            assert!(
+                row.fi_time_growth_min <= row.fi_time_growth
+                    && row.fi_time_growth <= row.fi_time_growth_max,
+                "{}: {} not in {}..{}",
+                row.app,
+                row.fi_time_growth,
+                row.fi_time_growth_min,
+                row.fi_time_growth_max
             );
         }
         assert!(m.render().contains("op growth"));

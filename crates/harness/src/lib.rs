@@ -19,9 +19,8 @@
 //! * [`ledger`] — durable per-trial ledger (append-only JSONL): crash
 //!   recovery (`--resume`), deterministic sharding (`--shard i/N` +
 //!   `resilim merge`), and watchdog retry with backoff.
-//! * [`features`] — durable per-trial feature store (the learned
-//!   predictors' training data), keyed and sharded exactly like the
-//!   ledger.
+//! * [`features`] — durable per-trial feature store, keyed and sharded
+//!   exactly like the ledger.
 //! * [`recordlog`] — the one append-only JSONL record log both of them
 //!   instantiate, and the buffered consumer that feeds it.
 //! * [`report`] — plain-text table rendering.

@@ -158,7 +158,7 @@ impl<R: LogRecord> RecordLog<R> {
     /// trial are deterministic, so this is cosmetic).
     pub fn load(dir: impl AsRef<Path>, key: &str, seed: u64) -> HashMap<usize, R::Value> {
         let mut out = HashMap::new();
-        let _ = Self::scan(dir.as_ref(), Some(key), |_, rec| {
+        let _ = Self::scan(dir.as_ref(), key, |_, rec| {
             let (_, rec_key, rec_seed, trial) = rec.identity();
             if rec_key == key && rec_seed == seed {
                 out.insert(trial, rec.into_value());
@@ -193,7 +193,7 @@ impl<R: LogRecord> RecordLog<R> {
         seed: u64,
     ) -> Result<HashMap<usize, R::Value>, String> {
         let mut out = HashMap::new();
-        Self::scan(dir.as_ref(), Some(key), |path, rec| {
+        Self::scan(dir.as_ref(), key, |path, rec| {
             let (_, rec_key, rec_seed, trial) = rec.identity();
             if rec_key != key {
                 return Ok(());
@@ -222,32 +222,30 @@ impl<R: LogRecord> RecordLog<R> {
         Ok(out)
     }
 
-    /// Visit every parseable current-version record under `dir`, with
-    /// its source path, in file-name order; the first visitor error
-    /// ends the scan. With a `key`, only the files named for it are
-    /// opened; without one, every `*.jsonl` file is. Unparseable lines
-    /// and stale versions are skipped here so every loader shares one
-    /// corruption-tolerance policy. The records of a named file still
-    /// carry their own key (fnv64 can collide), so visitors check it.
-    pub(crate) fn scan(
+    /// Visit every parseable current-version record in the `*.jsonl`
+    /// files under `dir` named for `key`, with its source path, in
+    /// file-name order; the first visitor error ends the scan.
+    /// Unparseable lines and stale versions are skipped here so every
+    /// loader shares one corruption-tolerance policy. The records of a
+    /// named file still carry their own key (fnv64 can collide), so
+    /// visitors check it.
+    fn scan(
         dir: &Path,
-        key: Option<&str>,
+        key: &str,
         mut visit: impl FnMut(&Path, R) -> Result<(), String>,
     ) -> Result<(), String> {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return Ok(());
         };
-        let prefix = key.map(Self::file_prefix);
+        let prefix = Self::file_prefix(key);
         let mut paths: Vec<PathBuf> = entries
             .flatten()
             .map(|e| e.path())
             .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
             .filter(|p| {
-                prefix.as_deref().is_none_or(|prefix| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.starts_with(prefix))
-                })
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(&prefix))
             })
             .collect();
         paths.sort();

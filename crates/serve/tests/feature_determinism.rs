@@ -83,7 +83,7 @@ fn features_are_bitwise_identical_across_schedules() {
     assert_eq!(served, reference, "daemon-served shard diverges");
 
     // And the loader reads back exactly one record per trial.
-    let loaded = FeatureStore::load_all(dir.join("features"));
+    let loaded = FeatureStore::load(dir.join("features"), &s.ledger_key(), s.seed);
     assert_eq!(loaded.len(), s.tests);
     let _ = std::fs::remove_dir_all(&dir);
 }

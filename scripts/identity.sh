@@ -19,16 +19,14 @@
 # (--errors par --tests 60 --seed 7) and all six apps' serial --scale 1
 # --errors ser:8 campaigns into a store of their own (`store-apps`),
 # each with its merge, so every app kernel is compared at p=8 and p=1;
-# `resilim model --predictor logistic` and
-# `--predictor stumps` (--json) over the first store's features; cg's
-# serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
-# --scale 2 --errors par into another store (`store-eq8`), and `resilim model
-# --predictor eq8 --apps cg --scale 8 --small 2 --json` over it; and
-# `cargo run --release --example ablations`. Then one verdict per
-# artifact: the summaries (campaign and merge stdout, stored; wall_secs
-# dropped), the sorted ledger lines, the sorted feature lines, the golden
-# records (wall_secs dropped), the three model reports and the ablations
-# stdout. Exits non-zero on any difference.
+# cg's serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
+# --scale 2 --errors par into another store (`store-eq8`), and `resilim
+# model --apps cg --scale 8 --small 2 --json` (the offline Eq. 8 path)
+# over it; and `cargo run --release --example ablations`. Then one
+# verdict per artifact (15): the summaries (campaign and merge stdout,
+# stored; wall_secs dropped), the sorted ledger lines, the sorted feature
+# lines, the golden records (wall_secs dropped), the Eq. 8 model report
+# and the ablations stdout. Exits non-zero on any difference.
 #
 # The parent is exported with `git archive` (the repository and its
 # worktree list are left alone) and each side is built from its own
@@ -109,21 +107,16 @@ run_side() { # side
         echo "$1: $app ser:8" >&2
         stored store-apps "$app-ser8" --apps "$app" --scale 1 --errors ser:8 --tests 60 --seed 7
     done
-    for predictor in logistic stumps; do
-        echo "$1: model --predictor $predictor" >&2
-        "$bin" model --store "$runs/store" --predictor "$predictor" --json \
-            >"$runs/out/model-$predictor.txt" 2>>"$runs/stderr.log"
-    done
     # Offline Eq. 8 from a store of its own: serial_cases(8, 2,
     # BucketUpper) = {1, 2, 8}, and the 2-rank 1-error campaign.
-    echo "$1: model --predictor eq8" >&2
+    echo "$1: model (eq8)" >&2
     for errors in ser:1 ser:2 ser:8; do
         "$bin" campaign --apps cg --scale 1 --errors "$errors" --tests 60 --seed 7 \
             --store "$runs/store-eq8" >/dev/null 2>>"$runs/stderr.log"
     done
     "$bin" campaign --apps cg --scale 2 --errors par --tests 60 --seed 7 \
         --store "$runs/store-eq8" >/dev/null 2>>"$runs/stderr.log"
-    "$bin" model --store "$runs/store-eq8" --predictor eq8 --apps cg --scale 8 --small 2 \
+    "$bin" model --store "$runs/store-eq8" --apps cg --scale 8 --small 2 \
         --json >"$runs/out/model-eq8.txt" 2>>"$runs/stderr.log"
     echo "$1: ablations example" >&2
     (cd "$src" && CARGO_TARGET_DIR=$target cargo run --release --offline --quiet \
@@ -157,7 +150,7 @@ for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
     store-p64.ledger.txt store-p64.features.txt store-p64.golden.txt \
     store-apps.ledger.txt store-apps.features.txt store-apps.golden.txt \
-    model-logistic.txt model-stumps.txt model-eq8.txt ablations.txt; do
+    model-eq8.txt ablations.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
         printf '%-28s identical (%s lines)\n' "${f%.txt}" "$lines"
