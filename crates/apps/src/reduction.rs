@@ -25,7 +25,7 @@ const RD_TAG: u64 = 0x5244; // "RD"
 ///
 /// All ranks receive the result. Every rank performs `log2(p)` tracked
 /// additions per element inside the parallel-unique region.
-pub fn rd_allreduce_sum(comm: &Comm, x: &[Tf64]) -> Vec<Tf64> {
+fn rd_allreduce_sum(comm: &Comm, x: &[Tf64]) -> Vec<Tf64> {
     let p = comm.size();
     assert!(
         p.is_power_of_two(),
@@ -49,7 +49,7 @@ pub fn rd_allreduce_sum(comm: &Comm, x: &[Tf64]) -> Vec<Tf64> {
     acc
 }
 
-/// Scalar convenience wrapper over [`rd_allreduce_sum`].
+/// Recursive-doubling global sum of one value (all ranks receive it).
 pub fn rd_allreduce_scalar(comm: &Comm, x: Tf64) -> Tf64 {
     rd_allreduce_sum(comm, &[x])[0]
 }

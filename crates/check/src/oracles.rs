@@ -613,7 +613,7 @@ fn fault_models(case: &CaseSpec, m: &CampaignResult) -> Result<(), Violation> {
 /// noise is added. This oracle is an alarm for *gross* disagreement
 /// (a broken bucket map, inverted rates, mass loss) — model accuracy
 /// itself is evaluated by the repro pipeline's tables, not here.
-pub fn divergence_bound(tests: usize) -> f64 {
+fn divergence_bound(tests: usize) -> f64 {
     0.35 + 1.5 * (0.25 / tests as f64).sqrt()
 }
 

@@ -79,18 +79,18 @@ pub struct Attestation {
 /// artifacts attesting it (deduplicated per enclosing function,
 /// ordered by path).
 #[derive(Debug, Clone)]
-pub struct MatrixRow {
+struct MatrixRow {
     /// The claim.
-    pub claim: &'static Claim,
+    claim: &'static Claim,
     /// Its attestations (empty = the claim is unverified).
-    pub attestations: Vec<Attestation>,
+    attestations: Vec<Attestation>,
 }
 
 /// The claims-to-artifacts join.
 #[derive(Debug, Clone)]
 pub struct Matrix {
     /// One row per registered claim, in registry order.
-    pub rows: Vec<MatrixRow>,
+    rows: Vec<MatrixRow>,
     /// Attestations naming an id absent from the registry.
     pub dangling: Vec<Attestation>,
 }
@@ -248,7 +248,7 @@ impl Matrix {
     }
 
     /// Total attestations kept in the matrix (post-dedup).
-    pub fn attestation_count(&self) -> usize {
+    fn attestation_count(&self) -> usize {
         self.rows.iter().map(|r| r.attestations.len()).sum()
     }
 

@@ -30,7 +30,10 @@ pub struct AppAggregate {
 }
 
 impl AppAggregate {
-    /// Exact nearest-rank percentile of the trial latencies.
+    /// The `q` quantile of the trial latencies: the sorted latency at
+    /// index `round(q·(n−1))` (halves round up), an element of the data,
+    /// never an interpolation. This is not the nearest-rank percentile:
+    /// for [100, 300] the p50 is 300, where nearest-rank gives 100.
     pub fn latency_percentile(&self, q: f64) -> Option<u64> {
         if self.latencies_us.is_empty() {
             return None;

@@ -139,7 +139,7 @@ pub struct StopRule {
 pub const DEFAULT_MIN_TESTS: u64 = 50;
 
 /// Wilson confidence multiplier applied when none is given (95 %).
-pub const DEFAULT_Z: f64 = 1.96;
+const DEFAULT_Z: f64 = 1.96;
 
 impl StopRule {
     /// Rule targeting `ci_halfwidth` at 95 % confidence with the

@@ -168,13 +168,6 @@ declare_claims! {
         cannot move a prediction.";
 }
 
-impl Claim {
-    /// Look a claim up by its stable id.
-    pub fn by_id(id: &str) -> Option<&'static Claim> {
-        ALL.iter().copied().find(|c| c.id == id)
-    }
-}
-
 /// Attest that the enclosing test or check oracle verifies the named
 /// claims.
 ///
@@ -204,15 +197,20 @@ macro_rules! verifies {
 mod tests {
     use super::*;
 
+    /// Look a claim up by its stable id.
+    fn by_id(id: &str) -> Option<&'static Claim> {
+        ALL.iter().copied().find(|c| c.id == id)
+    }
+
     #[test]
     fn ids_are_unique_and_resolvable() {
         let mut seen = std::collections::BTreeSet::new();
         for claim in ALL {
             assert!(seen.insert(claim.id), "duplicate claim id {}", claim.id);
-            assert_eq!(Claim::by_id(claim.id), Some(*claim));
+            assert_eq!(by_id(claim.id), Some(*claim));
             assert!(!claim.statement.is_empty());
         }
-        assert_eq!(Claim::by_id("EQ99"), None);
+        assert_eq!(by_id("EQ99"), None);
     }
 
     #[test]
@@ -243,7 +241,7 @@ mod tests {
             "INV_WILSON",
             "INV_PREDICT",
         ] {
-            assert!(Claim::by_id(id).is_some(), "missing claim {id}");
+            assert!(by_id(id).is_some(), "missing claim {id}");
         }
     }
 

@@ -44,7 +44,7 @@ impl GoldenRun {
 
     /// Execute the fault-free profiling run, counting the injection index
     /// space over `mask`.
-    pub fn measure_masked(spec: &ProblemSpec, procs: usize, mask: OpMask) -> GoldenRun {
+    fn measure_masked(spec: &ProblemSpec, procs: usize, mask: OpMask) -> GoldenRun {
         let world = World::new(procs);
         let start = Instant::now();
         let spec_clone = spec.clone();

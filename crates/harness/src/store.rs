@@ -245,16 +245,21 @@ impl ResultStore {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    /// Load every summary in the store.
-    pub fn load_all(&self) -> std::io::Result<Vec<CampaignSummary>> {
+    /// Load every summary in the store. A `*.json` that does not parse
+    /// is an `InvalidData` error naming the file, never a silent skip.
+    fn load_all(&self) -> std::io::Result<Vec<CampaignSummary>> {
         let mut out = Vec::new();
         for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if entry.path().extension().is_some_and(|e| e == "json") {
-                let raw = std::fs::read_to_string(entry.path())?;
-                if let Ok(summary) = serde_json::from_str(&raw) {
-                    out.push(summary);
-                }
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "json") {
+                let raw = std::fs::read_to_string(&path)?;
+                let summary = serde_json::from_str(&raw).map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("corrupt summary {}: {e}", path.display()),
+                    )
+                })?;
+                out.push(summary);
             }
         }
         out.sort_by_key(CampaignSummary::file_name);
@@ -350,6 +355,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(store.load_all().unwrap(), vec![saved]);
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    /// A summary cut short (a torn copy, a full disk) fails the listing
+    /// with the file's name, and the offline model reports it rather than
+    /// a missing campaign.
+    #[test]
+    fn truncated_summary_is_an_error() {
+        let store = ResultStore::open(temp_dir("truncated")).unwrap();
+        let path = store.save(&summary(ErrorSpec::OneParallel)).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &json[..json.len() / 2]).unwrap();
+        let err = store.load_all().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert!(err.to_string().contains(name), "{err}");
+        let strategy = resilim_core::SamplePoints::BucketUpper;
+        let err = model_inputs_from_store(&store, "cg", 4, 2, strategy).unwrap_err();
+        assert!(
+            err.contains("cannot read store") && err.contains(name),
+            "{err}"
+        );
         std::fs::remove_dir_all(store.dir()).unwrap();
     }
 

@@ -29,7 +29,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Burst width used when `--fault-model burst` is given without `:K`.
-pub const DEFAULT_BURST_WIDTH: u8 = 3;
+const DEFAULT_BURST_WIDTH: u8 = 3;
 
 /// The selectable fault model of a campaign.
 ///
@@ -61,8 +61,8 @@ impl FaultModelSpec {
         FaultModelSpec::Msg,
     ];
 
-    /// Parse a CLI spelling: `bitflip`, `burst` (width
-    /// [`DEFAULT_BURST_WIDTH`]), `burst:K` (K in 2..=8), `due`, `msg`.
+    /// Parse a CLI spelling: `bitflip`, `burst` (width 3), `burst:K`
+    /// (K in 2..=8), `due`, `msg`.
     pub fn parse(s: &str) -> Result<FaultModelSpec, String> {
         match s {
             "bitflip" => Ok(FaultModelSpec::BitFlip),

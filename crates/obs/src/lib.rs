@@ -25,8 +25,8 @@ mod sink;
 
 pub use event::{as_micros, Event};
 pub use metrics::{
-    busy_within_wall, count, observe, observe_elapsed_ns, span, timer, Counter, Hist,
-    MetricsSnapshot, Span, CLOCK_EPSILON_NS, HIST_BUCKETS,
+    busy_within_wall, count, observe, span, timer, Counter, Hist, MetricsSnapshot, Span,
+    CLOCK_EPSILON_NS, HIST_BUCKETS,
 };
 pub use sink::{
     add_sink, clear_sinks, emit, flush_sinks, EventSink, JsonlSink, MemorySink, ProgressSink,

@@ -263,7 +263,7 @@ pub fn timer() -> Option<Instant> {
 
 /// Record a span's elapsed time in nanoseconds.
 #[inline]
-pub fn observe_elapsed_ns(h: Hist, start: Option<Instant>) {
+fn observe_elapsed_ns(h: Hist, start: Option<Instant>) {
     if let Some(start) = start {
         observe(h, start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
     }
@@ -378,7 +378,7 @@ impl MetricsSnapshot {
     }
 
     /// Cache hit rate over both caches, `None` when no lookups happened.
-    pub fn cache_hit_rate(&self, hits: Counter, misses: Counter) -> Option<f64> {
+    fn cache_hit_rate(&self, hits: Counter, misses: Counter) -> Option<f64> {
         let h = self.counter(hits);
         let m = self.counter(misses);
         if h + m == 0 {

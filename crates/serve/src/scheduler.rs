@@ -12,7 +12,7 @@
 //!   10 000-trial campaign cannot starve a 50-trial one submitted
 //!   after it; when only one campaign has work it gets every worker.
 //! * **reorder window** — a campaign may run at most
-//!   [`REORDER_WINDOW`] trials ahead of its in-order delivery cursor,
+//!   `REORDER_WINDOW` (64) trials ahead of its in-order delivery cursor,
 //!   bounding the reorder buffer (and keeping adaptive-stop campaigns
 //!   from racing far past their stopping point).
 //!
@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 /// How many trials a campaign may run ahead of its in-order delivery
 /// cursor. Bounds per-campaign reorder-buffer memory and the number of
 /// wasted trials after an adaptive stop fires.
-pub const REORDER_WINDOW: usize = 64;
+pub(crate) const REORDER_WINDOW: usize = 64;
 
 /// A campaign's lifecycle state in the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -36,11 +36,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -80,11 +75,6 @@ impl Condvar {
     /// Wake all waiters.
     pub fn notify_all(&self) {
         self.0.notify_all();
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     /// Block until notified.

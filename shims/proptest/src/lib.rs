@@ -3,10 +3,11 @@
 //! Runs each property as a fixed number of deterministically-sampled
 //! cases (seeded from the test's name) instead of the real crate's
 //! adaptive generation and shrinking. The strategy surface matches what
-//! this workspace's tests use: integer/float ranges, `any`, `Just`,
-//! `prop_oneof!`, `prop::sample::select`, `prop::collection::vec`,
-//! tuple strategies, `prop_map`, and the `prop::num::f64` class
-//! strategies with `|` union.
+//! this workspace's tests use: `u8`/`u32`/`u64`/`usize`, `i64` and `f64`
+//! ranges, `any::<u64>()` and `any::<bool>()`, `Just`, `prop_oneof!`,
+//! `prop::sample::select`, `prop::collection::vec`, 2- to 4-tuple
+//! strategies, `prop_map`, and the `prop::num::f64` class strategies
+//! with `|` union.
 //! No shrinking: a failing case reports its seed and values instead.
 
 /// Deterministic test-case RNG (splitmix64).
@@ -127,13 +128,6 @@ pub mod strategy {
         }
     }
 
-    impl<S: Strategy + ?Sized> Strategy for &S {
-        type Value = S::Value;
-        fn sample(&self, rng: &mut TestRng) -> S::Value {
-            (**self).sample(rng)
-        }
-    }
-
     macro_rules! impl_int_range {
         ($($t:ty),*) => {$(
             impl Strategy for std::ops::Range<$t> {
@@ -154,21 +148,16 @@ pub mod strategy {
             }
         )*};
     }
-    impl_int_range!(u8, u16, u32, u64, usize);
+    impl_int_range!(u8, u32, u64, usize);
 
-    macro_rules! impl_signed_range {
-        ($($t:ty),*) => {$(
-            impl Strategy for std::ops::Range<$t> {
-                type Value = $t;
-                fn sample(&self, rng: &mut TestRng) -> $t {
-                    assert!(self.start < self.end, "empty strategy range");
-                    let width = (self.end as i128 - self.start as i128) as u64;
-                    (self.start as i128 + rng.below(width) as i128) as $t
-                }
-            }
-        )*};
+    impl Strategy for std::ops::Range<i64> {
+        type Value = i64;
+        fn sample(&self, rng: &mut TestRng) -> i64 {
+            assert!(self.start < self.end, "empty strategy range");
+            let width = (self.end as i128 - self.start as i128) as u64;
+            (self.start as i128 + rng.below(width) as i128) as i64
+        }
     }
-    impl_signed_range!(i8, i16, i32, i64, isize);
 
     impl Strategy for std::ops::Range<f64> {
         type Value = f64;
@@ -187,12 +176,7 @@ pub mod strategy {
             }
         )+};
     }
-    impl_tuple_strategy!(
-        (A: 0),
-        (A: 0, B: 1),
-        (A: 0, B: 1, C: 2),
-        (A: 0, B: 1, C: 2, D: 3)
-    );
+    impl_tuple_strategy!((A: 0, B: 1), (A: 0, B: 1, C: 2), (A: 0, B: 1, C: 2, D: 3));
 }
 
 pub use strategy::{Just, Strategy};
@@ -217,23 +201,18 @@ pub trait Arbitrary: Sized {
 /// Full-range strategy marker for [`any`].
 pub struct Any<T>(std::marker::PhantomData<T>);
 
-macro_rules! impl_arbitrary_int {
-    ($($t:ty),*) => {$(
-        impl Strategy for Any<$t> {
-            type Value = $t;
-            fn sample(&self, rng: &mut TestRng) -> $t {
-                rng.next_u64() as $t
-            }
-        }
-        impl Arbitrary for $t {
-            type Strategy = Any<$t>;
-            fn arbitrary() -> Any<$t> {
-                Any(std::marker::PhantomData)
-            }
-        }
-    )*};
+impl Strategy for Any<u64> {
+    type Value = u64;
+    fn sample(&self, rng: &mut TestRng) -> u64 {
+        rng.next_u64()
+    }
 }
-impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl Arbitrary for u64 {
+    type Strategy = Any<u64>;
+    fn arbitrary() -> Any<u64> {
+        Any(std::marker::PhantomData)
+    }
+}
 
 impl Strategy for Any<bool> {
     type Value = bool;

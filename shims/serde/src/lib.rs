@@ -7,15 +7,36 @@
 //! `serde_json` shim provides the familiar `to_string` / `from_str` /
 //! `json!` surface on top of it.
 //!
-//! Supported shapes (everything this workspace derives):
-//! structs with named fields, unit enums, and externally-tagged enum
-//! variants with unnamed payloads — plus impls for the std types those
-//! structs contain (integers, floats, bool, strings, `Option`, `Vec`,
-//! arrays, tuples, and string-or-integer-keyed maps).
+//! Supported shapes (everything this workspace derives): structs with
+//! named fields, newtype structs, and enums whose variants are unit or
+//! carry one unnamed field (externally tagged) — plus impls for the std
+//! types those structs contain: `u8`, `u32`, `u64`, `usize`, `i64`,
+//! `f64`, `bool`, `String` (and `str` to serialize), `Option`, `Vec`,
+//! `[T; N]`, pairs `(A, B)`, `BTreeMap` keyed by `String`/`u64`/`usize`,
+//! and `Value` itself. A type the workspace does not reach has no impl.
+//!
+//! Any other derive shape fails to compile rather than serialize wrongly:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Unit;
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Pair(u64, u64);
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! enum Shape {
+//!     Point(u64, u64),
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A parsed JSON document.
 ///
@@ -168,25 +189,22 @@ macro_rules! impl_unsigned {
         }
     )*};
 }
-impl_unsigned!(u8, u16, u32, u64, usize);
+impl_unsigned!(u8, u32, u64, usize);
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 { Value::U64(n as u64) } else { Value::I64(n) }
-            }
+impl Serialize for i64 {
+    fn to_value(&self) -> Value {
+        if *self >= 0 {
+            Value::U64(*self as u64)
+        } else {
+            Value::I64(*self)
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| Error::new(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n).map_err(|_| Error::new(concat!("out of range for ", stringify!($t))))
-            }
-        }
-    )*};
+    }
 }
-impl_signed!(i8, i16, i32, i64, isize);
+impl Deserialize for i64 {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        v.as_i64().ok_or_else(|| Error::new("expected i64"))
+    }
+}
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -196,19 +214,6 @@ impl Serialize for f64 {
 impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, Error> {
         v.as_f64().ok_or_else(|| Error::new("expected f64"))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
-    }
-}
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .map(|x| x as f32)
-            .ok_or_else(|| Error::new("expected f32"))
     }
 }
 
@@ -239,22 +244,6 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v.as_str().ok_or_else(|| Error::new("expected char"))?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::new("expected single-char string")),
-        }
     }
 }
 
@@ -300,12 +289,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -321,22 +304,20 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
     }
 }
 
-macro_rules! impl_tuple {
-    ($(($($t:ident : $i:tt),+)),+) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$i.to_value()),+])
-            }
-        }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array().ok_or_else(|| Error::new("expected tuple array"))?;
-                Ok(($($t::from_value(items.get($i).unwrap_or(&Value::Null))?,)+))
-            }
-        }
-    )+};
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn to_value(&self) -> Value {
+        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    }
 }
-impl_tuple!((A: 0), (A: 0, B: 1), (A: 0, B: 1, C: 2), (A: 0, B: 1, C: 2, D: 3));
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let items = v
+            .as_array()
+            .ok_or_else(|| Error::new("expected tuple array"))?;
+        let item = |i: usize| items.get(i).unwrap_or(&Value::Null);
+        Ok((A::from_value(item(0))?, B::from_value(item(1))?))
+    }
+}
 
 /// Map keys: JSON objects key by string, so map keys must round-trip
 /// through one.
@@ -366,7 +347,7 @@ macro_rules! impl_int_key {
         }
     )*};
 }
-impl_int_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_key!(u64, usize);
 
 impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
@@ -387,26 +368,6 @@ impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: MapKey, V: Serialize, S: std::hash::BuildHasher> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic output
-        Value::Object(pairs)
-    }
-}
-impl<K: MapKey + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_object()
-            .ok_or_else(|| Error::new("expected object"))?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
-    }
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
@@ -415,19 +376,5 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
-    }
-}
-
-impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        Value::F64(self.as_secs_f64())
-    }
-}
-impl Deserialize for std::time::Duration {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .filter(|x| *x >= 0.0)
-            .map(std::time::Duration::from_secs_f64)
-            .ok_or_else(|| Error::new("expected non-negative seconds"))
     }
 }

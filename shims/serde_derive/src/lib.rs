@@ -3,10 +3,12 @@
 //! With no access to crates.io there is no `syn`/`quote`, so this crate
 //! parses the derive input straight from the `proc_macro` token stream.
 //! That is tractable because the workspace only derives three shapes:
-//! named-field structs, tuple structs, and enums whose variants are unit
-//! or tuple (externally tagged, like real serde). Anything fancier —
-//! generics, struct variants, `#[serde(...)]` attributes — is rejected
-//! with a compile error rather than silently mis-serialized.
+//! named-field structs, newtype structs (`struct Foo(T);`), and enums
+//! whose variants are unit or carry one unnamed field (externally tagged,
+//! like real serde). Every other shape — unit structs, tuple structs or
+//! variants of two or more fields, struct variants, generics — is
+//! rejected with a compile error rather than silently mis-serialized;
+//! `#[serde(...)]` attributes are not read.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -38,14 +40,13 @@ struct Item {
 }
 
 enum Kind {
-    /// `struct Foo;`
-    UnitStruct,
     /// `struct Foo { a: A, b: B }` — field names in declaration order.
     NamedStruct(Vec<String>),
-    /// `struct Foo(A, B);` — field count.
-    TupleStruct(usize),
-    /// `enum Foo { Unit, Newtype(T), Tuple(A, B) }`.
-    Enum(Vec<(String, usize)>),
+    /// `struct Foo(T);`
+    Newtype,
+    /// `enum Foo { Unit, Newtype(T) }` — variant names, and whether each
+    /// carries a payload.
+    Enum(Vec<(String, bool)>),
 }
 
 // ---------------------------------------------------------------------
@@ -98,10 +99,16 @@ fn parse_item(input: TokenStream) -> Item {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 Kind::NamedStruct(parse_named_fields(g.stream()))
             }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Kind::TupleStruct(count_tuple_fields(g.stream()))
+            Some(TokenTree::Group(g))
+                if g.delimiter() == Delimiter::Parenthesis
+                    && count_tuple_fields(g.stream()) == 1 =>
+            {
+                Kind::Newtype
             }
-            _ => Kind::UnitStruct,
+            _ => panic!(
+                "serde_derive shim: only named-field and one-field tuple structs are supported \
+                 (derive on `{name}`)"
+            ),
         },
         "enum" => match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -179,8 +186,8 @@ fn count_tuple_fields(body: TokenStream) -> usize {
     count
 }
 
-/// Variants of an enum body: `(name, payload_field_count)`; 0 = unit.
-fn parse_variants(body: TokenStream) -> Vec<(String, usize)> {
+/// Variants of an enum body: `(name, has_payload)`.
+fn parse_variants(body: TokenStream) -> Vec<(String, bool)> {
     let toks: Vec<TokenTree> = body.into_iter().collect();
     let mut variants = Vec::new();
     let mut i = 0;
@@ -191,11 +198,15 @@ fn parse_variants(body: TokenStream) -> Vec<(String, usize)> {
         }
         let vname = ident(&toks[i]).expect("serde_derive: expected variant name");
         i += 1;
-        let mut arity = 0usize;
+        let mut payload = false;
         if let Some(TokenTree::Group(g)) = toks.get(i) {
             match g.delimiter() {
                 Delimiter::Parenthesis => {
-                    arity = count_tuple_fields(g.stream());
+                    assert!(
+                        count_tuple_fields(g.stream()) == 1,
+                        "serde_derive shim: tuple variants must have exactly one field (`{vname}`)"
+                    );
+                    payload = true;
                     i += 1;
                 }
                 Delimiter::Brace => {
@@ -208,7 +219,7 @@ fn parse_variants(body: TokenStream) -> Vec<(String, usize)> {
             i += 1; // discriminants etc.
         }
         i += 1;
-        variants.push((vname, arity));
+        variants.push((vname, payload));
     }
     variants
 }
@@ -222,7 +233,6 @@ const HEADER: &str = "#[automatically_derived]\n#[allow(unused_variables, clippy
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        Kind::UnitStruct => "::serde::Value::Null".to_string(),
         Kind::NamedStruct(fields) => {
             let pairs: Vec<String> = fields
                 .iter()
@@ -235,37 +245,21 @@ fn gen_serialize(item: &Item) -> String {
                 .collect();
             format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
         }
-        Kind::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Kind::TupleStruct(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
-        }
+        Kind::Newtype => "::serde::Serialize::to_value(&self.0)".to_string(),
         Kind::Enum(variants) => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|(v, arity)| match arity {
-                    0 => format!(
-                        "{name}::{v} => \
-                         ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
-                    ),
-                    1 => format!(
-                        "{name}::{v}(f0) => ::serde::Value::Object(::std::vec![\
-                         (::std::string::String::from(\"{v}\"), \
-                         ::serde::Serialize::to_value(f0))]),"
-                    ),
-                    n => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let vals: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::to_value(f{i})"))
-                            .collect();
+                .map(|(v, payload)| {
+                    if *payload {
                         format!(
-                            "{name}::{v}({}) => ::serde::Value::Object(::std::vec![\
+                            "{name}::{v}(f0) => ::serde::Value::Object(::std::vec![\
                              (::std::string::String::from(\"{v}\"), \
-                             ::serde::Value::Array(::std::vec![{}]))]),",
-                            binds.join(", "),
-                            vals.join(", ")
+                             ::serde::Serialize::to_value(f0))]),"
+                        )
+                    } else {
+                        format!(
+                            "{name}::{v} => \
+                             ::serde::Value::Str(::std::string::String::from(\"{v}\")),"
                         )
                     }
                 })
@@ -282,7 +276,6 @@ fn gen_serialize(item: &Item) -> String {
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.kind {
-        Kind::UnitStruct => format!("::std::result::Result::Ok({name})"),
         Kind::NamedStruct(fields) => {
             let inits: Vec<String> = fields
                 .iter()
@@ -295,24 +288,8 @@ fn gen_deserialize(item: &Item) -> String {
                 inits.join(", ")
             )
         }
-        Kind::TupleStruct(1) => {
+        Kind::Newtype => {
             format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Kind::TupleStruct(n) => {
-            let inits: Vec<String> = (0..*n)
-                .map(|i| {
-                    format!(
-                        "::serde::Deserialize::from_value(\
-                         items.get({i}).unwrap_or(&::serde::Value::Null))?"
-                    )
-                })
-                .collect();
-            format!(
-                "let items = v.as_array()\
-                 .ok_or_else(|| ::serde::Error::new(\"expected array for {name}\"))?;\n\
-                 ::std::result::Result::Ok({name}({}))",
-                inits.join(", ")
-            )
         }
         Kind::Enum(variants) => gen_enum_deserialize(name, variants),
     };
@@ -323,38 +300,20 @@ fn gen_deserialize(item: &Item) -> String {
     )
 }
 
-fn gen_enum_deserialize(name: &str, variants: &[(String, usize)]) -> String {
+fn gen_enum_deserialize(name: &str, variants: &[(String, bool)]) -> String {
     let unit_arms: Vec<String> = variants
         .iter()
-        .filter(|(_, a)| *a == 0)
+        .filter(|(_, payload)| !payload)
         .map(|(v, _)| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),"))
         .collect();
     let tagged_arms: Vec<String> = variants
         .iter()
-        .filter(|(_, a)| *a > 0)
-        .map(|(v, arity)| {
-            if *arity == 1 {
-                format!(
-                    "\"{v}\" => ::std::result::Result::Ok(\
-                     {name}::{v}(::serde::Deserialize::from_value(val)?)),"
-                )
-            } else {
-                let inits: Vec<String> = (0..*arity)
-                    .map(|i| {
-                        format!(
-                            "::serde::Deserialize::from_value(\
-                             items.get({i}).unwrap_or(&::serde::Value::Null))?"
-                        )
-                    })
-                    .collect();
-                format!(
-                    "\"{v}\" => {{\n\
-                     let items = val.as_array()\
-                     .ok_or_else(|| ::serde::Error::new(\"expected payload array for {name}::{v}\"))?;\n\
-                     ::std::result::Result::Ok({name}::{v}({}))\n}},",
-                    inits.join(", ")
-                )
-            }
+        .filter(|(_, payload)| *payload)
+        .map(|(v, _)| {
+            format!(
+                "\"{v}\" => ::std::result::Result::Ok(\
+                 {name}::{v}(::serde::Deserialize::from_value(val)?)),"
+            )
         })
         .collect();
     format!(

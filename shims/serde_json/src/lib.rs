@@ -412,6 +412,87 @@ mod tests {
         assert_eq!(to_string(&2.0f64).unwrap(), "2.0");
     }
 
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Named {
+        id: u64,
+        label: String,
+        note: Option<String>,
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Newtype(u32);
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Kind {
+        Unit,
+        Payload(u8),
+    }
+
+    /// `value` prints as exactly `json` and parses back to itself.
+    fn roundtrip<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(value: T, json: &str) {
+        assert_eq!(to_string(&value).unwrap(), json, "{value:?}");
+        assert_eq!(from_str::<T>(json).unwrap(), value, "{json}");
+    }
+
+    /// One row per `Serialize`/`Deserialize` impl the serde shim keeps,
+    /// and one per derive shape the workspace uses.
+    #[test]
+    fn every_kept_impl_roundtrips() {
+        use std::collections::BTreeMap;
+        roundtrip(7u8, "7");
+        roundtrip(4_000_000_000u32, "4000000000");
+        roundtrip(u64::MAX, "18446744073709551615");
+        roundtrip(42usize, "42");
+        roundtrip(-3i64, "-3");
+        roundtrip(5i64, "5");
+        roundtrip(0.25f64, "0.25");
+        roundtrip(2.0f64, "2.0");
+        roundtrip(true, "true");
+        roundtrip(String::from("cg \"p=4\""), r#""cg \"p=4\"""#);
+        roundtrip(None::<u64>, "null");
+        roundtrip(Some(3u64), "3");
+        roundtrip(vec![1u64, 2], "[1,2]");
+        roundtrip([0.5f64, 1.5], "[0.5,1.5]");
+        roundtrip((9usize, String::from("x")), r#"[9,"x"]"#);
+        roundtrip(BTreeMap::from([(String::from("a"), 1u64)]), r#"{"a":1}"#);
+        roundtrip(BTreeMap::from([(7u64, true)]), r#"{"7":true}"#);
+        roundtrip(BTreeMap::from([(3usize, -1i64)]), r#"{"3":-1}"#);
+        roundtrip(json!({"k": [1u64]}), r#"{"k":[1]}"#);
+        roundtrip(
+            Named {
+                id: 1,
+                label: "lu".into(),
+                note: None,
+            },
+            r#"{"id":1,"label":"lu","note":null}"#,
+        );
+        roundtrip(Newtype(8), "8");
+        roundtrip(Kind::Unit, r#""Unit""#);
+        roundtrip(Kind::Payload(2), r#"{"Payload":2}"#);
+    }
+
+    #[test]
+    fn kept_impls_reject_mismatched_input() {
+        let err = from_str::<[u64; 3]>("[1,2]").unwrap_err();
+        assert!(err.to_string().contains("length 3"), "{err}");
+        let err = from_str::<Kind>(r#""Other""#).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown Kind variant Other"),
+            "{err}"
+        );
+        let err = from_str::<Kind>(r#"{"Other":1}"#).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown Kind variant Other"),
+            "{err}"
+        );
+        // A missing `Option` field reads as `None`; a missing required one fails.
+        assert_eq!(
+            from_str::<Named>(r#"{"id":1,"label":"lu"}"#).unwrap().note,
+            None
+        );
+        assert!(from_str::<Named>(r#"{"id":1}"#).is_err());
+    }
+
     #[test]
     fn rejects_garbage() {
         assert!(from_str::<Value>("{\"a\" 1}").is_err());
