@@ -16,11 +16,13 @@
 //! injection focuses on the main computation loop, and setup must produce
 //! bit-identical data at every scale.
 
+use crate::blocks::{cg_step, diff, ops, scaled, xpby};
 use crate::reduction::global_dot;
 use crate::util::{block_range, hash_index, hash_range};
 
 use crate::AppOutput;
-use resilim_inject::Tf64;
+use resilim_inject::tf64::run_block;
+use resilim_inject::{Arith, Block, Tf64};
 use resilim_simmpi::Comm;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -169,16 +171,43 @@ impl SparseMatrix {
 
 /// Local matvec: `w = A[rows] * x_full` over this rank's row block.
 fn local_matvec(a: &SparseMatrix, rows: std::ops::Range<usize>, x_full: &[Tf64]) -> Vec<Tf64> {
-    let mut w = Vec::with_capacity(rows.len());
-    for bounds in a.row_ptr[rows.start..=rows.end].windows(2) {
-        let (cols, vals) = (&a.cols[bounds[0]..bounds[1]], &a.vals[bounds[0]..bounds[1]]);
-        let mut acc = Tf64::ZERO;
-        for (&c, &v) in cols.iter().zip(vals) {
-            acc += Tf64::new(v) * x_full[c];
-        }
-        w.push(acc);
+    let block = Matvec { a, rows, x_full };
+    if x_full.len() < a.n {
+        // A length table hit on the wire (`--fault-model msg`) cuts the
+        // gathered vector short: the sweep may then index past its end
+        // and panic part way, so it runs op by op and counts the ops it
+        // got to, as it always did.
+        return block.run::<Tf64>();
     }
-    w
+    run_block(block)
+}
+
+/// [`local_matvec`] as a block: one add and one mul per stored entry.
+struct Matvec<'a> {
+    a: &'a SparseMatrix,
+    rows: std::ops::Range<usize>,
+    x_full: &'a [Tf64],
+}
+
+impl Block for Matvec<'_> {
+    type Output = Vec<Tf64>;
+    fn ops(&self) -> [u64; 5] {
+        let nnz = self.a.row_ptr[self.rows.end] - self.a.row_ptr[self.rows.start];
+        ops(nnz, 0, nnz, 0, 0)
+    }
+    fn run<T: Arith>(self) -> Vec<Tf64> {
+        let (a, x_full) = (self.a, T::view(self.x_full));
+        let mut w = Vec::with_capacity(self.rows.len());
+        for bounds in a.row_ptr[self.rows.start..=self.rows.end].windows(2) {
+            let (cols, vals) = (&a.cols[bounds[0]..bounds[1]], &a.vals[bounds[0]..bounds[1]]);
+            let mut acc = T::ZERO;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += T::new(v) * x_full[c];
+            }
+            w.push(acc.to_tf64());
+        }
+        w
+    }
 }
 
 /// Gather the full vector from block-distributed parts (the matvec
@@ -214,31 +243,24 @@ pub fn run(prob: &CgProblem, comm: &Comm) -> AppOutput {
             let p_full = gather_full(comm, &p);
             let q = local_matvec(&a, rows.clone(), &p_full);
             let alpha = rho / global_dot(comm, &p, &q);
-            for ((zi, ri), (&pi, &qi)) in z.iter_mut().zip(&mut r).zip(p.iter().zip(&q)) {
-                *zi += alpha * pi;
-                *ri -= alpha * qi;
-            }
+            cg_step(alpha, &mut z, &mut r, &p, &q);
             let rho0 = rho;
             rho = global_dot(comm, &r, &r);
             let beta = rho / rho0;
-            for (pi, &ri) in p.iter_mut().zip(&r) {
-                *pi = ri + beta * *pi;
-            }
+            xpby(&r, beta, &mut p);
         }
 
         // Residual norm ||x - A z||.
         let z_full = gather_full(comm, &z);
         let az = local_matvec(&a, rows.clone(), &z_full);
-        let diff: Vec<Tf64> = x.iter().zip(az.iter()).map(|(&xi, &ai)| xi - ai).collect();
+        let diff = diff(&x, &az);
         rnorm = global_dot(comm, &diff, &diff).sqrt();
 
         // zeta and the next normalized x.
         let xz = global_dot(comm, &x, &z);
         let zeta = Tf64::new(prob.shift) + Tf64::ONE / xz;
         let znorm_inv = Tf64::ONE / global_dot(comm, &z, &z).sqrt();
-        for i in 0..nl {
-            x[i] = z[i] * znorm_inv;
-        }
+        scaled(&mut x, &z, znorm_inv);
         digest.push(zeta.value());
     }
     digest.push(rnorm.value());
@@ -325,6 +347,25 @@ mod tests {
         let par = run_at(64, CgProblem::default());
         let d = par.max_rel_diff(&serial).unwrap();
         assert!(d < 1e-9, "rel diff {d}");
+    }
+
+    #[test]
+    fn a_short_gathered_vector_fails_at_the_same_op_as_per_op() {
+        use resilim_inject::{ctx, RankCtx};
+        let a = SparseMatrix::generate(64, 4, 7);
+        // Cut short, as by a length table corrupted on the wire.
+        let x = vec![Tf64::ONE; 40];
+        let ops_at_panic = |watching: bool| {
+            assert!(ctx::install(RankCtx::profiling(0)).is_none());
+            if watching {
+                // Every block is refused while watching: a per-op run.
+                let _ = Tf64::from_parts(1.0, 1.0 + f64::EPSILON);
+            }
+            let ran = std::panic::catch_unwind(|| local_matvec(&a, 0..64, &x));
+            assert!(ran.is_err());
+            ctx::take().unwrap().into_report().profile
+        };
+        assert_eq!(ops_at_panic(false), ops_at_panic(true));
     }
 
     #[test]

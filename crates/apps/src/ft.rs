@@ -23,9 +23,11 @@
 //!
 //! Step 2 runs inside [`Region::ParallelUnique`](resilim_inject::Region).
 
+use crate::blocks::ops;
 use crate::util::{block_range, hash_range, Cplx};
 use crate::AppOutput;
-use resilim_inject::{ctx, Region, Tf64};
+use resilim_inject::tf64::run_block;
+use resilim_inject::{ctx, Arith, Block, Region, Tf64};
 use resilim_simmpi::Comm;
 
 /// FT problem parameters (a scaled-down NPB Class S).
@@ -77,14 +79,14 @@ impl Twiddles {
 
     /// `W_n^k` (`k < n`) as an untainted complex constant.
     #[inline]
-    fn factor(&self, k: usize) -> Cplx {
+    fn factor<T: Arith>(&self, k: usize) -> Cplx<T> {
         let (c, s) = self.w[k];
         Cplx::new(c, s)
     }
 }
 
 /// In-place iterative radix-2 DIT FFT with tracked butterflies.
-fn fft_inplace(buf: &mut [Cplx], tw: &Twiddles) {
+fn fft_inplace<T: Arith>(buf: &mut [Cplx<T>], tw: &Twiddles) {
     let n = buf.len();
     if n <= 1 {
         return;
@@ -120,7 +122,7 @@ fn fft_inplace(buf: &mut [Cplx], tw: &Twiddles) {
 
 /// Inverse FFT via the conjugate trick; scaling by `1/n` is tracked
 /// (serial and parallel inverse transforms both perform it).
-fn ifft_inplace(buf: &mut [Cplx], tw: &Twiddles) {
+fn ifft_inplace<T: Arith>(buf: &mut [Cplx<T>], tw: &Twiddles) {
     let n = buf.len();
     if n <= 1 {
         return;
@@ -129,10 +131,35 @@ fn ifft_inplace(buf: &mut [Cplx], tw: &Twiddles) {
         *c = c.conj();
     }
     fft_inplace(buf, tw);
-    let scale = Tf64::new(1.0 / n as f64);
+    let scale = T::new(1.0 / n as f64);
     for c in buf.iter_mut() {
         *c = c.conj().scale(scale);
     }
+}
+
+/// [`fft_inplace`] (or, `inverse`, [`ifft_inplace`]) on an `n`-point line.
+fn transform<T: Arith>(line: &mut [Cplx<T>], tw: &Twiddles, inverse: bool) {
+    if inverse {
+        ifft_inplace(line, tw);
+    } else {
+        fft_inplace(line, tw);
+    }
+}
+
+/// Ops of one `n`-point [`transform`]: `n/2 · log₂ n` butterflies of
+/// three adds, three subs and four muls, and for the inverse two muls a
+/// point of `1/n` scaling.
+fn transform_ops(n: usize, inverse: bool) -> [u64; 5] {
+    if n <= 1 {
+        return [0; 5];
+    }
+    let b = n / 2 * n.trailing_zeros() as usize;
+    ops(3 * b, 3 * b, 4 * b + if inverse { 2 * n } else { 0 }, 0, 0)
+}
+
+/// `lines` times `per`.
+fn times(lines: usize, per: [u64; 5]) -> [u64; 5] {
+    per.map(|n| lines as u64 * n)
 }
 
 /// Append a complex value to an interleaved message payload.
@@ -150,15 +177,161 @@ fn cplx_at(buf: &[Tf64], t: usize) -> Cplx {
 }
 
 /// Copy a strided line out of the field (data movement, untracked).
-fn load_line(field: &[Cplx], start: usize, stride: usize, len: usize, out: &mut Vec<Cplx>) {
+fn load_line<T: Arith>(
+    field: &[Cplx],
+    start: usize,
+    stride: usize,
+    len: usize,
+    out: &mut Vec<Cplx<T>>,
+) {
     out.clear();
-    out.extend((0..len).map(|i| field[start + i * stride]));
+    out.extend((0..len).map(|i| Cplx::from_tracked(field[start + i * stride])));
 }
 
 /// Store a line back (data movement, untracked).
-fn store_line(field: &mut [Cplx], start: usize, stride: usize, line: &[Cplx]) {
+fn store_line<T: Arith>(field: &mut [Cplx], start: usize, stride: usize, line: &[Cplx<T>]) {
     for (i, &c) in line.iter().enumerate() {
-        field[start + i * stride] = c;
+        field[start + i * stride] = c.to_tracked();
+    }
+}
+
+/// The plane-local x and y transforms of every plane, as one block.
+struct FftXy<'a, 'f, 'c> {
+    ft: &'a Ft<'f, 'c>,
+    field: &'a mut [Cplx],
+    inverse: bool,
+}
+
+impl Block for FftXy<'_, '_, '_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let (nx, ny, m) = (self.ft.prob.nx, self.ft.prob.ny, self.ft.m);
+        let x = times(m * ny, transform_ops(nx, self.inverse));
+        let y = times(m * nx, transform_ops(ny, self.inverse));
+        std::array::from_fn(|k| x[k] + y[k])
+    }
+    fn run<T: Arith>(self) {
+        let (ft, field, inverse) = (self.ft, self.field, self.inverse);
+        let (nx, ny) = (ft.prob.nx, ft.prob.ny);
+        let mut line = Vec::with_capacity(nx.max(ny));
+        for j in 0..ft.m {
+            for y in 0..ny {
+                load_line::<T>(field, ft.idx(j, y, 0), 1, nx, &mut line);
+                transform(&mut line, &ft.tw_x, inverse);
+                store_line(field, ft.idx(j, y, 0), 1, &line);
+            }
+            for x in 0..nx {
+                load_line::<T>(field, ft.idx(j, 0, x), nx, ny, &mut line);
+                transform(&mut line, &ft.tw_y, inverse);
+                store_line(field, ft.idx(j, 0, x), nx, &line);
+            }
+        }
+    }
+}
+
+/// The `M`-point z transform of every pencil (stride `nx·ny` through the
+/// rank's planes), as one block.
+struct FftPencils<'a> {
+    field: &'a mut [Cplx],
+    pencils: usize,
+    m: usize,
+    tw: &'a Twiddles,
+    inverse: bool,
+}
+
+impl Block for FftPencils<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        times(self.pencils, transform_ops(self.m, self.inverse))
+    }
+    fn run<T: Arith>(self) {
+        let mut line = Vec::with_capacity(self.m);
+        for pencil in 0..self.pencils {
+            load_line::<T>(self.field, pencil, self.pencils, self.m, &mut line);
+            transform(&mut line, self.tw, self.inverse);
+            store_line(self.field, pencil, self.pencils, &line);
+        }
+    }
+}
+
+/// The four-step inter-stage scaling: plane `j` of rank `r` by
+/// `W_n^{r·j}` (conjugated on the inverse), one complex mul a point.
+struct Twiddle<'a> {
+    field: &'a mut [Cplx],
+    stride: usize,
+    rank: usize,
+    tw_n: &'a Twiddles,
+    conj: bool,
+}
+
+impl Block for Twiddle<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let n = self.field.len();
+        ops(n, n, 4 * n, 0, 0)
+    }
+    fn run<T: Arith>(self) {
+        let nz = self.tw_n.w.len();
+        for (j, plane) in self.field.chunks_exact_mut(self.stride).enumerate() {
+            let w = self.tw_n.factor::<T>((self.rank * j) % nz);
+            let w = if self.conj { w.conj() } else { w };
+            for c in plane {
+                *c = Cplx::from_tracked(*c).mul(w).to_tracked();
+            }
+        }
+    }
+}
+
+/// The `P`-point transform of each pair line `freq[t·P..(t + 1)·P]`.
+struct FftPairs<'a> {
+    freq: &'a mut [Cplx],
+    p: usize,
+    tw: &'a Twiddles,
+    inverse: bool,
+}
+
+impl Block for FftPairs<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        times(
+            self.freq.len() / self.p,
+            transform_ops(self.p, self.inverse),
+        )
+    }
+    fn run<T: Arith>(self) {
+        let mut line = Vec::with_capacity(self.p);
+        for pair in self.freq.chunks_exact_mut(self.p) {
+            load_line::<T>(pair, 0, 1, self.p, &mut line);
+            transform(&mut line, self.tw, self.inverse);
+            store_line(pair, 0, 1, &line);
+        }
+    }
+}
+
+/// The evolve sweep: each frequency value times `exp(coeff·|k̄|²)`, with
+/// `ksq[i]` the squared wavenumber of value `i`: three muls and an exp a
+/// point.
+struct Evolve<'a> {
+    freq: &'a [Cplx],
+    ksq: Vec<f64>,
+    coeff: Tf64,
+}
+
+impl Block for Evolve<'_> {
+    type Output = Vec<Cplx>;
+    fn ops(&self) -> [u64; 5] {
+        let n = self.freq.len().min(self.ksq.len());
+        ops(0, 0, 3 * n, 0, n)
+    }
+    fn run<T: Arith>(self) -> Vec<Cplx> {
+        let coeff = T::from_tf64(self.coeff);
+        let points = self.freq.iter().zip(&self.ksq);
+        points
+            .map(|(&c, &ksq)| {
+                let factor = (coeff * T::new(ksq)).exp();
+                Cplx::<T>::from_tracked(c).scale(factor).to_tracked()
+            })
+            .collect()
     }
 }
 
@@ -221,27 +394,35 @@ impl<'a, 'c> Ft<'a, 'c> {
 
     /// Plane-local x and y FFT passes (forward or inverse).
     fn fft_xy(&self, field: &mut [Cplx], inverse: bool) {
-        let (nx, ny) = (self.prob.nx, self.prob.ny);
-        let mut line = Vec::with_capacity(nx.max(ny));
-        for j in 0..self.m {
-            // x lines are contiguous: transform them where they lie.
-            for x_line in field[self.idx(j, 0, 0)..self.idx(j + 1, 0, 0)].chunks_exact_mut(nx) {
-                if inverse {
-                    ifft_inplace(x_line, &self.tw_x);
-                } else {
-                    fft_inplace(x_line, &self.tw_x);
-                }
-            }
-            for x in 0..nx {
-                load_line(field, self.idx(j, 0, x), nx, ny, &mut line);
-                if inverse {
-                    ifft_inplace(&mut line, &self.tw_y);
-                } else {
-                    fft_inplace(&mut line, &self.tw_y);
-                }
-                store_line(field, self.idx(j, 0, x), nx, &line);
-            }
-        }
+        run_block(FftXy {
+            ft: self,
+            field,
+            inverse,
+        });
+    }
+
+    /// The `M`-point z transform of every pencil (forward or inverse).
+    fn fft_pencils(&self, field: &mut [Cplx], inverse: bool) {
+        run_block(FftPencils {
+            field,
+            pencils: self.pencils,
+            m: self.m,
+            tw: &self.tw_m,
+            inverse,
+        });
+    }
+
+    /// The inter-stage twiddle scaling (conjugated on the inverse), in
+    /// the parallel-unique region.
+    fn twiddle(&self, field: &mut [Cplx], conj: bool) {
+        let _region = ctx::enter_region(Region::ParallelUnique);
+        run_block(Twiddle {
+            field,
+            stride: self.pencils,
+            rank: self.comm.rank(),
+            tw_n: &self.tw_n,
+            conj,
+        });
     }
 
     /// Number of (pencil, j) pairs in the four-step redistribution.
@@ -262,33 +443,17 @@ impl<'a, 'c> Ft<'a, 'c> {
     /// (global frequency `kz = q·M + j`).
     fn forward_z(&self, field: &mut [Cplx]) -> Vec<Cplx> {
         let p = self.comm.size();
-        let (nx, ny) = (self.prob.nx, self.prob.ny);
-        let stride = nx * ny;
-        let mut line = Vec::with_capacity(self.m);
 
         // Step 1 (common): local M-point FFT per pencil. Serial runs the
         // identical kernel with M = nz, which *is* the whole z transform.
-        for pencil in 0..self.pencils {
-            load_line(field, pencil, stride, self.m, &mut line);
-            fft_inplace(&mut line, &self.tw_m);
-            store_line(field, pencil, stride, &line);
-        }
+        self.fft_pencils(field, false);
         if p == 1 {
             // Serial frequency layout: pair (pencil, j) for all j, P = 1.
             return field.to_vec();
         }
 
         // Step 2 (parallel-unique): inter-stage twiddle scaling W_n^{r·j}.
-        {
-            let _region = ctx::enter_region(Region::ParallelUnique);
-            let r = self.comm.rank();
-            for (j, plane) in field.chunks_exact_mut(stride).enumerate() {
-                let w = self.tw_n.factor((r * j) % self.prob.nz);
-                for c in plane {
-                    *c = c.mul(w);
-                }
-            }
-        }
+        self.twiddle(field, false);
 
         // Step 3: all-to-all — pair (pencil, j) moves to its block owner.
         // Pairs are numbered u = pencil·M + j and blocks are contiguous in
@@ -313,8 +478,13 @@ impl<'a, 'c> Ft<'a, 'c> {
             for (c, part) in line.iter_mut().zip(&incoming) {
                 *c = cplx_at(part, t);
             }
-            fft_inplace(line, &self.tw_p);
         }
+        run_block(FftPairs {
+            freq: &mut freq,
+            p,
+            tw: &self.tw_p,
+            inverse: false,
+        });
         freq
     }
 
@@ -322,29 +492,26 @@ impl<'a, 'c> Ft<'a, 'c> {
     /// layout (reverses the four steps).
     fn inverse_z(&self, freq: &[Cplx]) -> Vec<Cplx> {
         let p = self.comm.size();
-        let (nx, ny) = (self.prob.nx, self.prob.ny);
-        let stride = nx * ny;
+        let stride = self.pencils;
         if p == 1 {
             let mut field = freq.to_vec();
-            let mut line = Vec::with_capacity(self.m);
-            for pencil in 0..self.pencils {
-                load_line(&field, pencil, stride, self.m, &mut line);
-                ifft_inplace(&mut line, &self.tw_m);
-                store_line(&mut field, pencil, stride, &line);
-            }
+            self.fft_pencils(&mut field, true);
             return field;
         }
 
         // Step 4⁻¹ (common): inverse P-point FFT per owned pair.
         let npairs = freq.len() / p;
-        let mut rline = Vec::with_capacity(p);
+        let mut unfft = freq.to_vec();
+        run_block(FftPairs {
+            freq: &mut unfft,
+            p,
+            tw: &self.tw_p,
+            inverse: true,
+        });
+        // Route element r of each pair line back to rank r.
         let mut by_dest: Vec<Vec<Tf64>> = (0..p).map(|_| Vec::with_capacity(2 * npairs)).collect();
-        // Un-FFT each pair line, then route element r back to rank r.
-        for pair in freq.chunks_exact(p) {
-            rline.clear();
-            rline.extend_from_slice(pair);
-            ifft_inplace(&mut rline, &self.tw_p);
-            for (buf, &c) in by_dest.iter_mut().zip(&rline) {
+        for pair in unfft.chunks_exact(p) {
+            for (buf, &c) in by_dest.iter_mut().zip(pair) {
                 push_cplx(buf, c);
             }
         }
@@ -359,24 +526,10 @@ impl<'a, 'c> Ft<'a, 'c> {
         }
 
         // Step 2⁻¹ (parallel-unique): conjugate twiddles.
-        {
-            let _region = ctx::enter_region(Region::ParallelUnique);
-            let r = self.comm.rank();
-            for (j, plane) in field.chunks_exact_mut(stride).enumerate() {
-                let w = self.tw_n.factor((r * j) % self.prob.nz).conj();
-                for c in plane {
-                    *c = c.mul(w);
-                }
-            }
-        }
+        self.twiddle(&mut field, true);
 
         // Step 1⁻¹ (common): inverse M-point FFT per pencil.
-        let mut line = Vec::with_capacity(self.m);
-        for pencil in 0..self.pencils {
-            load_line(&field, pencil, stride, self.m, &mut line);
-            ifft_inplace(&mut line, &self.tw_m);
-            store_line(&mut field, pencil, stride, &line);
-        }
+        self.fft_pencils(&mut field, true);
         field
     }
 
@@ -395,46 +548,38 @@ impl<'a, 'c> Ft<'a, 'c> {
             signed.powi(2)
         };
         let coeff = Tf64::new(-self.prob.alpha * t as f64);
-        let mut out = Vec::with_capacity(freq.len());
+        // Untracked index data: each value's squared wavenumber.
+        let mut ksq = Vec::with_capacity(freq.len());
         if p == 1 {
             // Serial layout: [j][y][x] with kz = j, which is field order.
-            let mut it = freq.iter();
             for j in 0..nz {
                 let sz = sq(j, nz);
                 for y in 0..ny {
                     let sy = sq(y, ny);
-                    for (x, &c) in it.by_ref().take(nx).enumerate() {
-                        let ksq = sq(x, nx) + sy + sz;
-                        let factor = (coeff * ksq).exp();
-                        out.push(c.scale(factor));
+                    ksq.extend((0..nx).map(|x| sq(x, nx) + sy + sz));
+                }
+            }
+        } else {
+            // My pairs u = pencil·M + j, pencil = y·nx + x, walked in order.
+            let first = block_range(self.total_pairs(), p, self.comm.rank()).start;
+            let (mut j, pencil) = (first % self.m, first / self.m);
+            let (mut x, mut y) = (pencil % nx, pencil / nx);
+            for _ in freq.chunks_exact(p) {
+                let sxy = sq(x, nx) + sq(y, ny);
+                ksq.extend((0..p).map(|q| sxy + sq(q * self.m + j, nz)));
+                j += 1;
+                if j == self.m {
+                    j = 0;
+                    x += 1;
+                    if x == nx {
+                        x = 0;
+                        y += 1;
                     }
                 }
             }
-            return out;
         }
-        // My pairs u = pencil·M + j, pencil = y·nx + x, walked in order.
-        let first = block_range(self.total_pairs(), p, self.comm.rank()).start;
-        let (mut j, pencil) = (first % self.m, first / self.m);
-        let (mut x, mut y) = (pencil % nx, pencil / nx);
-        for pair in freq.chunks_exact(p) {
-            let sxy = sq(x, nx) + sq(y, ny);
-            for (q, &c) in pair.iter().enumerate() {
-                let kz = q * self.m + j;
-                let ksq = sxy + sq(kz, nz);
-                let factor = (coeff * ksq).exp();
-                out.push(c.scale(factor));
-            }
-            j += 1;
-            if j == self.m {
-                j = 0;
-                x += 1;
-                if x == nx {
-                    x = 0;
-                    y += 1;
-                }
-            }
-        }
-        out
+        ksq.truncate(freq.len());
+        run_block(Evolve { freq, ksq, coeff })
     }
 
     /// Strided global checksum of the spatial field (the NPB verification

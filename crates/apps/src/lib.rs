@@ -20,15 +20,25 @@
 //!   fault-free golden run (bitwise for "identical", within
 //!   [`App::epsilon`] for "passes the checker").
 //!
-//! | App | Algorithm | Decomposition | Communication | Parallel-unique |
-//! |-----|-----------|---------------|---------------|-----------------|
-//! | CG  | NPB conjugate gradient eigenvalue estimation | 1-D row blocks | allgather (matvec), user-level recursive-doubling dots | reduction combine adds |
-//! | FT  | 3-D FFT + evolve (spectral PDE) | cyclic z-planes | alltoallv (four-step z-FFT) | inter-stage twiddle scaling |
-//! | MG  | V-cycle multigrid Poisson | 1-D z slabs, shrinking active set | halo exchange per level, redistribution | none |
-//! | LU  | SSOR wavefront solver | 2-D pencils | pipelined plane send/recv | none |
-//! | MiniFE | FE assembly + CG solve (stencil matvec over a halo-extended vector) | 1-D element slabs | halo exchange, recursive-doubling dots | reduction combine adds |
-//! | PENNANT | staggered-grid Lagrangian hydro | 1-D zone slabs | boundary-point force/mass sums, dt min-reduce | none |
+//! | App | Algorithm | Decomposition | Communication | Parallel-unique | Charged blocks |
+//! |-----|-----------|---------------|---------------|-----------------|----------------|
+//! | CG  | NPB conjugate gradient eigenvalue estimation | 1-D row blocks | allgather (matvec), user-level recursive-doubling dots | reduction combine adds | matvec, vector updates, local dots |
+//! | FT  | 3-D FFT + evolve (spectral PDE) | cyclic z-planes | alltoallv (four-step z-FFT) | inter-stage twiddle scaling | x/y, pencil and pair FFTs, twiddle scaling, evolve |
+//! | MG  | V-cycle multigrid Poisson | 1-D z slabs, shrinking active set | halo exchange per level, redistribution | none | residual, smoothing update, restriction, prolongation, norms |
+//! | LU  | SSOR wavefront solver | 2-D pencils | pipelined plane send/recv | none | residual, each plane of both sweeps, update, norms |
+//! | MiniFE | FE assembly + CG solve (stencil matvec over a halo-extended vector) | 1-D element slabs | halo exchange, recursive-doubling dots | reduction combine adds | matvec, vector updates, local dots, Σu |
+//! | PENNANT | staggered-grid Lagrangian hydro | 1-D zone slabs | boundary-point force/mass sums, dt min-reduce | none | corner forces, point update, digest energies |
+//!
+//! A *charged block* is a hot loop written once over
+//! [`Arith`](resilim_inject::Arith) whose op counts are charged before it
+//! runs hook-free (`resilim_inject::tf64::run_block`); the loops not
+//! listed run op by op through the hooks: scalar work between blocks,
+//! the combine adds of the recursive-doubling reductions, MiniFE's
+//! assembly (branches on which stencil place an entry fills) and
+//! PENNANT's zone-state and energy loops (a panic on a non-positive area
+//! or energy, min/max scans).
 
+mod blocks;
 pub mod cg;
 pub mod ft;
 pub mod lu;

@@ -17,9 +17,11 @@
 //! LU has **no parallel-unique computation** (Table 1): the sweeps execute
 //! identical arithmetic at every scale; only the message pattern differs.
 
+use crate::blocks::{axpy, ops};
 use crate::util::hash_range;
 use crate::AppOutput;
-use resilim_inject::{tf64, Tf64};
+use resilim_inject::tf64::{self, run_block};
+use resilim_inject::{Arith, Block, Tf64};
 use resilim_simmpi::{Comm, ReduceOp};
 
 /// LU problem parameters (a scaled-down NPB Class W).
@@ -191,65 +193,39 @@ impl<'a, 'c> Lu<'a, 'c> {
     /// `r = f − A·u` with `A·u = u − c·Σ₆ neighbours` and u ≡ 0 outside the
     /// domain (Dirichlet).
     fn residual(&self, u: &[Tf64], f: &[Tf64]) -> Vec<Tf64> {
-        let nz = self.prob.nz;
-        let (lx, ly) = (self.lx(), self.ly());
         let [west, east, north, south] = self.halo(u, TAG_HALO);
-        let c = Tf64::new(self.prob.c);
-        let plane = lx * ly;
-        let mut r = vec![Tf64::ZERO; u.len()];
-        // (x, y) run over local coordinates; `i` is the local index.
-        let mut i = 0;
-        for z in 0..nz {
-            for y in 0..ly {
-                for x in 0..lx {
-                    let mut nb = Tf64::ZERO;
-                    // x neighbours.
-                    if x > 0 {
-                        nb += u[i - 1];
-                    } else if self.xs > 0 {
-                        nb += west[z * ly + y];
-                    }
-                    if x + 1 < lx {
-                        nb += u[i + 1];
-                    } else if self.xe < self.prob.nx {
-                        nb += east[z * ly + y];
-                    }
-                    // y neighbours.
-                    if y > 0 {
-                        nb += u[i - lx];
-                    } else if self.ys > 0 {
-                        nb += north[z * lx + x];
-                    }
-                    if y + 1 < ly {
-                        nb += u[i + lx];
-                    } else if self.ye < self.prob.ny {
-                        nb += south[z * lx + x];
-                    }
-                    // z neighbours (always local).
-                    if z > 0 {
-                        nb += u[i - plane];
-                    }
-                    if z + 1 < nz {
-                        nb += u[i + plane];
-                    }
-                    r[i] = f[i] - (u[i] - c * nb);
-                    i += 1;
-                }
-            }
+        run_block(Residual {
+            g: self.block(),
+            c: Tf64::new(self.prob.c),
+            u,
+            f,
+            sheets: [&west, &east, &north, &south],
+        })
+    }
+
+    /// This rank's block and which of its faces have a neighbour rank.
+    fn block(&self) -> LocalBlock {
+        LocalBlock {
+            lx: self.lx(),
+            ly: self.ly(),
+            nz: self.prob.nz,
+            faces: [
+                self.xs > 0,
+                self.xe < self.prob.nx,
+                self.ys > 0,
+                self.ye < self.prob.ny,
+            ],
         }
-        r
     }
 
     /// Pipelined lower-triangular sweep: solve `(I − c·L)·d = r` where `L`
     /// couples to the west/north/below neighbours. For each k-plane the
     /// rank receives its west and north inflow lines, computes its block,
     /// and forwards its east/south outflow.
-    #[allow(clippy::needless_range_loop)] // inflow lines are empty at a physical boundary
     fn lower_sweep(&self, r: &[Tf64]) -> Vec<Tf64> {
-        let nz = self.prob.nz;
-        let (lx, ly) = (self.lx(), self.ly());
+        let (nz, g) = (self.prob.nz, self.block());
+        let (lx, ly) = (g.lx, g.ly);
         let c = Tf64::new(self.prob.c);
-        let plane = lx * ly;
         let mut d = vec![Tf64::ZERO; r.len()];
         for z in 0..nz {
             let west_in: Vec<Tf64> = if self.bi > 0 {
@@ -266,32 +242,15 @@ impl<'a, 'c> Lu<'a, 'c> {
             } else {
                 Vec::new()
             };
-            // Local (x, y); `i` is the local index of (x, y, z). The west
-            // neighbour d[i − 1] is the value computed just before, kept
-            // in `west` rather than read back from memory.
-            let mut i = z * plane;
-            for y in 0..ly {
-                let mut west = Tf64::ZERO;
-                for x in 0..lx {
-                    let mut dep = Tf64::ZERO;
-                    if x > 0 {
-                        dep += west;
-                    } else if self.xs > 0 {
-                        dep += west_in[y];
-                    }
-                    if y > 0 {
-                        dep += d[i - lx];
-                    } else if self.ys > 0 {
-                        dep += north_in[x];
-                    }
-                    if z > 0 {
-                        dep += d[i - plane];
-                    }
-                    west = r[i] + c * dep;
-                    d[i] = west;
-                    i += 1;
-                }
-            }
+            run_block(LowerPlane {
+                g,
+                z,
+                c,
+                r,
+                d: &mut d,
+                west_in: &west_in,
+                north_in: &north_in,
+            });
             // Forward outflow boundaries for this plane.
             if self.bi + 1 < self.px {
                 let mut east_out = Vec::with_capacity(ly);
@@ -322,10 +281,9 @@ impl<'a, 'c> Lu<'a, 'c> {
     /// Mirrored upper sweep: `(I − c·U)·e = d`, dependencies to east/south/
     /// above, pipeline running from the bottom-right corner backwards.
     fn upper_sweep(&self, dstar: &[Tf64]) -> Vec<Tf64> {
-        let nz = self.prob.nz;
-        let (lx, ly) = (self.lx(), self.ly());
+        let (nz, g) = (self.prob.nz, self.block());
+        let (lx, ly) = (g.lx, g.ly);
         let c = Tf64::new(self.prob.c);
-        let plane = lx * ly;
         let mut e = vec![Tf64::ZERO; dstar.len()];
         for z in (0..nz).rev() {
             let east_in: Vec<Tf64> = if self.bi + 1 < self.px {
@@ -344,30 +302,15 @@ impl<'a, 'c> Lu<'a, 'c> {
             } else {
                 Vec::new()
             };
-            // Local (x, y), walked backwards; `i` is the local index. The
-            // east neighbour e[i + 1] is the value computed just before.
-            for y in (0..ly).rev() {
-                let mut east = Tf64::ZERO;
-                for x in (0..lx).rev() {
-                    let i = (z * ly + y) * lx + x;
-                    let mut dep = Tf64::ZERO;
-                    if x + 1 < lx {
-                        dep += east;
-                    } else if self.xe < self.prob.nx {
-                        dep += east_in[y];
-                    }
-                    if y + 1 < ly {
-                        dep += e[i + lx];
-                    } else if self.ye < self.prob.ny {
-                        dep += south_in[x];
-                    }
-                    if z + 1 < nz {
-                        dep += e[i + plane];
-                    }
-                    east = dstar[i] + c * dep;
-                    e[i] = east;
-                }
-            }
+            run_block(UpperPlane {
+                g,
+                z,
+                c,
+                dstar,
+                e: &mut e,
+                east_in: &east_in,
+                south_in: &south_in,
+            });
             if self.bi > 0 {
                 let mut west_out = Vec::with_capacity(ly);
                 for y in self.ys..self.ye {
@@ -392,6 +335,221 @@ impl<'a, 'c> Lu<'a, 'c> {
             }
         }
         e
+    }
+}
+
+/// A rank's local block of `lx × ly × nz` cells, and which of its faces —
+/// west, east, north, south — border a neighbour rank (the rest are the
+/// physical boundary, where u = 0).
+#[derive(Clone, Copy)]
+struct LocalBlock {
+    lx: usize,
+    ly: usize,
+    nz: usize,
+    faces: [bool; 4],
+}
+
+impl LocalBlock {
+    fn cells(&self) -> usize {
+        self.lx * self.ly * self.nz
+    }
+
+    /// Neighbour terms one z-plane sums in x (west and east, where
+    /// `faces` say so) and in y (north and south): each in-block pair of
+    /// adjacent cells, plus one per cell on a face that has a neighbour.
+    fn xy_terms(&self, west: bool, east: bool, north: bool, south: bool) -> usize {
+        let (lx, ly) = (self.lx, self.ly);
+        let faces = |a: bool, b: bool| usize::from(a) + usize::from(b);
+        ly * ((lx - 1) * faces(west, east) + faces(west && self.faces[0], east && self.faces[1]))
+            + lx * ((ly - 1) * faces(north, south)
+                + faces(north && self.faces[2], south && self.faces[3]))
+    }
+}
+
+/// The residual's sweep: `r = f − (u − c·nb)` with `nb` the sum of the
+/// cell's present neighbours (in the order x−, x+, y−, y+, z−, z+), the
+/// off-rank ones from the halo `sheets` (west, east, north, south).
+struct Residual<'a> {
+    g: LocalBlock,
+    c: Tf64,
+    u: &'a [Tf64],
+    f: &'a [Tf64],
+    sheets: [&'a [Tf64]; 4],
+}
+
+impl Block for Residual<'_> {
+    type Output = Vec<Tf64>;
+    fn ops(&self) -> [u64; 5] {
+        let g = self.g;
+        let n = g.cells();
+        let nb = g.nz * g.xy_terms(true, true, true, true) + 2 * g.lx * g.ly * (g.nz - 1);
+        ops(nb, 2 * n, n, 0, 0)
+    }
+    fn run<T: Arith>(self) -> Vec<Tf64> {
+        let LocalBlock { lx, ly, nz, faces } = self.g;
+        let [has_west, has_east, has_north, has_south] = faces;
+        let (u, f, c) = (T::view(self.u), T::view(self.f), T::from_tf64(self.c));
+        let [west, east, north, south] = self.sheets.map(T::view);
+        let plane = lx * ly;
+        let mut r = vec![Tf64::ZERO; u.len()];
+        let out = T::view_mut(&mut r);
+        // (x, y) run over local coordinates; `i` is the local index.
+        let mut i = 0;
+        for z in 0..nz {
+            for y in 0..ly {
+                for x in 0..lx {
+                    let mut nb = T::ZERO;
+                    // x neighbours.
+                    if x > 0 {
+                        nb += u[i - 1];
+                    } else if has_west {
+                        nb += west[z * ly + y];
+                    }
+                    if x + 1 < lx {
+                        nb += u[i + 1];
+                    } else if has_east {
+                        nb += east[z * ly + y];
+                    }
+                    // y neighbours.
+                    if y > 0 {
+                        nb += u[i - lx];
+                    } else if has_north {
+                        nb += north[z * lx + x];
+                    }
+                    if y + 1 < ly {
+                        nb += u[i + lx];
+                    } else if has_south {
+                        nb += south[z * lx + x];
+                    }
+                    // z neighbours (always local).
+                    if z > 0 {
+                        nb += u[i - plane];
+                    }
+                    if z + 1 < nz {
+                        nb += u[i + plane];
+                    }
+                    out[i] = f[i] - (u[i] - c * nb);
+                    i += 1;
+                }
+            }
+        }
+        r
+    }
+}
+
+/// One z-plane of the lower sweep: `d = r + c·dep` with `dep` the sum of
+/// the cell's west, north and below dependencies, the off-rank ones from
+/// the inflow lines.
+struct LowerPlane<'a> {
+    g: LocalBlock,
+    z: usize,
+    c: Tf64,
+    r: &'a [Tf64],
+    d: &'a mut [Tf64],
+    west_in: &'a [Tf64],
+    north_in: &'a [Tf64],
+}
+
+impl Block for LowerPlane<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let g = self.g;
+        let n = g.lx * g.ly;
+        let dep = g.xy_terms(true, false, true, false) + if self.z > 0 { n } else { 0 };
+        ops(dep + n, 0, n, 0, 0)
+    }
+    #[allow(clippy::needless_range_loop)] // inflow lines are empty at a physical boundary
+    fn run<T: Arith>(self) {
+        let LocalBlock { lx, ly, faces, .. } = self.g;
+        let [has_west, _, has_north, _] = faces;
+        let (z, c, r, d) = (
+            self.z,
+            T::from_tf64(self.c),
+            T::view(self.r),
+            T::view_mut(self.d),
+        );
+        let (west_in, north_in) = (T::view(self.west_in), T::view(self.north_in));
+        let plane = lx * ly;
+        // Local (x, y); `i` is the local index of (x, y, z). The west
+        // neighbour d[i − 1] is the value computed just before, kept in
+        // `west` rather than read back from memory.
+        let mut i = z * plane;
+        for y in 0..ly {
+            let mut west = T::ZERO;
+            for x in 0..lx {
+                let mut dep = T::ZERO;
+                if x > 0 {
+                    dep += west;
+                } else if has_west {
+                    dep += west_in[y];
+                }
+                if y > 0 {
+                    dep += d[i - lx];
+                } else if has_north {
+                    dep += north_in[x];
+                }
+                if z > 0 {
+                    dep += d[i - plane];
+                }
+                west = r[i] + c * dep;
+                d[i] = west;
+                i += 1;
+            }
+        }
+    }
+}
+
+/// One z-plane of the upper sweep, mirrored: dependencies east, south and
+/// above, cells walked backwards.
+struct UpperPlane<'a> {
+    g: LocalBlock,
+    z: usize,
+    c: Tf64,
+    dstar: &'a [Tf64],
+    e: &'a mut [Tf64],
+    east_in: &'a [Tf64],
+    south_in: &'a [Tf64],
+}
+
+impl Block for UpperPlane<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let g = self.g;
+        let n = g.lx * g.ly;
+        let dep = g.xy_terms(false, true, false, true) + if self.z + 1 < g.nz { n } else { 0 };
+        ops(dep + n, 0, n, 0, 0)
+    }
+    fn run<T: Arith>(self) {
+        let LocalBlock { lx, ly, nz, faces } = self.g;
+        let [_, has_east, _, has_south] = faces;
+        let (z, c) = (self.z, T::from_tf64(self.c));
+        let (dstar, e) = (T::view(self.dstar), T::view_mut(self.e));
+        let (east_in, south_in) = (T::view(self.east_in), T::view(self.south_in));
+        let plane = lx * ly;
+        // Local (x, y), walked backwards; `i` is the local index. The
+        // east neighbour e[i + 1] is the value computed just before.
+        for y in (0..ly).rev() {
+            let mut east = T::ZERO;
+            for x in (0..lx).rev() {
+                let i = (z * ly + y) * lx + x;
+                let mut dep = T::ZERO;
+                if x + 1 < lx {
+                    dep += east;
+                } else if has_east {
+                    dep += east_in[y];
+                }
+                if y + 1 < ly {
+                    dep += e[i + lx];
+                } else if has_south {
+                    dep += south_in[x];
+                }
+                if z + 1 < nz {
+                    dep += e[i + plane];
+                }
+                east = dstar[i] + c * dep;
+                e[i] = east;
+            }
+        }
     }
 }
 
@@ -422,9 +580,7 @@ pub fn run(prob: &LuProblem, comm: &Comm) -> AppOutput {
         digest.push(rnorm2.sqrt().value());
         let dstar = lu.lower_sweep(&r);
         let e = lu.upper_sweep(&dstar);
-        for (ui, ei) in u.iter_mut().zip(e) {
-            *ui += omega * ei;
-        }
+        axpy(&mut u, Some(omega), &e);
     }
     let unorm2 = comm.allreduce_scalar(ReduceOp::Sum, tf64::dot(&u, &u));
     digest.push(unorm2.sqrt().value());

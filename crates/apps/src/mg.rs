@@ -16,9 +16,11 @@
 //! at any scale — exactly like the original: MG has **no parallel-unique
 //! computation** (Table 1: "No parallel-unique comp").
 
+use crate::blocks::{axpy, ops};
 use crate::util::hash_range;
 use crate::AppOutput;
-use resilim_inject::{tf64, Tf64};
+use resilim_inject::tf64::{self, run_block};
+use resilim_inject::{Arith, Block, Tf64};
 use resilim_simmpi::{Comm, ReduceOp};
 
 /// MG problem parameters.
@@ -99,17 +101,196 @@ const TAG_CABOVE: u64 = 0x4D47400;
 
 /// Row `y` of a plane whose rows are `n` long.
 #[inline]
-fn row(plane: &[Tf64], y: usize, n: usize) -> &[Tf64] {
+fn row<T>(plane: &[T], y: usize, n: usize) -> &[T] {
     &plane[y * n..(y + 1) * n]
 }
 
 /// `rhs − (6·u − Σ nbrs)` at one point, the nbrs summed in the order
 /// given (x−, x+, y−, y+, z−, z+).
 #[inline(always)]
-fn stencil_residual(rhs: Tf64, u: Tf64, nbrs: [Tf64; 6]) -> Tf64 {
+fn stencil_residual<T: Arith>(rhs: T, u: T, nbrs: [T; 6]) -> T {
     let [xm, xp, ym, yp, zb, za] = nbrs;
-    let au = Tf64::new(6.0) * u - (xm + xp + ym + yp + zb + za);
+    let au = T::new(6.0) * u - (xm + xp + ym + yp + zb + za);
     rhs - au
+}
+
+/// The residual's stencil sweep over a rank's planes `u`, with the halo
+/// planes below and above them: five adds, two subs and a mul a point.
+struct Residual<'a> {
+    nx: usize,
+    ny: usize,
+    u: &'a [Tf64],
+    rhs: &'a [Tf64],
+    below: &'a [Tf64],
+    above: &'a [Tf64],
+}
+
+impl Block for Residual<'_> {
+    type Output = Vec<Tf64>;
+    fn ops(&self) -> [u64; 5] {
+        let plane = self.nx * self.ny;
+        let n = self.u.len().min(self.rhs.len()) / plane * plane;
+        ops(5 * n, 2 * n, n, 0, 0)
+    }
+    fn run<T: Arith>(self) -> Vec<Tf64> {
+        let (nx, ny, plane) = (self.nx, self.ny, self.nx * self.ny);
+        let (u, rhs) = (T::view(self.u), T::view(self.rhs));
+        let (below, above) = (T::view(self.below), T::view(self.above));
+        let mut out = vec![Tf64::ZERO; u.len()];
+        let local_nz = u.len() / plane;
+        let planes = |z: usize| {
+            let cur = &u[z * plane..(z + 1) * plane];
+            let zb = if z == 0 {
+                below
+            } else {
+                &u[(z - 1) * plane..z * plane]
+            };
+            let za = if z + 1 == local_nz {
+                above
+            } else {
+                &u[(z + 1) * plane..(z + 2) * plane]
+            };
+            (cur, zb, za)
+        };
+        let out_planes = T::view_mut(&mut out)
+            .chunks_exact_mut(plane)
+            .zip(rhs.chunks_exact(plane));
+        for (z, (out_pl, rhs_pl)) in out_planes.enumerate() {
+            let (cur, zb, za) = planes(z);
+            for y in 0..ny {
+                let ym = if y == 0 { ny - 1 } else { y - 1 };
+                let yp = if y + 1 == ny { 0 } else { y + 1 };
+                let (r, rm, rp) = (row(cur, y, nx), row(cur, ym, nx), row(cur, yp, nx));
+                let (b, a, h) = (row(zb, y, nx), row(za, y, nx), row(rhs_pl, y, nx));
+                let o = &mut out_pl[y * nx..(y + 1) * nx];
+                // Point x with its x-neighbours xm and xp; only the two
+                // end points wrap (nx ≥ 2, asserted in `Mg::new`).
+                let nbrs =
+                    |x: usize, xm: usize, xp: usize| [r[xm], r[xp], rm[x], rp[x], b[x], a[x]];
+                o[0] = stencil_residual(h[0], r[0], nbrs(0, nx - 1, 1));
+                for x in 1..nx - 1 {
+                    o[x] = stencil_residual(h[x], r[x], nbrs(x, x - 1, x + 1));
+                }
+                o[nx - 1] = stencil_residual(h[nx - 1], r[nx - 1], nbrs(nx - 1, nx - 2, 0));
+            }
+        }
+        out
+    }
+}
+
+/// Restriction's sweep: the coarse points of the even fine planes
+/// `zf = start, start + 2, …` below `w`, each from its three fine planes
+/// (`below` and `above` outside the rank's own): fourteen adds and six
+/// muls a coarse point.
+struct Restrict<'a> {
+    nx: usize,
+    ncx: usize,
+    ncy: usize,
+    w: usize,
+    start: usize,
+    fine: &'a [Tf64],
+    below: &'a [Tf64],
+    above: &'a [Tf64],
+}
+
+impl Restrict<'_> {
+    fn coarse_points(&self) -> usize {
+        self.w.saturating_sub(self.start).div_ceil(2) * self.ncx * self.ncy
+    }
+}
+
+impl Block for Restrict<'_> {
+    type Output = Vec<Tf64>;
+    fn ops(&self) -> [u64; 5] {
+        let n = self.coarse_points();
+        ops(14 * n, 0, 6 * n, 0, 0)
+    }
+    fn run<T: Arith>(self) -> Vec<Tf64> {
+        let (nx, w) = (self.nx, self.w as isize);
+        let (fine, below, above) = (T::view(self.fine), T::view(self.below), T::view(self.above));
+        let plane_f = nx * 2 * self.ncy;
+        let plane = |z: isize| -> &[T] {
+            if z < 0 {
+                below
+            } else if z >= w {
+                above
+            } else {
+                &fine[z as usize * plane_f..(z as usize + 1) * plane_f]
+            }
+        };
+        let quarter = T::new(0.25);
+        let half = T::new(0.5);
+        let mut produced = Vec::with_capacity(self.coarse_points());
+        let mut zf = self.start as isize;
+        while zf < w {
+            let planes = [plane(zf - 1), plane(zf), plane(zf + 1)];
+            for yc in 0..self.ncy {
+                // The two fine rows under coarse row `yc`, in each plane.
+                let y = 2 * yc;
+                let rows = planes.map(|pl| (row(pl, y, nx), row(pl, y + 1, nx)));
+                for xc in 0..self.ncx {
+                    let x = 2 * xc;
+                    let mut plane_avg = [T::ZERO; 3];
+                    for (avg, (r0, r1)) in plane_avg.iter_mut().zip(rows) {
+                        let mut s = T::ZERO;
+                        s += r0[x];
+                        s += r0[x + 1];
+                        s += r1[x];
+                        s += r1[x + 1];
+                        *avg = s * quarter;
+                    }
+                    let c = quarter * plane_avg[0] + half * plane_avg[1] + quarter * plane_avg[2];
+                    produced.push(c.to_tf64());
+                }
+            }
+            zf += 2;
+        }
+        produced
+    }
+}
+
+/// Prolongation's sweep: add to each fine plane `z0 + dz` its coarse
+/// plane `c0[dz]`, or on an odd global plane the mean of `c0[dz]` and
+/// `c1[dz]`: one add a point on even planes, two adds and a mul on odd.
+struct Prolong<'a> {
+    nx: usize,
+    ncx: usize,
+    fine: &'a mut [Tf64],
+    c0: Vec<&'a [Tf64]>,
+    c1: Vec<Option<&'a [Tf64]>>,
+}
+
+impl Block for Prolong<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let plane = self.fine.len() / self.c0.len().max(1);
+        let odd = self.c1.iter().flatten().count() * plane;
+        let even = self.c0.len() * plane - odd;
+        ops(even + 2 * odd, 0, odd, 0, 0)
+    }
+    fn run<T: Arith>(self) {
+        let (nx, ncx) = (self.nx, self.ncx);
+        let half = T::new(0.5);
+        let plane = self.fine.len() / self.c0.len().max(1);
+        let fine_planes = T::view_mut(self.fine).chunks_exact_mut(plane);
+        for (fine_pl, (c0, c1)) in fine_planes.zip(self.c0.into_iter().zip(self.c1)) {
+            let (c0, c1) = (T::view(c0), c1.map(T::view));
+            for (y, fine_row) in fine_pl.chunks_exact_mut(nx).enumerate() {
+                // Fine (x, y) takes coarse (x / 2, y / 2).
+                let ci = (y / 2) * ncx;
+                let c0_row = &c0[ci..ci + ncx];
+                let c1_row = c1.map(|c1| &c1[ci..ci + ncx]);
+                for (x, f) in fine_row.iter_mut().enumerate() {
+                    let xc = x / 2;
+                    let corr = match c1_row {
+                        None => c0_row[xc],
+                        Some(c1_row) => half * (c0_row[xc] + c1_row[xc]),
+                    };
+                    *f += corr;
+                }
+            }
+        }
+    }
 }
 
 struct Mg<'a, 'c> {
@@ -181,53 +362,20 @@ impl<'a, 'c> Mg<'a, 'c> {
     fn residual(&self, l: usize, u: &[Tf64], rhs: &[Tf64]) -> Vec<Tf64> {
         let lev = &self.levels[l];
         let (below, above) = self.halo(l, u);
-        let (nx, ny, plane) = (lev.nx, lev.ny, lev.plane());
-        let mut out = vec![Tf64::ZERO; u.len()];
-        let local_nz = u.len() / plane;
-        let planes = |z: usize| {
-            let cur = &u[z * plane..(z + 1) * plane];
-            let zb = if z == 0 {
-                &below[..]
-            } else {
-                &u[(z - 1) * plane..z * plane]
-            };
-            let za = if z + 1 == local_nz {
-                &above[..]
-            } else {
-                &u[(z + 1) * plane..(z + 2) * plane]
-            };
-            (cur, zb, za)
-        };
-        let out_planes = out.chunks_exact_mut(plane).zip(rhs.chunks_exact(plane));
-        for (z, (out_pl, rhs_pl)) in out_planes.enumerate() {
-            let (cur, zb, za) = planes(z);
-            for y in 0..ny {
-                let ym = if y == 0 { ny - 1 } else { y - 1 };
-                let yp = if y + 1 == ny { 0 } else { y + 1 };
-                let (r, rm, rp) = (row(cur, y, nx), row(cur, ym, nx), row(cur, yp, nx));
-                let (b, a, h) = (row(zb, y, nx), row(za, y, nx), row(rhs_pl, y, nx));
-                let o = &mut out_pl[y * nx..(y + 1) * nx];
-                // Point x with its x-neighbours xm and xp; only the two
-                // end points wrap (nx ≥ 2, asserted in `Mg::new`).
-                let nbrs =
-                    |x: usize, xm: usize, xp: usize| [r[xm], r[xp], rm[x], rp[x], b[x], a[x]];
-                o[0] = stencil_residual(h[0], r[0], nbrs(0, nx - 1, 1));
-                for x in 1..nx - 1 {
-                    o[x] = stencil_residual(h[x], r[x], nbrs(x, x - 1, x + 1));
-                }
-                o[nx - 1] = stencil_residual(h[nx - 1], r[nx - 1], nbrs(nx - 1, nx - 2, 0));
-            }
-        }
-        out
+        run_block(Residual {
+            nx: lev.nx,
+            ny: lev.ny,
+            u,
+            rhs,
+            below: &below,
+            above: &above,
+        })
     }
 
     /// One damped-Jacobi smoothing step: `u += ω/6 · (rhs − A·u)`.
     fn smooth(&self, l: usize, u: &mut [Tf64], rhs: &[Tf64]) {
         let r = self.residual(l, u, rhs);
-        let scale = Tf64::new(self.prob.omega / 6.0);
-        for (ui, ri) in u.iter_mut().zip(r) {
-            *ui += scale * ri;
-        }
+        axpy(u, Some(Tf64::new(self.prob.omega / 6.0)), &r);
     }
 
     /// Restrict a fine field to the next level: 1-2-1 full weighting in z,
@@ -237,49 +385,20 @@ impl<'a, 'c> Mg<'a, 'c> {
         let lf = &self.levels[l];
         let lc = &self.levels[l + 1];
         let (below, above) = self.halo(l, fine);
-        let plane_f = lf.plane();
-        let plane = |z: isize| -> &[Tf64] {
-            if z < 0 {
-                &below
-            } else if z as usize >= lf.w {
-                &above
-            } else {
-                &fine[z as usize * plane_f..(z as usize + 1) * plane_f]
-            }
-        };
         let me = self.me();
         let folds = lc.active < lf.active;
         // Even global planes in my fine range produce coarse planes.
         let z0 = lf.z0(me);
-        let quarter = Tf64::new(0.25);
-        let half = Tf64::new(0.5);
-        let nx = lf.nx;
-        let mut produced = Vec::with_capacity(lf.w.div_ceil(2) * lc.plane());
-        let mut zf = if z0.is_multiple_of(2) { 0isize } else { 1 };
-        while (zf as usize) < lf.w {
-            let planes = [plane(zf - 1), plane(zf), plane(zf + 1)];
-            for yc in 0..lc.ny {
-                // The two fine rows under coarse row `yc`, in each plane.
-                let y = 2 * yc;
-                let rows = planes.map(|pl| (row(pl, y, nx), row(pl, y + 1, nx)));
-                for xc in 0..lc.nx {
-                    let x = 2 * xc;
-                    let mut plane_avg = [Tf64::ZERO; 3];
-                    for (avg, (r0, r1)) in plane_avg.iter_mut().zip(rows) {
-                        let mut s = Tf64::ZERO;
-                        s += r0[x];
-                        s += r0[x + 1];
-                        s += r1[x];
-                        s += r1[x + 1];
-                        *avg = s * quarter;
-                    }
-                    produced.push(
-                        quarter * plane_avg[0] + half * plane_avg[1] + quarter * plane_avg[2],
-                    );
-                }
-            }
-            zf += 2;
-        }
+        let produced = run_block(Restrict {
+            nx: lf.nx,
+            ncx: lc.nx,
+            ncy: lc.ny,
+            w: lf.w,
+            start: if z0.is_multiple_of(2) { 0 } else { 1 },
+            fine,
+            below: &below,
+            above: &above,
+        });
 
         if !folds {
             // Same active set: my produced planes are exactly my coarse
@@ -325,7 +444,6 @@ impl<'a, 'c> Mg<'a, 'c> {
         let lf = &self.levels[l];
         let lc = &self.levels[l + 1];
         let me = self.me();
-        let half = Tf64::new(0.5);
         let plane_c = lc.plane();
 
         // Gather the coarse planes this fine rank needs: zc(gz) for its gz
@@ -402,31 +520,21 @@ impl<'a, 'c> Mg<'a, 'c> {
             }
         }
 
-        let (nx, ncx) = (lf.nx, lc.nx);
-        for (dz, fine_pl) in fine.chunks_exact_mut(lf.plane()).enumerate() {
-            let gz = z0 + dz;
-            let zc = gz / 2;
-            let c0 = &plane_of[&zc];
-            let c1 = if gz % 2 == 1 {
-                Some(&plane_of[&((zc + 1) % lc.nz)])
-            } else {
-                None
-            };
-            for (y, fine_row) in fine_pl.chunks_exact_mut(nx).enumerate() {
-                // Fine (x, y) takes coarse (x / 2, y / 2).
-                let ci = (y / 2) * ncx;
-                let c0_row = &c0[ci..ci + ncx];
-                let c1_row = c1.map(|c1| &c1[ci..ci + ncx]);
-                for (x, f) in fine_row.iter_mut().enumerate() {
-                    let xc = x / 2;
-                    let corr = match c1_row {
-                        None => c0_row[xc],
-                        Some(c1_row) => half * (c0_row[xc] + c1_row[xc]),
-                    };
-                    *f += corr;
-                }
-            }
-        }
+        let (c0, c1) = (0..lf.w)
+            .map(|dz| {
+                let gz = z0 + dz;
+                let zc = gz / 2;
+                let c1 = (gz % 2 == 1).then(|| &plane_of[&((zc + 1) % lc.nz)][..]);
+                (&plane_of[&zc][..], c1)
+            })
+            .unzip();
+        run_block(Prolong {
+            nx: lf.nx,
+            ncx: lc.nx,
+            fine,
+            c0,
+            c1,
+        });
     }
 
     /// Recursive V-cycle at level `l`; returns this rank's correction
@@ -492,9 +600,7 @@ pub fn run(prob: &MgProblem, comm: &Comm) -> AppOutput {
     for _cycle in 0..prob.cycles {
         let r = mg.residual(0, &u, &rhs);
         let corr = mg.vcycle(0, &r);
-        for (ui, ci) in u.iter_mut().zip(corr) {
-            *ui += ci;
-        }
+        axpy(&mut u, None, &corr);
         let r2 = mg.residual(0, &u, &rhs);
         digest.push(mg.norm(&r2).value());
     }

@@ -18,9 +18,11 @@
 //! The solution field is a hot plate: `u = 0` at `z = 0`, `u = 1` at
 //! `z = top`, so correctness is physically checkable (monotone profile).
 
+use crate::blocks::{cg_step, ops, xpby};
 use crate::reduction::{global_dot, rd_allreduce_scalar};
 use crate::AppOutput;
-use resilim_inject::{tf64, Tf64};
+use resilim_inject::tf64::{self, run_block};
+use resilim_inject::{Arith, Block, Tf64};
 use resilim_simmpi::Comm;
 
 /// MiniFE problem parameters (`nx × ny × nz` elements, deep z).
@@ -154,6 +156,8 @@ impl<'a, 'c> MiniFe<'a, 'c> {
         // (row, col, value) triplets per destination.
         let p = self.comm.size();
         let mut export: Vec<Vec<(usize, usize, Tf64)>> = vec![Vec::new(); p];
+        let offsets = self.stencil_offsets();
+        let mut in_halo = true;
 
         for ez in self.ez0..self.ez1 {
             for ey in 0..self.prob.ny {
@@ -205,6 +209,9 @@ impl<'a, 'c> MiniFe<'a, 'c> {
             }
             if me > 0 {
                 let buf = self.comm.recv(me - 1, TAG_ASM);
+                // The halo-extended vector: layer nz0 − 1, the owned
+                // layers, and layer nz1 where a neighbour owns it.
+                let ext_len = plane + nrows + if me + 1 < p { plane } else { 0 };
                 for t in buf.chunks_exact(3) {
                     let gr = t[0].value() as usize;
                     let gc = t[1].value() as usize;
@@ -212,6 +219,11 @@ impl<'a, 'c> MiniFe<'a, 'c> {
                     assert!(self.owns_layer(r.2), "imported row must be mine");
                     let slot = stencil_slot(r, self.node_coords(gc));
                     rows[r.2 - self.nz0][r.1 * self.nnx + r.0].add(slot, t[2]);
+                    // A triplet hit on the wire (`--fault-model msg`) may
+                    // name a column outside that vector.
+                    let at = plane + (r.2 - self.nz0) * plane + r.1 * self.nnx + r.0;
+                    let col = (at + offsets[slot]).checked_sub(offsets[13]);
+                    in_halo &= col.is_some_and(|c| c < ext_len);
                 }
             }
         }
@@ -222,7 +234,6 @@ impl<'a, 'c> MiniFe<'a, 'c> {
         // first appeared.
         let one = Tf64::ONE;
         let top = (self.nnz - 1) * plane;
-        let offsets = self.stencil_offsets();
         let layers = rows.iter_mut().zip(rhs.chunks_exact_mut(plane));
         for (lz, (layer_rows, layer_rhs)) in layers.enumerate() {
             let gz = self.nz0 + lz;
@@ -254,11 +265,18 @@ impl<'a, 'c> MiniFe<'a, 'c> {
         // Row 0 is node nz0·plane; the extended vector starts one layer
         // lower where a neighbour rank owns that layer.
         let first = if self.nz0 > 0 { plane } else { 0 };
+        let entries = rows
+            .iter()
+            .flatten()
+            .map(|row| row.present.count_ones() as usize)
+            .sum();
         (
             StencilMatrix {
                 rows,
                 offsets,
                 first,
+                entries,
+                in_halo,
             },
             rhs,
         )
@@ -293,17 +311,43 @@ impl<'a, 'c> MiniFe<'a, 'c> {
         ext.extend_from_slice(x);
         ext.extend_from_slice(&above);
         out.clear();
+        let block = Matvec { a, ext, out };
+        if !a.in_halo {
+            // The sweep would index past `ext` and panic part way: it runs
+            // op by op and counts the ops it got to, as it always did.
+            return block.run::<Tf64>();
+        }
+        run_block(block);
+    }
+}
+
+/// The matvec's sweep over the halo-extended vector `ext`: one mul and
+/// one add per stored entry.
+struct Matvec<'a> {
+    a: &'a StencilMatrix,
+    ext: &'a [Tf64],
+    out: &'a mut Vec<Tf64>,
+}
+
+impl Block for Matvec<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        ops(self.a.entries, 0, self.a.entries, 0, 0)
+    }
+    fn run<T: Arith>(self) {
+        let (a, ext) = (self.a, T::view(self.ext));
         let center = a.offsets[13];
         for (at, row) in (a.first..).zip(a.rows.iter().flatten()) {
             // Ascending stencil place is ascending column.
-            let mut acc = Tf64::ZERO;
+            let vals = T::view(&row.vals);
+            let mut acc = T::ZERO;
             let mut present = row.present;
             while present != 0 {
                 let slot = present.trailing_zeros() as usize;
                 present &= present - 1;
-                acc += row.vals[slot] * ext[at + a.offsets[slot] - center];
+                acc += vals[slot] * ext[at + a.offsets[slot] - center];
             }
-            out.push(acc);
+            self.out.push(acc.to_tf64());
         }
     }
 }
@@ -359,6 +403,10 @@ struct StencilMatrix {
     offsets: [usize; 27],
     /// Extended-vector index of row 0's node.
     first: usize,
+    /// Stored entries (places present) over all rows.
+    entries: usize,
+    /// Whether every place is a column of the halo-extended vector.
+    in_halo: bool,
 }
 
 /// Run the MiniFE benchmark on the calling rank; collective over `comm`.
@@ -379,16 +427,11 @@ pub fn run(prob: &MiniFeProblem, comm: &Comm) -> AppOutput {
     for _ in 0..prob.cg_iters {
         fe.matvec(&a, &p_vec, &mut ext, &mut q);
         let alpha = rho / global_dot(comm, &p_vec, &q);
-        for ((xi, ri), (&pi, &qi)) in x.iter_mut().zip(&mut r).zip(p_vec.iter().zip(&q)) {
-            *xi += alpha * pi;
-            *ri -= alpha * qi;
-        }
+        cg_step(alpha, &mut x, &mut r, &p_vec, &q);
         let rho0 = rho;
         rho = global_dot(comm, &r, &r);
         let beta = rho / rho0;
-        for (pi, &ri) in p_vec.iter_mut().zip(&r) {
-            *pi = ri + beta * *pi;
-        }
+        xpby(&r, beta, &mut p_vec);
     }
 
     let energy = global_dot(comm, &x, &rhs);

@@ -21,8 +21,10 @@
 //! PENNANT's "zone volume went negative" error — this is the
 //! application-level crash path that fault injection can trigger.
 
+use crate::blocks::ops;
 use crate::AppOutput;
-use resilim_inject::Tf64;
+use resilim_inject::tf64::run_block;
+use resilim_inject::{Arith, Block, Tf64};
 use resilim_simmpi::{Comm, ReduceOp};
 
 /// PENNANT problem parameters: an `nzx × nzy` zone strip, shock along x.
@@ -201,6 +203,129 @@ fn point_sum_exchange(comm: &Comm, mesh: &Mesh, fields: &mut [&mut Vec<Tf64>], t
     }
 }
 
+/// The corner forces: on each corner point `k` of each zone,
+/// `p_z/2 · (r_{k+1} − r_{k−1})` rotated by −90° (the standard compatible
+/// discretization normal) — an add, three subs and four muls a corner.
+struct CornerForces<'a> {
+    mesh: &'a Mesh,
+    zp: &'a [Tf64],
+    fx: &'a mut [Tf64],
+    fy: &'a mut [Tf64],
+}
+
+impl Block for CornerForces<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let corners = 4 * self.mesh.zm.len();
+        ops(corners, 3 * corners, 4 * corners, 0, 0)
+    }
+    fn run<T: Arith>(self) {
+        let mesh = self.mesh;
+        let (px, py, zp) = (T::view(&mesh.px), T::view(&mesh.py), T::view(self.zp));
+        let (fx, fy) = (T::view_mut(self.fx), T::view_mut(self.fy));
+        let half = T::new(0.5);
+        for i in mesh.zx0..mesh.zx1 {
+            for j in 0..mesh.nzy {
+                let z = mesh.zidx(i, j);
+                let pts = mesh.zone_points(i, j);
+                for k in 0..4 {
+                    let prev = pts[(k + 3) % 4];
+                    let next = pts[(k + 1) % 4];
+                    let dx = px[next] - px[prev];
+                    let dy = py[next] - py[prev];
+                    fx[pts[k]] += zp[z] * half * dy;
+                    fy[pts[k]] -= zp[z] * half * dx;
+                }
+            }
+        }
+    }
+}
+
+/// The point update: acceleration from the summed forces `f` (x, y),
+/// velocity (zeroed across the reflecting walls of the `nzx`-zone box),
+/// position — two divs, four muls and four adds a point.
+struct PointUpdate<'a> {
+    mesh: &'a mut Mesh,
+    nzx: usize,
+    f: [&'a [Tf64]; 2],
+    pmass: &'a [Tf64],
+    dt: Tf64,
+}
+
+impl Block for PointUpdate<'_> {
+    type Output = ();
+    fn ops(&self) -> [u64; 5] {
+        let n = self.mesh.px.len();
+        ops(4 * n, 0, 4 * n, 2 * n, 0)
+    }
+    fn run<T: Arith>(self) {
+        let mesh = self.mesh;
+        let (nzy, zx0, zx1) = (mesh.nzy, mesh.zx0, mesh.zx1);
+        let [fx, fy] = self.f.map(T::view);
+        let (pmass, dt) = (T::view(self.pmass), T::from_tf64(self.dt));
+        let (pu, pv) = (T::view_mut(&mut mesh.pu), T::view_mut(&mut mesh.pv));
+        let (px, py) = (T::view_mut(&mut mesh.px), T::view_mut(&mut mesh.py));
+        for i in zx0..=zx1 {
+            for j in 0..=nzy {
+                let pp = (i - zx0) * (nzy + 1) + j;
+                let ax = fx[pp] / pmass[pp];
+                let ay = fy[pp] / pmass[pp];
+                pu[pp] += ax * dt;
+                pv[pp] += ay * dt;
+                if i == 0 || i == self.nzx {
+                    pu[pp] = T::ZERO; // reflecting x walls
+                }
+                if j == 0 || j == nzy {
+                    pv[pp] = T::ZERO; // reflecting y walls
+                }
+                px[pp] += pu[pp] * dt;
+                py[pp] += pv[pp] * dt;
+            }
+        }
+    }
+}
+
+/// The digest's sums: internal energy over the zones, and kinetic energy
+/// and Σ x over the point columns from `i_lo` (shared boundary points
+/// would be double counted, so interior-only + the globally-deduplicated
+/// left column).
+struct Energies<'a> {
+    mesh: &'a Mesh,
+    pmass: &'a [Tf64],
+    i_lo: usize,
+}
+
+impl Block for Energies<'_> {
+    type Output = [Tf64; 3];
+    fn ops(&self) -> [u64; 5] {
+        let zones = self.mesh.zm.len();
+        let points = (self.mesh.zx1 + 1 - self.i_lo) * (self.mesh.nzy + 1);
+        ops(zones + 3 * points, 0, zones + 4 * points, 0, 0)
+    }
+    fn run<T: Arith>(self) -> [Tf64; 3] {
+        let mesh = self.mesh;
+        let (zm, ze) = (T::view(&mesh.zm), T::view(&mesh.ze));
+        let (pu, pv, px) = (T::view(&mesh.pu), T::view(&mesh.pv), T::view(&mesh.px));
+        let pmass = T::view(self.pmass);
+        let mut e_int = T::ZERO;
+        for (&m, &e) in zm.iter().zip(ze) {
+            e_int += m * e;
+        }
+        let mut e_kin = T::ZERO;
+        let mut x_sum = T::ZERO;
+        let half = T::new(0.5);
+        for i in self.i_lo..=mesh.zx1 {
+            for j in 0..=mesh.nzy {
+                let pp = mesh.pidx(i, j);
+                let v2 = pu[pp] * pu[pp] + pv[pp] * pv[pp];
+                e_kin += half * pmass[pp] * v2;
+                x_sum += px[pp];
+            }
+        }
+        [e_int, e_kin, x_sum].map(T::to_tf64)
+    }
+}
+
 /// Run the PENNANT benchmark on the calling rank; collective over `comm`.
 ///
 /// Digest: `[total energy, max density, Σ point x, final dt]`.
@@ -268,23 +393,12 @@ pub fn run(prob: &PennantProblem, comm: &Comm) -> AppOutput {
         // --- corner forces: F = Σ p_z · (outward corner normal) ---
         let mut fx = vec![Tf64::ZERO; npts];
         let mut fy = vec![Tf64::ZERO; npts];
-        let half = Tf64::new(0.5);
-        for i in mesh.zx0..mesh.zx1 {
-            for j in 0..prob.nzy {
-                let z = mesh.zidx(i, j);
-                let pts = mesh.zone_points(i, j);
-                // Corner force on point k: p/2 · (r_{k+1} − r_{k−1}) rotated
-                // by −90° (the standard compatible discretization normal).
-                for k in 0..4 {
-                    let prev = pts[(k + 3) % 4];
-                    let next = pts[(k + 1) % 4];
-                    let dx = mesh.px[next] - mesh.px[prev];
-                    let dy = mesh.py[next] - mesh.py[prev];
-                    fx[pts[k]] += zp[z] * half * dy;
-                    fy[pts[k]] -= zp[z] * half * dx;
-                }
-            }
-        }
+        run_block(CornerForces {
+            mesh: &mesh,
+            zp: &zp,
+            fx: &mut fx,
+            fy: &mut fy,
+        });
         point_sum_exchange(
             comm,
             &mesh,
@@ -293,23 +407,13 @@ pub fn run(prob: &PennantProblem, comm: &Comm) -> AppOutput {
         );
 
         // --- point update (reflecting walls at the domain box) ---
-        for i in mesh.zx0..=mesh.zx1 {
-            for j in 0..=prob.nzy {
-                let pp = mesh.pidx(i, j);
-                let ax = fx[pp] / pmass[pp];
-                let ay = fy[pp] / pmass[pp];
-                mesh.pu[pp] += ax * dt;
-                mesh.pv[pp] += ay * dt;
-                if i == 0 || i == prob.nzx {
-                    mesh.pu[pp] = Tf64::ZERO; // reflecting x walls
-                }
-                if j == 0 || j == prob.nzy {
-                    mesh.pv[pp] = Tf64::ZERO; // reflecting y walls
-                }
-                mesh.px[pp] += mesh.pu[pp] * dt;
-                mesh.py[pp] += mesh.pv[pp] * dt;
-            }
-        }
+        run_block(PointUpdate {
+            mesh: &mut mesh,
+            nzx: prob.nzx,
+            f: [&fx, &fy],
+            pmass: &pmass,
+            dt,
+        });
 
         // --- zone energy update: de = −p·dV / m ---
         for i in mesh.zx0..mesh.zx1 {
@@ -329,26 +433,16 @@ pub fn run(prob: &PennantProblem, comm: &Comm) -> AppOutput {
     // Internal energy + kinetic energy (kinetic from point masses; shared
     // boundary points would be double counted, so interior-only + the
     // globally-deduplicated left column).
-    let mut e_int = Tf64::ZERO;
-    for z in 0..nzones {
-        e_int += mesh.zm[z] * mesh.ze[z];
-    }
-    let mut e_kin = Tf64::ZERO;
-    let mut x_sum = Tf64::ZERO;
-    let half = Tf64::new(0.5);
     let i_lo = if comm.rank() == 0 {
         mesh.zx0
     } else {
         mesh.zx0 + 1
     };
-    for i in i_lo..=mesh.zx1 {
-        for j in 0..=prob.nzy {
-            let pp = mesh.pidx(i, j);
-            let v2 = mesh.pu[pp] * mesh.pu[pp] + mesh.pv[pp] * mesh.pv[pp];
-            e_kin += half * pmass[pp] * v2;
-            x_sum += mesh.px[pp];
-        }
-    }
+    let [e_int, e_kin, x_sum] = run_block(Energies {
+        mesh: &mesh,
+        pmass: &pmass,
+        i_lo,
+    });
     let mut rho_max = Tf64::ZERO;
     for i in mesh.zx0..mesh.zx1 {
         for j in 0..prob.nzy {

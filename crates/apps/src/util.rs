@@ -1,7 +1,7 @@
 //! Shared numerical utilities: deterministic problem-setup randomness,
 //! tracked complex arithmetic, and block-partition helpers.
 
-use resilim_inject::Tf64;
+use resilim_inject::{Arith, Tf64};
 
 /// SplitMix64 step — the workhorse of deterministic setup randomness.
 #[inline]
@@ -63,35 +63,54 @@ pub fn block_owner(n: usize, size: usize, i: usize) -> usize {
     }
 }
 
-/// A tracked complex number (used by FT).
+/// A tracked complex number (used by FT), over either [`Arith`] impl so
+/// that FT's kernel blocks are written once.
 #[derive(Debug, Clone, Copy)]
-pub struct Cplx {
+pub struct Cplx<T = Tf64> {
     /// Real part.
-    pub re: Tf64,
+    pub re: T,
     /// Imaginary part.
-    pub im: Tf64,
+    pub im: T,
 }
 
 #[allow(clippy::should_implement_trait)] // methods mirror num-complex's API
-impl Cplx {
+impl<T: Arith> Cplx<T> {
     /// Untainted complex zero.
-    pub const ZERO: Cplx = Cplx {
-        re: Tf64::ZERO,
-        im: Tf64::ZERO,
+    pub const ZERO: Cplx<T> = Cplx {
+        re: T::ZERO,
+        im: T::ZERO,
     };
 
     /// Untainted complex from plain parts.
     #[inline]
-    pub fn new(re: f64, im: f64) -> Cplx {
+    pub fn new(re: f64, im: f64) -> Cplx<T> {
         Cplx {
-            re: Tf64::new(re),
-            im: Tf64::new(im),
+            re: T::new(re),
+            im: T::new(im),
+        }
+    }
+
+    /// A tracked complex a kernel block reads.
+    #[inline]
+    pub fn from_tracked(c: Cplx) -> Cplx<T> {
+        Cplx {
+            re: T::from_tf64(c.re),
+            im: T::from_tf64(c.im),
+        }
+    }
+
+    /// A complex a kernel block hands back.
+    #[inline]
+    pub fn to_tracked(self) -> Cplx {
+        Cplx {
+            re: self.re.to_tf64(),
+            im: self.im.to_tf64(),
         }
     }
 
     /// Complex addition (tracked).
     #[inline]
-    pub fn add(self, o: Cplx) -> Cplx {
+    pub fn add(self, o: Cplx<T>) -> Cplx<T> {
         Cplx {
             re: self.re + o.re,
             im: self.im + o.im,
@@ -100,7 +119,7 @@ impl Cplx {
 
     /// Complex subtraction (tracked).
     #[inline]
-    pub fn sub(self, o: Cplx) -> Cplx {
+    pub fn sub(self, o: Cplx<T>) -> Cplx<T> {
         Cplx {
             re: self.re - o.re,
             im: self.im - o.im,
@@ -111,7 +130,7 @@ impl Cplx {
     /// every butterfly passed both operands and the product through
     /// memory.
     #[inline(always)]
-    pub fn mul(self, o: Cplx) -> Cplx {
+    pub fn mul(self, o: Cplx<T>) -> Cplx<T> {
         Cplx {
             re: self.re * o.re - self.im * o.im,
             im: self.re * o.im + self.im * o.re,
@@ -120,7 +139,7 @@ impl Cplx {
 
     /// Scale by a real factor (tracked).
     #[inline]
-    pub fn scale(self, s: Tf64) -> Cplx {
+    pub fn scale(self, s: T) -> Cplx<T> {
         Cplx {
             re: self.re * s,
             im: self.im * s,
@@ -129,13 +148,15 @@ impl Cplx {
 
     /// Complex conjugate (untracked sign flip).
     #[inline]
-    pub fn conj(self) -> Cplx {
+    pub fn conj(self) -> Cplx<T> {
         Cplx {
             re: self.re,
             im: -self.im,
         }
     }
+}
 
+impl Cplx {
     /// Whether either component is tainted.
     #[inline]
     pub fn is_tainted(self) -> bool {
@@ -238,7 +259,7 @@ mod tests {
 
     #[test]
     fn complex_arithmetic() {
-        let a = Cplx::new(1.0, 2.0);
+        let a: Cplx = Cplx::new(1.0, 2.0);
         let b = Cplx::new(3.0, -1.0);
         let m = a.mul(b);
         assert_eq!(m.re.value(), 1.0 * 3.0 - -2.0);

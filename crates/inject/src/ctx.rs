@@ -8,8 +8,18 @@
 //!
 //! ## Hot path
 //!
-//! The hooks run on *every* tracked floating-point operation, so their
-//! common case is the throughput floor of the whole campaign engine. A
+//! Most tracked ops never reach a hook: an app kernel's hot loop is a
+//! [`Block`](crate::tf64::Block) whose op counts are known before it
+//! runs, and [`charge`] counts them to the current region in one step —
+//! one compare and one subtract per op kind against the budget cells
+//! below — after which the block runs hook-free. Only a block that holds
+//! the region's front injection target or the op that trips the hang
+//! guard (decided from the exact counts in the outlined
+//! `charge_checked`), and every block while the context is watching,
+//! is refused and runs op by op through the hooks.
+//!
+//! The hooks run on every tracked op outside a charged block, so their
+//! common case is the throughput floor of the rest. A
 //! [`RankCtx`] is the form the context runs in: hot cells (`HotCtx`),
 //! plain `Cell`s for everything the per-op path reads or writes (region,
 //! op budgets, contamination flag, rank id) and the per-message counters,
@@ -923,6 +933,78 @@ pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
         observe_divergent(h, v, sh);
     }
     Tf64::computed(v, sh)
+}
+
+/// Charge a block of tracked ops to the current region at once: `ops`
+/// holds how many ops of each kind the block runs (indexed by
+/// [`OpKind::index`]). `true` means the ops are counted and the block
+/// must run hook-free ([`tf64::run_block`](crate::tf64::run_block) runs
+/// its plain twin); `false` means nothing was counted and the block must
+/// run op by op through [`hook_binop`]/[`hook_unop`].
+///
+/// A block is charged when no context is installed, or when the context
+/// is tracked and every budget cell of the region covers the block's ops
+/// of its kind (one subtract per kind). Otherwise the outlined
+/// `charge_checked` decides from the exact counts. A block is refused
+/// while the context is watching (each op's result has to be compared),
+/// and when it holds the region's front target or the op that trips the
+/// hang guard: only such a block runs per op, and those ops fire or trip
+/// exactly where a per-op run would.
+///
+/// The caller owes the block's shape: `ops` is exact, and the block runs
+/// in one region, makes no fabric call and has no value-dependent branch
+/// or panic, so that ops charged up front are the ops that run.
+#[inline]
+pub fn charge(ops: [u64; 5]) -> bool {
+    // Safety: see `hot` — same-thread, immediate use.
+    let h = unsafe { &*hot() };
+    match h.mode.get() {
+        Mode::Untracked => return true,
+        Mode::Watching => return false,
+        Mode::Tracked => {}
+    }
+    let r = h.region.get().index();
+    let cells = &h.budget[r];
+    if cells.iter().zip(ops).all(|(cell, n)| cell.get() >= n) {
+        for (cell, n) in cells.iter().zip(ops) {
+            cell.set(cell.get() - n);
+        }
+        return true;
+    }
+    charge_checked(h, r, ops)
+}
+
+/// A block some budget cell does not cover: charge it from the exact
+/// counts and re-arm, unless it holds the op that trips the hang guard or
+/// the region's front target (the block then runs per op and counts
+/// itself).
+#[cold]
+#[inline(never)]
+fn charge_checked(h: &HotCtx, r: usize, ops: [u64; 5]) -> bool {
+    let mut counts = h.per_kind();
+    let total: u64 = counts.iter().flatten().sum();
+    // The ops of the block are numbers total + 1 ..= total + n; the first
+    // to trip is number op_cap + 1.
+    let n: u64 = ops.iter().sum();
+    if total.saturating_add(n) > h.op_cap.get() {
+        return false;
+    }
+    // Its injectable ops take indices done .. done + m of the region.
+    let mask = h.mask.get();
+    let done = masked_sum(&counts[r], mask);
+    let m = masked_sum(&ops, mask);
+    if h.next_pending[r]
+        .get()
+        .checked_sub(done)
+        .is_some_and(|ahead| ahead < m)
+    {
+        return false;
+    }
+    for (count, n) in counts[r].iter_mut().zip(ops) {
+        *count += n;
+    }
+    h.arm(counts);
+    true
 }
 
 /// A hook's op whose budget cell is empty, over the op's `N` operands.

@@ -68,4 +68,4 @@ pub use outcome::{FailureKind, OutcomeKind, TestOutcome};
 pub use plan::{InjectionPlan, Operand, Target};
 pub use profile::{OpKind, OpProfile, RegionCounts};
 pub use region::{Region, RegionGuard};
-pub use tf64::Tf64;
+pub use tf64::{Arith, Block, Tf64};

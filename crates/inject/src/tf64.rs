@@ -17,6 +17,19 @@
 //! world, because that is the execution that actually runs; the shadow
 //! world follows along the corrupted control path (the same approximation
 //! made by trace-based injectors).
+//!
+//! ## Kernel blocks
+//!
+//! Every `Tf64` operator goes through the per-op hooks of
+//! [`ctx`](crate::ctx). A hot loop whose op counts are known before it
+//! runs is written once as a [`Block`], generic over the sealed
+//! [`Arith`] trait, and run by [`run_block`]: when
+//! [`ctx::charge`](crate::ctx::charge) counts its ops in one step it runs
+//! on a plain twin of `Tf64` — private to this crate, the same IEEE op on
+//! each world, no hook — and otherwise on `Tf64`, op by op. Both are the
+//! same generic code, so they run the same ops on the same operands in
+//! the same order; [`Block`] lists the rules a block keeps. [`sum`] and
+//! [`dot`] are blocks.
 
 use crate::ctx::{hook_binop, hook_unop};
 use crate::profile::OpKind;
@@ -275,24 +288,232 @@ impl std::fmt::Display for Tf64 {
     }
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Tf64 {}
+    impl Sealed for super::Plain {}
+}
+
+/// The two-world arithmetic a kernel [`Block`] is written over. Sealed:
+/// its two impls are [`Tf64`], whose ops go through the per-op hooks, and
+/// a plain twin private to this crate, whose ops are the same IEEE ops on
+/// the same two worlds with no hook. [`run_block`] picks one per block,
+/// so a block's code is written once and both versions run the same ops
+/// on the same operands in the same order.
+pub trait Arith:
+    sealed::Sealed
+    + Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + AddAssign
+    + SubAssign
+    + MulAssign
+    + DivAssign
+    + Neg<Output = Self>
+{
+    /// An untainted zero.
+    const ZERO: Self;
+    /// An untainted constant ([`Tf64::new`]).
+    fn new(x: f64) -> Self;
+    /// A tracked scalar the block reads.
+    fn from_tf64(x: Tf64) -> Self;
+    /// A scalar the block hands back.
+    fn to_tf64(self) -> Tf64;
+    /// A slice of tracked scalars, read in place.
+    fn view(xs: &[Tf64]) -> &[Self];
+    /// A slice of tracked scalars, written in place.
+    fn view_mut(xs: &mut [Tf64]) -> &mut [Self];
+    /// Natural exponential ([`Tf64::exp`]).
+    fn exp(self) -> Self;
+}
+
+impl Arith for Tf64 {
+    const ZERO: Tf64 = Tf64::ZERO;
+    #[inline]
+    fn new(x: f64) -> Tf64 {
+        Tf64::new(x)
+    }
+    #[inline]
+    fn from_tf64(x: Tf64) -> Tf64 {
+        x
+    }
+    #[inline]
+    fn to_tf64(self) -> Tf64 {
+        self
+    }
+    #[inline]
+    fn view(xs: &[Tf64]) -> &[Tf64] {
+        xs
+    }
+    #[inline]
+    fn view_mut(xs: &mut [Tf64]) -> &mut [Tf64] {
+        xs
+    }
+    #[inline]
+    fn exp(self) -> Tf64 {
+        Tf64::exp(self)
+    }
+}
+
+/// The plain twin of [`Tf64`]: the same two worlds, each op computed as
+/// the hook computes it but without the hook (see [`Arith`]). Private, so
+/// only [`run_block`] can run a block on it — after
+/// [`ctx::charge`](crate::ctx::charge) counted the block's ops.
+#[derive(Clone, Copy)]
+#[repr(transparent)]
+struct Plain(Tf64);
+
+impl Plain {
+    /// `f` applied to each world's operand pair.
+    #[inline(always)]
+    fn zip(self, rhs: Plain, f: impl Fn(f64, f64) -> f64) -> Plain {
+        Plain(Tf64::computed(f(self.0.v, rhs.0.v), f(self.0.sh, rhs.0.sh)))
+    }
+}
+
+impl Arith for Plain {
+    const ZERO: Plain = Plain(Tf64::ZERO);
+    #[inline]
+    fn new(x: f64) -> Plain {
+        Plain(Tf64::new(x))
+    }
+    #[inline]
+    fn from_tf64(x: Tf64) -> Plain {
+        Plain(x)
+    }
+    #[inline]
+    fn to_tf64(self) -> Tf64 {
+        self.0
+    }
+    #[inline]
+    fn view(xs: &[Tf64]) -> &[Plain] {
+        // SAFETY: `Plain` is a `repr(transparent)` wrapper of `Tf64`, so
+        // the two slices have the same layout, length and lifetime.
+        unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<Plain>(), xs.len()) }
+    }
+    #[inline]
+    fn view_mut(xs: &mut [Tf64]) -> &mut [Plain] {
+        // SAFETY: as in `view`; the borrow is exclusive for its lifetime.
+        unsafe { std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast::<Plain>(), xs.len()) }
+    }
+    #[inline]
+    fn exp(self) -> Plain {
+        Plain(Tf64::computed(self.0.v.exp(), self.0.sh.exp()))
+    }
+}
+
+macro_rules! plain_binop {
+    ($trait:ident, $method:ident, $assign_trait:ident, $assign_method:ident, $f:expr) => {
+        impl $trait for Plain {
+            type Output = Plain;
+            #[inline(always)]
+            fn $method(self, rhs: Plain) -> Plain {
+                self.zip(rhs, $f)
+            }
+        }
+        impl $assign_trait for Plain {
+            #[inline(always)]
+            fn $assign_method(&mut self, rhs: Plain) {
+                *self = self.zip(rhs, $f);
+            }
+        }
+    };
+}
+
+plain_binop!(Add, add, AddAssign, add_assign, |a, b| a + b);
+plain_binop!(Sub, sub, SubAssign, sub_assign, |a, b| a - b);
+plain_binop!(Mul, mul, MulAssign, mul_assign, |a, b| a * b);
+plain_binop!(Div, div, DivAssign, div_assign, |a, b| a / b);
+
+impl Neg for Plain {
+    type Output = Plain;
+    /// Untracked, as [`Tf64`]'s negation is.
+    #[inline(always)]
+    fn neg(self) -> Plain {
+        Plain(-self.0)
+    }
+}
+
+/// A kernel block: a stretch of tracked arithmetic whose op counts are
+/// known before it runs. [`run_block`] charges [`Block::ops`] to the
+/// current region at once and runs [`Block::run`] on the plain twin, or,
+/// where the block holds an injection target or the hang guard's op (or
+/// the context is watching), runs it on [`Tf64`] op by op.
+///
+/// A block must keep four rules, or the charge and the ops that run
+/// disagree:
+///
+/// 1. its counts are a function of sizes alone;
+/// 2. it runs in one region;
+/// 3. it makes no fabric call and enters no region;
+/// 4. it has no value-dependent branch, check or panic.
+pub trait Block {
+    /// What the block hands back.
+    type Output;
+    /// Ops the block runs per kind, indexed by [`OpKind::index`]; exact.
+    fn ops(&self) -> [u64; 5];
+    /// The block's arithmetic, written once over either [`Arith`] impl.
+    fn run<T: Arith>(self) -> Self::Output;
+}
+
+/// Run `block`: hook-free if [`ctx::charge`](crate::ctx::charge) counted
+/// its ops, op by op through the hooks otherwise.
+#[inline]
+pub fn run_block<B: Block>(block: B) -> B::Output {
+    if crate::ctx::charge(block.ops()) {
+        block.run::<Plain>()
+    } else {
+        block.run::<Tf64>()
+    }
+}
+
+/// [`sum`] as a block.
+struct Sum<'a>(&'a [Tf64]);
+
+impl Block for Sum<'_> {
+    type Output = Tf64;
+    fn ops(&self) -> [u64; 5] {
+        [self.0.len() as u64, 0, 0, 0, 0]
+    }
+    fn run<T: Arith>(self) -> Tf64 {
+        let mut acc = T::ZERO;
+        for &x in T::view(self.0) {
+            acc += x;
+        }
+        acc.to_tf64()
+    }
+}
+
+/// [`dot`] as a block.
+struct Dot<'a>(&'a [Tf64], &'a [Tf64]);
+
+impl Block for Dot<'_> {
+    type Output = Tf64;
+    fn ops(&self) -> [u64; 5] {
+        let n = self.0.len() as u64;
+        [n, 0, n, 0, 0]
+    }
+    fn run<T: Arith>(self) -> Tf64 {
+        let mut acc = T::ZERO;
+        for (&x, &y) in T::view(self.0).iter().zip(T::view(self.1)) {
+            acc += x * y;
+        }
+        acc.to_tf64()
+    }
+}
+
 /// Sum of a slice with a fixed left-to-right order (deterministic across
 /// runs, which golden-output comparison relies on).
 pub fn sum(xs: &[Tf64]) -> Tf64 {
-    let mut acc = Tf64::ZERO;
-    for &x in xs {
-        acc += x;
-    }
-    acc
+    run_block(Sum(xs))
 }
 
 /// Dot product with fixed order.
 pub fn dot(a: &[Tf64], b: &[Tf64]) -> Tf64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    let mut acc = Tf64::ZERO;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x * y;
-    }
-    acc
+    run_block(Dot(a, b))
 }
 
 #[cfg(test)]
@@ -400,6 +621,63 @@ mod tests {
         assert!((-t).is_tainted());
         let c = Tf64::new(1.0);
         assert!(!(-c).is_tainted());
+    }
+
+    /// A chain of every [`Arith`] op over the slice, in place.
+    fn chain<T: Arith>(xs: &mut [Tf64]) -> Tf64 {
+        let v = T::view_mut(xs);
+        for i in 1..v.len() {
+            let prev = v[i - 1];
+            v[i] = prev * v[i] + v[i] - T::new(0.5) / prev;
+            v[i] -= -prev;
+            v[i] *= T::from_tf64(Tf64::new(0.75));
+            v[i] /= T::new(1.5);
+        }
+        v[0] = v[0].exp();
+        let mut acc = T::ZERO;
+        for &x in T::view(xs) {
+            acc += x;
+        }
+        acc.to_tf64()
+    }
+
+    #[test]
+    fn plain_twin_matches_the_hooked_ops_bit_for_bit() {
+        let xs: Vec<Tf64> = (0..9)
+            .map(|i| Tf64::computed(0.3 + i as f64, 0.3 + i as f64 * (1.0 + 1e-9)))
+            .collect();
+        let (mut hooked, mut plain) = (xs.clone(), xs);
+        let bits = |t: Tf64| (t.value().to_bits(), t.shadow().to_bits());
+        assert_eq!(
+            bits(chain::<Tf64>(&mut hooked)),
+            bits(chain::<Plain>(&mut plain))
+        );
+        assert_eq!(
+            hooked.iter().map(|&t| bits(t)).collect::<Vec<_>>(),
+            plain.iter().map(|&t| bits(t)).collect::<Vec<_>>()
+        );
+        assert!(plain[1..].iter().all(|t| t.is_tainted()));
+    }
+
+    #[test]
+    fn blocks_count_what_the_hooks_count() {
+        use crate::{ctx, RankCtx, Region};
+        let xs: Vec<Tf64> = (0..7).map(|i| Tf64::new(i as f64 * 0.5)).collect();
+        let profile = |charged: bool| {
+            assert!(ctx::install(RankCtx::profiling(0)).is_none());
+            if !charged {
+                // Watching refuses every block: each runs per op.
+                let _ = Tf64::from_parts(1.0, 1.0 + f64::EPSILON);
+            }
+            let d = dot(&xs, &xs);
+            let s = sum(&xs);
+            let report = ctx::take().unwrap().into_report();
+            ((d.value(), s.value()), report.profile)
+        };
+        let (charged, per_op) = (profile(true), profile(false));
+        assert_eq!(charged, per_op);
+        assert_eq!(charged.0, (22.75, 10.5));
+        assert_eq!(charged.1.region(Region::Common).per_kind, [14, 0, 7, 0, 0]);
     }
 
     #[test]

@@ -677,3 +677,316 @@ proptest! {
         }
     }
 }
+
+/// Operands of every op of a charge scenario: `A op B`.
+const OP_A: f64 = 1.25;
+const OP_B: f64 = 0.75;
+
+/// The op of kind `k` ([`OpKind::index`]) a charge scenario runs.
+fn kind_apply(k: usize, a: f64, b: f64) -> f64 {
+    step_apply(if k == 4 { 4 } else { k as u8 }, a, b)
+}
+
+fn kind_tf64(k: usize, a: Tf64, b: Tf64) -> Tf64 {
+    step_tf64(if k == 4 { 4 } else { k as u8 }, a, b)
+}
+
+/// One step of a charge scenario.
+#[derive(Debug, Clone, Copy)]
+enum Charged {
+    /// One hooked op of kind `.0` in region `.1`.
+    Op(usize, Region),
+    /// A block of `.0[k]` ops of kind `k` in region `.1`: charged at
+    /// once, or — refused — run op by op, the kinds in index order.
+    Block([u64; 5], Region),
+    /// A value born tainted on the context (and discarded): an
+    /// uncontaminated context starts watching.
+    Watch,
+    /// Take the context off the thread and put it back.
+    Park,
+    /// Take the context, change its mask, install it.
+    Remask(OpMask),
+}
+
+#[derive(Debug, Clone)]
+struct ChargeScenario {
+    steps: Vec<Charged>,
+    targets: Vec<Target>,
+    mask: OpMask,
+    op_cap: u64,
+    kill_on_fire: bool,
+}
+
+/// What a charge scenario is compared on: after every step, the exact
+/// per-kind counts and, for a block, whether it was charged; at the end,
+/// everything the report says.
+#[derive(Debug, Default, PartialEq)]
+struct ChargeResult {
+    /// Per step: the per-kind counts after it, and `Some(charged)` for a
+    /// block.
+    trace: Vec<([[u64; 5]; 2], Option<bool>)>,
+    fired: Vec<(Target, u64, u64, bool)>,
+    contaminated: bool,
+    first_contam_op: Option<u64>,
+    per_kind: [[u64; 5]; 2],
+    hang_guard_tripped: bool,
+    killed: bool,
+}
+
+/// Reference for a charge scenario: every op counted, capped and matched
+/// against the front target one by one; a block is charged exactly when
+/// the context is not watching and the block holds neither its region's
+/// front target nor an op past the cap, and is otherwise run op by op.
+fn charge_reference(sc: &ChargeScenario) -> ChargeResult {
+    let sorted = InjectionPlan::multi(sc.targets.clone());
+    let mut queues: [VecDeque<Target>; 2] = [VecDeque::new(), VecDeque::new()];
+    for &t in sorted.targets() {
+        queues[t.region.index()].push_back(t);
+    }
+    let mut mask = sc.mask;
+    let mut total = 0u64;
+    let mut born = false;
+    let mut out = ChargeResult::default();
+    // One op; `false` when the run ends at it.
+    let op = |k: usize,
+              r: usize,
+              mask: OpMask,
+              total: &mut u64,
+              queues: &mut [VecDeque<Target>; 2],
+              out: &mut ChargeResult|
+     -> bool {
+        out.per_kind[r][k] += 1;
+        *total += 1;
+        if *total > sc.op_cap {
+            out.hang_guard_tripped = true;
+            return false;
+        }
+        let mut due = Vec::new();
+        if mask.contains(OpKind::ALL[k]) {
+            let idx = masked_count(&out.per_kind[r], mask) - 1;
+            while queues[r].front().is_some_and(|t| t.op_index == idx) {
+                due.push(queues[r].pop_front().unwrap());
+            }
+        }
+        if due.is_empty() {
+            return true;
+        }
+        let (mut a, mut b) = (OP_A, OP_B);
+        let mut recs = Vec::new();
+        for t in due {
+            let x = match t.operand {
+                Operand::A => &mut a,
+                Operand::B => &mut b,
+            };
+            let before = *x;
+            *x = t.apply(before);
+            recs.push((t, before, *x));
+        }
+        let masked = kind_apply(k, a, b).to_bits() == kind_apply(k, OP_A, OP_B).to_bits();
+        for (t, before, after) in recs {
+            out.fired
+                .push((t, before.to_bits(), after.to_bits(), masked));
+        }
+        if !out.contaminated {
+            out.contaminated = true;
+            out.first_contam_op = Some(*total);
+        }
+        if sc.kill_on_fire {
+            out.killed = true;
+            return false;
+        }
+        true
+    };
+    'run: for &step in &sc.steps {
+        let mut charged = None;
+        match step {
+            Charged::Op(k, region) => {
+                if !op(k, region.index(), mask, &mut total, &mut queues, &mut out) {
+                    break 'run;
+                }
+            }
+            Charged::Block(counts, region) => {
+                let r = region.index();
+                let n: u64 = counts.iter().sum();
+                let done = masked_count(&out.per_kind[r], mask);
+                let m = masked_count(&counts, mask);
+                let holds_target = queues[r]
+                    .front()
+                    .is_some_and(|t| t.op_index >= done && t.op_index - done < m);
+                let holds_trip = n > 0 && total + n > sc.op_cap;
+                let watching = born && !out.contaminated;
+                let charge = !watching && !holds_target && !holds_trip;
+                charged = Some(charge);
+                if charge {
+                    for (count, c) in out.per_kind[r].iter_mut().zip(counts) {
+                        *count += c;
+                    }
+                    total += n;
+                } else {
+                    for (k, &c) in counts.iter().enumerate() {
+                        for _ in 0..c {
+                            if !op(k, r, mask, &mut total, &mut queues, &mut out) {
+                                break 'run;
+                            }
+                        }
+                    }
+                }
+            }
+            Charged::Watch => born = true,
+            Charged::Park => {}
+            Charged::Remask(m) => mask = m,
+        }
+        out.trace.push((out.per_kind, charged));
+    }
+    out
+}
+
+/// The same scenario on the real context: `ctx::charge` for every block,
+/// the hooks for every op it refuses and every single op.
+fn charge_run(sc: &ChargeScenario) -> ChargeResult {
+    let prev = ctx::install(
+        RankCtx::new(0, InjectionPlan::multi(sc.targets.clone()))
+            .with_op_mask(sc.mask)
+            .with_op_cap(sc.op_cap)
+            .with_kill_on_fire(sc.kill_on_fire),
+    );
+    assert!(prev.is_none(), "leaked context");
+    let mut trace = Vec::new();
+    let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let op = |k: usize| {
+            let _ = kind_tf64(k, Tf64::new(OP_A), Tf64::new(OP_B));
+        };
+        for &step in &sc.steps {
+            let mut charged = None;
+            match step {
+                Charged::Op(k, region) => {
+                    let _g = ctx::enter_region(region);
+                    op(k);
+                }
+                Charged::Block(counts, region) => {
+                    let _g = ctx::enter_region(region);
+                    let charge = ctx::charge(counts);
+                    charged = Some(charge);
+                    if !charge {
+                        for (k, &c) in counts.iter().enumerate() {
+                            (0..c).for_each(|_| op(k));
+                        }
+                    }
+                }
+                Charged::Watch => {
+                    let _ = Tf64::from_parts(1.0, 1.0 + f64::EPSILON);
+                }
+                Charged::Park => {
+                    let parked = ctx::take().expect("installed");
+                    ctx::install(parked);
+                }
+                Charged::Remask(m) => {
+                    let c = ctx::take().expect("installed");
+                    ctx::install(c.with_op_mask(m));
+                }
+            }
+            let counts = ctx::with(|c| c.profile().regions.map(|r| r.per_kind));
+            trace.push((counts.expect("installed"), charged));
+        }
+    }));
+    let report = ctx::take().expect("installed").into_report();
+    let killed = match &ended {
+        Ok(()) => false,
+        Err(payload) => {
+            let msg = payload.downcast_ref::<String>().expect("a panic message");
+            assert!(
+                msg == ctx::DUE_MSG || msg == ctx::HANG_GUARD_MSG,
+                "unexpected panic: {msg}"
+            );
+            msg == ctx::DUE_MSG
+        }
+    };
+    ChargeResult {
+        trace,
+        fired: report
+            .fired
+            .iter()
+            .map(|f| {
+                (
+                    f.target,
+                    f.before.to_bits(),
+                    f.after.to_bits(),
+                    f.masked_at_site,
+                )
+            })
+            .collect(),
+        contaminated: report.contaminated,
+        first_contam_op: report.first_contam_op,
+        per_kind: report.profile.regions.map(|c| c.per_kind),
+        hang_guard_tripped: report.hang_guard_tripped,
+        killed,
+    }
+}
+
+/// Strategy for a charge scenario: blocks of up to 12 ops per kind (many
+/// kinds empty) among single ops, watch events, parks and remasks; up to
+/// six targets over the first 300 indices of either region; a cap
+/// anywhere in the run or out of reach.
+fn charge_scenario() -> impl Strategy<Value = ChargeScenario> {
+    let region = |p: bool| {
+        if p {
+            Region::ParallelUnique
+        } else {
+            Region::Common
+        }
+    };
+    // A count drawn over 0..26 is empty about half the time.
+    let counts = prop::collection::vec(0u64..26, 5..6)
+        .prop_map(|c| std::array::from_fn(|k| if c[k] < 13 { c[k] } else { 0 }));
+    let step =
+        (0u8..12, 0usize..8, any::<bool>(), counts).prop_map(move |(what, k, parallel, counts)| {
+            match what {
+                0..=2 => Charged::Op(k % 5, region(parallel)),
+                3..=8 => Charged::Block(counts, region(parallel)),
+                9 => Charged::Watch,
+                10 => Charged::Park,
+                _ => Charged::Remask(masks()[k]),
+            }
+        });
+    let target = (any::<bool>(), 0u64..300, 0u8..64, any::<bool>()).prop_map(
+        move |(parallel, op_index, bit, b)| Target {
+            region: region(parallel),
+            op_index,
+            bit,
+            operand: if b { Operand::B } else { Operand::A },
+        },
+    );
+    let knobs = (0usize..8, 0u64..1800, 0u8..4);
+    (
+        prop::collection::vec(step, 1..40),
+        prop::collection::vec(target, 0..7),
+        knobs,
+    )
+        .prop_map(|(steps, targets, (mask, cap, kill))| ChargeScenario {
+            steps,
+            targets,
+            mask: masks()[mask],
+            // Two thirds of the caps fall somewhere in the run.
+            op_cap: if cap < 1200 { cap } else { u64::MAX },
+            kill_on_fire: kill == 0,
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `ctx::charge` against a reference that counts every op one by one.
+    /// Whatever blocks, single ops, watch events, parks and remasks a
+    /// scenario interleaves under whatever plan, cap and mask: after each
+    /// step the exact per-kind counts are the reference's; a block is
+    /// refused exactly when it holds its region's front target or the op
+    /// that trips the cap, or the context is watching; and the fired
+    /// records, contamination, first-contamination op, hang trip and DUE
+    /// kill are the reference's.
+    #[test]
+    fn charge_matches_reference(sc in charge_scenario()) {
+        let want = charge_reference(&sc);
+        let got = charge_run(&sc);
+        prop_assert_eq!(&got, &want, "{:?}", sc);
+    }
+}
