@@ -108,45 +108,3 @@ impl Block for Axpy<'_> {
         }
     }
 }
-
-/// `a − b`, element by element.
-pub(crate) fn diff(a: &[Tf64], b: &[Tf64]) -> Vec<Tf64> {
-    run_block(Diff(a, b))
-}
-
-struct Diff<'a>(&'a [Tf64], &'a [Tf64]);
-
-impl Block for Diff<'_> {
-    type Output = Vec<Tf64>;
-    fn ops(&self) -> [u64; 5] {
-        ops(0, self.0.len().min(self.1.len()), 0, 0, 0)
-    }
-    fn run<T: Arith>(self) -> Vec<Tf64> {
-        let (a, b) = (T::view(self.0), T::view(self.1));
-        a.iter().zip(b).map(|(&x, &y)| (x - y).to_tf64()).collect()
-    }
-}
-
-/// `x = z·s`, element by element.
-pub(crate) fn scaled(x: &mut [Tf64], z: &[Tf64], s: Tf64) {
-    run_block(Scaled { x, z, s });
-}
-
-struct Scaled<'a> {
-    x: &'a mut [Tf64],
-    z: &'a [Tf64],
-    s: Tf64,
-}
-
-impl Block for Scaled<'_> {
-    type Output = ();
-    fn ops(&self) -> [u64; 5] {
-        ops(0, 0, self.x.len().min(self.z.len()), 0, 0)
-    }
-    fn run<T: Arith>(self) {
-        let s = T::from_tf64(self.s);
-        for (xi, &zi) in T::view_mut(self.x).iter_mut().zip(T::view(self.z)) {
-            *xi = zi * s;
-        }
-    }
-}

@@ -16,7 +16,7 @@
 //! injection focuses on the main computation loop, and setup must produce
 //! bit-identical data at every scale.
 
-use crate::blocks::{cg_step, diff, ops, scaled, xpby};
+use crate::blocks::{cg_step, ops, xpby};
 use crate::reduction::global_dot;
 use crate::util::{block_range, hash_index, hash_range};
 
@@ -253,14 +253,16 @@ pub fn run(prob: &CgProblem, comm: &Comm) -> AppOutput {
         // Residual norm ||x - A z||.
         let z_full = gather_full(comm, &z);
         let az = local_matvec(&a, rows.clone(), &z_full);
-        let diff = diff(&x, &az);
+        let diff: Vec<Tf64> = x.iter().zip(&az).map(|(&xi, &ai)| xi - ai).collect();
         rnorm = global_dot(comm, &diff, &diff).sqrt();
 
         // zeta and the next normalized x.
         let xz = global_dot(comm, &x, &z);
         let zeta = Tf64::new(prob.shift) + Tf64::ONE / xz;
         let znorm_inv = Tf64::ONE / global_dot(comm, &z, &z).sqrt();
-        scaled(&mut x, &z, znorm_inv);
+        for (xi, &zi) in x.iter_mut().zip(&z) {
+            *xi = zi * znorm_inv;
+        }
         digest.push(zeta.value());
     }
     digest.push(rnorm.value());

@@ -195,61 +195,33 @@ fn store_line<T: Arith>(field: &mut [Cplx], start: usize, stride: usize, line: &
     }
 }
 
-/// The plane-local x and y transforms of every plane, as one block.
-struct FftXy<'a, 'f, 'c> {
-    ft: &'a Ft<'f, 'c>,
+/// `count` strided lines of one length, each transformed (forward or
+/// inverse) with one twiddle table: line `l` holds the points
+/// `first + l·step + i·stride` for `i < tw.w.len()`, copied out, transformed
+/// and copied back in line order.
+struct Lines<'a> {
     field: &'a mut [Cplx],
-    inverse: bool,
-}
-
-impl Block for FftXy<'_, '_, '_> {
-    type Output = ();
-    fn ops(&self) -> [u64; 5] {
-        let (nx, ny, m) = (self.ft.prob.nx, self.ft.prob.ny, self.ft.m);
-        let x = times(m * ny, transform_ops(nx, self.inverse));
-        let y = times(m * nx, transform_ops(ny, self.inverse));
-        std::array::from_fn(|k| x[k] + y[k])
-    }
-    fn run<T: Arith>(self) {
-        let (ft, field, inverse) = (self.ft, self.field, self.inverse);
-        let (nx, ny) = (ft.prob.nx, ft.prob.ny);
-        let mut line = Vec::with_capacity(nx.max(ny));
-        for j in 0..ft.m {
-            for y in 0..ny {
-                load_line::<T>(field, ft.idx(j, y, 0), 1, nx, &mut line);
-                transform(&mut line, &ft.tw_x, inverse);
-                store_line(field, ft.idx(j, y, 0), 1, &line);
-            }
-            for x in 0..nx {
-                load_line::<T>(field, ft.idx(j, 0, x), nx, ny, &mut line);
-                transform(&mut line, &ft.tw_y, inverse);
-                store_line(field, ft.idx(j, 0, x), nx, &line);
-            }
-        }
-    }
-}
-
-/// The `M`-point z transform of every pencil (stride `nx·ny` through the
-/// rank's planes), as one block.
-struct FftPencils<'a> {
-    field: &'a mut [Cplx],
-    pencils: usize,
-    m: usize,
+    first: usize,
+    step: usize,
+    stride: usize,
+    count: usize,
     tw: &'a Twiddles,
     inverse: bool,
 }
 
-impl Block for FftPencils<'_> {
+impl Block for Lines<'_> {
     type Output = ();
     fn ops(&self) -> [u64; 5] {
-        times(self.pencils, transform_ops(self.m, self.inverse))
+        times(self.count, transform_ops(self.tw.w.len(), self.inverse))
     }
     fn run<T: Arith>(self) {
-        let mut line = Vec::with_capacity(self.m);
-        for pencil in 0..self.pencils {
-            load_line::<T>(self.field, pencil, self.pencils, self.m, &mut line);
+        let len = self.tw.w.len();
+        let mut line = Vec::with_capacity(len);
+        for l in 0..self.count {
+            let start = self.first + l * self.step;
+            load_line::<T>(self.field, start, self.stride, len, &mut line);
             transform(&mut line, self.tw, self.inverse);
-            store_line(self.field, pencil, self.pencils, &line);
+            store_line(self.field, start, self.stride, &line);
         }
     }
 }
@@ -278,32 +250,6 @@ impl Block for Twiddle<'_> {
             for c in plane {
                 *c = Cplx::from_tracked(*c).mul(w).to_tracked();
             }
-        }
-    }
-}
-
-/// The `P`-point transform of each pair line `freq[t·P..(t + 1)·P]`.
-struct FftPairs<'a> {
-    freq: &'a mut [Cplx],
-    p: usize,
-    tw: &'a Twiddles,
-    inverse: bool,
-}
-
-impl Block for FftPairs<'_> {
-    type Output = ();
-    fn ops(&self) -> [u64; 5] {
-        times(
-            self.freq.len() / self.p,
-            transform_ops(self.p, self.inverse),
-        )
-    }
-    fn run<T: Arith>(self) {
-        let mut line = Vec::with_capacity(self.p);
-        for pair in self.freq.chunks_exact_mut(self.p) {
-            load_line::<T>(pair, 0, 1, self.p, &mut line);
-            transform(&mut line, self.tw, self.inverse);
-            store_line(pair, 0, 1, &line);
         }
     }
 }
@@ -392,22 +338,52 @@ impl<'a, 'c> Ft<'a, 'c> {
         field
     }
 
-    /// Plane-local x and y FFT passes (forward or inverse).
+    /// Plane-local x and y FFT passes (forward or inverse): plane by
+    /// plane, its `ny` x lines, then its `nx` y lines.
     fn fft_xy(&self, field: &mut [Cplx], inverse: bool) {
-        run_block(FftXy {
-            ft: self,
+        let nx = self.prob.nx;
+        for j in 0..self.m {
+            let first = self.idx(j, 0, 0);
+            for (step, stride, count, tw) in
+                [(nx, 1, self.prob.ny, &self.tw_x), (1, nx, nx, &self.tw_y)]
+            {
+                run_block(Lines {
+                    field: &mut *field,
+                    first,
+                    step,
+                    stride,
+                    count,
+                    tw,
+                    inverse,
+                });
+            }
+        }
+    }
+
+    /// The `M`-point z transform of every pencil (stride `nx·ny` through
+    /// the rank's planes), forward or inverse.
+    fn fft_pencils(&self, field: &mut [Cplx], inverse: bool) {
+        run_block(Lines {
             field,
+            first: 0,
+            step: 1,
+            stride: self.pencils,
+            count: self.pencils,
+            tw: &self.tw_m,
             inverse,
         });
     }
 
-    /// The `M`-point z transform of every pencil (forward or inverse).
-    fn fft_pencils(&self, field: &mut [Cplx], inverse: bool) {
-        run_block(FftPencils {
-            field,
-            pencils: self.pencils,
-            m: self.m,
-            tw: &self.tw_m,
+    /// The `P`-point transform of each pair line `freq[t·P..(t + 1)·P]`.
+    fn fft_pairs(&self, freq: &mut [Cplx], inverse: bool) {
+        let p = self.comm.size();
+        run_block(Lines {
+            count: freq.len() / p,
+            field: freq,
+            first: 0,
+            step: p,
+            stride: 1,
+            tw: &self.tw_p,
             inverse,
         });
     }
@@ -479,12 +455,7 @@ impl<'a, 'c> Ft<'a, 'c> {
                 *c = cplx_at(part, t);
             }
         }
-        run_block(FftPairs {
-            freq: &mut freq,
-            p,
-            tw: &self.tw_p,
-            inverse: false,
-        });
+        self.fft_pairs(&mut freq, false);
         freq
     }
 
@@ -502,12 +473,7 @@ impl<'a, 'c> Ft<'a, 'c> {
         // Step 4⁻¹ (common): inverse P-point FFT per owned pair.
         let npairs = freq.len() / p;
         let mut unfft = freq.to_vec();
-        run_block(FftPairs {
-            freq: &mut unfft,
-            p,
-            tw: &self.tw_p,
-            inverse: true,
-        });
+        self.fft_pairs(&mut unfft, true);
         // Route element r of each pair line back to rank r.
         let mut by_dest: Vec<Vec<Tf64>> = (0..p).map(|_| Vec::with_capacity(2 * npairs)).collect();
         for pair in unfft.chunks_exact(p) {

@@ -22,21 +22,25 @@
 //!
 //! | App | Algorithm | Decomposition | Communication | Parallel-unique | Charged blocks |
 //! |-----|-----------|---------------|---------------|-----------------|----------------|
-//! | CG  | NPB conjugate gradient eigenvalue estimation | 1-D row blocks | allgather (matvec), user-level recursive-doubling dots | reduction combine adds | matvec, vector updates, local dots |
-//! | FT  | 3-D FFT + evolve (spectral PDE) | cyclic z-planes | alltoallv (four-step z-FFT) | inter-stage twiddle scaling | x/y, pencil and pair FFTs, twiddle scaling, evolve |
+//! | CG  | NPB conjugate gradient eigenvalue estimation | 1-D row blocks | allgather (matvec), user-level recursive-doubling dots | reduction combine adds | matvec, CG step, direction update, local dots |
+//! | FT  | 3-D FFT + evolve (spectral PDE) | cyclic z-planes | alltoallv (four-step z-FFT) | inter-stage twiddle scaling | strided FFT lines (x/y per plane, pencils, pairs), twiddle scaling, evolve |
 //! | MG  | V-cycle multigrid Poisson | 1-D z slabs, shrinking active set | halo exchange per level, redistribution | none | residual, smoothing update, restriction, prolongation, norms |
 //! | LU  | SSOR wavefront solver | 2-D pencils | pipelined plane send/recv | none | residual, each plane of both sweeps, update, norms |
-//! | MiniFE | FE assembly + CG solve (stencil matvec over a halo-extended vector) | 1-D element slabs | halo exchange, recursive-doubling dots | reduction combine adds | matvec, vector updates, local dots, Σu |
-//! | PENNANT | staggered-grid Lagrangian hydro | 1-D zone slabs | boundary-point force/mass sums, dt min-reduce | none | corner forces, point update, digest energies |
+//! | MiniFE | FE assembly + CG solve (stencil matvec over a halo-extended vector) | 1-D element slabs | halo exchange, recursive-doubling dots | reduction combine adds | matvec, CG step, direction update, local dots |
+//! | PENNANT | staggered-grid Lagrangian hydro | 1-D zone slabs | boundary-point force/mass sums, dt min-reduce | none | corner forces, point update |
 //!
 //! A *charged block* is a hot loop written once over
 //! [`Arith`](resilim_inject::Arith) whose op counts are charged before it
-//! runs hook-free (`resilim_inject::tf64::run_block`); the loops not
-//! listed run op by op through the hooks: scalar work between blocks,
-//! the combine adds of the recursive-doubling reductions, MiniFE's
-//! assembly (branches on which stencil place an entry fills) and
-//! PENNANT's zone-state and energy loops (a panic on a non-positive area
-//! or energy, min/max scans).
+//! runs hook-free (`resilim_inject::tf64::run_block`). Each carries at
+//! least 1 % of its app's tracked ops at p = 1, 4 and 64 (MG's
+//! prolongation, 2.8 %, is the smallest; DESIGN §11.1 has the table). The
+//! loops not listed run op by op through the hooks: scalar work between
+//! blocks; loops too small to pay for a block (CG's `x − Az` and
+//! `x = z·s`, MiniFE's Σu, PENNANT's digest energies, each under
+//! 0.5 %); the combine adds of the recursive-doubling reductions;
+//! MiniFE's assembly (branches on which stencil place an entry fills);
+//! and PENNANT's zone-state and energy loops (a panic on a non-positive
+//! area or energy, min/max scans).
 
 mod blocks;
 pub mod cg;

@@ -21,7 +21,7 @@
 use crate::blocks::{cg_step, ops, xpby};
 use crate::reduction::{global_dot, rd_allreduce_scalar};
 use crate::AppOutput;
-use resilim_inject::tf64::{self, run_block};
+use resilim_inject::tf64::run_block;
 use resilim_inject::{Arith, Block, Tf64};
 use resilim_simmpi::Comm;
 
@@ -435,7 +435,7 @@ pub fn run(prob: &MiniFeProblem, comm: &Comm) -> AppOutput {
     }
 
     let energy = global_dot(comm, &x, &rhs);
-    let usum = rd_allreduce_scalar(comm, tf64::sum(&x));
+    let usum = rd_allreduce_scalar(comm, x.iter().fold(Tf64::ZERO, |acc, &xi| acc + xi));
     let mut digest = vec![rho.value(), energy.value(), usum.value()];
     // Point samples of the solution (whole-output SDC check).
     let plane = fe.plane();

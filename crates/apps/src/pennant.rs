@@ -285,47 +285,6 @@ impl Block for PointUpdate<'_> {
     }
 }
 
-/// The digest's sums: internal energy over the zones, and kinetic energy
-/// and Σ x over the point columns from `i_lo` (shared boundary points
-/// would be double counted, so interior-only + the globally-deduplicated
-/// left column).
-struct Energies<'a> {
-    mesh: &'a Mesh,
-    pmass: &'a [Tf64],
-    i_lo: usize,
-}
-
-impl Block for Energies<'_> {
-    type Output = [Tf64; 3];
-    fn ops(&self) -> [u64; 5] {
-        let zones = self.mesh.zm.len();
-        let points = (self.mesh.zx1 + 1 - self.i_lo) * (self.mesh.nzy + 1);
-        ops(zones + 3 * points, 0, zones + 4 * points, 0, 0)
-    }
-    fn run<T: Arith>(self) -> [Tf64; 3] {
-        let mesh = self.mesh;
-        let (zm, ze) = (T::view(&mesh.zm), T::view(&mesh.ze));
-        let (pu, pv, px) = (T::view(&mesh.pu), T::view(&mesh.pv), T::view(&mesh.px));
-        let pmass = T::view(self.pmass);
-        let mut e_int = T::ZERO;
-        for (&m, &e) in zm.iter().zip(ze) {
-            e_int += m * e;
-        }
-        let mut e_kin = T::ZERO;
-        let mut x_sum = T::ZERO;
-        let half = T::new(0.5);
-        for i in self.i_lo..=mesh.zx1 {
-            for j in 0..=mesh.nzy {
-                let pp = mesh.pidx(i, j);
-                let v2 = pu[pp] * pu[pp] + pv[pp] * pv[pp];
-                e_kin += half * pmass[pp] * v2;
-                x_sum += px[pp];
-            }
-        }
-        [e_int, e_kin, x_sum].map(T::to_tf64)
-    }
-}
-
 /// Run the PENNANT benchmark on the calling rank; collective over `comm`.
 ///
 /// Digest: `[total energy, max density, Σ point x, final dt]`.
@@ -438,11 +397,21 @@ pub fn run(prob: &PennantProblem, comm: &Comm) -> AppOutput {
     } else {
         mesh.zx0 + 1
     };
-    let [e_int, e_kin, x_sum] = run_block(Energies {
-        mesh: &mesh,
-        pmass: &pmass,
-        i_lo,
-    });
+    let mut e_int = Tf64::ZERO;
+    for (&m, &e) in mesh.zm.iter().zip(&mesh.ze) {
+        e_int += m * e;
+    }
+    let mut e_kin = Tf64::ZERO;
+    let mut x_sum = Tf64::ZERO;
+    let half = Tf64::new(0.5);
+    for i in i_lo..=mesh.zx1 {
+        for j in 0..=mesh.nzy {
+            let pp = mesh.pidx(i, j);
+            let v2 = mesh.pu[pp] * mesh.pu[pp] + mesh.pv[pp] * mesh.pv[pp];
+            e_kin += half * pmass[pp] * v2;
+            x_sum += mesh.px[pp];
+        }
+    }
     let mut rho_max = Tf64::ZERO;
     for i in mesh.zx0..mesh.zx1 {
         for j in 0..prob.nzy {

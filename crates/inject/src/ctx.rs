@@ -1,49 +1,48 @@
 //! Per-rank injection context and the thread-local hook machinery.
 //!
 //! Every simulated MPI rank runs on its own thread with a [`RankCtx`]
-//! installed. The [`Tf64`] arithmetic operators call into the
-//! context through [`hook_binop`]/[`hook_unop`]; when no context is
-//! installed the hooks degrade to plain shadow-tracked arithmetic (useful
-//! in unit tests and examples).
+//! installed. The [`Tf64`] arithmetic operators call into the context
+//! through the crate's two per-op hooks, `hook_binop` and `hook_unop`;
+//! when no context is installed the hooks degrade to plain shadow-tracked
+//! arithmetic (useful in unit tests and examples).
 //!
 //! ## Hot path
 //!
 //! Most tracked ops never reach a hook: an app kernel's hot loop is a
 //! [`Block`](crate::tf64::Block) whose op counts are known before it
-//! runs, and [`charge`] counts them to the current region in one step —
-//! one compare and one subtract per op kind against the budget cells
-//! below — after which the block runs hook-free. Only a block that holds
-//! the region's front injection target or the op that trips the hang
-//! guard (decided from the exact counts in the outlined
-//! `charge_checked`), and every block while the context is watching,
-//! is refused and runs op by op through the hooks.
+//! runs, and [`charge`] counts them to the current region in one step,
+//! after which the block runs hook-free. The hooks run on every tracked
+//! op outside a charged block, so their common case is the throughput
+//! floor of the rest. A [`RankCtx`] is the form the context runs in: hot
+//! cells (`HotCtx`), plain `Cell`s for everything the per-op path reads or
+//! writes (region, op budgets, contamination flag, rank id) and the
+//! per-message counters, plus a cold half (`ColdCtx`: target queues, fired
+//! records) that sits behind a `RefCell` while installed. The per-op path
+//! therefore never borrows a `RefCell`, never allocates, and never calls
+//! through a function pointer.
 //!
-//! The hooks run on every tracked op outside a charged block, so their
-//! common case is the throughput floor of the rest. A
-//! [`RankCtx`] is the form the context runs in: hot cells (`HotCtx`),
-//! plain `Cell`s for everything the per-op path reads or writes (region,
-//! op budgets, contamination flag, rank id) and the per-message counters,
-//! plus a cold half (`ColdCtx`: target queues, fired records) that sits
-//! behind a `RefCell` while installed. The per-op path therefore never
-//! borrows a `RefCell`, never allocates, and never calls through a
-//! function pointer.
+//! What a block or an op has to answer is "does it hold the op to fire
+//! at, or the op that trips the hang guard?" — *no* for all but a handful
+//! of the ops of a trial. So every `(region, kind)` pair has one **budget
+//! cell**: how many more ops of that kind may run in that region before
+//! either can happen. A hooked op loads its cell, branches if it is zero
+//! and stores cell − 1; a charged block compares and subtracts once per
+//! kind. Ops executed per cell = granted − remaining is exact at every
+//! instant, so every count the context reports is what a counter bumped
+//! per op would read.
 //!
-//! What the per-op path has to answer is "is this the op to fire at, or
-//! the op that trips the hang guard?" — *no* for all but a handful of the
-//! ops of a trial. So every `(region, kind)` pair has one **budget cell**:
-//! how many more ops of that kind may run in that region before either
-//! can happen. An op loads its cell, branches if it is zero and stores
-//! cell − 1; nothing else is counted or compared. A zero cell leads to the
-//! outlined `checked_op`, which does the exact bookkeeping — count the
-//! op, trip iff the exact total exceeds the cap, fire iff the kind is
-//! masked and the exact injectable index is the front target's — and then
-//! re-arms all ten cells from the exact state (`HotCtx::rearm` has the
-//! rule and why the unchecked ops can contain neither the firing nor the
-//! tripping op). Ops executed per cell = granted − remaining is exact at
-//! every instant, so every count the context reports is what a counter
-//! bumped per op would read. Firing an injection, tripping the hang
-//! guard, and first-contamination marking are outlined `#[cold]`
-//! functions.
+//! Where a cell does not cover a block, or a hooked op finds its cell
+//! empty (a one-op block), one outlined function does the exact
+//! bookkeeping: `charge_checked` works from the exact counts and either
+//! charges the block and re-arms all ten cells (`HotCtx::arm` has the rule
+//! and why the unchecked ops can contain neither the firing nor the
+//! tripping op), or refuses it because it holds the op that trips the
+//! hang guard or the region's front target. A refused block runs op by op
+//! through the hooks, so the op that trips or fires comes back alone and
+//! is refused again; the hook then counts it and, in that order, trips the
+//! guard if it is the op past the cap, or else fires at it. Firing an
+//! injection, tripping the hang guard, and first-contamination marking are
+//! outlined `#[cold]` functions.
 //!
 //! What the hook does past the budget is set by one **mode** cell: a
 //! thread with no context is *untracked* (plain two-world arithmetic); an
@@ -60,11 +59,12 @@
 //! through one of those transitions — so its ops' results never differ
 //! and the compare it skips could never have marked it.
 //!
-//! Both hooks leave for one cold path, generic over the op's operands:
-//! `checked` (a `[Tf64; 2]` or a `[Tf64; 1]`) and, at a target, `fire`.
-//! A unary op's one operand takes both A and B flips, and every flip of
-//! an op is masked at site exactly when the op's result still equals the
-//! shadow's.
+//! [`charge`] refuses every block while watching, so a watching context
+//! runs op by op. Both hooks leave for one cold path, generic over the
+//! op's operands: `checked` (a `[Tf64; 2]` or a `[Tf64; 1]`) and, at a
+//! target, `fire`. A unary op's one operand takes both A and B flips, and
+//! every flip of an op is masked at site exactly when the op's result
+//! still equals the shadow's.
 //!
 //! The cells are armed where the limits they are armed from change:
 //! [`RankCtx::new`] arms them, and [`RankCtx::with_op_cap`] /
@@ -397,12 +397,12 @@ struct HotCtx {
     /// only touched when an injection is due.
     next_pending: [Cell<u64>; 2],
     /// Budget cells: ops of `(region, kind)` that may still run before the
-    /// next one has to go through [`checked_op`]. The only cells the
+    /// next one has to go through [`charge_checked`]. The only cells the
     /// per-op path writes.
     budget: [[Cell<u64>; 5]; 2],
-    /// Everything ever granted to a cell, the ops counted one by one in
-    /// [`checked_op`] included: `granted − budget` is the exact number of
-    /// ops of that region and kind executed so far.
+    /// Everything ever granted to a cell, the blocks and ops charged in
+    /// [`charge_checked`] included: `granted − budget` is the exact number
+    /// of ops of that region and kind executed so far.
     granted: [[Cell<u64>; 5]; 2],
     /// Replica-compare detection (TeaMPI-style): the shadow world doubles
     /// as the clean replica, and every message payload is compared between
@@ -502,8 +502,9 @@ impl HotCtx {
     ///
     /// A cell takes the smaller of its limits. The kind whose cell ran out
     /// consumed its whole share, so the distance to the nearer event
-    /// shrinks by at least 1/`m` (1/10 for the cap) per [`checked_op`]
-    /// visit: tens of visits per target in a trial of a million ops.
+    /// shrinks by at least 1/`m` (1/10 for the cap) per hooked op's
+    /// [`charge_checked`] visit: tens of visits per target in a trial of a
+    /// million ops.
     fn arm(&self, counts: [[u64; 5]; 2]) {
         let mask = self.mask.get();
         let masked = u64::from(mask.bits().count_ones());
@@ -838,43 +839,11 @@ fn hot() -> *const HotCtx {
     ACTIVE.with(|h| h as *const HotCtx)
 }
 
-/// The op whose budget cell is empty: do the bookkeeping the budgets stand
-/// in for, exactly. Counts the op, trips the hang guard iff the exact total
-/// exceeds the cap, and returns the op's injectable index iff it is the
-/// one the front target of its region names — the caller then takes the
-/// fire path, which re-arms once the queue has moved on. Otherwise the
-/// cells are re-armed here and the op goes on as any other. Not generic:
-/// one copy serves every operator's [`checked`].
-#[cold]
-#[inline(never)]
-fn checked_op(h: &HotCtx, r: usize, kind: OpKind) -> Option<u64> {
-    #[cfg(test)]
-    COLD_VISITS.with(|n| n.set(n.get() + 1));
-    // The cell is empty, so one more granted is one more executed.
-    let granted = &h.granted[r][kind.index()];
-    granted.set(granted.get() + 1);
-    let counts = h.per_kind();
-    let total: u64 = counts.iter().flatten().sum();
-    if total > h.op_cap.get() {
-        h.arm(counts);
-        hang_trip(h);
-    }
-    let mask = h.mask.get();
-    if mask.contains(kind) {
-        let idx = masked_sum(&counts[r], mask) - 1;
-        if idx == h.next_pending[r].get() {
-            return Some(idx);
-        }
-    }
-    h.arm(counts);
-    None
-}
-
 #[cfg(test)]
 thread_local! {
-    /// [`checked_op`] visits on this thread: the performance property of
-    /// the budgets is pinned by a count (the `cold_visits_*` tests), not
-    /// by a clock.
+    /// [`charge_checked`] visits on this thread: the performance property
+    /// of the budgets is pinned by a count (the `cold_visits_*` tests),
+    /// not by a clock.
     static COLD_VISITS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -886,7 +855,7 @@ thread_local! {
 /// `f` must be a pure function of its operands (it is invoked twice, once
 /// per world).
 #[inline(always)]
-pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -> Tf64 {
+pub(crate) fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -> Tf64 {
     // Safety: see `hot` — same-thread, immediate use.
     let h = unsafe { &*hot() };
     let mode = h.mode.get();
@@ -913,7 +882,7 @@ pub fn hook_binop(kind: OpKind, a: Tf64, b: Tf64, f: impl Fn(f64, f64) -> f64) -
 /// under the default mask, but extended masks (e.g. [`OpMask::ALL`]) may
 /// fire here: an A or B flip corrupts the one operand.
 #[inline(always)]
-pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
+pub(crate) fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
     // Safety: see `hot` — same-thread, immediate use.
     let h = unsafe { &*hot() };
     let mode = h.mode.get();
@@ -940,7 +909,7 @@ pub fn hook_unop(kind: OpKind, a: Tf64, f: impl Fn(f64) -> f64) -> Tf64 {
 /// [`OpKind::index`]). `true` means the ops are counted and the block
 /// must run hook-free ([`tf64::run_block`](crate::tf64::run_block) runs
 /// its plain twin); `false` means nothing was counted and the block must
-/// run op by op through [`hook_binop`]/[`hook_unop`].
+/// run op by op through the per-op hooks.
 ///
 /// A block is charged when no context is installed, or when the context
 /// is tracked and every budget cell of the region covers the block's ops
@@ -974,13 +943,17 @@ pub fn charge(ops: [u64; 5]) -> bool {
     charge_checked(h, r, ops)
 }
 
-/// A block some budget cell does not cover: charge it from the exact
-/// counts and re-arm, unless it holds the op that trips the hang guard or
-/// the region's front target (the block then runs per op and counts
-/// itself).
+/// The one exact bookkeeping path: a block some budget cell does not
+/// cover, or a hooked op whose cell is empty (a one-op block). Charge it
+/// from the exact counts and re-arm the cells, unless it holds the op that
+/// trips the hang guard or the region's front target: then nothing is
+/// counted, and a refused block runs per op, so that the op which trips or
+/// fires comes back here alone and [`refused`] handles it.
 #[cold]
 #[inline(never)]
 fn charge_checked(h: &HotCtx, r: usize, ops: [u64; 5]) -> bool {
+    #[cfg(test)]
+    COLD_VISITS.with(|n| n.set(n.get() + 1));
     let mut counts = h.per_kind();
     let total: u64 = counts.iter().flatten().sum();
     // The ops of the block are numbers total + 1 ..= total + n; the first
@@ -1007,9 +980,10 @@ fn charge_checked(h: &HotCtx, r: usize, ops: [u64; 5]) -> bool {
     true
 }
 
-/// A hook's op whose budget cell is empty, over the op's `N` operands.
-/// Outlined whole — the per-op path never resumes after a call, so nothing
-/// it holds in registers has to survive one.
+/// A hook's op whose budget cell is empty, over the op's `N` operands:
+/// charged as a one-op block, or, if refused, tripped or fired. Outlined
+/// whole — the per-op path never resumes after a call, so nothing it holds
+/// in registers has to survive one.
 #[cold]
 #[inline(never)]
 fn checked<const N: usize>(
@@ -1019,7 +993,10 @@ fn checked<const N: usize>(
     x: [Tf64; N],
     f: &impl Fn([f64; N]) -> f64,
 ) -> Tf64 {
-    if let Some(idx) = checked_op(h, r, kind) {
+    let mut one = [0; 5];
+    one[kind.index()] = 1;
+    if !charge_checked(h, r, one) {
+        let idx = refused(h, r, kind);
         return fire(h, r, idx, kind, x, f);
     }
     let v = f(x.map(Tf64::value));
@@ -1028,6 +1005,23 @@ fn checked<const N: usize>(
         observe_divergent(h, v, sh);
     }
     Tf64::computed(v, sh)
+}
+
+/// The one op [`charge_checked`] refused: count it, then — the cap first,
+/// as for any op — trip the hang guard if it is the op past the cap, or
+/// else return its injectable index, which the region's front target
+/// names. Not generic: one copy serves every operator's [`checked`].
+#[cold]
+#[inline(never)]
+fn refused(h: &HotCtx, r: usize, kind: OpKind) -> u64 {
+    let granted = &h.granted[r][kind.index()];
+    granted.set(granted.get() + 1);
+    let counts = h.per_kind();
+    if counts.iter().flatten().sum::<u64>() > h.op_cap.get() {
+        h.arm(counts);
+        hang_trip(h);
+    }
+    masked_sum(&counts[r], h.mask.get()) - 1
 }
 
 /// Fire path: pop every target due at dynamic op `idx` and re-arm the
@@ -1643,7 +1637,7 @@ mod tests {
 
     /// Run [`mixed_program`] under `plan` with the harness's hang cap
     /// (8·N + 100 000 for a golden run of N ops) and return the number of
-    /// [`checked_op`] visits with the report.
+    /// [`charge_checked`] visits with the report.
     fn cold_visits_of(plan: InjectionPlan, golden: &OpProfile) -> (u64, CtxReport) {
         let cap = 8 * golden.total() + 100_000;
         COLD_VISITS.with(|n| n.set(0));
@@ -1727,6 +1721,37 @@ mod tests {
             let report = take().unwrap().into_report();
             assert!(report.hang_guard_tripped);
             assert_eq!(report.profile.total(), cap + 2);
+        }
+    }
+
+    #[test]
+    fn an_op_past_the_cap_that_is_the_front_target_trips_and_fires_nothing() {
+        // Op number cap + 1 is also the region's front target (injectable
+        // index cap, every op here being an add or a mul): the cap is
+        // checked first, so it trips, counted, and nothing fires — whether
+        // it comes as a hooked op or inside a refused block run op by op.
+        let cap = 100u64;
+        let a = Tf64::new(1.0);
+        let xs = vec![a; 60]; // a dot of 120 ops: refused, it holds op cap + 1
+        let runs: [&dyn Fn(); 2] = [
+            &|| {
+                let mut acc = Tf64::new(0.0);
+                for _ in 0..2 * cap {
+                    acc += a;
+                }
+            },
+            &|| {
+                let _ = crate::tf64::dot(&xs, &xs);
+            },
+        ];
+        for run in runs {
+            let plan = InjectionPlan::single(target(Region::Common, cap, 55, Operand::A));
+            assert!(install(RankCtx::new(0, plan).with_op_cap(cap)).is_none());
+            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err());
+            let report = take().unwrap().into_report();
+            assert!(report.hang_guard_tripped);
+            assert_eq!(report.profile.total(), cap + 1);
+            assert!(report.fired.is_empty() && !report.contaminated);
         }
     }
 

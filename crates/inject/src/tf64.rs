@@ -28,8 +28,8 @@
 //! on a plain twin of `Tf64` — private to this crate, the same IEEE op on
 //! each world, no hook — and otherwise on `Tf64`, op by op. Both are the
 //! same generic code, so they run the same ops on the same operands in
-//! the same order; [`Block`] lists the rules a block keeps. [`sum`] and
-//! [`dot`] are blocks.
+//! the same order; [`Block`] lists the rules a block keeps. [`dot`] is a
+//! block.
 
 use crate::ctx::{hook_binop, hook_unop};
 use crate::profile::OpKind;
@@ -469,23 +469,6 @@ pub fn run_block<B: Block>(block: B) -> B::Output {
     }
 }
 
-/// [`sum`] as a block.
-struct Sum<'a>(&'a [Tf64]);
-
-impl Block for Sum<'_> {
-    type Output = Tf64;
-    fn ops(&self) -> [u64; 5] {
-        [self.0.len() as u64, 0, 0, 0, 0]
-    }
-    fn run<T: Arith>(self) -> Tf64 {
-        let mut acc = T::ZERO;
-        for &x in T::view(self.0) {
-            acc += x;
-        }
-        acc.to_tf64()
-    }
-}
-
 /// [`dot`] as a block.
 struct Dot<'a>(&'a [Tf64], &'a [Tf64]);
 
@@ -504,13 +487,8 @@ impl Block for Dot<'_> {
     }
 }
 
-/// Sum of a slice with a fixed left-to-right order (deterministic across
+/// Dot product with a fixed left-to-right order (deterministic across
 /// runs, which golden-output comparison relies on).
-pub fn sum(xs: &[Tf64]) -> Tf64 {
-    run_block(Sum(xs))
-}
-
-/// Dot product with fixed order.
 pub fn dot(a: &[Tf64], b: &[Tf64]) -> Tf64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     run_block(Dot(a, b))
@@ -605,7 +583,6 @@ mod tests {
     #[test]
     fn slice_helpers() {
         let xs = [Tf64::new(1.0), Tf64::new(2.0), Tf64::new(3.0)];
-        assert_eq!(sum(&xs).value(), 6.0);
         assert_eq!(dot(&xs, &xs).value(), 14.0);
     }
 
@@ -670,14 +647,13 @@ mod tests {
                 let _ = Tf64::from_parts(1.0, 1.0 + f64::EPSILON);
             }
             let d = dot(&xs, &xs);
-            let s = sum(&xs);
             let report = ctx::take().unwrap().into_report();
-            ((d.value(), s.value()), report.profile)
+            (d.value(), report.profile)
         };
         let (charged, per_op) = (profile(true), profile(false));
         assert_eq!(charged, per_op);
-        assert_eq!(charged.0, (22.75, 10.5));
-        assert_eq!(charged.1.region(Region::Common).per_kind, [14, 0, 7, 0, 0]);
+        assert_eq!(charged.0, 22.75);
+        assert_eq!(charged.1.region(Region::Common).per_kind, [7, 0, 7, 0, 0]);
     }
 
     #[test]

@@ -16,9 +16,11 @@
 # with the same flags; minife at --scale 64 (--errors par --tests 24
 # --seed 7) into a store of its own, where sub-threshold taint crosses
 # the most ranks, and its merge; ft, mg, lu and minife at --scale 8
-# (--errors par --tests 60 --seed 7) and all six apps' serial --scale 1
-# --errors ser:8 campaigns into a store of their own (`store-apps`),
-# each with its merge, so every app kernel is compared at p=8 and p=1;
+# (--errors par --tests 60 --seed 7) under the bitflip and msg fault
+# models and all six apps' serial --scale 1 --errors ser:8 campaigns into
+# a store of their own (`store-apps`), each with its merge, so every app
+# kernel is compared at p=8 and p=1, and every app under msg (where a
+# corrupted payload can reach a kernel as a length or an index);
 # cg's serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
 # --scale 2 --errors par into another store (`store-eq8`), and `resilim
 # model --apps cg --scale 8 --small 2 --json` (the offline Eq. 8 path)
@@ -100,8 +102,12 @@ run_side() { # side
     echo "$1: minife p=64" >&2
     stored store-p64 minife-p64 --apps minife --scale 64 --errors par --tests 24 --seed 7
     for app in ft mg lu minife; do
-        echo "$1: $app p=8" >&2
-        stored store-apps "$app-p8" --apps "$app" --scale 8 --errors par --tests 60 --seed 7
+        for model in bitflip msg; do
+            echo "$1: $app p=8 $model" >&2
+            name=$app-p8$([ $model = msg ] && echo -msg || true)
+            stored store-apps "$name" --apps "$app" --scale 8 --errors par --tests 60 --seed 7 \
+                --fault-model $model
+        done
     done
     for app in cg ft mg lu minife pennant; do
         echo "$1: $app ser:8" >&2
