@@ -152,14 +152,19 @@ pub struct CtxReport {
     pub msgs_recvd_at_contam: u64,
 }
 
-/// Panic payload message used by the hang guard; the runtime recognises it
-/// to classify the outcome as a hang rather than a crash.
-pub const HANG_GUARD_MSG: &str = "resilim: hang guard tripped (op budget exceeded)";
-
-/// Panic payload message used by a DUE (detected-uncorrectable error) rank
-/// kill; the runtime recognises it to classify the outcome as a Due
-/// failure rather than a crash.
-pub const DUE_MSG: &str = "resilim: detected uncorrectable error (rank killed)";
+/// Why the injection layer ended a rank: the panic payload of the hang
+/// guard and of a DUE kill, raised with [`std::panic::panic_any`]. The
+/// MPI runtime downcasts it to classify the rank as a hang or a DUE
+/// failure; every other payload is a crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trip {
+    /// More tracked ops ran than the budget allows
+    /// ([`RankCtx::with_op_cap`]): the run would not have terminated in a
+    /// reasonable time.
+    HangGuard,
+    /// A fired fault killed the rank ([`RankCtx::with_kill_on_fire`]).
+    Due,
+}
 
 /// Per-rank fault-injection context, in the form it runs in: the hot
 /// cells the hooks read and the cold half the fire path borrows (see the
@@ -213,8 +218,8 @@ impl RankCtx {
         RankCtx::new(rank, InjectionPlan::none())
     }
 
-    /// Set the hang-guard budget: the context panics (with
-    /// [`HANG_GUARD_MSG`]) once more than `cap` tracked ops execute.
+    /// Set the hang-guard budget: the context panics with
+    /// [`Trip::HangGuard`] once more than `cap` tracked ops execute.
     /// Re-arms the budget cells from the exact counts, so a context that
     /// has already run may be re-capped.
     pub fn with_op_cap(self, cap: u64) -> Self {
@@ -252,7 +257,7 @@ impl RankCtx {
     }
 
     /// Arm DUE semantics: a fired fault kills the rank (panic with
-    /// [`DUE_MSG`]) instead of silently continuing. The fault is recorded
+    /// [`Trip::Due`]) instead of silently continuing. The fault is recorded
     /// and the rank marked contaminated before the kill.
     pub fn with_kill_on_fire(mut self, kill: bool) -> Self {
         self.cold.kill_on_fire = kill;
@@ -330,7 +335,7 @@ struct ColdCtx {
     fired: Vec<FiredRecord>,
     planned: usize,
     hang_guard_tripped: bool,
-    /// DUE semantics: panic (with [`DUE_MSG`]) at the firing op instead
+    /// DUE semantics: panic (with [`Trip::Due`]) at the firing op instead
     /// of continuing with the corrupted value. Only read on the
     /// already-cold fire path.
     kill_on_fire: bool,
@@ -783,7 +788,8 @@ fn contaminate(h: &HotCtx) {
     }
 }
 
-/// Hang-guard trip: record it, then panic with the recognisable payload.
+/// Hang-guard trip: record it, then end the rank with
+/// [`Trip::HangGuard`].
 #[cold]
 #[inline(never)]
 fn hang_trip(h: &HotCtx) -> ! {
@@ -792,13 +798,13 @@ fn hang_trip(h: &HotCtx) -> ! {
         obs::count(obs::Counter::HangGuardTrips, 1);
         obs::emit(&obs::Event::HangGuardTrip { rank: h.rank.get() });
     }
-    panic!("{HANG_GUARD_MSG}");
+    std::panic::panic_any(Trip::HangGuard);
 }
 
 /// DUE rank kill: the hardware detected the corruption and halted the
-/// rank. The firing was already recorded and contamination marked; all
-/// cold borrows are released before the panic so harvest sees a
-/// consistent context.
+/// rank, which ends with [`Trip::Due`]. The firing was already recorded
+/// and contamination marked; all cold borrows are released before the
+/// panic so harvest sees a consistent context.
 #[cold]
 #[inline(never)]
 fn due_trip(h: &HotCtx) -> ! {
@@ -808,7 +814,7 @@ fn due_trip(h: &HotCtx) -> ! {
         obs::count(obs::Counter::DueKills, 1);
         obs::emit(&obs::Event::DueKill { rank: h.rank.get() });
     }
-    panic!("{DUE_MSG}");
+    std::panic::panic_any(Trip::Due);
 }
 
 /// Divergent-result observation: mark contamination when the divergence is
@@ -1343,13 +1349,8 @@ mod tests {
             }
             acc
         });
-        assert!(result.is_err());
-        let msg = result
-            .unwrap_err()
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("hang guard"));
+        let payload = result.unwrap_err();
+        assert_eq!(payload.downcast_ref::<Trip>(), Some(&Trip::HangGuard));
         let report = take().unwrap().into_report();
         assert!(report.hang_guard_tripped);
     }
@@ -1365,13 +1366,8 @@ mod tests {
             let c = b + a; // idx 1: fires -> rank killed
             c
         });
-        assert!(result.is_err());
-        let msg = result
-            .unwrap_err()
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert_eq!(msg, DUE_MSG);
+        let payload = result.unwrap_err();
+        assert_eq!(payload.downcast_ref::<Trip>(), Some(&Trip::Due));
         let report = take().unwrap().into_report();
         // The firing was recorded and contamination marked before the kill,
         // and the kill counts as a detection.

@@ -142,24 +142,6 @@ impl Tf64 {
         hook_unop(OpKind::Other, self, f64::exp)
     }
 
-    /// Natural logarithm (tracked, not injectable).
-    #[inline]
-    pub fn ln(self) -> Tf64 {
-        hook_unop(OpKind::Other, self, f64::ln)
-    }
-
-    /// Sine (tracked, not injectable).
-    #[inline]
-    pub fn sin(self) -> Tf64 {
-        hook_unop(OpKind::Other, self, f64::sin)
-    }
-
-    /// Cosine (tracked, not injectable).
-    #[inline]
-    pub fn cos(self) -> Tf64 {
-        hook_unop(OpKind::Other, self, f64::cos)
-    }
-
     /// Selection minimum: each world selects independently, so an error in
     /// a non-selected candidate is masked (as on real hardware).
     #[inline]

@@ -374,12 +374,8 @@ fn hooked_run(sc: &Scenario) -> (RunResult, Vec<(u64, u64)>) {
     let killed = match &end {
         Ok(_) => false,
         Err(payload) => {
-            let msg = payload.downcast_ref::<String>().expect("a panic message");
-            assert!(
-                msg == ctx::DUE_MSG || msg == ctx::HANG_GUARD_MSG,
-                "unexpected panic: {msg}"
-            );
-            msg == ctx::DUE_MSG
+            let trip = payload.downcast_ref::<ctx::Trip>();
+            *trip.expect("the only panics are the two trips") == ctx::Trip::Due
         }
     };
     assert_eq!(report.detected, killed);
@@ -893,12 +889,8 @@ fn charge_run(sc: &ChargeScenario) -> ChargeResult {
     let killed = match &ended {
         Ok(()) => false,
         Err(payload) => {
-            let msg = payload.downcast_ref::<String>().expect("a panic message");
-            assert!(
-                msg == ctx::DUE_MSG || msg == ctx::HANG_GUARD_MSG,
-                "unexpected panic: {msg}"
-            );
-            msg == ctx::DUE_MSG
+            let trip = payload.downcast_ref::<ctx::Trip>();
+            *trip.expect("the only panics are the two trips") == ctx::Trip::Due
         }
     };
     ChargeResult {

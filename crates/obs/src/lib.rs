@@ -14,8 +14,8 @@
 //!   No code path reads a counter, histogram, or sink back into campaign
 //!   logic, so enabling the recorder cannot change a campaign statistic.
 //!
-//! The expensive granularity rule: events and spans are per-trial,
-//! per-collective, or per-fire — never per floating-point operation.
+//! The expensive granularity rule: events and timers are per-trial or
+//! per-fire — never per floating-point operation.
 //! Per-op data (ops per region) is aggregated by the existing
 //! `OpProfile` counters and flushed once per rank.
 
@@ -25,8 +25,8 @@ mod sink;
 
 pub use event::{as_micros, Event};
 pub use metrics::{
-    busy_within_wall, count, observe, span, timer, Counter, Hist, MetricsSnapshot, Span,
-    CLOCK_EPSILON_NS, HIST_BUCKETS,
+    busy_within_wall, count, observe, timer, Counter, Hist, MetricsSnapshot, CLOCK_EPSILON_NS,
+    HIST_BUCKETS,
 };
 pub use sink::{
     add_sink, clear_sinks, emit, flush_sinks, EventSink, JsonlSink, MemorySink, ProgressSink,

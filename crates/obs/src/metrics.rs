@@ -181,16 +181,6 @@ pub enum Hist {
     TrialLatencyUs,
     /// Injectable ops executed by one rank in one trial.
     OpsPerRank,
-    /// Latency of `barrier`, nanoseconds.
-    BarrierNs,
-    /// Latency of `allreduce` (vector and scalar), nanoseconds.
-    AllreduceNs,
-    /// Latency of `allgather`, nanoseconds.
-    AllgatherNs,
-    /// Latency of `alltoallv`, nanoseconds.
-    AlltoallvNs,
-    /// Latency of `sendrecv`, nanoseconds.
-    SendrecvNs,
 }
 
 /// Number of buckets per histogram: zeros + one per power of two.
@@ -198,26 +188,13 @@ pub const HIST_BUCKETS: usize = 65;
 
 impl Hist {
     /// Every histogram, in stable report order.
-    pub const ALL: [Hist; 7] = [
-        Hist::TrialLatencyUs,
-        Hist::OpsPerRank,
-        Hist::BarrierNs,
-        Hist::AllreduceNs,
-        Hist::AllgatherNs,
-        Hist::AlltoallvNs,
-        Hist::SendrecvNs,
-    ];
+    pub const ALL: [Hist; 2] = [Hist::TrialLatencyUs, Hist::OpsPerRank];
 
     /// Stable snake_case name.
     pub fn name(self) -> &'static str {
         match self {
             Hist::TrialLatencyUs => "trial_latency_us",
             Hist::OpsPerRank => "ops_per_rank",
-            Hist::BarrierNs => "barrier_ns",
-            Hist::AllreduceNs => "allreduce_ns",
-            Hist::AllgatherNs => "allgather_ns",
-            Hist::AlltoallvNs => "alltoallv_ns",
-            Hist::SendrecvNs => "sendrecv_ns",
         }
     }
 }
@@ -258,37 +235,6 @@ pub fn timer() -> Option<Instant> {
         Some(Instant::now())
     } else {
         None
-    }
-}
-
-/// Record a span's elapsed time in nanoseconds.
-#[inline]
-fn observe_elapsed_ns(h: Hist, start: Option<Instant>) {
-    if let Some(start) = start {
-        observe(h, start.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    }
-}
-
-/// RAII span: records elapsed nanoseconds into its histogram when
-/// dropped. Created while the recorder is disabled it never touches the
-/// clock and its drop is free.
-pub struct Span {
-    hist: Hist,
-    start: Option<Instant>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        observe_elapsed_ns(self.hist, self.start.take());
-    }
-}
-
-/// Start a drop-timed span for `h`.
-#[inline]
-pub fn span(h: Hist) -> Span {
-    Span {
-        hist: h,
-        start: timer(),
     }
 }
 
@@ -545,7 +491,7 @@ mod tests {
         let d = MetricsSnapshot::capture().delta(&before);
         assert_eq!(d.percentile(Hist::TrialLatencyUs, 0.5), Some(96.0));
         assert_eq!(d.percentile(Hist::TrialLatencyUs, 0.99), Some(6144.0));
-        assert_eq!(d.percentile(Hist::BarrierNs, 0.5), None);
+        assert_eq!(d.percentile(Hist::OpsPerRank, 0.5), None);
         let report = d.render();
         assert!(report.contains("trial_latency_us"));
     }

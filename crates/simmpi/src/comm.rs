@@ -8,10 +8,10 @@
 //!
 //! Design notes:
 //!
-//! * **Errors abort the job.** Fabric errors become panics with
-//!   recognisable messages; the world runner classifies them (see
-//!   [`PanicKind`](crate::PanicKind)). This mirrors the default
-//!   `MPI_ERRORS_ARE_FATAL`.
+//! * **Errors abort the job.** A failed fabric operation ends the rank
+//!   with its typed cause as the panic payload; the world runner
+//!   classifies it (see [`PanicKind`](crate::PanicKind)). This mirrors
+//!   the default `MPI_ERRORS_ARE_FATAL`.
 //! * **Collectives are linear and deterministic.** Reductions fold
 //!   contributions at rank 0 in rank order 0,1,…,p−1 as they are
 //!   received, so results are bit-reproducible and independent of the
@@ -30,10 +30,9 @@
 //!   injection context — that is how cross-rank contamination (paper
 //!   §3.2) becomes observable.
 
-use crate::error::MpiError;
+use crate::error::Abort;
 use crate::fabric::Fabric;
 use resilim_inject::{ctx, Tf64};
-use resilim_obs as obs;
 use std::cell::Cell;
 
 /// Reduction operators for [`Comm::allreduce`].
@@ -131,11 +130,8 @@ impl<'a> Comm<'a> {
         self.size == 1
     }
 
-    fn chk<T>(r: Result<T, MpiError>) -> T {
-        match r {
-            Ok(t) => t,
-            Err(e) => panic!("{e}"),
-        }
+    fn chk<T>(r: Result<T, Abort>) -> T {
+        r.unwrap_or_else(|cause| std::panic::panic_any(cause))
     }
 
     fn next_coll_tag(&self) -> u64 {
@@ -170,7 +166,6 @@ impl<'a> Comm<'a> {
     /// Combined send-to-`dst` + receive-from-`src` (halo-exchange staple;
     /// deadlock-free because sends never block).
     pub fn sendrecv(&self, dst: usize, src: usize, tag: u64, data: &[Tf64]) -> Vec<Tf64> {
-        let _span = obs::span(obs::Hist::SendrecvNs);
         self.send(dst, tag, data);
         self.recv(src, tag)
     }
@@ -182,7 +177,6 @@ impl<'a> Comm<'a> {
     /// Synchronize all ranks. Its tokens are empty and bypass the
     /// sender-side hooks, so a barrier never counts as a numeric send.
     pub fn barrier(&self) {
-        let _span = obs::span(obs::Hist::BarrierNs);
         let tag = self.next_coll_tag();
         if self.size == 1 {
             return;
@@ -202,7 +196,6 @@ impl<'a> Comm<'a> {
 
     /// Allreduce: reduce onto rank 0, then broadcast the result.
     pub fn allreduce(&self, op: ReduceOp, data: &[Tf64]) -> Vec<Tf64> {
-        let _span = obs::span(obs::Hist::AllreduceNs);
         let reduced = self.reduce(op, data);
         self.bcast(reduced)
     }
@@ -278,7 +271,6 @@ impl<'a> Comm<'a> {
     /// rank-ordered concatenation plus per-rank counts. Buffers may have
     /// different lengths (allgatherv semantics).
     pub fn allgather(&self, data: &[Tf64]) -> Gathered {
-        let _span = obs::span(obs::Hist::AllgatherNs);
         let gathered = self.gather(data);
         if self.size == 1 {
             return gathered.expect("serial gather");
@@ -320,7 +312,6 @@ impl<'a> Comm<'a> {
     /// `d`; returns `incoming[s]` from each rank `s`. (The FT transpose
     /// backbone.)
     pub fn alltoallv(&self, outgoing: Vec<Vec<Tf64>>) -> Vec<Vec<Tf64>> {
-        let _span = obs::span(obs::Hist::AlltoallvNs);
         assert_eq!(
             outgoing.len(),
             self.size,

@@ -1,20 +1,27 @@
-//! Runtime errors and panic classification.
+//! How a failed rank's cause reaches the caller.
+//!
+//! A rank fails by panicking, and every abort the harness raises itself
+//! ends its rank with a typed payload ([`std::panic::panic_any`]) owned
+//! by the crate that raises it: the injection layer's
+//! [`Trip`](resilim_inject::ctx::Trip) for the hang guard and a DUE kill,
+//! the fabric's own `Abort` for the deadlock rule and a dead fabric.
+//! [`RankPanic::from_payload`] reads the cause off the payload's type; any
+//! other payload is the application's own panic, a [`PanicKind::Crash`]
+//! whose text is kept as the message.
 
+use resilim_inject::ctx::Trip;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 
-/// Errors surfaced by fabric operations.
-///
-/// Application code does not handle these: the [`Comm`](crate::Comm)
-/// wrappers convert them into panics with recognisable messages so that a
-/// single failed rank tears down the whole simulated job, exactly like an
-/// MPI abort. The [`World`](crate::World) runner classifies those panics
-/// back into [`PanicKind`]s.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum MpiError {
-    /// No matching message can ever arrive: every other rank is blocked
-    /// or done (a deadlock, detected by the fabric's scheduler the moment
-    /// it forms — the name dates from when a timer inferred it).
-    RecvTimeout {
+/// Why the fabric ended a rank: the error of a failed send or receive,
+/// and the panic payload [`Comm`](crate::Comm) ends the rank with
+/// (`MPI_ERRORS_ARE_FATAL`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Abort {
+    /// The deadlock rule: no matching message can ever arrive, because
+    /// every other rank is blocked or done. The fabric's scheduler
+    /// detects it the moment it forms.
+    Deadlock {
         /// Receiving rank.
         rank: usize,
         /// Expected source rank.
@@ -22,48 +29,23 @@ pub(crate) enum MpiError {
         /// Expected message tag.
         tag: u64,
     },
-    /// The fabric was poisoned because another rank panicked.
+    /// The fabric was poisoned: another rank failed, or the world's
+    /// watchdog fired.
     FabricDead,
-    /// A rank index was out of range.
-    InvalidRank {
-        /// The offending rank index.
-        rank: usize,
-        /// Number of ranks in the world.
-        size: usize,
-    },
 }
 
-impl std::fmt::Display for MpiError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MpiError::RecvTimeout { rank, src, tag } => write!(
-                f,
-                "{RECV_TIMEOUT_MSG}: rank {rank} waiting for src {src} tag {tag}"
-            ),
-            MpiError::FabricDead => write!(f, "{FABRIC_DEAD_MSG}"),
-            MpiError::InvalidRank { rank, size } => {
-                write!(f, "resilim-simmpi: invalid rank {rank} (world size {size})")
-            }
-        }
-    }
-}
-
-/// Marker message for receive-timeout panics.
-pub(crate) const RECV_TIMEOUT_MSG: &str = "resilim-simmpi: receive timed out";
-/// Marker message for fabric-poisoned panics (secondary failures).
-pub(crate) const FABRIC_DEAD_MSG: &str = "resilim-simmpi: fabric dead (another rank failed)";
-
-/// Classification of a rank's panic, recovered from the panic payload.
+/// Classification of a rank's panic, read off the panic payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PanicKind {
     /// The injection hang guard tripped (op budget exceeded) — the run
     /// would not have terminated in a reasonable time.
     HangGuard,
-    /// A receive that nothing can ever match (deadlock) — a communication
-    /// partner stopped participating.
+    /// The deadlock rule: the rank blocked on a receive nothing can ever
+    /// match, because every other rank is blocked or done — a
+    /// communication partner stopped participating.
     RecvTimeout,
     /// Secondary failure: this rank died only because the fabric was
-    /// poisoned by another rank's failure.
+    /// poisoned by another rank's failure (or by the world's watchdog).
     FabricDead,
     /// A detected-uncorrectable error killed the rank
     /// (`--fault-model due`).
@@ -77,30 +59,34 @@ pub enum PanicKind {
 pub struct RankPanic {
     /// Classified cause.
     pub kind: PanicKind,
-    /// The panic message (best-effort string extraction).
+    /// What happened, for people: the cause in words (a deadlock names
+    /// the rank, the source and the tag it waited for), or a crash's own
+    /// panic text.
     pub message: String,
 }
 
 impl RankPanic {
-    /// Classify a panic payload coming out of `catch_unwind`.
-    pub fn from_payload(payload: &(dyn std::any::Any + Send)) -> RankPanic {
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_string()
+    /// Classify a panic payload coming out of `catch_unwind` by its type.
+    pub fn from_payload(payload: &(dyn Any + Send)) -> RankPanic {
+        let (kind, message) = if let Some(trip) = payload.downcast_ref::<Trip>() {
+            match trip {
+                Trip::HangGuard => (PanicKind::HangGuard, "hang guard tripped".into()),
+                Trip::Due => (PanicKind::Due, "detected uncorrectable error".into()),
+            }
+        } else if let Some(abort) = payload.downcast_ref::<Abort>() {
+            match *abort {
+                Abort::Deadlock { rank, src, tag } => (
+                    PanicKind::RecvTimeout,
+                    format!("deadlock: rank {rank} waiting for src {src} tag {tag}"),
+                ),
+                Abort::FabricDead => (PanicKind::FabricDead, "fabric dead".into()),
+            }
+        } else if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (PanicKind::Crash, (*s).to_string())
         } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
+            (PanicKind::Crash, s.clone())
         } else {
-            "<non-string panic payload>".to_string()
-        };
-        let kind = if message.contains(resilim_inject::ctx::HANG_GUARD_MSG) {
-            PanicKind::HangGuard
-        } else if message.contains(RECV_TIMEOUT_MSG) {
-            PanicKind::RecvTimeout
-        } else if message.contains(FABRIC_DEAD_MSG) {
-            PanicKind::FabricDead
-        } else if message.contains(resilim_inject::ctx::DUE_MSG) {
-            PanicKind::Due
-        } else {
-            PanicKind::Crash
+            (PanicKind::Crash, "<non-string panic payload>".into())
         };
         RankPanic { kind, message }
     }
@@ -110,59 +96,35 @@ impl RankPanic {
 mod tests {
     use super::*;
 
-    fn classify(msg: &str) -> PanicKind {
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(msg.to_string());
-        RankPanic::from_payload(boxed.as_ref()).kind
+    fn classify(payload: impl Any + Send) -> RankPanic {
+        let boxed: Box<dyn Any + Send> = Box::new(payload);
+        RankPanic::from_payload(boxed.as_ref())
     }
 
     #[test]
-    fn classify_hang_guard() {
-        assert_eq!(
-            classify(resilim_inject::ctx::HANG_GUARD_MSG),
-            PanicKind::HangGuard
-        );
+    fn classify_trips() {
+        assert_eq!(classify(Trip::HangGuard).kind, PanicKind::HangGuard);
+        assert_eq!(classify(Trip::Due).kind, PanicKind::Due);
     }
 
     #[test]
-    fn classify_timeout() {
-        assert_eq!(
-            classify("resilim-simmpi: receive timed out: rank 3 waiting for src 0 tag 7"),
-            PanicKind::RecvTimeout
-        );
-    }
-
-    #[test]
-    fn classify_fabric_dead() {
-        assert_eq!(classify(FABRIC_DEAD_MSG), PanicKind::FabricDead);
-    }
-
-    #[test]
-    fn classify_due() {
-        assert_eq!(classify(resilim_inject::ctx::DUE_MSG), PanicKind::Due);
-    }
-
-    #[test]
-    fn classify_other_as_crash() {
-        assert_eq!(classify("index out of bounds"), PanicKind::Crash);
-    }
-
-    #[test]
-    fn static_str_payload() {
-        let boxed: Box<dyn std::any::Any + Send> = Box::new("plain crash");
-        assert_eq!(
-            RankPanic::from_payload(boxed.as_ref()).kind,
-            PanicKind::Crash
-        );
-    }
-
-    #[test]
-    fn error_display() {
-        let e = MpiError::RecvTimeout {
-            rank: 1,
+    fn classify_aborts() {
+        let deadlock = classify(Abort::Deadlock {
+            rank: 3,
             src: 0,
-            tag: 42,
-        };
-        assert!(e.to_string().contains("rank 1"));
-        assert!(MpiError::FabricDead.to_string().contains("fabric dead"));
+            tag: 7,
+        });
+        assert_eq!(deadlock.kind, PanicKind::RecvTimeout);
+        assert_eq!(deadlock.message, "deadlock: rank 3 waiting for src 0 tag 7");
+        assert_eq!(classify(Abort::FabricDead).kind, PanicKind::FabricDead);
+    }
+
+    #[test]
+    fn any_other_payload_is_a_crash_with_its_text() {
+        let crash = classify("index out of bounds".to_string());
+        assert_eq!(crash.kind, PanicKind::Crash);
+        assert_eq!(crash.message, "index out of bounds");
+        assert_eq!(classify("plain crash").message, "plain crash");
+        assert_eq!(classify(42u8).kind, PanicKind::Crash);
     }
 }

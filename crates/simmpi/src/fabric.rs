@@ -17,10 +17,10 @@
 //! * a rank that **exits** hands on the same way;
 //! * **no `Ready` rank while some are `Blocked`** is a deadlock, detected
 //!   on the spot: a blocked rank's receive fails with
-//!   [`MpiError::RecvTimeout`] (classified as a hang);
+//!   [`Abort::Deadlock`] (classified as a hang);
 //! * when a rank dies the fabric is **poisoned**: one flag is set, the
 //!   next handoff makes every blocked rank `Ready`, and every pending and
-//!   future receive fails with [`MpiError::FabricDead`], so one rank's
+//!   future receive fails with [`Abort::FabricDead`], so one rank's
 //!   crash tears the whole job down in schedule order — the behaviour of
 //!   `MPI_Abort`.
 //!
@@ -29,7 +29,7 @@
 
 use crate::baton::Baton;
 use crate::carrier::Carrier;
-use crate::error::MpiError;
+use crate::error::Abort;
 use resilim_inject::{ctx, Tf64};
 use resilim_obs as obs;
 use std::collections::VecDeque;
@@ -244,7 +244,7 @@ impl Fabric {
         dst: usize,
         tag: u64,
         payload: Vec<Tf64>,
-    ) -> Result<(), MpiError> {
+    ) -> Result<(), Abort> {
         self.check_open(dst)?;
         let payload = self.outbound(src, payload);
         self.post(src, dst, tag, payload);
@@ -255,23 +255,24 @@ impl Fabric {
     /// Scheduled and counted like any message, but it bypasses the
     /// sender-side hooks: it is no numeric send, so it never enters the
     /// rank's profile or the wire-fault index.
-    pub(crate) fn send_token(&self, src: usize, dst: usize, tag: u64) -> Result<(), MpiError> {
+    pub(crate) fn send_token(&self, src: usize, dst: usize, tag: u64) -> Result<(), Abort> {
         self.check_open(dst)?;
         self.post(src, dst, tag, Vec::new());
         Ok(())
     }
 
-    /// Whether a message to `dst` can be sent at all.
-    fn check_open(&self, dst: usize) -> Result<(), MpiError> {
+    /// Whether a message to `dst` can be sent at all: not on a dead
+    /// fabric. A destination outside the world is the sender's own bug,
+    /// a crash.
+    fn check_open(&self, dst: usize) -> Result<(), Abort> {
         if self.is_dead() {
-            return Err(MpiError::FabricDead);
+            return Err(Abort::FabricDead);
         }
-        if dst >= self.size {
-            return Err(MpiError::InvalidRank {
-                rank: dst,
-                size: self.size,
-            });
-        }
+        assert!(
+            dst < self.size,
+            "resilim-simmpi: invalid rank {dst} (world size {})",
+            self.size
+        );
         Ok(())
     }
 
@@ -293,14 +294,9 @@ impl Fabric {
 
     /// Receive the first message matching `(src, tag)` in `me`'s mailbox,
     /// giving the baton away until one is there. Non-matching messages
-    /// stay buffered.
-    pub(crate) fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<Tf64>, MpiError> {
-        if me >= self.size {
-            return Err(MpiError::InvalidRank {
-                rank: me,
-                size: self.size,
-            });
-        }
+    /// stay buffered. `me` is the caller's own rank, in the world because
+    /// it holds the baton (`Baton::hold` asserts it).
+    pub(crate) fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Vec<Tf64>, Abort> {
         let mut waited = false;
         loop {
             let matched = self.sched.hold(me, |sched| {
@@ -313,13 +309,13 @@ impl Fabric {
                 return Ok(payload);
             }
             if self.is_dead() {
-                return Err(MpiError::FabricDead);
+                return Err(Abort::FabricDead);
             }
             if waited {
                 // A blocked rank is made `Ready` by a matching send, by
                 // poison, or by the deadlock rule; it was none of the
                 // first two.
-                return Err(MpiError::RecvTimeout { rank: me, src, tag });
+                return Err(Abort::Deadlock { rank: me, src, tag });
             }
             waited = true;
             let next = self
@@ -468,7 +464,7 @@ mod tests {
         let err = f.recv(0, 1, 0).unwrap_err();
         assert_eq!(
             err,
-            MpiError::RecvTimeout {
+            Abort::Deadlock {
                 rank: 0,
                 src: 1,
                 tag: 0
@@ -505,31 +501,15 @@ mod tests {
         assert_eq!(f.running(), Some(0), "poison never moves the baton");
         assert_eq!(states(&f)[2], BLOCKED, "nor anything else it guards");
         // Nothing can be sent and nobody can block any more...
-        assert_eq!(
-            f.send(0, 1, 5, Vec::new()).unwrap_err(),
-            MpiError::FabricDead
-        );
-        assert_eq!(f.recv(0, 1, 2).unwrap_err(), MpiError::FabricDead);
+        assert_eq!(f.send(0, 1, 5, Vec::new()).unwrap_err(), Abort::FabricDead);
+        assert_eq!(f.recv(0, 1, 2).unwrap_err(), Abort::FabricDead);
         assert_eq!(f.running(), Some(0));
         // ...and the next handoff readies whoever was blocked.
         assert_eq!(f.hand_on(0, Done), Some(1));
         assert_eq!(states(&f), [Done, Ready, Ready]);
         // What was already delivered can still be taken; nothing else.
         assert_eq!(f.recv(1, 0, 1).unwrap(), msg(1.0));
-        assert_eq!(f.recv(1, 0, 2).unwrap_err(), MpiError::FabricDead);
-    }
-
-    #[test]
-    fn invalid_rank() {
-        let f = fabric(2);
-        assert!(matches!(
-            f.send(0, 5, 0, Vec::new()),
-            Err(MpiError::InvalidRank { rank: 5, size: 2 })
-        ));
-        assert!(matches!(
-            f.recv(5, 0, 0),
-            Err(MpiError::InvalidRank { rank: 5, size: 2 })
-        ));
+        assert_eq!(f.recv(1, 0, 2).unwrap_err(), Abort::FabricDead);
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! replica comparison
 //! ([`RankCtx::with_replication`](resilim_inject::RankCtx::with_replication)).
 //!
+//! A rank that fails comes back as a [`RankPanic`] whose [`PanicKind`] is
+//! read off the panic payload's type: the injection layer's
+//! [`Trip`](resilim_inject::ctx::Trip) (hang guard, DUE kill), the
+//! fabric's own cause (the deadlock rule, a dead fabric), or — any other
+//! payload — an application crash. No panic text is ever classified.
+//!
 //! ## Example
 //!
 //! ```

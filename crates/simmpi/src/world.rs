@@ -394,6 +394,49 @@ mod tests {
                 [Some(PanicKind::RecvTimeout), None, None],
                 "{carrier}"
             );
+            assert_eq!(
+                results[0].result.as_ref().unwrap_err().message,
+                "deadlock: rank 0 waiting for src 2 tag 7",
+                "{carrier}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_that_names_a_cause_in_words_is_a_crash() {
+        // A cause travels as the payload's type. A rank body's own panic
+        // is a crash whatever its text says, and the text is kept.
+        static WORDS: [&str; 4] = [
+            "resilim-simmpi: receive timed out: rank 0 waiting for src 1 tag 0",
+            "resilim-simmpi: fabric dead (another rank failed)",
+            "resilim: hang guard tripped (op budget exceeded)",
+            "resilim: detected uncorrectable error (rank killed)",
+        ];
+        for (carrier, run) in CARRIERS {
+            let results = run(&World::new(4), |comm| panic!("{}", WORDS[comm.rank()]));
+            assert_eq!(kinds(&results), [Some(PanicKind::Crash); 4], "{carrier}");
+            for (r, words) in results.iter().zip(WORDS) {
+                assert_eq!(r.result.as_ref().unwrap_err().message, words, "{carrier}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_send_outside_the_world_is_a_crash() {
+        // Rank 0's bad destination is its own bug; rank 1 then finds the
+        // fabric dead before its destination is looked at.
+        for (carrier, run) in CARRIERS {
+            let results = run(&World::new(2), |comm| comm.send(2, 0, &[]));
+            assert_eq!(
+                kinds(&results),
+                [Some(PanicKind::Crash), Some(PanicKind::FabricDead)],
+                "{carrier}"
+            );
+            assert_eq!(
+                results[0].result.as_ref().unwrap_err().message,
+                "resilim-simmpi: invalid rank 2 (world size 2)",
+                "{carrier}"
+            );
         }
     }
 

@@ -28,11 +28,13 @@
 # verdict per artifact (15): the summaries (campaign and merge stdout,
 # stored; wall_secs dropped), the sorted ledger lines, the sorted feature
 # lines, the golden records (wall_secs dropped), the Eq. 8 model report
-# and the ablations stdout. Exits non-zero on any difference.
+# and the ablations stdout. Exits non-zero on any difference. Last, per
+# side, how many ledgered outcomes are a crash, a hang or a DUE failure,
+# so a change to failure classification shows it was exercised.
 #
 # The parent is exported with `git archive` (the repository and its
 # worktree list are left alone) and each side is built from its own
-# checkout into its own target directory. Needs git, cargo, tar, sed,
+# checkout into its own target directory. Needs git, cargo, tar, sed, grep,
 # sort and cmp only.
 set -eu
 
@@ -40,7 +42,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,36p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,38p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -165,5 +167,13 @@ for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
             "$work/runs/parent/out/$f" "$work/runs/change/out/$f"
         status=1
     fi
+done
+for side in parent change; do
+    printf '%-28s' "failures ($side)"
+    for kind in Crash Hang Due; do
+        printf ' %s %s' "$kind" "$(cat "$work/runs/$side/out/"*.ledger.txt |
+            grep -c "\"failure\":\"$kind\"" || true)"
+    done
+    echo
 done
 exit $status
