@@ -149,7 +149,6 @@ pub fn run_check(cfg: &CheckConfig, ops: &dyn SamplingOps) -> CheckReport {
         }
         let outcome = check_case(&case, ops);
         report.cases_run += 1;
-        obs::count(obs::Counter::CheckCasesRun, 1);
         obs::emit(&obs::Event::CheckCase {
             case: case.id,
             seed: case.seed,
@@ -163,7 +162,6 @@ pub fn run_check(cfg: &CheckConfig, ops: &dyn SamplingOps) -> CheckReport {
                 .map_or(String::new(), |v| v.oracle.name().to_string()),
         });
         if let Err(violation) = outcome {
-            obs::count(obs::Counter::CheckViolations, 1);
             let shrunk = shrink(&case, &violation, ops);
             report.shrink_attempts = shrunk.attempts;
             let record = ReproRecord {

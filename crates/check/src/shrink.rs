@@ -106,7 +106,6 @@ pub fn shrink(case: &CaseSpec, violation: &Violation, ops: &dyn SamplingOps) -> 
                 break 'passes;
             }
             attempts += 1;
-            obs::count(obs::Counter::CheckShrinkAttempts, 1);
             let still_fails = run_oracle(&candidate, violation.oracle, ops);
             let accepted = still_fails.is_err();
             obs::emit(&obs::Event::CheckShrink {

@@ -11,8 +11,10 @@ use resilim_harness::{CampaignSpec, Shard};
 use resilim_inject::FaultModelSpec;
 use resilim_serve::SubmitSpec;
 use std::io::Write as _;
+use std::str::FromStr;
 
 /// Parsed command line: the subcommand plus every flag.
+#[derive(Default)]
 pub struct Options {
     pub command: String,
     pub cfg: ExperimentConfig,
@@ -119,56 +121,15 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
     let command = args.next().ok_or_else(|| usage().to_string())?;
     let mut opts = Options {
         command,
-        cfg: ExperimentConfig::default(),
-        json: false,
-        out: None,
-        apps: None,
-        small: None,
-        scale: None,
-        errors: None,
-        fault_model: None,
-        replicate: false,
-        store: None,
-        svg: None,
-        jobs: None,
-        batch: None,
-        trace: None,
-        metrics: false,
-        resume: false,
-        shard: None,
-        trial_timeout: None,
-        retries: None,
-        adaptive: false,
-        ci: None,
-        min_tests: None,
-        smoke: false,
-        budget: None,
-        cases: None,
-        replay: None,
-        repro_dir: None,
-        inject_bug: None,
-        socket: None,
-        campaign_id: None,
-        watch: false,
-        write: None,
-        check_drift: false,
-        root: None,
+        ..Default::default()
     };
     while let Some(flag) = args.next() {
         let mut value = |name: &str| -> Result<String, String> {
             args.next().ok_or(format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--tests" => {
-                opts.cfg.tests = value("--tests")?
-                    .parse()
-                    .map_err(|e| format!("--tests: {e}"))?
-            }
-            "--seed" => {
-                opts.cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--tests" => opts.cfg.tests = number(&flag, &value(&flag)?)?,
+            "--seed" => opts.cfg.seed = number(&flag, &value(&flag)?)?,
             "--json" => opts.json = true,
             "--out" => opts.out = Some(value("--out")?),
             "--apps" => {
@@ -179,20 +140,8 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
                         .collect::<Result<Vec<_>, _>>()?,
                 );
             }
-            "--small" => {
-                opts.small = Some(
-                    value("--small")?
-                        .parse()
-                        .map_err(|e| format!("--small: {e}"))?,
-                )
-            }
-            "--scale" => {
-                opts.scale = Some(
-                    value("--scale")?
-                        .parse()
-                        .map_err(|e| format!("--scale: {e}"))?,
-                )
-            }
+            "--small" => opts.small = Some(number(&flag, &value(&flag)?)?),
+            "--scale" => opts.scale = Some(number(&flag, &value(&flag)?)?),
             "--errors" => opts.errors = Some(value("--errors")?),
             "--fault-model" => {
                 opts.fault_model = Some(FaultModelSpec::parse(&value("--fault-model")?)?)
@@ -205,7 +154,7 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
                 opts.jobs = if v == "auto" {
                     None
                 } else {
-                    let k: usize = v.parse().map_err(|e| format!("--jobs: {e}"))?;
+                    let k: usize = number(&flag, &v)?;
                     if k == 0 {
                         return Err("--jobs must be >= 1 (or auto)".into());
                     }
@@ -213,9 +162,7 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
                 }
             }
             "--batch" => {
-                let b: usize = value("--batch")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
+                let b: usize = number(&flag, &value(&flag)?)?;
                 if b == 0 {
                     return Err("--batch must be >= 1".into());
                 }
@@ -226,54 +173,34 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
             "--resume" => opts.resume = true,
             "--shard" => opts.shard = Some(Shard::parse(&value("--shard")?)?),
             "--trial-timeout" => {
-                let secs: f64 = value("--trial-timeout")?
-                    .parse()
-                    .map_err(|e| format!("--trial-timeout: {e}"))?;
+                let secs: f64 = number(&flag, &value(&flag)?)?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--trial-timeout must be a positive number of seconds".into());
                 }
                 opts.trial_timeout = Some(secs);
             }
-            "--retries" => {
-                opts.retries = Some(
-                    value("--retries")?
-                        .parse()
-                        .map_err(|e| format!("--retries: {e}"))?,
-                )
-            }
+            "--retries" => opts.retries = Some(number(&flag, &value(&flag)?)?),
             "--adaptive" => opts.adaptive = true,
             "--ci" => {
-                let hw: f64 = value("--ci")?.parse().map_err(|e| format!("--ci: {e}"))?;
+                let hw: f64 = number(&flag, &value(&flag)?)?;
                 if !hw.is_finite() || hw <= 0.0 || hw >= 0.5 {
                     return Err("--ci must be a half-width in (0, 0.5)".into());
                 }
                 opts.ci = Some(hw);
             }
-            "--min-tests" => {
-                opts.min_tests = Some(
-                    value("--min-tests")?
-                        .parse()
-                        .map_err(|e| format!("--min-tests: {e}"))?,
-                )
-            }
+            "--min-tests" => opts.min_tests = Some(number(&flag, &value(&flag)?)?),
             "--smoke" => opts.smoke = true,
             "--budget" => {
                 // Accept "300" and "300s" alike.
                 let v = value("--budget")?;
-                let secs: f64 = v
-                    .strip_suffix('s')
-                    .unwrap_or(&v)
-                    .parse()
-                    .map_err(|e| format!("--budget: {e}"))?;
+                let secs: f64 = number(&flag, v.strip_suffix('s').unwrap_or(&v))?;
                 if !secs.is_finite() || secs <= 0.0 {
                     return Err("--budget must be a positive number of seconds".into());
                 }
                 opts.budget = Some(secs);
             }
             "--cases" => {
-                let n: u64 = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
+                let n: u64 = number(&flag, &value(&flag)?)?;
                 if n == 0 {
                     return Err("--cases must be >= 1".into());
                 }
@@ -283,13 +210,7 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
             "--repro-dir" => opts.repro_dir = Some(value("--repro-dir")?),
             "--inject-bug" => opts.inject_bug = Some(value("--inject-bug")?),
             "--socket" => opts.socket = Some(value("--socket")?),
-            "--campaign" => {
-                opts.campaign_id = Some(
-                    value("--campaign")?
-                        .parse()
-                        .map_err(|e| format!("--campaign: {e}"))?,
-                )
-            }
+            "--campaign" => opts.campaign_id = Some(number(&flag, &value(&flag)?)?),
             "--watch" => opts.watch = true,
             "--write" => opts.write = Some(value("--write")?),
             "--check" => opts.check_drift = true,
@@ -316,6 +237,14 @@ pub fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, Str
         opts.cfg.stop = Some(rule);
     }
     Ok(opts)
+}
+
+/// Parse a flag's numeric value; the error names the flag.
+fn number<T: FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Write an SVG rendering next to the text/JSON output when requested.

@@ -80,3 +80,72 @@ fn metrics_json_output_matches_golden_snapshot() {
         "metrics --json drifted from the golden snapshot"
     );
 }
+
+/// The live counter block (`--metrics`, stderr) and the offline report
+/// of the same run's trace (`resilim metrics --json`) are two views of
+/// one record: every evented counter must agree between them.
+#[test]
+fn live_and_offline_reports_agree() {
+    let path =
+        std::env::temp_dir().join(format!("resilim-metrics-live-{}.jsonl", std::process::id()));
+    let trace = path.to_str().unwrap();
+    let live = Command::new(env!("CARGO_BIN_EXE_resilim"))
+        .args(["campaign", "--apps", "lu", "--scale", "2", "--tests", "12"])
+        .args(["--seed", "4242", "--trace", trace, "--metrics"])
+        .output()
+        .expect("spawn resilim");
+    assert!(
+        live.status.success(),
+        "{}",
+        String::from_utf8_lossy(&live.stderr)
+    );
+    let offline = Command::new(env!("CARGO_BIN_EXE_resilim"))
+        .args(["metrics", "--trace", trace, "--json"])
+        .output()
+        .expect("spawn resilim");
+    std::fs::remove_file(&path).unwrap();
+    assert!(offline.status.success());
+
+    // `    name value` lines of the counter block; a zero counter is not
+    // printed and reads 0.
+    let stderr = String::from_utf8(live.stderr).expect("metrics report is UTF-8");
+    let block = stderr
+        .split_once("\n  counters:\n")
+        .expect("a counter block")
+        .1;
+    let counter = |name: &str| -> u64 {
+        block
+            .lines()
+            .filter_map(|line| line.trim().split_once(char::is_whitespace))
+            .find(|(key, _)| *key == name)
+            .map_or(0, |(_, v)| v.trim().parse().expect("counter value"))
+    };
+    let stdout = String::from_utf8(offline.stdout).expect("metrics output is UTF-8");
+    let report: serde_json::Value = serde_json::from_str(&stdout).expect("metrics --json parses");
+    let field = |key: &str| report.get(key).and_then(|v| v.as_u64()).expect(key);
+    // The offline caches are `[hits, lookups]`.
+    let cache = |key: &str| {
+        let pair = report.get(key).and_then(|v| v.as_array()).expect(key);
+        [0, 1].map(|i| pair[i].as_u64().expect(key))
+    };
+
+    for name in [
+        "injections_fired",
+        "taint_born",
+        "hang_guard_trips",
+        "trial_retries",
+    ] {
+        assert_eq!(counter(name), field(name), "{name}");
+    }
+    for cache_name in ["golden", "campaign"] {
+        let hits = counter(&format!("{cache_name}_cache_hits"));
+        let misses = counter(&format!("{cache_name}_cache_misses"));
+        assert_eq!(
+            [hits, hits + misses],
+            cache(&format!("{cache_name}_cache")),
+            "{cache_name} cache"
+        );
+    }
+    // The run did fire faults, so the comparison is not of two zeros.
+    assert_eq!(counter("injections_fired"), 12);
+}

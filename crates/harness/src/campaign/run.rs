@@ -363,18 +363,15 @@ impl CampaignRun {
         let stopped_early = self.pipeline.stopped();
         let delivered = self.delivered();
         if stopped_early {
-            obs::count(obs::Counter::CampaignsStoppedEarly, 1);
             obs::count(
                 obs::Counter::TrialsSavedByStopping,
                 (self.owned - delivered) as u64,
             );
-            if obs::enabled() {
-                obs::emit(&obs::Event::CampaignEarlyStop {
-                    campaign: self.id(),
-                    at_trial: delivered,
-                    planned: spec.tests,
-                });
-            }
+            obs::emit(&obs::Event::CampaignEarlyStop {
+                campaign: self.id(),
+                at_trial: delivered,
+                planned: spec.tests,
+            });
         }
         let wall = self.started.elapsed();
         let metrics = obs::MetricsSnapshot::capture().delta(&self.metrics_before);

@@ -221,20 +221,24 @@ impl CampaignRunner {
     /// the directory and the OS error) instead of panicking. The error
     /// is raised before any trial executes.
     pub fn try_run(&self, spec: &CampaignSpec) -> std::io::Result<Arc<CampaignResult>> {
-        if self.shard.is_some() {
-            // A shard's result covers only its owned trials; publishing
-            // it under the whole-campaign key would poison the cache.
-            note_campaign_lookup(false);
-            return self.execute(spec).map(Arc::new);
+        // A shard's result covers only its owned trials; publishing it
+        // under the whole-campaign key would poison the cache, so a
+        // shard always misses and never stores.
+        let key = self.shard.is_none().then(|| spec.cache_key());
+        let hit = key
+            .as_ref()
+            .and_then(|key| self.cache.lock().get(key).cloned());
+        obs::emit(&obs::Event::CacheLookup {
+            cache: "campaign",
+            hit: hit.is_some(),
+        });
+        if let Some(hit) = hit {
+            return Ok(hit);
         }
-        let key = spec.cache_key();
-        if let Some(hit) = self.cache.lock().get(&key) {
-            note_campaign_lookup(true);
-            return Ok(Arc::clone(hit));
-        }
-        note_campaign_lookup(false);
         let result = Arc::new(self.execute(spec)?);
-        self.cache.lock().insert(key, Arc::clone(&result));
+        if let Some(key) = key {
+            self.cache.lock().insert(key, Arc::clone(&result));
+        }
         Ok(result)
     }
 
@@ -374,7 +378,6 @@ impl TrialExecutor {
             obs::count(obs::Counter::TrialDeadlineTrips, 1);
             if attempt < self.max_retries {
                 attempt += 1;
-                obs::count(obs::Counter::TrialRetries, 1);
                 obs::emit(&obs::Event::TrialRetry {
                     campaign: self.campaign_id,
                     test,
@@ -417,30 +420,15 @@ impl TrialExecutor {
     }
 }
 
-/// Record a campaign-cache lookup (hit = an Arc'd result was reused).
-fn note_campaign_lookup(hit: bool) {
-    obs::count(
-        if hit {
-            obs::Counter::CampaignCacheHits
-        } else {
-            obs::Counter::CampaignCacheMisses
-        },
-        1,
-    );
-    obs::emit(&obs::Event::CacheLookup {
-        cache: "campaign",
-        hit,
-    });
-}
-
 /// One worker's life, under any scheduler: `claim` a batch of trials
 /// of some campaign (with the executor to run them on and a key naming
 /// whom they belong to), execute them outside every lock, `deliver`
 /// the records back under the key — until `claim` returns `None`. The
 /// scheduler is the two closures: which campaign to claim from next,
-/// when to block, when to stop. Each trial's execution time is added
-/// to `WorkerBusyNanos` here, once, for one-shot and served campaigns
-/// alike.
+/// when to block, when to stop. Each trial's execution time — the
+/// `latency_us` [`TrialExecutor::run_trial`] measured for its record —
+/// is added to `WorkerBusyNanos` here, once, for one-shot and served
+/// campaigns alike.
 pub fn work_loop<K, E: Deref<Target = TrialExecutor>>(
     mut claim: impl FnMut() -> Option<(K, E, Vec<usize>)>,
     mut deliver: impl FnMut(K, Vec<TrialRecord>),
@@ -448,14 +436,12 @@ pub fn work_loop<K, E: Deref<Target = TrialExecutor>>(
     while let Some((key, executor, tests)) = claim() {
         let mut records = Vec::with_capacity(tests.len());
         for test in tests {
-            let busy = obs::timer();
-            records.push(executor.run_trial(test));
-            if let Some(busy) = busy {
-                obs::count(
-                    obs::Counter::WorkerBusyNanos,
-                    busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
-            }
+            let record = executor.run_trial(test);
+            obs::count(
+                obs::Counter::WorkerBusyNanos,
+                record.latency_us.saturating_mul(1000),
+            );
+            records.push(record);
         }
         deliver(key, records);
     }

@@ -208,15 +208,16 @@ impl GoldenStore {
             filled = true;
             match self.load_disk(&key, spec) {
                 Some(run) => {
-                    note_lookup(true);
-                    obs::emit(&obs::Event::CacheLookup {
-                        cache: "golden-disk",
-                        hit: true,
-                    });
+                    for cache in ["golden", "golden-disk"] {
+                        obs::emit(&obs::Event::CacheLookup { cache, hit: true });
+                    }
                     Arc::new(run)
                 }
                 None => {
-                    note_lookup(false);
+                    obs::emit(&obs::Event::CacheLookup {
+                        cache: "golden",
+                        hit: false,
+                    });
                     let run = Arc::new(GoldenRun::measure_masked(spec, procs, mask));
                     self.save_disk(&key, &run);
                     run
@@ -225,7 +226,10 @@ impl GoldenStore {
         });
         if !filled {
             // A memory hit, or a wait on the caller that filled it.
-            note_lookup(true);
+            obs::emit(&obs::Event::CacheLookup {
+                cache: "golden",
+                hit: true,
+            });
         }
         Arc::clone(run)
     }
@@ -296,22 +300,6 @@ impl GoldenStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Record a golden-cache lookup: hit = a profiling run was avoided.
-fn note_lookup(hit: bool) {
-    obs::count(
-        if hit {
-            obs::Counter::GoldenCacheHits
-        } else {
-            obs::Counter::GoldenCacheMisses
-        },
-        1,
-    );
-    obs::emit(&obs::Event::CacheLookup {
-        cache: "golden",
-        hit,
-    });
 }
 
 #[cfg(test)]

@@ -734,14 +734,11 @@ pub fn note_wire_fired(msg_index: u64, bit: u8) {
             return;
         }
         h.wire_fired.set(h.wire_fired.get() + 1);
-        if obs::enabled() {
-            obs::count(obs::Counter::MsgFaultsFired, 1);
-            obs::emit(&obs::Event::WireFaultFired {
-                rank: h.rank.get(),
-                msg_index,
-                bit,
-            });
-        }
+        obs::emit(&obs::Event::WireFaultFired {
+            rank: h.rank.get(),
+            msg_index,
+            bit,
+        });
     });
 }
 
@@ -753,10 +750,7 @@ fn replica_detect(h: &HotCtx) {
         return;
     }
     h.detected.set(true);
-    if obs::enabled() {
-        obs::count(obs::Counter::ReplicaDetections, 1);
-        obs::emit(&obs::Event::ReplicaDetection { rank: h.rank.get() });
-    }
+    obs::emit(&obs::Event::ReplicaDetection { rank: h.rank.get() });
 }
 
 /// A tainted value was built on this thread by [`Tf64::from_parts`]: an
@@ -782,10 +776,7 @@ fn contaminate(h: &HotCtx) {
     h.first_contam_op.set(h.total_ops());
     h.msgs_sent_at_contam.set(h.msgs_sent.get());
     h.msgs_recvd_at_contam.set(h.msgs_recvd.get());
-    if obs::enabled() {
-        obs::count(obs::Counter::TaintBorn, 1);
-        obs::emit(&obs::Event::TaintBorn { rank: h.rank.get() });
-    }
+    obs::emit(&obs::Event::TaintBorn { rank: h.rank.get() });
 }
 
 /// Hang-guard trip: record it, then end the rank with
@@ -794,10 +785,7 @@ fn contaminate(h: &HotCtx) {
 #[inline(never)]
 fn hang_trip(h: &HotCtx) -> ! {
     COLD.with(|c| c.borrow_mut().hang_guard_tripped = true);
-    if obs::enabled() {
-        obs::count(obs::Counter::HangGuardTrips, 1);
-        obs::emit(&obs::Event::HangGuardTrip { rank: h.rank.get() });
-    }
+    obs::emit(&obs::Event::HangGuardTrip { rank: h.rank.get() });
     std::panic::panic_any(Trip::HangGuard);
 }
 
@@ -810,10 +798,7 @@ fn hang_trip(h: &HotCtx) -> ! {
 fn due_trip(h: &HotCtx) -> ! {
     // The kill is itself a detection event.
     h.detected.set(true);
-    if obs::enabled() {
-        obs::count(obs::Counter::DueKills, 1);
-        obs::emit(&obs::Event::DueKill { rank: h.rank.get() });
-    }
+    obs::emit(&obs::Event::DueKill { rank: h.rank.get() });
     std::panic::panic_any(Trip::Due);
 }
 
@@ -1058,15 +1043,12 @@ fn fire<const N: usize>(
             let before = x[i].value();
             let after = t.apply(before);
             x[i] = Tf64::computed(after, x[i].shadow());
-            if obs::enabled() {
-                obs::count(obs::Counter::InjectionsFired, 1);
-                obs::emit(&obs::Event::InjectionFired {
-                    rank: h.rank.get(),
-                    region: region_trace_name(t.region),
-                    op_index: t.op_index,
-                    bit: t.bit,
-                });
-            }
+            obs::emit(&obs::Event::InjectionFired {
+                rank: h.rank.get(),
+                region: region_trace_name(t.region),
+                op_index: t.op_index,
+                bit: t.bit,
+            });
             cold.fired.push(FiredRecord {
                 target: t,
                 kind,

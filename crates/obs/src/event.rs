@@ -4,6 +4,7 @@
 //! object per line with a `"ev"` discriminator — the format `resilim
 //! metrics` reads back and anything downstream (jq, pandas) can consume.
 
+use crate::metrics::Counter;
 use std::time::Duration;
 
 /// One structured observation from the campaign pipeline.
@@ -199,6 +200,44 @@ impl Event {
             Event::DueKill { .. } => "due_kill",
             Event::ReplicaDetection { .. } => "replica_detection",
             Event::CheckShrink { .. } => "check_shrink",
+        }
+    }
+
+    /// The counters this event implies, each bumped by one when it is
+    /// emitted: the one table from happening to counter. A golden disk
+    /// hit adds nothing, because its `"golden"` lookup already counted.
+    pub(crate) fn tally(&self) -> &'static [Counter] {
+        match self {
+            Event::InjectionFired { .. } => &[Counter::InjectionsFired],
+            Event::TaintBorn { .. } => &[Counter::TaintBorn],
+            Event::HangGuardTrip { .. } => &[Counter::HangGuardTrips],
+            Event::DueKill { .. } => &[Counter::DueKills],
+            Event::ReplicaDetection { .. } => &[Counter::ReplicaDetections],
+            Event::WireFaultFired { .. } => &[Counter::MsgFaultsFired],
+            Event::CacheLookup { cache, hit } => match (*cache, *hit) {
+                ("golden", true) => &[Counter::GoldenCacheHits],
+                ("golden", false) => &[Counter::GoldenCacheMisses],
+                ("campaign", true) => &[Counter::CampaignCacheHits],
+                ("campaign", false) => &[Counter::CampaignCacheMisses],
+                _ => &[],
+            },
+            Event::TrialRetry { .. } => &[Counter::TrialRetries],
+            Event::CampaignEarlyStop { .. } => &[Counter::CampaignsStoppedEarly],
+            Event::CheckCase { ok: true, .. } => &[Counter::CheckCasesRun],
+            Event::CheckCase { ok: false, .. } => {
+                &[Counter::CheckCasesRun, Counter::CheckViolations]
+            }
+            Event::CheckShrink { .. } => &[Counter::CheckShrinkAttempts],
+            Event::ServeSubmit { deduped: false, .. } => &[Counter::ServeSubmits],
+            Event::ServeSubmit { deduped: true, .. } => {
+                &[Counter::ServeSubmits, Counter::ServeDedupHits]
+            }
+            Event::ServeCampaignDone { state, .. } => match *state {
+                "done" => &[Counter::ServeCampaignsDone],
+                "cancelled" => &[Counter::ServeCampaignsCancelled],
+                _ => &[],
+            },
+            Event::CampaignStart { .. } | Event::Trial { .. } | Event::CampaignEnd { .. } => &[],
         }
     }
 

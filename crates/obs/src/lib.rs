@@ -14,6 +14,12 @@
 //!   No code path reads a counter, histogram, or sink back into campaign
 //!   logic, so enabling the recorder cannot change a campaign statistic.
 //!
+//! * **One call per observed happening** — [`emit`] both delivers an
+//!   [`Event`] to the sinks and bumps the [`Counter`]s it implies, from
+//!   one table in this crate, so the trace and the counter block cannot
+//!   disagree. [`count`] is only for happenings that have no event
+//!   (fabric messages, ops per rank, worker time, resumed trials).
+//!
 //! The expensive granularity rule: events and timers are per-trial or
 //! per-fire — never per floating-point operation.
 //! Per-op data (ops per region) is aggregated by the existing

@@ -8,7 +8,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Monotonic event counters.
+/// Monotonic event counters. Those with an [`Event`](crate::Event) are
+/// bumped by [`emit`](crate::emit) alone; [`count`] is for the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -66,7 +67,9 @@ pub enum Counter {
     /// Shrink attempts made while minimizing a failing check case.
     CheckShrinkAttempts,
     /// Campaign submissions accepted by the service daemon
-    /// (`resilim serve`), including deduplicated resubmissions.
+    /// (`resilim serve`), including deduplicated resubmissions; a
+    /// refused submission (invalid deployment, unopenable store,
+    /// shutting down) has no `serve_submit` event and is not counted.
     ServeSubmits,
     /// Submissions answered from an already-registered campaign with
     /// the same identity (idempotent resubmission).

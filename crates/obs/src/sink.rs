@@ -39,10 +39,19 @@ pub fn flush_sinks() {
     }
 }
 
-/// Deliver an event to every sink. No-op while the recorder is disabled.
+/// Record one observed happening: bump the counters it implies, then
+/// deliver it to every sink. No-op while the recorder is disabled: the
+/// check is inlined, so a disabled call site costs one relaxed load.
+#[inline]
 pub fn emit(event: &Event) {
-    if !crate::enabled() {
-        return;
+    if crate::enabled() {
+        record(event);
+    }
+}
+
+fn record(event: &Event) {
+    for &counter in event.tally() {
+        crate::count(counter, 1);
     }
     for sink in SINKS.lock().expect("sink registry").iter() {
         sink.event(event);
@@ -230,6 +239,152 @@ mod tests {
         let events = sink.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0], Event::TaintBorn { rank: 3 });
+    }
+
+    #[test]
+    fn emit_tallies_exactly_the_counters_each_event_implies() {
+        use crate::{Counter as C, MetricsSnapshot};
+        let check_case = |ok| Event::CheckCase {
+            case: 0,
+            seed: 1,
+            app: "cg".into(),
+            procs: 2,
+            tests: 8,
+            ok,
+            oracle: String::new(),
+        };
+        let submit = |deduped| Event::ServeSubmit {
+            id: 1,
+            app: "cg".into(),
+            procs: 2,
+            tests: 8,
+            deduped,
+        };
+        let lookup = |cache, hit| Event::CacheLookup { cache, hit };
+        let done = |state| Event::ServeCampaignDone {
+            id: 1,
+            trials: 8,
+            state,
+        };
+        let table: Vec<(Event, &[(C, u64)])> = vec![
+            (
+                Event::InjectionFired {
+                    rank: 0,
+                    region: "common",
+                    op_index: 5,
+                    bit: 9,
+                },
+                &[(C::InjectionsFired, 1)],
+            ),
+            (Event::TaintBorn { rank: 1 }, &[(C::TaintBorn, 1)]),
+            (Event::HangGuardTrip { rank: 1 }, &[(C::HangGuardTrips, 1)]),
+            (Event::DueKill { rank: 1 }, &[(C::DueKills, 1)]),
+            (
+                Event::ReplicaDetection { rank: 1 },
+                &[(C::ReplicaDetections, 1)],
+            ),
+            (
+                Event::WireFaultFired {
+                    rank: 1,
+                    msg_index: 3,
+                    bit: 2,
+                },
+                &[(C::MsgFaultsFired, 1)],
+            ),
+            (lookup("golden", true), &[(C::GoldenCacheHits, 1)]),
+            (lookup("golden", false), &[(C::GoldenCacheMisses, 1)]),
+            (lookup("golden-disk", true), &[]),
+            (lookup("campaign", true), &[(C::CampaignCacheHits, 1)]),
+            (lookup("campaign", false), &[(C::CampaignCacheMisses, 1)]),
+            (
+                Event::TrialRetry {
+                    campaign: 1,
+                    test: 2,
+                    attempt: 1,
+                },
+                &[(C::TrialRetries, 1)],
+            ),
+            (
+                Event::CampaignEarlyStop {
+                    campaign: 1,
+                    at_trial: 20,
+                    planned: 400,
+                },
+                &[(C::CampaignsStoppedEarly, 1)],
+            ),
+            (check_case(true), &[(C::CheckCasesRun, 1)]),
+            (
+                check_case(false),
+                &[(C::CheckCasesRun, 1), (C::CheckViolations, 1)],
+            ),
+            (
+                Event::CheckShrink {
+                    case: 0,
+                    attempt: 1,
+                    accepted: true,
+                    procs: 2,
+                    tests: 4,
+                },
+                &[(C::CheckShrinkAttempts, 1)],
+            ),
+            (submit(false), &[(C::ServeSubmits, 1)]),
+            (
+                submit(true),
+                &[(C::ServeSubmits, 1), (C::ServeDedupHits, 1)],
+            ),
+            (done("done"), &[(C::ServeCampaignsDone, 1)]),
+            (done("cancelled"), &[(C::ServeCampaignsCancelled, 1)]),
+            (
+                Event::CampaignStart {
+                    campaign: 1,
+                    app: "cg".into(),
+                    procs: 2,
+                    tests: 8,
+                    errors: "OneParallel".into(),
+                },
+                &[],
+            ),
+            (
+                Event::Trial {
+                    campaign: 1,
+                    test: 0,
+                    kind: "sdc",
+                    masked: false,
+                    contaminated: 2,
+                    fired: 1,
+                    latency_us: 40,
+                },
+                &[],
+            ),
+            (
+                Event::CampaignEnd {
+                    campaign: 1,
+                    wall_us: 99,
+                    trials: 8,
+                    rank_switches: 30,
+                    deadlocks: 0,
+                },
+                &[],
+            ),
+        ];
+
+        let _guard = crate::test_lock();
+        clear_sinks();
+        crate::set_enabled(true);
+        for (event, expected) in &table {
+            let before = MetricsSnapshot::capture();
+            emit(event);
+            let delta = MetricsSnapshot::capture().delta(&before);
+            for c in C::ALL {
+                let want = expected.iter().find(|(e, _)| *e == c).map_or(0, |e| e.1);
+                assert_eq!(delta.counter(c), want, "{} after {event:?}", c.name());
+            }
+        }
+        // Disabled, nothing is tallied.
+        crate::set_enabled(false);
+        let before = MetricsSnapshot::capture();
+        emit(&check_case(false));
+        assert_eq!(MetricsSnapshot::capture(), before);
     }
 
     #[test]

@@ -137,20 +137,17 @@ impl Entry {
         debug_assert_eq!(self.state, CampaignState::Running);
         let result = self.run.finish();
         self.summary = Some(CampaignSummary::of(self.run.spec(), &result));
-        obs::count(obs::Counter::ServeCampaignsDone, 1);
         self.end(CampaignState::Done);
     }
 
     /// Enter a terminal state and tell everyone watching.
     fn end(&mut self, state: CampaignState) {
         self.state = state;
-        if obs::enabled() {
-            obs::emit(&obs::Event::ServeCampaignDone {
-                id: self.id(),
-                trials: self.run.delivered(),
-                state: state.as_str(),
-            });
-        }
+        obs::emit(&obs::Event::ServeCampaignDone {
+            id: self.id(),
+            trials: self.run.delivered(),
+            state: state.as_str(),
+        });
         let terminal = WatchEvent::Terminal {
             state,
             summary: self.summary.clone().map(Box::new),
@@ -303,7 +300,6 @@ impl Scheduler {
     /// is an error naming the directory — the campaign is not run
     /// non-durably.
     pub fn submit(&self, spec: &CampaignSpec) -> Result<(u64, bool), String> {
-        obs::count(obs::Counter::ServeSubmits, 1);
         let key = spec.cache_key();
         if let Some(id) = self.try_dedup(&key, spec) {
             return Ok((id, true));
@@ -325,7 +321,6 @@ impl Scheduler {
         }
         if let Some(&id) = st.by_key.get(&key) {
             drop(st);
-            obs::count(obs::Counter::ServeDedupHits, 1);
             self.note_submit(id, spec, true);
             return Ok((id, true));
         }
@@ -352,7 +347,6 @@ impl Scheduler {
         let st = self.shared.state.lock();
         let id = *st.by_key.get(key)?;
         drop(st);
-        obs::count(obs::Counter::ServeDedupHits, 1);
         self.note_submit(id, spec, true);
         Some(id)
     }
@@ -421,7 +415,6 @@ impl Scheduler {
             return true;
         }
         entry.run.seal();
-        obs::count(obs::Counter::ServeCampaignsCancelled, 1);
         entry.end(CampaignState::Cancelled);
         self.shared.cv.notify_all();
         true

@@ -24,11 +24,16 @@
 # cg's serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
 # --scale 2 --errors par into another store (`store-eq8`), and `resilim
 # model --apps cg --scale 8 --small 2 --json` (the offline Eq. 8 path)
-# over it; and `cargo run --release --example ablations`. Then one
-# verdict per artifact (15): the summaries (campaign and merge stdout,
-# stored; wall_secs dropped), the sorted ledger lines, the sorted feature
-# lines, the golden records (wall_secs dropped), the Eq. 8 model report
-# and the ablations stdout. Exits non-zero on any difference. Last, per
+# over it; `cargo run --release --example ablations`; and one --jobs 1
+# cg --scale 8 --errors par --tests 60 --seed 7 --fault-model msg
+# --replicate campaign with --trace and --metrics and no store (`obs`).
+# Then one verdict per artifact (16): the summaries (campaign and merge
+# stdout, stored; wall_secs dropped), the sorted ledger lines, the sorted
+# feature lines, the golden records (wall_secs dropped), the Eq. 8 model
+# report, the ablations stdout, and the obs record: the --metrics counter
+# block without the worker_*_nanos lines, the utilization line and the
+# trial_latency_us histogram, then the sorted trace lines with their
+# latency_us and wall_us values masked. Exits non-zero on any difference. Last, per
 # side, how many ledgered outcomes are a crash, a hang or a DUE failure,
 # so a change to failure classification shows it was exercised.
 #
@@ -42,7 +47,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,38p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,43p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -129,6 +134,17 @@ run_side() { # side
     echo "$1: ablations example" >&2
     (cd "$src" && CARGO_TARGET_DIR=$target cargo run --release --offline --quiet \
         --example ablations) >"$runs/out/ablations.txt"
+    # Both records of one campaign: counters and trace events, with
+    # every wall-clock quantity dropped or masked.
+    echo "$1: obs (cg msg --replicate, traced)" >&2
+    "$bin" campaign --apps cg --scale 8 --errors par --tests 60 --seed 7 --fault-model msg \
+        --replicate --jobs 1 --trace "$runs/obs.jsonl" --metrics >/dev/null 2>"$runs/obs.stderr"
+    {
+        sed -n '/^metrics$/,$p' "$runs/obs.stderr" |
+            grep -v -e 'worker_[a-z]*_nanos' -e 'worker utilization' -e 'trial_latency_us'
+        sed -e 's/"latency_us":[0-9]*/"latency_us":-/' -e 's/"wall_us":[0-9]*/"wall_us":-/' \
+            "$runs/obs.jsonl" | LC_ALL=C sort
+    } >"$runs/out/obs.txt"
 
     # Fixed file order (C locale), wall-clock fields dropped.
     nowall() { sed 's/"wall_secs": *[-+.0-9eE]*/"wall_secs":-/g'; }
@@ -158,7 +174,7 @@ for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
     store-p64.ledger.txt store-p64.features.txt store-p64.golden.txt \
     store-apps.ledger.txt store-apps.features.txt store-apps.golden.txt \
-    model-eq8.txt ablations.txt; do
+    model-eq8.txt ablations.txt obs.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
         printf '%-28s identical (%s lines)\n' "${f%.txt}" "$lines"
