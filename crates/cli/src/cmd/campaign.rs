@@ -3,7 +3,7 @@
 
 use crate::opts::{emit, one_deployment, Options};
 use resilim_harness::store::{CampaignSummary, ResultStore};
-use resilim_harness::CampaignRunner;
+use resilim_harness::{CampaignRunner, CampaignSpec};
 
 /// Run one deployment; print or `--store` its summary.
 pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
@@ -46,23 +46,39 @@ pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
         String::new()
     };
     let text = format!(
-        "{app} p={procs} {:?}: success {:.1}%  SDC {:.1}%  failure {:.1}%  ({} tests, {:.2}s){stopped}\n{}",
-        errors,
+        "{}{stopped}\n{}",
+        result_line(&spec, &summary, "", &format!(", {:.2}s", summary.wall_secs)),
+        detection_line(&summary),
+    );
+    emit(opts, text, &summary)
+}
+
+/// The text result line every command that measures a campaign prints
+/// (`campaign`, `merge`, `submit --watch`), without its newline:
+/// `label` follows the error spec, `note` the test count.
+pub(crate) fn result_line(
+    spec: &CampaignSpec,
+    summary: &CampaignSummary,
+    label: &str,
+    note: &str,
+) -> String {
+    format!(
+        "{} p={} {:?}{label}: success {:.1}%  SDC {:.1}%  failure {:.1}%  ({} tests{note})",
+        spec.spec.app(),
+        spec.procs,
+        spec.errors,
         summary.fi.success_rate() * 100.0,
         summary.fi.sdc_rate() * 100.0,
         summary.fi.failure_rate() * 100.0,
         summary.tests,
-        summary.wall_secs,
-        detection_line(&summary),
-    );
-    emit(opts, text, &summary)
+    )
 }
 
 /// One extra text line for non-baseline campaigns: the fault model, the
 /// DUE/detected tallies, and the detection coverage the mitigation
 /// achieved. Empty for baseline campaigns, whose output must stay
 /// byte-identical to pre-fault-model builds.
-fn detection_line(summary: &CampaignSummary) -> String {
+pub(crate) fn detection_line(summary: &CampaignSummary) -> String {
     if summary.fault_model.is_default() && !summary.replicate {
         return String::new();
     }
@@ -85,7 +101,6 @@ pub fn merge(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
         return Err("merge needs --store DIR (the shards' ledger directory)".into());
     }
     let (_, spec) = one_deployment(opts)?;
-    let (app, procs, errors) = (spec.spec.app(), spec.procs, spec.errors);
     let result = runner.merged_from_ledger(&spec)?;
     let summary = CampaignSummary::of(&spec, &result);
     if let Some(dir) = &opts.store {
@@ -106,12 +121,8 @@ pub fn merge(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
         )
     };
     let text = format!(
-        "{app} p={procs} {:?} (merged from ledger): success {:.1}%  SDC {:.1}%  failure {:.1}%  ({} tests)\n{features}{}",
-        errors,
-        summary.fi.success_rate() * 100.0,
-        summary.fi.sdc_rate() * 100.0,
-        summary.fi.failure_rate() * 100.0,
-        summary.tests,
+        "{}\n{features}{}",
+        result_line(&spec, &summary, " (merged from ledger)", ""),
         detection_line(&summary),
     );
     emit(opts, text, &summary)

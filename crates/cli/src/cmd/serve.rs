@@ -6,6 +6,7 @@
 //! default `resilim.sock` in the system temp directory), so several
 //! daemons — say, one per store — can coexist on one machine.
 
+use crate::cmd::campaign::{detection_line, result_line};
 use crate::opts::{emit, one_deployment, Options};
 use resilim_serve::{CampaignState, Client, Request, ServeConfig};
 use std::path::PathBuf;
@@ -44,7 +45,6 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 /// same shape `resilim campaign` prints.
 pub fn submit(opts: &Options) -> Result<(), String> {
     let (wire, spec) = one_deployment(opts)?;
-    let (app, procs, errors) = (spec.spec.app(), spec.procs, spec.errors);
     let mut client = Client::connect(socket_path(opts))?;
     let (id, deduped) = client.submit(wire)?;
     if !opts.watch {
@@ -62,11 +62,9 @@ pub fn submit(opts: &Options) -> Result<(), String> {
     match (state, summary) {
         (CampaignState::Done, Some(summary)) => {
             let text = format!(
-                "{app} p={procs} {errors:?}: success {:.1}%  SDC {:.1}%  failure {:.1}%  ({} tests, campaign {id})\n",
-                summary.fi.success_rate() * 100.0,
-                summary.fi.sdc_rate() * 100.0,
-                summary.fi.failure_rate() * 100.0,
-                summary.tests,
+                "{}\n{}",
+                result_line(&spec, &summary, "", &format!(", campaign {id}")),
+                detection_line(&summary),
             );
             emit(opts, text, &summary)
         }

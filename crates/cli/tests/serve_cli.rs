@@ -179,3 +179,51 @@ fn sigterm_drains_and_restart_resumes_identically() {
     assert!(daemon.wait().expect("daemon exit").success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `submit --watch` prints the result the way `campaign` does: for a
+/// non-baseline fault model that includes the fault-model/detection
+/// line, byte for byte.
+#[test]
+fn submit_watch_prints_the_campaign_detection_line() {
+    let dir = temp_dir("detection");
+    let socket = dir.join("d.sock");
+    let sock = socket.to_str().unwrap();
+    let mut daemon = spawn_daemon(&socket, &dir.join("store"));
+
+    let deployment = [
+        "--apps",
+        "cg",
+        "--scale",
+        "2",
+        "--tests",
+        "10",
+        "--seed",
+        "5",
+        "--fault-model",
+        "due",
+    ];
+    let detection = |out: &Output| -> String {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        let lines: Vec<&str> = text.lines().filter(|l| l.contains("fault model")).collect();
+        assert_eq!(lines.len(), 1, "{text}");
+        lines[0].to_string()
+    };
+    let mut submit_args = vec!["submit", "--watch", "--socket", sock];
+    submit_args.extend_from_slice(&deployment);
+    let served = detection(&client_retry(&submit_args));
+    let mut solo_args = vec!["campaign"];
+    solo_args.extend_from_slice(&deployment);
+    let solo = detection(&resilim(&solo_args));
+    assert!(solo.contains("fault model due"), "{solo}");
+    assert_eq!(served, solo);
+
+    let out = resilim(&["shutdown", "--socket", sock]);
+    assert!(out.status.success());
+    assert!(daemon.wait().expect("daemon exit").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,32 +1,19 @@
-//! The unix-socket daemon: accepts JSON-lines connections, dispatches
-//! requests to the [`Scheduler`], journals submissions for restart
-//! resume, and drains gracefully on SIGTERM/SIGINT or a `shutdown`
-//! request.
+//! The unix-socket daemon: the protocol adapter over a [`Scheduler`].
+//! It binds the socket, accepts JSON-lines connections, turns each
+//! request into one scheduler call (streaming `watch` events), and
+//! drains gracefully on SIGTERM/SIGINT or a `shutdown` request.
 //!
-//! ## Durability model
-//!
-//! Two complementary files under the store directory make the daemon
-//! restartable mid-campaign:
-//!
-//! * the **trial ledger** (shared with the one-shot CLI) records every
-//!   completed trial — the expensive state;
-//! * the **submission journal** (`submissions.jsonl`, daemon-only)
-//!   records which campaigns were asked for — the cheap state.
-//!
-//! On startup the daemon replays the journal: every submission that was
-//! not later cancelled is resubmitted, and the ledger resume inside
-//! [`Scheduler::submit`] skips whatever already ran. A daemon killed
-//! mid-campaign therefore resumes exactly where it stopped and — because
-//! aggregation folds records in owned-index order regardless of which
-//! process executed them — finishes with a bitwise-identical summary.
+//! Everything a restart must bring back — the store layout, the
+//! submissions journal and its replay — belongs to the scheduler (see
+//! its module doc); [`Daemon::spawn`] only asks it to replay once the
+//! socket is bound.
 
-use crate::protocol::{self, Request, Response, SubmitSpec, PROTOCOL_VERSION};
+use crate::protocol::{self, Request, Response, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WatchEvent};
 use resilim_harness::CampaignRunner;
-use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -65,69 +52,15 @@ fn install_term_handler() {
 pub struct ServeConfig {
     /// Unix-domain socket path to listen on.
     pub socket: PathBuf,
-    /// Durable store directory (golden cache, trial ledger, submission
-    /// journal). `None` runs fully in memory: no resume, no journal.
+    /// Durable store directory (golden cache, trial ledger, submissions
+    /// journal; laid out by [`Scheduler::new`]). `None` runs fully in
+    /// memory: no resume, no journal.
     pub store: Option<PathBuf>,
     /// Worker threads shared by all campaigns.
     pub workers: usize,
     /// Trials each worker claims and commits per batch (1 = unbatched;
     /// aggregates are bitwise identical at every batch size).
     pub batch: usize,
-}
-
-/// One line of the submission journal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct JournalLine {
-    /// `"submit"` or `"cancel"`.
-    op: String,
-    spec: SubmitSpec,
-}
-
-/// Append-only journal of submissions, replayed on startup.
-struct Journal {
-    path: PathBuf,
-}
-
-impl Journal {
-    fn open(store: &Path) -> std::io::Result<Journal> {
-        std::fs::create_dir_all(store)?;
-        Ok(Journal {
-            path: store.join("submissions.jsonl"),
-        })
-    }
-
-    fn append(&self, line: &JournalLine) {
-        let Ok(json) = serde_json::to_string(line) else {
-            return;
-        };
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-        {
-            let _ = writeln!(f, "{json}");
-            let _ = f.sync_data();
-        }
-    }
-
-    /// Submissions that were not later cancelled, in first-seen order.
-    fn replay(&self) -> Vec<SubmitSpec> {
-        let Ok(text) = std::fs::read_to_string(&self.path) else {
-            return Vec::new();
-        };
-        let mut live: Vec<SubmitSpec> = Vec::new();
-        for line in text.lines() {
-            let Ok(entry) = protocol::parse_line::<JournalLine>(line) else {
-                continue; // torn tail write or foreign line: skip
-            };
-            match entry.op.as_str() {
-                "submit" if !live.contains(&entry.spec) => live.push(entry.spec),
-                "cancel" => live.retain(|s| *s != entry.spec),
-                _ => {}
-            }
-        }
-        live
-    }
 }
 
 /// A running daemon handle (in-process embedding: tests, the
@@ -140,18 +73,11 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Bind `config.socket`, replay the journal, and start accepting
-    /// connections on a background thread.
+    /// Bind `config.socket`, have the scheduler replay its journal,
+    /// and start accepting connections on a background thread.
     pub fn spawn(config: ServeConfig) -> Result<Daemon, String> {
-        let mut runner = CampaignRunner::new().with_trial_batch(config.batch.max(1));
-        let journal = match &config.store {
-            Some(store) => {
-                runner = runner.with_golden_dir(store.join("golden"));
-                Some(Journal::open(store).map_err(|e| format!("store: {e}"))?)
-            }
-            None => None,
-        };
-        let scheduler = Arc::new(Scheduler::new(runner, config.workers, config.store.clone()));
+        let runner = CampaignRunner::new().with_trial_batch(config.batch.max(1));
+        let scheduler = Arc::new(Scheduler::new(runner, config.workers, config.store));
 
         // Bind before replay so a client polling for the socket cannot
         // connect to a half-initialized daemon — the listener exists but
@@ -165,26 +91,16 @@ impl Daemon {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("nonblocking: {e}"))?;
-
-        let journal = journal.map(Arc::new);
-        if let Some(journal) = &journal {
-            for spec in journal.replay() {
-                match spec.to_campaign() {
-                    Ok(campaign) => {
-                        if let Err(e) = scheduler.submit(&campaign) {
-                            eprintln!("serve: journal resubmit failed: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("serve: journal entry invalid: {e}"),
-                }
-            }
+        if let Err(e) = scheduler.replay() {
+            let _ = std::fs::remove_file(&config.socket);
+            return Err(e);
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let scheduler = Arc::clone(&scheduler);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || accept_loop(&listener, &scheduler, &journal, &shutdown))
+            std::thread::spawn(move || accept_loop(&listener, &scheduler, &shutdown))
         };
         Ok(Daemon {
             scheduler,
@@ -199,27 +115,19 @@ impl Daemon {
         &self.scheduler
     }
 
-    /// Wait until the daemon exits (a `shutdown` request or signal).
+    /// Wait until the daemon exits (a `shutdown` request or signal),
+    /// then drain as [`Daemon::stop`] does.
     pub fn join(mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        self.finish();
     }
 
     /// Request shutdown and drain: in-flight trials finish, ledgers
-    /// flush, the socket file is removed.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        self.scheduler.shutdown();
-        let _ = std::fs::remove_file(&self.socket);
+    /// flush, the socket file is removed. Dropping the handle does the
+    /// same.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
@@ -229,7 +137,8 @@ impl Drop for Daemon {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        self.finish();
+        self.scheduler.shutdown();
+        let _ = std::fs::remove_file(&self.socket);
     }
 }
 
@@ -248,21 +157,15 @@ pub fn run(config: ServeConfig) -> Result<(), String> {
 
 /// Accept connections until shutdown is requested (by flag, signal, or
 /// a `shutdown` request handled on a connection), then join handlers.
-fn accept_loop(
-    listener: &UnixListener,
-    scheduler: &Arc<Scheduler>,
-    journal: &Option<Arc<Journal>>,
-    shutdown: &Arc<AtomicBool>,
-) {
+fn accept_loop(listener: &UnixListener, scheduler: &Arc<Scheduler>, shutdown: &Arc<AtomicBool>) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shutdown.load(Ordering::Relaxed) && !TERM.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let scheduler = Arc::clone(scheduler);
-                let journal = journal.clone();
                 let shutdown = Arc::clone(shutdown);
                 handlers.push(std::thread::spawn(move || {
-                    handle_connection(stream, &scheduler, &journal, &shutdown);
+                    handle_connection(stream, &scheduler, &shutdown);
                 }));
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -280,12 +183,7 @@ fn accept_loop(
 /// Serve one connection: a sequence of requests, one JSON object per
 /// line of at most [`MAX_REQUEST_LINE`] bytes, each answered by one (or,
 /// for `watch`, a stream of) response lines.
-fn handle_connection(
-    stream: UnixStream,
-    scheduler: &Scheduler,
-    journal: &Option<Arc<Journal>>,
-    shutdown: &Arc<AtomicBool>,
-) {
+fn handle_connection(stream: UnixStream, scheduler: &Scheduler, shutdown: &Arc<AtomicBool>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -318,7 +216,7 @@ fn handle_connection(
             }
             Err(_) => return,
         }
-        let keep_going = dispatch(line.trim(), &mut writer, scheduler, journal, shutdown);
+        let keep_going = dispatch(line.trim(), &mut writer, scheduler, shutdown);
         line.clear();
         if !keep_going {
             return;
@@ -332,7 +230,6 @@ fn dispatch(
     line: &str,
     writer: &mut UnixStream,
     scheduler: &Scheduler,
-    journal: &Option<Arc<Journal>>,
     shutdown: &Arc<AtomicBool>,
 ) -> bool {
     if line.is_empty() {
@@ -361,21 +258,8 @@ fn dispatch(
                 let _ = protocol::write_line(writer, &Response::error("submit needs a spec"));
                 return false;
             };
-            let resp = match spec.to_campaign() {
-                Ok(campaign) => match scheduler.submit(&campaign) {
-                    Ok((id, deduped)) => {
-                        if !deduped {
-                            if let Some(journal) = journal {
-                                journal.append(&JournalLine {
-                                    op: "submit".into(),
-                                    spec: SubmitSpec::of_campaign(&campaign),
-                                });
-                            }
-                        }
-                        Response::submitted(id, deduped)
-                    }
-                    Err(e) => Response::error(e),
-                },
+            let resp = match spec.to_campaign().and_then(|c| scheduler.submit(&c)) {
+                Ok((id, deduped)) => Response::submitted(id, deduped),
                 Err(e) => Response::error(e),
             };
             let _ = protocol::write_line(writer, &resp);
@@ -402,17 +286,7 @@ fn dispatch(
         }
         "cancel" => {
             let resp = match req.id {
-                Some(id) if scheduler.cancel(id) => {
-                    // Journal the cancel so a restart does not
-                    // resurrect the campaign.
-                    if let (Some(journal), Some(spec)) = (journal, scheduler.submitted_spec(id)) {
-                        journal.append(&JournalLine {
-                            op: "cancel".into(),
-                            spec: SubmitSpec::of_campaign(&spec),
-                        });
-                    }
-                    Response::ok()
-                }
+                Some(id) if scheduler.cancel(id) => Response::ok(),
                 _ => Response::error("unknown campaign"),
             };
             let _ = protocol::write_line(writer, &resp);

@@ -16,15 +16,18 @@
 //!   [`protocol::SubmitSpec`] ⇄ [`resilim_harness::CampaignSpec`]
 //!   translation. Plain named structs with string discriminators, so
 //!   any JSON producer can speak it.
-//! * [`scheduler`] — the socket-free core: worker threads round-robin
-//!   trial admission across active campaigns (fair share with
-//!   per-campaign backpressure), each campaign streaming its completed
-//!   trials through the same deterministic reorder-buffer pipeline the
+//! * [`scheduler`] — the socket-free core and the owner of a served
+//!   campaign's lifecycle: worker threads round-robin trial admission
+//!   across active campaigns (fair share with per-campaign
+//!   backpressure), each campaign streaming its completed trials
+//!   through the same deterministic reorder-buffer pipeline the
 //!   one-shot runner uses — so per-campaign results are bitwise
-//!   identical to solo runs by construction.
-//! * [`daemon`] — the unix-socket front end: connection handling, the
-//!   durable submission journal (restart resume), and graceful
-//!   drain-on-shutdown (SIGTERM or a `shutdown` request).
+//!   identical to solo runs by construction — plus the registry, dedup,
+//!   cancel, the store layout and the submissions journal with its
+//!   replay (restart resume).
+//! * [`daemon`] — the protocol adapter: socket binding, connection
+//!   handling, one scheduler call per request, watch streaming, and
+//!   graceful drain-on-shutdown (SIGTERM or a `shutdown` request).
 //! * [`client`] — the client side the `resilim submit`/`status`
 //!   subcommands and the `identity` check oracle connect with.
 //!

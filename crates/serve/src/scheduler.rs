@@ -1,5 +1,7 @@
 //! The multi-campaign trial scheduler: fair-share admission of many
-//! concurrent campaigns' trials over one shared worker pool.
+//! concurrent campaigns' trials over one shared worker pool, and the
+//! owner of a served campaign's lifecycle — registry, dedup, cancel,
+//! the store layout and the submissions journal with its replay.
 //!
 //! ## Architecture
 //!
@@ -26,14 +28,34 @@
 //! final aggregate is bitwise identical to a solo `resilim campaign`
 //! run of the same spec, no matter how many other campaigns it shared
 //! the pool with or in what order the workers interleaved them.
+//!
+//! ## Durability
+//!
+//! With a store, two files make a served campaign survive a restart:
+//! its trial ledger (shared with the one-shot CLI) records every
+//! completed trial — the expensive state — and the submissions journal
+//! (`<store>/submissions.jsonl`) records which campaigns were asked for
+//! — the cheap state. The journal gets one `{op, spec}` line per
+//! registry change, written and fsynced under the registry lock before
+//! the client is answered: a `submit` line when a campaign is
+//! registered, a `cancel` line when a running one is cancelled, so the
+//! line order is the registry's order. A submission whose line cannot
+//! be written is refused. `Scheduler::replay`, which the daemon calls
+//! at start, brings back every submission not later cancelled, and the
+//! ledger resume inside registration skips whatever already ran, so a
+//! restarted daemon finishes an interrupted campaign with the
+//! bitwise-identical aggregate.
 
+use crate::protocol::{self, SubmitSpec};
 use parking_lot::{Condvar, Mutex};
 use resilim_harness::campaign::work_loop;
 use resilim_harness::{
     CampaignRun, CampaignRunner, CampaignSpec, CampaignSummary, TrialExecutor, TrialRecord,
 };
 use resilim_obs as obs;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -173,14 +195,99 @@ impl Entry {
     }
 }
 
+/// One line of the submissions journal.
+#[derive(Serialize, Deserialize)]
+struct JournalLine {
+    /// `"submit"` or `"cancel"`.
+    op: String,
+    spec: SubmitSpec,
+}
+
+/// The submissions journal: append-only, one writer (the registry lock
+/// holder), replayed by [`Scheduler::replay`].
+struct Journal {
+    path: PathBuf,
+    /// The append handle, opened at the first line.
+    file: Option<std::fs::File>,
+}
+
+impl Journal {
+    /// Append `op`'s line for `spec`: one `write_all`, then `sync_data`.
+    /// An error names the file.
+    fn append(&mut self, op: &str, spec: &CampaignSpec) -> Result<(), String> {
+        let line = JournalLine {
+            op: op.into(),
+            spec: SubmitSpec::of_campaign(spec),
+        };
+        let mut text = serde_json::to_string(&line).map_err(|e| format!("{e:?}"))?;
+        text.push('\n');
+        self.write(text.as_bytes())
+            .map_err(|e| format!("cannot journal the {op} in {}: {e}", self.path.display()))
+    }
+
+    /// A line that fails half-written is cut back off, so it cannot
+    /// tear the next one.
+    fn write(&mut self, line: &[u8]) -> std::io::Result<()> {
+        if self.file.is_none() {
+            let file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&self.path)?;
+            self.file = Some(file);
+        }
+        let file = self.file.as_mut().expect("opened above");
+        let whole = file.metadata()?.len();
+        file.write_all(line)
+            .and_then(|()| file.sync_data())
+            .inspect_err(|_| {
+                let _ = file.set_len(whole);
+            })
+    }
+
+    /// Submissions that were not later cancelled, in first-seen order.
+    /// A missing journal holds none; an unparseable line (a torn tail)
+    /// is skipped; a journal that cannot be read is an error.
+    fn live(&self) -> Result<Vec<SubmitSpec>, String> {
+        let bytes = match std::fs::read(&self.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(format!("cannot replay {}: {e}", self.path.display())),
+        };
+        let mut live: Vec<SubmitSpec> = Vec::new();
+        for line in String::from_utf8_lossy(&bytes).lines() {
+            let Ok(entry) = protocol::parse_line::<JournalLine>(line) else {
+                continue;
+            };
+            match entry.op.as_str() {
+                "submit" if !live.contains(&entry.spec) => live.push(entry.spec),
+                "cancel" => live.retain(|s| *s != entry.spec),
+                _ => {}
+            }
+        }
+        Ok(live)
+    }
+}
+
 /// Registry of campaigns plus the round-robin admission cursor.
 struct State {
     entries: BTreeMap<u64, Entry>,
-    /// Aggregation identity ([`CampaignSpec::cache_key`]) → campaign
-    /// id, for idempotent submission.
+    /// Aggregation identity ([`CampaignSpec::cache_key`]) → id of the
+    /// campaign that is running or done, for idempotent submission.
     by_key: HashMap<String, u64>,
     /// Id of the campaign the last claim was admitted from.
     rr_last: u64,
+    /// The submissions journal (with a store only).
+    journal: Option<Journal>,
+}
+
+impl State {
+    /// Journal one registry change; a no-op without a store.
+    fn journal(&mut self, op: &str, spec: &CampaignSpec) -> Result<(), String> {
+        match &mut self.journal {
+            Some(journal) => journal.append(op, spec),
+            None => Ok(()),
+        }
+    }
 }
 
 struct Shared {
@@ -237,9 +344,9 @@ impl Shared {
 }
 
 /// The campaign scheduler: a shared [`CampaignRunner`] (golden cache +
-/// world pool), a worker pool, and the campaign registry. Socket-free —
-/// the daemon layers the wire protocol on top, and tests drive it
-/// directly.
+/// world pool), a worker pool, the campaign registry, and — with a
+/// store — its journal. Socket-free: the daemon layers the wire
+/// protocol on top, and tests drive it directly.
 pub struct Scheduler {
     shared: Arc<Shared>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -247,20 +354,30 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Start `workers` trial workers over `runner`. With a `store`
-    /// directory, every campaign is ledgered under `<store>/ledger`
-    /// (features under `<store>/features`) and submissions resume
-    /// whatever the ledger already holds. Admission batch size comes
+    /// directory, goldens are cached under `<store>/golden`, every
+    /// campaign is ledgered under `<store>/ledger` (features under
+    /// `<store>/features`), submissions resume whatever the ledger
+    /// already holds, and every registry change is journaled to
+    /// `<store>/submissions.jsonl` (see the module doc; nothing is
+    /// replayed until the daemon asks). Admission batch size comes
     /// from the runner ([`CampaignRunner::with_trial_batch`]); batching
     /// is observationally invisible (see [`CampaignRun::deliver`]).
     pub fn new(runner: CampaignRunner, workers: usize, store: Option<PathBuf>) -> Scheduler {
         let workers = workers.max(1);
         let batch = runner.trial_batch();
-        let runner = match store {
-            Some(dir) => runner
-                .with_ledger_dir(dir.join("ledger"))
-                .with_feature_dir(dir.join("features"))
-                .with_resume(true),
-            None => runner,
+        let (runner, journal) = match store {
+            Some(dir) => (
+                runner
+                    .with_golden_dir(dir.join("golden"))
+                    .with_ledger_dir(dir.join("ledger"))
+                    .with_feature_dir(dir.join("features"))
+                    .with_resume(true),
+                Some(Journal {
+                    path: dir.join("submissions.jsonl"),
+                    file: None,
+                }),
+            ),
+            None => (runner, None),
         };
         let shared = Arc::new(Shared {
             runner,
@@ -268,6 +385,7 @@ impl Scheduler {
                 entries: BTreeMap::new(),
                 by_key: HashMap::new(),
                 rr_last: 0,
+                journal,
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -292,14 +410,44 @@ impl Scheduler {
     }
 
     /// Register a campaign. Returns `(id, deduped)`: a spec whose
-    /// aggregation identity matches an already-registered campaign
-    /// (running *or* finished) joins it instead of running again.
+    /// aggregation identity matches a running or finished campaign joins
+    /// it instead of running again (a cancelled one is submitted anew).
     /// With a store, trials the ledger already holds are resumed, so
     /// resubmitting a completed deployment to a fresh daemon finishes
-    /// without executing a single trial. A store that cannot be opened
-    /// is an error naming the directory — the campaign is not run
-    /// non-durably.
+    /// without executing a single trial. A store that cannot be opened,
+    /// or a journal line that cannot be written, is an error naming the
+    /// directory or the file — the campaign is not registered, so it is
+    /// never run non-durably.
     pub fn submit(&self, spec: &CampaignSpec) -> Result<(u64, bool), String> {
+        self.register(spec, false)
+    }
+
+    /// Bring back what the store's journal holds: every submission not
+    /// later cancelled, in journal order, each resumed from its ledger.
+    /// Appends nothing, so a restart with no new request leaves the
+    /// journal's bytes unchanged. Without a store, or before the first
+    /// line, it brings back nothing. A journal that cannot be read is an
+    /// error; an entry that no longer validates or registers is reported
+    /// on stderr and skipped.
+    pub(crate) fn replay(&self) -> Result<(), String> {
+        let live = match &self.shared.state.lock().journal {
+            Some(journal) => journal.live()?,
+            None => return Ok(()),
+        };
+        for spec in live {
+            if let Err(e) = spec
+                .to_campaign()
+                .and_then(|campaign| self.register(&campaign, true))
+            {
+                eprintln!("serve: journal entry not resumed: {e}");
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Scheduler::submit`]; a `replayed` submission is already in the
+    /// journal and gets no new line.
+    fn register(&self, spec: &CampaignSpec, replayed: bool) -> Result<(u64, bool), String> {
         let key = spec.cache_key();
         if let Some(id) = self.try_dedup(&key, spec) {
             return Ok((id, true));
@@ -323,6 +471,9 @@ impl Scheduler {
             drop(st);
             self.note_submit(id, spec, true);
             return Ok((id, true));
+        }
+        if !replayed {
+            st.journal("submit", spec)?;
         }
         let id = run.id();
         self.note_submit(id, spec, false);
@@ -368,16 +519,6 @@ impl Scheduler {
         self.shared.state.lock().entries.get(&id).map(Entry::status)
     }
 
-    /// The spec campaign `id` was registered with (for journaling).
-    pub fn submitted_spec(&self, id: u64) -> Option<CampaignSpec> {
-        self.shared
-            .state
-            .lock()
-            .entries
-            .get(&id)
-            .map(|e| e.run.spec().clone())
-    }
-
     /// A finished campaign's final aggregates.
     pub fn summary(&self, id: u64) -> Option<CampaignSummary> {
         self.shared
@@ -404,8 +545,11 @@ impl Scheduler {
     /// In-flight trials finish harmlessly (their records are dropped);
     /// the run is sealed — records still buffered for a batched write
     /// are written out and fsynced — so the ledger keeps everything
-    /// delivered so far and a later resubmission resumes instead of
-    /// starting over.
+    /// delivered so far, and the deployment's key is released, so a
+    /// later resubmission registers anew and resumes instead of starting
+    /// over. With a store the cancel is journaled; a line that cannot be
+    /// written is reported on stderr, and the campaign is cancelled
+    /// either way.
     pub fn cancel(&self, id: u64) -> bool {
         let mut st = self.shared.state.lock();
         let Some(entry) = st.entries.get_mut(&id) else {
@@ -416,6 +560,11 @@ impl Scheduler {
         }
         entry.run.seal();
         entry.end(CampaignState::Cancelled);
+        let spec = entry.run.spec().clone();
+        st.by_key.remove(&spec.cache_key());
+        if let Err(e) = st.journal("cancel", &spec) {
+            eprintln!("serve: {e}");
+        }
         self.shared.cv.notify_all();
         true
     }
@@ -636,5 +785,79 @@ mod tests {
         let sched = Scheduler::new(CampaignRunner::new(), 1, None);
         sched.shutdown();
         assert!(sched.submit(&spec(App::Cg, 1, 4, 1)).is_err());
+    }
+
+    fn temp_store(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "resilim-serve-journal-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The journal's `(op, seed)` pairs, in file order.
+    fn journal_ops(store: &std::path::Path) -> Vec<(String, u64)> {
+        let text = std::fs::read_to_string(store.join("submissions.jsonl")).unwrap();
+        text.lines()
+            .map(|line| {
+                let entry: JournalLine = protocol::parse_line(line).unwrap();
+                (entry.op, entry.spec.seed)
+            })
+            .collect()
+    }
+
+    /// A journal that cannot be written refuses the submission, naming
+    /// the file, and registers nothing; one that cannot be read fails
+    /// the replay instead of bringing back nothing.
+    #[test]
+    fn unwritable_journal_refuses_the_submission() {
+        let store = temp_store("unwritable");
+        std::fs::create_dir_all(store.join("submissions.jsonl")).unwrap();
+        let sched = Scheduler::new(CampaignRunner::new(), 1, Some(store.clone()));
+        let err = sched.submit(&spec(App::Cg, 1, 2, 1)).unwrap_err();
+        assert!(err.contains("submissions.jsonl"), "{err}");
+        assert!(
+            sched.list().is_empty(),
+            "a refused submission is registered"
+        );
+        let err = sched.replay().unwrap_err();
+        assert!(err.contains("submissions.jsonl"), "{err}");
+        drop(sched);
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// One line per registry change, in registry order: a cancel line
+    /// follows its submit line, while a dedup hit and cancelling a
+    /// finished campaign change nothing. Replay brings back exactly the
+    /// surviving campaigns and appends nothing.
+    #[test]
+    fn journal_lines_follow_the_registry() {
+        let store = temp_store("order");
+        let done = spec(App::Cg, 1, 2, 41);
+        let dropped = spec(App::Lu, 2, 300, 42);
+
+        let first = Scheduler::new(CampaignRunner::new(), 2, Some(store.clone()));
+        let (done_id, _) = first.submit(&done).unwrap();
+        assert_eq!(wait_done(&first, done_id), CampaignState::Done);
+        assert!(first.submit(&done).unwrap().1, "dedup hit");
+        let (dropped_id, _) = first.submit(&dropped).unwrap();
+        assert!(first.cancel(dropped_id));
+        assert!(first.cancel(done_id), "a finished campaign: no-op true");
+        first.shutdown();
+        let want = [("submit", 41), ("submit", 42), ("cancel", 42)];
+        let want: Vec<(String, u64)> = want.iter().map(|&(op, s)| (op.into(), s)).collect();
+        assert_eq!(journal_ops(&store), want);
+
+        let bytes = std::fs::read(store.join("submissions.jsonl")).unwrap();
+        let second = Scheduler::new(CampaignRunner::new(), 2, Some(store.clone()));
+        second.replay().unwrap();
+        let listed = second.list();
+        assert_eq!(listed.len(), 1, "{listed:?}");
+        assert_eq!((listed[0].seed, listed[0].state.as_str()), (41, "done"));
+        second.shutdown();
+        let after = std::fs::read(store.join("submissions.jsonl")).unwrap();
+        assert_eq!(after, bytes, "replay appended to the journal");
+        let _ = std::fs::remove_dir_all(&store);
     }
 }

@@ -26,14 +26,22 @@
 # model --apps cg --scale 8 --small 2 --json` (the offline Eq. 8 path)
 # over it; `cargo run --release --example ablations`; and one --jobs 1
 # cg --scale 8 --errors par --tests 60 --seed 7 --fault-model msg
-# --replicate campaign with --trace and --metrics and no store (`obs`).
-# Then one verdict per artifact (16): the summaries (campaign and merge
+# --replicate campaign with --trace and --metrics and no store (`obs`);
+# and one served session (`serve`): `resilim serve` over a fresh store,
+# a cg (--scale 4 --errors par --tests 40 --seed 7) and an lu (--scale 4
+# --tests 400) submission, the lu one cancelled at once, cg watched to
+# done, `shutdown`, a restart over the same store, `status` (the list)
+# and `status --campaign` of the survivor, `shutdown`.
+# Then one verdict per artifact (17): the summaries (campaign and merge
 # stdout, stored; wall_secs dropped), the sorted ledger lines, the sorted
 # feature lines, the golden records (wall_secs dropped), the Eq. 8 model
 # report, the ablations stdout, and the obs record: the --metrics counter
 # block without the worker_*_nanos lines, the utilization line and the
 # trial_latency_us histogram, then the sorted trace lines with their
-# latency_us and wall_us values masked. Exits non-zero on any difference. Last, per
+# latency_us and wall_us values masked, and the served session's journal
+# bytes, restarted listing (ids and states), cg summary (wall_secs
+# dropped) and sorted cg ledger lines — not the cancelled campaign's
+# ledger, whose length depends on timing. Exits non-zero on any difference. Last, per
 # side, how many ledgered outcomes are a crash, a hang or a DUE failure,
 # so a change to failure classification shows it was exercised.
 #
@@ -47,7 +55,7 @@ ref=HEAD work=
 while getopts r:d: opt; do
     case $opt in
     r) ref=$OPTARG ;; d) work=$OPTARG ;;
-    *) sed -n '2,43p' "$0" >&2; exit 2 ;;
+    *) sed -n '2,51p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -148,6 +156,47 @@ run_side() { # side
 
     # Fixed file order (C locale), wall-clock fields dropped.
     nowall() { sed 's/"wall_secs": *[-+.0-9eE]*/"wall_secs":-/g'; }
+
+    # A served session across one daemon restart.
+    echo "$1: serve (cancel, restart)" >&2
+    sock=$runs/serve.sock store=$runs/store-serve
+    cg="--apps cg --scale 4 --errors par --tests 40 --seed 7"
+    daemon() {
+        "$bin" serve --socket "$sock" --store "$store" --jobs 2 2>>"$runs/stderr.log" &
+        pid=$!
+        i=0
+        until [ -S "$sock" ]; do
+            i=$((i + 1))
+            [ $i -le 300 ] || { echo "$1: daemon never bound $sock" >&2; exit 1; }
+            sleep 0.1
+        done
+    }
+    submitted_id() { tr -d ' \n' | sed -n 's/.*"id":\([0-9]*\).*/\1/p'; }
+    daemon "$1"
+    # shellcheck disable=SC2086
+    "$bin" submit --socket "$sock" --json $cg | submitted_id >/dev/null
+    lu=$("$bin" submit --socket "$sock" --json --apps lu --scale 4 --errors par --tests 400 \
+        --seed 7 | submitted_id)
+    "$bin" cancel --socket "$sock" --campaign "$lu" >/dev/null
+    # shellcheck disable=SC2086
+    "$bin" submit --socket "$sock" --watch --json $cg >/dev/null 2>>"$runs/stderr.log"
+    "$bin" shutdown --socket "$sock" >/dev/null
+    wait "$pid"
+    daemon "$1"
+    "$bin" status --socket "$sock" >"$runs/serve-list.txt"
+    survivor=$(sed -n 's/^campaign \([0-9]*\): cg .*/\1/p' "$runs/serve-list.txt")
+    {
+        echo "== journal"
+        cat "$store/submissions.jsonl"
+        echo "== list after restart"
+        cat "$runs/serve-list.txt"
+        echo "== status --campaign $survivor"
+        "$bin" status --socket "$sock" --campaign "$survivor" --json | nowall
+        echo "== cg ledger"
+        cat "$store"/ledger/*.jsonl | grep '"key":"Cg(' | LC_ALL=C sort
+    } >"$runs/out/serve.txt"
+    "$bin" shutdown --socket "$sock" >/dev/null
+    wait "$pid"
     for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json store/*.json store-timeout/*.json store-p64/*.json \
         store-apps/*.json); do
         echo "== $f"
@@ -174,7 +223,7 @@ for f in summaries.txt store.ledger.txt store.features.txt store.golden.txt \
     store-timeout.ledger.txt store-timeout.features.txt store-timeout.golden.txt \
     store-p64.ledger.txt store-p64.features.txt store-p64.golden.txt \
     store-apps.ledger.txt store-apps.features.txt store-apps.golden.txt \
-    model-eq8.txt ablations.txt obs.txt; do
+    model-eq8.txt ablations.txt obs.txt serve.txt; do
     lines=$(wc -l <"$work/runs/change/out/$f" | tr -d ' ')
     if cmp -s "$work/runs/parent/out/$f" "$work/runs/change/out/$f"; then
         printf '%-28s identical (%s lines)\n' "${f%.txt}" "$lines"
