@@ -22,8 +22,33 @@ fn resilim(args: &[&str]) -> Output {
         .expect("spawn resilim")
 }
 
-fn spawn_daemon(socket: &Path, store: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_resilim"))
+/// A `resilim serve` child that is killed and reaped when dropped, so
+/// a failing assertion does not leave the daemon running. A test that
+/// stops it gracefully waits on it first; the drop then finds it reaped.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+fn spawn_daemon(socket: &Path, store: &Path) -> Daemon {
+    let child = Command::new(env!("CARGO_BIN_EXE_resilim"))
         .args([
             "serve",
             "--socket",
@@ -34,7 +59,8 @@ fn spawn_daemon(socket: &Path, store: &Path) -> Child {
             "2",
         ])
         .spawn()
-        .expect("spawn daemon")
+        .expect("spawn daemon");
+    Daemon(child)
 }
 
 /// Run a client command, retrying while the daemon is still starting.

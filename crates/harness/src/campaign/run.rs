@@ -85,10 +85,7 @@ type Opened<R> = (
 );
 
 /// Open one of the run's stores under `dir` and, when resuming, reload
-/// what it already holds. A store that cannot be opened is an error
-/// naming the store and its directory: an unwritable `--store` must
-/// fail the campaign before any trial runs, not leave it silently
-/// non-durable.
+/// what it already holds.
 fn open_log<R: LogRecord>(
     dir: Option<&Path>,
     resume: bool,
@@ -98,12 +95,7 @@ fn open_log<R: LogRecord>(
     let Some(dir) = dir else {
         return Ok((None, HashMap::new()));
     };
-    let log = RecordLog::open(dir, key, seed).map_err(|e| {
-        std::io::Error::new(
-            e.kind(),
-            format!("cannot open the {} under {}: {e}", R::STORE, dir.display()),
-        )
-    })?;
+    let log = RecordLog::open(dir, key, seed)?;
     let held = if resume {
         RecordLog::<R>::load(dir, key, seed)
     } else {

@@ -177,7 +177,7 @@ impl CampaignRunner {
     /// workers claim `batch` contiguous pending positions per shared
     /// counter bump and push all their completions under one pipeline
     /// lock, and the ledger consumer buffers `batch` records per
-    /// write+flush. Aggregates are bitwise identical at every batch
+    /// write. Aggregates are bitwise identical at every batch
     /// size — the reorder buffer still delivers strictly in owned-index
     /// order and an adaptive stop still freezes the same prefix (a
     /// batch only means up to `batch - 1` extra trials may *execute*

@@ -1,8 +1,11 @@
-//! The one append-only, crash-tolerant JSONL record log behind both
-//! per-trial stores: the trial ledger ([`crate::ledger::TrialLedger`])
-//! and the feature store ([`crate::features::FeatureStore`]) are the
-//! two instantiations of [`RecordLog`], differing only in their
-//! [`LogRecord`] (file prefix, version stamp, payload).
+//! The store's line files: one append writer ([`Appender`]), one line
+//! reader ([`read_lines`]), and the append-only, crash-tolerant JSONL
+//! record log behind both per-trial stores built on them. The trial
+//! ledger ([`crate::ledger::TrialLedger`]) and the feature store
+//! ([`crate::features::FeatureStore`]) are the two instantiations of
+//! [`RecordLog`], differing only in their [`LogRecord`] (file prefix,
+//! version stamp, payload); the serve scheduler's submissions journal
+//! is the third file written and read through the same two functions.
 //!
 //! Each process appends to its own file (`<prefix>-<fnv64(key)>-<pid>.jsonl`)
 //! so concurrent shards sharing a store directory never interleave
@@ -13,23 +16,115 @@
 //! A renamed file is not read.
 //!
 //! Corruption tolerance mirrors the golden cache: every line is parsed
-//! independently, and a truncated tail, interleaved garbage, a
-//! stale-version record, or a record for a different campaign key all
-//! degrade to "that trial was never recorded".
+//! independently, and a truncated tail, interleaved garbage (non-UTF-8
+//! bytes included), a stale-version record, or a record for a different
+//! campaign key all degrade to "that trial was never recorded". A file
+//! reopened with a torn tail — a kill mid-write, then a later process
+//! under the same pid — gets the tail's `\n` before its next line, so
+//! the tear costs only the torn line.
 
 use crate::campaign::{TrialConsumer, TrialRecord};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-/// Records appended between fsyncs. Each append is flushed to the OS
-/// immediately (survives a process crash); the batch fsync bounds what
-/// a power loss can cost.
+/// Records appended between fsyncs. Each batch reaches the OS in one
+/// write (survives a process crash); the fsync every `SYNC_BATCH`
+/// records bounds what a power loss can cost.
 const SYNC_BATCH: usize = 64;
+
+/// `e` with `what` (the file, the store) before its message, its kind
+/// kept.
+fn named(what: impl std::fmt::Display, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{what}: {e}"))
+}
+
+/// The one append writer of the store's line files (ledger, feature
+/// store, serve journal). It is its file's only writer, so it keeps the
+/// file's length instead of asking for it, and every error it returns
+/// names the file.
+pub struct Appender {
+    path: PathBuf,
+    file: File,
+    /// The file's length: what was there at open plus every append since.
+    len: u64,
+    /// What the next append writes before its lines: `\n` while the
+    /// file ends in a line without one (a write torn by a kill).
+    framing: &'static [u8],
+}
+
+impl Appender {
+    /// Open `path` for appending, creating it if needed, and check its
+    /// tail: a non-empty file that does not end in `\n` gets one before
+    /// the first append, so the torn line is not joined to the next.
+    pub fn open(path: impl Into<PathBuf>) -> io::Result<Appender> {
+        let path = path.into();
+        let opened = (|| {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .open(&path)?;
+            let len = file.metadata()?.len();
+            let mut last = [b'\n'];
+            if len > 0 {
+                file.seek(SeekFrom::End(-1))?;
+                file.read_exact(&mut last)?;
+            }
+            Ok((file, len, if last[0] == b'\n' { &b""[..] } else { b"\n" }))
+        })();
+        let (file, len, framing) = opened.map_err(|e| named(path.display(), e))?;
+        Ok(Appender {
+            path,
+            file,
+            len,
+            framing,
+        })
+    }
+
+    /// Append whole `lines` (each ending in `\n`) with one write and,
+    /// with `sync`, fsync the file (no lines: fsync what earlier appends
+    /// wrote). If the write or the sync fails, the file is cut back to
+    /// its length before the call, so a failed append leaves no partial
+    /// line for the next one to join.
+    pub fn append(&mut self, lines: &[u8], sync: bool) -> io::Result<()> {
+        let written = (self.file.write_all(self.framing))
+            .and_then(|()| self.file.write_all(lines))
+            .and_then(|()| if sync { self.file.sync_data() } else { Ok(()) });
+        match written {
+            Ok(()) => {
+                self.len += (self.framing.len() + lines.len()) as u64;
+                self.framing = b"";
+                Ok(())
+            }
+            Err(e) => {
+                let _ = self.file.set_len(self.len);
+                Err(named(self.path.display(), e))
+            }
+        }
+    }
+}
+
+/// The one line reader of the store's line files: every line of the
+/// file at `path` that is UTF-8 and parses as a `T`, in file order. A
+/// line that does not — a torn tail, garbage, a foreign format — costs
+/// only itself. A missing file holds no lines; one that cannot be read
+/// is an error naming it.
+pub fn read_lines<T: Deserialize>(path: &Path) -> io::Result<Vec<T>> {
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(named(path.display(), e)),
+    };
+    Ok(bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|line| serde_json::from_str(std::str::from_utf8(line).ok()?).ok())
+        .collect())
+}
 
 /// One kind of durable per-trial record: the serialized JSONL line and
 /// its mapping to the rows callers append and the values loaders return.
@@ -62,33 +157,28 @@ pub trait LogRecord: Serialize + Deserialize {
 pub struct RecordLog<R: LogRecord> {
     key: String,
     seed: u64,
-    writer: Mutex<Writer>,
+    /// This process's append file, and the records appended since its
+    /// last fsync.
+    file: Mutex<(Appender, usize)>,
     record: PhantomData<fn(R)>,
-}
-
-struct Writer {
-    file: BufWriter<File>,
-    /// Appends since the last fsync.
-    unsynced: usize,
 }
 
 impl<R: LogRecord> RecordLog<R> {
     /// Open (creating the directory and this process's append file if
-    /// needed) the log for one campaign key.
-    pub fn open(dir: impl AsRef<Path>, key: &str, seed: u64) -> std::io::Result<RecordLog<R>> {
+    /// needed) the log for one campaign key. A log that cannot be opened
+    /// is an error naming the store and its directory: an unwritable
+    /// store must fail the campaign before any trial runs, not leave it
+    /// silently non-durable.
+    pub fn open(dir: impl AsRef<Path>, key: &str, seed: u64) -> io::Result<RecordLog<R>> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(Self::file_name(key)))?;
+        let store = || format!("cannot open the {} under {}", R::STORE, dir.display());
+        let appender = std::fs::create_dir_all(dir)
+            .and_then(|()| Appender::open(dir.join(Self::file_name(key))))
+            .map_err(|e| named(store(), e))?;
         Ok(RecordLog {
             key: key.to_string(),
             seed,
-            writer: Mutex::new(Writer {
-                file: BufWriter::new(file),
-                unsynced: 0,
-            }),
+            file: Mutex::new((appender, 0)),
             record: PhantomData,
         })
     }
@@ -108,44 +198,32 @@ impl<R: LogRecord> RecordLog<R> {
         )
     }
 
-    /// Append a batch of rows with one writer lock, one `write`, and one
-    /// flush — the amortized form batched admission uses. Best-effort
-    /// durability: the whole batch reaches the OS before this returns (a
-    /// crashed *process* loses nothing) and the file is fsynced every
-    /// `SYNC_BATCH` records (bounding what a power loss can cost); IO
-    /// errors are swallowed — a full disk must not kill the campaign, it
-    /// only degrades resumability.
+    /// Append a batch of rows with one lock and one write — the
+    /// amortized form batched admission uses. The whole batch reaches
+    /// the OS before this returns (a crashed *process* loses nothing),
+    /// and the file is fsynced once `SYNC_BATCH` records are unsynced
+    /// (bounding what a power loss can cost).
+    ///
+    /// Best-effort: a failed append is dropped (its trials re-run on
+    /// resume), so a full disk degrades resumability instead of killing
+    /// the campaign. Whether it should fail or degrade visibly instead
+    /// is open (ROADMAP item 8).
     pub fn append_batch(&self, rows: &[R::Row]) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut lines = String::new();
-        for &row in rows {
-            let Ok(line) = serde_json::to_string(&R::new(&self.key, self.seed, row)) else {
-                continue;
-            };
-            lines.push_str(&line);
-            lines.push('\n');
-        }
-        let mut w = self.writer.lock();
-        if w.file.write_all(lines.as_bytes()).is_err() {
-            return;
-        }
-        let _ = w.file.flush();
-        w.unsynced += rows.len();
-        if w.unsynced >= SYNC_BATCH {
-            let _ = w.file.get_ref().sync_data();
-            w.unsynced = 0;
-        }
+        let lines: String = rows
+            .iter()
+            .map(|&row| serde_json::to_string(&R::new(&self.key, self.seed, row)).unwrap() + "\n")
+            .collect();
+        let (appender, unsynced) = &mut *self.file.lock();
+        let sync = *unsynced + rows.len() >= SYNC_BATCH;
+        *unsynced = if sync { 0 } else { *unsynced + rows.len() };
+        let _ = appender.append(lines.as_bytes(), sync);
     }
 
-    /// Flush and fsync any pending batch (also done on drop).
+    /// Fsync any records appended since the last fsync (also done on drop).
     pub fn sync(&self) {
-        let mut w = self.writer.lock();
-        let _ = w.file.flush();
-        if w.unsynced > 0 {
-            let _ = w.file.get_ref().sync_data();
-            w.unsynced = 0;
+        let (appender, unsynced) = &mut *self.file.lock();
+        if *unsynced > 0 && appender.append(b"", true).is_ok() {
+            *unsynced = 0;
         }
     }
 
@@ -225,8 +303,9 @@ impl<R: LogRecord> RecordLog<R> {
     /// Visit every parseable current-version record in the `*.jsonl`
     /// files under `dir` named for `key`, with its source path, in
     /// file-name order; the first visitor error ends the scan.
-    /// Unparseable lines and stale versions are skipped here so every
-    /// loader shares one corruption-tolerance policy. The records of a
+    /// Lines [`read_lines`] cannot parse, unreadable files and stale
+    /// versions are skipped here, so every loader shares one
+    /// corruption-tolerance policy. The records of a
     /// named file still carry their own key (fnv64 can collide), so
     /// visitors check it.
     fn scan(
@@ -240,23 +319,15 @@ impl<R: LogRecord> RecordLog<R> {
         let prefix = Self::file_prefix(key);
         let mut paths: Vec<PathBuf> = entries
             .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with(&prefix))
+            .filter(|e| {
+                let name = e.file_name();
+                (name.to_str()).is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".jsonl"))
             })
+            .map(|e| e.path())
             .collect();
         paths.sort();
         for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<R>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
+            for rec in read_lines::<R>(&path).unwrap_or_default() {
                 if rec.identity().0 != R::VERSION {
                     continue; // stale version: skipped, never migrated
                 }
@@ -281,9 +352,9 @@ impl<R: LogRecord> Drop for RecordLog<R> {
 /// and one-shot vs daemon execution, and a stopped campaign's log holds
 /// exactly the delivered prefix plus whatever earlier runs recorded.
 ///
-/// Up to `batch` rows are buffered per write+flush — the amortized form
-/// batched admission uses. [`TrialConsumer::finish`] drains the buffer,
-/// fsyncs and closes the log, so batch size changes the
+/// Up to `batch` rows are buffered per write — the amortized form
+/// batched admission uses. [`TrialConsumer::finish`] drains the buffer
+/// and drops the log, which fsyncs and closes it, so batch size changes the
 /// crash-durability lag (bounded by the batch), never file contents.
 pub(crate) struct LogConsumer<R: LogRecord> {
     log: Option<RecordLog<R>>,
@@ -320,7 +391,6 @@ impl<R: LogRecord> TrialConsumer for LogConsumer<R> {
     fn finish(&mut self) {
         if let Some(log) = self.log.take() {
             log.append_batch(&self.buffered);
-            log.sync();
         }
         self.buffered.clear();
     }
@@ -391,7 +461,7 @@ mod tests {
 
     /// A second log file for `key` that no live process owns (the shape
     /// another pid's run leaves behind), holding `text`.
-    fn plant<R: LogRecord>(dir: &Path, key: &str, text: &str) {
+    fn plant<R: LogRecord>(dir: &Path, key: &str, text: impl AsRef<[u8]>) {
         let name = format!("{}zzz.jsonl", RecordLog::<R>::file_prefix(key));
         std::fs::write(dir.join(name), text).unwrap();
     }
@@ -447,6 +517,51 @@ mod tests {
                 "stale-version record must be ignored"
             );
             assert!(!map.contains_key(&3), "truncated record must be ignored");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A stray non-UTF-8 byte costs its line, not the file: the good
+    /// records on either side of it load.
+    fn a_non_utf8_line_costs_only_itself<R: Sample>() {
+        let dir = temp_dir::<R>("utf8");
+        let file = write::<R>(&dir, "k", 1, &[0, 1]);
+        let raw = std::fs::read_to_string(file).unwrap();
+        let line = raw.lines().next().unwrap();
+        let good4 = line.replace("\"trial\":0", "\"trial\":4");
+        let good5 = line.replace("\"trial\":0", "\"trial\":5");
+        let mut planted = format!("{good4}\n").into_bytes();
+        planted.extend_from_slice(b"\xff\xfe not utf-8\n");
+        planted.extend_from_slice(format!("{good5}\n").as_bytes());
+        plant::<R>(&dir, "k", planted);
+        for map in [
+            RecordLog::<R>::load(&dir, "k", 1),
+            RecordLog::<R>::load_strict(&dir, "k", 1).expect("a bad byte is not fatal"),
+        ] {
+            let mut trials: Vec<usize> = map.keys().copied().collect();
+            trials.sort_unstable();
+            assert_eq!(trials, [0, 1, 4, 5]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file reopened under the same name (a later process under a
+    /// reused pid) after a kill tore its last line: the next append
+    /// starts a line of its own, so only the torn record is lost.
+    fn a_reopened_torn_file_keeps_the_next_append<R: Sample>() {
+        let dir = temp_dir::<R>("reopen");
+        let file = write::<R>(&dir, "k", 1, &[0, 1]);
+        let raw = std::fs::read(&file).unwrap();
+        std::fs::write(&file, &raw[..raw.len() - 10]).unwrap();
+        write::<R>(&dir, "k", 1, &[2]);
+        for map in [
+            RecordLog::<R>::load(&dir, "k", 1),
+            RecordLog::<R>::load_strict(&dir, "k", 1).expect("a tear is not fatal"),
+        ] {
+            let mut trials: Vec<usize> = map.keys().copied().collect();
+            trials.sort_unstable();
+            assert_eq!(trials, [0, 2]);
+            assert_eq!(map[&2], R::value(2));
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -552,6 +667,14 @@ mod tests {
                 #[test]
                 fn corrupt_lines_and_stale_versions_are_skipped() {
                     super::corrupt_lines_and_stale_versions_are_skipped::<$record>();
+                }
+                #[test]
+                fn a_non_utf8_line_costs_only_itself() {
+                    super::a_non_utf8_line_costs_only_itself::<$record>();
+                }
+                #[test]
+                fn a_reopened_torn_file_keeps_the_next_append() {
+                    super::a_reopened_torn_file_keeps_the_next_append::<$record>();
                 }
                 #[test]
                 fn missing_dir_loads_empty() {

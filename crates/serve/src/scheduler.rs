@@ -35,27 +35,32 @@
 //! its trial ledger (shared with the one-shot CLI) records every
 //! completed trial — the expensive state — and the submissions journal
 //! (`<store>/submissions.jsonl`) records which campaigns were asked for
-//! — the cheap state. The journal gets one `{op, spec}` line per
-//! registry change, written and fsynced under the registry lock before
-//! the client is answered: a `submit` line when a campaign is
-//! registered, a `cancel` line when a running one is cancelled, so the
-//! line order is the registry's order. A submission whose line cannot
-//! be written is refused. `Scheduler::replay`, which the daemon calls
-//! at start, brings back every submission not later cancelled, and the
-//! ledger resume inside registration skips whatever already ran, so a
-//! restarted daemon finishes an interrupted campaign with the
-//! bitwise-identical aggregate.
+//! — the cheap state. Both are written by the store's one appender and
+//! read by its one line reader ([`resilim_harness::recordlog`]), so a
+//! tail torn by a kill costs only the torn line. The journal gets one
+//! `{op, spec}` line per registry change, written and fsynced under the
+//! registry lock before the client is answered: a `submit` line when a
+//! campaign is registered, a `cancel` line when a running one is
+//! cancelled, so the line order is the registry's order. Its failure
+//! policy is to refuse: a submission whose line cannot be written or
+//! synced is refused, and the line is cut back. (The ledger's policy is
+//! best-effort; see [`resilim_harness::recordlog::RecordLog::append_batch`].)
+//! `Scheduler::replay`, which the daemon calls at start, brings back
+//! every submission not later cancelled, and the ledger resume inside
+//! registration skips whatever already ran, so a restarted daemon
+//! finishes an interrupted campaign with the bitwise-identical
+//! aggregate.
 
-use crate::protocol::{self, SubmitSpec};
+use crate::protocol::SubmitSpec;
 use parking_lot::{Condvar, Mutex};
 use resilim_harness::campaign::work_loop;
+use resilim_harness::recordlog::{read_lines, Appender};
 use resilim_harness::{
     CampaignRun, CampaignRunner, CampaignSpec, CampaignSummary, TrialExecutor, TrialRecord,
 };
 use resilim_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -204,60 +209,45 @@ struct JournalLine {
 }
 
 /// The submissions journal: append-only, one writer (the registry lock
-/// holder), replayed by [`Scheduler::replay`].
+/// holder), replayed by [`Scheduler::replay`]. Without a store it holds
+/// nothing and writes nothing.
 struct Journal {
-    path: PathBuf,
+    path: Option<PathBuf>,
     /// The append handle, opened at the first line.
-    file: Option<std::fs::File>,
+    file: Option<Appender>,
 }
 
 impl Journal {
-    /// Append `op`'s line for `spec`: one `write_all`, then `sync_data`.
-    /// An error names the file.
+    /// Append `op`'s line for `spec` and fsync it; a line whose write or
+    /// sync fails is cut back off. An error names the file.
     fn append(&mut self, op: &str, spec: &CampaignSpec) -> Result<(), String> {
+        let Some(path) = &self.path else {
+            return Ok(());
+        };
         let line = JournalLine {
             op: op.into(),
             spec: SubmitSpec::of_campaign(spec),
         };
-        let mut text = serde_json::to_string(&line).map_err(|e| format!("{e:?}"))?;
-        text.push('\n');
-        self.write(text.as_bytes())
-            .map_err(|e| format!("cannot journal the {op} in {}: {e}", self.path.display()))
-    }
-
-    /// A line that fails half-written is cut back off, so it cannot
-    /// tear the next one.
-    fn write(&mut self, line: &[u8]) -> std::io::Result<()> {
-        if self.file.is_none() {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&self.path)?;
-            self.file = Some(file);
-        }
-        let file = self.file.as_mut().expect("opened above");
-        let whole = file.metadata()?.len();
-        file.write_all(line)
-            .and_then(|()| file.sync_data())
-            .inspect_err(|_| {
-                let _ = file.set_len(whole);
-            })
+        let text = serde_json::to_string(&line).unwrap() + "\n";
+        let file = match &mut self.file {
+            Some(file) => Ok(file),
+            None => Appender::open(path).map(|file| self.file.insert(file)),
+        };
+        file.and_then(|file| file.append(text.as_bytes(), true))
+            .map_err(|e| format!("cannot journal the {op}: {e}"))
     }
 
     /// Submissions that were not later cancelled, in first-seen order.
     /// A missing journal holds none; an unparseable line (a torn tail)
     /// is skipped; a journal that cannot be read is an error.
     fn live(&self) -> Result<Vec<SubmitSpec>, String> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(format!("cannot replay {}: {e}", self.path.display())),
+        let Some(path) = &self.path else {
+            return Ok(Vec::new());
         };
+        let lines = read_lines::<JournalLine>(path)
+            .map_err(|e| format!("cannot replay the journal: {e}"))?;
         let mut live: Vec<SubmitSpec> = Vec::new();
-        for line in String::from_utf8_lossy(&bytes).lines() {
-            let Ok(entry) = protocol::parse_line::<JournalLine>(line) else {
-                continue;
-            };
+        for entry in lines {
             match entry.op.as_str() {
                 "submit" if !live.contains(&entry.spec) => live.push(entry.spec),
                 "cancel" => live.retain(|s| *s != entry.spec),
@@ -276,18 +266,8 @@ struct State {
     by_key: HashMap<String, u64>,
     /// Id of the campaign the last claim was admitted from.
     rr_last: u64,
-    /// The submissions journal (with a store only).
-    journal: Option<Journal>,
-}
-
-impl State {
-    /// Journal one registry change; a no-op without a store.
-    fn journal(&mut self, op: &str, spec: &CampaignSpec) -> Result<(), String> {
-        match &mut self.journal {
-            Some(journal) => journal.append(op, spec),
-            None => Ok(()),
-        }
-    }
+    /// The submissions journal.
+    journal: Journal,
 }
 
 struct Shared {
@@ -365,19 +345,13 @@ impl Scheduler {
     pub fn new(runner: CampaignRunner, workers: usize, store: Option<PathBuf>) -> Scheduler {
         let workers = workers.max(1);
         let batch = runner.trial_batch();
-        let (runner, journal) = match store {
-            Some(dir) => (
-                runner
-                    .with_golden_dir(dir.join("golden"))
-                    .with_ledger_dir(dir.join("ledger"))
-                    .with_feature_dir(dir.join("features"))
-                    .with_resume(true),
-                Some(Journal {
-                    path: dir.join("submissions.jsonl"),
-                    file: None,
-                }),
-            ),
-            None => (runner, None),
+        let runner = match &store {
+            Some(dir) => runner
+                .with_golden_dir(dir.join("golden"))
+                .with_ledger_dir(dir.join("ledger"))
+                .with_feature_dir(dir.join("features"))
+                .with_resume(true),
+            None => runner,
         };
         let shared = Arc::new(Shared {
             runner,
@@ -385,7 +359,10 @@ impl Scheduler {
                 entries: BTreeMap::new(),
                 by_key: HashMap::new(),
                 rr_last: 0,
-                journal,
+                journal: Journal {
+                    path: store.map(|dir| dir.join("submissions.jsonl")),
+                    file: None,
+                },
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -430,10 +407,7 @@ impl Scheduler {
     /// error; an entry that no longer validates or registers is reported
     /// on stderr and skipped.
     pub(crate) fn replay(&self) -> Result<(), String> {
-        let live = match &self.shared.state.lock().journal {
-            Some(journal) => journal.live()?,
-            None => return Ok(()),
-        };
+        let live = self.shared.state.lock().journal.live()?;
         for spec in live {
             if let Err(e) = spec
                 .to_campaign()
@@ -473,7 +447,7 @@ impl Scheduler {
             return Ok((id, true));
         }
         if !replayed {
-            st.journal("submit", spec)?;
+            st.journal.append("submit", spec)?;
         }
         let id = run.id();
         self.note_submit(id, spec, false);
@@ -562,7 +536,7 @@ impl Scheduler {
         entry.end(CampaignState::Cancelled);
         let spec = entry.run.spec().clone();
         st.by_key.remove(&spec.cache_key());
-        if let Err(e) = st.journal("cancel", &spec) {
+        if let Err(e) = st.journal.append("cancel", &spec) {
             eprintln!("serve: {e}");
         }
         self.shared.cv.notify_all();
@@ -801,7 +775,7 @@ mod tests {
         let text = std::fs::read_to_string(store.join("submissions.jsonl")).unwrap();
         text.lines()
             .map(|line| {
-                let entry: JournalLine = protocol::parse_line(line).unwrap();
+                let entry: JournalLine = crate::protocol::parse_line(line).unwrap();
                 (entry.op, entry.spec.seed)
             })
             .collect()
@@ -858,6 +832,35 @@ mod tests {
         second.shutdown();
         let after = std::fs::read(store.join("submissions.jsonl")).unwrap();
         assert_eq!(after, bytes, "replay appended to the journal");
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// A journal tail torn by a kill costs only the torn line: the next
+    /// daemon ends it before its first line, so a submission made after
+    /// the restart is replayed by the one after that.
+    #[test]
+    fn a_torn_journal_tail_costs_only_the_torn_line() {
+        let store = temp_store("torn");
+        let first = Scheduler::new(CampaignRunner::new(), 1, Some(store.clone()));
+        let (id, _) = first.submit(&spec(App::Cg, 1, 2, 51)).unwrap();
+        assert_eq!(wait_done(&first, id), CampaignState::Done);
+        first.shutdown();
+        let journal = store.join("submissions.jsonl");
+        let mut torn = std::fs::read(&journal).unwrap();
+        torn.extend_from_slice(br#"{"op":"sub"#);
+        std::fs::write(&journal, torn).unwrap();
+
+        let second = Scheduler::new(CampaignRunner::new(), 1, Some(store.clone()));
+        second.replay().unwrap();
+        let (id, _) = second.submit(&spec(App::Cg, 1, 2, 52)).unwrap();
+        assert_eq!(wait_done(&second, id), CampaignState::Done);
+        second.shutdown();
+
+        let third = Scheduler::new(CampaignRunner::new(), 1, Some(store.clone()));
+        third.replay().unwrap();
+        let seeds: Vec<u64> = third.list().iter().map(|c| c.seed).collect();
+        assert_eq!(seeds, [51, 52]);
+        third.shutdown();
         let _ = std::fs::remove_dir_all(&store);
     }
 }
