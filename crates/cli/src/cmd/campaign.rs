@@ -2,10 +2,10 @@
 //! reassemble its shard ledgers (and feature shards, in the same pass).
 
 use crate::opts::{emit, one_deployment, Options};
-use resilim_harness::store::{CampaignSummary, ResultStore};
-use resilim_harness::{CampaignRunner, CampaignSpec};
+use resilim_harness::{CampaignRunner, CampaignSpec, CampaignSummary};
 
-/// Run one deployment; print or `--store` its summary.
+/// Run one deployment and print its summary (with `--store`, every
+/// trial is ledgered there).
 pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     let (_, spec) = one_deployment(opts)?;
     let (app, procs, errors) = (spec.spec.app(), spec.procs, spec.errors);
@@ -14,7 +14,7 @@ pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     let result = runner.try_run(&spec).map_err(|e| e.to_string())?;
     if let Some(shard) = runner.shard() {
         // A shard's result is partial: it is ledgered for
-        // `resilim merge`, never stored as a campaign summary.
+        // `resilim merge`, and only its trial count is printed.
         let text = format!(
             "{app} p={procs} {:?} shard {shard}: ran {} of {} trials \
              (ledgered; run `resilim merge` once every shard finished)\n",
@@ -32,11 +32,6 @@ pub fn campaign(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
         return emit(opts, text, &value);
     }
     let summary = CampaignSummary::of(&spec, &result);
-    if let Some(dir) = &opts.store {
-        let store = ResultStore::open(dir).map_err(|e| e.to_string())?;
-        let path = store.save(&summary).map_err(|e| e.to_string())?;
-        eprintln!("saved {}", path.display());
-    }
     let stopped = if result.stopped_early {
         format!(
             " — stopped early at {} of {} planned",
@@ -95,7 +90,8 @@ pub(crate) fn detection_line(summary: &CampaignSummary) -> String {
     )
 }
 
-/// Aggregate a deployment's shard ledgers into one summary (`--store`).
+/// Aggregate a deployment's shard ledgers in `--store` into one summary
+/// and print it.
 pub fn merge(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     if opts.store.is_none() {
         return Err("merge needs --store DIR (the shards' ledger directory)".into());
@@ -103,11 +99,6 @@ pub fn merge(opts: &Options, runner: &CampaignRunner) -> Result<(), String> {
     let (_, spec) = one_deployment(opts)?;
     let result = runner.merged_from_ledger(&spec)?;
     let summary = CampaignSummary::of(&spec, &result);
-    if let Some(dir) = &opts.store {
-        let store = ResultStore::open(dir).map_err(|e| e.to_string())?;
-        let path = store.save(&summary).map_err(|e| e.to_string())?;
-        eprintln!("saved {}", path.display());
-    }
     // Feature shards merge in the same pass (corruption-tolerant load):
     // report how many per-trial records the shards recovered so partial
     // feature coverage is visible, not silent.

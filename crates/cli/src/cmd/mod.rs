@@ -30,7 +30,7 @@ pub fn run_command(opts: &Options, runner: &CampaignRunner, command: &str) -> Re
         "fig8" => figures::fig8(opts, runner),
         "campaign" => campaign::campaign(opts, runner),
         "merge" => campaign::merge(opts, runner),
-        "model" => model::model(opts),
+        "model" => model::model(opts, runner),
         "metrics" => metrics::metrics(opts),
         "check" => check::check(opts),
         "trace-matrix" => trace_matrix::trace_matrix(opts),

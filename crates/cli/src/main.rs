@@ -17,7 +17,7 @@
 //!   motivation          op-count / FI-time growth with scale
 //!   apps                run each application fault-free and verify it
 //!   weak                weak-scaling extension study (not in the paper)
-//!   campaign            run one deployment; print or --store its summary
+//!   campaign            run one deployment; print its summary (--store ledgers it)
 //!   merge               aggregate a deployment's shard ledgers (--store)
 //!   model               predict from a --store directory (offline)
 //!   metrics             aggregate report from a --trace JSONL file
@@ -67,8 +67,8 @@
 //! (and feature shards) into the whole-campaign result.
 //!
 //! Prediction: `resilim model` predicts from a `--store` directory: the
-//! paper's closed form (Eq. 8) over stored serial + small-scale
-//! summaries.
+//! paper's closed form (Eq. 8) over the serial + small-scale campaigns
+//! that `--tests`/`--seed` name, each merged from the store's ledger.
 //! `--trial-timeout SECS` arms a per-trial watchdog that kills and
 //! retries wedged trials (`--retries N` bounds the attempts).
 //!
@@ -114,10 +114,10 @@ fn build_runner(opts: &Options) -> CampaignRunner {
         Some(k) => CampaignRunner::new().with_test_parallelism(k),
     };
     if let Some(dir) = &opts.store {
-        // Persist golden profiling runs alongside the campaign summaries:
-        // repeated invocations with the same --store skip re-profiling.
-        // The trial ledger lives next to them; every completed trial is
-        // appended durably so `--resume`/`merge` can pick it up.
+        // Persist golden profiling runs in the store: repeated
+        // invocations with the same --store skip re-profiling. The trial
+        // ledger lives next to them; every completed trial is appended
+        // durably so `--resume`/`merge`/`model` can pick it up.
         runner = runner
             .with_golden_dir(std::path::Path::new(dir).join("golden"))
             .with_ledger_dir(std::path::Path::new(dir).join("ledger"))
@@ -154,7 +154,9 @@ fn main() -> ExitCode {
     let metrics_before = resilim_obs::MetricsSnapshot::capture();
     let runner = build_runner(&opts);
     let outcome = cmd::run_command(&opts, &runner, &opts.command.clone());
-    resilim_obs::flush_sinks();
+    // A trace that could not be written is an error, not a lost file.
+    let flushed = resilim_obs::flush_sinks()
+        .map_err(|e| format!("--trace {}: {e}", opts.trace.as_deref().unwrap_or_default()));
     if opts.metrics && opts.command != "metrics" {
         eprint!(
             "{}",
@@ -163,7 +165,7 @@ fn main() -> ExitCode {
                 .render()
         );
     }
-    match outcome {
+    match outcome.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -256,15 +256,23 @@ pub fn write_svg(opts: &Options, svg: String) -> Result<(), String> {
     Ok(())
 }
 
+/// The one `--apps` app of a command that measures or models a single
+/// workload (`campaign`, `merge`, `submit`, `model`): without `--apps`,
+/// or with more than one app, it refuses rather than pick one.
+pub fn one_app(opts: &Options) -> Result<App, String> {
+    match opts.apps.as_deref().unwrap_or_default() {
+        [app] => Ok(*app),
+        _ => Err(format!("{} needs --apps <exactly one app>", opts.command)),
+    }
+}
+
 /// Resolve the single-deployment flags (`--apps`, `--scale`, `--errors`,
 /// `--tests`, `--seed`, `--fault-model`, `--replicate`, `--adaptive`)
 /// shared by the `campaign`, `merge` and `submit` commands: the wire
 /// form `submit` sends, and the campaign it validates into through
 /// [`SubmitSpec::to_campaign`], the one gate every front end shares.
 pub fn one_deployment(opts: &Options) -> Result<(SubmitSpec, CampaignSpec), String> {
-    let [app] = opts.apps.as_deref().unwrap_or_default() else {
-        return Err(format!("{} needs --apps <exactly one app>", opts.command));
-    };
+    let app = one_app(opts)?;
     let stop = opts.cfg.stop;
     let wire = SubmitSpec {
         app: app.name().to_string(),

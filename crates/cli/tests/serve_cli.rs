@@ -253,3 +253,56 @@ fn submit_watch_prints_the_campaign_detection_line() {
     assert!(daemon.wait().expect("daemon exit").success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A served store is a store like any other: the serial cases and the
+/// small-scale campaign submitted to `resilim serve --store`, modelled
+/// offline after the daemon exits, print the same bytes as `model` over
+/// the same campaigns run one-shot.
+#[test]
+fn model_reads_a_served_store_like_a_one_shot_one() {
+    let dir = temp_dir("model");
+    let socket = dir.join("d.sock");
+    let sock = socket.to_str().unwrap();
+    let served = dir.join("served");
+    let one_shot = dir.join("one-shot");
+    let mut daemon = spawn_daemon(&socket, &served);
+
+    // Predicting 8 ranks from 2 reads the serial cases x = 1, 2, 8 and
+    // the 2-rank campaign.
+    let deployments: [&[&str]; 4] = [
+        &["--errors", "ser:1"],
+        &["--errors", "ser:2"],
+        &["--errors", "ser:8"],
+        &["--scale", "2"],
+    ];
+    let flags = ["--apps", "cg", "--tests", "10", "--seed", "5"];
+    for deployment in deployments {
+        let mut submit = vec!["submit", "--watch", "--socket", sock];
+        submit.extend_from_slice(&flags);
+        submit.extend_from_slice(deployment);
+        let out = client_retry(&submit);
+        assert!(out.status.success(), "{deployment:?}: {out:?}");
+
+        let mut campaign = vec!["campaign", "--store", one_shot.to_str().unwrap()];
+        campaign.extend_from_slice(&flags);
+        campaign.extend_from_slice(deployment);
+        let out = resilim(&campaign);
+        assert!(out.status.success(), "{deployment:?}: {out:?}");
+    }
+    let out = resilim(&["shutdown", "--socket", sock]);
+    assert!(out.status.success());
+    assert!(daemon.wait().expect("daemon exit").success());
+
+    let model = |store: &Path| {
+        let mut args = vec!["model", "--scale", "8", "--small", "2"];
+        args.extend_from_slice(&flags);
+        args.extend_from_slice(&["--store", store.to_str().unwrap()]);
+        let out = resilim(&args);
+        assert!(out.status.success(), "{store:?}: {out:?}");
+        out.stdout
+    };
+    let from_served = model(&served);
+    assert!(String::from_utf8_lossy(&from_served).starts_with("predicted cg at 8 ranks"));
+    assert_eq!(from_served, model(&one_shot));
+    let _ = std::fs::remove_dir_all(&dir);
+}

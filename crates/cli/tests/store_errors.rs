@@ -4,7 +4,8 @@
 //! non-durable campaign that a later `--resume` would quietly re-run.
 //! A deployment no app can decompose fails the same way, with an error
 //! line rather than a panic, and so does a single-deployment command
-//! that is not given exactly one app.
+//! that is not given exactly one app, an offline model whose inputs
+//! the store does not hold, and a trace that cannot be written.
 
 use std::process::Command;
 
@@ -53,15 +54,20 @@ fn undecomposable_scale_is_an_error_not_a_panic() {
     assert!(out.stdout.is_empty(), "no summary may be printed");
 }
 
-/// `campaign`, `merge` and `submit` run one deployment: without
-/// `--apps`, or with more than one app, they must refuse before doing
-/// anything rather than silently pick one.
+/// `campaign`, `merge` and `submit` run one deployment and `model`
+/// models one workload: without `--apps`, or with more than one app,
+/// they must refuse before doing anything rather than silently pick one.
 #[test]
 fn single_deployment_commands_need_exactly_one_app() {
     let store = std::env::temp_dir().join(format!("resilim-one-app-{}", std::process::id()));
     let store = store.to_str().unwrap();
     for apps in [&[][..], &["--apps", "lu,cg"]] {
-        for command in [&["campaign"][..], &["merge", "--store", store], &["submit"]] {
+        for command in [
+            &["campaign"][..],
+            &["merge", "--store", store],
+            &["submit"],
+            &["model", "--store", store],
+        ] {
             let out = Command::new(env!("CARGO_BIN_EXE_resilim"))
                 .args(command)
                 .args(apps)
@@ -78,6 +84,77 @@ fn single_deployment_commands_need_exactly_one_app() {
         }
     }
     let _ = std::fs::remove_dir_all(store);
+}
+
+/// `resilim model` reads exactly the campaigns `--tests`/`--seed`
+/// name, each merged from the ledger: a store whose small-scale
+/// campaign exists only at another seed is refused, naming the missing
+/// deployment, instead of being mixed with the requested seed's serial
+/// campaigns.
+#[test]
+fn model_refuses_a_small_scale_campaign_at_another_seed() {
+    let store = std::env::temp_dir().join(format!("resilim-model-seed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let store = store.to_str().unwrap();
+    let campaign = |args: &[&str], seed: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_resilim"))
+            .args(["campaign", "--apps", "cg", "--tests", "8", "--seed", seed])
+            .args(["--store", store])
+            .args(args)
+            .output()
+            .expect("spawn resilim");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    };
+    let model = || {
+        Command::new(env!("CARGO_BIN_EXE_resilim"))
+            .args(["model", "--apps", "cg", "--scale", "8", "--small", "2"])
+            .args(["--tests", "8", "--seed", "7", "--store", store])
+            .output()
+            .expect("spawn resilim")
+    };
+    // The serial cases of predicting 8 ranks from 2 are x = 1, 2, 8.
+    for x in ["ser:1", "ser:2", "ser:8"] {
+        campaign(&["--errors", x], "7");
+    }
+    campaign(&["--scale", "2"], "8");
+    let out = model();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cg --scale 2 --errors par --seed 7") && stderr.contains("8/8 trials"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no prediction may be printed");
+
+    campaign(&["--scale", "2"], "7");
+    let out = model();
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("predicted cg at 8 ranks"));
+
+    // A small scale that does not divide the target is refused, not a panic.
+    let out = Command::new(env!("CARGO_BIN_EXE_resilim"))
+        .args(["model", "--apps", "cg", "--small", "3", "--store", store])
+        .output()
+        .expect("spawn resilim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--small 3 must divide"), "{stderr}");
+    std::fs::remove_dir_all(store).unwrap();
+}
+
+/// A `--trace` file the disk refuses fails the command after it ran,
+/// naming the flag and the OS error, instead of losing the trace.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_trace_the_disk_refuses_fails_the_command() {
+    let out = Command::new(env!("CARGO_BIN_EXE_resilim"))
+        .args(["campaign", "--apps", "cg", "--scale", "2", "--tests", "8"])
+        .args(["--seed", "7", "--trace", "/dev/full"])
+        .output()
+        .expect("spawn resilim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: --trace /dev/full: "), "{stderr}");
 }
 
 #[test]

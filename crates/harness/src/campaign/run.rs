@@ -146,10 +146,10 @@ impl CampaignRunner {
     /// A merge is a run that executes nothing: it owns all of
     /// `0..spec.tests` whatever the shard, is seeded from the ledger's
     /// strict loader and the feature store's lenient one, opens no store
-    /// for writing, and fails naming the trials still to claim. So a
-    /// merged result is bitwise identical to a single-process run of the
-    /// same deployment, and an adaptive ledger merges to its stopped
-    /// prefix.
+    /// for writing, and fails naming the deployment and the trials still
+    /// to claim. So a merged result is bitwise identical to a
+    /// single-process run of the same deployment, and an adaptive ledger
+    /// merges to its stopped prefix.
     pub fn merged_from_ledger(&self, spec: &CampaignSpec) -> Result<CampaignResult, String> {
         let dir = self
             .ledger_dir
@@ -170,7 +170,12 @@ impl CampaignRunner {
         let missing = run.claim(spec.tests);
         if let Some(first) = missing.first() {
             return Err(format!(
-                "ledger incomplete: {}/{} trials missing (e.g. trial {first})",
+                "ledger incomplete for {} --scale {} --errors {} --seed {}: \
+                 {}/{} trials missing (e.g. trial {first})",
+                spec.spec.app().name(),
+                spec.procs,
+                spec.errors.cli_name(),
+                spec.seed,
                 missing.len(),
                 spec.tests,
             ));

@@ -27,8 +27,7 @@ mod weak;
 pub use fig3::{fig3, Fig3, Fig3App};
 pub use fig8::{fig8, Fig8, Fig8Point};
 pub use motivation::{motivation, Motivation, MotivationRow};
-pub(crate) use prediction::assemble_inputs;
-pub use prediction::{build_inputs, prediction, PredictionReport, PredictionRow};
+pub use prediction::{assemble_inputs, build_inputs, prediction, PredictionReport, PredictionRow};
 pub use propagation::{fig_propagation, PropagationFigure};
 pub use table1::{table1, Table1, Table1Row};
 pub use table2::{table2, Table2, Table2Row};

@@ -127,14 +127,14 @@ pub fn build_inputs(
 }
 
 /// The one place Eq. 8's [`ModelInputs`] are built from measured
-/// campaigns, live ([`build_inputs`]) or offline
-/// ([`model_inputs_from_store`](crate::store::model_inputs_from_store)).
+/// campaigns, live ([`build_inputs`]) or offline (`resilim model`, which
+/// merges each campaign from a store's ledger).
 /// `measure(procs, errors)` looks up one campaign of the workload. Read:
 /// the serial campaigns at every [`ModelInputs::serial_cases`], the
 /// `s`-rank 1-error campaign (propagation profile + conditionals) and,
-/// when the target-scale `unique_share` clears [`UNIQUE_SHARE_CUTOFF`],
+/// when the target-scale `unique_share` clears `UNIQUE_SHARE_CUTOFF` (0.5 %),
 /// the `s`-rank parallel-unique campaign behind Eq. 1's prob₂ term.
-pub(crate) fn assemble_inputs<E>(
+pub fn assemble_inputs<E>(
     p: usize,
     s: usize,
     strategy: SamplePoints,

@@ -9,7 +9,7 @@ use resilim_obs as obs;
 use resilim_simmpi::World;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -156,6 +156,17 @@ pub fn golden_cache_file_name(spec: &ProblemSpec, procs: usize, mask: OpMask) ->
     key_file_name(&(spec.cache_key(), procs, mask))
 }
 
+/// Write `contents` to `path` so that readers — and a process killed
+/// mid-write — never observe a half-written file: write a sibling
+/// `<name>.tmp.<pid>`, then rename it over `path`. The cache opens only
+/// its records' own names, so a temp file a crash left behind is ignored.
+fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    std::fs::write(&tmp, contents)?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Process-wide cache of golden runs, keyed by `(problem, scale, mask)`,
 /// with an optional persistent layer on disk.
 ///
@@ -260,10 +271,9 @@ impl GoldenStore {
         })
     }
 
-    /// Persist a record, best-effort: atomically (see
-    /// [`write_atomic`](crate::store::write_atomic)), and IO errors are
-    /// swallowed (the cache is an optimization, not a durability
-    /// contract).
+    /// Persist a record, best-effort: atomically (see [`write_atomic`]),
+    /// and IO errors are swallowed (the cache is an optimization, not a
+    /// durability contract).
     fn save_disk(&self, key: &Key, run: &GoldenRun) {
         let Some(dir) = self.disk.as_ref() else {
             return;
@@ -284,7 +294,7 @@ impl GoldenStore {
             return;
         }
         let path = dir.join(key_file_name(key));
-        let _ = crate::store::write_atomic(&path, &json);
+        let _ = write_atomic(&path, &json);
     }
 
     /// Number of cached runs (memory layer).

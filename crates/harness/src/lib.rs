@@ -24,8 +24,9 @@
 //! * [`recordlog`] — the one append-only JSONL record log both of them
 //!   instantiate, and the buffered consumer that feeds it.
 //! * [`report`] — plain-text table rendering.
-//! * [`store`] — JSON persistence of campaign summaries ("measure once,
-//!   model later").
+//! * [`store`] — the serializable summary of one campaign; a stored
+//!   campaign's record is its ledger, from which `resilim model` merges
+//!   each summary it reads ("measure once, model later").
 //! * [`plot`] — dependency-free SVG rendering of the figures.
 
 pub mod campaign;
@@ -46,4 +47,4 @@ pub use campaign::{
 pub use features::FeatureStore;
 pub use golden::{golden_cache_file_name, GoldenRun, GoldenStore, GOLDEN_CACHE_VERSION};
 pub use ledger::{Shard, TrialLedger, LEDGER_VERSION};
-pub use store::{CampaignSummary, ResultStore};
+pub use store::CampaignSummary;

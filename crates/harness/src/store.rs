@@ -1,25 +1,28 @@
-//! Persisting campaign results: measure once, model later.
+//! The summary of one campaign: what `resilim campaign`, `merge` and
+//! `submit --watch` print and the serve protocol carries.
 //!
 //! A fault-injection campaign is expensive; the model that consumes it is
-//! not. [`CampaignSummary`] is the serializable record of one deployment
-//! (everything the model needs, nothing the simulator owns), and
-//! [`ResultStore`] is a directory of them. This mirrors the paper's
-//! workflow: collect serial and small-scale measurements on whatever
-//! machine is available, then predict large scales offline.
+//! not. [`CampaignSummary`] is the serializable essence of one deployment
+//! (everything the model needs, nothing the simulator owns). A stored
+//! campaign's one record is its trial ledger: `resilim model` rebuilds
+//! each summary it reads from there
+//! ([`merged_from_ledger`](crate::CampaignRunner::merged_from_ledger)),
+//! which mirrors the paper's workflow — collect serial and small-scale
+//! measurements on whatever machine is available, then predict large
+//! scales offline.
 
 use crate::campaign::{CampaignResult, CampaignSpec, ErrorSpec};
 use resilim_core::{FiResult, PropagationProfile};
 use resilim_inject::FaultModelSpec;
 use serde::{Deserialize, Serialize, Value};
-use std::path::{Path, PathBuf};
 
 /// The serializable essence of one campaign.
 ///
 /// Serde impls are hand-written: the fault-model fields are emitted only
-/// for non-default models (or under replication), so summaries — and the
-/// `resilim campaign` JSON output built from them — of baseline campaigns
-/// stay byte-identical to records written before fault models existed,
-/// and old files load with the defaults.
+/// for non-default models (or under replication), so the `resilim
+/// campaign` JSON of a baseline campaign stays byte-identical to what
+/// builds before fault models emitted, and such JSON loads with the
+/// defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSummary {
     /// Application name.
@@ -97,31 +100,6 @@ impl CampaignSummary {
     fn models_faults(&self) -> bool {
         !self.fault_model.is_default() || self.replicate
     }
-
-    /// Canonical file name for this deployment. Baseline campaigns keep
-    /// their historical names; non-default models (and replication) get
-    /// a suffix so they never clobber a baseline record.
-    pub fn file_name(&self) -> String {
-        let errors = match self.errors {
-            ErrorSpec::OneParallel => "par1".to_string(),
-            ErrorSpec::SerialErrors(x) => format!("ser{x}"),
-            ErrorSpec::OneParallelUnique => "unique1".to_string(),
-            ErrorSpec::OneParallelMultiBit(k) => format!("par1x{k}bit"),
-        };
-        let mut tag = String::new();
-        if !self.fault_model.is_default() {
-            // "burst:3" → "burst3": keep file names shell-friendly.
-            tag.push('_');
-            tag.extend(self.fault_model.cli_name().chars().filter(|c| *c != ':'));
-        }
-        if self.replicate {
-            tag.push_str("_repl");
-        }
-        format!(
-            "{}_p{}_{}_n{}_s{}{}.json",
-            self.app, self.procs, errors, self.tests, self.seed, tag
-        )
-    }
 }
 
 impl Serialize for CampaignSummary {
@@ -197,228 +175,61 @@ impl Deserialize for CampaignSummary {
     }
 }
 
-/// Write `contents` to `path` so that readers — and a process killed
-/// mid-write — never observe a half-written file: write a sibling
-/// `<name>.tmp.<pid>`, then rename it over `path`. Shared by the
-/// summary store and the golden cache; their loaders only look at
-/// `*.json`, so a temp file a crash left behind is ignored.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// A directory of saved campaign summaries.
-#[derive(Debug, Clone)]
-pub struct ResultStore {
-    dir: PathBuf,
-}
-
-impl ResultStore {
-    /// Open (creating if needed) a store at `dir`.
-    pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ResultStore> {
-        std::fs::create_dir_all(&dir)?;
-        Ok(ResultStore {
-            dir: dir.as_ref().to_path_buf(),
-        })
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Save a summary under its canonical name; returns the path.
-    pub fn save(&self, summary: &CampaignSummary) -> std::io::Result<PathBuf> {
-        let path = self.dir.join(summary.file_name());
-        let json = serde_json::to_string_pretty(summary)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        write_atomic(&path, &json)?;
-        Ok(path)
-    }
-
-    /// Load one summary by file name.
-    pub fn load(&self, file_name: &str) -> std::io::Result<CampaignSummary> {
-        let raw = std::fs::read_to_string(self.dir.join(file_name))?;
-        serde_json::from_str(&raw)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
-
-    /// Load every summary in the store. A `*.json` that does not parse
-    /// is an `InvalidData` error naming the file, never a silent skip.
-    fn load_all(&self) -> std::io::Result<Vec<CampaignSummary>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "json") {
-                let raw = std::fs::read_to_string(&path)?;
-                let summary = serde_json::from_str(&raw).map_err(|e| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("corrupt summary {}: {e}", path.display()),
-                    )
-                })?;
-                out.push(summary);
-            }
-        }
-        out.sort_by_key(CampaignSummary::file_name);
-        Ok(out)
-    }
-}
-
-/// Assemble [`ModelInputs`](resilim_core::ModelInputs) for predicting
-/// scale `p` of `app` from the summaries saved in `store` — the offline
-/// half of the paper's workflow, through the same assembler as the live
-/// [`build_inputs`](crate::experiments::build_inputs).
-///
-/// Requires: serial campaigns (`SerialErrors(x)`) at every
-/// [`serial_cases`](resilim_core::ModelInputs::serial_cases) of
-/// `(p, s, strategy)`, and a 1-error campaign at `s`
-/// ranks. The offline path predicts without Eq. 1's parallel-unique term:
-/// `unique_share` is 0, so no parallel-unique campaign is read.
-pub fn model_inputs_from_store(
-    store: &ResultStore,
-    app: &str,
-    p: usize,
-    s: usize,
-    strategy: resilim_core::SamplePoints,
-) -> Result<resilim_core::ModelInputs, String> {
-    let all = store
-        .load_all()
-        .map_err(|e| format!("cannot read store: {e}"))?;
-    crate::experiments::assemble_inputs(p, s, strategy, 0.0, |procs, errors| {
-        all.iter()
-            // The paper's model is calibrated on baseline (single-bit,
-            // unmitigated) measurements only; summaries from other fault
-            // models never feed it.
-            .find(|sum| {
-                sum.app == app
-                    && sum.procs == procs
-                    && sum.errors == errors
-                    && sum.fault_model.is_default()
-                    && !sum.replicate
-            })
-            .cloned()
-            .ok_or_else(|| match errors {
-                ErrorSpec::SerialErrors(x) => {
-                    format!("store is missing serial campaign x={x} for {app}")
-                }
-                _ => format!("store is missing the {procs}-rank 1-error campaign for {app}"),
-            })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::CampaignRunner;
     use resilim_apps::App;
 
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("resilim-store-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A fresh runner over the ledger and feature store under `dir`.
+    fn stored_runner(dir: &std::path::Path) -> CampaignRunner {
+        CampaignRunner::new()
+            .with_ledger_dir(dir.join("ledger"))
+            .with_feature_dir(dir.join("features"))
     }
 
-    #[test]
-    fn summary_roundtrips_through_disk() {
-        let runner = CampaignRunner::new();
-        let spec = CampaignSpec::new(App::Lu.default_spec(), 2, ErrorSpec::OneParallel, 10, 5);
-        let result = runner.run(&spec);
-        let summary = CampaignSummary::of(&spec, &result);
-
-        let store = ResultStore::open(temp_dir("roundtrip")).unwrap();
-        let path = store.save(&summary).unwrap();
-        assert!(path.exists());
-        let loaded = store.load(&summary.file_name()).unwrap();
-        assert_eq!(loaded, summary);
-        std::fs::remove_dir_all(store.dir()).unwrap();
-    }
-
-    /// A save killed between temp-write and rename leaves a `*.tmp.*`
-    /// file behind; it is not a summary and must not fail the listing.
-    #[test]
-    fn leftover_temp_files_are_ignored() {
-        let store = ResultStore::open(temp_dir("tmp")).unwrap();
-        let saved = summary(ErrorSpec::OneParallel);
-        let path = store.save(&saved).unwrap();
-        assert_eq!(
-            std::fs::read_dir(store.dir()).unwrap().count(),
-            1,
-            "a completed save leaves no temp file of its own"
-        );
-        std::fs::write(
-            format!("{}.tmp.4242", path.display()),
-            "{\"app\":\"cg\",\"pro",
-        )
-        .unwrap();
-        assert_eq!(store.load_all().unwrap(), vec![saved]);
-        std::fs::remove_dir_all(store.dir()).unwrap();
-    }
-
-    /// A summary cut short (a torn copy, a full disk) fails the listing
-    /// with the file's name, and the offline model reports it rather than
-    /// a missing campaign.
-    #[test]
-    fn truncated_summary_is_an_error() {
-        let store = ResultStore::open(temp_dir("truncated")).unwrap();
-        let path = store.save(&summary(ErrorSpec::OneParallel)).unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &json[..json.len() / 2]).unwrap();
-        let err = store.load_all().unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let name = path.file_name().unwrap().to_str().unwrap();
-        assert!(err.to_string().contains(name), "{err}");
+    /// The offline half of the workflow: Eq. 8's inputs for `app`, each
+    /// campaign merged from the ledger under `dir`.
+    fn offline_inputs(
+        dir: &std::path::Path,
+        cfg: &crate::experiments::ExperimentConfig,
+        app: App,
+        (p, s): (usize, usize),
+    ) -> Result<resilim_core::ModelInputs, String> {
+        let runner = stored_runner(dir);
         let strategy = resilim_core::SamplePoints::BucketUpper;
-        let err = model_inputs_from_store(&store, "cg", 4, 2, strategy).unwrap_err();
-        assert!(
-            err.contains("cannot read store") && err.contains(name),
-            "{err}"
-        );
-        std::fs::remove_dir_all(store.dir()).unwrap();
-    }
-
-    #[test]
-    fn load_all_finds_everything() {
-        let runner = CampaignRunner::new();
-        let store = ResultStore::open(temp_dir("all")).unwrap();
-        for x in [1usize, 2] {
-            let spec =
-                CampaignSpec::new(App::Lu.default_spec(), 1, ErrorSpec::SerialErrors(x), 8, 5);
-            let result = runner.run(&spec);
-            store.save(&CampaignSummary::of(&spec, &result)).unwrap();
-        }
-        let all = store.load_all().unwrap();
-        assert_eq!(all.len(), 2);
-        assert!(all.iter().all(|s| s.app == "lu" && s.tests == 8));
-        std::fs::remove_dir_all(store.dir()).unwrap();
+        crate::experiments::assemble_inputs(p, s, strategy, 0.0, |procs, errors| {
+            let spec = cfg.campaign(app.default_spec(), procs, errors);
+            Ok(CampaignSummary::of(
+                &spec,
+                &runner.merged_from_ledger(&spec)?,
+            ))
+        })
     }
 
     #[test]
     fn model_inputs_reconstructed_from_store() {
-        let runner = CampaignRunner::new();
+        let dir = std::env::temp_dir().join(format!("resilim-store-model-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let cfg = crate::experiments::ExperimentConfig {
             tests: 12,
             seed: 3,
             stop: None,
         };
-        let store = ResultStore::open(temp_dir("model")).unwrap();
         let (p, s) = (4usize, 2usize);
         let strategy = resilim_core::SamplePoints::BucketUpper;
-        // Measure and persist everything the model needs.
+        // Measure everything the model needs into the ledger.
+        let runner = stored_runner(&dir);
         let serial = resilim_core::ModelInputs::serial_cases(p, s, strategy)
             .into_iter()
             .map(|x| (1, ErrorSpec::SerialErrors(x)));
         for (procs, errors) in serial.chain([(s, ErrorSpec::OneParallel)]) {
             let spec = cfg.campaign(App::Lu.default_spec(), procs, errors);
-            let result = runner.run(&spec);
-            store.save(&CampaignSummary::of(&spec, &result)).unwrap();
+            runner.try_run(&spec).unwrap();
         }
 
-        // Offline: rebuild the inputs and predict.
-        let inputs = model_inputs_from_store(&store, "lu", p, s, strategy).unwrap();
+        // Offline: a fresh runner merges the inputs and predicts.
+        let inputs = offline_inputs(&dir, &cfg, App::Lu, (p, s)).unwrap();
         let pred = resilim_core::PaperEq8::new(inputs).predict();
         let total: f64 = pred.rates.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -426,7 +237,7 @@ mod tests {
         // LU has no parallel-unique computation, so the live route over
         // the same campaigns predicts the very same bits.
         let live = crate::experiments::build_inputs(
-            &runner,
+            &CampaignRunner::new(),
             &cfg,
             &App::Lu.default_spec(),
             p,
@@ -436,10 +247,13 @@ mod tests {
         let live = resilim_core::PaperEq8::new(live).predict();
         assert_eq!(live.rates.map(f64::to_bits), pred.rates.map(f64::to_bits));
 
-        // Missing data is reported, not panicked.
-        let err = model_inputs_from_store(&store, "cg", p, s, strategy).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
-        std::fs::remove_dir_all(store.dir()).unwrap();
+        // A missing deployment is an error naming it, not a panic.
+        let err = offline_inputs(&dir, &cfg, App::Cg, (p, s)).unwrap_err();
+        assert!(
+            err.contains("cg --scale 1 --errors ser:1 --seed 3") && err.contains("12/12"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn summary(errors: ErrorSpec) -> CampaignSummary {
@@ -461,35 +275,6 @@ mod tests {
             detected: 0,
             detection_coverage: None,
         }
-    }
-
-    #[test]
-    fn file_names_distinguish_deployments() {
-        let mut variants: Vec<CampaignSummary> = [
-            ErrorSpec::OneParallel,
-            ErrorSpec::SerialErrors(16),
-            ErrorSpec::OneParallelUnique,
-            ErrorSpec::OneParallelMultiBit(3),
-        ]
-        .into_iter()
-        .map(summary)
-        .collect();
-        // Every fault model (and replication) is its own deployment too.
-        for fm in FaultModelSpec::ALL {
-            let mut s = summary(ErrorSpec::OneParallel);
-            s.fault_model = fm;
-            variants.push(s);
-        }
-        let mut repl = summary(ErrorSpec::OneParallel);
-        repl.replicate = true;
-        variants.push(repl);
-        let names: Vec<String> = variants.iter().map(CampaignSummary::file_name).collect();
-        // The default-model variant appears twice by construction (first
-        // array + ALL[0]); dedup that one expected collision.
-        let unique: std::collections::HashSet<&String> = names.iter().collect();
-        assert_eq!(unique.len(), names.len() - 1, "{names:?}");
-        assert!(names.iter().any(|n| n.contains("burst3")));
-        assert!(names.iter().any(|n| n.ends_with("_repl.json")));
     }
 
     /// Baseline summaries must serialize without any fault-model field:

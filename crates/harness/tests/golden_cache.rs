@@ -1,7 +1,7 @@
 //! Persistent golden-run cache: a second "invocation" (fresh runner on
 //! the same store directory) must skip re-profiling entirely, and
 //! corrupted or stale-version cache files must fall back to re-measuring
-//! instead of erroring.
+//! instead of erroring, and a temp file left by a killed save is ignored.
 //!
 //! Single test function: the obs recorder is process-global, so the
 //! counter-delta assertions must not run concurrently with other golden
@@ -69,6 +69,29 @@ fn disk_cache_skips_reprofiling_and_tolerates_corruption() {
         .with_golden_dir(&dir)
         .run_uncached(&spec);
     assert_eq!(first.outcomes, after_stale.outcomes);
+
+    // A save killed between temp-write and rename leaves a `*.tmp.*`
+    // sibling behind: a completed save leaves none of its own, and a
+    // torn one beside the record is ignored by the next lookup.
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(listing(), [file.file_name().unwrap()]);
+    std::fs::write(format!("{}.tmp.4242", file.display()), "{\"version\":").unwrap();
+    obs::set_enabled(true);
+    let before = obs::MetricsSnapshot::capture();
+    let after_leftover = CampaignRunner::new()
+        .with_golden_dir(&dir)
+        .run_uncached(&spec);
+    let delta = obs::MetricsSnapshot::capture().delta(&before);
+    obs::set_enabled(false);
+    assert_eq!(delta.counter(obs::Counter::GoldenCacheMisses), 0);
+    assert_eq!(first.outcomes, after_leftover.outcomes);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,8 +16,11 @@ use std::sync::{Arc, Mutex};
 pub trait EventSink: Send + Sync {
     /// Observe one event.
     fn event(&self, event: &Event);
-    /// Flush buffered output (end of a CLI run).
-    fn flush(&self) {}
+    /// Flush buffered output (end of a CLI run), reporting any output
+    /// the sink could not write.
+    fn flush(&self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 static SINKS: Mutex<Vec<Arc<dyn EventSink>>> = Mutex::new(Vec::new());
@@ -32,11 +35,14 @@ pub fn clear_sinks() {
     SINKS.lock().expect("sink registry").clear();
 }
 
-/// Flush every registered sink.
-pub fn flush_sinks() {
+/// Flush every registered sink; the first error, after all were
+/// flushed.
+pub fn flush_sinks() -> std::io::Result<()> {
+    let mut first = Ok(());
     for sink in SINKS.lock().expect("sink registry").iter() {
-        sink.flush();
+        first = first.and(sink.flush());
     }
+    first
 }
 
 /// Record one observed happening: bump the counters it implies, then
@@ -59,27 +65,35 @@ fn record(event: &Event) {
 }
 
 /// Writes one JSON object per line to a file (the `--trace` sink).
+/// The first write error is kept (later events are dropped) and
+/// reported by [`EventSink::flush`], so a lost trace is never silent.
 pub struct JsonlSink {
-    out: Mutex<BufWriter<File>>,
+    out: Mutex<(BufWriter<File>, Option<std::io::Error>)>,
 }
 
 impl JsonlSink {
     /// Create/truncate the trace file.
     pub fn create(path: &Path) -> std::io::Result<JsonlSink> {
         Ok(JsonlSink {
-            out: Mutex::new(BufWriter::new(File::create(path)?)),
+            out: Mutex::new((BufWriter::new(File::create(path)?), None)),
         })
     }
 }
 
 impl EventSink for JsonlSink {
     fn event(&self, event: &Event) {
-        let mut out = self.out.lock().expect("trace writer");
-        let _ = writeln!(out, "{}", event.to_json());
+        let (out, failed) = &mut *self.out.lock().expect("trace writer");
+        if failed.is_none() {
+            *failed = writeln!(out, "{}", event.to_json()).err();
+        }
     }
 
-    fn flush(&self) {
-        let _ = self.out.lock().expect("trace writer").flush();
+    fn flush(&self) -> std::io::Result<()> {
+        let (out, failed) = &mut *self.out.lock().expect("trace writer");
+        match failed {
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => out.flush(),
+        }
     }
 }
 
@@ -406,7 +420,7 @@ mod tests {
             deadlocks: 0,
         });
         crate::set_enabled(false);
-        flush_sinks();
+        flush_sinks().unwrap();
         clear_sinks();
 
         let raw = std::fs::read_to_string(&path).unwrap();
@@ -416,5 +430,18 @@ mod tests {
              \"rank_switches\":350,\"deadlocks\":0}\n"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A trace the disk refused is reported at flush, every time, rather
+    /// than dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn jsonl_sink_reports_a_failed_write() {
+        let sink = JsonlSink::create(Path::new("/dev/full")).unwrap();
+        sink.event(&Event::TaintBorn { rank: 0 });
+        for _ in 0..2 {
+            let err = sink.flush().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::StorageFull, "{err}");
+        }
     }
 }

@@ -23,8 +23,8 @@
 # corrupted payload can reach a kernel as a length or an index);
 # cg's serial campaigns for ModelInputs::serial_cases(8, 2, default) plus
 # --scale 2 --errors par into another store (`store-eq8`), and `resilim
-# model --apps cg --scale 8 --small 2 --json` (the offline Eq. 8 path)
-# over it; `cargo run --release --example ablations`; and one --jobs 1
+# model --apps cg --scale 8 --small 2 --tests 60 --seed 7 --json` (the
+# offline Eq. 8 path, which merges each input from the ledger) over it; `cargo run --release --example ablations`; and one --jobs 1
 # cg --scale 8 --errors par --tests 60 --seed 7 --fault-model msg
 # --replicate campaign with --trace and --metrics and no store (`obs`);
 # and one served session (`serve`): `resilim serve` over a fresh store,
@@ -33,7 +33,7 @@
 # done, `shutdown`, a restart over the same store, `status` (the list)
 # and `status --campaign` of the survivor, `shutdown`.
 # Then one verdict per artifact (17): the summaries (campaign and merge
-# stdout, stored; wall_secs dropped), the sorted ledger lines, the sorted
+# stdout; wall_secs dropped), the sorted ledger lines, the sorted
 # feature lines, the golden records (wall_secs dropped), the Eq. 8 model
 # report, the ablations stdout, and the obs record: the --metrics counter
 # block without the worker_*_nanos lines, the utilization line and the
@@ -137,7 +137,7 @@ run_side() { # side
     done
     "$bin" campaign --apps cg --scale 2 --errors par --tests 60 --seed 7 \
         --store "$runs/store-eq8" >/dev/null 2>>"$runs/stderr.log"
-    "$bin" model --store "$runs/store-eq8" --apps cg --scale 8 --small 2 \
+    "$bin" model --store "$runs/store-eq8" --apps cg --scale 8 --small 2 --tests 60 --seed 7 \
         --json >"$runs/out/model-eq8.txt" 2>>"$runs/stderr.log"
     echo "$1: ablations example" >&2
     (cd "$src" && CARGO_TARGET_DIR=$target cargo run --release --offline --quiet \
@@ -197,8 +197,7 @@ run_side() { # side
     } >"$runs/out/serve.txt"
     "$bin" shutdown --socket "$sock" >/dev/null
     wait "$pid"
-    for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json store/*.json store-timeout/*.json store-p64/*.json \
-        store-apps/*.json); do
+    for f in $(cd "$runs" && LC_ALL=C ls stdout/*.json); do
         echo "== $f"
         nowall <"$runs/$f"
     done >"$runs/out/summaries.txt"
